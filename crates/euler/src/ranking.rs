@@ -23,9 +23,9 @@
 //!   per-round `Vec<Splice>` history of nested `Vec`s;
 //! - per-round removals mark a flag array swept by `retain`, replacing
 //!   the seed's per-round `HashSet`;
-//! - pointer-distance charging goes through the machine's batched
-//!   hooks ([`Machine::dist_sum`] over the live successor pairs,
-//!   [`Machine::charge_pointer_round`] per synchronous round).
+//! - pointer-distance charging is batched: one pass over the live
+//!   successor pairs sums their distances and counts them, then
+//!   [`Machine::charge_pointer_round`] charges the synchronous round.
 //!
 //! After `new` returns, [`RankingEngine::rank`] performs **zero heap
 //! allocation** (asserted by the counting-allocator test
@@ -338,17 +338,14 @@ impl RankingEngine {
             for &v in &self.alive {
                 self.coin[v as usize] = rng.gen();
             }
-            fn live_pairs<'a>(
-                alive: &'a [u32],
-                nxt: &'a [u32],
-            ) -> impl Iterator<Item = (Slot, Slot)> + 'a {
-                alive
-                    .iter()
-                    .filter(move |&&v| nxt[v as usize] != END)
-                    .map(move |&v| (v as Slot, nxt[v as usize] as Slot))
+            let (mut coin_energy, mut coin_msgs) = (0u64, 0u64);
+            for &v in &self.alive {
+                let w = self.nxt[v as usize];
+                if w != END {
+                    coin_energy += m.dist(v as Slot, w as Slot);
+                    coin_msgs += 1;
+                }
             }
-            let coin_energy = m.dist_sum(live_pairs(&self.alive, &self.nxt));
-            let coin_msgs = live_pairs(&self.alive, &self.nxt).count() as u64;
             charger.charge_pointer_round(coin_energy, coin_msgs);
 
             // Select: heads whose predecessor flipped tails (never the

@@ -361,7 +361,7 @@ impl LayoutEngine {
             sort2_levels,
             scan2_levels,
             sort3_levels,
-            scratch: LocalChargeScratch::with_capacity(2 * n as usize, 0),
+            scratch: LocalChargeScratch::new(),
             #[cfg(debug_assertions)]
             sizes: vec![0; n as usize],
             packed: Vec::with_capacity(cap),

@@ -2,10 +2,11 @@
 //! **zero heap allocation** after engine setup — the same harness as
 //! the ranking and treefix engines' `alloc_free` tests.
 //!
-//! The gate opens after [`LayoutEngine::new`] and one warm-up build
-//! (the first `begin_local_charge` session grows its scratch) and
-//! closes before the results are inspected. This binary holds exactly
-//! one live `#[test]` so no concurrent test can pollute the count.
+//! The gate opens right after [`LayoutEngine::new`] — the first build
+//! is allocation-free too, since `LocalCharge` sessions hold no
+//! per-slot scratch — and closes before the results are inspected.
+//! This binary holds exactly one live `#[test]` so no concurrent test
+//! can pollute the count.
 
 use rand::prelude::*;
 use spatial_layout::engine::LayoutEngine;
@@ -22,12 +23,9 @@ fn build_into_does_not_allocate() {
         let tree = generators::uniform_random(n, &mut StdRng::seed_from_u64(tree_seed));
         let mut engine = LayoutEngine::new(&tree, CurveKind::Hilbert);
         let mut rng = StdRng::seed_from_u64(7);
-        // One warm-up run: grows the LocalCharge scratch to the dart
-        // machine's slot count.
-        engine.build_into(&mut rng);
 
-        // Two runs inside the gate: a fresh seed and a reused one —
-        // both must be clean.
+        // The first two runs, inside the gate: a fresh engine and a
+        // reused one — both must be clean.
         let (reports, allocs) = count_allocations(|| {
             let r1 = engine.build_into(&mut rng);
             let r2 = engine.build_into(&mut rng);

@@ -17,7 +17,9 @@
 //! 4. per layer, the Lemma 13 range broadcast inside every cover
 //!    subtree plus a synchronization barrier — charged through a
 //!    [`spatial_model::LocalCharge`] session (identical accounting,
-//!    no per-message atomics).
+//!    no per-message atomics; the barrier's charges are computed in
+//!    closed form by [`spatial_model::collectives::barrier_local`]
+//!    rather than replayed message by message).
 //!
 //! Queries are resolved by walking each endpoint's head chain (the at
 //! most `O(log n)` cover subtrees containing it) instead of rescanning
@@ -140,9 +142,8 @@ pub struct LcaEngine {
     tf1: ContractionEngine<Add>,
     /// Step-3 top-down treefix (layers), rebound per run.
     tf3: ContractionEngine<Add>,
-    /// Clock snapshot + round staging for the local charging sessions
-    /// (steps 2 and 4).
-    clock_scratch: LocalChargeScratch,
+    /// Round staging for the local charging sessions (steps 2 and 4).
+    charge_scratch: LocalChargeScratch,
     /// Head chains of the two query endpoints, indexed by layer.
     chain_a: Vec<NodeId>,
     chain_b: Vec<NodeId>,
@@ -163,7 +164,7 @@ impl LcaEngine {
             structure,
             tf1: ContractionEngine::with_capacity(n),
             tf3: ContractionEngine::with_capacity(n),
-            clock_scratch: LocalChargeScratch::with_capacity(n, round),
+            charge_scratch: LocalChargeScratch::with_capacity(round),
             chain_a: Vec::with_capacity(num_layers),
             chain_b: Vec::with_capacity(num_layers),
         }
@@ -179,8 +180,8 @@ impl LcaEngine {
         let n = self.structure.n as usize;
         self.tf1.reserve(n);
         self.tf3.reserve(n);
-        self.clock_scratch
-            .reserve(n, n.max(self.structure.schedule.max_round_len()));
+        self.charge_scratch
+            .reserve(n.max(self.structure.schedule.max_round_len()));
     }
 
     /// The subtree cover the engine routes queries through.
@@ -301,7 +302,7 @@ impl LcaEngine {
         // ---- children (and its heavy child id, for the step-3      ----
         // ---- indicator) — the precomputed CSR relay schedule,      ----
         // ---- replayed through a local charging session.            ----
-        let mut lc = machine.begin_local_charge(&mut self.clock_scratch);
+        let mut lc = machine.begin_local_charge(&mut self.charge_scratch);
         s.schedule.charge_construction_into(&mut lc);
         s.schedule.charge_broadcast_into(&mut lc); // subtree ranges
         s.schedule.charge_broadcast_into(&mut lc); // heavy-child ids
@@ -324,7 +325,7 @@ impl LcaEngine {
         // ---- Step 4 charging: per layer, broadcast inside every    ----
         // ---- cover subtree (Lemma 13) and barrier — one local       ----
         // ---- charging session for the whole phase.                  ----
-        let mut lc = machine.begin_local_charge(&mut self.clock_scratch);
+        let mut lc = machine.begin_local_charge(&mut self.charge_scratch);
         for li in 0..s.cover.num_layers() {
             let (los, his) = s.cover.layer_ranges(li);
             for (&lo, &hi) in los.iter().zip(his.iter()) {

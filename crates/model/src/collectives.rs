@@ -18,11 +18,17 @@
 //!
 //! Senders are ticked between consecutive messages so that "one message
 //! per round" chains show up in the depth meter.
+//!
+//! The one exception is [`barrier_local`], the session-charged barrier
+//! the batched LCA runs once per layer: it charges the all-reduce's
+//! totals and clocks in closed form (bit-identical to [`barrier`]; the
+//! derivation is in its docs) instead of replaying every message.
 
 #[cfg(test)]
 use crate::machine::LocalChargeScratch;
 use crate::machine::{LocalCharge, Machine, Slot};
 use rayon::prelude::*;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Minimum range size before the tree recursions stop forking rayon
 /// tasks; below this the recursion runs sequentially.
@@ -93,19 +99,102 @@ fn reduce_rec_local(lc: &mut LocalCharge, lo: Slot, hi: Slot) {
     lc.tick(lo);
 }
 
-/// [`barrier`] charged through a [`LocalCharge`] session: the identical
-/// unit-token all-reduce (reduce tree + broadcast tree over the whole
-/// machine) followed by the floor lift.
+/// [`barrier`] charged through a [`LocalCharge`] session, in closed
+/// form: the identical charges and clocks as the unit-token all-reduce
+/// (reduce tree + broadcast tree over `[0, n)`) followed by the floor
+/// lift, in O(n) clock reads instead of 2(n−1) sends and ticks.
+///
+/// Both trees are the balanced split tree of `[0, n)`, split at
+/// `mid = lo + (hi − lo)/2`. The charges follow from it:
+///
+/// - **messages = work = 2(n−1)**: one send and one tick per split, once
+///   up and once down.
+/// - **energy = 2·Σ dist(lo, mid)** over the splits. It depends only
+///   on the placement, so it is computed once per machine.
+/// - **depth**: the reduce leaves slot 0 at `R = val(0, n)`, where
+///   `val(s, s+1)` is slot `s`'s effective clock and `val(lo, hi) =
+///   max(val(lo, mid), val(mid, hi) + 1) + 1` (the receive from `mid`,
+///   then the tick). Every other clock is then below `R`. The
+///   broadcast's split at recursion depth `k` hands `R + k + 1` to its
+///   `mid` and ticks `lo` to the same value, so the deepest leaf ends
+///   at `D′ = R + ⌈log₂ n⌉`, the split tree's height, and the new
+///   depth is `max(D′, depth)`.
+///
+/// The closing floor lift then sets every effective clock to the new
+/// depth. Every clock the message path would write lies at or below
+/// that floor. A clock is only ever read as `max(raw, floor)`, so those
+/// writes are unobservable: skipping them leaves [`Machine::report`] and
+/// every [`Machine::clock`] bit-identical. Traced machines keep the
+/// per-message path, since they record each message.
 pub fn barrier_local(lc: &mut LocalCharge) {
     let n = lc.n_slots();
     if n == 0 {
         return;
     }
-    if n > 1 {
-        range_reduce_charge_local(lc, 0, n);
-        range_broadcast_local(lc, 0, n);
+    if lc.machine().is_traced() {
+        if n > 1 {
+            range_reduce_charge_local(lc, 0, n);
+            range_broadcast_local(lc, 0, n);
+        }
+        lc.advance_all(0);
+        return;
     }
-    lc.advance_all(0);
+    let messages = 2 * (n as u64 - 1);
+    lc.charge_bulk(barrier_energy(lc.machine()), messages, messages);
+    let height = 32 - (n - 1).leading_zeros(); // ⌈log₂ n⌉
+    let (clocks, floor) = lc.raw_clocks();
+    let depth = lc.depth();
+    let target = (reduced_clock(clocks, floor) + height).max(depth);
+    lc.advance_all(target - depth);
+}
+
+/// Energy of one [`barrier`] over all of `m`'s slots: twice the summed
+/// split distances of the balanced split tree of `[0, n)` (see
+/// [`barrier_local`]). Computed once per machine, without allocating.
+fn barrier_energy(m: &Machine) -> u64 {
+    fn splits(m: &Machine, lo: Slot, hi: Slot) -> u64 {
+        if hi - lo <= 1 {
+            return 0;
+        }
+        let mid = lo + (hi - lo) / 2;
+        m.dist(lo, mid) + splits(m, lo, mid) + splits(m, mid, hi)
+    }
+    *m.barrier_energy
+        .get_or_init(|| 2 * splits(m, 0, m.n_slots()))
+}
+
+/// `val(lo, hi)` of [`barrier_local`] for the raw clocks of `[lo, hi)`:
+/// slot `lo`'s clock after the reduce tree over the range.
+///
+/// Over a power-of-two range of `2^k` slots, the split path to offset
+/// `i` takes `k` levels and turns right `popcount(i)` times (each right
+/// turn is the extra `+1` hop from `mid`), so `val = k + max_i
+/// (max(raw_i, floor) + popcount(i))` — a flat pass. The floor's share
+/// peaks at `floor + k` (offset `2^k − 1`), leaving only the raw clocks
+/// to scan, sixteen at a time with the low four offset bits' popcounts
+/// from a table (baseline x86-64 has no popcount instruction).
+fn reduced_clock(clocks: &[AtomicU32], floor: u32) -> u32 {
+    const POP16: [u32; 16] = [0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4];
+    let len = clocks.len();
+    if len == 1 {
+        return clocks[0].load(Ordering::Relaxed).max(floor);
+    }
+    if len.is_power_of_two() && len >= POP16.len() {
+        let k = len.trailing_zeros();
+        let raw_max = clocks
+            .chunks_exact(POP16.len())
+            .zip(0u32..)
+            .map(|(block, b)| {
+                let block_max = (block.iter().zip(POP16))
+                    .map(|(c, pop)| c.load(Ordering::Relaxed) + pop)
+                    .fold(0, u32::max);
+                block_max + b.count_ones()
+            })
+            .fold(0, u32::max);
+        return k + raw_max.max(floor + k);
+    }
+    let (left, right) = clocks.split_at(len / 2);
+    reduced_clock(left, floor).max(reduced_clock(right, floor) + 1) + 1
 }
 
 /// Reduces the `values` of slots `[lo, hi)` into slot `lo` with the

@@ -4,7 +4,10 @@ use crate::report::CostReport;
 use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
 use spatial_sfc::{manhattan, AnyCurve, Curve, CurveKind, GridPoint};
+#[cfg(debug_assertions)]
+use std::sync::atomic::AtomicBool;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// A processor slot: the position of a processor in the machine's linear
 /// (curve) order. Algorithms place one tree vertex per slot, matching the
@@ -77,8 +80,11 @@ impl MachineBuilder {
             clocks: (0..n).map(|_| AtomicU32::new(0)).collect(),
             max_clock: CachePadded::new(AtomicU32::new(0)),
             floor: CachePadded::new(AtomicU32::new(0)),
+            barrier_energy: OnceLock::new(),
             staging: Mutex::new(Vec::new()),
             trace: self.trace.then(|| Mutex::new(Vec::new())),
+            #[cfg(debug_assertions)]
+            session_open: AtomicBool::new(false),
         }
     }
 }
@@ -100,11 +106,19 @@ pub struct Machine {
     /// Lower bound applied to every clock; lets collectives synchronize
     /// all processors in O(1) accounting work instead of O(n).
     floor: CachePadded<AtomicU32>,
+    /// Energy of one whole-machine barrier: a geometry constant,
+    /// computed on first use by [`crate::collectives::barrier_local`].
+    pub(crate) barrier_energy: OnceLock<u64>,
     /// Reusable staging buffer for [`Machine::round`]; grows to the
     /// largest round seen and is never shrunk, so steady-state rounds
     /// are allocation-free.
     staging: Mutex<Vec<(Slot, u32, u64)>>,
     trace: Option<Mutex<Vec<TraceEvent>>>,
+    /// Set while a [`LocalCharge`] session is open. The session charges
+    /// the clocks in place, so nothing else may charge the machine
+    /// until it commits (checked in debug builds only).
+    #[cfg(debug_assertions)]
+    session_open: AtomicBool,
 }
 
 impl Machine {
@@ -150,6 +164,23 @@ impl Machine {
             .max(self.floor.load(Ordering::Relaxed))
     }
 
+    /// Whether the machine records a [`TraceEvent`] per message
+    /// ([`MachineBuilder::trace`]).
+    pub(crate) fn is_traced(&self) -> bool {
+        self.trace.is_some()
+    }
+
+    /// Debug-build check of the [`Machine::begin_local_charge`]
+    /// contract: no atomic charge while a session owns the clocks.
+    #[inline]
+    fn assert_no_session(&self) {
+        #[cfg(debug_assertions)]
+        assert!(
+            !self.session_open.load(Ordering::Relaxed),
+            "machine charged while a LocalCharge session is open"
+        );
+    }
+
     /// Sends one message from `from` to `to`: charges the Manhattan
     /// distance as energy and advances the receiver's clock to
     /// `max(clock(to), clock(from) + 1)`.
@@ -157,6 +188,7 @@ impl Machine {
     /// Sequential chains of `send` calls therefore accumulate depth
     /// exactly as the model's message-dependency DAG prescribes.
     pub fn send(&self, from: Slot, to: Slot) {
+        self.assert_no_session();
         let e = self.dist(from, to);
         self.energy.fetch_add(e, Ordering::Relaxed);
         self.messages.fetch_add(1, Ordering::Relaxed);
@@ -178,6 +210,7 @@ impl Machine {
     /// all sender clocks are read before any receiver clock is advanced,
     /// so messages inside one batch never chain on each other.
     pub fn round(&self, msgs: &[(Slot, Slot)]) {
+        self.assert_no_session();
         // Phase 1: read sender clocks and distances, staged in a
         // reusable buffer (no allocation once its capacity has grown to
         // the largest round seen; allocation-free algorithms charge
@@ -216,6 +249,7 @@ impl Machine {
     /// algorithms call this where the constant factor matters for the
     /// work term.
     pub fn tick(&self, s: Slot) {
+        self.assert_no_session();
         self.work.fetch_add(1, Ordering::Relaxed);
         let c = self.clock(s) + 1;
         self.clocks[s as usize].fetch_max(c, Ordering::Relaxed);
@@ -227,6 +261,7 @@ impl Machine {
     /// per-message clock updates would be redundant with a following
     /// [`Machine::advance_all`].
     pub fn charge_bulk(&self, energy: u64, messages: u64, work: u64) {
+        self.assert_no_session();
         self.energy.fetch_add(energy, Ordering::Relaxed);
         self.messages.fetch_add(messages, Ordering::Relaxed);
         self.work.fetch_add(work, Ordering::Relaxed);
@@ -236,6 +271,7 @@ impl Machine {
     /// accounting work: a *synchronous* step in which all processors
     /// participate (e.g. one stage of a sorting network or a barrier).
     pub fn advance_all(&self, delta: u32) {
+        self.assert_no_session();
         let target = self.depth() + delta;
         self.floor.fetch_max(target, Ordering::Relaxed);
         self.max_clock.fetch_max(target, Ordering::Relaxed);
@@ -290,46 +326,50 @@ impl Machine {
         self.advance_all(1);
     }
 
-    /// Begins a **local charging session**: a single-threaded,
-    /// non-atomic view of the per-slot dependency clocks that charges
-    /// messages with plain arithmetic and commits the identical totals
-    /// (energy, messages, work, clocks, depth) back to the machine in
-    /// one batch via [`LocalCharge::commit`].
+    /// Begins a **local charging session**: a single-threaded view of
+    /// the machine that charges messages with plain arithmetic on its
+    /// own counters and commits the identical totals (energy, messages,
+    /// work, floor, depth) back to the machine in one batch via
+    /// [`LocalCharge::commit`].
     ///
     /// This is the hot-path charge hook for phases that issue millions
     /// of fine-grained messages (the treefix COMPACT rounds, the
     /// batched-LCA layer broadcasts and barriers): the accounting math
     /// is exactly [`Machine::send`] / [`Machine::tick`] /
     /// [`Machine::round`] / [`Machine::advance_all`], minus the
-    /// atomics. The caller must not charge the machine through other
-    /// paths while a session is open — the session owns the clock
-    /// state.
+    /// read-modify-write atomics.
+    ///
+    /// **Contract: the session owns the machine's clocks until it
+    /// commits.** It charges the per-slot clocks *in place* with
+    /// relaxed loads and stores (no snapshot, no merge), so opening and
+    /// committing cost O(1) whatever `n_slots`. The caller must not
+    /// charge the machine through any other path — atomic charge
+    /// methods or a second session — while a session is open; debug
+    /// builds assert this. Reading counters ([`Machine::report`],
+    /// [`Machine::dist`]) stays allowed.
     ///
     /// On traced machines ([`MachineBuilder::trace`]) the session
     /// records the same per-message [`TraceEvent`]s as the atomic path
     /// (at the atomic path's cost — tracing is for small instances).
     ///
-    /// `scratch` is a reusable buffer; after it has grown to `n_slots`
-    /// clocks (and the largest round batch) once, opening and running
-    /// an untraced session performs no heap allocation.
+    /// `scratch` holds the round staging; after it has grown to the
+    /// largest round batch once, opening and running an untraced
+    /// session performs no heap allocation.
     pub fn begin_local_charge<'s>(
         &self,
         scratch: &'s mut LocalChargeScratch,
     ) -> LocalCharge<'_, 's> {
-        scratch.clocks.clear();
-        let floor = self.floor.load(Ordering::Relaxed);
-        scratch.clocks.extend(
-            self.clocks
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed).max(floor)),
+        #[cfg(debug_assertions)]
+        assert!(
+            !self.session_open.swap(true, Ordering::Relaxed),
+            "a LocalCharge session is already open on this machine"
         );
-        let max = self.depth();
         LocalCharge {
             machine: self,
-            clocks: &mut scratch.clocks,
+            clocks: &self.clocks,
             staging: &mut scratch.staging,
-            floor,
-            max,
+            floor: self.floor.load(Ordering::Relaxed),
+            max: self.depth(),
             energy: 0,
             messages: 0,
             work: 0,
@@ -360,37 +400,35 @@ impl Machine {
     }
 }
 
-/// Reusable buffers for a [`LocalCharge`] session. One instance serves
-/// any number of sessions; once grown (or pre-sized with
-/// [`LocalChargeScratch::with_capacity`]), sessions never allocate.
+/// Reusable round staging for a [`LocalCharge`] session. One instance
+/// serves any number of sessions on any machine; once grown (or
+/// pre-sized with [`LocalChargeScratch::with_capacity`]), sessions
+/// never allocate. Sessions hold no per-slot state here: they charge
+/// the machine's clocks in place.
 #[derive(Debug, Default)]
 pub struct LocalChargeScratch {
-    /// Per-slot clock snapshot.
-    clocks: Vec<u32>,
     /// Two-phase staging for [`LocalCharge::round`].
     staging: Vec<(Slot, u32, u64)>,
 }
 
 impl LocalChargeScratch {
-    /// Empty scratch; buffers grow on first use.
+    /// Empty scratch; the staging grows on first use.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Scratch pre-sized for machines of up to `slots` slots and round
-    /// batches of up to `round` messages, so no session ever allocates.
-    pub fn with_capacity(slots: usize, round: usize) -> Self {
+    /// Scratch pre-sized for round batches of up to `round` messages,
+    /// so no session ever allocates.
+    pub fn with_capacity(round: usize) -> Self {
         LocalChargeScratch {
-            clocks: Vec::with_capacity(slots),
             staging: Vec::with_capacity(round),
         }
     }
 
-    /// Grows the scratch to the [`LocalChargeScratch::with_capacity`]
-    /// shape (never shrinks) — the engine-pool `reserve` hook, so a
-    /// capacity growth keeps later sessions allocation-free.
-    pub fn reserve(&mut self, slots: usize, round: usize) {
-        self.clocks.reserve(slots.saturating_sub(self.clocks.len()));
+    /// Grows the staging to hold `round` messages (never shrinks) — the
+    /// engine-pool `reserve` hook, so a capacity growth keeps later
+    /// sessions allocation-free.
+    pub fn reserve(&mut self, round: usize) {
         self.staging
             .reserve(round.saturating_sub(self.staging.len()));
     }
@@ -464,14 +502,26 @@ impl RoundCharger for LocalCharge<'_, '_> {
     }
 }
 
-/// A local (non-atomic) charging session over a [`Machine`], created by
+/// A local charging session over a [`Machine`], created by
 /// [`Machine::begin_local_charge`]. Mirrors the machine's accounting
-/// semantics exactly; totals apply on [`LocalCharge::commit`].
+/// semantics exactly.
+///
+/// The session charges the machine's own per-slot clocks in place, with
+/// relaxed loads and stores instead of read-modify-write atomics (it
+/// owns them by the `begin_local_charge` contract), and keeps energy,
+/// messages, work, floor and depth in plain fields until
+/// [`LocalCharge::commit`] applies them. A session dropped without
+/// `commit` (only a panicking caller does that) discards those totals
+/// but not its clock writes.
+///
+/// Raw clocks are only ever read through the floor, as
+/// `max(raw, floor)`. Any raw value at or below the floor is therefore
+/// unobservable, which is what lets [`crate::collectives::barrier_local`]
+/// lift the floor without writing the clocks it covers.
 pub struct LocalCharge<'m, 's> {
     machine: &'m Machine,
-    /// Effective per-slot clocks (already clamped by the floor at
-    /// snapshot time).
-    clocks: &'s mut Vec<u32>,
+    /// The machine's per-slot raw clocks, charged in place.
+    clocks: &'m [AtomicU32],
     /// Staging for the two-phase round application.
     staging: &'s mut Vec<(Slot, u32, u64)>,
     floor: u32,
@@ -481,17 +531,44 @@ pub struct LocalCharge<'m, 's> {
     work: u64,
 }
 
-impl LocalCharge<'_, '_> {
+/// Raises a raw clock to at least `after` in place and returns the
+/// slot's effective clock under `floor`.
+#[inline]
+fn raise_clock(clock: &AtomicU32, after: u32, floor: u32) -> u32 {
+    let raw = clock.load(Ordering::Relaxed);
+    if after > raw {
+        clock.store(after, Ordering::Relaxed);
+    }
+    raw.max(after).max(floor)
+}
+
+impl<'m> LocalCharge<'m, '_> {
     /// Number of slots of the underlying machine.
     #[inline]
     pub fn n_slots(&self) -> u32 {
         self.machine.n_slots()
     }
 
+    /// The machine the session charges (geometry, tracing, memoized
+    /// collective constants).
+    #[inline]
+    pub(crate) fn machine(&self) -> &'m Machine {
+        self.machine
+    }
+
+    /// The raw per-slot clocks and the session's floor; a slot's
+    /// effective clock is `max(raw, floor)`.
+    #[inline]
+    pub(crate) fn raw_clocks(&self) -> (&'m [AtomicU32], u32) {
+        (self.clocks, self.floor)
+    }
+
     /// Effective dependency clock of a slot inside the session.
     #[inline]
     pub fn clock(&self, s: Slot) -> u32 {
-        self.clocks[s as usize].max(self.floor)
+        self.clocks[s as usize]
+            .load(Ordering::Relaxed)
+            .max(self.floor)
     }
 
     /// Local mirror of [`Machine::send`].
@@ -501,11 +578,7 @@ impl LocalCharge<'_, '_> {
         self.energy += e;
         self.messages += 1;
         let after = self.clock(from) + 1;
-        let c = &mut self.clocks[to as usize];
-        if after > *c {
-            *c = after;
-        }
-        let eff = (*c).max(self.floor);
+        let eff = raise_clock(&self.clocks[to as usize], after, self.floor);
         if eff > self.max {
             self.max = eff;
         }
@@ -524,7 +597,7 @@ impl LocalCharge<'_, '_> {
     pub fn tick(&mut self, s: Slot) {
         self.work += 1;
         let c = self.clock(s) + 1;
-        self.clocks[s as usize] = c;
+        self.clocks[s as usize].store(c, Ordering::Relaxed);
         if c > self.max {
             self.max = c;
         }
@@ -544,22 +617,18 @@ impl LocalCharge<'_, '_> {
     /// batch never chain on each other.
     pub fn round(&mut self, msgs: &[(Slot, Slot)]) {
         self.staging.clear();
-        let floor = self.floor;
+        let (clocks, floor, machine) = (self.clocks, self.floor, self.machine);
         self.staging.extend(msgs.iter().map(|&(f, t)| {
             (
                 t,
-                self.clocks[f as usize].max(floor) + 1,
-                self.machine.dist(f, t),
+                clocks[f as usize].load(Ordering::Relaxed).max(floor) + 1,
+                machine.dist(f, t),
             )
         }));
         let mut e_sum = 0u64;
         for &(t, after, e) in self.staging.iter() {
             e_sum += e;
-            let c = &mut self.clocks[t as usize];
-            if after > *c {
-                *c = after;
-            }
-            let eff = (*c).max(floor);
+            let eff = raise_clock(&clocks[t as usize], after, floor);
             if eff > self.max {
                 self.max = eff;
             }
@@ -595,18 +664,23 @@ impl LocalCharge<'_, '_> {
         self.max.max(self.floor)
     }
 
-    /// Applies the session's totals to the machine: counter sums, the
-    /// per-slot clocks (monotone merge), the floor, and the depth.
+    /// Applies the session's totals to the machine — counter sums, the
+    /// floor, and the depth — in O(1): the per-slot clocks were charged
+    /// in place.
     pub fn commit(self) {
         let m = self.machine;
         m.energy.fetch_add(self.energy, Ordering::Relaxed);
         m.messages.fetch_add(self.messages, Ordering::Relaxed);
         m.work.fetch_add(self.work, Ordering::Relaxed);
-        for (shared, &local) in m.clocks.iter().zip(self.clocks.iter()) {
-            shared.fetch_max(local, Ordering::Relaxed);
-        }
         m.floor.fetch_max(self.floor, Ordering::Relaxed);
         m.max_clock.fetch_max(self.max, Ordering::Relaxed);
+    }
+}
+
+impl Drop for LocalCharge<'_, '_> {
+    fn drop(&mut self) {
+        #[cfg(debug_assertions)]
+        self.machine.session_open.store(false, Ordering::Relaxed);
     }
 }
 
@@ -865,6 +939,38 @@ mod tests {
         m.send(3, 4);
         assert_eq!(m.clock(4), 4);
         assert_eq!(m.depth(), 4);
+    }
+
+    #[test]
+    fn commit_and_drop_release_the_machine() {
+        let m = line_machine(4);
+        let mut scratch = LocalChargeScratch::new();
+        let mut lc = m.begin_local_charge(&mut scratch);
+        lc.send(0, 1);
+        lc.commit();
+        drop(m.begin_local_charge(&mut scratch));
+        m.send(1, 2);
+        assert_eq!(m.depth(), 2);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "already open")]
+    fn overlapping_sessions_panic() {
+        let m = line_machine(4);
+        let (mut s1, mut s2) = (LocalChargeScratch::new(), LocalChargeScratch::new());
+        let _first = m.begin_local_charge(&mut s1);
+        let _second = m.begin_local_charge(&mut s2);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "while a LocalCharge session is open")]
+    fn atomic_send_during_session_panics() {
+        let m = line_machine(4);
+        let mut scratch = LocalChargeScratch::new();
+        let _lc = m.begin_local_charge(&mut scratch);
+        m.send(0, 1);
     }
 
     #[test]

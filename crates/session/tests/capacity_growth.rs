@@ -17,23 +17,34 @@ use spatial_tree::{generators, ChildrenCsr, Tree};
 use spatial_treefix::contraction::ContractionEngine;
 use spatial_treefix::{treefix_bottom_up_host, Add};
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAllocator;
 
-static GATE_OPEN: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    /// Whether this thread has the gate open. Only the opening thread's
+    /// allocations count, so the test harness's own thread cannot fail
+    /// the gate; a thread spawned inside the gate is still caught,
+    /// because spawning allocates on the opening thread.
+    static GATE_OPEN: Cell<bool> = const { Cell::new(false) };
+}
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+fn gate_open() -> bool {
+    GATE_OPEN.try_with(Cell::get).unwrap_or(false)
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: AllocLayout) -> *mut u8 {
-        if GATE_OPEN.load(Ordering::Relaxed) {
+        if gate_open() {
             ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         }
         System.alloc(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: AllocLayout, new_size: usize) -> *mut u8 {
-        if GATE_OPEN.load(Ordering::Relaxed) {
+        if gate_open() {
             ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         }
         System.realloc(ptr, layout, new_size)
@@ -49,9 +60,9 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 fn count_allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
     ALLOCATIONS.store(0, Ordering::SeqCst);
-    GATE_OPEN.store(true, Ordering::SeqCst);
+    GATE_OPEN.set(true);
     let result = f();
-    GATE_OPEN.store(false, Ordering::SeqCst);
+    GATE_OPEN.set(false);
     (result, ALLOCATIONS.load(Ordering::SeqCst))
 }
 

@@ -12,20 +12,31 @@ use rand::prelude::*;
 use spatial_session::{ForestBacking, ForestOptions, QueryBatch, Response, SpatialForest};
 use spatial_tree::generators;
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 struct CountingAllocator;
 
-static GATE_OPEN: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    /// Whether this thread has the gate open. Only the opening thread's
+    /// allocations count, so the test harness's own thread cannot fail
+    /// the gate; a thread spawned inside the gate is still caught,
+    /// because spawning allocates on the opening thread.
+    static GATE_OPEN: Cell<bool> = const { Cell::new(false) };
+}
 static TRAP: AtomicBool = AtomicBool::new(false);
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+fn gate_open() -> bool {
+    GATE_OPEN.try_with(Cell::get).unwrap_or(false)
+}
+
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: AllocLayout) -> *mut u8 {
-        if GATE_OPEN.load(Ordering::Relaxed) {
+        if gate_open() {
             ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
             if TRAP.load(Ordering::Relaxed) {
-                GATE_OPEN.store(false, Ordering::SeqCst);
+                GATE_OPEN.set(false);
                 panic!("gated alloc of {} bytes", layout.size());
             }
         }
@@ -33,10 +44,10 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: AllocLayout, new_size: usize) -> *mut u8 {
-        if GATE_OPEN.load(Ordering::Relaxed) {
+        if gate_open() {
             ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
             if TRAP.load(Ordering::Relaxed) {
-                GATE_OPEN.store(false, Ordering::SeqCst);
+                GATE_OPEN.set(false);
                 panic!("gated realloc {} -> {} bytes", layout.size(), new_size);
             }
         }
@@ -53,9 +64,9 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 fn count_allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
     ALLOCATIONS.store(0, Ordering::SeqCst);
-    GATE_OPEN.store(true, Ordering::SeqCst);
+    GATE_OPEN.set(true);
     let result = f();
-    GATE_OPEN.store(false, Ordering::SeqCst);
+    GATE_OPEN.set(false);
     (result, ALLOCATIONS.load(Ordering::SeqCst))
 }
 

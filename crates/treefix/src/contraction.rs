@@ -137,9 +137,9 @@ pub struct ContractionEngine<M: CommutativeMonoid> {
     group_offsets: Vec<u32>,
     /// Relay level-walk scratch.
     relay: RelayScratch,
-    /// Clock snapshot + round staging for the local charging sessions
-    /// (one per `contract`, one per `uncontract_*`): all engine rounds
-    /// charge through plain arithmetic and commit in one batch.
+    /// Round staging for the local charging sessions (one per
+    /// `contract`, one per `uncontract_*`): all engine rounds charge
+    /// through plain arithmetic and commit in one batch.
     local: LocalChargeScratch,
     /// Uncontraction accumulator (`A_v` / `B_v`), preallocated.
     acc: Vec<M>,
@@ -180,7 +180,7 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
             group_parts: Vec::with_capacity(cap),
             group_offsets: Vec::with_capacity(cap + 1),
             relay: RelayScratch::with_capacity(cap, cap),
-            local: LocalChargeScratch::with_capacity(cap, 2 * cap + 2),
+            local: LocalChargeScratch::with_capacity(2 * cap + 2),
             acc: Vec::with_capacity(cap),
             out: Vec::with_capacity(cap),
             stats: ContractionStats {
@@ -748,7 +748,7 @@ impl<M: CommutativeMonoid> EngineLifecycle for ContractionEngine<M> {
         grow(&mut self.out, cap);
         grow(&mut self.coin, cap);
         self.relay.reserve(cap, cap);
-        self.local.reserve(cap, 2 * cap + 2);
+        self.local.reserve(2 * cap + 2);
         self.cap = cap;
     }
 
