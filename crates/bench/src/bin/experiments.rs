@@ -1,4 +1,6 @@
-//! The experiment harness: regenerates every table in EXPERIMENTS.md.
+//! The experiment harness: regenerates the paper's tables (`e*`,
+//! `a*`) and the `BENCH_*.json` baselines, and reads the bench lab's
+//! run store (`lab-*`). [`EXPERIMENTS`] lists every id.
 //!
 //! ```sh
 //! cargo run --release -p spatial-bench --bin experiments           # all
@@ -8,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spatial_bench::lab::{self, LabRun};
-use spatial_bench::{f2, f3, workload, Table};
+use spatial_bench::{best_of, f2, f3, workload, Table};
 use spatial_trees::layout::{
     build_light_first_spatial, edge_distance_stats, local_kernel_energy, Layout, LayoutKind,
 };
@@ -18,131 +20,131 @@ use spatial_trees::model::CostReport;
 use spatial_trees::model::{CurveKind, Machine};
 use spatial_trees::pram::{pram_lca_batch, pram_subtree_sums, PramEngine};
 use spatial_trees::prelude::*;
+use spatial_trees::session::{QueryBatch, SessionReport, SpatialForest};
 use spatial_trees::sfc::locality::{alpha_estimate, mean_step_distance};
 use spatial_trees::sfc::zorder::{longest_diagonal, ZOrderCurve};
 use spatial_trees::sfc::Curve;
 use spatial_trees::tree::generators::TreeFamily;
 use spatial_trees::tree::HeavyPathDecomposition;
 use spatial_trees::treefix::{treefix_bottom_up, treefix_top_down};
+use std::time::Duration;
+
+/// How an experiment joins a run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Group {
+    /// A paper table: part of the no-argument run.
+    Table,
+    /// A `BENCH_*.json` writer: part of the no-argument run, and of
+    /// `bench-json`, which selects the whole group.
+    Writer,
+    /// Runs only when named: `calibrate-thresholds` rewrites source, and
+    /// a plain run must not depend on the run store the `lab-*` views read.
+    Explicit,
+}
+
+/// The id that selects every writer at once.
+const BENCH_JSON: &str = "bench-json";
+
+/// One registry entry: `(id, group, run)`. `run` gets the command
+/// line, whose `key=value` arguments filter the lab views.
+type Experiment = (&'static str, Group, fn(&[String]));
+
+/// Every experiment, in the order a run executes them.
+#[rustfmt::skip]
+const EXPERIMENTS: &[Experiment] = &[
+    ("e1", Group::Table, |_| e1_layout_energy()),
+    ("e2", Group::Table, |_| e2_zorder()),
+    ("e3", Group::Table, |_| e3_curve_locality()),
+    ("e4", Group::Table, |_| e4_unbounded_degree()),
+    ("e5", Group::Table, |_| e5_layout_creation()),
+    ("e6", Group::Table, |_| e6_treefix()),
+    ("e7", Group::Table, |_| e7_lca()),
+    ("e8", Group::Table, |_| e8_pram_baseline()),
+    ("e9", Group::Table, |_| e9_path_decomposition()),
+    ("e11", Group::Table, |_| e11_mincut()),
+    ("a1", Group::Table, |_| a1_order_and_curve_ablation()),
+    ("a2", Group::Table, |_| a2_dynamic_layout()),
+    ("a3", Group::Table, |_| a3_expression_evaluation()),
+    ("calibrate-thresholds", Group::Explicit, |_| calibrate_thresholds()),
+    ("bench-json-sfc", Group::Writer, |_| bench_json_sfc()),
+    ("bench-json-lca", Group::Writer, |_| bench_json_lca()),
+    ("bench-json-layout", Group::Writer, |_| bench_json_layout()),
+    ("bench-json-pram", Group::Writer, |_| bench_json_pram()),
+    ("bench-json-service", Group::Writer, |_| bench_json_service()),
+    ("bench-json-throughput", Group::Writer, |_| bench_json_throughput()),
+    ("bench-json-durability", Group::Writer, |_| bench_json_durability()),
+    ("bench-json-ooc", Group::Writer, |_| bench_json_ooc()),
+    ("lab-regress", Group::Explicit, |args| lab_regress(args, false)),
+    ("lab-sweep", Group::Explicit, lab_sweep),
+    ("lab-ab", Group::Explicit, lab_ab),
+    ("lab-gate", Group::Explicit, |args| lab_regress(args, true)),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // A typo'd experiment id used to match nothing, print nothing, and
-    // exit 0 — in CI that silently skipped artifact regeneration. Any
-    // argument that is not a known id (or a `key=value` lab filter) is
-    // now a hard error.
-    if let Err(msg) = spatial_bench::validate_args(&args) {
-        eprintln!("error: {msg}");
-        std::process::exit(2);
-    }
-    let want = |id: &str| args.is_empty() || args.iter().any(|a| a.eq_ignore_ascii_case(id));
-    let explicit = |id: &str| args.iter().any(|a| a.eq_ignore_ascii_case(id));
-
-    if want("e1") {
-        e1_layout_energy();
-    }
-    if want("e2") {
-        e2_zorder();
-    }
-    if want("e3") {
-        e3_curve_locality();
-    }
-    if want("e4") {
-        e4_unbounded_degree();
-    }
-    if want("e5") {
-        e5_layout_creation();
-    }
-    if want("e6") {
-        e6_treefix();
-    }
-    if want("e7") {
-        e7_lca();
-    }
-    if want("e8") {
-        e8_pram_baseline();
-    }
-    if want("e9") {
-        e9_path_decomposition();
-    }
-    if want("e11") {
-        e11_mincut();
-    }
-    if want("a1") {
-        a1_order_and_curve_ablation();
-    }
-    if want("a2") {
-        a2_dynamic_layout();
-    }
-    if want("a3") {
-        a3_expression_evaluation();
-    }
-    // `calibrate-thresholds` regenerates `crates/sfc/src/thresholds.rs`
-    // from measured sweeps. Explicit-only: it writes source, so the
-    // default all-experiments run must not touch it.
-    if explicit("calibrate-thresholds") {
-        calibrate_thresholds();
-    }
-    // SFC + treefix perf baseline (the SWAR acceptance bar);
-    // `bench-json-sfc` runs it solo.
-    if want("bench-json") || want("bench-json-sfc") {
-        bench_json();
-    }
-    // `bench-json` alone also reports the upper-pipeline baseline (the
-    // PR 2 acceptance bar lives there); `bench-json-lca` runs it solo.
-    if want("bench-json") || want("bench-json-lca") {
-        bench_json_lca();
-    }
-    // Layout scenario sweep + §IV build / dynamic-layout perf baseline
-    // (the PR 3 acceptance bar); `bench-json-layout` runs it solo.
-    if want("bench-json") || want("bench-json-layout") {
-        bench_json_layout();
-    }
-    // E8 PRAM-vs-spatial energy crossover (the PR 4 acceptance bar);
-    // `bench-json-pram` runs it solo.
-    if want("bench-json") || want("bench-json-pram") {
-        bench_json_pram();
-    }
-    // SpatialForest mixed-workload service throughput (the PR 5
-    // acceptance bar); `bench-json-service` runs it solo.
-    if want("bench-json") || want("bench-json-service") {
-        bench_json_service();
-    }
-    // Sharded multi-tenant service throughput under sustained mixed
-    // load (the PR 6 acceptance bar); `bench-json-throughput` runs it
-    // solo.
-    if want("bench-json") || want("bench-json-throughput") {
-        bench_json_throughput();
-    }
-    // Snapshot + journal recovery vs full history replay (the PR 7
-    // acceptance bar); `bench-json-durability` runs it solo.
-    if want("bench-json") || want("bench-json-durability") {
-        bench_json_durability();
-    }
-    // Out-of-core mapped serving under resident-page budgets plus
-    // incremental checkpoints (the PR 9 acceptance bar);
-    // `bench-json-ooc` runs it solo.
-    if want("bench-json") || want("bench-json-ooc") {
-        bench_json_ooc();
-    }
-    // Lab views read the run store; explicit-only (they never append,
-    // and the default all-experiments run should not depend on
-    // `lab/runs.jsonl` being present).
-    if explicit("lab-regress") || explicit("lab-sweep") || explicit("lab-ab") || explicit("lab-gate")
-    {
-        run_lab_views(&args, explicit);
+    match select(&args) {
+        Ok(selected) => {
+            for (_, _, run) in selected {
+                run(&args);
+            }
+        }
+        Err(msg) => {
+            // A typo'd id would otherwise select nothing and exit 0,
+            // silently skipping an artifact's regeneration in CI.
+            eprintln!("error: {msg}");
+            std::process::exit(2);
+        }
     }
 }
 
-/// Dispatches the `lab-*` analysis views over the persisted run store.
-/// `key=value` arguments filter the views (`bench=`, `scenario=`,
-/// `impl=`, `family=`, `curve=`, `metric=`, `norm=`) and tune the gate
-/// (`rel_eps=`, `mad_k=`, `gate_time=`).
-fn run_lab_views(args: &[String], explicit: impl Fn(&str) -> bool) {
-    let filter_of = |key: &str| -> Option<String> {
-        args.iter()
-            .find_map(|a| a.strip_prefix(&format!("{key}=")).map(str::to_string))
-    };
+/// Every id the command line accepts: the experiments' ids, with
+/// `bench-json` ahead of the first writer.
+fn valid_ids() -> Vec<&'static str> {
+    let mut ids = Vec::with_capacity(EXPERIMENTS.len() + 1);
+    for &(id, group, _) in EXPERIMENTS {
+        if group == Group::Writer && !ids.contains(&BENCH_JSON) {
+            ids.push(BENCH_JSON);
+        }
+        ids.push(id);
+    }
+    ids
+}
+
+/// The experiments `args` select, in table order, each once. With no
+/// arguments every non-explicit experiment runs; otherwise each named
+/// id (case-insensitively) runs, and `bench-json` runs every writer.
+/// `key=value` arguments are lab-view filters and select nothing; any
+/// other unknown argument is an error listing the valid ids.
+fn select(args: &[String]) -> Result<Vec<&'static Experiment>, String> {
+    let ids = valid_ids();
+    let known = |a: &String| a.contains('=') || ids.iter().any(|id| a.eq_ignore_ascii_case(id));
+    let named = |id: &str| args.iter().any(|a| a.eq_ignore_ascii_case(id));
+    if let Some(bad) = args.iter().find(|a| !known(a)) {
+        return Err(format!(
+            "unknown experiment id '{bad}'\nvalid ids:\n  {}",
+            ids.join("\n  ")
+        ));
+    }
+    Ok(EXPERIMENTS
+        .iter()
+        .filter(|&&(id, group, _)| {
+            if args.is_empty() {
+                group != Group::Explicit
+            } else {
+                named(id) || (group == Group::Writer && named(BENCH_JSON))
+            }
+        })
+        .collect())
+}
+
+/// The value of a `key=value` argument.
+fn filter_of(args: &[String], key: &str) -> Option<String> {
+    args.iter()
+        .find_map(|a| a.strip_prefix(&format!("{key}=")).map(str::to_string))
+}
+
+/// Reads the lab run store and prints its summary line.
+fn lab_history() -> lab::RunHistory {
     let path = lab::runs_path();
     let history = lab::read_runs(&path).expect("read lab run store");
     println!(
@@ -163,105 +165,238 @@ fn run_lab_views(args: &[String], explicit: impl Fn(&str) -> bool) {
             history.dropped_lines
         );
     }
+    history
+}
 
+/// The row filter of the sweep and A/B views: `bench=`, `scenario=`,
+/// `impl=`, `family=`, `curve=`.
+fn row_filter(args: &[String]) -> lab::RowFilter {
+    lab::RowFilter {
+        bench: filter_of(args, "bench"),
+        scenario: filter_of(args, "scenario"),
+        impl_name: filter_of(args, "impl"),
+        family: filter_of(args, "family"),
+        curve: filter_of(args, "curve"),
+    }
+}
+
+/// `lab-regress` — the latest revision against the prior one, per
+/// bench, with the gate tuned by `rel_eps=`, `mad_k=`, `gate_time=` and
+/// narrowed by `bench=`. As `lab-gate` (`gate`), exits 1 on any
+/// violation or on an empty store.
+fn lab_regress(args: &[String], gate: bool) {
+    let history = lab_history();
     let mut cfg = lab::GateConfig::default();
-    if let Some(v) = filter_of("rel_eps") {
+    if let Some(v) = filter_of(args, "rel_eps") {
         cfg.rel_eps = v.parse().expect("rel_eps must be a float");
     }
-    if let Some(v) = filter_of("mad_k") {
+    if let Some(v) = filter_of(args, "mad_k") {
         cfg.mad_k = v.parse().expect("mad_k must be a float");
     }
-    if let Some(v) = filter_of("gate_time") {
+    if let Some(v) = filter_of(args, "gate_time") {
         cfg.gate_time = v.parse().expect("gate_time must be true/false");
     }
-    let row_filter = lab::RowFilter {
-        bench: filter_of("bench"),
-        scenario: filter_of("scenario"),
-        impl_name: filter_of("impl"),
-        family: filter_of("family"),
-        curve: filter_of("curve"),
-    };
-
-    if explicit("lab-regress") || explicit("lab-gate") {
-        let report = lab::regression_report(&history.runs, &cfg, row_filter.bench.as_deref());
-        print_regression_report(&report);
-        if explicit("lab-gate") {
-            if history.runs.is_empty() {
-                eprintln!("lab-gate: FAIL — the run store is empty; seed it with ≥2 baseline runs");
-                std::process::exit(1);
-            }
-            if report.violations.is_empty() {
-                println!("lab-gate: OK — no regressions at rev {}", report.latest_rev);
-            } else {
-                eprintln!(
-                    "lab-gate: FAIL — {} violation(s) at rev {}",
-                    report.violations.len(),
-                    report.latest_rev
-                );
-                std::process::exit(1);
-            }
-        }
+    let report = lab::regression_report(&history.runs, &cfg, filter_of(args, "bench").as_deref());
+    print_regression_report(&report);
+    if !gate {
+        return;
     }
-
-    if explicit("lab-sweep") {
-        let metric = filter_of("metric").unwrap_or_else(|| "energy".into());
-        let norm = filter_of("norm")
-            .map(|v| lab::Norm::from_name(&v).expect("norm must be none|nlogn|n15"))
-            .unwrap_or(lab::Norm::None);
-        // Default to the headline E8 kernel when nothing narrows the
-        // sweep: spatial subtree sums, whose normalized energy should
-        // sit flat across sizes and revs.
-        let mut f = row_filter.clone();
-        if f.scenario.is_none() && f.impl_name.is_none() && f.bench.is_none() {
-            f.scenario = Some("subtree_sums".into());
-            f.impl_name = Some("spatial".into());
-        }
-        let view = lab::sweep_view(&history.runs, &f, &metric, norm);
-        println!(
-            "\nlab-sweep — {metric} (norm {norm:?}) over {} row keys, n x rev:",
-            view.keys_matched
+    if history.runs.is_empty() {
+        eprintln!("lab-gate: FAIL — the run store is empty; seed it with ≥2 baseline runs");
+        std::process::exit(1);
+    }
+    if report.violations.is_empty() {
+        println!("lab-gate: OK — no regressions at rev {}", report.latest_rev);
+    } else {
+        eprintln!(
+            "lab-gate: FAIL — {} violation(s) at rev {}",
+            report.violations.len(),
+            report.latest_rev
         );
-        if view.ns.is_empty() {
-            println!("  no rows match the filter");
-        } else {
-            let mut headers = vec!["n".to_string()];
-            headers.extend(view.revs.iter().cloned());
-            let mut table = Table::new(headers);
-            for (i, n) in view.ns.iter().enumerate() {
-                let mut cells = vec![n.to_string()];
-                for rev_cells in &view.cells {
-                    cells.push(
-                        rev_cells[i]
-                            .map(|v| format!("{v:.4}"))
-                            .unwrap_or_else(|| "-".into()),
-                    );
-                }
-                table.row(cells);
-            }
-            table.print();
-        }
+        std::process::exit(1);
     }
+}
 
-    if explicit("lab-ab") {
-        let pairs = lab::ab_view(&history.runs, &row_filter);
-        println!("\nlab-ab — paired impls on shared scenarios (latest rev):");
-        if pairs.is_empty() {
-            println!("  no pairs match the filter");
-        } else {
-            let mut table = Table::new(["pair", "a", "a value", "b", "b value", "b/a"]);
-            for p in &pairs {
-                table.row([
-                    p.key.clone(),
-                    p.a.0.clone(),
-                    format!("{:.3}", p.a.1),
-                    p.b.0.clone(),
-                    format!("{:.3}", p.b.1),
-                    format!("{:.2}x", p.ratio),
-                ]);
-            }
-            table.print();
-        }
+/// `lab-sweep` — one metric (`metric=`, default energy) across n ×
+/// revision, normalized by `norm=none|nlogn|n15`.
+fn lab_sweep(args: &[String]) {
+    let history = lab_history();
+    let metric = filter_of(args, "metric").unwrap_or_else(|| "energy".into());
+    let norm = filter_of(args, "norm")
+        .map(|v| lab::Norm::from_name(&v).expect("norm must be none|nlogn|n15"))
+        .unwrap_or(lab::Norm::None);
+    // Default to the headline E8 kernel when nothing narrows the
+    // sweep: spatial subtree sums, whose normalized energy should
+    // sit flat across sizes and revs.
+    let mut f = row_filter(args);
+    if f.scenario.is_none() && f.impl_name.is_none() && f.bench.is_none() {
+        f.scenario = Some("subtree_sums".into());
+        f.impl_name = Some("spatial".into());
     }
+    let view = lab::sweep_view(&history.runs, &f, &metric, norm);
+    println!(
+        "\nlab-sweep — {metric} (norm {norm:?}) over {} row keys, n x rev:",
+        view.keys_matched
+    );
+    if view.ns.is_empty() {
+        println!("  no rows match the filter");
+        return;
+    }
+    let mut headers = vec!["n".to_string()];
+    headers.extend(view.revs.iter().cloned());
+    let mut table = Table::new(headers);
+    for (i, n) in view.ns.iter().enumerate() {
+        let mut cells = vec![n.to_string()];
+        for rev_cells in &view.cells {
+            cells.push(
+                rev_cells[i]
+                    .map(|v| format!("{v:.4}"))
+                    .unwrap_or_else(|| "-".into()),
+            );
+        }
+        table.row(cells);
+    }
+    table.print();
+}
+
+/// `lab-ab` — paired implementations on shared scenarios at the
+/// latest revision.
+fn lab_ab(args: &[String]) {
+    let pairs = lab::ab_view(&lab_history().runs, &row_filter(args));
+    println!("\nlab-ab — paired impls on shared scenarios (latest rev):");
+    if pairs.is_empty() {
+        println!("  no pairs match the filter");
+        return;
+    }
+    let mut table = Table::new(["pair", "a", "a value", "b", "b value", "b/a"]);
+    for p in &pairs {
+        table.row([
+            p.key.clone(),
+            p.a.0.clone(),
+            format!("{:.3}", p.a.1),
+            p.b.0.clone(),
+            format!("{:.3}", p.b.1),
+            format!("{:.2}x", p.ratio),
+        ]);
+    }
+    table.print();
+}
+
+/// The one write path of every `bench-json-*` writer: checks the run
+/// against its acceptance bars ([`lab::BARS`]) — a broken bar writes
+/// nothing — then writes the `BENCH_*.json` snapshot at `path` and
+/// appends the run to the lab store.
+fn write_snapshot(lab: LabRun, path: &str, json: &str) {
+    let broken = lab::bar_violations(lab.record());
+    assert!(
+        broken.is_empty(),
+        "acceptance bar broken, {path} not written:\n  {}",
+        broken.join("\n  ")
+    );
+    spatial_trees::store::atomic_write(path, json.as_bytes())
+        .unwrap_or_else(|e| panic!("write {path}: {e}"));
+    lab.commit();
+    println!("\n  wrote {path}\n");
+}
+
+/// Single-shot timing passes ([`best_of`]) for runs of a millisecond
+/// or more.
+const SINGLE_SHOT: Duration = Duration::ZERO;
+
+/// Runs `optimized` and `reference` once each on a fresh `machine()`,
+/// asserts they agree on answers and charges, then times both
+/// single-shot, machine construction included. Returns the optimized
+/// and reference milliseconds and the charges of one run.
+fn check_then_time<T: PartialEq + std::fmt::Debug>(
+    what: &str,
+    machine: impl Fn() -> Machine,
+    optimized: impl Fn(&Machine) -> T,
+    reference: impl Fn(&Machine) -> T,
+) -> (f64, f64, CostReport) {
+    let (m_opt, m_ref) = (machine(), machine());
+    assert_eq!(
+        optimized(&m_opt),
+        reference(&m_ref),
+        "{what}: engines disagree"
+    );
+    assert_eq!(m_opt.report(), m_ref.report(), "{what}: charges disagree");
+    let time = |run: &dyn Fn(&Machine) -> T| {
+        best_of(3, SINGLE_SHOT, || {
+            std::hint::black_box(run(&machine()));
+            0
+        })
+    };
+    (time(&optimized), time(&reference), m_opt.report())
+}
+
+/// Asserts that a restarted forest matches the never-stopped `live`
+/// one: vertex count, dynamic stats, and a fixed mixed probe's answers
+/// and session charges under the RNG `seed`.
+fn assert_same_forest(
+    candidate: &mut SpatialForest,
+    live: &mut SpatialForest,
+    seed: u64,
+    what: &str,
+) {
+    assert_eq!(candidate.n(), live.n(), "{what}: vertex count");
+    assert_eq!(
+        candidate.dynamic_stats(),
+        live.dynamic_stats(),
+        "{what}: dynamic stats"
+    );
+    let nn = live.n();
+    let mut probe = QueryBatch::new();
+    for i in 0..24u32 {
+        probe
+            .lca(i % nn, (i * 131 + 7) % nn)
+            .subtree_sum((i * 17) % nn)
+            .rank((i * 5 + 3) % nn);
+    }
+    let got = candidate
+        .execute(probe.requests(), &mut StdRng::seed_from_u64(seed))
+        .to_vec();
+    let expect = live
+        .execute(probe.requests(), &mut StdRng::seed_from_u64(seed))
+        .to_vec();
+    assert_eq!(got, expect, "{what}: answers diverged from live forest");
+    assert_eq!(
+        candidate.last_report(),
+        live.last_report(),
+        "{what}: charges diverged from live forest"
+    );
+}
+
+/// Records a forest session's charges as two scenario rows: the grid
+/// machine's as `scenario` (impl `forest`) and the Euler-tour dart
+/// machine's as `{scenario}_ranking` (impl `forest-dart`).
+fn session_rows(
+    lab: &mut LabRun,
+    scenario: &str,
+    family: TreeFamily,
+    n: u32,
+    report: SessionReport,
+) -> [String; 2] {
+    let (family, curve) = (family.name(), CurveKind::Hilbert.name());
+    [
+        lab.scenario_row(
+            scenario,
+            "forest",
+            family,
+            n as u64,
+            curve,
+            report.grid,
+            None,
+        ),
+        lab.scenario_row(
+            &format!("{scenario}_ranking"),
+            "forest-dart",
+            family,
+            n as u64,
+            curve,
+            report.ranking,
+            None,
+        ),
+    ]
 }
 
 /// Prints the `lab-regress` view of a [`lab::RegressionReport`].
@@ -340,7 +475,7 @@ fn bench_json_service() {
     use spatial_trees::euler::ranking::RankingEngine;
     use spatial_trees::euler::EulerTour;
     use spatial_trees::lca::LcaEngine;
-    use spatial_trees::session::{ForestOptions, QueryBatch, Request, Response, SpatialForest};
+    use spatial_trees::session::{ForestOptions, Request, Response};
     use spatial_trees::tree::ChildrenCsr;
     use spatial_trees::treefix::contraction::ContractionEngine;
     use spatial_trees::treefix::Add;
@@ -433,7 +568,7 @@ fn bench_json_service() {
     }
 
     // ---- Timings (ms per query). ----
-    let reuse_ms = time_best_ms(3, || {
+    let reuse_ms = best_of(3, SINGLE_SHOT, || {
         let mut acc = 0u64;
         for b in &batches {
             let responses = forest.execute(b.requests(), &mut StdRng::seed_from_u64(23));
@@ -444,7 +579,7 @@ fn bench_json_service() {
 
     // Fresh engines are ~three orders slower; one batch is plenty of
     // signal (and keeps CI fast).
-    let fresh_engines_ms = time_best_ms(1, || {
+    let fresh_engines_ms = best_of(1, SINGLE_SHOT, || {
         let mut rng = StdRng::seed_from_u64(23);
         let mut acc = 0u64;
         for req in batches[0].requests() {
@@ -458,7 +593,7 @@ fn bench_json_service() {
         acc
     }) / batches[0].len() as f64;
 
-    let fresh_forest_ms = time_best_ms(2, || {
+    let fresh_forest_ms = best_of(2, SINGLE_SHOT, || {
         let mut acc = 0u64;
         for b in batches.iter().take(4) {
             let mut fresh = SpatialForest::new(&t);
@@ -470,10 +605,6 @@ fn bench_json_service() {
 
     let speedup_engines = fresh_engines_ms / reuse_ms;
     let speedup_forest = fresh_forest_ms / reuse_ms;
-    assert!(
-        speedup_engines >= 1.5,
-        "acceptance bar: mixed-batch reuse must beat per-query fresh engines by ≥ 1.5x, got {speedup_engines:.2}x"
-    );
 
     // ---- Crossover mode: the same sums priced on the PRAM shadow. ----
     let crossover_report = {
@@ -493,33 +624,23 @@ fn bench_json_service() {
     };
     let pram_shadow = crossover_report.pram.expect("crossover mode");
 
-    let mut table = Table::new(["benchmark", "optimized ms/q", "reference ms/q", "speedup"]);
-    let mut rows = Vec::new();
-    for (name, opt, reference) in [
-        (
-            "service_mixed_2^13_reuse_vs_fresh_engines",
-            reuse_ms,
-            fresh_engines_ms,
-        ),
-        (
-            "service_mixed_2^13_reuse_vs_fresh_forest_per_batch",
-            reuse_ms,
-            fresh_forest_ms,
-        ),
-    ] {
-        table.row([
-            name.to_string(),
-            format!("{opt:.4}"),
-            format!("{reference:.4}"),
-            format!("{:.2}x", reference / opt),
-        ]);
-        rows.push(format!(
-            "    {{\"name\": \"{name}\", \"optimized_ms\": {opt:.4}, \"reference_ms\": {reference:.4}, \"speedup\": {:.3}}}",
-            reference / opt
-        ));
-        lab.wall_pair(name, opt, reference);
-    }
-    table.print();
+    // Timings are per query.
+    let rows = lab.speedup_table(
+        "ms",
+        4,
+        &[
+            (
+                "service_mixed_2^13_reuse_vs_fresh_engines",
+                reuse_ms,
+                fresh_engines_ms,
+            ),
+            (
+                "service_mixed_2^13_reuse_vs_fresh_forest_per_batch",
+                reuse_ms,
+                fresh_forest_ms,
+            ),
+        ],
+    );
     println!(
         "  crossover shadow: grid energy {} vs PRAM energy {} ({}x)",
         crossover_report.grid.energy,
@@ -529,53 +650,24 @@ fn bench_json_service() {
 
     lab.config("n", format!("2^{log_n}"));
     lab.config("batches", "16x96 mixed");
-    let scenario_rows = [
-        lab.scenario_row(
-            "service_mixed",
-            "forest",
-            family.name(),
-            n as u64,
-            CurveKind::Hilbert.name(),
-            report.grid,
-            None,
-        ),
-        lab.scenario_row(
-            "service_mixed_ranking",
-            "forest-dart",
-            family.name(),
-            n as u64,
-            CurveKind::Hilbert.name(),
-            report.ranking,
-            None,
-        ),
-        lab.scenario_row(
+    let mut scenario_rows = session_rows(&mut lab, "service_mixed", family, n, report).to_vec();
+    for (impl_name, r) in [("spatial", crossover_report.grid), ("pram", pram_shadow)] {
+        scenario_rows.push(lab.scenario_row(
             "service_sums_crossover",
-            "spatial",
+            impl_name,
             family.name(),
             n as u64,
             CurveKind::Hilbert.name(),
-            crossover_report.grid,
+            r,
             None,
-        ),
-        lab.scenario_row(
-            "service_sums_crossover",
-            "pram",
-            family.name(),
-            n as u64,
-            CurveKind::Hilbert.name(),
-            pram_shadow,
-            None,
-        ),
-    ];
+        ));
+    }
     let json = format!(
         "{{\n  \"workload\": \"uniform_random n=2^{log_n}, 16 batches x 96 mixed queries (40 LCA + 30 subtree sums + 26 tour ranks)\",\n  \"baselines\": \"fresh-engines = rebuild every engine per query (shared tree/layout); fresh-forest = new SpatialForest per batch\",\n  \"total_queries\": {total_queries},\n  \"speedup_vs_fresh_engines\": {speedup_engines:.3},\n  \"speedup_vs_fresh_forest_per_batch\": {speedup_forest:.3},\n  \"results\": [\n{}\n  ],\n  \"scenarios\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n"),
+        rows,
         scenario_rows.join(",\n")
     );
-    let path = "BENCH_service.json";
-    spatial_trees::store::atomic_write(path, json.as_bytes()).expect("write BENCH_service.json");
-    lab.commit();
-    println!("\n  wrote {path}\n");
+    write_snapshot(lab, "BENCH_service.json", &json);
 }
 
 /// `bench-json-throughput` — sustained mixed-load throughput of the
@@ -593,7 +685,6 @@ fn bench_json_service() {
 /// `BENCH_throughput.json` next to the workspace root.
 fn bench_json_throughput() {
     use spatial_trees::serve::{ForestService, ServiceOptions, Ticket, MIN_COALESCED_BATCH};
-    use spatial_trees::session::{QueryBatch, SpatialForest};
     use std::time::Instant;
 
     println!(
@@ -612,8 +703,8 @@ fn bench_json_throughput() {
     // ---- Open-loop arrival trace, shared by every worker count. ----
     // Tenant skew stresses load balance: the busiest tenant carries
     // 4/13 of the requests, so perfect 8-way sharding models out at
-    // 13/4 = 3.25x over one worker — the ≥3x acceptance bar with
-    // margin, and an honest ceiling (per-tenant streams can't split).
+    // 13/4 = 3.25x over one worker — an honest ceiling (per-tenant
+    // streams can't split) above the scaling bar in `lab::BARS`.
     const JOB_LEN: usize = 32;
     const JOBS: usize = 256;
     let skew = [4u32, 2, 2, 1, 1, 1, 1, 1];
@@ -687,7 +778,7 @@ fn bench_json_throughput() {
     // ---- Direct single-thread baseline (per-job, no coalescing): ----
     // ---- the PR 5 warm path the 1-worker service must stay       ----
     // ---- within 10% of.                                          ----
-    let direct_ms_per_q = time_best_ms(2, || {
+    let direct_ms_per_q = best_of(2, SINGLE_SHOT, || {
         let mut forests: Vec<SpatialForest> = trees.iter().map(SpatialForest::new).collect();
         let mut rng = StdRng::seed_from_u64(40);
         let mut acc = 0u64;
@@ -806,22 +897,10 @@ fn bench_json_throughput() {
     }
     table.print();
 
-    // Acceptance: modeled aggregate QPS must scale ≥3x from 1 to 8
-    // workers (the load-balance critical path; wall QPS on this
-    // machine is bounded by its core count), and the single-shard
-    // warm path must stay within 10% of the direct forest path.
+    // Modeled aggregate QPS is the load-balance critical path (wall QPS
+    // is bounded by this machine's cores). Both figures have bars.
     let speedup_modeled = runs[3].modeled_qps / runs[0].modeled_qps;
-    assert!(
-        speedup_modeled >= 3.0,
-        "acceptance bar: modeled QPS must scale >= 3x from 1 to 8 workers, got {speedup_modeled:.2}x"
-    );
     let single_shard_overhead = runs[0].busy_ms_per_q_busiest / direct_ms_per_q;
-    assert!(
-        single_shard_overhead <= 1.10,
-        "acceptance bar: 1-worker service path must stay within 10% of the direct forest \
-         ({:.4} ms/q vs {direct_ms_per_q:.4} ms/q = {single_shard_overhead:.3}x)",
-        runs[0].busy_ms_per_q_busiest
-    );
     println!(
         "  modeled scaling 1->8 workers: {speedup_modeled:.2}x; single-shard overhead vs direct: {:.1}%",
         (single_shard_overhead - 1.0) * 100.0
@@ -977,10 +1056,7 @@ fn bench_json_throughput() {
         sweep_rows.join(",\n"),
         scenario_rows.join(",\n")
     );
-    let path = "BENCH_throughput.json";
-    spatial_trees::store::atomic_write(path, json.as_bytes()).expect("write BENCH_throughput.json");
-    lab.commit();
-    println!("\n  wrote {path}\n");
+    write_snapshot(lab, "BENCH_throughput.json", &json);
 }
 
 /// `bench-json-durability` — crash-recovery cost of the snapshot +
@@ -995,7 +1071,7 @@ fn bench_json_throughput() {
 /// `SessionReport` charges). Writes `BENCH_durability.json` next to
 /// the workspace root.
 fn bench_json_durability() {
-    use spatial_trees::session::{ForestOptions, QueryBatch, SpatialForest};
+    use spatial_trees::session::ForestOptions;
     use spatial_trees::store::{read_journal, ForestSnapshot, JournalWriter};
 
     println!(
@@ -1067,48 +1143,15 @@ fn bench_json_durability() {
         f.apply_journal(&read_journal(&tail_path).expect("tail records"));
         f
     };
-    let verify = |candidate: &mut SpatialForest, live: &mut SpatialForest, what: &str| {
-        assert_eq!(candidate.n(), live.n(), "{what}: vertex count");
-        assert_eq!(
-            candidate.dynamic_stats(),
-            live.dynamic_stats(),
-            "{what}: dynamic stats"
-        );
-        let nn = live.n();
-        let mut probe = QueryBatch::new();
-        for i in 0..24u32 {
-            probe
-                .lca(i % nn, (i * 131 + 7) % nn)
-                .subtree_sum((i * 17) % nn)
-                .rank((i * 5 + 3) % nn);
-        }
-        let got = candidate
-            .execute(probe.requests(), &mut StdRng::seed_from_u64(44))
-            .to_vec();
-        let expect = live
-            .execute(probe.requests(), &mut StdRng::seed_from_u64(44))
-            .to_vec();
-        assert_eq!(got, expect, "{what}: answers diverged from live forest");
-        assert_eq!(
-            candidate.last_report(),
-            live.last_report(),
-            "{what}: charges diverged from live forest"
-        );
-    };
     let mut recovered = recover();
-    verify(&mut recovered, &mut live, "recover");
-    let mut rebuilt = rebuild();
-    verify(&mut rebuilt, &mut live, "rebuild");
+    assert_same_forest(&mut recovered, &mut live, 44, "recover");
+    assert_same_forest(&mut rebuild(), &mut live, 44, "rebuild");
     let report = recovered.last_report();
 
     // ---- Timings (ms per restart, files read inside the loop). ----
-    let recover_ms = time_best_ms(5, || recover().dynamic_stats().insertions);
-    let rebuild_ms = time_best_ms(3, || rebuild().dynamic_stats().insertions);
+    let recover_ms = best_of(5, SINGLE_SHOT, || recover().dynamic_stats().insertions);
+    let rebuild_ms = best_of(3, SINGLE_SHOT, || rebuild().dynamic_stats().insertions);
     let speedup = rebuild_ms / recover_ms;
-    assert!(
-        speedup >= 2.0,
-        "acceptance bar: checkpoint recovery must beat full-history replay by ≥ 2x, got {speedup:.2}x"
-    );
 
     let mut table = Table::new(["restart path", "ms", "journal records", "speedup"]);
     table.row([
@@ -1128,34 +1171,18 @@ fn bench_json_durability() {
     lab.config("n", format!("2^{log_n}"));
     lab.config("rounds", "24 + 2 tail");
     lab.wall_pair("recovery_vs_full_replay", recover_ms, rebuild_ms);
-    let scenario_rows = [
-        lab.scenario_row(
-            "durability_recovered_mixed",
-            "forest",
-            family.name(),
-            live.n() as u64,
-            CurveKind::Hilbert.name(),
-            report.grid,
-            None,
-        ),
-        lab.scenario_row(
-            "durability_recovered_mixed_ranking",
-            "forest-dart",
-            family.name(),
-            live.n() as u64,
-            CurveKind::Hilbert.name(),
-            report.ranking,
-            None,
-        ),
-    ];
+    let scenario_rows = session_rows(
+        &mut lab,
+        "durability_recovered_mixed",
+        family,
+        live.n(),
+        report,
+    );
     let json = format!(
         "{{\n  \"workload\": \"uniform_random n=2^{log_n}, 24 journaled rounds x (64 weighted inserts + mixed queries + set_weight), checkpoint snapshot before a 2-round tail\",\n  \"metrics\": \"recover = checkpoint snapshot read + tail journal replay; rebuild = seed snapshot read + full history replay; both paths verified bit-identical (answers and charges) against the never-stopped forest before timing\",\n  \"history_records\": {history_records},\n  \"tail_records\": {tail_records},\n  \"recover_ms\": {recover_ms:.3},\n  \"rebuild_ms\": {rebuild_ms:.3},\n  \"speedup_recover_vs_rebuild\": {speedup:.3},\n  \"scenarios\": [\n{}\n  ]\n}}\n",
         scenario_rows.join(",\n")
     );
-    let path = "BENCH_durability.json";
-    spatial_trees::store::atomic_write(path, json.as_bytes()).expect("write BENCH_durability.json");
-    lab.commit();
-    println!("\n  wrote {path}\n");
+    write_snapshot(lab, "BENCH_durability.json", &json);
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -1169,13 +1196,11 @@ fn bench_json_durability() {
 /// exceeds the budget many times over, where every row must report
 /// paging faults. Part two measures the incremental checkpoint on a
 /// dirty-tail workload (weight-edit-heavy, a few inserts, no
-/// rebuild): the delta written must be at most 25% of a full snapshot
-/// rewrite — the acceptance bar, re-checked against the committed
-/// data by `crates/bench/tests/bench_schema.rs`. Writes
-/// `BENCH_ooc.json` next to the workspace root.
+/// rebuild), whose size against a full snapshot rewrite has a bar in
+/// [`lab::BARS`]. Writes `BENCH_ooc.json` next to the workspace root.
 fn bench_json_ooc() {
     use spatial_trees::model::PagingConfig;
-    use spatial_trees::session::{ForestBacking, ForestOptions, QueryBatch, SpatialForest};
+    use spatial_trees::session::{ForestBacking, ForestOptions};
 
     println!(
         "\n### bench-json-ooc — mapped recovery under resident budgets + incremental checkpoints → BENCH_ooc.json\n"
@@ -1285,10 +1310,12 @@ fn bench_json_ooc() {
                     "n=2^{log_n}: a below-footprint budget must fault"
                 );
             }
-            let mapped_ms = time_best_ms(3, || {
+            let mapped_ms = best_of(3, SINGLE_SHOT, || {
                 run(ForestBacking::Mapped, Some(paging)).1.len() as u64
             });
-            let owned_ms = time_best_ms(3, || run(ForestBacking::Owned, None).1.len() as u64);
+            let owned_ms = best_of(3, SINGLE_SHOT, || {
+                run(ForestBacking::Owned, None).1.len() as u64
+            });
             table.row([
                 format!("2^{log_n}"),
                 (snapshot_bytes / 1024).to_string(),
@@ -1305,23 +1332,12 @@ fn bench_json_ooc() {
             ));
             if resident_pages == 4 {
                 let report = mapped.last_report();
-                scenario_rows.push(lab.scenario_row(
+                scenario_rows.extend(session_rows(
+                    &mut lab,
                     "ooc_mapped_mixed",
-                    "forest",
-                    family.name(),
-                    mapped.n() as u64,
-                    CurveKind::Hilbert.name(),
-                    report.grid,
-                    None,
-                ));
-                scenario_rows.push(lab.scenario_row(
-                    "ooc_mapped_mixed_ranking",
-                    "forest-dart",
-                    family.name(),
-                    mapped.n() as u64,
-                    CurveKind::Hilbert.name(),
-                    report.ranking,
-                    None,
+                    family,
+                    mapped.n(),
+                    report,
                 ));
                 lab.wall_time(&format!("mapped_ms_2^{log_n}_p4"), mapped_ms);
                 lab.wall_time(&format!("owned_ms_2^{log_n}_p4"), owned_ms);
@@ -1366,10 +1382,6 @@ fn bench_json_ooc() {
         stats.incremental,
         "dirty-tail workload must take the delta path"
     );
-    assert!(
-        ratio <= 0.25,
-        "acceptance bar: incremental checkpoint must write <= 25% of a full rewrite, got {ratio:.3}"
-    );
     // The patched file round-trips bit-identically — mapped.
     let mut recovered = SpatialForest::recover_with(
         &ckpt_path,
@@ -1378,21 +1390,7 @@ fn bench_json_ooc() {
         ForestBacking::Mapped,
     )
     .expect("post-checkpoint recovery");
-    let mut probe = QueryBatch::new();
-    let nn = live.n();
-    for i in 0..24u32 {
-        probe
-            .lca(i % nn, (i * 131 + 7) % nn)
-            .subtree_sum((i * 17) % nn)
-            .rank((i * 5 + 3) % nn);
-    }
-    let got = recovered
-        .execute(probe.requests(), &mut StdRng::seed_from_u64(47))
-        .to_vec();
-    let want = live
-        .execute(probe.requests(), &mut StdRng::seed_from_u64(47))
-        .to_vec();
-    assert_eq!(got, want, "incremental checkpoint changed the forest");
+    assert_same_forest(&mut recovered, &mut live, 47, "incremental checkpoint");
     println!(
         "  incremental checkpoint: {} of {} bytes ({:.1}% of a full rewrite)\n",
         stats.bytes_written,
@@ -1406,34 +1404,15 @@ fn bench_json_ooc() {
         sweep_rows.join(",\n"),
         scenario_rows.join(",\n")
     );
-    let path = "BENCH_ooc.json";
-    spatial_trees::store::atomic_write(path, json.as_bytes()).expect("write BENCH_ooc.json");
     lab.config("sweep", "2^12,2^14 x 4/64/2^14 pages");
     lab.config("page_bytes", page_bytes);
     // Lower-is-better and deterministic given seeds, but not a
-    // speedup — recorded informationally; the committed-data gate in
-    // bench_schema.rs enforces the ≤0.25 bar.
+    // speedup, so the noise gate does not compare it; its bar in
+    // `lab::BARS` holds it.
     lab.wall_info("incremental_checkpoint_ratio", ratio);
-    lab.commit();
-    println!("\n  wrote {path}\n");
+    write_snapshot(lab, "BENCH_ooc.json", &json);
 
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Best-of-`passes` single-shot timer (ms) for multi-millisecond
-/// pipeline runs; one untimed warmup call. Shared by every
-/// `bench-json-*` perf section.
-fn time_best_ms(passes: u32, mut f: impl FnMut() -> u64) -> f64 {
-    let mut sink = 0u64;
-    sink ^= f();
-    let mut best = f64::INFINITY;
-    for _ in 0..passes {
-        let start = std::time::Instant::now();
-        sink ^= f();
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-    std::hint::black_box(sink);
-    best
 }
 
 /// `bench-json-layout` — the unified layout scenario runner plus the
@@ -1539,7 +1518,7 @@ fn bench_json_layout() {
         );
         report.total()
     };
-    let build_ref = time_best_ms(3, || {
+    let build_ref = best_of(3, SINGLE_SHOT, || {
         let (l, _) = build_light_first_spatial_reference(
             &t,
             CurveKind::Hilbert,
@@ -1547,14 +1526,14 @@ fn bench_json_layout() {
         );
         l.order()[0] as u64
     });
-    let build_oneshot = time_best_ms(3, || {
+    let build_oneshot = best_of(3, SINGLE_SHOT, || {
         let mut e = LayoutEngine::new(&t, CurveKind::Hilbert);
         e.build_into(&mut StdRng::seed_from_u64(9));
         e.order()[0] as u64
     });
     // The reuse path the engine exists for: structure built once, runs
     // pay only the per-build work.
-    let build_reuse = time_best_ms(3, || {
+    let build_reuse = best_of(3, SINGLE_SHOT, || {
         engine.build_into(&mut StdRng::seed_from_u64(9));
         engine.order()[0] as u64
     });
@@ -1566,14 +1545,14 @@ fn bench_json_layout() {
         let mut rng = StdRng::seed_from_u64(104);
         (1u32 << 13..1 << 14).map(|m| rng.gen_range(0..m)).collect()
     };
-    let dyn_new = time_best_ms(3, || {
+    let dyn_new = best_of(3, SINGLE_SHOT, || {
         let mut dl = DynamicLayout::new(&base, CurveKind::Hilbert, 4.0);
         for &p in &inserts {
             dl.insert_leaf(p);
         }
         dl.current_energy()
     });
-    let dyn_ref = time_best_ms(3, || {
+    let dyn_ref = best_of(3, SINGLE_SHOT, || {
         let mut dl = ReferenceDynamicLayout::new(&base, CurveKind::Hilbert, 4.0);
         for &p in &inserts {
             dl.insert_leaf(p);
@@ -1581,30 +1560,19 @@ fn bench_json_layout() {
         dl.current_energy()
     });
 
-    let mut table = Table::new(["benchmark", "optimized ms", "reference ms", "speedup"]);
-    let mut rows = Vec::new();
-    for (name, opt, reference) in [
-        ("layout_build_order10_grid_2^20", build_oneshot, build_ref),
-        (
-            "layout_build_order10_grid_2^20_engine_reuse",
-            build_reuse,
-            build_ref,
-        ),
-        ("dynamic_insert_stream_2^13", dyn_new, dyn_ref),
-    ] {
-        table.row([
-            name.to_string(),
-            f2(opt),
-            f2(reference),
-            format!("{:.2}x", reference / opt),
-        ]);
-        rows.push(format!(
-            "    {{\"name\": \"{name}\", \"optimized_ms\": {opt:.2}, \"reference_ms\": {reference:.2}, \"speedup\": {:.3}}}",
-            reference / opt
-        ));
-        lab.wall_pair(name, opt, reference);
-    }
-    table.print();
+    let rows = lab.speedup_table(
+        "ms",
+        2,
+        &[
+            ("layout_build_order10_grid_2^20", build_oneshot, build_ref),
+            (
+                "layout_build_order10_grid_2^20_engine_reuse",
+                build_reuse,
+                build_ref,
+            ),
+            ("dynamic_insert_stream_2^13", dyn_new, dyn_ref),
+        ],
+    );
 
     lab.config("build_n", "2^20");
     lab.config("dynamic_n", "2^13");
@@ -1620,14 +1588,11 @@ fn bench_json_layout() {
     )];
     let json = format!(
         "{{\n  \"grid\": \"order-10 (1024x1024) for the on-machine build\",\n  \"build_workload\": \"uniform_random n=2^20, light-first spatial build\",\n  \"dynamic_workload\": \"uniform_random n=2^13 doubled by random leaf inserts, factor 4\",\n  \"sweep_n\": {n_sweep},\n  \"results\": [\n{}\n  ],\n  \"scenarios\": [\n{}\n  ],\n  \"sweep\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n"),
+        rows,
         scenario_rows.join(",\n"),
         sweep_rows.join(",\n")
     );
-    let path = "BENCH_layout.json";
-    spatial_trees::store::atomic_write(path, json.as_bytes()).expect("write BENCH_layout.json");
-    lab.commit();
-    println!("\n  wrote {path}\n");
+    write_snapshot(lab, "BENCH_layout.json", &json);
 }
 
 /// `bench-json-pram` — experiment E8 end to end: every PRAM baseline
@@ -1651,6 +1616,17 @@ fn bench_json_pram() {
     lab.config("sizes", "2^14..2^18 (lca 2^12..2^16)");
     let curves = [CurveKind::Hilbert, CurveKind::ZOrder];
     let mut rows: Vec<String> = Vec::new();
+    // Both sides of one comparison, as `scenarios` rows.
+    let mut record = |scenario: &str,
+                      family: &str,
+                      n: u64,
+                      curve: CurveKind,
+                      spatial: CostReport,
+                      pram: &PramEngine| {
+        let (report, steps) = (pram.report(), Some(pram.steps()));
+        rows.push(lab.scenario_row(scenario, "spatial", family, n, curve.name(), spatial, None));
+        rows.push(lab.scenario_row(scenario, "pram", family, n, curve.name(), report, steps));
+    };
 
     // ---- Subtree sums: PRAM Euler tour + rank + prefix vs spatial ----
     // ---- treefix (O(n log n) energy). The headline crossover.      ----
@@ -1706,24 +1682,7 @@ fn bench_json_pram() {
                     f3(sr.energy_per_n_log_n(n as u64)),
                     f3(pr.energy_per_n_three_halves(n as u64)),
                 ]);
-                rows.push(lab.scenario_row(
-                    "subtree_sums",
-                    "spatial",
-                    family.name(),
-                    n as u64,
-                    curve.name(),
-                    sr,
-                    None,
-                ));
-                rows.push(lab.scenario_row(
-                    "subtree_sums",
-                    "pram",
-                    family.name(),
-                    n as u64,
-                    curve.name(),
-                    pr,
-                    Some(pram.steps()),
-                ));
+                record("subtree_sums", family.name(), n as u64, curve, sr, &pram);
             }
             // The acceptance bar: Θ(n^{3/2}) must outgrow O(n log n).
             assert!(
@@ -1785,24 +1744,7 @@ fn bench_json_pram() {
                     pr.energy.to_string(),
                     f2(pr.energy as f64 / sr.energy as f64),
                 ]);
-                rows.push(lab.scenario_row(
-                    "list_ranking",
-                    "spatial",
-                    list_family,
-                    n as u64,
-                    curve.name(),
-                    sr,
-                    None,
-                ));
-                rows.push(lab.scenario_row(
-                    "list_ranking",
-                    "pram",
-                    list_family,
-                    n as u64,
-                    curve.name(),
-                    pr,
-                    Some(pram.steps()),
-                ));
+                record("list_ranking", list_family, n as u64, curve, sr, &pram);
             }
             if in_order {
                 // The acceptance bar: with a layout to exploit, spatial
@@ -1853,24 +1795,7 @@ fn bench_json_pram() {
                 pr.energy.to_string(),
                 f2(pr.energy as f64 / sr.energy as f64),
             ]);
-            rows.push(lab.scenario_row(
-                "prefix_sums",
-                "spatial",
-                "values",
-                n as u64,
-                curve.name(),
-                sr,
-                None,
-            ));
-            rows.push(lab.scenario_row(
-                "prefix_sums",
-                "pram",
-                "values",
-                n as u64,
-                curve.name(),
-                pr,
-                Some(pram.steps()),
-            ));
+            record("prefix_sums", "values", n as u64, curve, sr, &pram);
         }
         assert!(
             ratios.windows(2).all(|w| w[1] > w[0]),
@@ -1921,24 +1846,7 @@ fn bench_json_pram() {
                     pr.energy.to_string(),
                     f2(pr.energy as f64 / sr.energy as f64),
                 ]);
-                rows.push(lab.scenario_row(
-                    "batched_lca",
-                    "spatial",
-                    family.name(),
-                    n as u64,
-                    curve.name(),
-                    sr,
-                    None,
-                ));
-                rows.push(lab.scenario_row(
-                    "batched_lca",
-                    "pram",
-                    family.name(),
-                    n as u64,
-                    curve.name(),
-                    pr,
-                    Some(pram.steps()),
-                ));
+                record("batched_lca", family.name(), n as u64, curve, sr, &pram);
             }
             assert!(
                 ratios.windows(2).all(|w| w[1] > w[0]),
@@ -1952,10 +1860,7 @@ fn bench_json_pram() {
         "{{\n  \"suite\": \"E8 — PRAM-simulation baselines vs spatial counterparts\",\n  \"subtree_sums_workload\": \"treefix bottom-up vs PRAM Euler tour + rank + prefix, 2n-cell shared memory\",\n  \"list_ranking_workload\": \"RankingEngine vs PRAM random-mate; in-order-list = laid out along the curve\",\n  \"prefix_sums_workload\": \"spatial prefix collective vs PRAM Blelloch\",\n  \"lca_workload\": \"LcaEngine vs PRAM sparse-table RMQ, n/2 queries\",\n  \"scenarios\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );
-    let path = "BENCH_pram.json";
-    spatial_trees::store::atomic_write(path, json.as_bytes()).expect("write BENCH_pram.json");
-    lab.commit();
-    println!("\n  wrote {path}\n");
+    write_snapshot(lab, "BENCH_pram.json", &json);
 }
 
 /// `bench-json-lca` — the machine-readable perf baseline for the upper
@@ -1986,44 +1891,17 @@ fn bench_json_lca() {
     let queries: Vec<(NodeId, NodeId)> = (0..n / 2)
         .map(|_| (qrng.gen_range(0..n), qrng.gen_range(0..n)))
         .collect();
-    // Correctness cross-check before timing anything; the machine
-    // charges feed the shared `scenarios` rows.
-    let lca_report = {
-        let m_new = layout.machine();
-        let res_new = batched_lca(&m_new, &layout, &t, &queries, &mut StdRng::seed_from_u64(9));
-        let m_ref = layout.machine();
-        let res_ref =
-            batched_lca_reference(&m_ref, &layout, &t, &queries, &mut StdRng::seed_from_u64(9));
-        assert_eq!(res_new.answers, res_ref.answers, "engines disagree");
-        assert_eq!(m_new.report(), m_ref.report(), "charges disagree");
-        m_new.report()
-    };
-    let lca_new = time_best_ms(3, || {
-        let machine = layout.machine();
-        let res = batched_lca(
-            &machine,
-            &layout,
-            &t,
-            &queries,
-            &mut StdRng::seed_from_u64(9),
-        );
-        res.answers[0] as u64
-    });
-    let lca_ref = time_best_ms(3, || {
-        let machine = layout.machine();
-        let res = batched_lca_reference(
-            &machine,
-            &layout,
-            &t,
-            &queries,
-            &mut StdRng::seed_from_u64(9),
-        );
-        res.answers[0] as u64
-    });
+    // The machine charges feed the shared `scenarios` rows.
+    let (lca_new, lca_ref, lca_report) = check_then_time(
+        "batched LCA",
+        || layout.machine(),
+        |m| batched_lca(m, &layout, &t, &queries, &mut StdRng::seed_from_u64(9)).answers,
+        |m| batched_lca_reference(m, &layout, &t, &queries, &mut StdRng::seed_from_u64(9)).answers,
+    );
     // The reuse path the engine exists for: structure built once,
     // timed runs pay only the per-batch work (Las Vegas retries).
     let mut lca_engine = spatial_trees::lca::LcaEngine::new(&layout, &t);
-    let lca_reuse = time_best_ms(3, || {
+    let lca_reuse = best_of(3, SINGLE_SHOT, || {
         let machine = layout.machine();
         let res = lca_engine.run(&machine, &queries, &mut StdRng::seed_from_u64(9));
         res.answers[0] as u64
@@ -2032,88 +1910,45 @@ fn bench_json_lca() {
     // ---- Spatial list ranking, n = 2^18 elements. ----
     let rn = 1usize << 18;
     let (next, start) = spatial_bench::random_list(rn, 10);
-    let rank_report = {
-        let m_new = Machine::on_curve(CurveKind::Hilbert, rn as u32);
-        let got = rank_spatial(&m_new, &next, start, &mut StdRng::seed_from_u64(11));
-        let m_ref = Machine::on_curve(CurveKind::Hilbert, rn as u32);
-        let expect = rank_spatial_reference(&m_ref, &next, start, &mut StdRng::seed_from_u64(11));
-        assert_eq!(got.ranks, expect.ranks, "ranking engines disagree");
-        assert_eq!(m_new.report(), m_ref.report(), "ranking charges disagree");
-        m_new.report()
-    };
-    let rank_new = time_best_ms(3, || {
-        let m = Machine::on_curve(CurveKind::Hilbert, rn as u32);
-        let res = rank_spatial(&m, &next, start, &mut StdRng::seed_from_u64(11));
-        res.ranks[0]
-    });
-    let rank_ref = time_best_ms(3, || {
-        let m = Machine::on_curve(CurveKind::Hilbert, rn as u32);
-        let res = rank_spatial_reference(&m, &next, start, &mut StdRng::seed_from_u64(11));
-        res.ranks[0]
-    });
+    let (rank_new, rank_ref, rank_report) = check_then_time(
+        "list ranking",
+        || Machine::on_curve(CurveKind::Hilbert, rn as u32),
+        |m| rank_spatial(m, &next, start, &mut StdRng::seed_from_u64(11)).ranks,
+        |m| rank_spatial_reference(m, &next, start, &mut StdRng::seed_from_u64(11)).ranks,
+    );
 
     // ---- End-to-end 1-respecting min cut, n = 2^16, n/2 extra edges. ----
     let mn = 1u32 << 16;
     let graph = SpannedGraph::random(mn, mn as usize / 2, 100, &mut StdRng::seed_from_u64(12));
     let mlayout = Layout::light_first(graph.tree(), CurveKind::Hilbert);
-    let cut_report = {
-        let m_new = mlayout.machine();
-        let res_new = one_respecting_cuts(&m_new, &mlayout, &graph, &mut StdRng::seed_from_u64(13));
-        let m_ref = mlayout.machine();
-        let res_ref =
-            one_respecting_cuts_reference(&m_ref, &mlayout, &graph, &mut StdRng::seed_from_u64(13));
-        assert_eq!(res_new.cuts, res_ref.cuts, "mincut engines disagree");
-        assert_eq!(m_new.report(), m_ref.report(), "mincut charges disagree");
-        m_new.report()
-    };
-    let cut_new = time_best_ms(3, || {
-        let machine = mlayout.machine();
-        let res = one_respecting_cuts(&machine, &mlayout, &graph, &mut StdRng::seed_from_u64(13));
-        res.best_weight
-    });
-    let cut_ref = time_best_ms(3, || {
-        let machine = mlayout.machine();
-        let res = one_respecting_cuts_reference(
-            &machine,
-            &mlayout,
-            &graph,
-            &mut StdRng::seed_from_u64(13),
-        );
-        res.best_weight
-    });
+    let (cut_new, cut_ref, cut_report) = check_then_time(
+        "mincut",
+        || mlayout.machine(),
+        |m| one_respecting_cuts(m, &mlayout, &graph, &mut StdRng::seed_from_u64(13)).cuts,
+        |m| one_respecting_cuts_reference(m, &mlayout, &graph, &mut StdRng::seed_from_u64(13)).cuts,
+    );
     let mut pipeline = spatial_trees::mincut::MinCutPipeline::new(&graph, &mlayout);
-    let cut_reuse = time_best_ms(3, || {
+    let cut_reuse = best_of(3, SINGLE_SHOT, || {
         let machine = mlayout.machine();
         let res = pipeline.run(&machine, &mut StdRng::seed_from_u64(13));
         res.best_weight
     });
 
-    let mut table = Table::new(["benchmark", "optimized ms", "reference ms", "speedup"]);
-    let mut rows = Vec::new();
-    for (name, opt, reference) in [
-        ("batched_lca_order10_grid_2^20", lca_new, lca_ref),
-        (
-            "batched_lca_order10_grid_2^20_engine_reuse",
-            lca_reuse,
-            lca_ref,
-        ),
-        ("list_ranking_2^18", rank_new, rank_ref),
-        ("mincut_1respect_2^16", cut_new, cut_ref),
-        ("mincut_1respect_2^16_pipeline_reuse", cut_reuse, cut_ref),
-    ] {
-        table.row([
-            name.to_string(),
-            f2(opt),
-            f2(reference),
-            format!("{:.2}x", reference / opt),
-        ]);
-        rows.push(format!(
-            "    {{\"name\": \"{name}\", \"optimized_ms\": {opt:.2}, \"reference_ms\": {reference:.2}, \"speedup\": {:.3}}}",
-            reference / opt
-        ));
-        lab.wall_pair(name, opt, reference);
-    }
-    table.print();
+    let rows = lab.speedup_table(
+        "ms",
+        2,
+        &[
+            ("batched_lca_order10_grid_2^20", lca_new, lca_ref),
+            (
+                "batched_lca_order10_grid_2^20_engine_reuse",
+                lca_reuse,
+                lca_ref,
+            ),
+            ("list_ranking_2^18", rank_new, rank_ref),
+            ("mincut_1respect_2^16", cut_new, cut_ref),
+            ("mincut_1respect_2^16_pipeline_reuse", cut_reuse, cut_ref),
+        ],
+    );
 
     lab.config("lca_n", "2^20");
     lab.config("ranking_n", "2^18");
@@ -2149,50 +1984,26 @@ fn bench_json_lca() {
     ];
     let json = format!(
         "{{\n  \"grid\": \"order-10 (1024x1024) for batched LCA\",\n  \"lca_workload\": \"uniform_random n=2^20, n/2 queries\",\n  \"ranking_workload\": \"random permutation list n=2^18\",\n  \"mincut_workload\": \"random spanned graph n=2^16, n/2 extra edges\",\n  \"results\": [\n{}\n  ],\n  \"scenarios\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n"),
+        rows,
         scenario_rows.join(",\n")
     );
-    let path = "BENCH_lca_mincut.json";
-    spatial_trees::store::atomic_write(path, json.as_bytes()).expect("write BENCH_lca_mincut.json");
-    lab.commit();
-    println!("\n  wrote {path}\n");
+    write_snapshot(lab, "BENCH_lca_mincut.json", &json);
 }
 
-/// `bench-json` — the machine-readable perf baseline for the two hot
-/// paths: curve indexing (scalar reference vs LUT/magic-mask vs batch)
-/// and treefix contraction (seed engine vs allocation-free CSR engine).
-/// Writes `BENCH_sfc_treefix.json` next to the workspace root.
-fn bench_json() {
+/// `bench-json-sfc` — the machine-readable perf baseline for the two
+/// hot paths: curve indexing (scalar reference vs LUT/magic-mask vs
+/// batch) and treefix contraction (seed engine vs allocation-free CSR
+/// engine). Writes `BENCH_sfc_treefix.json` next to the workspace root.
+fn bench_json_sfc() {
     use spatial_trees::sfc::reference as scalar_ref;
     use spatial_trees::sfc::GridPoint;
     use spatial_trees::treefix::contraction::ContractionEngine;
     use spatial_trees::treefix::reference::ReferenceEngine;
-    use std::time::Instant;
 
-    /// Times `f` (which must consume its input once per call): three
-    /// measurement passes, best pass wins (robust against scheduler
-    /// noise on shared machines); returns ns per call.
-    fn time_ns(mut f: impl FnMut() -> u64) -> f64 {
-        // Warmup + calibration.
-        let start = Instant::now();
-        let mut sink = 0u64;
-        sink ^= f();
-        let once = start.elapsed().max(std::time::Duration::from_nanos(100));
-        let reps = (std::time::Duration::from_millis(60).as_nanos() / once.as_nanos())
-            .clamp(3, 10_000) as u32;
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let start = Instant::now();
-            for _ in 0..reps {
-                sink ^= f();
-            }
-            best = best.min(start.elapsed().as_nanos() as f64 / reps as f64);
-        }
-        std::hint::black_box(sink);
-        best
-    }
+    // Each call consumes its input once; reps fill ~60 ms per pass.
+    const PASS: Duration = Duration::from_millis(60);
 
-    println!("\n### bench-json — SFC + treefix perf baseline → BENCH_sfc_treefix.json\n");
+    println!("\n### bench-json-sfc — SFC + treefix perf baseline → BENCH_sfc_treefix.json\n");
     let mut lab = LabRun::new("sfc_treefix");
     // The acceptance-criterion order-10 grid, as concrete curve types:
     // the reference paths are direct function calls, so the optimized
@@ -2204,17 +2015,21 @@ fn bench_json() {
     let points: Vec<GridPoint> = hilbert.all_points();
     let zpoints: Vec<GridPoint> = zorder.all_points();
 
-    // ns per op = ns per full sweep / n.
-    let per = |sweep_ns: f64| sweep_ns / n as f64;
+    // ns per op = ms per full sweep · 10⁶ / n.
+    let per = |sweep_ms: f64| sweep_ms * 1e6 / n as f64;
 
-    let h_point_lut = per(time_ns(|| (0..n).map(|i| hilbert.point(i).x as u64).sum()));
-    let h_point_ref = per(time_ns(|| {
+    let h_point_lut = per(best_of(3, PASS, || {
+        (0..n).map(|i| hilbert.point(i).x as u64).sum()
+    }));
+    let h_point_ref = per(best_of(3, PASS, || {
         (0..n)
             .map(|i| scalar_ref::hilbert_point_scalar(side, i).x as u64)
             .sum()
     }));
-    let h_index_lut = per(time_ns(|| points.iter().map(|&p| hilbert.index(p)).sum()));
-    let h_index_ref = per(time_ns(|| {
+    let h_index_lut = per(best_of(3, PASS, || {
+        points.iter().map(|&p| hilbert.index(p)).sum()
+    }));
+    let h_index_ref = per(best_of(3, PASS, || {
         points
             .iter()
             .map(|&p| scalar_ref::hilbert_index_scalar(side, p))
@@ -2222,49 +2037,51 @@ fn bench_json() {
     }));
     // Batch rows: the SWAR lane kernels behind the public batch API
     // against the pre-PR scalar batch loops (retained verbatim in
-    // `sfc::swar::*_chunk_scalar`) — the ≥1.5x acceptance bar the
-    // committed-data gate in `bench_schema.rs` enforces.
+    // `sfc::swar::*_chunk_scalar`), with release-only bars in
+    // `lab::BARS`.
     use spatial_trees::sfc::swar;
     let indices: Vec<u64> = (0..n).collect();
     let mut batch_out = vec![GridPoint::default(); n as usize];
-    let h_point_batch = per(time_ns(|| {
+    let h_point_batch = per(best_of(3, PASS, || {
         hilbert.point_range_batch(0, &mut batch_out);
         batch_out[0].x as u64
     }));
-    let h_point_batch_ref = per(time_ns(|| {
+    let h_point_batch_ref = per(best_of(3, PASS, || {
         swar::hilbert_point_chunk_scalar(&hilbert, &indices, &mut batch_out);
         batch_out[0].x as u64
     }));
     let mut hidx_out = vec![0u64; n as usize];
-    let h_index_batch = per(time_ns(|| {
+    let h_index_batch = per(best_of(3, PASS, || {
         hilbert.index_batch(&points, &mut hidx_out);
         hidx_out[0]
     }));
-    let h_index_batch_ref = per(time_ns(|| {
+    let h_index_batch_ref = per(best_of(3, PASS, || {
         swar::hilbert_index_chunk_scalar(&hilbert, &points, &mut hidx_out);
         hidx_out[0]
     }));
-    let z_index_mask = per(time_ns(|| zpoints.iter().map(|&p| zorder.index(p)).sum()));
-    let z_index_ref = per(time_ns(|| {
+    let z_index_mask = per(best_of(3, PASS, || {
+        zpoints.iter().map(|&p| zorder.index(p)).sum()
+    }));
+    let z_index_ref = per(best_of(3, PASS, || {
         zpoints
             .iter()
             .map(|&p| scalar_ref::zorder_index_scalar(side, p))
             .sum()
     }));
     let mut zidx_out = vec![0u64; n as usize];
-    let z_index_batch = per(time_ns(|| {
+    let z_index_batch = per(best_of(3, PASS, || {
         zorder.index_batch(&zpoints, &mut zidx_out);
         zidx_out[0]
     }));
-    let z_index_batch_ref = per(time_ns(|| {
+    let z_index_batch_ref = per(best_of(3, PASS, || {
         swar::zorder_index_chunk_scalar(side, &zpoints, &mut zidx_out);
         zidx_out[0]
     }));
-    let z_point_batch = per(time_ns(|| {
+    let z_point_batch = per(best_of(3, PASS, || {
         zorder.point_batch(&indices, &mut batch_out);
         batch_out[0].x as u64
     }));
-    let z_point_batch_ref = per(time_ns(|| {
+    let z_point_batch_ref = per(best_of(3, PASS, || {
         swar::zorder_point_chunk_scalar(side, &indices, &mut batch_out);
         batch_out[0].x as u64
     }));
@@ -2283,20 +2100,22 @@ fn bench_json() {
         keys.shuffle(&mut StdRng::seed_from_u64(77));
         let mut scratch = LocalChargeScratch::new();
         let mut buf = vec![0u64; sort_n];
-        let bitonic_new = time_ns(|| {
+        let bitonic_new = best_of(3, PASS, || {
             buf.copy_from_slice(&keys);
             let mut lc = m.begin_local_charge(&mut scratch);
             run_bitonic(&mut lc, &mut buf, &levels);
             lc.commit();
             buf[0]
-        }) / sort_n as f64;
-        let bitonic_ref = time_ns(|| {
+        }) * 1e6
+            / sort_n as f64;
+        let bitonic_ref = best_of(3, PASS, || {
             buf.copy_from_slice(&keys);
             let mut lc = m.begin_local_charge(&mut scratch);
             run_bitonic_reference(&mut lc, &mut buf, &levels);
             lc.commit();
             buf[0]
-        }) / sort_n as f64;
+        }) * 1e6
+            / sort_n as f64;
         (bitonic_new, bitonic_ref)
     };
 
@@ -2305,20 +2124,20 @@ fn bench_json() {
     let t = workload(TreeFamily::RandomBinary, 1 << 13, 5);
     let layout = Layout::light_first(&t, CurveKind::Hilbert);
     let values = vec![Add(1); t.n() as usize];
-    let tf_new = time_ns(|| {
+    let tf_new = best_of(3, PASS, || {
         let machine = layout.machine();
         let mut rng = StdRng::seed_from_u64(6);
         let mut eng = ContractionEngine::new(&t, &layout, &values, true);
         eng.contract(&machine, &mut rng);
         eng.uncontract_bottom_up(&machine)[0].0
-    });
-    let tf_ref = time_ns(|| {
+    }) * 1e6;
+    let tf_ref = best_of(3, PASS, || {
         let machine = layout.machine();
         let mut rng = StdRng::seed_from_u64(6);
         let mut eng = ReferenceEngine::new(&t, &layout, &machine, &values, true);
         eng.contract(&mut rng);
         eng.uncontract_bottom_up()[0].0
-    });
+    }) * 1e6;
     // One charged run for the shared `scenarios` rows.
     let tf_report = {
         let machine = layout.machine();
@@ -2332,76 +2151,37 @@ fn bench_json() {
         machine.report()
     };
 
-    let mut table = Table::new(["benchmark", "optimized ns/op", "reference ns/op", "speedup"]);
-    let mut rows = Vec::new();
-    for (name, opt, reference) in [
-        ("hilbert_point_order10", h_point_lut, h_point_ref),
-        ("hilbert_index_order10", h_index_lut, h_index_ref),
-        (
-            "hilbert_point_batch_order10",
-            h_point_batch,
-            h_point_batch_ref,
-        ),
-        (
-            "hilbert_index_batch_order10",
-            h_index_batch,
-            h_index_batch_ref,
-        ),
-        ("zorder_index_order10", z_index_mask, z_index_ref),
-        (
-            "zorder_index_batch_order10",
-            z_index_batch,
-            z_index_batch_ref,
-        ),
-        (
-            "zorder_point_batch_order10",
-            z_point_batch,
-            z_point_batch_ref,
-        ),
-        ("bitonic_sort_2^16", bitonic_new, bitonic_ref),
-        ("treefix_bottom_up_2^13", tf_new, tf_ref),
-    ] {
-        table.row([
-            name.to_string(),
-            f2(opt),
-            f2(reference),
-            format!("{:.2}x", reference / opt),
-        ]);
-        rows.push(format!(
-            "    {{\"name\": \"{name}\", \"optimized_ns_per_op\": {opt:.2}, \"reference_ns_per_op\": {reference:.2}, \"speedup\": {:.3}}}",
-            reference / opt
-        ));
-        lab.wall_pair(name, opt, reference);
-    }
-    table.print();
-
-    // The committed-data gate in `bench_schema.rs` pins ≥1.5x on these
-    // rows; assert the same bar at generation time so a regeneration on
-    // a noisy box fails loudly here instead of at the next CI run.
-    // Release builds only: unoptimized SWAR lanes have no reason to
-    // beat unoptimized scalar loops, and the debug-assertions CI leg
-    // appends lab runs through this writer.
-    if cfg!(not(debug_assertions)) {
-        for (name, opt, reference) in [
+    let rows = lab.speedup_table(
+        "ns_per_op",
+        2,
+        &[
+            ("hilbert_point_order10", h_point_lut, h_point_ref),
+            ("hilbert_index_order10", h_index_lut, h_index_ref),
+            (
+                "hilbert_point_batch_order10",
+                h_point_batch,
+                h_point_batch_ref,
+            ),
             (
                 "hilbert_index_batch_order10",
                 h_index_batch,
                 h_index_batch_ref,
             ),
+            ("zorder_index_order10", z_index_mask, z_index_ref),
             (
                 "zorder_index_batch_order10",
                 z_index_batch,
                 z_index_batch_ref,
             ),
+            (
+                "zorder_point_batch_order10",
+                z_point_batch,
+                z_point_batch_ref,
+            ),
             ("bitonic_sort_2^16", bitonic_new, bitonic_ref),
-        ] {
-            let speedup = reference / opt;
-            assert!(
-                speedup >= 1.5,
-                "acceptance bar: {name} must beat its scalar batch reference by >= 1.5x, got {speedup:.2}x"
-            );
-        }
-    }
+            ("treefix_bottom_up_2^13", tf_new, tf_ref),
+        ],
+    );
 
     lab.config("grid", "order-10");
     lab.config("treefix_n", "2^13");
@@ -2416,14 +2196,10 @@ fn bench_json() {
     )];
     let json = format!(
         "{{\n  \"grid\": \"order-10 (1024x1024)\",\n  \"treefix_tree\": \"random_binary n=2^13\",\n  \"batch_baseline\": \"*_batch rows compare the SWAR lane kernels against the pre-PR scalar batch loops (retained in sfc::swar::*_chunk_scalar); bitonic compares the branchless network against the retained branchy reference, both charged identically\",\n  \"results\": [\n{}\n  ],\n  \"scenarios\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n"),
+        rows,
         scenario_rows.join(",\n")
     );
-    let path = "BENCH_sfc_treefix.json";
-    spatial_trees::store::atomic_write(path, json.as_bytes())
-        .expect("write BENCH_sfc_treefix.json");
-    lab.commit();
-    println!("\n  wrote {path}\n");
+    write_snapshot(lab, "BENCH_sfc_treefix.json", &json);
 }
 
 /// `calibrate-thresholds` — measures each fork-join kernel family's
@@ -2449,27 +2225,9 @@ fn bench_json() {
 fn calibrate_thresholds() {
     use spatial_trees::euler::ranking::END;
     use spatial_trees::sfc::{swar, GridPoint};
-    use std::time::Instant;
 
-    /// Best-of-3 mean-per-call timer (ns); reps target ~40 ms per pass.
-    fn time_ns(mut f: impl FnMut() -> u64) -> f64 {
-        let start = Instant::now();
-        let mut sink = 0u64;
-        sink ^= f();
-        let once = start.elapsed().max(std::time::Duration::from_nanos(100));
-        let reps = (std::time::Duration::from_millis(40).as_nanos() / once.as_nanos())
-            .clamp(3, 3_000) as u32;
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let start = Instant::now();
-            for _ in 0..reps {
-                sink ^= f();
-            }
-            best = best.min(start.elapsed().as_nanos() as f64 / reps as f64);
-        }
-        std::hint::black_box(sink);
-        best
-    }
+    // Reps fill ~40 ms per timed pass.
+    const PASS: Duration = Duration::from_millis(40);
 
     fn median(xs: &mut [f64]) -> f64 {
         xs.sort_by(f64::total_cmp);
@@ -2607,8 +2365,8 @@ fn calibrate_thresholds() {
         let mut per_item = Vec::new();
         let mut task_ns = Vec::new();
         for &b in &sizes {
-            let t_seq = time_ns(|| run(b, false));
-            let t_par = time_ns(|| run(b, true));
+            let t_seq = best_of(3, PASS, || run(b, false)) * 1e6;
+            let t_par = best_of(3, PASS, || run(b, true)) * 1e6;
             let penalty = ((t_par - t_seq) / 2.0).max(0.0);
             if b >= 1 << 16 {
                 per_item.push(t_seq / b as f64);
@@ -3267,7 +3025,69 @@ fn e9_path_decomposition() {
     println!();
 }
 
-// Silence the unused warning when compiled without running `Machine`
-// directly (we use it through layouts).
-#[allow(dead_code)]
-fn _type_check(_: &Machine) {}
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every id the command line accepts, in the order errors list them.
+    const CLI_IDS: &str = "e1 e2 e3 e4 e5 e6 e7 e8 e9 e11 a1 a2 a3 calibrate-thresholds \
+        bench-json bench-json-sfc bench-json-lca bench-json-layout bench-json-pram \
+        bench-json-service bench-json-throughput bench-json-durability bench-json-ooc \
+        lab-regress lab-sweep lab-ab lab-gate";
+    const TABLES: &str = "e1 e2 e3 e4 e5 e6 e7 e8 e9 e11 a1 a2 a3";
+    const WRITERS: &str = "bench-json-sfc bench-json-lca bench-json-layout bench-json-pram \
+        bench-json-service bench-json-throughput bench-json-durability bench-json-ooc";
+
+    fn ids(list: &str) -> Vec<&str> {
+        list.split_whitespace().collect()
+    }
+
+    fn selected(list: &str) -> Result<Vec<&'static str>, String> {
+        let args: Vec<String> = list.split_whitespace().map(str::to_string).collect();
+        Ok(select(&args)?.into_iter().map(|&(id, _, _)| id).collect())
+    }
+
+    #[test]
+    fn registry_keeps_the_cli_ids() {
+        let valid = valid_ids();
+        assert_eq!(valid, ids(CLI_IDS));
+        assert!(valid
+            .iter()
+            .enumerate()
+            .all(|(i, id)| !valid[..i].contains(id)));
+    }
+
+    #[test]
+    fn no_argument_run_is_the_tables_then_the_writers() {
+        assert_eq!(selected(""), Ok([ids(TABLES), ids(WRITERS)].concat()));
+    }
+
+    #[test]
+    fn bench_json_selects_exactly_the_writers_once() {
+        assert_eq!(selected("bench-json"), Ok(ids(WRITERS)));
+        assert_eq!(selected("BENCH-JSON bench-json-ooc"), Ok(ids(WRITERS)));
+        assert_eq!(selected("bench-json-ooc e3"), Ok(ids("e3 bench-json-ooc")));
+    }
+
+    #[test]
+    fn explicit_ids_run_only_when_named() {
+        let default_run = selected("").expect("valid");
+        for id in ids("calibrate-thresholds lab-regress lab-sweep lab-ab lab-gate") {
+            assert!(!default_run.contains(&id), "{id} ran by default");
+            assert_eq!(selected(id), Ok(vec![id]));
+        }
+        // Filters pass through and select nothing on their own.
+        assert_eq!(selected("lab-gate bench=ooc"), Ok(vec!["lab-gate"]));
+        assert_eq!(selected("bench=ooc"), Ok(vec![]));
+    }
+
+    #[test]
+    fn select_rejects_typos_and_accepts_filters() {
+        assert!(selected("e1 bench-json-throughput lab-regress").is_ok());
+        assert!(selected("lab-sweep scenario=subtree_sums norm=nlogn").is_ok());
+        // The CI-silent-skip typo: a hard error naming the valid ids.
+        let err = selected("bench-jsonthroughput").unwrap_err();
+        assert!(err.contains("unknown experiment id 'bench-jsonthroughput'"));
+        assert!(err.contains("bench-json-throughput"));
+    }
+}

@@ -22,6 +22,11 @@
 //! stored runs' own dispersion — `max(rel_eps · prior_median,
 //! mad_k · MAD)`. The noise model is documented in
 //! `crates/bench/DESIGN.md`.
+//!
+//! The numeric acceptance bars (a speedup a kernel must keep, a
+//! checkpoint size it must stay under) are declared once, in [`BARS`]:
+//! the writers check a fresh run against them before writing its
+//! snapshot, and the gate checks each bench's latest stored run.
 
 use spatial_trees::model::CostReport;
 use spatial_trees::store;
@@ -665,7 +670,7 @@ impl LabRun {
 
     /// Records one deterministic machine-charge row and returns it
     /// formatted for the `scenarios` array of the `BENCH_*.json`
-    /// snapshot (the shared schema pinned by `bench_schema.rs`).
+    /// snapshot (the shared schema `tests/bench_schema.rs` checks).
     #[allow(clippy::too_many_arguments)]
     pub fn scenario_row(
         &mut self,
@@ -677,7 +682,26 @@ impl LabRun {
         r: CostReport,
         steps: Option<u32>,
     ) -> String {
-        self.push_scenario(scenario, impl_name, family, n, curve, r, steps, true)
+        self.record.scenarios.push(ScenarioRow {
+            scenario: scenario.to_string(),
+            impl_name: impl_name.to_string(),
+            family: family.to_string(),
+            n,
+            curve: curve.to_string(),
+            energy: r.energy,
+            depth: r.depth,
+            messages: r.messages,
+            work: r.work,
+            steps: steps.map(u64::from),
+            det: true,
+        });
+        let steps = steps
+            .map(|s| format!(", \"steps\": {s}"))
+            .unwrap_or_default();
+        format!(
+            "    {{\"scenario\": \"{scenario}\", \"impl\": \"{impl_name}\", \"family\": \"{family}\", \"n\": {n}, \"curve\": \"{curve}\", \"energy\": {}, \"depth\": {}, \"messages\": {}, \"work\": {}{steps}}}",
+            r.energy, r.depth, r.messages, r.work
+        )
     }
 
     /// Like [`Self::scenario_row`] for rows whose charges are *not*
@@ -695,41 +719,9 @@ impl LabRun {
         r: CostReport,
         steps: Option<u32>,
     ) -> String {
-        self.push_scenario(scenario, impl_name, family, n, curve, r, steps, false)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn push_scenario(
-        &mut self,
-        scenario: &str,
-        impl_name: &str,
-        family: &str,
-        n: u64,
-        curve: &str,
-        r: CostReport,
-        steps: Option<u32>,
-        det: bool,
-    ) -> String {
-        self.record.scenarios.push(ScenarioRow {
-            scenario: scenario.to_string(),
-            impl_name: impl_name.to_string(),
-            family: family.to_string(),
-            n,
-            curve: curve.to_string(),
-            energy: r.energy,
-            depth: r.depth,
-            messages: r.messages,
-            work: r.work,
-            steps: steps.map(u64::from),
-            det,
-        });
-        let steps = steps
-            .map(|s| format!(", \"steps\": {s}"))
-            .unwrap_or_default();
-        format!(
-            "    {{\"scenario\": \"{scenario}\", \"impl\": \"{impl_name}\", \"family\": \"{family}\", \"n\": {n}, \"curve\": \"{curve}\", \"energy\": {}, \"depth\": {}, \"messages\": {}, \"work\": {}{steps}}}",
-            r.energy, r.depth, r.messages, r.work
-        )
+        let row = self.scenario_row(scenario, impl_name, family, n, curve, r, steps);
+        self.record.scenarios.last_mut().expect("pushed").det = false;
+        row
     }
 
     /// Records an optimized/reference timing pair plus its derived
@@ -740,6 +732,41 @@ impl LabRun {
         self.wall_time(&format!("{name}.optimized"), optimized);
         self.wall_time(&format!("{name}.reference"), reference);
         self.wall_ratio(&format!("{name}.speedup"), reference / optimized);
+    }
+
+    /// Records each `(name, optimized, reference)` timing pair (see
+    /// [`Self::wall_pair`]), prints them as a speedup table, and returns
+    /// the rows of the snapshot's `results` array. `unit` names the
+    /// timings in the table headers and the JSON keys (`ms`,
+    /// `ns_per_op`); `decimals` is their precision.
+    pub fn speedup_table(
+        &mut self,
+        unit: &str,
+        decimals: usize,
+        pairs: &[(&str, f64, f64)],
+    ) -> String {
+        let mut table = crate::Table::new([
+            "benchmark".to_string(),
+            format!("optimized {unit}"),
+            format!("reference {unit}"),
+            "speedup".to_string(),
+        ]);
+        let mut rows = Vec::with_capacity(pairs.len());
+        for &(name, opt, reference) in pairs {
+            let speedup = reference / opt;
+            table.row([
+                name.to_string(),
+                format!("{opt:.decimals$}"),
+                format!("{reference:.decimals$}"),
+                format!("{speedup:.2}x"),
+            ]);
+            rows.push(format!(
+                "    {{\"name\": \"{name}\", \"optimized_{unit}\": {opt:.decimals$}, \"reference_{unit}\": {reference:.decimals$}, \"speedup\": {speedup:.3}}}"
+            ));
+            self.wall_pair(name, opt, reference);
+        }
+        table.print();
+        rows.join(",\n")
     }
 
     /// Records a duration metric (lower is better, not gated by
@@ -767,7 +794,7 @@ impl LabRun {
         });
     }
 
-    /// A view of the record built so far (for tests).
+    /// A view of the record built so far (for the bar check and tests).
     pub fn record(&self) -> &RunRecord {
         &self.record
     }
@@ -809,6 +836,83 @@ pub fn current_git_rev() -> String {
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".into())
+}
+
+// ---------------------------------------------------------------------------
+// Acceptance bars.
+// ---------------------------------------------------------------------------
+
+/// Bars that hold under every build profile.
+const ANY: &[&str] = &["debug", "release"];
+
+/// Bars on SWAR speedups: unoptimized lane kernels have no reason to
+/// beat unoptimized scalar loops, so only release runs are held to them.
+const RELEASE: &[&str] = &["release"];
+
+/// Which side of its bound a barred metric must stay on.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Bound {
+    /// The metric must be at least this (speedups).
+    AtLeast(f64),
+    /// The metric must be at most this (overheads, size ratios).
+    AtMost(f64),
+}
+
+/// One numeric acceptance bar, `(bench, metric, bound, profiles)`:
+/// every run of `bench` measured under one of `profiles` must record
+/// the wall metric `metric` within `bound`.
+pub type Bar = (&'static str, &'static str, Bound, &'static [&'static str]);
+
+/// Every numeric acceptance bar, declared once. [`bar_violations`]
+/// checks a fresh run before its snapshot is written, and
+/// [`regression_report`] checks each bench's latest stored run, so the
+/// writers, `lab-gate` and the committed-history test hold the same
+/// numbers.
+#[rustfmt::skip]
+pub const BARS: &[Bar] = &[
+    // SWAR lane kernels vs the retained scalar batch loops.
+    ("sfc_treefix", "hilbert_index_batch_order10.speedup", Bound::AtLeast(1.5), RELEASE),
+    ("sfc_treefix", "zorder_index_batch_order10.speedup", Bound::AtLeast(1.5), RELEASE),
+    ("sfc_treefix", "bitonic_sort_2^16.speedup", Bound::AtLeast(1.5), RELEASE),
+    // Mixed-batch engine reuse vs building every engine per query.
+    ("service", "service_mixed_2^13_reuse_vs_fresh_engines.speedup", Bound::AtLeast(1.5), ANY),
+    // Modeled QPS from 1 to 8 shards: the busiest tenant carries 4/13
+    // of the trace, so perfect sharding models out at 3.25x.
+    ("throughput", "modeled_scaling_8w_vs_1w.speedup", Bound::AtLeast(2.0), ANY),
+    // The 1-worker service path vs direct forest calls.
+    ("throughput", "single_shard_overhead_vs_direct", Bound::AtMost(1.10), ANY),
+    // Checkpoint + journal tail vs replaying the whole history.
+    ("durability", "recovery_vs_full_replay.speedup", Bound::AtLeast(2.0), ANY),
+    // Delta bytes vs a full snapshot rewrite on a dirty-tail workload.
+    ("ooc", "incremental_checkpoint_ratio", Bound::AtMost(0.25), ANY),
+];
+
+/// The bars `run` breaks, one message each: every bar of its bench and
+/// build profile whose metric the run did not record or recorded
+/// outside the bound.
+pub fn bar_violations(run: &RunRecord) -> Vec<String> {
+    let mut broken = Vec::new();
+    for &(bench, metric, bound, profiles) in BARS {
+        if bench != run.bench || !profiles.contains(&run.profile()) {
+            continue;
+        }
+        match run.wall.iter().find(|m| m.name == metric) {
+            None => broken.push(format!("{bench}: bar metric {metric} not recorded")),
+            Some(m) => {
+                let (holds, op, limit) = match bound {
+                    Bound::AtLeast(limit) => (m.value >= limit, ">=", limit),
+                    Bound::AtMost(limit) => (m.value <= limit, "<=", limit),
+                };
+                if !holds {
+                    broken.push(format!(
+                        "{bench}: {metric} = {:.3} breaks its acceptance bar ({op} {limit})",
+                        m.value
+                    ));
+                }
+            }
+        }
+    }
+    broken
 }
 
 // ---------------------------------------------------------------------------
@@ -857,9 +961,9 @@ pub fn mad_of(xs: &[f64]) -> f64 {
 #[derive(Debug, Clone, Copy)]
 pub struct GateConfig {
     /// Relative floor of the wall tolerance band (fraction of the
-    /// prior median). The default matches the headroom philosophy of
-    /// the committed-data gates in `bench_schema.rs`, which gate
-    /// measured speedups at roughly half their committed values.
+    /// prior median). The default leaves about the headroom the
+    /// acceptance bars in [`BARS`] leave below their committed values:
+    /// roughly half.
     pub rel_eps: f64,
     /// Dispersion multiplier: the band is
     /// `max(rel_eps · median, mad_k · MAD)` of the prior samples.
@@ -995,7 +1099,8 @@ pub struct RegressionReport {
 /// (and cross-checks within-revision determinism), non-deterministic
 /// rows and wall ratios under the dispersion-derived tolerance,
 /// against the nearest prior revision with runs of the same bench
-/// (same profile for wall metrics).
+/// (same profile for wall metrics), and checks the bench's latest run
+/// against its acceptance bars ([`BARS`]).
 pub fn regression_report(
     runs: &[RunRecord],
     cfg: &GateConfig,
@@ -1243,6 +1348,11 @@ pub fn regression_report(
             });
         }
 
+        report.violations.extend(bar_violations(
+            latest_runs
+                .last()
+                .expect("the bench has runs at the latest rev"),
+        ));
         report.benches.push(bench_report);
     }
     report

@@ -1,8 +1,8 @@
 //! Shared infrastructure for the experiment harness and criterion
-//! benchmarks: table printing and canonical workload construction.
+//! benchmarks: table printing, timing and canonical workloads.
 //!
-//! Every experiment in EXPERIMENTS.md is regenerated by the
-//! `experiments` binary in this crate:
+//! Every paper table and `BENCH_*.json` baseline is regenerated by the
+//! `experiments` binary in this crate, whose registry lists the ids:
 //!
 //! ```sh
 //! cargo run --release -p spatial-bench --bin experiments          # all
@@ -13,6 +13,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spatial_trees::tree::generators::TreeFamily;
 use spatial_trees::tree::Tree;
+use std::time::{Duration, Instant};
 
 pub mod lab;
 
@@ -124,57 +125,27 @@ pub fn percentile(sorted: &[f64], p: f64) -> Option<f64> {
     Some(sorted[rank.min(sorted.len()) - 1])
 }
 
-/// Every experiment ID the `experiments` binary understands, in the
-/// order it runs them. `validate_args` checks requests against this
-/// list so a typo (`bench-jsonthroughput`) is a hard error instead of
-/// a silent no-op that skips artifact regeneration in CI.
-pub const EXPERIMENT_IDS: &[&str] = &[
-    "e1",
-    "e2",
-    "e3",
-    "e4",
-    "e5",
-    "e6",
-    "e7",
-    "e8",
-    "e9",
-    "e11",
-    "a1",
-    "a2",
-    "a3",
-    "calibrate-thresholds",
-    "bench-json",
-    "bench-json-sfc",
-    "bench-json-lca",
-    "bench-json-layout",
-    "bench-json-pram",
-    "bench-json-service",
-    "bench-json-throughput",
-    "bench-json-durability",
-    "bench-json-ooc",
-    "lab-regress",
-    "lab-sweep",
-    "lab-ab",
-    "lab-gate",
-];
-
-/// Validates a requested argument list: every non-`key=value` argument
-/// must be a known experiment ID (case-insensitive). `key=value`
-/// arguments are lab-view filters and pass through. Returns the
-/// offending argument's error message listing the valid IDs.
-pub fn validate_args(args: &[String]) -> Result<(), String> {
-    for arg in args {
-        if arg.contains('=') {
-            continue; // lab-view filter (scenario=..., rel_eps=...)
+/// Best-of-`passes` wall-clock timer shared by every experiment: one
+/// untimed call (warm-up, and the calibration of `reps`), then `passes`
+/// passes of `reps` calls each, where `reps` fills about `pass_budget`
+/// (at least one call, so a zero budget times single-shot). Returns the
+/// best pass's mean milliseconds per call. `f`'s results feed a
+/// black-boxed sink so its work cannot be optimized away.
+pub fn best_of(passes: u32, pass_budget: Duration, mut f: impl FnMut() -> u64) -> f64 {
+    let start = Instant::now();
+    let mut sink = f();
+    let once = start.elapsed().max(Duration::from_nanos(100));
+    let reps = (pass_budget.as_nanos() / once.as_nanos()).clamp(1, 10_000) as u32;
+    let mut best = f64::INFINITY;
+    for _ in 0..passes {
+        let start = Instant::now();
+        for _ in 0..reps {
+            sink ^= f();
         }
-        if !EXPERIMENT_IDS.iter().any(|id| arg.eq_ignore_ascii_case(id)) {
-            return Err(format!(
-                "unknown experiment id '{arg}'\nvalid ids:\n  {}",
-                EXPERIMENT_IDS.join("\n  ")
-            ));
-        }
+        best = best.min(start.elapsed().as_secs_f64() * 1e3 / reps as f64);
     }
-    Ok(())
+    std::hint::black_box(sink);
+    best
 }
 
 /// Formats a float with three significant decimals.
@@ -266,18 +237,14 @@ mod tests {
     }
 
     #[test]
-    fn validate_args_rejects_typos_and_accepts_filters() {
-        let ok = |ids: &[&str]| {
-            validate_args(&ids.iter().map(|s| s.to_string()).collect::<Vec<_>>())
-        };
-        assert!(ok(&[]).is_ok());
-        assert!(ok(&["e1", "bench-json-throughput", "lab-regress"]).is_ok());
-        assert!(ok(&["BENCH-JSON"]).is_ok(), "ids match case-insensitively");
-        assert!(ok(&["lab-sweep", "scenario=subtree_sums", "norm=nlogn"]).is_ok());
-        // The CI-silent-skip typo from the issue: hard error naming
-        // the valid ids.
-        let err = ok(&["bench-jsonthroughput"]).unwrap_err();
-        assert!(err.contains("unknown experiment id 'bench-jsonthroughput'"));
-        assert!(err.contains("bench-json-throughput"));
+    fn best_of_calls_once_per_rep_after_one_warmup() {
+        let mut calls = 0u64;
+        // A zero budget times single-shot passes: warm-up + 3 calls.
+        let ms = best_of(3, Duration::ZERO, || {
+            calls += 1;
+            calls
+        });
+        assert_eq!(calls, 4);
+        assert!(ms.is_finite() && ms >= 0.0);
     }
 }

@@ -3,11 +3,14 @@
 //! tolerance (kill-at-offset, the `store/tests` style), and the
 //! noise-aware regression gate on synthetic histories — a real
 //! regression is flagged, run-to-run noise is tolerated, and
-//! deterministic machine-charge drift is always flagged.
+//! deterministic machine-charge drift is always flagged — plus the
+//! acceptance bars, checked before a snapshot is written and by the
+//! gate. Outside the bar tests, synthetic runs use bench names that
+//! carry no bars.
 
 use spatial_bench::lab::{
-    append_run, read_runs, regression_report, ChargeStatus, GateConfig, RunRecord, ScenarioRow,
-    WallKind, WallMetric, WallStatus,
+    append_run, bar_violations, read_runs, regression_report, ChargeStatus, GateConfig, LabRun,
+    RunRecord, ScenarioRow, WallKind, WallMetric, WallStatus,
 };
 
 fn temp_store(tag: &str) -> std::path::PathBuf {
@@ -35,7 +38,7 @@ fn charge_row(energy: u64, det: bool) -> ScenarioRow {
 
 fn run_at(rev: &str, energy: u64, speedup: f64) -> RunRecord {
     RunRecord {
-        bench: "sfc_treefix".into(),
+        bench: "kernels".into(),
         git_rev: rev.into(),
         timestamp: 1,
         config: vec![("profile".into(), "release".into())],
@@ -180,7 +183,7 @@ fn gate_flags_within_rev_nondeterminism_of_det_rows() {
 #[test]
 fn gate_compares_nondet_rows_under_the_noise_band() {
     let mk = |rev: &str, energy: u64| RunRecord {
-        bench: "throughput".into(),
+        bench: "sessions".into(),
         git_rev: rev.into(),
         timestamp: 1,
         config: vec![("profile".into(), "release".into())],
@@ -269,4 +272,48 @@ fn time_metrics_are_not_gated_by_default() {
     };
     let report = regression_report(&runs, &cfg, None);
     assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+}
+
+#[test]
+fn runs_below_a_bar_fail_the_pre_write_check_and_the_gate() {
+    // Checkpoint recovery must beat full replay by >= 2x; this run's
+    // win is 1.5x.
+    let mut lab = LabRun::new("durability");
+    lab.wall_pair("recovery_vs_full_replay", 2.0, 3.0);
+    let broken = bar_violations(lab.record());
+    assert_eq!(broken.len(), 1, "{broken:?}");
+    assert!(broken[0].contains("recovery_vs_full_replay.speedup = 1.500"));
+    let mut run = lab.record().clone();
+    let report = regression_report(&[run.clone()], &GateConfig::default(), None);
+    assert_eq!(report.violations, broken);
+    // Exactly at the bar holds; a run missing the metric fails.
+    run.wall[2].value = 2.0;
+    assert!(bar_violations(&run).is_empty());
+    run.wall.clear();
+    assert!(bar_violations(&run)[0].contains("not recorded"));
+}
+
+#[test]
+fn debug_runs_are_exempt_from_release_only_bars() {
+    // Unoptimized SWAR lanes lose to unoptimized scalar loops.
+    let mut run = run_at("rev-a", 100, 2.2);
+    run.bench = "sfc_treefix".into();
+    run.config = vec![("profile".into(), "debug".into())];
+    run.wall = [
+        "hilbert_index_batch_order10.speedup",
+        "zorder_index_batch_order10.speedup",
+        "bitonic_sort_2^16.speedup",
+    ]
+    .map(|name| WallMetric {
+        name: name.into(),
+        value: 0.8,
+        kind: WallKind::Ratio,
+    })
+    .to_vec();
+    assert!(bar_violations(&run).is_empty());
+    let report = regression_report(&[run.clone()], &GateConfig::default(), None);
+    assert!(report.violations.is_empty(), "{:?}", report.violations);
+    // The same figures from a release build break all three bars.
+    run.config = vec![("profile".into(), "release".into())];
+    assert_eq!(bar_violations(&run).len(), 3);
 }

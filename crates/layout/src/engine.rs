@@ -99,30 +99,11 @@ fn scan_levels(m: &Machine, len: usize) -> Vec<(u64, u64)> {
 /// `j` slots exchange with the last `j`. Branchless `min`/`max` pairs
 /// (cmov, no data-dependent branches) run 2.1–2.3× faster than the
 /// branchy swap on shuffled keys — the mispredict per element is the
-/// dominant cost of the network — and vectorize under the `simd`
-/// feature when the stride allows full lanes.
+/// dominant cost of the network.
 #[inline]
 fn half_block_pass(block: &mut [u64], j: usize, ascending: bool) {
     let (lo, hi) = block.split_at_mut(j);
     let hi = &mut hi[..j];
-    #[cfg(feature = "simd")]
-    if j >= 4 {
-        use core::simd::cmp::SimdOrd;
-        use core::simd::Simd;
-        const L: usize = 4;
-        for (a, b) in lo.chunks_exact_mut(L).zip(hi.chunks_exact_mut(L)) {
-            let (x, y) = (Simd::<u64, L>::from_slice(a), Simd::<u64, L>::from_slice(b));
-            let (mn, mx) = (x.simd_min(y), x.simd_max(y));
-            if ascending {
-                a.copy_from_slice(mn.as_array());
-                b.copy_from_slice(mx.as_array());
-            } else {
-                a.copy_from_slice(mx.as_array());
-                b.copy_from_slice(mn.as_array());
-            }
-        }
-        return;
-    }
     if ascending {
         for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
             let (x, y) = (*a, *b);

@@ -20,8 +20,6 @@
 //!   sorting-network permutation, charging `O(n^{3/2})` energy and
 //!   `O(log n)` depth w.h.p. (Theorem 4).
 
-#![cfg_attr(feature = "simd", feature(portable_simd))]
-
 pub mod builder;
 pub mod dynamic;
 pub mod engine;

@@ -323,10 +323,9 @@ pub struct DurabilityOptions {
     /// Recover tenants over mmap-backed snapshots: slabs are served
     /// zero-copy out of the snapshot file until a mutation promotes
     /// them, and restart cost scales with the tenants actually touched
-    /// instead of the fleet size. v1 snapshot files (packed slabs, not
-    /// mappable) fall back to the owned decoder per tenant. Answers
-    /// and charges are bit-identical either way, modulo the explicit
-    /// paging rows of [`ForestOptions::paging`].
+    /// instead of the fleet size. Answers and charges are bit-identical
+    /// either way, modulo the explicit paging rows of
+    /// [`ForestOptions::paging`].
     pub mapped: bool,
     /// Batch-size hint for [`SpatialForest::warmstart`] after recovery:
     /// engine and scratch capacities are pre-sized from the snapshot
@@ -415,20 +414,17 @@ fn open_tenant_snapshot(
         |e: &StoreError| matches!(e, StoreError::Io(e) if e.kind() == std::io::ErrorKind::NotFound);
     if dur.mapped {
         // `MappedSnapshot::open` applies a pending delta itself.
-        match MappedSnapshot::open(&spath) {
+        return match MappedSnapshot::open(&spath) {
             Ok(mapped) => {
                 let generation = mapped.header().tag;
                 let forest = SpatialForest::from_mapped(&Arc::new(mapped), opts.forest);
-                return Some((forest, generation));
+                Some((forest, generation))
             }
-            // A v1 snapshot (packed slabs) is not mappable — decode it
-            // the owned way below; the next checkpoint rewrites it as
-            // a mappable v2 file.
-            Err(StoreError::UnsupportedVersion(1)) => {}
-            Err(ref e) if not_found(e) => return None,
+            Err(ref e) if not_found(e) => None,
             Err(e) => panic!("tenant {tenant} snapshot unmappable: {e}"),
-        }
-    } else if let Err(e) = apply_pending_delta(&spath) {
+        };
+    }
+    if let Err(e) = apply_pending_delta(&spath) {
         assert!(not_found(&e), "tenant {tenant} delta unrecoverable: {e}");
     }
     match ForestSnapshot::read_from(&spath) {

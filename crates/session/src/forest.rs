@@ -56,8 +56,7 @@ pub enum ForestBacking {
     /// Slabs decoded into owned heap memory (the classic path).
     Owned,
     /// Slabs served zero-copy from an mmap'd snapshot, promoted to
-    /// owned memory lazily on first mutation (CoW). Falls back to
-    /// `Owned` when the on-disk snapshot is a v1 file.
+    /// owned memory lazily on first mutation (CoW).
     Mapped,
 }
 
@@ -454,7 +453,7 @@ impl SpatialForest {
             None,
         );
         // Track this snapshot as the incremental-checkpoint base; if
-        // the file under it turns out to differ (stale, v1, rewritten),
+        // the file under it turns out to differ (stale or rewritten),
         // the strict writer-side CRC validation falls back to a full
         // rewrite.
         forest.dirty.base = Some((snap.parents.len() as u32, snap.reserved, snap.slab_crcs()));
@@ -528,9 +527,8 @@ impl SpatialForest {
 
     /// [`SpatialForest::recover_from`] with an explicit backing. A
     /// pending incremental-checkpoint delta is applied first (crash
-    /// recovery); `Mapped` falls back to the owned decoder when the
-    /// snapshot on disk is a v1 file. An empty journal skips the replay
-    /// loop entirely ([`SpatialForest::replayed_records`] stays 0).
+    /// recovery). An empty journal skips the replay loop entirely
+    /// ([`SpatialForest::replayed_records`] stays 0).
     pub fn recover_with(
         snapshot_path: impl AsRef<Path>,
         journal_path: impl AsRef<Path>,
@@ -539,14 +537,9 @@ impl SpatialForest {
     ) -> Result<Self, StoreError> {
         let snapshot_path = snapshot_path.as_ref();
         let mut forest = match backing {
-            ForestBacking::Mapped => match MappedSnapshot::open(snapshot_path) {
-                Ok(mapped) => Self::from_mapped(&Arc::new(mapped), opts),
-                Err(StoreError::UnsupportedVersion(1)) => {
-                    let snap = ForestSnapshot::read_from(snapshot_path)?;
-                    Self::from_snapshot(&snap, opts)
-                }
-                Err(e) => return Err(e),
-            },
+            ForestBacking::Mapped => {
+                Self::from_mapped(&Arc::new(MappedSnapshot::open(snapshot_path)?), opts)
+            }
             ForestBacking::Owned => {
                 spatial_store::apply_pending_delta(snapshot_path)?;
                 let snap = ForestSnapshot::read_from(snapshot_path)?;

@@ -28,8 +28,6 @@
 //!   [`thresholds`]: measured sequential↔parallel crossovers generated
 //!   by `experiments -- calibrate-thresholds`.
 
-#![cfg_attr(feature = "simd", feature(portable_simd))]
-
 pub mod geom;
 pub mod hilbert;
 pub mod locality;

@@ -33,11 +33,7 @@
 //! The pre-PR scalar loops are retained below as `*_chunk_scalar`
 //! differential references; the test suite pins every SWAR kernel
 //! bit-identical to them, and `cargo bench`/`experiments` measure the
-//! speedup against them. With the optional `simd` cargo feature (nightly
-//! only) the Z-order kernels swap their inner passes for `core::simd`
-//! four-lane variants; the Hilbert walk stays SWAR in both modes
-//! because its gather-free formulation is already load-limited, not
-//! ALU-limited (see `crates/sfc/DESIGN.md`).
+//! speedup against them.
 
 use crate::geom::GridPoint;
 use crate::hilbert::{INDEX1, INDEX2, INDEX4, INDEX5, POINT1, POINT2, POINT4, POINT5};
@@ -381,40 +377,11 @@ pub fn zorder_index_chunk(side: u32, pts: &[GridPoint], out: &mut [u64]) {
     }
 }
 
-/// The fused-pipeline encode pass for grids up to 2¹⁶ × 2¹⁶ (stable
-/// SWAR default; the `simd` feature swaps in a four-lane variant).
-#[cfg(not(feature = "simd"))]
+/// The fused-pipeline encode pass for grids up to 2¹⁶ × 2¹⁶.
 #[inline]
 fn encode_fused(pts: &[GridPoint], out: &mut [u64], union: &mut u32) {
     let mut u = 0u32;
     for (o, p) in out.iter_mut().zip(pts) {
-        u |= p.x | p.y;
-        *o = interleave_xy(p.x, p.y);
-    }
-    *union |= u;
-}
-
-#[cfg(feature = "simd")]
-#[inline]
-fn encode_fused(pts: &[GridPoint], out: &mut [u64], union: &mut u32) {
-    use core::simd::Simd;
-    const L: usize = 4;
-    let mut u = 0u32;
-    let (head, tail) = pts.split_at(pts.len() - pts.len() % L);
-    let (ohead, otail) = out.split_at_mut(head.len());
-    for (chunk, dst) in head.chunks_exact(L).zip(ohead.chunks_exact_mut(L)) {
-        let mut z = Simd::<u64, L>::from_array(std::array::from_fn(|k| {
-            u |= chunk[k].x | chunk[k].y;
-            ((chunk[k].y as u64) << 32) | chunk[k].x as u64
-        }));
-        z = (z | (z << Simd::splat(8))) & Simd::splat(0x00FF_00FF_00FF_00FF);
-        z = (z | (z << Simd::splat(4))) & Simd::splat(0x0F0F_0F0F_0F0F_0F0F);
-        z = (z | (z << Simd::splat(2))) & Simd::splat(0x3333_3333_3333_3333);
-        z = (z | (z << Simd::splat(1))) & Simd::splat(0x5555_5555_5555_5555);
-        let merged = (z & Simd::splat(0xFFFF_FFFF)) | ((z >> Simd::splat(32)) << Simd::splat(1));
-        dst.copy_from_slice(merged.as_array());
-    }
-    for (o, p) in otail.iter_mut().zip(tail) {
         u |= p.x | p.y;
         *o = interleave_xy(p.x, p.y);
     }
@@ -441,9 +408,7 @@ pub fn zorder_point_chunk(side: u32, indices: &[u64], out: &mut [GridPoint]) {
     }
 }
 
-/// The pair-packed decode pass (stable SWAR default; the `simd`
-/// feature swaps in a four-lane variant).
-#[cfg(not(feature = "simd"))]
+/// The pair-packed decode pass.
 #[inline]
 fn decode_paired(indices: &[u64], out: &mut [GridPoint], union: &mut u64) {
     let mut u = 0u64;
@@ -457,38 +422,6 @@ fn decode_paired(indices: &[u64], out: &mut [GridPoint], union: &mut u64) {
         dst[1] = p1;
     }
     if let (Some(&i), Some(o)) = (tail.first(), otail.first_mut()) {
-        u |= i;
-        *o = GridPoint::new(deinterleave(i), deinterleave(i >> 1));
-    }
-    *union |= u;
-}
-
-#[cfg(feature = "simd")]
-#[inline]
-fn decode_paired(indices: &[u64], out: &mut [GridPoint], union: &mut u64) {
-    use core::simd::Simd;
-    const L: usize = 4;
-    let mut u = 0u64;
-    let (head, tail) = indices.split_at(indices.len() - indices.len() % L);
-    let (ohead, otail) = out.split_at_mut(head.len());
-    let lane_compact = |mut v: Simd<u64, L>| -> Simd<u64, L> {
-        v &= Simd::splat(0x5555_5555_5555_5555);
-        v = (v | (v >> Simd::splat(1))) & Simd::splat(0x3333_3333_3333_3333);
-        v = (v | (v >> Simd::splat(2))) & Simd::splat(0x0F0F_0F0F_0F0F_0F0F);
-        v = (v | (v >> Simd::splat(4))) & Simd::splat(0x00FF_00FF_00FF_00FF);
-        v = (v | (v >> Simd::splat(8))) & Simd::splat(0x0000_FFFF_0000_FFFF);
-        (v | (v >> Simd::splat(16))) & Simd::splat(0x0000_0000_FFFF_FFFF)
-    };
-    for (chunk, dst) in head.chunks_exact(L).zip(ohead.chunks_exact_mut(L)) {
-        let z = Simd::<u64, L>::from_slice(chunk);
-        u |= chunk.iter().fold(0, |a, &b| a | b);
-        let xs = lane_compact(z);
-        let ys = lane_compact(z >> Simd::splat(1));
-        for k in 0..L {
-            dst[k] = GridPoint::new(xs[k] as u32, ys[k] as u32);
-        }
-    }
-    for (o, &i) in otail.iter_mut().zip(tail) {
         u |= i;
         *o = GridPoint::new(deinterleave(i), deinterleave(i >> 1));
     }
@@ -582,7 +515,7 @@ mod tests {
     use crate::{HilbertCurve, ZOrderCurve};
 
     /// Degenerate batch sizes around the widest lane width (the paired
-    /// Z-order decode uses 2-lane words; the `simd` feature uses 4).
+    /// Z-order decode uses 2-lane words).
     const DEGENERATE_N: [usize; 7] = [0, 1, 2, 3, 4, 5, 7];
 
     fn sample_indices(len: u64, n: usize) -> Vec<u64> {

@@ -9,12 +9,21 @@
 //! pinned to 1 and 2; each child times the same 2^20-point Hilbert
 //! index batch and prints its best pass. Skips (silently passes) on
 //! single-core hosts, where a second worker cannot exist.
+//!
+//! A wall-clock bar has no place in the functional suite — on a shared
+//! host a loaded second core loses the race — so the test is ignored by
+//! default and run on its own in release:
+//!
+//! ```sh
+//! cargo test --release -p spatial-sfc --test wall_scaling -- --ignored --nocapture
+//! ```
 
 use spatial_sfc::{Curve, GridPoint, HilbertCurve};
 use std::time::Instant;
 
 #[test]
-fn two_thread_batch_fill_scales() {
+#[ignore = "wall-clock bar, meaningful only in release on idle cores; run with -- --ignored"]
+fn two_thread_batch_fill_scales_in_release() {
     if std::env::var("SPATIAL_THREADS").is_ok() {
         // Child mode: time the batch under the pinned worker count.
         let curve = HilbertCurve::new(1 << 10);
@@ -39,7 +48,12 @@ fn two_thread_batch_fill_scales() {
     let run = |threads: &str| -> u128 {
         let exe = std::env::current_exe().expect("test binary path");
         let output = std::process::Command::new(exe)
-            .args(["--exact", "two_thread_batch_fill_scales", "--nocapture"])
+            .args([
+                "--exact",
+                "two_thread_batch_fill_scales_in_release",
+                "--ignored",
+                "--nocapture",
+            ])
             .env("SPATIAL_THREADS", threads)
             .output()
             .expect("spawn child test process");

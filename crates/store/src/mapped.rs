@@ -156,9 +156,7 @@ impl MappedSnapshot {
     /// Maps and validates the v2 snapshot at `path`: magic, version,
     /// header CRC, file length, and all three slab CRCs. A pending
     /// incremental-checkpoint delta is applied (crash recovery) before
-    /// mapping. v1 snapshots are not mappable and return
-    /// [`StoreError::UnsupportedVersion`]`(1)` — callers that must read
-    /// them fall back to [`ForestSnapshot::read_from`].
+    /// mapping.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
         let path = path.as_ref();
         crate::delta::apply_pending_delta(path)?;

@@ -10,8 +10,7 @@
 //! [parents: cap × u32, 8-padded][order: cap × u32, 8-padded][weights: cap × u64]
 //! ```
 //!
-//! Two properties distinguish v2 from the packed v1 layout (which this
-//! reader still decodes):
+//! Two properties define the layout:
 //!
 //! - **Every slab starts 8-byte-aligned** (the prologue + header is 80
 //!   bytes; each slab's byte length is padded to a multiple of 8), so a
@@ -25,8 +24,9 @@
 //!
 //! Integrity is split: `header_crc` covers the 68 header bytes, and one
 //! CRC-32 per slab covers that slab's `n` *valid* entries (the zero
-//! padding is never interpreted and is not covered). v1 carried a
-//! single whole-payload CRC; decoding v1 still verifies it.
+//! padding is never interpreted and is not covered). Every other
+//! version, including the packed v1 layout, fails with
+//! [`StoreError::UnsupportedVersion`].
 //!
 //! Snapshots are only ever produced through [`crate::atomic_write`],
 //! which rules out torn files from this writer; the checksums guard
@@ -54,8 +54,6 @@ pub(crate) const PROLOGUE_BYTES: usize = 12;
 pub(crate) const HEADER_BYTES: usize = 6 * 4 + 4 * 8 + 3 * 4;
 /// Offset of the first slab — `12 + 68 = 80`, a multiple of 8.
 pub(crate) const SLABS_OFFSET: usize = PROLOGUE_BYTES + HEADER_BYTES;
-/// v1 payload header (no slab CRCs, packed slabs).
-const HEADER_BYTES_V1: usize = 6 * 4 + 4 * 8;
 
 /// The scalar header shared by every v2 artifact: the owned snapshot,
 /// the mmap'd reader ([`crate::MappedSnapshot`]), and the incremental
@@ -260,57 +258,9 @@ impl ForestSnapshot {
         bytes
     }
 
-    /// The packed v1 encoding — kept only so tests (and tooling) can
-    /// exercise the v1 read-back compatibility path.
-    #[doc(hidden)]
-    pub fn encode_v1(&self) -> Vec<u8> {
-        let n = self.parents.len();
-        let mut bytes = Vec::with_capacity(PROLOGUE_BYTES + HEADER_BYTES_V1 + 16 * n);
-        bytes.extend_from_slice(&SNAPSHOT_MAGIC);
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes()); // crc patched below
-        bytes.extend_from_slice(&self.curve.to_le_bytes());
-        bytes.extend_from_slice(&self.root.to_le_bytes());
-        bytes.extend_from_slice(&(self.layout_dirty as u32).to_le_bytes());
-        bytes.extend_from_slice(&self.rebuilds.to_le_bytes());
-        bytes.extend_from_slice(&self.grows.to_le_bytes());
-        bytes.extend_from_slice(&(n as u32).to_le_bytes());
-        bytes.extend_from_slice(&self.reserved.to_le_bytes());
-        bytes.extend_from_slice(&self.baseline_energy.to_le_bytes());
-        bytes.extend_from_slice(&self.insertions.to_le_bytes());
-        bytes.extend_from_slice(&self.tag.to_le_bytes());
-        for &p in &self.parents {
-            bytes.extend_from_slice(&p.to_le_bytes());
-        }
-        for &v in &self.order {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        for &w in &self.weights {
-            bytes.extend_from_slice(&w.to_le_bytes());
-        }
-        let crc = crc32(&bytes[PROLOGUE_BYTES..]);
-        bytes[8..12].copy_from_slice(&crc.to_le_bytes());
-        bytes
-    }
-
-    /// Parses and validates a snapshot (magic, version, checksums, slab
-    /// lengths). Reads both v2 and the packed v1 layout.
+    /// Parses and validates a v2 snapshot (magic, version, checksums,
+    /// slab lengths).
     pub fn decode(bytes: &[u8]) -> Result<Self, StoreError> {
-        if bytes.len() < PROLOGUE_BYTES {
-            return Err(StoreError::Truncated);
-        }
-        if bytes[0..4] != SNAPSHOT_MAGIC {
-            return Err(StoreError::BadMagic);
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-        match version {
-            1 => Self::decode_v1(bytes),
-            2 => Self::decode_v2(bytes),
-            v => Err(StoreError::UnsupportedVersion(v)),
-        }
-    }
-
-    fn decode_v2(bytes: &[u8]) -> Result<Self, StoreError> {
         let (header, slab_crcs) = validate_v2_prologue(bytes)?;
         let off = slab_offsets(header.slab_cap());
         if bytes.len() as u64 != off.file_len {
@@ -340,75 +290,6 @@ impl ForestSnapshot {
             }
         }
         Ok(Self::from_header(header, parents, order, weights))
-    }
-
-    fn decode_v1(bytes: &[u8]) -> Result<Self, StoreError> {
-        if bytes.len() < PROLOGUE_BYTES + HEADER_BYTES_V1 {
-            return Err(StoreError::Truncated);
-        }
-        let stored = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        let computed = crc32(&bytes[PROLOGUE_BYTES..]);
-        if stored != computed {
-            return Err(StoreError::BadChecksum { stored, computed });
-        }
-        let mut off = PROLOGUE_BYTES;
-        let mut next_u32 = |bytes: &[u8]| {
-            let v = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
-            off += 4;
-            v
-        };
-        let curve = next_u32(bytes);
-        let root = next_u32(bytes);
-        let layout_dirty = next_u32(bytes) != 0;
-        let rebuilds = next_u32(bytes);
-        let grows = next_u32(bytes);
-        let n = next_u32(bytes) as usize;
-        let mut next_u64 = |bytes: &[u8]| {
-            let v = u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
-            off += 8;
-            v
-        };
-        let reserved = next_u64(bytes);
-        let baseline_energy = next_u64(bytes);
-        let insertions = next_u64(bytes);
-        let tag = next_u64(bytes);
-        if bytes.len() != off + 16 * n {
-            return Err(StoreError::Truncated);
-        }
-        let mut parents = Vec::with_capacity(n);
-        for i in 0..n {
-            parents.push(u32::from_le_bytes(
-                bytes[off + 4 * i..off + 4 * i + 4].try_into().unwrap(),
-            ));
-        }
-        off += 4 * n;
-        let mut order = Vec::with_capacity(n);
-        for i in 0..n {
-            order.push(u32::from_le_bytes(
-                bytes[off + 4 * i..off + 4 * i + 4].try_into().unwrap(),
-            ));
-        }
-        off += 4 * n;
-        let mut weights = Vec::with_capacity(n);
-        for i in 0..n {
-            weights.push(u64::from_le_bytes(
-                bytes[off + 8 * i..off + 8 * i + 8].try_into().unwrap(),
-            ));
-        }
-        Ok(ForestSnapshot {
-            curve,
-            root,
-            layout_dirty,
-            rebuilds,
-            grows,
-            reserved,
-            baseline_energy,
-            insertions,
-            tag,
-            parents,
-            order,
-            weights,
-        })
     }
 
     pub(crate) fn from_header(
@@ -452,15 +333,18 @@ impl ForestSnapshot {
 /// header + slab CRCs. Shared by the owned decoder, the mmap reader,
 /// and the delta applier.
 pub(crate) fn validate_v2_prologue(bytes: &[u8]) -> Result<(SnapshotHeader, [u32; 3]), StoreError> {
-    if bytes.len() < SLABS_OFFSET {
+    if bytes.len() < PROLOGUE_BYTES {
         return Err(StoreError::Truncated);
     }
     if bytes[0..4] != SNAPSHOT_MAGIC {
         return Err(StoreError::BadMagic);
     }
     let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if version != 2 {
+    if version != SNAPSHOT_VERSION {
         return Err(StoreError::UnsupportedVersion(version));
+    }
+    if bytes.len() < SLABS_OFFSET {
+        return Err(StoreError::Truncated);
     }
     let stored = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
     let computed = crc32(&bytes[PROLOGUE_BYTES..SLABS_OFFSET]);
@@ -502,11 +386,24 @@ mod tests {
 
     #[test]
     fn v1_readback_compat() {
-        let snap = sample();
-        assert_eq!(
-            ForestSnapshot::decode(&snap.encode_v1()).expect("decode v1"),
-            snap
-        );
+        // The packed v1 layout is no longer read: a v1 file is refused by
+        // its version tag, before any length or checksum check. An empty
+        // v1 forest (prologue + 56-byte header) is shorter than the v2
+        // header, so this also pins that it is not misreported as
+        // truncated.
+        let mut v1 = SNAPSHOT_MAGIC.to_vec();
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.resize(PROLOGUE_BYTES + 6 * 4 + 4 * 8, 0);
+        assert!(matches!(
+            ForestSnapshot::decode(&v1),
+            Err(StoreError::UnsupportedVersion(1))
+        ));
+        let mut relabelled = sample().encode();
+        relabelled[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert!(matches!(
+            ForestSnapshot::decode(&relabelled),
+            Err(StoreError::UnsupportedVersion(1))
+        ));
     }
 
     #[test]

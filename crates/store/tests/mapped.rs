@@ -79,18 +79,23 @@ fn open_verifies_per_slab_crcs() {
 #[test]
 fn v1_files_are_not_mappable() {
     let path = temp_path("v1");
-    let snap = sample(16);
-    std::fs::write(&path, snap.encode_v1()).expect("write v1");
-    // The mapped reader refuses (packed v1 slabs are unaligned); the
-    // owned decoder still reads it — the fallback recovery path.
-    assert!(matches!(
-        MappedSnapshot::open(&path),
-        Err(StoreError::UnsupportedVersion(1))
-    ));
-    assert_eq!(
-        ForestSnapshot::read_from(&path).expect("owned decode"),
-        snap
-    );
+    // Any version but 2 is refused on both open paths: the mapped
+    // reader and the owned decoder. The packed v1 layout has no
+    // fallback reader any more.
+    let good = sample(16).encode();
+    for version in [1u32, 99] {
+        let mut bytes = good.clone();
+        bytes[4..8].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(&path, &bytes).expect("write");
+        assert!(matches!(
+            MappedSnapshot::open(&path),
+            Err(StoreError::UnsupportedVersion(v)) if v == version
+        ));
+        assert!(matches!(
+            ForestSnapshot::read_from(&path),
+            Err(StoreError::UnsupportedVersion(v)) if v == version
+        ));
+    }
     std::fs::remove_file(&path).ok();
 }
 

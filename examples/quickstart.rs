@@ -89,5 +89,5 @@ fn main() {
         forest.last_report().grid,
         forest.pool().stats(),
     );
-    println!("\nall good — see EXPERIMENTS.md for the full reproduction.");
+    println!("\nall good — the `experiments` binary in crates/bench runs the full reproduction.");
 }

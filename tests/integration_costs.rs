@@ -1,6 +1,6 @@
 //! Cross-crate cost-shape integration: the theorems' energy/depth
-//! bounds measured end-to-end (small-scale versions of the EXPERIMENTS
-//! tables, kept fast enough for `cargo test`).
+//! bounds measured end-to-end (small-scale versions of the `experiments`
+//! binary's paper tables, kept fast enough for `cargo test`).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
