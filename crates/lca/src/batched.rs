@@ -28,8 +28,10 @@
 //!
 //! The engine owns everything it needs — tree structure is copied into
 //! flat arrays at bind — so the session layer's pool can hold one
-//! engine across tree mutations. Both treefix passes run on retained,
-//! rebindable [`ContractionEngine`]s, so [`LcaEngine::run_into`]
+//! engine across tree mutations. Both treefix passes run on one
+//! retained [`ContractionEngine`] whose tree structure is bound with
+//! the rest of the engine's ([`LcaEngine::new`] / [`LcaEngine::bind`]);
+//! each pass only loads its values. So [`LcaEngine::run_into`]
 //! performs **zero heap allocation** (the answers land in a
 //! caller-retained buffer). The seed implementation is retained as
 //! [`crate::reference::batched_lca_reference`]; the differential suite
@@ -137,11 +139,11 @@ impl Structure {
 pub struct LcaEngine {
     structure: Structure,
 
-    // ---- Retained per-run engines and scratch. ----
-    /// Step-1 bottom-up treefix (subtree sizes), rebound per run.
-    tf1: ContractionEngine<Add>,
-    /// Step-3 top-down treefix (layers), rebound per run.
-    tf3: ContractionEngine<Add>,
+    // ---- Retained per-run engine and scratch. ----
+    /// The treefix engine of steps 1 (bottom-up subtree sizes) and 3
+    /// (top-down layers): structure bound with the tree, values loaded
+    /// per pass.
+    treefix: ContractionEngine<Add>,
     /// Round staging for the local charging sessions (steps 2 and 4).
     charge_scratch: LocalChargeScratch,
     /// Head chains of the two query endpoints, indexed by layer.
@@ -160,10 +162,11 @@ impl LcaEngine {
         // Staging must hold the schedule's widest charged round, which
         // exceeds n (construction rounds carry two pairs per vertex).
         let round = n.max(structure.schedule.max_round_len());
+        let mut treefix = ContractionEngine::with_capacity(n);
+        treefix.bind_structure(&structure.parents, &structure.slots, &structure.csr);
         LcaEngine {
             structure,
-            tf1: ContractionEngine::with_capacity(n),
-            tf3: ContractionEngine::with_capacity(n),
+            treefix,
             charge_scratch: LocalChargeScratch::with_capacity(round),
             chain_a: Vec::with_capacity(num_layers),
             chain_b: Vec::with_capacity(num_layers),
@@ -171,17 +174,19 @@ impl LcaEngine {
     }
 
     /// Rebinds the engine to a (possibly different, possibly larger)
-    /// tree + layout pair, rebuilding the per-tree structure while
-    /// keeping the retained treefix engines and scratch — the pool
-    /// path after a tree mutation. Runs stay allocation-free;
-    /// rebinding itself allocates the new structure.
+    /// tree + layout pair, rebuilding the per-tree structure (the
+    /// treefix engine's included) while keeping the retained treefix
+    /// engine and scratch — the pool path after a tree mutation. Runs
+    /// stay allocation-free; rebinding itself allocates the new
+    /// structure.
     pub fn bind(&mut self, layout: &Layout, tree: &Tree) {
         self.structure = Structure::build(layout, tree);
         let n = self.structure.n as usize;
-        self.tf1.reserve(n);
-        self.tf3.reserve(n);
+        let s = &self.structure;
+        self.treefix.reserve(n);
+        self.treefix.bind_structure(&s.parents, &s.slots, &s.csr);
         self.charge_scratch
-            .reserve(n.max(self.structure.schedule.max_round_len()));
+            .reserve(n.max(s.schedule.max_round_len()));
     }
 
     /// The subtree cover the engine routes queries through.
@@ -266,10 +271,9 @@ impl LcaEngine {
 
         // ---- Step 1: subtree sizes (bottom-up treefix), ranges, and ----
         // ---- ancestor/descendant answers.                           ----
-        self.tf1
-            .bind_parts(&s.parents, &s.slots, &s.csr, &s.ones, true);
-        let stats1 = self.tf1.contract(machine, rng);
-        let tf1_values = self.tf1.uncontract_bottom_up(machine);
+        self.treefix.load(&s.ones, true);
+        let stats1 = self.treefix.contract(machine, rng);
+        let tf1_values = self.treefix.uncontract_bottom_up(machine);
         debug_assert!(
             tf1_values
                 .iter()
@@ -310,10 +314,9 @@ impl LcaEngine {
 
         // ---- Step 3: layers via top-down treefix over the light-edge ----
         // ---- indicator.                                              ----
-        self.tf3
-            .bind_parts(&s.parents, &s.slots, &s.csr, &s.indicator, false);
-        let stats3 = self.tf3.contract(machine, rng);
-        let tf3_values = self.tf3.uncontract_top_down(machine, &s.indicator);
+        self.treefix.load(&s.indicator, false);
+        let stats3 = self.treefix.contract(machine, rng);
+        let tf3_values = self.treefix.uncontract_top_down(machine, &s.indicator);
         debug_assert!(
             tf3_values
                 .iter()
@@ -380,18 +383,16 @@ impl LcaEngine {
 
 impl EngineLifecycle for LcaEngine {
     fn capacity(&self) -> usize {
-        self.tf1.capacity()
+        self.treefix.capacity()
     }
 
     fn reserve(&mut self, cap: usize) {
-        self.tf1.reserve(cap);
-        self.tf3.reserve(cap);
+        self.treefix.reserve(cap);
     }
 
     fn reset(&mut self) {
         self.structure.n = 0;
-        self.tf1.reset();
-        self.tf3.reset();
+        self.treefix.reset();
     }
 }
 

@@ -4,7 +4,10 @@
 //! Nothing here is optimized: the cover is a nested `Vec<Vec<_>>`, the
 //! per-call state (ranges, heavy children, decomposition, cover) is
 //! rebuilt on every invocation, and step 4 rescans the whole query
-//! batch per layer with binary searches. The `engine_vs_reference`
+//! batch per layer with binary searches. Both treefix passes run on the
+//! frozen seed contraction engine
+//! ([`spatial_treefix::reference::ReferenceEngine`]), so the oracle
+//! shares no contraction code with the engine it checks. The `engine_vs_reference`
 //! suite pins the optimized engine to this one — identical answers,
 //! statistics, and machine charges on arbitrary trees, query batches,
 //! and seeds.
@@ -16,7 +19,8 @@ use spatial_layout::Layout;
 use spatial_messaging::{local_broadcast, VirtualTree};
 use spatial_model::{collectives, Machine};
 use spatial_tree::{HeavyPathDecomposition, NodeId, Tree, NIL};
-use spatial_treefix::{treefix_bottom_up, treefix_top_down, Add};
+use spatial_treefix::reference::ReferenceEngine;
+use spatial_treefix::Add;
 
 /// The seed subtree cover: one `Vec` of subtrees per layer.
 #[derive(Debug, Clone)]
@@ -95,8 +99,13 @@ pub fn batched_lca_reference<R: Rng>(
     // ---- Step 1: subtree sizes (bottom-up treefix), ranges, and ----
     // ---- ancestor/descendant answers.                           ----
     let ones = vec![Add(1); n as usize];
-    let tf1 = treefix_bottom_up(machine, layout, tree, &ones, rng);
-    let sizes: Vec<u32> = tf1.values.iter().map(|a| a.0 as u32).collect();
+    let mut tf1 = ReferenceEngine::new(tree, layout, machine, &ones, true);
+    let tf1_stats = tf1.contract(rng);
+    let sizes: Vec<u32> = tf1
+        .uncontract_bottom_up()
+        .iter()
+        .map(|a| a.0 as u32)
+        .collect();
     let range = |v: NodeId| -> (u32, u32) {
         let lo = layout.slot(v);
         (lo, lo + sizes[v as usize])
@@ -146,8 +155,13 @@ pub fn batched_lca_reference<R: Rng>(
             _ => Add(1),                 // light edge: starts a new path
         })
         .collect();
-    let tf3 = treefix_top_down(machine, layout, tree, &indicator, rng);
-    let layer: Vec<u32> = tf3.values.iter().map(|a| a.0 as u32).collect();
+    let mut tf3 = ReferenceEngine::new(tree, layout, machine, &indicator, false);
+    let tf3_stats = tf3.contract(rng);
+    let layer: Vec<u32> = tf3
+        .uncontract_top_down(&indicator)
+        .iter()
+        .map(|a| a.0 as u32)
+        .collect();
 
     // Host-side view of the decomposition for query routing (the
     // machine costs were charged above; this mirrors the distributed
@@ -226,7 +240,7 @@ pub fn batched_lca_reference<R: Rng>(
         stats: LcaStats {
             layers: cover.num_layers(),
             answered_step1,
-            treefix_rounds: (tf1.stats.compact_rounds, tf3.stats.compact_rounds),
+            treefix_rounds: (tf1_stats.compact_rounds, tf3_stats.compact_rounds),
         },
     }
 }

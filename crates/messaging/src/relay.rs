@@ -146,17 +146,15 @@ pub fn charge_broadcast_relays(m: &Machine, groups: &[(Slot, Vec<Slot>)]) {
     }
 }
 
-/// Reusable buffers for the CSR relay charging functions. One instance
-/// serves any number of calls; after it has grown to the largest
-/// participant set (or been pre-sized with
+/// Reusable buffers for the CSR reduce relay charging functions. One
+/// instance serves any number of calls; after it has grown to the
+/// largest participant set (or been pre-sized with
 /// [`RelayScratch::with_capacity`]), relay charging performs **zero
 /// heap allocation** — the property the treefix contraction engine
 /// relies on.
 #[derive(Debug, Default)]
 pub struct RelayScratch {
     msgs: Vec<(Slot, Slot)>,
-    seg: Vec<(u32, u32)>,
-    seg_next: Vec<(u32, u32)>,
     work: Vec<Slot>,
     group_len: Vec<u32>,
 }
@@ -173,8 +171,6 @@ impl RelayScratch {
     pub fn with_capacity(participants: usize, groups: usize) -> Self {
         RelayScratch {
             msgs: Vec::with_capacity(participants + groups),
-            seg: Vec::with_capacity(participants + 1),
-            seg_next: Vec::with_capacity(participants + 1),
             work: Vec::with_capacity(participants),
             group_len: Vec::with_capacity(groups),
         }
@@ -188,78 +184,46 @@ impl RelayScratch {
             buf.reserve(cap.saturating_sub(buf.len()));
         }
         grow(&mut self.msgs, participants + groups);
-        grow(&mut self.seg, participants + 1);
-        grow(&mut self.seg_next, participants + 1);
         grow(&mut self.work, participants);
         grow(&mut self.group_len, groups);
     }
 }
 
-/// CSR variant of [`charge_broadcast_relays`]: group `g` broadcasts
-/// from `sources[g]` to participants `parts[offsets[g]..offsets[g+1]]`.
-/// Charges the identical message set, level structure, energy and depth
-/// as the `Vec`-of-`Vec`s API, without allocating (given a warm
-/// `scratch`).
-pub fn charge_broadcast_relays_csr(
-    m: &Machine,
-    sources: &[Slot],
-    parts: &[Slot],
-    offsets: &[u32],
-    scratch: &mut RelayScratch,
-) {
-    let mut m = m;
-    charge_broadcast_relays_csr_into(&mut m, sources, parts, offsets, scratch);
-}
-
-/// [`charge_broadcast_relays_csr`] over any [`RoundCharger`] — the
-/// machine itself or a `LocalCharge` session (identical charges, no
-/// per-message atomics).
-pub fn charge_broadcast_relays_csr_into<C: RoundCharger>(
+/// The doubling levels of one broadcast relay group, charged
+/// depth-first message by message: participant `i` of `k` sits at
+/// `slot_at(i)`, and participant 0 must already hold the message (round
+/// 0 of [`charge_broadcast_relays`]: every source → its first
+/// participant, charged for all groups first as one round).
+///
+/// Each participant after the first receives exactly once, from a
+/// participant that received before it, and sends only after that. So
+/// when no slot is a participant of two groups, round 0 followed by
+/// every group's levels charged this way, in any group order, charges
+/// the same energy, messages, per-slot clocks and depth as the
+/// level-major rounds of [`charge_broadcast_relays`] — with no segment
+/// buffers and no group arrays.
+#[inline]
+pub fn charge_broadcast_levels_depth_first<C: RoundCharger>(
     charger: &mut C,
-    sources: &[Slot],
-    parts: &[Slot],
-    offsets: &[u32],
-    scratch: &mut RelayScratch,
+    k: usize,
+    slot_at: impl Fn(usize) -> Slot + Copy,
 ) {
-    debug_assert_eq!(offsets.len(), sources.len() + 1);
-    // Round 0: every source reaches its first participant.
-    scratch.msgs.clear();
-    for (g, &src) in sources.iter().enumerate() {
-        if offsets[g] < offsets[g + 1] {
-            scratch.msgs.push((src, parts[offsets[g] as usize]));
-        }
-    }
-    if scratch.msgs.is_empty() {
-        return;
-    }
-    charger.charge_round(&scratch.msgs);
-
-    // Segment doubling, one machine round per level across all groups.
-    // Segments are absolute [lo, hi) index ranges into `parts`.
-    scratch.seg.clear();
-    for g in 0..sources.len() {
-        if offsets[g + 1] - offsets[g] > 1 {
-            scratch.seg.push((offsets[g], offsets[g + 1]));
-        }
-    }
-    while !scratch.seg.is_empty() {
-        scratch.msgs.clear();
-        scratch.seg_next.clear();
-        for &(lo, hi) in &scratch.seg {
-            if hi - lo <= 1 {
-                continue;
-            }
+    fn split<C: RoundCharger>(
+        charger: &mut C,
+        mut lo: usize,
+        hi: usize,
+        slot_at: impl Fn(usize) -> Slot + Copy,
+    ) {
+        // The segment [lo, hi) is held by `lo`; it forwards to the
+        // midpoint, recurses left, and iterates right.
+        while hi - lo > 1 {
             let mid = lo + (hi - lo) / 2;
-            scratch.msgs.push((parts[lo as usize], parts[mid as usize]));
-            scratch.seg_next.push((lo, mid));
-            scratch.seg_next.push((mid, hi));
+            charger.charge_send(slot_at(lo), slot_at(mid));
+            split(charger, lo, mid, slot_at);
+            lo = mid;
         }
-        if scratch.msgs.is_empty() {
-            break;
-        }
-        charger.charge_round(&scratch.msgs);
-        std::mem::swap(&mut scratch.seg, &mut scratch.seg_next);
     }
+    split(charger, 0, k, slot_at);
 }
 
 /// CSR variant of [`charge_reduce_relays`]: group `g` reduces
@@ -333,6 +297,7 @@ pub fn charge_reduce_relays_csr_into<C: RoundCharger>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::prelude::*;
     use spatial_model::{CurveKind, Machine};
 
     fn line(n: u32) -> Machine {
@@ -438,11 +403,31 @@ mod tests {
         assert!(m.report().depth <= 8);
     }
 
+    /// Round 0 as one round, then every group's doubling levels
+    /// depth-first in reverse group order — the CSR-shaped broadcast
+    /// the treefix contraction engine charges.
+    fn charge_broadcast_csr(m: &Machine, groups: &[(Slot, Vec<Slot>)]) {
+        let mut m = m;
+        let first: Vec<(Slot, Slot)> = groups
+            .iter()
+            .filter(|(_, parts)| !parts.is_empty())
+            .map(|(src, parts)| (*src, parts[0]))
+            .collect();
+        m.charge_round(&first);
+        for (_, parts) in groups.iter().rev() {
+            charge_broadcast_levels_depth_first(&mut m, parts.len(), |i| parts[i]);
+        }
+    }
+
     #[test]
     fn csr_broadcast_matches_vec_charging() {
-        // Random group shapes: the CSR path must charge the identical
-        // energy, message count, and depth as the Vec-of-Vecs path.
-        let shapes: Vec<Vec<(Slot, Vec<Slot>)>> = vec![
+        // Round 0 plus depth-first levels must charge the identical
+        // energy, message count, depth and per-slot clocks as the
+        // level-major Vec-of-Vecs path: on fixed shapes, and on random
+        // groups of distinct participants whose sources are participants
+        // of other groups (a parent that is itself some group's child),
+        // over pre-skewed clocks so chaining shows.
+        let mut shapes: Vec<Vec<(Slot, Vec<Slot>)>> = vec![
             vec![
                 (0, vec![]),
                 (1, vec![2]),
@@ -457,22 +442,41 @@ mod tests {
             ],
             vec![],
         ];
+        let mut rng = StdRng::seed_from_u64(5);
+        for trial in 0..40usize {
+            let mut slots: Vec<Slot> = (0..128).collect();
+            slots.shuffle(&mut rng);
+            let mut groups = Vec::new();
+            let mut at = 0usize;
+            while at < slots.len() {
+                let k = rng.gen_range(1..=1 + trial % 17).min(slots.len() - at);
+                groups.push((rng.gen_range(0..128), slots[at..at + k].to_vec()));
+                at += k;
+            }
+            shapes.push(groups);
+        }
         for groups in shapes {
-            let m_vec = line(128);
+            let skewed = || {
+                let m = line(128);
+                for s in (0..128).step_by(3) {
+                    m.send(s, (s + 1) % 128);
+                }
+                m
+            };
+            let m_vec = skewed();
             charge_broadcast_relays(&m_vec, &groups);
 
-            let m_csr = line(128);
-            let sources: Vec<Slot> = groups.iter().map(|(s, _)| *s).collect();
-            let mut parts = Vec::new();
-            let mut offsets = vec![0u32];
-            for (_, ps) in &groups {
-                parts.extend_from_slice(ps);
-                offsets.push(parts.len() as u32);
-            }
-            let mut scratch = RelayScratch::new();
-            charge_broadcast_relays_csr(&m_csr, &sources, &parts, &offsets, &mut scratch);
+            let m_csr = skewed();
+            charge_broadcast_csr(&m_csr, &groups);
 
             assert_eq!(m_vec.report(), m_csr.report(), "groups {groups:?}");
+            for s in 0..128 {
+                assert_eq!(
+                    m_vec.clock(s),
+                    m_csr.clock(s),
+                    "slot {s}, groups {groups:?}"
+                );
+            }
         }
     }
 

@@ -883,16 +883,12 @@ impl SpatialForest {
             // The treefix reads every weight; a still-mapped slab pays
             // its residency before the engine runs.
             self.touch_weights_span();
-            self.pool.reserve_treefix(self.tree.n() as usize);
-            self.pool.treefix.bind_parts(
-                &self.parents,
-                &self.slots,
-                &self.csr,
-                as_add(self.weights.as_slice()),
-                true,
-            );
-            self.pool.treefix.contract(&self.machine, rng);
-            let sums = self.pool.treefix.uncontract_bottom_up(&self.machine);
+            let treefix = self
+                .pool
+                .treefix_for(self.epoch, &self.parents, &self.slots, &self.csr);
+            treefix.load(as_add(self.weights.as_slice()), true);
+            treefix.contract(&self.machine, rng);
+            let sums = treefix.uncontract_bottom_up(&self.machine);
             for (&idx, &v) in self.sum_idx.iter().zip(self.sum_v.iter()) {
                 self.responses[idx as usize] = Response::SubtreeSum(sums[v as usize].0);
             }

@@ -13,9 +13,9 @@ use rand::SeedableRng;
 use spatial_euler::ranking::RankingEngine;
 use spatial_layout::{Layout, LayoutEngine};
 use spatial_lca::LcaEngine;
-use spatial_model::{CurveKind, EngineLifecycle};
+use spatial_model::{CurveKind, EngineLifecycle, Slot};
 use spatial_pram::{PramEngine, PramTreefix};
-use spatial_tree::Tree;
+use spatial_tree::{ChildrenCsr, NodeId, Tree};
 use spatial_treefix::contraction::ContractionEngine;
 use spatial_treefix::Add;
 
@@ -43,10 +43,11 @@ pub struct EnginePool {
     /// §VI-C batched LCA.
     lca: Option<LcaEngine>,
     lca_epoch: u64,
-    /// §V treefix contraction (subtree sums), rebound every session
-    /// via `bind_parts` — epoch-free because binding is part of each
-    /// run.
-    pub(crate) treefix: ContractionEngine<Add>,
+    /// §V treefix contraction (subtree sums): the tree structure is
+    /// bound once per epoch ([`EnginePool::treefix_for`]); each session
+    /// only loads the weights.
+    treefix: ContractionEngine<Add>,
+    treefix_epoch: u64,
     /// Theorem 5 list ranking over the light-first Euler tour darts.
     ranking: Option<RankingEngine>,
     ranking_epoch: u64,
@@ -70,6 +71,7 @@ impl EnginePool {
             lca: None,
             lca_epoch: u64::MAX,
             treefix: ContractionEngine::with_capacity(cap),
+            treefix_epoch: u64::MAX,
             ranking: None,
             ranking_epoch: u64::MAX,
             layout_engine: None,
@@ -111,6 +113,27 @@ impl EnginePool {
             self.treefix.reserve(n.next_power_of_two());
             self.stats.grows += 1;
         }
+    }
+
+    /// The treefix engine with `epoch`'s tree structure bound: an
+    /// epoch miss grows it for the tree and rebinds the structure from
+    /// the forest's cached parent, slot and light-first CSR arrays.
+    pub(crate) fn treefix_for(
+        &mut self,
+        epoch: u64,
+        parents: &[NodeId],
+        slots: &[Slot],
+        csr: &ChildrenCsr,
+    ) -> &mut ContractionEngine<Add> {
+        if self.treefix_epoch != epoch {
+            self.reserve_treefix(parents.len());
+            self.treefix.bind_structure(parents, slots, csr);
+            if self.treefix_epoch != u64::MAX {
+                self.stats.rebinds += 1;
+            }
+            self.treefix_epoch = epoch;
+        }
+        &mut self.treefix
     }
 
     /// The LCA engine, built or rebound for `epoch`.

@@ -1,15 +1,50 @@
 //! The rake/compress contraction engine (§V-A, §V-B) — allocation-free
-//! after setup, rebindable across trees.
+//! after setup, bound once per tree, loaded once per run.
 //!
 //! Supervertices are identified with their representative `R(u)` — the
 //! vertex closest to the root, which is also the first vertex of the
 //! supervertex in light-first order. Every vertex holds O(1) state:
-//! parent pointer, a doubly-linked sibling list (so child sets mutate in
-//! O(1) per merge), a partial sum `P`, and — once deactivated — its O(1)
-//! share of the distributed contraction log (Fig. 6): the step number,
-//! the merge kind, and the parent's pre-merge partial sum. The engine
-//! charges every message on the machine; unbounded fan-in/out goes
-//! through balanced relays (`spatial-messaging`).
+//! parent pointer, live child count, a partial sum `P`, and — once
+//! deactivated — its O(1) share of the distributed contraction log
+//! (Fig. 6): the step number, the merge kind, and the parent's
+//! pre-merge partial sum. The engine charges every message on the
+//! machine; unbounded fan-in/out goes through balanced relays
+//! (`spatial-messaging`).
+//!
+//! # Engine indices
+//!
+//! The engine numbers vertices by their light-first preorder over the
+//! sorted child CSR, so parents precede children and every subtree is
+//! one contiguous index range — on a light-first layout this is exactly
+//! slot order. The live child lists are one CSR in index order (group
+//! parents, group lengths, children), compacted in place after COMPRESS
+//! and after RAKE. Because no live vertex lies between a single-child
+//! parent and its child in index order, a compressed vertex's group is
+//! always the group right after its parent's, so each COMPACT round is
+//! a few sequential passes over that CSR:
+//!
+//! - a forward pass runs the random-mate probe and COMPRESS and
+//!   compacts the CSR;
+//! - a reverse (children-first) pass runs RAKE;
+//! - a forward pass drops the raked children.
+//!
+//! Each children broadcast is charged in two parts. Round 0 (parent →
+//! first child) stays one two-phase round — a parent can itself be a
+//! first child — and is staged while compacting. Each group's doubling
+//! levels then run depth-first inside the next pass; every later
+//! receiver is a distinct child that receives once and only sends
+//! afterwards, so the charges equal the level-major
+//! [`spatial_messaging::relay::charge_broadcast_relays`] the seed
+//! engine uses.
+//!
+//! The Las Vegas process is the seed engine's, draw for draw, because
+//! two vertex-id orders are kept where they are observable: coins are
+//! drawn in vertex-id order (the alive list is kept in id order for that
+//! one loop), and a child that RAKE emptied earlier in the same round
+//! counts as a leaf only when its vertex id is smaller than its
+//! parent's — exactly what an id-order RAKE loop sees. The rake log then
+//! lists a cascaded child's group before its parent's group, the order
+//! uncontraction needs.
 //!
 //! # Memory discipline and lifecycle
 //!
@@ -20,34 +55,36 @@
 //! ([`spatial_model::EngineLifecycle`]):
 //!
 //! - [`ContractionEngine::with_capacity`] allocates every buffer once;
-//! - [`ContractionEngine::bind`] loads a concrete (tree, layout, CSR,
-//!   values) instance into the retained buffers — **zero heap
-//!   allocation** whenever the tree fits the current capacity;
+//! - [`ContractionEngine::bind_structure`] numbers a concrete (tree,
+//!   slots, light-first CSR) instance once per tree: preorder, slots and
+//!   the initial child CSR in index order;
+//! - [`ContractionEngine::load`] restores the per-run state with
+//!   sequential passes and permutes one run's values into index order —
+//!   [`ContractionEngine::bind`] and [`ContractionEngine::bind_parts`]
+//!   are "structure, then load"; none of these allocates whenever the
+//!   tree fits the current capacity;
 //! - [`ContractionEngine::contract`] and the `uncontract_*` methods
-//!   run the §V algorithm, charging the machine they are given, and
-//!   never allocate;
+//!   run the §V algorithm, charging the machine they are given, never
+//!   allocate, and return results permuted back to vertex ids;
 //! - [`spatial_model::EngineLifecycle::reserve`] grows the capacity
 //!   (the only allocating step once the engine exists).
 //!
-//! Per-vertex storage details: initial child lists come from a
-//! [`spatial_tree::ChildrenCsr`] arena; the distributed contraction log
-//! is three flat arrays with per-round end offsets; message batches and
-//! relay groups reuse persistent scratch
-//! ([`spatial_messaging::relay::RelayScratch`] plus the engine's own
-//! CSR group buffers); every engine round charges through a
-//! [`spatial_model::LocalCharge`] session (a non-atomic clock snapshot
-//! committed in one batch — identical energy, messages, work, and depth
-//! to per-message atomic charging). Zero allocation is asserted by the
-//! counting-allocator test `tests/alloc_free.rs`; the seed
-//! implementation is retained as [`crate::reference::ReferenceEngine`]
-//! and the `csr_vs_reference` suite pins identical results, statistics,
-//! and machine charges.
+//! The distributed contraction log is three flat arrays with per-round
+//! end offsets; message batches and reduce relays reuse persistent
+//! scratch ([`spatial_messaging::relay::RelayScratch`] plus the
+//! engine's own CSR group buffers); every engine round charges through
+//! a [`spatial_model::LocalCharge`] session (identical energy, messages,
+//! work, and depth to per-message atomic charging). Zero allocation is
+//! asserted by the counting-allocator test `tests/alloc_free.rs`; the
+//! seed implementation is retained as
+//! [`crate::reference::ReferenceEngine`] and the `csr_vs_reference`
+//! suite pins identical results, statistics, and machine charges.
 
 use crate::monoid::CommutativeMonoid;
 use rand::Rng;
 use spatial_layout::Layout;
 use spatial_messaging::relay::{
-    charge_broadcast_relays_csr_into, charge_reduce_relays_csr_into, RelayScratch,
+    charge_broadcast_levels_depth_first, charge_reduce_relays_csr_into, RelayScratch,
 };
 use spatial_model::{EngineLifecycle, LocalCharge, LocalChargeScratch, Machine, Slot};
 use spatial_tree::{ChildrenCsr, NodeId, Tree, NIL};
@@ -64,28 +101,40 @@ pub struct ContractionStats {
     pub rakes: u64,
 }
 
-/// Where the engine currently is in its `bind → contract → uncontract`
-/// run cycle (misuse guard; rebinding restarts the cycle).
+impl ContractionStats {
+    const ZERO: Self = ContractionStats {
+        compact_rounds: 0,
+        compresses: 0,
+        rakes: 0,
+    };
+}
+
+/// Where the engine currently is in its `bind → load → contract →
+/// uncontract` cycle (misuse guard; loading restarts the run cycle).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
-    /// No tree loaded (fresh, or after [`EngineLifecycle::reset`]).
+    /// No tree bound (fresh, or after [`EngineLifecycle::reset`]).
     Unbound,
-    /// A tree is loaded and ready to contract.
+    /// A tree's structure is bound; load values before contracting.
+    Structured,
+    /// Values are loaded and ready to contract.
     Bound,
     /// [`ContractionEngine::contract`] has run; one `uncontract_*` may.
     Contracted,
-    /// The run cycle finished; rebind before running again.
+    /// The run cycle finished; load again before the next run.
     Done,
 }
 
 /// The contraction engine. Create with
 /// [`ContractionEngine::with_capacity`] (or the one-shot
-/// [`ContractionEngine::new`]), load a tree with
-/// [`ContractionEngine::bind`], run [`ContractionEngine::contract`],
+/// [`ContractionEngine::new`]), bind a tree with
+/// [`ContractionEngine::bind_structure`] and each run's values with
+/// [`ContractionEngine::load`] (or both at once with
+/// [`ContractionEngine::bind`]), run [`ContractionEngine::contract`],
 /// then exactly one of the `uncontract` methods. The engine owns every
-/// buffer, so one instance serves any number of trees.
+/// buffer, so one instance serves any number of trees and runs.
 pub struct ContractionEngine<M: CommutativeMonoid> {
-    /// Vertex count of the current binding (0 when unbound).
+    /// Vertex count of the bound structure (0 when unbound).
     n: usize,
     /// Largest vertex count the retained buffers have ever served;
     /// bindings at or below this never allocate.
@@ -96,17 +145,35 @@ pub struct ContractionEngine<M: CommutativeMonoid> {
     /// the supervertex's path-segment values only).
     rake_adds_to_p: bool,
 
-    /// Machine slot of every vertex, copied from the layout at bind so
-    /// runs need no layout borrow.
+    // ---- Per-tree structure, indexed by engine index. ----
+    /// Vertex id of every engine index.
+    vid: Vec<NodeId>,
+    /// Engine index of every vertex id (inverse of `vid`).
+    index_of: Vec<u32>,
+    /// Machine slot of every engine index, copied at bind so runs need
+    /// no layout borrow.
     slot: Vec<Slot>,
-    parent: Vec<NodeId>,
-    first_child: Vec<NodeId>,
-    next_sib: Vec<NodeId>,
-    prev_sib: Vec<NodeId>,
+    /// Parent index of every index ([`NIL`] at the root).
+    parent0: Vec<u32>,
+    /// Initial child CSR: parents with children in index order, their
+    /// child counts, and the children (in light-first sibling order).
+    group_parent0: Vec<u32>,
+    group_len0: Vec<u32>,
+    kids0: Vec<u32>,
+
+    // ---- Per-run state, restored by `load`. ----
+    parent: Vec<u32>,
+    /// Live child count of every index.
     child_count: Vec<u32>,
     p: Vec<M>,
     active: Vec<bool>,
-    alive: Vec<NodeId>,
+    /// Alive indices in vertex-id order: the coin-draw order.
+    alive: Vec<u32>,
+    /// Live child CSR (same shape as the initial one), compacted in
+    /// place every round.
+    group_parent: Vec<u32>,
+    group_len: Vec<u32>,
+    kids: Vec<u32>,
 
     /// Parent's partial sum before the merge that deactivated this
     /// vertex (the no-inverse replacement for the paper's subtraction).
@@ -114,28 +181,35 @@ pub struct ContractionEngine<M: CommutativeMonoid> {
 
     // ---- Flat contraction log (replaces the seed's Vec<StepLog>). ----
     /// Compressed vertices, all rounds back to back.
-    compress_log: Vec<NodeId>,
+    compress_log: Vec<u32>,
     /// End offset into `compress_log` after each round.
     compress_ends: Vec<u32>,
     /// Raked vertices, all rounds back to back, in rake order.
-    rake_log: Vec<NodeId>,
+    rake_log: Vec<u32>,
     /// Rake groups `(parent, start, end)` spanning `rake_log`.
-    rake_groups: Vec<(NodeId, u32, u32)>,
+    rake_groups: Vec<(u32, u32, u32)>,
     /// End offset into `rake_groups` after each round.
     rake_ends: Vec<u32>,
 
     // ---- Reusable scratch (allocated once, cleared per use). ----
-    /// Selected / viable vertex list.
-    nodes_scratch: Vec<NodeId>,
-    /// Message batch buffer.
-    msgs_scratch: Vec<(Slot, Slot)>,
-    /// Relay group endpoint slots (sources or targets).
+    /// Round 0 of the next children (or rake-undo) broadcast, staged
+    /// while compacting.
+    first_msgs: Vec<(Slot, Slot)>,
+    /// Random-mate probe messages (parent → viable child).
+    probe_msgs: Vec<(Slot, Slot)>,
+    /// COMPRESS messages (`v → u`, `v → c`).
+    compress_msgs: Vec<(Slot, Slot)>,
+    /// Rake parents emptied this round whose parent must not see them
+    /// as leaves until the round ends (larger vertex id than the
+    /// parent's).
+    deferred: Vec<u32>,
+    /// Reduce relay targets.
     group_slots: Vec<Slot>,
-    /// Relay group participants, flat.
+    /// Reduce relay participants, flat.
     group_parts: Vec<Slot>,
-    /// Relay group offsets into `group_parts`.
+    /// Reduce relay offsets into `group_parts`.
     group_offsets: Vec<u32>,
-    /// Relay level-walk scratch.
+    /// Reduce relay halving scratch.
     relay: RelayScratch,
     /// Round staging for the local charging sessions (one per
     /// `contract`, one per `uncontract_*`): all engine rounds charge
@@ -143,7 +217,8 @@ pub struct ContractionEngine<M: CommutativeMonoid> {
     local: LocalChargeScratch,
     /// Uncontraction accumulator (`A_v` / `B_v`), preallocated.
     acc: Vec<M>,
-    /// Output buffer, retained across runs and returned by slice.
+    /// Output buffer by vertex id, retained across runs and returned by
+    /// slice.
     out: Vec<M>,
 
     stats: ContractionStats,
@@ -159,35 +234,39 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
             cap,
             phase: Phase::Unbound,
             rake_adds_to_p: true,
+            vid: Vec::with_capacity(cap),
+            index_of: Vec::with_capacity(cap),
             slot: Vec::with_capacity(cap),
+            parent0: Vec::with_capacity(cap),
+            group_parent0: Vec::with_capacity(cap),
+            group_len0: Vec::with_capacity(cap),
+            kids0: Vec::with_capacity(cap),
             parent: Vec::with_capacity(cap),
-            first_child: Vec::with_capacity(cap),
-            next_sib: Vec::with_capacity(cap),
-            prev_sib: Vec::with_capacity(cap),
             child_count: Vec::with_capacity(cap),
             p: Vec::with_capacity(cap),
             active: Vec::with_capacity(cap),
             alive: Vec::with_capacity(cap),
+            group_parent: Vec::with_capacity(cap),
+            group_len: Vec::with_capacity(cap),
+            kids: Vec::with_capacity(cap),
             saved_p: Vec::with_capacity(cap),
             compress_log: Vec::with_capacity(cap),
             compress_ends: Vec::with_capacity(cap + 1),
             rake_log: Vec::with_capacity(cap),
             rake_groups: Vec::with_capacity(cap),
             rake_ends: Vec::with_capacity(cap + 1),
-            nodes_scratch: Vec::with_capacity(cap),
-            msgs_scratch: Vec::with_capacity(2 * cap + 2),
+            first_msgs: Vec::with_capacity(cap),
+            probe_msgs: Vec::with_capacity(cap),
+            compress_msgs: Vec::with_capacity(cap),
+            deferred: Vec::with_capacity(cap),
             group_slots: Vec::with_capacity(cap),
             group_parts: Vec::with_capacity(cap),
             group_offsets: Vec::with_capacity(cap + 1),
             relay: RelayScratch::with_capacity(cap, cap),
-            local: LocalChargeScratch::with_capacity(2 * cap + 2),
+            local: LocalChargeScratch::with_capacity(cap + 1),
             acc: Vec::with_capacity(cap),
             out: Vec::with_capacity(cap),
-            stats: ContractionStats {
-                compact_rounds: 0,
-                compresses: 0,
-                rakes: 0,
-            },
+            stats: ContractionStats::ZERO,
             coin: Vec::with_capacity(cap),
         }
     }
@@ -217,8 +296,9 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
         eng
     }
 
-    /// Loads a concrete (tree, layout, light-first CSR, values)
-    /// instance into the retained buffers, restarting the run cycle.
+    /// Binds a concrete (tree, layout, light-first CSR) instance and
+    /// loads one run's values: [`ContractionEngine::bind_structure`]
+    /// from the tree and layout, then [`ContractionEngine::load`].
     /// Performs **zero heap allocation** whenever `tree.n()` is within
     /// the engine's capacity (grow first with
     /// [`EngineLifecycle::reserve`]).
@@ -230,17 +310,17 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
         values: &[M],
         rake_adds_to_p: bool,
     ) {
-        let n = tree.n() as usize;
-        assert_eq!(layout.n() as usize, n, "layout size mismatch");
-        self.slot.clear();
-        self.slot.extend((0..n as u32).map(|v| layout.slot(v)));
-        self.bind_inner(tree.parents(), sorted, values, rake_adds_to_p);
+        assert_eq!(layout.n(), tree.n(), "layout size mismatch");
+        self.structure(tree.parents(), |v| layout.slot(v), sorted);
+        self.load(values, rake_adds_to_p);
     }
 
     /// [`ContractionEngine::bind`] from the flat pieces a retaining
-    /// caller (the batched-LCA engine, the session pool) already holds:
-    /// the parent array and the per-vertex machine slots, instead of
-    /// `Tree`/`Layout` borrows. Same zero-allocation contract.
+    /// caller already holds: the parent array and the per-vertex machine
+    /// slots, instead of `Tree`/`Layout` borrows. Binds the structure
+    /// on every call; callers that run many times on one tree bind it
+    /// once with [`ContractionEngine::bind_structure`] and then only
+    /// [`ContractionEngine::load`]. Same zero-allocation contract.
     pub fn bind_parts(
         &mut self,
         parents: &[NodeId],
@@ -249,46 +329,102 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
         values: &[M],
         rake_adds_to_p: bool,
     ) {
-        assert_eq!(slots.len(), parents.len(), "one slot per vertex");
-        self.slot.clear();
-        self.slot.extend_from_slice(slots);
-        self.bind_inner(parents, sorted, values, rake_adds_to_p);
+        self.bind_structure(parents, slots, sorted);
+        self.load(values, rake_adds_to_p);
     }
 
-    fn bind_inner(
+    /// The per-tree structure step: numbers the vertices in light-first
+    /// preorder of `sorted` and stores each index's slot, parent and
+    /// initial child list. Any number of
+    /// [`ContractionEngine::load`]-and-run cycles follow. Zero heap
+    /// allocation within capacity.
+    pub fn bind_structure(&mut self, parents: &[NodeId], slots: &[Slot], sorted: &ChildrenCsr) {
+        assert_eq!(slots.len(), parents.len(), "one slot per vertex");
+        self.structure(parents, |v| slots[v as usize], sorted);
+    }
+
+    fn structure(
         &mut self,
         parents: &[NodeId],
+        slot_of: impl Fn(NodeId) -> Slot,
         sorted: &ChildrenCsr,
-        values: &[M],
-        rake_adds_to_p: bool,
     ) {
         let n = parents.len();
-        assert_eq!(values.len(), n, "one value per vertex");
         assert_eq!(sorted.n() as usize, n, "children CSR size mismatch");
-
         self.n = n;
         self.cap = self.cap.max(n);
+        self.phase = Phase::Structured;
+
+        // Light-first preorder of the sorted CSR (the per-run alive
+        // buffer doubles as the DFS stack).
+        self.vid.clear();
+        self.index_of.clear();
+        self.index_of.resize(n, NIL);
+        let stack = &mut self.alive;
+        stack.clear();
+        stack.extend(parents.iter().position(|&p| p == NIL).map(|r| r as u32));
+        while let Some(v) = stack.pop() {
+            self.index_of[v as usize] = self.vid.len() as u32;
+            self.vid.push(v);
+            stack.extend(sorted.children(v).iter().rev());
+        }
+        assert_eq!(self.vid.len(), n, "parents must form one rooted tree");
+
+        self.slot.clear();
+        self.slot.extend(self.vid.iter().map(|&v| slot_of(v)));
+        let index_of = &self.index_of;
+        self.parent0.clear();
+        self.parent0
+            .extend(self.vid.iter().map(|&v| match parents[v as usize] {
+                NIL => NIL,
+                p => index_of[p as usize],
+            }));
+        self.group_parent0.clear();
+        self.group_len0.clear();
+        self.kids0.clear();
+        for (i, &v) in self.vid.iter().enumerate() {
+            let cs = sorted.children(v);
+            if !cs.is_empty() {
+                self.group_parent0.push(i as u32);
+                self.group_len0.push(cs.len() as u32);
+                self.kids0.extend(cs.iter().map(|&c| index_of[c as usize]));
+            }
+        }
+    }
+
+    /// The per-run step: restores the run state of the bound structure
+    /// with sequential passes and loads `values` (by vertex id),
+    /// restarting the run cycle. Zero heap allocation within capacity.
+    pub fn load(&mut self, values: &[M], rake_adds_to_p: bool) {
+        assert!(self.phase != Phase::Unbound, "bind a tree structure first");
+        let n = self.n;
+        assert_eq!(values.len(), n, "one value per vertex");
         self.phase = Phase::Bound;
         self.rake_adds_to_p = rake_adds_to_p;
 
         self.parent.clear();
-        self.parent.extend_from_slice(parents);
-        self.first_child.clear();
-        self.first_child.resize(n, NIL);
-        self.next_sib.clear();
-        self.next_sib.resize(n, NIL);
-        self.prev_sib.clear();
-        self.prev_sib.resize(n, NIL);
+        self.parent.extend_from_slice(&self.parent0);
         self.child_count.clear();
         self.child_count.resize(n, 0);
+        for (&u, &len) in self.group_parent0.iter().zip(&self.group_len0) {
+            self.child_count[u as usize] = len;
+        }
         self.p.clear();
-        self.p.extend_from_slice(values);
+        self.p.extend(self.vid.iter().map(|&v| values[v as usize]));
         self.active.clear();
         self.active.resize(n, true);
         self.alive.clear();
-        self.alive.extend(0..n as NodeId);
-        self.saved_p.clear();
+        self.alive.extend_from_slice(&self.index_of);
+        self.group_parent.clear();
+        self.group_parent.extend_from_slice(&self.group_parent0);
+        self.group_len.clear();
+        self.group_len.extend_from_slice(&self.group_len0);
+        self.kids.clear();
+        self.kids.extend_from_slice(&self.kids0);
+        // Written before every read (at deactivation / per-round draw):
+        // only the length needs restoring.
         self.saved_p.resize(n, M::identity());
+        self.coin.resize(n, false);
         self.compress_log.clear();
         self.compress_ends.clear();
         self.rake_log.clear();
@@ -296,223 +432,225 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
         self.rake_ends.clear();
         self.acc.clear();
         self.acc.resize(n, M::identity());
-        self.out.clear();
         self.out.resize(n, M::identity());
-        self.coin.clear();
-        self.coin.resize(n, false);
-        self.stats = ContractionStats {
-            compact_rounds: 0,
-            compresses: 0,
-            rakes: 0,
-        };
+        self.stats = ContractionStats::ZERO;
 
-        for v in 0..n as NodeId {
-            let cs = sorted.children(v);
-            self.child_count[v as usize] = cs.len() as u32;
-            if let Some(&first) = cs.first() {
-                self.first_child[v as usize] = first;
-            }
-            // Branchless splice over the CSR run: thread the sibling
-            // links pairwise without the windows bounds machinery.
-            for (&a, &b) in cs.iter().zip(cs.iter().skip(1)) {
-                self.next_sib[a as usize] = b;
-                self.prev_sib[b as usize] = a;
-            }
+        self.first_msgs.clear();
+        let mut start = 0usize;
+        for (&u, &len) in self.group_parent.iter().zip(&self.group_len) {
+            let first = self.kids[start];
+            self.first_msgs
+                .push((self.slot[u as usize], self.slot[first as usize]));
+            start += len as usize;
         }
     }
 
-    fn unlink_child(&mut self, u: NodeId, v: NodeId) {
-        let (prev, next) = (self.prev_sib[v as usize], self.next_sib[v as usize]);
-        if prev != NIL {
-            self.next_sib[prev as usize] = next;
-        } else {
-            self.first_child[u as usize] = next;
+    /// Steps 1–3 of a COMPACT round in one forward pass over the live
+    /// child CSR: the first children broadcast's doubling levels, the
+    /// random-mate probe of every viable vertex, COMPRESS of the
+    /// selected ones, and the compaction. Stages the probe and COMPRESS
+    /// rounds and round 0 of the second children broadcast.
+    fn compress_pass(&mut self, lc: &mut LocalCharge) -> u64 {
+        let slot = &self.slot;
+        let coin = &self.coin;
+        let child_count = &self.child_count;
+        let kids = &mut self.kids;
+        let group_parent = &mut self.group_parent;
+        let group_len = &mut self.group_len;
+        self.probe_msgs.clear();
+        self.compress_msgs.clear();
+        self.first_msgs.clear();
+        let groups = group_parent.len();
+        // Read cursors (group, child) run ahead of write cursors.
+        let (mut r, mut rk, mut w, mut wk) = (0usize, 0usize, 0usize, 0usize);
+        let mut compresses = 0u64;
+        while r < groups {
+            let u = group_parent[r];
+            let len = group_len[r] as usize;
+            if len > 1 {
+                // Branching parent: none of its children is viable.
+                let ks = &kids[rk..rk + len];
+                charge_broadcast_levels_depth_first(lc, len, |j| slot[ks[j] as usize]);
+                kids.copy_within(rk..rk + len, wk);
+            } else {
+                let v = kids[rk];
+                kids[wk] = v;
+                if child_count[v as usize] == 1 {
+                    // v is viable: u's only child with one child.
+                    self.probe_msgs.push((slot[u as usize], slot[v as usize]));
+                    if coin[v as usize] & !coin[u as usize] {
+                        // COMPRESS v into u. v's group, [c], is the
+                        // next one: no live vertex lies between u and v
+                        // in index order.
+                        debug_assert_eq!(group_parent[r + 1], v);
+                        let c = kids[rk + 1];
+                        if child_count[c as usize] == 1 {
+                            self.probe_msgs.push((slot[v as usize], slot[c as usize]));
+                        }
+                        let (ui, vi) = (u as usize, v as usize);
+                        self.saved_p[vi] = self.p[ui];
+                        self.p[ui] = self.p[ui].combine(self.p[vi]);
+                        // u's only child was v; u inherits v's only child c.
+                        self.parent[c as usize] = u;
+                        self.active[vi] = false;
+                        self.compress_msgs.push((slot[vi], slot[ui]));
+                        self.compress_msgs.push((slot[vi], slot[c as usize]));
+                        self.compress_log.push(v);
+                        compresses += 1;
+                        kids[wk] = c;
+                        r += 1;
+                        rk += 1;
+                    }
+                }
+            }
+            group_parent[w] = u;
+            group_len[w] = len as u32;
+            self.first_msgs
+                .push((slot[u as usize], slot[kids[wk] as usize]));
+            r += 1;
+            rk += len;
+            w += 1;
+            wk += len;
         }
-        if next != NIL {
-            self.prev_sib[next as usize] = prev;
-        }
-        self.prev_sib[v as usize] = NIL;
-        self.next_sib[v as usize] = NIL;
-        self.child_count[u as usize] -= 1;
+        group_parent.truncate(w);
+        group_len.truncate(w);
+        kids.truncate(wk);
+        compresses
     }
 
-    /// §V-A3 step 1/4: every supervertex tells its children whether it
-    /// is branching. All parents broadcast *simultaneously* (batched
-    /// relays, one machine round per relay level): `O(n)` energy and
-    /// `O(log Δ)` depth per COMPACT round.
-    fn charge_children_broadcast(&mut self, lc: &mut LocalCharge) {
+    /// Step 5 of a COMPACT round, children first (reverse index order):
+    /// the second children broadcast's doubling levels, then RAKE of
+    /// leaf supervertices wherever all-but-at-most-one children are
+    /// leaves. Collects the reduce relays of all rakes as one batch.
+    fn rake_pass(&mut self, lc: &mut LocalCharge) {
+        let slot = &self.slot;
+        let vid = &self.vid;
+        let kids = &self.kids;
         self.group_slots.clear();
         self.group_parts.clear();
         self.group_offsets.clear();
         self.group_offsets.push(0);
-        for &u in &self.alive {
-            if self.child_count[u as usize] == 0 {
+        self.deferred.clear();
+        let mut end = kids.len();
+        for g in (0..self.group_parent.len()).rev() {
+            let u = self.group_parent[g] as usize;
+            let len = self.group_len[g] as usize;
+            let ks = &kids[end - len..end];
+            end -= len;
+            if len > 1 {
+                charge_broadcast_levels_depth_first(lc, len, |j| slot[ks[j] as usize]);
+            }
+            // Branchless count: is this a raking parent?
+            let leaves = ks
+                .iter()
+                .map(|&c| (self.child_count[c as usize] == 0) as usize)
+                .sum::<usize>();
+            if leaves == 0 || len - leaves > 1 {
                 continue;
             }
-            self.group_slots.push(self.slot[u as usize]);
-            let mut c = self.first_child[u as usize];
-            while c != NIL {
-                self.group_parts.push(self.slot[c as usize]);
-                c = self.next_sib[c as usize];
-            }
+            // The reduce relay spans all children (the non-raked child w
+            // contributes the identity, as in the paper).
+            self.group_slots.push(slot[u]);
+            self.group_parts
+                .extend(ks.iter().map(|&c| slot[c as usize]));
             self.group_offsets.push(self.group_parts.len() as u32);
+
+            let saved = self.p[u];
+            let mut acc = M::identity();
+            let group_start = self.rake_log.len() as u32;
+            for &c in ks {
+                let ci = c as usize;
+                if self.child_count[ci] == 0 {
+                    acc = acc.combine(self.p[ci]);
+                    self.saved_p[ci] = saved;
+                    self.active[ci] = false;
+                    self.rake_log.push(c);
+                }
+            }
+            if self.rake_adds_to_p {
+                self.p[u] = saved.combine(acc);
+            }
+            self.stats.rakes += leaves as u64;
+            self.rake_groups
+                .push((u as u32, group_start, self.rake_log.len() as u32));
+            // An id-order RAKE loop reaches u's parent before u when the
+            // parent's id is smaller: that parent must still see u as
+            // branching this round.
+            let left = (len - leaves) as u32;
+            let w = self.parent[u];
+            if left == 0 && w != NIL && vid[u] > vid[w as usize] {
+                self.deferred.push(u as u32);
+            } else {
+                self.child_count[u] = left;
+            }
         }
-        charge_broadcast_relays_csr_into(
-            lc,
-            &self.group_slots,
-            &self.group_parts,
-            &self.group_offsets,
-            &mut self.relay,
-        );
+        for &u in &self.deferred {
+            self.child_count[u as usize] = 0;
+        }
     }
 
-    fn viable(&self, v: NodeId) -> bool {
-        let p = self.parent[v as usize];
-        p != NIL && self.child_count[p as usize] == 1 && self.child_count[v as usize] == 1
+    /// Drops the raked children from the live CSR (and the groups left
+    /// empty), staging round 0 of the next round's first children
+    /// broadcast.
+    fn compact_after_rake(&mut self) {
+        let slot = &self.slot;
+        let active = &self.active;
+        let kids = &mut self.kids;
+        self.first_msgs.clear();
+        let (mut rk, mut w, mut wk) = (0usize, 0usize, 0usize);
+        for r in 0..self.group_parent.len() {
+            let u = self.group_parent[r];
+            let len = self.group_len[r] as usize;
+            // Branchless keep: unconditional write, cursor advanced by
+            // the liveness flag.
+            let mut kept = 0usize;
+            for j in rk..rk + len {
+                let c = kids[j];
+                kids[wk + kept] = c;
+                kept += active[c as usize] as usize;
+            }
+            rk += len;
+            if kept > 0 {
+                self.group_parent[w] = u;
+                self.group_len[w] = kept as u32;
+                self.first_msgs
+                    .push((slot[u as usize], slot[kids[wk] as usize]));
+                w += 1;
+                wk += kept;
+            }
+        }
+        self.group_parent.truncate(w);
+        self.group_len.truncate(w);
+        kids.truncate(wk);
     }
 
     /// One COMPACT round: compress an independent random-mate set of
     /// viable supervertices, then rake leaf supervertices.
     fn compact_round<R: Rng>(&mut self, rng: &mut R, lc: &mut LocalCharge) {
-        // Step 1: branching info.
-        self.charge_children_broadcast(lc);
+        // Step 1: branching info — round 0 here, the doubling levels in
+        // the COMPRESS pass.
+        lc.round(&self.first_msgs);
 
-        // Step 2: random-mate selection among viable supervertices.
+        // Step 2: random-mate coins, drawn in vertex-id order.
         for &v in &self.alive {
             self.coin[v as usize] = rng.gen();
         }
-        // Branchless select/compact passes (SWAR-style: unconditional
-        // write, advance the cursor by the predicate — no data-dependent
-        // branches for the predictor to miss on random coins). Order,
-        // contents, and the charged message rounds are identical to the
-        // retained `push`/`retain` formulation, pinned by the
-        // differential suite.
-        let mut selected = std::mem::take(&mut self.nodes_scratch);
-        selected.clear();
-        selected.resize(self.alive.len(), 0);
-        let mut k = 0usize;
-        for i in 0..self.alive.len() {
-            let v = self.alive[i];
-            let p = self.parent[v as usize];
-            // NIL-safe probe: index 0 when parentless, masked out of the
-            // predicate by the `p != NIL` factor (cmov, not a branch).
-            let safe_p = if p == NIL { 0 } else { p as usize };
-            let ok =
-                (p != NIL) & (self.child_count[safe_p] == 1) & (self.child_count[v as usize] == 1);
-            debug_assert_eq!(ok, self.viable(v));
-            selected[k] = v;
-            k += ok as usize;
-        }
-        selected.truncate(k);
-        self.msgs_scratch.clear();
-        for &v in &selected {
-            self.msgs_scratch.push((
-                self.slot[self.parent[v as usize] as usize],
-                self.slot[v as usize],
-            ));
-        }
-        lc.round(&self.msgs_scratch);
-        let mut k = 0usize;
-        for i in 0..selected.len() {
-            let v = selected[i];
-            let keep = self.coin[v as usize] & !self.coin[self.parent[v as usize] as usize];
-            selected[k] = v;
-            k += keep as usize;
-        }
-        selected.truncate(k);
 
-        // Step 3: COMPRESS every selected v with its parent u. The
-        // selected set is independent (heads with tails predecessor), so
-        // no parent is itself compressed this round.
-        self.msgs_scratch.clear();
-        for &v in &selected {
-            let u = self.parent[v as usize];
-            let c = self.first_child[v as usize];
-            debug_assert!(c != NIL && self.child_count[v as usize] == 1);
-            self.saved_p[v as usize] = self.p[u as usize];
-            self.p[u as usize] = self.p[u as usize].combine(self.p[v as usize]);
-            // u's only child was v; u inherits v's only child c.
-            self.first_child[u as usize] = c;
-            self.child_count[u as usize] = 1;
-            self.parent[c as usize] = u;
-            self.prev_sib[c as usize] = NIL;
-            self.next_sib[c as usize] = NIL;
-            self.active[v as usize] = false;
-            self.msgs_scratch
-                .push((self.slot[v as usize], self.slot[u as usize]));
-            self.msgs_scratch
-                .push((self.slot[v as usize], self.slot[c as usize]));
-            self.compress_log.push(v);
-        }
-        lc.round(&self.msgs_scratch);
-        self.stats.compresses += selected.len() as u64;
-        self.nodes_scratch = selected;
+        // Steps 2–3: probe the viable vertices and COMPRESS the selected
+        // independent set (heads with a tails parent, so no parent is
+        // itself compressed this round).
+        let compresses = self.compress_pass(lc);
+        lc.round(&self.probe_msgs);
+        lc.round(&self.compress_msgs);
+        self.stats.compresses += compresses;
 
-        // Step 4: refresh branching info after the compresses.
-        let mut alive = std::mem::take(&mut self.alive);
-        compact_by_flag(&mut alive, &self.active);
-        self.alive = alive;
-        self.charge_children_broadcast(lc);
+        // Step 4: refresh branching info after the compresses — round 0
+        // here, the doubling levels in the RAKE pass.
+        lc.round(&self.first_msgs);
 
-        // Step 5: RAKE leaf supervertices wherever all-but-at-most-one
-        // children are leaves. All rakes of the round run concurrently:
-        // the reduce relays are charged as one batch.
-        self.group_slots.clear();
-        self.group_parts.clear();
-        self.group_offsets.clear();
-        self.group_offsets.push(0);
-        for i in 0..self.alive.len() {
-            let u = self.alive[i];
-            if self.child_count[u as usize] == 0 {
-                continue;
-            }
-            // First sibling walk: is this a raking parent? Branchless
-            // accumulate — both counters advance by a predicate, no
-            // per-child branch.
-            let mut leaves = 0u64;
-            let mut others = 0u64;
-            let mut c = self.first_child[u as usize];
-            while c != NIL {
-                let is_leaf = self.child_count[c as usize] == 0;
-                leaves += is_leaf as u64;
-                others += !is_leaf as u64;
-                c = self.next_sib[c as usize];
-            }
-            if leaves == 0 || others > 1 {
-                continue;
-            }
-            // The reduce relay spans all children (the non-raked child w
-            // contributes the identity, as in the paper).
-            self.group_slots.push(self.slot[u as usize]);
-            let mut c = self.first_child[u as usize];
-            while c != NIL {
-                self.group_parts.push(self.slot[c as usize]);
-                c = self.next_sib[c as usize];
-            }
-            self.group_offsets.push(self.group_parts.len() as u32);
-
-            let saved = self.p[u as usize];
-            let mut acc = M::identity();
-            let group_start = self.rake_log.len() as u32;
-            let mut c = self.first_child[u as usize];
-            while c != NIL {
-                let next = self.next_sib[c as usize];
-                if self.child_count[c as usize] == 0 {
-                    acc = acc.combine(self.p[c as usize]);
-                    self.saved_p[c as usize] = saved;
-                    self.active[c as usize] = false;
-                    self.unlink_child(u, c);
-                    self.rake_log.push(c);
-                }
-                c = next;
-            }
-            if self.rake_adds_to_p {
-                self.p[u as usize] = saved.combine(acc);
-            }
-            self.stats.rakes += leaves;
-            self.rake_groups
-                .push((u, group_start, self.rake_log.len() as u32));
-        }
+        // Step 5: RAKE. All rakes of the round run concurrently: the
+        // reduce relays are charged as one batch.
+        self.rake_pass(lc);
         charge_reduce_relays_csr_into(
             lc,
             &self.group_parts,
@@ -520,6 +658,7 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
             &self.group_slots,
             &mut self.relay,
         );
+        self.compact_after_rake();
         let mut alive = std::mem::take(&mut self.alive);
         compact_by_flag(&mut alive, &self.active);
         self.alive = alive;
@@ -533,7 +672,11 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
     /// round on `machine`. Returns the stats; the random seed affects
     /// only costs, never results.
     pub fn contract<R: Rng>(&mut self, machine: &Machine, rng: &mut R) -> ContractionStats {
-        assert_eq!(self.phase, Phase::Bound, "bind() a tree first");
+        assert_eq!(
+            self.phase,
+            Phase::Bound,
+            "bind() a tree first and load() its values"
+        );
         self.phase = Phase::Contracted;
         let n = self.n as u64;
         // Rake always removes the deepest leaves, so every round makes
@@ -559,48 +702,47 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
     }
 
     /// Replays one logged round's rake undo broadcasts (group `u` →
-    /// its raked leaves) from the flat log.
+    /// its raked leaves) from the flat log: round 0 for all groups,
+    /// then each group's doubling levels depth-first (every raked leaf
+    /// belongs to one group).
     fn charge_rake_undo_broadcast(
         &mut self,
         group_range: std::ops::Range<usize>,
         lc: &mut LocalCharge,
     ) {
-        self.group_slots.clear();
-        self.group_parts.clear();
-        self.group_offsets.clear();
-        self.group_offsets.push(0);
-        for &(u, start, end) in &self.rake_groups[group_range.clone()] {
-            self.group_slots.push(self.slot[u as usize]);
-            for &v in &self.rake_log[start as usize..end as usize] {
-                self.group_parts.push(self.slot[v as usize]);
-            }
-            self.group_offsets.push(self.group_parts.len() as u32);
-        }
-        charge_broadcast_relays_csr_into(
-            lc,
-            &self.group_slots,
-            &self.group_parts,
-            &self.group_offsets,
-            &mut self.relay,
+        let (slot, log) = (&self.slot, &self.rake_log);
+        let groups = &self.rake_groups[group_range];
+        self.first_msgs.clear();
+        self.first_msgs.extend(
+            groups
+                .iter()
+                .map(|&(u, start, _)| (slot[u as usize], slot[log[start as usize] as usize])),
         );
+        lc.round(&self.first_msgs);
+        for &(_, start, end) in groups {
+            let leaves = &log[start as usize..end as usize];
+            if leaves.len() > 1 {
+                charge_broadcast_levels_depth_first(lc, leaves.len(), |j| slot[leaves[j] as usize]);
+            }
+        }
     }
 
     /// Charges the compress-undo messages (`u → v`) of one logged
     /// round.
     fn charge_compress_undo(&mut self, log_range: std::ops::Range<usize>, lc: &mut LocalCharge) {
-        self.msgs_scratch.clear();
+        self.compress_msgs.clear();
         for &v in &self.compress_log[log_range] {
             let u = self.parent_at_merge(v);
-            self.msgs_scratch
+            self.compress_msgs
                 .push((self.slot[u as usize], self.slot[v as usize]));
         }
-        lc.round(&self.msgs_scratch);
+        lc.round(&self.compress_msgs);
     }
 
     /// §V-B uncontraction for the bottom-up treefix: returns
-    /// `sum(v) = ⊕ values over v's subtree` for every vertex. The slice
-    /// lives in the engine's retained output buffer (valid until the
-    /// next run).
+    /// `sum(v) = ⊕ values over v's subtree` for every vertex id. The
+    /// slice lives in the engine's retained output buffer (valid until
+    /// the next run).
     pub fn uncontract_bottom_up(&mut self, machine: &Machine) -> &[M] {
         assert_eq!(self.phase, Phase::Contracted, "contract() must run first");
         self.phase = Phase::Done;
@@ -639,17 +781,18 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
         lc.commit();
         self.local = scratch;
         let (p, acc) = (&self.p, &self.acc);
-        for (v, out) in self.out[..n].iter_mut().enumerate() {
-            *out = p[v].combine(acc[v]);
+        for (out, &i) in self.out[..n].iter_mut().zip(&self.index_of) {
+            *out = p[i as usize].combine(acc[i as usize]);
         }
         &self.out[..n]
     }
 
     /// §V-D uncontraction for the top-down treefix: returns
-    /// `sum'(v) = ⊕ values along the root → v path` for every vertex.
-    /// The engine must have been bound with `rake_adds_to_p = false`.
-    /// The slice lives in the engine's retained output buffer (valid
-    /// until the next run).
+    /// `sum'(v) = ⊕ values along the root → v path` for every vertex
+    /// id. The engine must have been loaded with `rake_adds_to_p =
+    /// false`, and `values` must be the loaded values. The slice lives
+    /// in the engine's retained output buffer (valid until the next
+    /// run).
     pub fn uncontract_top_down(&mut self, machine: &Machine, values: &[M]) -> &[M] {
         assert_eq!(self.phase, Phase::Contracted, "contract() must run first");
         assert!(
@@ -686,14 +829,14 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
         lc.commit();
         self.local = scratch;
         let acc = &self.acc;
-        for (v, out) in self.out[..n].iter_mut().enumerate() {
-            *out = acc[v].combine(values[v]);
+        for ((out, &i), &value) in self.out[..n].iter_mut().zip(&self.index_of).zip(values) {
+            *out = acc[i as usize].combine(value);
         }
         &self.out[..n]
     }
 
     /// The most recent uncontraction result, re-borrowed (valid after
-    /// an `uncontract_*` call, until the next bind).
+    /// an `uncontract_*` call, until the next load).
     pub fn output(&self) -> &[M] {
         assert_eq!(self.phase, Phase::Done, "run an uncontraction first");
         &self.out[..self.n]
@@ -702,7 +845,7 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
     /// The representative a compressed vertex merged into. The parent
     /// pointer of `v` is frozen at merge time (deactivated vertices are
     /// never re-parented).
-    fn parent_at_merge(&self, v: NodeId) -> NodeId {
+    fn parent_at_merge(&self, v: u32) -> u32 {
         self.parent[v as usize]
     }
 
@@ -724,23 +867,31 @@ impl<M: CommutativeMonoid> EngineLifecycle for ContractionEngine<M> {
         fn grow<T>(buf: &mut Vec<T>, cap: usize) {
             buf.reserve(cap.saturating_sub(buf.len()));
         }
+        grow(&mut self.vid, cap);
+        grow(&mut self.index_of, cap);
         grow(&mut self.slot, cap);
+        grow(&mut self.parent0, cap);
+        grow(&mut self.group_parent0, cap);
+        grow(&mut self.group_len0, cap);
+        grow(&mut self.kids0, cap);
         grow(&mut self.parent, cap);
-        grow(&mut self.first_child, cap);
-        grow(&mut self.next_sib, cap);
-        grow(&mut self.prev_sib, cap);
         grow(&mut self.child_count, cap);
         grow(&mut self.p, cap);
         grow(&mut self.active, cap);
         grow(&mut self.alive, cap);
+        grow(&mut self.group_parent, cap);
+        grow(&mut self.group_len, cap);
+        grow(&mut self.kids, cap);
         grow(&mut self.saved_p, cap);
         grow(&mut self.compress_log, cap);
         grow(&mut self.compress_ends, cap + 1);
         grow(&mut self.rake_log, cap);
         grow(&mut self.rake_groups, cap);
         grow(&mut self.rake_ends, cap + 1);
-        grow(&mut self.nodes_scratch, cap);
-        grow(&mut self.msgs_scratch, 2 * cap + 2);
+        grow(&mut self.first_msgs, cap);
+        grow(&mut self.probe_msgs, cap);
+        grow(&mut self.compress_msgs, cap);
+        grow(&mut self.deferred, cap);
         grow(&mut self.group_slots, cap);
         grow(&mut self.group_parts, cap);
         grow(&mut self.group_offsets, cap + 1);
@@ -748,7 +899,7 @@ impl<M: CommutativeMonoid> EngineLifecycle for ContractionEngine<M> {
         grow(&mut self.out, cap);
         grow(&mut self.coin, cap);
         self.relay.reserve(cap, cap);
-        self.local.reserve(2 * cap + 2);
+        self.local.reserve(cap + 1);
         self.cap = cap;
     }
 
@@ -758,13 +909,11 @@ impl<M: CommutativeMonoid> EngineLifecycle for ContractionEngine<M> {
     }
 }
 
-/// `[start, end)` span of round `r` in a per-round end-offset array.
-#[inline]
 /// Stable in-place compaction keeping `v` where `flag[v]`: the
 /// branchless SWAR replacement for `retain` on the alive list —
 /// unconditional write, cursor advanced by the flag, no data-dependent
 /// branch on the (random) liveness pattern for the predictor to miss.
-fn compact_by_flag(list: &mut Vec<NodeId>, flag: &[bool]) {
+fn compact_by_flag(list: &mut Vec<u32>, flag: &[bool]) {
     let mut k = 0usize;
     for i in 0..list.len() {
         let v = list[i];
@@ -774,6 +923,8 @@ fn compact_by_flag(list: &mut Vec<NodeId>, flag: &[bool]) {
     list.truncate(k);
 }
 
+/// `[start, end)` span of round `r` in a per-round end-offset array.
+#[inline]
 fn round_span(ends: &[u32], round: usize) -> (usize, usize) {
     let start = if round == 0 {
         0
@@ -946,6 +1097,8 @@ mod tests {
         // One pooled engine serving trees of sizes n, then 2n+3, then 5
         // answers exactly like a fresh engine per tree, and the charges
         // agree too (the capacity-growth contract of the session pool).
+        // Each tree is bound once, then loaded for runs in both
+        // directions with different values.
         let n0 = 120u32;
         let mut engine: ContractionEngine<Add> = ContractionEngine::with_capacity(n0 as usize);
         for (i, n) in [n0, 2 * n0 + 3, 5, 2 * n0].into_iter().enumerate() {
@@ -953,23 +1106,61 @@ mod tests {
             let layout = Layout::light_first(&t, CurveKind::Hilbert);
             let sizes = t.subtree_sizes();
             let csr = ChildrenCsr::by_size(&t, &sizes);
-            let values: Vec<Add> = (0..n as u64).map(|v| Add(v + 1)).collect();
-
             engine.reserve(n as usize);
-            engine.bind(&t, &layout, &csr, &values, true);
-            let m_pooled = layout.machine();
-            let s_pooled = engine.contract(&m_pooled, &mut StdRng::seed_from_u64(30));
-            let got = engine.uncontract_bottom_up(&m_pooled).to_vec();
+            for run in 0..4u64 {
+                let values: Vec<Add> = (0..n as u64).map(|v| Add(v * run + 1)).collect();
+                let bottom_up = run % 2 == 0;
+                if run == 0 {
+                    engine.bind(&t, &layout, &csr, &values, bottom_up);
+                } else {
+                    engine.load(&values, bottom_up);
+                }
+                let m_pooled = layout.machine();
+                let s_pooled = engine.contract(&m_pooled, &mut StdRng::seed_from_u64(30 + run));
+                let got = if bottom_up {
+                    engine.uncontract_bottom_up(&m_pooled).to_vec()
+                } else {
+                    engine.uncontract_top_down(&m_pooled, &values).to_vec()
+                };
 
-            let mut fresh = ContractionEngine::new(&t, &layout, &values, true);
-            let m_fresh = layout.machine();
-            let s_fresh = fresh.contract(&m_fresh, &mut StdRng::seed_from_u64(30));
-            let expect = fresh.uncontract_bottom_up(&m_fresh);
+                let mut fresh = ContractionEngine::new(&t, &layout, &values, bottom_up);
+                let m_fresh = layout.machine();
+                let s_fresh = fresh.contract(&m_fresh, &mut StdRng::seed_from_u64(30 + run));
+                let expect = if bottom_up {
+                    fresh.uncontract_bottom_up(&m_fresh).to_vec()
+                } else {
+                    fresh.uncontract_top_down(&m_fresh, &values).to_vec()
+                };
 
-            assert_eq!(got, expect, "n={n}");
-            assert_eq!(s_pooled, s_fresh, "n={n}");
-            assert_eq!(m_pooled.report(), m_fresh.report(), "n={n}");
+                assert_eq!(got, expect, "n={n}, run {run}");
+                assert_eq!(s_pooled, s_fresh, "n={n}, run {run}");
+                assert_eq!(m_pooled.report(), m_fresh.report(), "n={n}, run {run}");
+            }
         }
+    }
+
+    #[test]
+    fn preorder_is_slot_order_on_light_first_layouts() {
+        // On a light-first layout the engine's index order is the slot
+        // order, on every family.
+        let mut rng = StdRng::seed_from_u64(21);
+        for fam in generators::TreeFamily::ALL {
+            let t = fam.generate(1 << 14, &mut rng);
+            let layout = Layout::light_first(&t, CurveKind::Hilbert);
+            let values = vec![Add(1); t.n() as usize];
+            let eng = ContractionEngine::new(&t, &layout, &values, true);
+            assert!(
+                eng.slot.iter().enumerate().all(|(i, &s)| s as usize == i),
+                "{fam}: engine index order is not slot order"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bind a tree structure first")]
+    fn load_requires_a_structure() {
+        let mut engine: ContractionEngine<Add> = ContractionEngine::with_capacity(8);
+        engine.load(&[Add(1)], true);
     }
 
     #[test]

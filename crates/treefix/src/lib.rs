@@ -10,9 +10,10 @@
 //! The spatial algorithm adapts Miller–Reif rake/compress contraction:
 //!
 //! - [`contraction::ContractionEngine`] maintains supervertices with
-//!   `O(1)` state per vertex (sibling-linked child lists, a partial sum
-//!   at each representative, and a distributed contraction log stored on
-//!   deactivated vertices — Fig. 6).
+//!   `O(1)` state per vertex (a live child list in one CSR indexed by
+//!   light-first preorder, a partial sum at each representative, and a
+//!   distributed contraction log stored on deactivated vertices —
+//!   Fig. 6).
 //! - `COMPACT` rounds (§V-A3) pick independent compressible vertices by
 //!   random-mate, compress them, then rake leaf supervertices; `O(log n)`
 //!   rounds suffice with high probability (Las Vegas: the result is

@@ -1,5 +1,7 @@
 //! Counting-allocator proof that `contract` and both `uncontract`
-//! passes perform **zero heap allocation** after engine setup.
+//! passes perform **zero heap allocation** after engine setup, and so
+//! do a pooled engine's structure bind and per-run `load` within its
+//! capacity.
 //!
 //! A global counting allocator tallies every `alloc`/`realloc` while
 //! the gate is open; the gate opens after `ContractionEngine::new`
@@ -9,8 +11,7 @@
 
 use rand::prelude::*;
 use spatial_layout::Layout;
-use spatial_model::CurveKind;
-use spatial_model::EngineLifecycle;
+use spatial_model::{CurveKind, EngineLifecycle, Slot};
 use spatial_tree::generators::TreeFamily;
 use spatial_treefix::contraction::ContractionEngine;
 use spatial_treefix::{treefix_bottom_up_host, treefix_top_down_host, Add};
@@ -138,6 +139,28 @@ fn contract_and_uncontract_do_not_allocate() {
             assert_eq!(
                 allocs, 0,
                 "{fam} (n = {n}): pooled bind/contract/uncontract allocated {allocs} times"
+            );
+
+            // The bind-once path: one structure bind, then several
+            // load + contract + uncontract cycles in both directions.
+            let slots: Vec<Slot> = (0..n).map(|v| layout.slot(v)).collect();
+            let (correct, allocs) = count_allocations(|| {
+                pooled.bind_structure(t.parents(), &slots, &csr);
+                let mut correct = true;
+                for _ in 0..3 {
+                    pooled.load(&values, true);
+                    pooled.contract(&machine, &mut rng);
+                    correct &= pooled.uncontract_bottom_up(&machine) == &expect_bu[..];
+                    pooled.load(&values, false);
+                    pooled.contract(&machine, &mut rng);
+                    correct &= pooled.uncontract_top_down(&machine, &values) == &expect_td[..];
+                }
+                correct
+            });
+            assert!(correct, "{fam}: pooled load cycles gave a wrong result");
+            assert_eq!(
+                allocs, 0,
+                "{fam} (n = {n}): pooled structure + load cycles allocated {allocs} times"
             );
         }
     }

@@ -3,62 +3,123 @@
 //! treefix sums, same `ContractionStats`, and the same machine charges
 //! (energy, messages, depth) — on random trees, seeds, and both
 //! directions.
+//!
+//! The engine numbers vertices in light-first preorder and keeps the
+//! seed's vertex-id order only where the Las Vegas process observes it
+//! (coin draws, same-round rake cascades). So every tree is compared
+//! under variants where that preorder index differs from the vertex id
+//! or from the machine slot: the tree as generated and with its vertex
+//! ids randomly permuted, each on a light-first layout, a uniformly
+//! random layout, and a light-first layout with leaves appended at the
+//! curve tail (a session's layout between inserts and the next rebuild).
 
 use proptest::prelude::*;
 use rand::prelude::*;
-use spatial_layout::Layout;
+use spatial_layout::{DynamicLayout, Layout};
 use spatial_model::CurveKind;
 use spatial_tree::generators::{self, TreeFamily};
+use spatial_tree::{NodeId, Tree, NIL};
 use spatial_treefix::contraction::ContractionEngine;
 use spatial_treefix::reference::ReferenceEngine;
 use spatial_treefix::{Add, Max};
 
-fn compare_bottom_up(t: &spatial_tree::Tree, algo_seed: u64) {
+/// `t` with its vertex ids relabelled by a random permutation.
+fn permute_ids(t: &Tree, seed: u64) -> Tree {
+    let n = t.n();
+    let mut perm: Vec<NodeId> = (0..n).collect();
+    perm.shuffle(&mut StdRng::seed_from_u64(seed));
+    let mut parents = vec![NIL; n as usize];
+    for v in t.vertices() {
+        if let Some(p) = t.parent(v) {
+            parents[perm[v as usize] as usize] = perm[p as usize];
+        }
+    }
+    Tree::from_parents(perm[t.root() as usize], parents)
+}
+
+/// `t` grown by `n / 4 + 1` random leaves that take the curve's tail
+/// slots of its light-first layout, with no rebuild.
+fn with_tail_leaves(t: &Tree, curve: CurveKind, seed: u64) -> (Tree, Layout) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut dynamic = DynamicLayout::new(t, curve, f64::MAX);
+    for _ in 0..t.n() / 4 + 1 {
+        let parent = rng.gen_range(0..dynamic.n());
+        dynamic.insert_leaf(parent);
+    }
+    (dynamic.tree(), dynamic.layout().clone())
+}
+
+/// The (label, tree, layout) inputs both engines are compared on.
+fn variants(t: &Tree, curve: CurveKind, seed: u64) -> Vec<(String, Tree, Layout)> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+    let mut out = Vec::new();
+    for (ids, tree) in [("ids", t.clone()), ("permuted ids", permute_ids(t, seed))] {
+        let light_first = Layout::light_first(&tree, curve);
+        out.push((format!("{ids}, light-first"), tree.clone(), light_first));
+        let random = Layout::random(&tree, curve, &mut rng);
+        out.push((format!("{ids}, random layout"), tree.clone(), random));
+        let (grown, layout) = with_tail_leaves(&tree, curve, seed);
+        out.push((format!("{ids}, tail leaves"), grown, layout));
+    }
+    out
+}
+
+fn compare_bottom_up(t: &Tree, layout: &Layout, algo_seed: u64, label: &str) {
     let n = t.n() as u64;
     let values: Vec<(Add, Max)> = (0..n).map(|v| (Add(v * 7 + 1), Max(v % 97))).collect();
-    let layout = Layout::light_first(t, CurveKind::Hilbert);
 
     let machine_new = layout.machine();
-    let mut eng = ContractionEngine::new(t, &layout, &values, true);
+    let mut eng = ContractionEngine::new(t, layout, &values, true);
     let stats_new = eng.contract(&machine_new, &mut StdRng::seed_from_u64(algo_seed));
     let result_new = eng.uncontract_bottom_up(&machine_new).to_vec();
 
     let machine_ref = layout.machine();
-    let mut reference = ReferenceEngine::new(t, &layout, &machine_ref, &values, true);
+    let mut reference = ReferenceEngine::new(t, layout, &machine_ref, &values, true);
     let stats_ref = reference.contract(&mut StdRng::seed_from_u64(algo_seed));
     let result_ref = reference.uncontract_bottom_up();
 
-    assert_eq!(result_new, result_ref, "values diverged");
-    assert_eq!(stats_new, stats_ref, "stats diverged");
+    assert_eq!(result_new, result_ref, "values diverged ({label})");
+    assert_eq!(stats_new, stats_ref, "stats diverged ({label})");
     assert_eq!(
         machine_new.report(),
         machine_ref.report(),
-        "machine charges diverged"
+        "machine charges diverged ({label})"
     );
 }
 
-fn compare_top_down(t: &spatial_tree::Tree, algo_seed: u64) {
+fn compare_top_down(t: &Tree, layout: &Layout, algo_seed: u64, label: &str) {
     let n = t.n() as u64;
     let values: Vec<Add> = (0..n).map(|v| Add(v % 31 + 1)).collect();
-    let layout = Layout::light_first(t, CurveKind::ZOrder);
 
     let machine_new = layout.machine();
-    let mut eng = ContractionEngine::new(t, &layout, &values, false);
+    let mut eng = ContractionEngine::new(t, layout, &values, false);
     let stats_new = eng.contract(&machine_new, &mut StdRng::seed_from_u64(algo_seed));
     let result_new = eng.uncontract_top_down(&machine_new, &values).to_vec();
 
     let machine_ref = layout.machine();
-    let mut reference = ReferenceEngine::new(t, &layout, &machine_ref, &values, false);
+    let mut reference = ReferenceEngine::new(t, layout, &machine_ref, &values, false);
     let stats_ref = reference.contract(&mut StdRng::seed_from_u64(algo_seed));
     let result_ref = reference.uncontract_top_down(&values);
 
-    assert_eq!(result_new, result_ref, "values diverged");
-    assert_eq!(stats_new, stats_ref, "stats diverged");
+    assert_eq!(result_new, result_ref, "values diverged ({label})");
+    assert_eq!(stats_new, stats_ref, "stats diverged ({label})");
     assert_eq!(
         machine_new.report(),
         machine_ref.report(),
-        "machine charges diverged"
+        "machine charges diverged ({label})"
     );
+}
+
+/// Runs `compare` on every variant of `t`.
+fn compare_variants(
+    t: &Tree,
+    curve: CurveKind,
+    algo_seed: u64,
+    compare: fn(&Tree, &Layout, u64, &str),
+) {
+    for (label, tree, layout) in variants(t, curve, algo_seed) {
+        compare(&tree, &layout, algo_seed, &label);
+    }
 }
 
 proptest! {
@@ -69,7 +130,7 @@ proptest! {
         t in spatial_tree::strategies::arb_tree(400),
         algo_seed in 0u64..10_000,
     ) {
-        compare_bottom_up(&t, algo_seed);
+        compare_variants(&t, CurveKind::Hilbert, algo_seed, compare_bottom_up);
     }
 
     #[test]
@@ -77,7 +138,7 @@ proptest! {
         t in spatial_tree::strategies::arb_tree(400),
         algo_seed in 0u64..10_000,
     ) {
-        compare_top_down(&t, algo_seed);
+        compare_variants(&t, CurveKind::ZOrder, algo_seed, compare_top_down);
     }
 }
 
@@ -86,13 +147,13 @@ fn identical_across_all_families() {
     let mut rng = StdRng::seed_from_u64(99);
     for fam in TreeFamily::ALL {
         let t = fam.generate(500, &mut rng);
-        compare_bottom_up(&t, 7);
-        compare_top_down(&t, 8);
+        compare_variants(&t, CurveKind::Hilbert, 7, compare_bottom_up);
+        compare_variants(&t, CurveKind::ZOrder, 8, compare_top_down);
     }
 }
 
 #[test]
 fn identical_on_a_larger_instance() {
     let t = generators::preferential_attachment(1 << 13, &mut StdRng::seed_from_u64(3));
-    compare_bottom_up(&t, 11);
+    compare_variants(&t, CurveKind::Hilbert, 11, compare_bottom_up);
 }
