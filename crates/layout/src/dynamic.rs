@@ -33,7 +33,7 @@ use crate::quality::local_kernel_energy_with_points;
 use spatial_model::CurveKind;
 use spatial_sfc::{manhattan, Curve, GridPoint};
 use spatial_store::CowSlab;
-use spatial_tree::{NodeId, Tree, NIL};
+use spatial_tree::{ChildrenCsr, NodeId, Tree, NIL};
 
 /// Statistics of a dynamic layout's lifetime.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,20 +51,21 @@ pub struct DynamicStats {
     pub baseline_energy: u64,
 }
 
-/// Retained buffers for the light-first rebuild: child CSR, BFS order,
-/// subtree sizes, the order under construction, and coordinate staging.
-/// Reserved to the curve capacity, so steady-state rebuilds never
-/// allocate.
+/// Retained buffers for the light-first rebuild: the light-first child
+/// CSR and subtree sizes, BFS scratch, the order under construction,
+/// and coordinate staging. Reserved to the curve capacity, so
+/// steady-state rebuilds never allocate.
 #[derive(Debug, Default)]
 struct RebuildScratch {
-    /// CSR child offsets (`n + 1`), also the counting-sort cursor.
-    offsets: Vec<u32>,
-    /// CSR child array (children of `v` in increasing id order).
-    children: Vec<NodeId>,
-    /// BFS order of the current tree.
-    bfs: Vec<NodeId>,
-    /// Subtree sizes (bottom-up over reverse BFS).
+    /// Light-first child lists of the tree (see `current`).
+    csr: ChildrenCsr,
+    /// Subtree sizes of the tree (see `current`).
     sizes: Vec<u32>,
+    /// Whether `csr` and `sizes` describe the current tree: set when
+    /// they are computed, cleared by every append.
+    current: bool,
+    /// BFS scratch of the CSR build.
+    bfs: Vec<NodeId>,
     /// Light-first order under construction.
     order: Vec<NodeId>,
     /// DFS stack.
@@ -77,14 +78,40 @@ struct RebuildScratch {
 
 impl RebuildScratch {
     fn reserve(&mut self, cap: usize) {
-        self.offsets.reserve(cap + 1);
-        self.children.reserve(cap);
+        self.csr.reserve(cap);
         self.bfs.reserve(cap);
         self.sizes.reserve(cap);
         self.order.reserve(cap);
         self.stack.reserve(cap);
         self.slot_points.reserve(cap);
         self.pos.reserve(cap);
+    }
+
+    /// Computes the light-first child CSR and subtree sizes of the tree
+    /// given by `parents` unless they are already current.
+    fn ensure_children(&mut self, parents: &[NodeId], root: NodeId) {
+        if !self.current {
+            self.csr
+                .fill_light_first(parents, root, &mut self.sizes, &mut self.bfs);
+            self.current = true;
+        }
+    }
+
+    /// Computes the light-first order of the tree into `order`: the
+    /// CSR (if not current), then an iterative DFS with the smallest
+    /// child on top of the stack. Allocation-free once reserved.
+    fn light_first_order(&mut self, parents: &[NodeId], root: NodeId) {
+        self.ensure_children(parents, root);
+        let RebuildScratch {
+            csr, order, stack, ..
+        } = self;
+        order.clear();
+        stack.clear();
+        stack.push(root);
+        while let Some(v) = stack.pop() {
+            order.push(v);
+            stack.extend(csr.children(v).iter().rev());
+        }
     }
 }
 
@@ -130,8 +157,10 @@ impl DynamicLayout {
         assert!(rebuild_factor >= 1.0, "rebuild factor must be ≥ 1");
         let n = tree.n() as u64;
         let reserved = (2 * n).max(4);
-        let order = spatial_tree::traversal::light_first_order(tree);
-        let layout = Layout::from_order_with_capacity(curve, order, reserved);
+        let mut scratch = RebuildScratch::default();
+        scratch.reserve(reserved as usize);
+        scratch.light_first_order(tree.parents(), tree.root());
+        let layout = Layout::from_order_with_capacity(curve, scratch.order.clone(), reserved);
         let mut dl = DynamicLayout {
             parents: CowSlab::owned(tree.parents().to_vec()),
             root: tree.root(),
@@ -147,11 +176,10 @@ impl DynamicLayout {
                 grows: 0,
                 baseline_energy: 1,
             },
-            scratch: RebuildScratch::default(),
+            scratch,
         };
         dl.parents.reserve(reserved as usize - n as usize);
         dl.points.reserve(reserved as usize);
-        dl.scratch.reserve(reserved as usize);
         dl.refresh_points_and_energy();
         dl.stats.baseline_energy = dl.energy.max(1);
         dl
@@ -284,6 +312,22 @@ impl DynamicLayout {
         self.stats
     }
 
+    /// The subtree sizes and light-first child lists
+    /// ([`ChildrenCsr::by_size`]) of the current tree, from the
+    /// retained rebuild scratch. A light-first rebuild (threshold,
+    /// forced, or at construction) leaves them there, so after one this
+    /// is a borrow; otherwise the first call after an append computes
+    /// them, once, into the scratch (allocation-free within the
+    /// reserved capacity), and a rebuild before the next append reuses
+    /// them. Valid until the next insertion. The light-first layout,
+    /// the Euler tour, the batched-LCA structure and the treefix
+    /// structure of one tree all derive from this one child order.
+    pub fn light_first_children(&mut self) -> (&[u32], &ChildrenCsr) {
+        let s = &mut self.scratch;
+        s.ensure_children(self.parents.as_slice(), self.root);
+        (&s.sizes, &s.csr)
+    }
+
     /// Kernel energy of the *current* placement (the quality signal) —
     /// O(1): tracked incrementally across appends and rebuilds.
     pub fn current_energy(&self) -> u64 {
@@ -327,6 +371,7 @@ impl DynamicLayout {
         // Promoting here (CoW) is the first structural mutation a
         // mapped-backed layout sees; the copy is reserved to capacity.
         self.parents.make_mut(self.reserved as usize).push(parent);
+        self.scratch.current = false;
         let slot = self.layout.append_tail(v);
         let p = self.layout.curve().point(slot as u64);
         self.points.push(p);
@@ -343,7 +388,8 @@ impl DynamicLayout {
     /// Forces a light-first rebuild now (retained scratch: zero heap
     /// allocation in the steady state).
     pub fn rebuild(&mut self) {
-        self.rebuild_order_into_scratch();
+        self.scratch
+            .light_first_order(self.parents.as_slice(), self.root);
         self.layout.set_order(&self.scratch.order);
         self.refresh_points_and_energy();
         self.stats.rebuilds += 1;
@@ -390,102 +436,12 @@ impl DynamicLayout {
         }
     }
 
-    /// Computes the light-first order of the current tree into
-    /// `scratch.order`: counting-sort CSR children, reverse-BFS subtree
-    /// sizes, per-vertex `sort_unstable` by `(size, id)`, iterative DFS.
-    /// Allocation-free once the scratch is reserved.
-    fn rebuild_order_into_scratch(&mut self) {
-        let parents = self.parents.as_slice();
-        let n = parents.len();
-        let root = self.root;
-        let RebuildScratch {
-            offsets,
-            children,
-            bfs,
-            sizes,
-            order,
-            stack,
-            ..
-        } = &mut self.scratch;
-
-        // CSR children by counting pass (children end up in increasing
-        // id order — the same tie-break as `Tree::children` + the
-        // light-first sort key).
-        offsets.clear();
-        offsets.resize(n + 1, 0);
-        for &p in parents {
-            if p != NIL {
-                offsets[p as usize + 1] += 1;
-            }
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        children.clear();
-        children.resize(n.saturating_sub(1), 0);
-        sizes.clear();
-        sizes.extend_from_slice(&offsets[..n]); // cursor copy
-        for (v, &p) in parents.iter().enumerate() {
-            if p != NIL {
-                let cur = &mut sizes[p as usize];
-                children[*cur as usize] = v as NodeId;
-                *cur += 1;
-            }
-        }
-
-        // BFS order, then subtree sizes bottom-up over its reverse.
-        bfs.clear();
-        bfs.push(root);
-        let mut head = 0usize;
-        while head < bfs.len() {
-            let v = bfs[head];
-            head += 1;
-            let (lo, hi) = (
-                offsets[v as usize] as usize,
-                offsets[v as usize + 1] as usize,
-            );
-            for &c in &children[lo..hi] {
-                bfs.push(c);
-            }
-        }
-        debug_assert_eq!(bfs.len(), n, "parents must form one rooted tree");
-        sizes.clear();
-        sizes.resize(n, 1);
-        for i in (0..n).rev() {
-            let v = bfs[i];
-            let p = parents[v as usize];
-            if p != NIL {
-                sizes[p as usize] += sizes[v as usize];
-            }
-        }
-
-        // Light-first child order inside each CSR segment.
-        for v in 0..n {
-            let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
-            children[lo..hi].sort_unstable_by_key(|&c| (sizes[c as usize], c));
-        }
-
-        // Iterative DFS, smallest child on top of the stack.
-        order.clear();
-        stack.clear();
-        stack.push(root);
-        while let Some(v) = stack.pop() {
-            order.push(v);
-            let (lo, hi) = (
-                offsets[v as usize] as usize,
-                offsets[v as usize + 1] as usize,
-            );
-            for &c in children[lo..hi].iter().rev() {
-                stack.push(c);
-            }
-        }
-    }
-
     /// Kernel energy a fresh light-first layout would have on the
     /// current curve, without adopting it (the baseline re-anchor after
     /// a capacity growth).
     fn fresh_light_first_energy(&mut self) -> u64 {
-        self.rebuild_order_into_scratch();
+        self.scratch
+            .light_first_order(self.parents.as_slice(), self.root);
         let n = self.parents.len();
         let s = &mut self.scratch;
         s.slot_points.clear();
@@ -659,6 +615,38 @@ mod tests {
             loose < tight,
             "factor 8 should rebuild less than factor 2: {loose} vs {tight}"
         );
+    }
+
+    #[test]
+    fn light_first_children_describe_the_current_tree() {
+        // After construction, after appends (computed on demand), and
+        // after a rebuild that reuses them: always the fresh lists.
+        let check = |dl: &mut DynamicLayout, what: &str| {
+            let tree = dl.tree();
+            let (sizes, csr) = dl.light_first_children();
+            assert_eq!(sizes, &tree.subtree_sizes()[..], "{what}");
+            assert_eq!(csr, &ChildrenCsr::by_size(&tree, sizes), "{what}");
+        };
+        let t = seed_tree(120);
+        let mut dl = DynamicLayout::new(&t, CurveKind::Hilbert, f64::INFINITY);
+        check(&mut dl, "construction");
+        let mut rng = StdRng::seed_from_u64(6);
+        for round in 0..4 {
+            for _ in 0..50 {
+                let p = rng.gen_range(0..dl.n());
+                dl.insert_leaf(p);
+            }
+            check(&mut dl, "after appends");
+            dl.rebuild();
+            check(&mut dl, "after rebuild");
+            let tree = dl.tree();
+            assert_eq!(
+                dl.layout().order(),
+                &spatial_tree::traversal::light_first_order(&tree)[..],
+                "round {round}"
+            );
+        }
+        assert!(dl.stats().grows >= 1, "the stream should cross a growth");
     }
 
     #[test]

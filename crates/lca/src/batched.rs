@@ -2,13 +2,18 @@
 //! reusable flat-array engine.
 //!
 //! [`LcaEngine`] separates the rng-independent structure of the
-//! algorithm — subtree sizes, light-first child CSR, the TRANSFORM
-//! relay schedule, the heavy-path decomposition, and the layer-indexed
-//! CSR [`SubtreeCover`] — from the per-run work. [`LcaEngine::new`]
-//! (or [`LcaEngine::bind`], which reuses the retained buffers of an
-//! existing engine) computes the structure once per tree;
-//! [`LcaEngine::run`] then answers any number of query batches,
-//! charging exactly the costs of §VI-C:
+//! algorithm — the TRANSFORM relay schedule, the heavy-path
+//! decomposition, and the layer-indexed CSR [`SubtreeCover`] — from
+//! the per-run work. All three are read off one input: the tree's
+//! subtree sizes and light-first child CSR (the heavy child is the last
+//! entry of each list; heads, layers and cover ranges follow the
+//! layout's slot order). [`LcaEngine::with_parts`] and
+//! [`LcaEngine::bind_parts`] take that input from the caller — the
+//! session forest builds it once per insert epoch, in the layout
+//! rebuild, and shares it with the Euler tour and the subtree-sum
+//! treefix — while [`LcaEngine::new`] and [`LcaEngine::bind`] compute
+//! it from the tree first. [`LcaEngine::run`] then answers any number
+//! of query batches, charging exactly the costs of §VI-C:
 //!
 //! 1. one bottom-up treefix (subtree sizes → ranges; Theorem 6 step 1),
 //! 2. the virtual-tree construction + two range/heavy-child broadcasts
@@ -30,8 +35,10 @@
 //! flat arrays at bind — so the session layer's pool can hold one
 //! engine across tree mutations. Both treefix passes run on one
 //! retained [`ContractionEngine`] whose tree structure is bound with
-//! the rest of the engine's ([`LcaEngine::new`] / [`LcaEngine::bind`]);
-//! each pass only loads its values. So [`LcaEngine::run_into`]
+//! the rest of the engine's; each pass only loads its values, and a
+//! caller's subtree-sum treefix over the same tree loads it too
+//! ([`LcaEngine::treefix_mut`]) instead of binding a second copy of
+//! that structure. So [`LcaEngine::run_into`]
 //! performs **zero heap allocation** (the answers land in a
 //! caller-retained buffer). The seed implementation is retained as
 //! [`crate::reference::batched_lca_reference`]; the differential suite
@@ -95,31 +102,37 @@ struct Structure {
 }
 
 impl Structure {
-    fn build(layout: &Layout, tree: &Tree) -> Self {
+    /// The per-tree structure from the tree's subtree sizes and
+    /// light-first child CSR: the relay tree, the heavy-path
+    /// decomposition and the cover are all read off `csr`, the last two
+    /// walking the layout's slot order.
+    fn build(layout: &Layout, tree: &Tree, sizes: Vec<u32>, csr: ChildrenCsr) -> Self {
         let n = tree.n();
         assert_eq!(layout.n(), n, "layout size mismatch");
+        assert_eq!(sizes.len(), n as usize, "one subtree size per vertex");
+        assert_eq!(csr.n(), n, "children CSR size mismatch");
         debug_assert_eq!(
             spatial_tree::traversal::verify_light_first(tree, layout.order()),
             Ok(()),
             "batched LCA requires a light-first layout"
         );
-        let sizes = tree.subtree_sizes();
-        let csr = ChildrenCsr::by_size(tree, &sizes);
-        let vt = VirtualTree::with_sizes(tree, &sizes);
+        debug_assert!(
+            sizes == tree.subtree_sizes() && csr == ChildrenCsr::by_size(tree, &sizes),
+            "sizes and CSR must be the tree's subtree sizes and light-first child lists"
+        );
+        let vt = VirtualTree::with_csr(&csr, tree.root());
         let schedule = BroadcastSchedule::new(&vt, layout, tree);
-        let decomposition = HeavyPathDecomposition::with_sizes(tree, &sizes);
-        let indicator: Vec<Add> = (0..n)
-            .map(|v| match tree.parent(v) {
-                // Heavy child: continues the parent's path.
-                Some(p) if decomposition.heavy_child[p as usize] == v => Add(0),
-                None => Add(0), // root
-                _ => Add(1),    // light edge: starts a new path
-            })
+        let decomposition = HeavyPathDecomposition::from_csr(&csr, layout.order());
+        let parents = tree.parents();
+        // Light-edge indicator: every head but the root starts a new
+        // path (heavy children continue their parent's).
+        let indicator: Vec<Add> = (0..n as usize)
+            .map(|v| Add((decomposition.head[v] == v as NodeId && parents[v] != NIL) as u64))
             .collect();
         let cover = SubtreeCover::new(tree, layout, &decomposition, &sizes);
         Structure {
             n,
-            parents: tree.parents().to_vec(),
+            parents: parents.to_vec(),
             slots: (0..n).map(|v| layout.slot(v)).collect(),
             sizes,
             csr,
@@ -131,6 +144,15 @@ impl Structure {
             indicator,
         }
     }
+}
+
+/// A tree's subtree sizes and light-first child CSR: what
+/// [`LcaEngine::new`] and [`LcaEngine::bind`] compute before building
+/// as their `_parts` forms.
+fn sizes_and_csr(tree: &Tree) -> (Vec<u32>, ChildrenCsr) {
+    let sizes = tree.subtree_sizes();
+    let csr = ChildrenCsr::by_size(tree, &sizes);
+    (sizes, csr)
 }
 
 /// The reusable batched-LCA engine: structure once per tree, any
@@ -154,9 +176,23 @@ pub struct LcaEngine {
 impl LcaEngine {
     /// Precomputes the engine's structure for one tree + layout pair.
     /// The tree must be stored in an energy-bound light-first layout
-    /// (cover subtrees must be contiguous slot ranges).
+    /// (cover subtrees must be contiguous slot ranges). Computes the
+    /// subtree sizes and light-first child CSR, then builds as
+    /// [`LcaEngine::with_parts`].
     pub fn new(layout: &Layout, tree: &Tree) -> Self {
-        let structure = Structure::build(layout, tree);
+        let (sizes, csr) = sizes_and_csr(tree);
+        Self::from_structure(Structure::build(layout, tree, sizes, csr))
+    }
+
+    /// [`LcaEngine::new`] from the tree's subtree sizes and light-first
+    /// child CSR, which a caller that keeps them per tree (the session
+    /// forest, once per insert epoch) passes in instead of having them
+    /// recomputed.
+    pub fn with_parts(layout: &Layout, tree: &Tree, sizes: &[u32], csr: &ChildrenCsr) -> Self {
+        Self::from_structure(Structure::build(layout, tree, sizes.to_vec(), csr.clone()))
+    }
+
+    fn from_structure(structure: Structure) -> Self {
         let n = structure.n as usize;
         let num_layers = structure.cover.num_layers() as usize;
         // Staging must hold the schedule's widest charged round, which
@@ -178,15 +214,37 @@ impl LcaEngine {
     /// treefix engine's included) while keeping the retained treefix
     /// engine and scratch — the pool path after a tree mutation. Runs
     /// stay allocation-free; rebinding itself allocates the new
-    /// structure.
+    /// structure. Computes the subtree sizes and light-first child CSR,
+    /// then binds as [`LcaEngine::bind_parts`].
     pub fn bind(&mut self, layout: &Layout, tree: &Tree) {
-        self.structure = Structure::build(layout, tree);
+        let (sizes, csr) = sizes_and_csr(tree);
+        self.bind_structure(Structure::build(layout, tree, sizes, csr));
+    }
+
+    /// [`LcaEngine::bind`] from the tree's subtree sizes and light-first
+    /// child CSR (see [`LcaEngine::with_parts`]).
+    pub fn bind_parts(&mut self, layout: &Layout, tree: &Tree, sizes: &[u32], csr: &ChildrenCsr) {
+        self.bind_structure(Structure::build(layout, tree, sizes.to_vec(), csr.clone()));
+    }
+
+    fn bind_structure(&mut self, structure: Structure) {
+        self.structure = structure;
         let n = self.structure.n as usize;
         let s = &self.structure;
         self.treefix.reserve(n);
         self.treefix.bind_structure(&s.parents, &s.slots, &s.csr);
         self.charge_scratch
             .reserve(n.max(s.schedule.max_round_len()));
+    }
+
+    /// The contraction engine of steps 1 and 3, its structure bound to
+    /// this engine's tree: the parents, slots and light-first CSR a
+    /// subtree-sum treefix over the same tree binds. A caller runs
+    /// further passes on it by `load`ing its own values —
+    /// [`LcaEngine::run_into`] reloads it for each of its passes, so
+    /// such runs charge exactly as on a freshly bound engine.
+    pub fn treefix_mut(&mut self) -> &mut ContractionEngine<Add> {
+        &mut self.treefix
     }
 
     /// The subtree cover the engine routes queries through.

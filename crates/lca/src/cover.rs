@@ -63,21 +63,23 @@ pub struct SubtreeCover {
 
 impl SubtreeCover {
     /// Builds the cover from a decomposition, a light-first layout, and
-    /// subtree sizes.
+    /// subtree sizes, visiting the heads in slot order: one counting
+    /// sort by layer places each head at its layer's cursor, so every
+    /// layer comes out sorted by range start — no per-layer buffer and
+    /// no sort.
     pub fn new(
         tree: &Tree,
         layout: &Layout,
         decomposition: &HeavyPathDecomposition,
         sizes: &[u32],
     ) -> Self {
+        let (order, parents) = (layout.order(), tree.parents());
+        let (head, layer) = (&decomposition.head, &decomposition.layer);
         let num_layers = decomposition.num_layers() as usize;
-        // Count heads per layer, then place each head at its layer's
-        // cursor — a counting sort by layer. Within a layer, heads are
-        // then ordered by range start (their head's slot).
         let mut layer_offsets = vec![0u32; num_layers + 1];
-        for v in tree.vertices() {
-            if decomposition.head[v as usize] == v {
-                layer_offsets[decomposition.layer[v as usize] as usize + 1] += 1;
+        for &v in order {
+            if head[v as usize] == v {
+                layer_offsets[layer[v as usize] as usize + 1] += 1;
             }
         }
         for i in 0..num_layers {
@@ -86,44 +88,25 @@ impl SubtreeCover {
         let total = layer_offsets[num_layers] as usize;
 
         let mut roots = vec![NIL; total];
+        let mut head_parents = vec![NIL; total];
         let mut los = vec![0u32; total];
+        let mut his = vec![0u32; total];
         let mut cursor: Vec<u32> = layer_offsets[..num_layers].to_vec();
-        for v in tree.vertices() {
-            if decomposition.head[v as usize] == v {
-                let li = decomposition.layer[v as usize] as usize;
+        for (slot, &v) in order.iter().enumerate() {
+            if head[v as usize] == v {
+                let li = layer[v as usize] as usize;
                 let at = cursor[li] as usize;
                 cursor[li] += 1;
                 roots[at] = v;
-                los[at] = layout.slot(v);
+                head_parents[at] = parents[v as usize];
+                los[at] = slot as u32;
+                his[at] = slot as u32 + sizes[v as usize];
             }
         }
-        // Sort each layer by range start so queries can binary-search.
-        for i in 0..num_layers {
-            let (s, e) = (layer_offsets[i] as usize, layer_offsets[i + 1] as usize);
-            let mut keyed: Vec<(u32, NodeId)> = los[s..e]
-                .iter()
-                .copied()
-                .zip(roots[s..e].iter().copied())
-                .collect();
-            keyed.sort_unstable();
-            for (k, &(lo, root)) in keyed.iter().enumerate() {
-                los[s + k] = lo;
-                roots[s + k] = root;
-            }
-        }
-        let parents: Vec<NodeId> = roots
-            .iter()
-            .map(|&r| tree.parent(r).unwrap_or(NIL))
-            .collect();
-        let his: Vec<u32> = roots
-            .iter()
-            .zip(los.iter())
-            .map(|(&r, &lo)| lo + sizes[r as usize])
-            .collect();
 
         SubtreeCover {
             roots,
-            parents,
+            parents: head_parents,
             los,
             his,
             layer_offsets,

@@ -25,9 +25,10 @@
 //!
 //! The implementation is a reusable flat-array engine
 //! ([`batched::LcaEngine`]): the rng-independent structure — the
-//! layer-indexed CSR [`SubtreeCover`], the light-first child CSR shared
-//! by both treefix runs, and the precomputed virtual-tree relay
-//! schedule — is built once per tree; each [`batched::LcaEngine::run`]
+//! layer-indexed CSR [`SubtreeCover`], the heavy-path decomposition, and
+//! the precomputed virtual-tree relay schedule — is read off the tree's
+//! light-first child CSR (which a caller holding it passes in, see
+//! [`batched::LcaEngine::bind_parts`]) once per tree; each [`batched::LcaEngine::run`]
 //! then charges the four §VI-C steps and resolves queries by walking
 //! their `O(log n)`-long head chains. The seed implementation is
 //! retained in [`reference`] and pinned by the differential suite

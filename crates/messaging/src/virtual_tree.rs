@@ -15,7 +15,7 @@
 
 use spatial_layout::Layout;
 use spatial_model::{Machine, Slot};
-use spatial_tree::{traversal, NodeId, Tree, NIL};
+use spatial_tree::{ChildrenCsr, NodeId, Tree, NIL};
 
 /// The virtual (TRANSFORM-ed) tree `T̂` with relay metadata.
 #[derive(Debug, Clone)]
@@ -47,8 +47,13 @@ impl VirtualTree {
 
     /// Builds the virtual tree from precomputed subtree sizes.
     pub fn with_sizes(tree: &Tree, sizes: &[u32]) -> Self {
-        let n = tree.n() as usize;
-        let sorted = traversal::children_by_size(tree, sizes);
+        Self::with_csr(&ChildrenCsr::by_size(tree, sizes), tree.root())
+    }
+
+    /// Builds the virtual tree from light-first child lists (the CSR
+    /// an insert epoch already holds for its layout), rooted at `root`.
+    pub fn with_csr(sorted: &ChildrenCsr, root: NodeId) -> Self {
+        let n = sorted.n() as usize;
         let mut vt = VirtualTree {
             relay_parent: vec![NIL; n],
             relay_round: vec![0; n],
@@ -58,16 +63,16 @@ impl VirtualTree {
         };
 
         // Worklist of (vertex, owner of its appended range, lo, hi):
-        // A(vertex) = sorted[owner][lo..hi].
-        let mut queue: std::collections::VecDeque<(NodeId, NodeId, u32, u32)> =
-            std::collections::VecDeque::new();
-        queue.push_back((tree.root(), NIL, 0, 0));
+        // A(vertex) = sorted.children(owner)[lo..hi]. A vertex's relay
+        // round is set before it is queued, so any visiting order
+        // yields the same tree.
+        let mut work: Vec<(NodeId, NodeId, u32, u32)> = vec![(root, NIL, 0, 0)];
 
-        while let Some((v, owner, lo, hi)) = queue.pop_front() {
+        while let Some((v, owner, lo, hi)) = work.pop() {
             let vi = v as usize;
             // Split v's own children (C(v)): heads receive sibling
             // sub-ranges owned by v.
-            let cs = &sorted[vi];
+            let cs = sorted.children(v);
             let d = cs.len() as u32;
             if d >= 1 {
                 let half = d / 2;
@@ -81,16 +86,16 @@ impl VirtualTree {
                     vt.c_heads[vi][1] = h2;
                     vt.relay_parent[h2 as usize] = v;
                     vt.relay_round[h2 as usize] = 1;
-                    queue.push_back((h1, v, 1, half));
-                    queue.push_back((h2, v, half + 1, d));
+                    work.push((h1, v, 1, half));
+                    work.push((h2, v, half + 1, d));
                 } else {
-                    queue.push_back((h1, v, 1, 1));
+                    work.push((h1, v, 1, 1));
                 }
             }
             // Split v's appended range (A(v)): heads are v's siblings.
             let alen = hi.saturating_sub(lo);
             if alen >= 1 {
-                let list = &sorted[owner as usize];
+                let list = sorted.children(owner);
                 let ahalf = alen / 2;
                 let g1 = list[lo as usize];
                 vt.a_heads[vi][0] = g1;
@@ -102,10 +107,10 @@ impl VirtualTree {
                     vt.a_heads[vi][1] = g2;
                     vt.relay_parent[g2 as usize] = v;
                     vt.relay_round[g2 as usize] = vt.relay_round[vi] + 1;
-                    queue.push_back((g1, owner, lo + 1, lo + ahalf));
-                    queue.push_back((g2, owner, lo + ahalf + 1, hi));
+                    work.push((g1, owner, lo + 1, lo + ahalf));
+                    work.push((g2, owner, lo + ahalf + 1, hi));
                 } else {
-                    queue.push_back((g1, owner, lo + 1, lo + 1));
+                    work.push((g1, owner, lo + 1, lo + 1));
                 }
             }
         }

@@ -210,7 +210,6 @@ impl SpatialForest {
     ) -> Self {
         let n = dynamic.n() as usize;
         assert_eq!(weights.len(), n, "one weight per vertex");
-        let tree = dynamic.tree();
         let mut forest = SpatialForest {
             opts,
             dynamic,
@@ -222,7 +221,7 @@ impl SpatialForest {
             parents: Vec::with_capacity(n),
             slots: Vec::with_capacity(n),
             csr_sizes: Vec::with_capacity(n),
-            csr: ChildrenCsr::by_size(&tree, &tree.subtree_sizes()),
+            csr: ChildrenCsr::default(),
             tour_next: Vec::with_capacity(2 * n),
             tour_start: END,
             machine: Machine::on_curve(opts.curve, 1),
@@ -649,8 +648,13 @@ impl SpatialForest {
         let cap = self.dynamic.reserved().max(self.n() as u64) as usize;
         self.pool.reserve_treefix(cap);
         if !self.layout_dirty {
-            self.pool
-                .lca_for(self.epoch, self.dynamic.layout(), &self.tree);
+            self.pool.lca_for(
+                self.epoch,
+                self.dynamic.layout(),
+                &self.tree,
+                &self.csr_sizes,
+                &self.csr,
+            );
         }
         self.pool
             .ranking_for(self.epoch, &self.tour_next, self.tour_start);
@@ -831,12 +835,17 @@ impl SpatialForest {
         let n = self.tree.n();
         self.parents.clear();
         self.parents.extend_from_slice(self.tree.parents());
+        // The light-first child lists the layout rebuild left behind
+        // (computed here once if tail appends followed it) — the one
+        // child order the Euler tour, the treefix and the LCA structure
+        // share this epoch.
+        let (sizes, csr) = self.dynamic.light_first_children();
+        self.csr_sizes.clear();
+        self.csr_sizes.extend_from_slice(sizes);
+        self.csr.clone_from(csr);
         let layout = self.dynamic.layout();
         self.slots.clear();
         self.slots.extend((0..n).map(|v| layout.slot(v)));
-        self.csr_sizes.clear();
-        self.csr_sizes.extend_from_slice(&self.tree.subtree_sizes());
-        self.csr = ChildrenCsr::by_size(&self.tree, &self.csr_sizes);
         if n == 1 {
             self.tour_next.clear();
             self.tour_next.extend_from_slice(&[END, END]);
@@ -867,9 +876,13 @@ impl SpatialForest {
         self.session.sessions += 1;
 
         if !self.lca_q.is_empty() {
-            let engine = self
-                .pool
-                .lca_for(self.epoch, self.dynamic.layout(), &self.tree);
+            let engine = self.pool.lca_for(
+                self.epoch,
+                self.dynamic.layout(),
+                &self.tree,
+                &self.csr_sizes,
+                &self.csr,
+            );
             engine.run_into(&self.machine, &self.lca_q, &mut self.lca_answers, rng);
             for (&idx, &w) in self.lca_idx.iter().zip(self.lca_answers.iter()) {
                 self.responses[idx as usize] = Response::Lca(w);

@@ -28,6 +28,19 @@ pub struct PoolStats {
     pub rebinds: u32,
     /// Capacity growths across all engines.
     pub grows: u32,
+    /// Subtree-sum runs served by the LCA engine's contraction engine,
+    /// bound to the same epoch's tree, instead of the pool's own.
+    pub treefix_shared: u32,
+}
+
+/// Grows `engine` to the next power of two at or above `n` when `n`
+/// exceeds its capacity, counting the growth: the one growth policy of
+/// the pool's rebindable engines.
+fn grow_for(engine: &mut impl EngineLifecycle, n: usize, stats: &mut PoolStats) {
+    if n > engine.capacity() {
+        engine.reserve(n.next_power_of_two());
+        stats.grows += 1;
+    }
 }
 
 /// The forest's engine pool. Every engine is optional until first use;
@@ -43,9 +56,11 @@ pub struct EnginePool {
     /// §VI-C batched LCA.
     lca: Option<LcaEngine>,
     lca_epoch: u64,
-    /// §V treefix contraction (subtree sums): the tree structure is
-    /// bound once per epoch ([`EnginePool::treefix_for`]); each session
-    /// only loads the weights.
+    /// §V treefix contraction (subtree sums) for epochs the LCA engine
+    /// is not bound to: layouts left dirty by tail appends, and forests
+    /// that have answered no LCA query this epoch. The tree structure
+    /// is bound once per such epoch ([`EnginePool::treefix_for`]); each
+    /// session only loads the weights.
     treefix: ContractionEngine<Add>,
     treefix_epoch: u64,
     /// Theorem 5 list ranking over the light-first Euler tour darts.
@@ -109,15 +124,15 @@ impl EnginePool {
     /// Grows the treefix engine for a tree of `n` vertices, counting
     /// the growth. (The other engines grow inside their rebinds.)
     pub(crate) fn reserve_treefix(&mut self, n: usize) {
-        if n > self.treefix.capacity() {
-            self.treefix.reserve(n.next_power_of_two());
-            self.stats.grows += 1;
-        }
+        grow_for(&mut self.treefix, n, &mut self.stats);
     }
 
-    /// The treefix engine with `epoch`'s tree structure bound: an
-    /// epoch miss grows it for the tree and rebinds the structure from
-    /// the forest's cached parent, slot and light-first CSR arrays.
+    /// A treefix engine with `epoch`'s tree structure bound. When the
+    /// LCA engine is bound to `epoch`, its contraction engine already
+    /// holds that structure — the same parents, slots and light-first
+    /// CSR — and serves the run. Otherwise the pool's own engine does:
+    /// an epoch miss grows it for the tree and rebinds the structure
+    /// from the forest's cached parent, slot and CSR arrays.
     pub(crate) fn treefix_for(
         &mut self,
         epoch: u64,
@@ -125,8 +140,14 @@ impl EnginePool {
         slots: &[Slot],
         csr: &ChildrenCsr,
     ) -> &mut ContractionEngine<Add> {
+        if self.lca_epoch == epoch {
+            if let Some(lca) = self.lca.as_mut() {
+                self.stats.treefix_shared += 1;
+                return lca.treefix_mut();
+            }
+        }
         if self.treefix_epoch != epoch {
-            self.reserve_treefix(parents.len());
+            grow_for(&mut self.treefix, parents.len(), &mut self.stats);
             self.treefix.bind_structure(parents, slots, csr);
             if self.treefix_epoch != u64::MAX {
                 self.stats.rebinds += 1;
@@ -136,18 +157,25 @@ impl EnginePool {
         &mut self.treefix
     }
 
-    /// The LCA engine, built or rebound for `epoch`.
-    pub(crate) fn lca_for(&mut self, epoch: u64, layout: &Layout, tree: &Tree) -> &mut LcaEngine {
+    /// The LCA engine, built or rebound for `epoch` from the epoch's
+    /// subtree sizes and light-first child CSR; an epoch miss that
+    /// outgrows it grows it to the next power of two.
+    pub(crate) fn lca_for(
+        &mut self,
+        epoch: u64,
+        layout: &Layout,
+        tree: &Tree,
+        sizes: &[u32],
+        csr: &ChildrenCsr,
+    ) -> &mut LcaEngine {
         match &mut self.lca {
             None => {
-                self.lca = Some(LcaEngine::new(layout, tree));
+                self.lca = Some(LcaEngine::with_parts(layout, tree, sizes, csr));
                 self.stats.builds += 1;
             }
             Some(engine) if self.lca_epoch != epoch => {
-                if (tree.n() as usize) > engine.capacity() {
-                    self.stats.grows += 1;
-                }
-                engine.bind(layout, tree);
+                grow_for(engine, tree.n() as usize, &mut self.stats);
+                engine.bind_parts(layout, tree, sizes, csr);
                 self.stats.rebinds += 1;
             }
             Some(_) => {}
@@ -170,10 +198,7 @@ impl EnginePool {
                 self.stats.builds += 1;
             }
             Some(engine) if self.ranking_epoch != epoch => {
-                if tour_next.len() > engine.capacity() {
-                    engine.reserve(tour_next.len().next_power_of_two());
-                    self.stats.grows += 1;
-                }
+                grow_for(engine, tour_next.len(), &mut self.stats);
                 engine.bind(tour_next, tour_start);
                 self.stats.rebinds += 1;
             }

@@ -7,10 +7,15 @@
 //! halves, so the decomposition has `O(log n)` layers — the key to the
 //! LCA algorithm's subtree cover.
 //!
-//! This module is the host-side (sequential) construction used for
-//! verification; the spatial construction via top-down treefix sums
-//! lives in the `spatial-lca` crate.
+//! [`HeavyPathDecomposition::from_csr`] reads the decomposition off
+//! the light-first child lists in one top-down pass: it is the
+//! construction the batched-LCA engine runs on every bind, from the
+//! child CSR an insert epoch already built for its layout. The engine
+//! also *charges* the spatial construction (top-down treefix sums over
+//! the light-edge indicator, in the `spatial-lca` crate) and checks it
+//! against this one under debug assertions.
 
+use crate::traversal::{bfs_order, ChildrenCsr};
 use crate::tree::{NodeId, Tree, NIL};
 
 /// A heavy path decomposition: a partition of the vertices into paths,
@@ -39,40 +44,38 @@ impl HeavyPathDecomposition {
 
     /// Builds the decomposition from precomputed subtree sizes.
     pub fn with_sizes(tree: &Tree, sizes: &[u32]) -> Self {
-        let n = tree.n() as usize;
-        let mut heavy_child = vec![NIL; n];
-        for v in tree.vertices() {
-            let mut best: Option<NodeId> = None;
-            for &c in tree.children(v) {
-                best = match best {
-                    None => Some(c),
-                    // Ties by larger id: the rightmost among equals in
-                    // light-first order (sort is by (size, id)).
-                    Some(b) if (sizes[c as usize], c) > (sizes[b as usize], b) => Some(c),
-                    other => other,
-                };
-            }
-            if let Some(b) = best {
-                heavy_child[v as usize] = b;
-            }
-        }
+        Self::from_csr(&ChildrenCsr::by_size(tree, sizes), &bfs_order(tree))
+    }
 
-        let mut head = vec![0 as NodeId; n];
+    /// Builds the decomposition from light-first child lists: the heavy
+    /// child of a vertex is the last entry of its list (the rightmost
+    /// child in light-first order), and heads and layers are assigned
+    /// parent before child along `top_down` — the root first, then
+    /// every vertex after its parent, e.g. a light-first layout's slot
+    /// order.
+    ///
+    /// # Panics
+    /// Panics when `top_down` does not list every vertex once, parents
+    /// first.
+    pub fn from_csr(sorted: &ChildrenCsr, top_down: &[NodeId]) -> Self {
+        let n = sorted.n() as usize;
+        assert_eq!(top_down.len(), n, "top-down order must list every vertex");
+        let mut heavy_child = vec![NIL; n];
+        let mut head = vec![NIL; n];
         let mut layer = vec![0u32; n];
-        for &v in crate::traversal::bfs_order(tree).iter() {
-            match tree.parent(v) {
-                None => {
-                    head[v as usize] = v;
-                    layer[v as usize] = 0;
-                }
-                Some(p) => {
-                    if heavy_child[p as usize] == v {
-                        head[v as usize] = head[p as usize];
-                        layer[v as usize] = layer[p as usize];
-                    } else {
-                        head[v as usize] = v;
-                        layer[v as usize] = layer[p as usize] + 1;
-                    }
+        if let Some(&root) = top_down.first() {
+            head[root as usize] = root;
+        }
+        for &v in top_down {
+            let (h, l) = (head[v as usize], layer[v as usize]);
+            assert_ne!(h, NIL, "vertex {v} listed before its parent");
+            if let Some((&heavy, light)) = sorted.children(v).split_last() {
+                heavy_child[v as usize] = heavy;
+                head[heavy as usize] = h;
+                layer[heavy as usize] = l;
+                for &c in light {
+                    head[c as usize] = c;
+                    layer[c as usize] = l + 1;
                 }
             }
         }

@@ -13,7 +13,7 @@
 //! parallelism" demonstration and recursively splits the output slice
 //! between children, so it is safe without any atomics.
 
-use crate::tree::{NodeId, Tree};
+use crate::tree::{NodeId, Tree, NIL};
 use rayon::prelude::*;
 
 /// Breadth-first order starting at the root, children in construction
@@ -62,10 +62,36 @@ pub fn children_by_size(tree: &Tree, sizes: &[u32]) -> Vec<Vec<NodeId>> {
 /// `children[offsets[v] .. offsets[v + 1]]`. This is the arena
 /// representation the contraction engine and the Euler tours consume —
 /// one allocation, cache-contiguous, cheap to iterate.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct ChildrenCsr {
     offsets: Vec<u32>,
     children: Vec<NodeId>,
+}
+
+impl Clone for ChildrenCsr {
+    fn clone(&self) -> Self {
+        ChildrenCsr {
+            offsets: self.offsets.clone(),
+            children: self.children.clone(),
+        }
+    }
+
+    /// Copies into the retained buffers (no allocation within their
+    /// capacity).
+    fn clone_from(&mut self, source: &Self) {
+        self.offsets.clone_from(&source.offsets);
+        self.children.clone_from(&source.children);
+    }
+}
+
+/// The empty (zero-vertex) lists, to fill later in place.
+impl Default for ChildrenCsr {
+    fn default() -> Self {
+        ChildrenCsr {
+            offsets: vec![0],
+            children: Vec::new(),
+        }
+    }
 }
 
 impl ChildrenCsr {
@@ -73,19 +99,92 @@ impl ChildrenCsr {
     /// order-defining key order: increasing `(sizes[c], c)` —
     /// light-first child order.
     pub fn by_size(tree: &Tree, sizes: &[u32]) -> Self {
-        let n = tree.n() as usize;
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut children = Vec::with_capacity(n.saturating_sub(1));
-        let mut buf: Vec<NodeId> = Vec::new();
-        for v in tree.vertices() {
-            offsets.push(children.len() as u32);
-            buf.clear();
-            buf.extend_from_slice(tree.children(v));
-            buf.sort_by_key(|&c| (sizes[c as usize], c));
-            children.extend_from_slice(&buf);
+        let mut csr = ChildrenCsr::default();
+        csr.place_children(tree.parents(), &mut Vec::new());
+        csr.sort_lists_by_size(sizes);
+        csr
+    }
+
+    /// Refills the lists in place with the light-first child order of
+    /// the tree given by `parents` (`NIL` at `root` only) — the lists
+    /// [`ChildrenCsr::by_size`] builds — and writes its subtree sizes
+    /// into `sizes`, accumulated bottom-up over a BFS (`bfs` is
+    /// scratch). No heap allocation once every buffer holds
+    /// `parents.len()` entries ([`ChildrenCsr::reserve`]).
+    pub fn fill_light_first(
+        &mut self,
+        parents: &[NodeId],
+        root: NodeId,
+        sizes: &mut Vec<u32>,
+        bfs: &mut Vec<NodeId>,
+    ) {
+        let n = parents.len();
+        self.place_children(parents, sizes);
+        bfs.clear();
+        bfs.push(root);
+        let mut head = 0usize;
+        while head < bfs.len() {
+            let v = bfs[head];
+            head += 1;
+            bfs.extend_from_slice(self.children(v));
         }
-        offsets.push(children.len() as u32);
-        ChildrenCsr { offsets, children }
+        debug_assert_eq!(bfs.len(), n, "parents must form one rooted tree");
+        sizes.clear();
+        sizes.resize(n, 1);
+        for &v in bfs.iter().rev() {
+            let p = parents[v as usize];
+            if p != NIL {
+                sizes[p as usize] += sizes[v as usize];
+            }
+        }
+        self.sort_lists_by_size(sizes);
+    }
+
+    /// Counting sort of the vertices of `parents` into their parents'
+    /// lists, each in increasing id order (`cursor` is scratch).
+    fn place_children(&mut self, parents: &[NodeId], cursor: &mut Vec<u32>) {
+        let n = parents.len();
+        let ChildrenCsr { offsets, children } = self;
+        offsets.clear();
+        offsets.resize(n + 1, 0);
+        for &p in parents {
+            if p != NIL {
+                offsets[p as usize + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        children.clear();
+        children.resize(n.saturating_sub(1), 0);
+        cursor.clear();
+        cursor.extend_from_slice(&offsets[..n]);
+        for (v, &p) in parents.iter().enumerate() {
+            if p != NIL {
+                let at = &mut cursor[p as usize];
+                children[*at as usize] = v as NodeId;
+                *at += 1;
+            }
+        }
+    }
+
+    /// Sorts every list by `(sizes[c], c)`.
+    fn sort_lists_by_size(&mut self, sizes: &[u32]) {
+        for w in self.offsets.windows(2) {
+            let list = &mut self.children[w[0] as usize..w[1] as usize];
+            if list.len() > 1 {
+                list.sort_unstable_by_key(|&c| (sizes[c as usize], c));
+            }
+        }
+    }
+
+    /// Reserves room for `n` vertices, so [`ChildrenCsr::fill_light_first`]
+    /// and [`Clone::clone_from`] up to that size do not allocate.
+    pub fn reserve(&mut self, n: usize) {
+        self.offsets
+            .reserve((n + 1).saturating_sub(self.offsets.len()));
+        self.children
+            .reserve(n.saturating_sub(1 + self.children.len()));
     }
 
     /// Builds the CSR lists in tree construction (natural) order.
@@ -437,6 +536,23 @@ mod tests {
             let natural = ChildrenCsr::natural(&t);
             for v in t.vertices() {
                 assert_eq!(natural.children(v), t.children(v));
+            }
+        }
+    }
+
+    #[test]
+    fn fill_light_first_matches_by_size() {
+        // One retained CSR refilled across families and shrinking and
+        // growing sizes: the lists and sizes of a fresh build each time.
+        let mut rng = StdRng::seed_from_u64(22);
+        let (mut csr, mut sizes, mut bfs) = (ChildrenCsr::default(), Vec::new(), Vec::new());
+        assert_eq!(csr.n(), 0);
+        for n in [1u32, 2, 300, 7, 1000] {
+            for fam in generators::TreeFamily::ALL {
+                let t = fam.generate(n, &mut rng);
+                csr.fill_light_first(t.parents(), t.root(), &mut sizes, &mut bfs);
+                assert_eq!(sizes, t.subtree_sizes(), "{fam} n={n}");
+                assert_eq!(csr, ChildrenCsr::by_size(&t, &sizes), "{fam} n={n}");
             }
         }
     }
