@@ -152,7 +152,7 @@ fn bench_zorder_order10(c: &mut Criterion) {
 
 fn bench_batch_throughput(c: &mut Criterion) {
     // point_range_batch against a scalar loop: the batch path hoists
-    // the bounds check and goes parallel above the threshold.
+    // the bounds check out of the SWAR walk.
     let mut group = c.benchmark_group("point_range_batch_2^20");
     group.sample_size(10);
     for kind in [CurveKind::Hilbert, CurveKind::ZOrder] {

@@ -11,11 +11,8 @@ fn bench_layout_build(c: &mut Criterion) {
     let tree = workload(TreeFamily::UniformRandom, 1 << 16, 7);
     let mut group = c.benchmark_group("layout_build_2^16");
     group.sample_size(10);
-    group.bench_function("light_first_seq", |b| {
+    group.bench_function("light_first", |b| {
         b.iter(|| Layout::light_first(black_box(&tree), CurveKind::Hilbert))
-    });
-    group.bench_function("light_first_rayon", |b| {
-        b.iter(|| Layout::light_first_par(black_box(&tree), CurveKind::Hilbert))
     });
     group.bench_function("bfs", |b| {
         b.iter(|| Layout::bfs(black_box(&tree), CurveKind::Hilbert))

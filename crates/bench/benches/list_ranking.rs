@@ -1,11 +1,11 @@
-//! E5 wall-clock: list ranking — sequential vs rayon Wyllie vs spatial
-//! random-mate (the latter includes all cost accounting).
+//! E5 wall-clock: list ranking — sequential vs spatial random-mate (the
+//! latter includes all cost accounting).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spatial_bench::random_list;
-use spatial_trees::euler::{rank_parallel, rank_sequential, rank_spatial};
+use spatial_trees::euler::{rank_sequential, rank_spatial};
 use spatial_trees::model::{CurveKind, Machine};
 use std::hint::black_box;
 
@@ -16,9 +16,6 @@ fn bench_ranking(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("sequential", |b| {
         b.iter(|| rank_sequential(black_box(&next), start))
-    });
-    group.bench_function("rayon_wyllie", |b| {
-        b.iter(|| rank_parallel(black_box(&next), start))
     });
     group.bench_function("spatial_random_mate", |b| {
         b.iter(|| {

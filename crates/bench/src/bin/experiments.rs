@@ -37,8 +37,8 @@ enum Group {
     /// A `BENCH_*.json` writer: part of the no-argument run, and of
     /// `bench-json`, which selects the whole group.
     Writer,
-    /// Runs only when named: `calibrate-thresholds` rewrites source, and
-    /// a plain run must not depend on the run store the `lab-*` views read.
+    /// Runs only when named: a plain run must not depend on the run
+    /// store the `lab-*` views read.
     Explicit,
 }
 
@@ -65,7 +65,6 @@ const EXPERIMENTS: &[Experiment] = &[
     ("a1", Group::Table, |_| a1_order_and_curve_ablation()),
     ("a2", Group::Table, |_| a2_dynamic_layout()),
     ("a3", Group::Table, |_| a3_expression_evaluation()),
-    ("calibrate-thresholds", Group::Explicit, |_| calibrate_thresholds()),
     ("bench-json-sfc", Group::Writer, |_| bench_json_sfc()),
     ("bench-json-lca", Group::Writer, |_| bench_json_lca()),
     ("bench-json-layout", Group::Writer, |_| bench_json_layout()),
@@ -2202,261 +2201,6 @@ fn bench_json_sfc() {
     write_snapshot(lab, "BENCH_sfc_treefix.json", &json);
 }
 
-/// `calibrate-thresholds` — measures each fork-join kernel family's
-/// sequential cost slope `c` (ns per item) and forked-task fixed
-/// overhead `F` (ns per spawned task), then regenerates
-/// `crates/sfc/src/thresholds.rs` with the fitted `F/b + c` models
-/// (see `spatial_sfc::KernelFit`). Run from the workspace root:
-///
-/// ```sh
-/// cargo run --release -p spatial-bench --bin experiments -- calibrate-thresholds
-/// ```
-///
-/// The sweep covers batch sizes 2^8..2^20 per kernel. `c` is the
-/// median per-item sequential cost over the largest sizes (where any
-/// fixed cost is fully amortized); `F` is the median over all sizes of
-/// half the penalty of a forced two-task `rayon::scope` split versus
-/// the sequential run — an honest spawn-cost measurement even on a
-/// single-core host, where the two tasks serialize and the entire
-/// penalty is hand-off overhead. `SPATIAL_THREADS` pins the worker
-/// count the consumers will see, but the fit itself is
-/// thread-count-free: `KernelFit::min_par_items` plugs the live worker
-/// count into the model at run time.
-fn calibrate_thresholds() {
-    use spatial_trees::euler::ranking::END;
-    use spatial_trees::sfc::{swar, GridPoint};
-
-    // Reps fill ~40 ms per timed pass.
-    const PASS: Duration = Duration::from_millis(40);
-
-    fn median(xs: &mut [f64]) -> f64 {
-        xs.sort_by(f64::total_cmp);
-        xs[xs.len() / 2]
-    }
-
-    println!(
-        "\n### calibrate-thresholds — F/b + c crossover fits → crates/sfc/src/thresholds.rs\n"
-    );
-
-    const MAX: usize = 1 << 20;
-    let sizes: Vec<usize> = (8..=20).step_by(2).map(|p| 1usize << p).collect();
-
-    // ---- Kernel inputs, sized for the largest sweep point. ----
-    let side = 1u32 << 10;
-    let hilbert = spatial_trees::sfc::HilbertCurve::new(side);
-    let points: Vec<GridPoint> = hilbert.all_points();
-    let mut fill_out = vec![0u64; MAX];
-
-    let mut sort_buf: Vec<u64> = {
-        use rand::seq::SliceRandom;
-        let mut v: Vec<u64> = (0..MAX as u64).collect();
-        v.shuffle(&mut StdRng::seed_from_u64(3));
-        v
-    };
-
-    let mut rng = StdRng::seed_from_u64(4);
-    let vals: Vec<u64> = (0..MAX).map(|_| rng.gen_range(0..1u64 << 40)).collect();
-    let idx1: Vec<u32> = (0..MAX).map(|_| rng.gen_range(0..MAX as u32)).collect();
-    let idx2: Vec<u32> = (0..MAX).map(|_| rng.gen_range(0..MAX as u32)).collect();
-    let mut combine_out = vec![0u64; MAX];
-
-    let (next, _) = spatial_bench::random_list(MAX, 5);
-    let rank: Vec<u64> = vec![1; MAX];
-    let mut next2 = vec![0u32; MAX];
-    let mut rank2 = vec![0u64; MAX];
-
-    // ---- Range bodies, shared by the sequential and two-task runs ----
-    // ---- (mirroring each engine's inner loop).                     ----
-    fn half_pass(lo: &mut [u64], hi: &mut [u64]) {
-        for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-            let (x, y) = (*a, *b);
-            *a = x.min(y);
-            *b = x.max(y);
-        }
-    }
-    fn combine_range(vals: &[u64], idx1: &[u32], idx2: &[u32], out: &mut [u64], start: usize) {
-        for (i, o) in out.iter_mut().enumerate() {
-            let k = start + i;
-            *o = vals[idx1[k] as usize] + vals[idx2[k] as usize];
-        }
-    }
-    fn splice_range(
-        next: &[u32],
-        rank: &[u64],
-        next2: &mut [u32],
-        rank2: &mut [u64],
-        start: usize,
-    ) {
-        for i in 0..next2.len() {
-            let k = start + i;
-            let nx = next[k];
-            let safe = if nx == END { k } else { nx as usize };
-            next2[i] = if nx == END { END } else { next[safe] };
-            rank2[i] = rank[k] + if nx == END { 0 } else { rank[safe] };
-        }
-    }
-
-    // ---- One run closure per kernel: `two = true` forces a two-task ----
-    // ---- rayon::scope split over disjoint halves.                   ----
-    let mut fill_run = |b: usize, two: bool| -> u64 {
-        let pts = &points[..b];
-        let out = &mut fill_out[..b];
-        if two {
-            let (p1, p2) = pts.split_at(b / 2);
-            let (o1, o2) = out.split_at_mut(b / 2);
-            rayon::scope(|s| {
-                s.spawn(move |_| swar::hilbert_index_chunk(side, p1, o1));
-                s.spawn(move |_| swar::hilbert_index_chunk(side, p2, o2));
-            });
-        } else {
-            swar::hilbert_index_chunk(side, pts, out);
-        }
-        fill_out[0]
-    };
-    let mut sort_run = |b: usize, two: bool| -> u64 {
-        let (lo, hi) = sort_buf[..b].split_at_mut(b / 2);
-        if two {
-            let q = b / 4;
-            let (lo1, lo2) = lo.split_at_mut(q);
-            let (hi1, hi2) = hi.split_at_mut(q);
-            rayon::scope(|s| {
-                s.spawn(move |_| half_pass(lo1, hi1));
-                s.spawn(move |_| half_pass(lo2, hi2));
-            });
-        } else {
-            half_pass(lo, hi);
-        }
-        sort_buf[0]
-    };
-    let mut combine_run = |b: usize, two: bool| -> u64 {
-        let out = &mut combine_out[..b];
-        if two {
-            let (o1, o2) = out.split_at_mut(b / 2);
-            let (v, i1, i2) = (&vals, &idx1, &idx2);
-            rayon::scope(|s| {
-                s.spawn(move |_| combine_range(v, i1, i2, o1, 0));
-                s.spawn(move |_| combine_range(v, i1, i2, o2, b / 2));
-            });
-        } else {
-            combine_range(&vals, &idx1, &idx2, out, 0);
-        }
-        combine_out[0]
-    };
-    let mut splice_run = |b: usize, two: bool| -> u64 {
-        let n2 = &mut next2[..b];
-        let r2 = &mut rank2[..b];
-        if two {
-            let (n2a, n2b) = n2.split_at_mut(b / 2);
-            let (r2a, r2b) = r2.split_at_mut(b / 2);
-            let (nx, rk) = (&next, &rank);
-            rayon::scope(|s| {
-                s.spawn(move |_| splice_range(nx, rk, n2a, r2a, 0));
-                s.spawn(move |_| splice_range(nx, rk, n2b, r2b, b / 2));
-            });
-        } else {
-            splice_range(&next, &rank, n2, r2, 0);
-        }
-        rank2[0]
-    };
-
-    // ---- The sweep + fit. ----
-    let mut table = Table::new(["kernel", "b", "seq ns/item", "2-task ns/item", "task ns"]);
-    let mut calibrate = |name: &'static str, run: &mut dyn FnMut(usize, bool) -> u64| {
-        let mut per_item = Vec::new();
-        let mut task_ns = Vec::new();
-        for &b in &sizes {
-            let t_seq = best_of(3, PASS, || run(b, false)) * 1e6;
-            let t_par = best_of(3, PASS, || run(b, true)) * 1e6;
-            let penalty = ((t_par - t_seq) / 2.0).max(0.0);
-            if b >= 1 << 16 {
-                per_item.push(t_seq / b as f64);
-            }
-            task_ns.push(penalty);
-            table.row([
-                name.to_string(),
-                format!("2^{}", b.trailing_zeros()),
-                format!("{:.3}", t_seq / b as f64),
-                format!("{:.3}", t_par / b as f64),
-                format!("{penalty:.0}"),
-            ]);
-        }
-        (median(&mut task_ns), median(&mut per_item))
-    };
-
-    let (fill_f, fill_c) = calibrate("sfc_fill", &mut fill_run);
-    let (sort_f, sort_c) = calibrate("bitonic_pass", &mut sort_run);
-    let (comb_f, comb_c) = calibrate("treefix_round", &mut combine_run);
-    let (spl_f, spl_c) = calibrate("ranking_splice", &mut splice_run);
-    table.print();
-
-    let threads = rayon::current_num_threads();
-    let fits = [
-        (
-            "SFC_FILL",
-            "sfc_fill",
-            "Curve batch fills (`par_fill`/`par_map_fill` over SWAR chunk kernels).",
-            fill_f,
-            fill_c,
-        ),
-        (
-            "BITONIC_PASS",
-            "bitonic_pass",
-            "One compare-exchange pass of the bitonic sorting network.",
-            sort_f,
-            sort_c,
-        ),
-        (
-            "TREEFIX_ROUND",
-            "treefix_round",
-            "One treefix contraction round over the alive set.",
-            comb_f,
-            comb_c,
-        ),
-        (
-            "RANKING_SPLICE",
-            "ranking_splice",
-            "One list-ranking splice round (Wyllie pointer jumping).",
-            spl_f,
-            spl_c,
-        ),
-    ];
-    for (_, name, _, f, c) in fits {
-        // The model's crossover at T workers: n* = T²·F / (c·(T−1)).
-        let nstar2 = 4.0 * f / c.max(1e-9);
-        println!("  {name}: F = {f:.0} ns/task, c = {c:.4} ns/item, 2-worker crossover ~ {nstar2:.0} items");
-    }
-
-    let mut src = String::from(
-        "//! Measured sequential↔parallel crossover fits.\n\
-         //!\n\
-         //! GENERATED by `cargo run --release -p spatial-bench --bin experiments\n\
-         //! -- calibrate-thresholds` — regenerate instead of editing. Each\n\
-         //! constant is the fitted `F/b + c` cost model of one kernel family\n\
-         //! (see [`crate::KernelFit`]); the consumers call\n\
-         //! [`crate::KernelFit::min_par_items`] at run time so the cutoff\n\
-         //! adapts to the live worker count (including the `SPATIAL_THREADS`\n\
-         //! override) rather than the calibration box's.\n\
-         //!\n\
-         //! A `calibrated_threads` of 1 means the calibration host could not\n\
-         //! run real two-worker sweeps; the fixed overhead is then the measured\n\
-         //! cost of a forced `rayon::scope` fork and the crossover stays\n\
-         //! conservative.\n\
-         \n\
-         use crate::KernelFit;\n",
-    );
-    for (konst, name, doc, f, c) in fits {
-        src.push_str(&format!(
-            "\n/// {doc}\npub const {konst}: KernelFit = KernelFit {{\n    name: \"{name}\",\n    fixed_overhead_ns: {f:.1},\n    per_item_ns: {c:.4},\n    calibrated_threads: {threads},\n}};\n"
-        ));
-    }
-    src.push_str(
-        "\n/// All fits, for sweeps and reporting.\npub const ALL: [KernelFit; 4] = [SFC_FILL, BITONIC_PASS, TREEFIX_ROUND, RANKING_SPLICE];\n",
-    );
-    let path = "crates/sfc/src/thresholds.rs";
-    spatial_trees::store::atomic_write(path, src.as_bytes()).expect("write thresholds.rs");
-    println!("\n  wrote {path} (calibrated_threads = {threads})\n");
-}
-
 /// E11 — the cited application: 1-respecting minimum cuts (Karger)
 /// from batched LCA + one fused treefix, near-linear energy end-to-end.
 fn e11_mincut() {
@@ -3030,7 +2774,7 @@ mod tests {
     use super::*;
 
     /// Every id the command line accepts, in the order errors list them.
-    const CLI_IDS: &str = "e1 e2 e3 e4 e5 e6 e7 e8 e9 e11 a1 a2 a3 calibrate-thresholds \
+    const CLI_IDS: &str = "e1 e2 e3 e4 e5 e6 e7 e8 e9 e11 a1 a2 a3 \
         bench-json bench-json-sfc bench-json-lca bench-json-layout bench-json-pram \
         bench-json-service bench-json-throughput bench-json-durability bench-json-ooc \
         lab-regress lab-sweep lab-ab lab-gate";
@@ -3072,7 +2816,7 @@ mod tests {
     #[test]
     fn explicit_ids_run_only_when_named() {
         let default_run = selected("").expect("valid");
-        for id in ids("calibrate-thresholds lab-regress lab-sweep lab-ab lab-gate") {
+        for id in ids("lab-regress lab-sweep lab-ab lab-gate") {
             assert!(!default_run.contains(&id), "{id} ran by default");
             assert_eq!(selected(id), Ok(vec![id]));
         }

@@ -1167,10 +1167,7 @@ pub fn regression_report(
             map
         };
         let latest_rows = collect_rows(&latest_rev);
-        let prior_rows = prior_rev
-            .as_deref()
-            .map(collect_rows)
-            .unwrap_or_default();
+        let prior_rows = prior_rev.as_deref().map(collect_rows).unwrap_or_default();
         for (key, rows) in &latest_rows {
             let det = rows.iter().all(|r| r.det);
             // Within-revision determinism: every run at the latest rev
@@ -1299,7 +1296,8 @@ pub fn regression_report(
                 continue;
             }
             let latest_median = median_of(latest_samples.clone());
-            let gated = matches!(kind, WallKind::Ratio) || (cfg.gate_time && kind == WallKind::Time);
+            let gated =
+                matches!(kind, WallKind::Ratio) || (cfg.gate_time && kind == WallKind::Time);
             let (prior_median, prior_mad, n_prior) = match prior_wall.get(&name) {
                 Some((_, xs)) if !xs.is_empty() => {
                     (Some(median_of(xs.clone())), mad_of(xs), xs.len())
@@ -1629,9 +1627,15 @@ mod tests {
     #[test]
     fn parse_json_subset() {
         let doc = parse_json(r#"{"a":[1,2.5,-3e2],"b":"x\"\n","c":true,"d":null}"#).expect("parse");
-        assert_eq!(doc.get("a").and_then(Json::as_arr).map(<[Json]>::len), Some(3));
+        assert_eq!(
+            doc.get("a").and_then(Json::as_arr).map(<[Json]>::len),
+            Some(3)
+        );
         assert_eq!(doc.get("b").and_then(Json::as_str), Some("x\"\n"));
-        assert_eq!(doc.get("a").unwrap().as_arr().unwrap()[2], Json::Num(-300.0));
+        assert_eq!(
+            doc.get("a").unwrap().as_arr().unwrap()[2],
+            Json::Num(-300.0)
+        );
         assert!(parse_json("{\"a\":1} trailing").is_err());
         assert!(parse_json("{\"a\":}").is_err());
         assert!(parse_json("{\"a\":Infinity}").is_err());

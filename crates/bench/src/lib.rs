@@ -204,7 +204,7 @@ mod tests {
         let (next, start) = random_list(64, 42);
         assert_eq!(random_list(64, 42), (next.clone(), start));
         // Walking from start visits every element exactly once.
-        let mut seen = vec![false; 64];
+        let mut seen = [false; 64];
         let mut at = start;
         for _ in 0..64 {
             assert!(!seen[at as usize]);

@@ -108,8 +108,14 @@ fn committed_lab_history_seeds_the_regression_gate() {
     use spatial_bench::lab;
     let path = workspace_root().join("lab/runs.jsonl");
     let history = lab::read_runs(&path).expect("lab/runs.jsonl must be checked in and readable");
-    assert_eq!(history.dropped_lines, 0, "committed store has damaged lines");
-    assert_eq!(history.torn_tail_bytes, 0, "committed store has a torn tail");
+    assert_eq!(
+        history.dropped_lines, 0,
+        "committed store has damaged lines"
+    );
+    assert_eq!(
+        history.torn_tail_bytes, 0,
+        "committed store has a torn tail"
+    );
     let revs = lab::rev_order(&history.runs);
     assert!(
         revs.len() >= 2,

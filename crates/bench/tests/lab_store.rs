@@ -239,7 +239,11 @@ fn wall_comparisons_are_profile_stratified() {
     let report = regression_report(&runs, &GateConfig::default(), None);
     assert!(report.violations.is_empty(), "{:?}", report.violations);
     let wall = &report.benches[0].wall[0];
-    assert_eq!(wall.prior_median, Some(2.2), "debug sample must be excluded");
+    assert_eq!(
+        wall.prior_median,
+        Some(2.2),
+        "debug sample must be excluded"
+    );
     // Charges are profile-free: the debug run's identical charge row
     // participates in the exact comparison.
     assert_eq!(report.benches[0].charge[0].status, ChargeStatus::Exact);

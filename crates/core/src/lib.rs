@@ -94,7 +94,7 @@ impl SpatialTree {
 
     /// Lays the tree out light-first on the given curve.
     pub fn with_curve(tree: Tree, curve: CurveKind) -> Self {
-        let layout = Layout::light_first_par(&tree, curve);
+        let layout = Layout::light_first(&tree, curve);
         let sizes = tree.subtree_sizes();
         let virtual_tree = VirtualTree::with_sizes(&tree, &sizes);
         SpatialTree {
@@ -248,6 +248,20 @@ mod tests {
             .map(|&c| c as u64)
             .sum();
         assert_eq!(reduced[st.tree().root() as usize], Some(root_sum));
+    }
+
+    #[test]
+    fn facade_layout_is_light_first_on_every_family() {
+        let mut rng = StdRng::seed_from_u64(3);
+        for family in spatial_tree::generators::TreeFamily::ALL {
+            let tree = family.generate(5000, &mut rng);
+            for curve in CurveKind::ENERGY_BOUND {
+                let expect = Layout::light_first(&tree, curve);
+                let st = SpatialTree::with_curve(tree.clone(), curve);
+                assert_eq!(st.layout().order(), expect.order(), "{family} on {curve}");
+                assert_eq!(st.layout().curve().kind(), curve, "{family}");
+            }
+        }
     }
 
     #[test]

@@ -13,9 +13,7 @@
 //! - [`tour::EulerTour`]: dart-based tour construction for any child
 //!   order (natural or light-first).
 //! - [`ranking`]: list ranking as
-//!   - a sequential walk ([`ranking::rank_sequential`]),
-//!   - a host-parallel Wyllie pointer-jumping ranking
-//!     ([`ranking::rank_parallel`]) for wall-clock benchmarks, and
+//!   - a sequential walk ([`ranking::rank_sequential`]), and
 //!   - the spatial random-mate contraction
 //!     ([`ranking::RankingEngine`], one-shot wrapper
 //!     [`ranking::rank_spatial`]) with full energy/depth accounting —
@@ -33,5 +31,5 @@ pub mod ranking;
 pub mod reference;
 pub mod tour;
 
-pub use ranking::{rank_parallel, rank_sequential, rank_spatial, RankingEngine, SpatialRanking};
+pub use ranking::{rank_sequential, rank_spatial, RankingEngine, SpatialRanking};
 pub use tour::{ChildOrder, EulerTour};

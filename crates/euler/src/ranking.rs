@@ -1,5 +1,5 @@
-//! List ranking: sequential, host-parallel (Wyllie), and spatial
-//! random-mate contraction (Theorem 5).
+//! List ranking: sequential and spatial random-mate contraction
+//! (Theorem 5).
 //!
 //! List ranking determines the index of every element in a linked list.
 //! The spatial algorithm follows §IV of the paper: repeatedly select an
@@ -36,7 +36,6 @@
 //! machine charges.
 
 use rand::Rng;
-use rayon::prelude::*;
 use spatial_model::{EngineLifecycle, Machine, RoundCharger, Slot};
 
 /// Sentinel for "end of list" (same convention as the tour darts).
@@ -61,79 +60,6 @@ pub fn rank_sequential(next: &[u32], start: u32) -> Vec<u64> {
         at = next[at as usize];
     }
     ranks
-}
-
-/// Host-parallel Wyllie pointer jumping (rayon): `O(n log n)` work,
-/// `O(log n)` span. Used for wall-clock comparisons; charge-free.
-///
-/// Lists shorter than the measured
-/// [`spatial_sfc::thresholds::RANKING_SPLICE`] crossover fall back to
-/// [`rank_sequential`] — the `O(n log n)` jumping plus fork overhead
-/// can never beat the linear walk there (identical results either
-/// way).
-pub fn rank_parallel(next: &[u32], start: u32) -> Vec<u64> {
-    let n = next.len();
-    if n < spatial_sfc::thresholds::RANKING_SPLICE.min_par_items() {
-        return rank_sequential(next, start);
-    }
-    let mut ranks = vec![UNRANKED; n];
-    if start == END {
-        return ranks;
-    }
-    // suffix[v] = number of elements from v to the end, inclusive.
-    let mut suffix: Vec<u64> = next.par_iter().map(|_| 1u64).collect();
-    let mut nxt: Vec<u32> = next.to_vec();
-    let mut hops = 1usize;
-    while hops < 2 * n {
-        let stepped: Vec<(u64, u32)> = (0..n)
-            .into_par_iter()
-            .map(|v| {
-                let w = nxt[v];
-                if w == END {
-                    (suffix[v], END)
-                } else {
-                    (suffix[v] + suffix[w as usize], nxt[w as usize])
-                }
-            })
-            .collect();
-        let mut changed = false;
-        for (v, (s, w)) in stepped.into_iter().enumerate() {
-            if nxt[v] != END {
-                changed = true;
-            }
-            suffix[v] = s;
-            nxt[v] = w;
-        }
-        if !changed {
-            break;
-        }
-        hops *= 2;
-    }
-    let total = suffix[start as usize];
-    // rank(v) = total − suffix(v) for elements on the list. Membership:
-    // walkable from start — recover by marking via the original list in
-    // parallel-friendly fashion: an element is on the list iff it is the
-    // start or is someone's successor *and* reachable; for the tours we
-    // rank, every element with a finite suffix computed from the start
-    // chain is a member. We mark members from the original next array.
-    for (v, on) in list_membership(next, start).into_iter().enumerate() {
-        if on {
-            ranks[v] = total - suffix[v];
-        }
-    }
-    ranks
-}
-
-/// Marks which elements lie on the list starting at `start`.
-pub(crate) fn list_membership(next: &[u32], start: u32) -> Vec<bool> {
-    let mut on = vec![false; next.len()];
-    let mut at = start;
-    while at != END {
-        debug_assert!(!on[at as usize], "cycle in list");
-        on[at as usize] = true;
-        at = next[at as usize];
-    }
-    on
 }
 
 /// Result of the spatial list ranking.
@@ -573,19 +499,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential() {
-        let mut rng = StdRng::seed_from_u64(5);
-        for n in [1usize, 2, 3, 10, 100, 1000, 4097] {
-            let (next, start) = random_list(n, &mut rng);
-            assert_eq!(
-                rank_parallel(&next, start),
-                rank_sequential(&next, start),
-                "n={n}"
-            );
-        }
-    }
-
-    #[test]
     fn spatial_matches_sequential() {
         let mut rng = StdRng::seed_from_u64(9);
         for n in [1usize, 2, 5, 33, 256, 2000] {
@@ -703,7 +616,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    use super::{rank_parallel, rank_sequential, rank_spatial, END};
+    use super::{rank_spatial, END};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng as _, SeedableRng as _};
@@ -737,18 +650,6 @@ mod proptests {
             for (pos, &el) in perm.iter().enumerate() {
                 prop_assert_eq!(got.ranks[el as usize], pos as u64);
             }
-        }
-
-        /// Parallel Wyllie agrees with the sequential walk.
-        #[test]
-        fn prop_parallel_agrees(shuffle_seed in 0u64..10_000, n in 1usize..400) {
-            let mut perm: Vec<u32> = (0..n as u32).collect();
-            let mut rng = StdRng::seed_from_u64(shuffle_seed);
-            for i in (1..n).rev() {
-                perm.swap(i, rng.gen_range(0..=i));
-            }
-            let (next, start) = list_from_perm(&perm);
-            prop_assert_eq!(rank_parallel(&next, start), rank_sequential(&next, start));
         }
     }
 }

@@ -120,32 +120,11 @@ fn half_block_pass(block: &mut [u64], j: usize, ascending: bool) {
 }
 
 /// One full stage of the network (stride `j`, pass `k`) over all
-/// `2j`-blocks. The blocks are independent, so large stages split
-/// across workers when the measured [`spatial_sfc::thresholds`]
-/// crossover says forking pays; results are identical either way.
-fn bitonic_stage(buf: &mut [u64], k: usize, j: usize, min_par: usize) {
-    let padded = buf.len();
+/// `2j`-blocks.
+fn bitonic_stage(buf: &mut [u64], k: usize, j: usize) {
     let block = 2 * j;
-    let threads = rayon::current_num_threads();
-    if threads > 1 && padded >= min_par && padded / block >= 2 {
-        let per_task = (padded / block).div_ceil(threads).max(1) * block;
-        rayon::scope(|s| {
-            for (ci, chunk) in buf.chunks_mut(per_task).enumerate() {
-                s.spawn(move |_| {
-                    let start = ci * per_task;
-                    let mut base = 0usize;
-                    while base < chunk.len() {
-                        let ascending = (start + base) & k == 0;
-                        half_block_pass(&mut chunk[base..base + block], j, ascending);
-                        base += block;
-                    }
-                });
-            }
-        });
-        return;
-    }
     let mut base = 0usize;
-    while base < padded {
+    while base < buf.len() {
         let ascending = base & k == 0;
         half_block_pass(&mut buf[base..base + block], j, ascending);
         base += block;
@@ -165,7 +144,6 @@ pub fn run_bitonic(lc: &mut LocalCharge, buf: &mut [u64], levels: &[(u64, u64)])
     if padded <= 1 {
         return;
     }
-    let min_par = spatial_sfc::thresholds::BITONIC_PASS.min_par_items();
     let mut k = 2usize;
     while k <= padded {
         let mut j = k / 2;
@@ -173,7 +151,7 @@ pub fn run_bitonic(lc: &mut LocalCharge, buf: &mut [u64], levels: &[(u64, u64)])
             let (energy, pairs) = levels[j.trailing_zeros() as usize];
             lc.charge_bulk(energy, 2 * pairs, pairs);
             lc.advance_all(1);
-            bitonic_stage(buf, k, j, min_par);
+            bitonic_stage(buf, k, j);
             j /= 2;
         }
         k *= 2;

@@ -153,11 +153,6 @@ impl Layout {
         Self::from_order(curve_kind, traversal::light_first_order(tree))
     }
 
-    /// Light-first layout built with the rayon fork-join constructor.
-    pub fn light_first_par(tree: &Tree, curve_kind: CurveKind) -> Self {
-        Self::from_order(curve_kind, traversal::light_first_order_par(tree))
-    }
-
     /// Breadth-first layout (the paper's negative example for perfect
     /// binary trees).
     pub fn bfs(tree: &Tree, curve_kind: CurveKind) -> Self {
@@ -411,12 +406,17 @@ mod tests {
     }
 
     #[test]
-    fn par_matches_seq() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let t = generators::uniform_random(3000, &mut rng);
-        let a = Layout::light_first(&t, CurveKind::ZOrder);
-        let b = Layout::light_first_par(&t, CurveKind::ZOrder);
-        assert_eq!(a.order(), b.order());
+    fn light_first_on_path_does_not_overflow() {
+        // Deep recursion guard: a path of 200k vertices.
+        let t = generators::path(200_000);
+        let order = spatial_tree::traversal::light_first_order(&t);
+        assert_eq!(order.len(), 200_000);
+        assert_eq!(
+            spatial_tree::traversal::verify_light_first(&t, &order),
+            Ok(())
+        );
+        let l = Layout::light_first(&t, CurveKind::Hilbert);
+        assert_eq!(l.order(), &order[..]);
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //!
 //! The crate provides:
 //!
-//! - [`layout::Layout`] with host-side constructors (light-first
-//!   sequential and rayon fork-join, BFS, DFS, random — the latter two
-//!   being the paper's counterexamples);
+//! - [`layout::Layout`] with host-side constructors (light-first, BFS,
+//!   DFS, random — the latter two being the paper's counterexamples);
 //! - [`quality`]: the messaging-kernel energy and per-edge distance
 //!   metrics used by experiment E1;
 //! - [`builder`]: the §IV *on-machine* pipeline that computes the layout

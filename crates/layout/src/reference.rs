@@ -89,7 +89,7 @@ impl ReferenceDynamicLayout {
         let energy = self.current_energy();
         if energy as f64 > self.rebuild_factor * self.stats.2 as f64 {
             let tree = self.tree();
-            self.layout = Layout::light_first_par(&tree, self.curve);
+            self.layout = Layout::light_first(&tree, self.curve);
             self.stats.1 += 1;
             self.stats.2 = crate::quality::local_kernel_energy(&tree, &self.layout).max(1);
         }

@@ -30,10 +30,6 @@ use crate::machine::{LocalCharge, Machine, Slot};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-/// Minimum range size before the tree recursions stop forking rayon
-/// tasks; below this the recursion runs sequentially.
-const PAR_THRESHOLD: u32 = 1 << 12;
-
 /// Broadcasts a value held at slot `lo` to every slot in `[lo, hi)` along
 /// a balanced binary tree (Lemma 13's virtual broadcast tree).
 ///
@@ -51,12 +47,8 @@ fn broadcast_rec(m: &Machine, lo: Slot, hi: Slot) {
     let mid = lo + (hi - lo) / 2;
     m.send(lo, mid);
     m.tick(lo); // one message per round: the next send from lo is later
-    if hi - lo > PAR_THRESHOLD {
-        rayon::join(|| broadcast_rec(m, lo, mid), || broadcast_rec(m, mid, hi));
-    } else {
-        broadcast_rec(m, lo, mid);
-        broadcast_rec(m, mid, hi);
-    }
+    broadcast_rec(m, lo, mid);
+    broadcast_rec(m, mid, hi);
 }
 
 /// [`range_broadcast`] charged through a [`LocalCharge`] session:
@@ -204,8 +196,8 @@ fn reduced_clock(clocks: &[AtomicU32], floor: u32) -> u32 {
 /// `O(log (hi - lo))` depth on an energy-bound slot order.
 pub fn range_reduce<T, F>(m: &Machine, lo: Slot, hi: Slot, values: &[T], op: &F) -> T
 where
-    T: Copy + Send + Sync,
-    F: Fn(T, T) -> T + Sync,
+    T: Copy,
+    F: Fn(T, T) -> T,
 {
     assert!(lo < hi && hi <= m.n_slots(), "invalid range [{lo}, {hi})");
     assert_eq!(
@@ -218,8 +210,8 @@ where
 
 fn reduce_rec<T, F>(m: &Machine, lo: Slot, hi: Slot, values: &[T], op: &F) -> T
 where
-    T: Copy + Send + Sync,
-    F: Fn(T, T) -> T + Sync,
+    T: Copy,
+    F: Fn(T, T) -> T,
 {
     if hi - lo <= 1 {
         return values[0];
@@ -227,17 +219,8 @@ where
     let mid = lo + (hi - lo) / 2;
     let split = (mid - lo) as usize;
     let (lv, rv) = values.split_at(split);
-    let (left, right) = if hi - lo > PAR_THRESHOLD {
-        rayon::join(
-            || reduce_rec(m, lo, mid, lv, op),
-            || reduce_rec(m, mid, hi, rv, op),
-        )
-    } else {
-        (
-            reduce_rec(m, lo, mid, lv, op),
-            reduce_rec(m, mid, hi, rv, op),
-        )
-    };
+    let left = reduce_rec(m, lo, mid, lv, op);
+    let right = reduce_rec(m, mid, hi, rv, op);
     m.send(mid, lo);
     m.tick(lo);
     op(left, right)
@@ -248,8 +231,8 @@ where
 /// (`O(n)` energy, `O(log n)` depth).
 pub fn all_reduce<T, F>(m: &Machine, values: &[T], op: &F) -> T
 where
-    T: Copy + Send + Sync,
-    F: Fn(T, T) -> T + Sync,
+    T: Copy,
+    F: Fn(T, T) -> T,
 {
     let n = m.n_slots();
     let total = range_reduce(m, 0, n, values, op);

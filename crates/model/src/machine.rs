@@ -41,7 +41,7 @@ impl MachineBuilder {
     /// Machine whose slots `0..n` lie on the given space-filling curve.
     pub fn on_curve(kind: CurveKind, n_slots: u32) -> Self {
         let curve: AnyCurve = kind.for_capacity(n_slots as u64);
-        // Batch transform: one parallel pass instead of n scalar calls.
+        // Batch transform: one SWAR pass instead of n scalar calls.
         let mut points = vec![GridPoint::default(); n_slots as usize];
         curve.point_range_batch(0, &mut points);
         MachineBuilder {
@@ -93,8 +93,10 @@ impl MachineBuilder {
 /// positions, an energy/message/work meter, and per-slot dependency
 /// clocks whose maximum is the depth of the computation so far.
 ///
-/// All charging methods take `&self` and are thread-safe, so algorithms
-/// can charge from inside rayon parallel iterators.
+/// All charging methods take `&self` and are atomic, so a machine is
+/// `Sync`. No engine forks host threads to use that: each charges from
+/// the thread it runs on, and the depth the clocks record is the
+/// model's parallelism, not the host's.
 pub struct Machine {
     points: Vec<GridPoint>,
     side: u32,

@@ -409,20 +409,12 @@ impl Curve for HilbertCurve {
 
     fn point_batch(&self, indices: &[u64], out: &mut [GridPoint]) {
         assert_eq!(indices.len(), out.len(), "batch size mismatch");
-        let side = self.side;
-        let min_chunk = crate::thresholds::SFC_FILL.min_par_items();
-        crate::par_map_fill(indices, out, min_chunk, |idx, dst| {
-            crate::swar::hilbert_point_chunk(side, idx, dst);
-        });
+        crate::swar::hilbert_point_chunk(self.side, indices, out);
     }
 
     fn index_batch(&self, points: &[GridPoint], out: &mut [u64]) {
         assert_eq!(points.len(), out.len(), "batch size mismatch");
-        let side = self.side;
-        let min_chunk = crate::thresholds::SFC_FILL.min_par_items();
-        crate::par_map_fill(points, out, min_chunk, |pts, dst| {
-            crate::swar::hilbert_index_chunk(side, pts, dst);
-        });
+        crate::swar::hilbert_index_chunk(self.side, points, out);
     }
 
     fn point_range_batch(&self, start: u64, out: &mut [GridPoint]) {
@@ -430,11 +422,7 @@ impl Curve for HilbertCurve {
             .checked_add(out.len() as u64)
             .expect("curve position range overflows u64");
         assert!(end <= self.len(), "range end {end} out of curve range");
-        let side = self.side;
-        let min_chunk = crate::thresholds::SFC_FILL.min_par_items();
-        crate::par_fill(out, min_chunk, |offset, dst| {
-            crate::swar::hilbert_point_range_chunk(side, start + offset as u64, dst);
-        });
+        crate::swar::hilbert_point_range_chunk(self.side, start, out);
     }
 }
 

@@ -24,9 +24,8 @@
 //! - [`zorder`] diagonal analysis: the `Ed` term of Lemma 3 and the
 //!   longest-diagonal counting of Lemmas 5–6 (Fig. 2).
 //! - [`swar`]: the SWAR batch kernels behind `point_batch`/`index_batch`
-//!   (state-lane-packed Hilbert walks, pair-packed Morton decode), and
-//!   [`thresholds`]: measured sequential↔parallel crossovers generated
-//!   by `experiments -- calibrate-thresholds`.
+//!   (state-lane-packed Hilbert walks, pair-packed Morton decode). A
+//!   batch runs on the calling thread: no kernel here forks.
 
 pub mod geom;
 pub mod hilbert;
@@ -38,7 +37,6 @@ pub mod reference;
 pub mod simple;
 #[doc(hidden)]
 pub mod swar;
-pub mod thresholds;
 pub mod zorder;
 
 pub use geom::{manhattan, GridPoint};
@@ -83,8 +81,8 @@ pub trait Curve {
     /// Batch [`Curve::point`]: fills `out[k] = point(indices[k])`.
     ///
     /// The default maps the scalar transform; the hot curves (Hilbert,
-    /// Z-order, and [`AnyCurve`]) override it with branchless inner
-    /// loops split across threads for large batches.
+    /// Z-order, and [`AnyCurve`]) override it with branchless SWAR
+    /// inner loops.
     fn point_batch(&self, indices: &[u64], out: &mut [GridPoint]) {
         assert_eq!(indices.len(), out.len(), "batch size mismatch");
         for (o, &i) in out.iter_mut().zip(indices) {
@@ -120,115 +118,6 @@ pub trait Curve {
         self.point_range_batch(0, &mut out);
         out
     }
-}
-
-/// Batches at least this large are split across threads by the
-/// parallel `point_batch`/`index_batch` overrides; smaller ones stay on
-/// the calling thread (thread spawn costs more than it saves — the
-/// "measure before parallelizing" lesson).
-///
-/// This is the pre-calibration analytic fallback; the hot batch paths
-/// now consult the measured [`thresholds`] instead.
-pub const PAR_BATCH_MIN: usize = 1 << 14;
-
-/// The measured cost model of one parallelizable kernel, fitted by
-/// `experiments -- calibrate-thresholds` from real sweeps of the
-/// sequential loop and the `rayon::scope`-forked version: a run over
-/// `n` items costs `c·n` sequentially and `T·F + c·n/T` split across
-/// `T` workers, where `F` is the fixed per-spawn overhead and `c` the
-/// per-item cost (the same `F/b + c` shape that backs
-/// `MIN_COALESCED_BATCH` in the serve tier).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KernelFit {
-    /// Kernel name as reported by the calibration sweep.
-    pub name: &'static str,
-    /// Fixed overhead per spawned task, in nanoseconds (`F`).
-    pub fixed_overhead_ns: f64,
-    /// Marginal sequential cost per item, in nanoseconds (`c`).
-    pub per_item_ns: f64,
-    /// Worker count the fit was measured with (1 means the calibration
-    /// box could not fork and the fit carries spawn overhead only).
-    pub calibrated_threads: usize,
-}
-
-impl KernelFit {
-    /// Smallest batch size where forking beats staying sequential on
-    /// the *current* worker count: `T·F + c·n/T < c·n` solves to
-    /// `n > T²·F / (c·(T−1))`. Returns `usize::MAX` when there is only
-    /// one worker (parallelism can never win), which the `par_*`
-    /// helpers already treat as "stay sequential".
-    pub fn min_par_items(&self) -> usize {
-        let t = rayon::current_num_threads();
-        if t <= 1 || self.per_item_ns <= 0.0 {
-            return usize::MAX;
-        }
-        let t = t as f64;
-        let crossover = self.fixed_overhead_ns * t * t / (self.per_item_ns * (t - 1.0));
-        if !crossover.is_finite() || crossover >= usize::MAX as f64 {
-            return usize::MAX;
-        }
-        (crossover.ceil() as usize).max(1)
-    }
-}
-
-/// Fills `out` by handing contiguous chunks (with their start offsets)
-/// to `fill` on worker threads; sequential below `min_chunk`. Built on
-/// `rayon::scope` only, so it works with both the in-repo rayon shim
-/// and the real crate.
-pub fn par_fill<T: Send, F: Fn(usize, &mut [T]) + Sync>(out: &mut [T], min_chunk: usize, fill: F) {
-    let threads = rayon::current_num_threads();
-    if threads <= 1 || out.len() <= min_chunk {
-        fill(0, out);
-        return;
-    }
-    let chunk = out.len().div_ceil(threads).max(min_chunk);
-    rayon::scope(|s| {
-        for (ci, part) in out.chunks_mut(chunk).enumerate() {
-            let fill = &fill;
-            s.spawn(move |_| fill(ci * chunk, part));
-        }
-    });
-}
-
-/// Runs `f` over matching chunks of `input` and `out` on worker
-/// threads; sequential below `min_chunk`. The map-shaped sibling of
-/// [`par_fill`] used by the batch curve transforms.
-pub fn par_map_fill<T: Sync, U: Send, F: Fn(&[T], &mut [U]) + Sync>(
-    input: &[T],
-    out: &mut [U],
-    min_chunk: usize,
-    f: F,
-) {
-    assert_eq!(input.len(), out.len(), "batch size mismatch");
-    let threads = rayon::current_num_threads();
-    if threads <= 1 || input.len() <= min_chunk {
-        f(input, out);
-        return;
-    }
-    let chunk = input.len().div_ceil(threads).max(min_chunk);
-    rayon::scope(|s| {
-        for (part, opart) in input.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            let f = &f;
-            s.spawn(move |_| f(part, opart));
-        }
-    });
-}
-
-/// Chunked parallel scan over a slice: `f(offset, chunk)` runs on
-/// worker threads; sequential below `min_chunk`.
-pub fn par_scan<T: Sync, F: Fn(usize, &[T]) + Sync>(items: &[T], min_chunk: usize, f: F) {
-    let threads = rayon::current_num_threads();
-    if threads <= 1 || items.len() <= min_chunk {
-        f(0, items);
-        return;
-    }
-    let chunk = items.len().div_ceil(threads).max(min_chunk);
-    rayon::scope(|s| {
-        for (ci, part) in items.chunks(chunk).enumerate() {
-            let f = &f;
-            s.spawn(move |_| f(ci * chunk, part));
-        }
-    });
 }
 
 /// The space-filling curves shipped with this crate.
@@ -429,8 +318,7 @@ impl Curve for AnyCurve {
     }
 
     // Batch calls dispatch the enum once per batch instead of once per
-    // element, then run the concrete curve's (possibly parallel)
-    // override.
+    // element, then run the concrete curve's override.
     fn point_batch(&self, indices: &[u64], out: &mut [GridPoint]) {
         match self {
             AnyCurve::Hilbert(c) => c.point_batch(indices, out),

@@ -10,12 +10,12 @@
 //!
 //! All measurements run on the batch interface
 //! ([`Curve::point_range_batch`] / [`Curve::point_batch`]): each curve
-//! position is transformed exactly once — in parallel for large grids —
-//! and the scans then run over the materialized coordinate array. The
-//! materialization is capped at [`MATERIALIZE_MAX`] positions; beyond
-//! that the functions fall back to the on-the-fly strided scans, so
-//! the `stride` parameter keeps bounding memory on huge grids exactly
-//! as it did before the batch rewrite.
+//! position is transformed exactly once, and the scans then run over
+//! the materialized coordinate array. The materialization is capped at
+//! [`MATERIALIZE_MAX`] positions; beyond that the functions fall back
+//! to the on-the-fly strided scans, so the `stride` parameter keeps
+//! bounding memory on huge grids exactly as it did before the batch
+//! rewrite.
 
 use crate::geom::{manhattan, BoundingBox, GridPoint};
 use crate::Curve;
@@ -170,21 +170,14 @@ pub fn mean_step_distance<C: Curve + Sync>(curve: &C) -> f64 {
 }
 
 /// Maximum pairwise Manhattan distance between aligned coordinate
-/// slices, reduced across worker threads.
+/// slices.
 fn max_dist_of(from: &[GridPoint], to: &[GridPoint]) -> u64 {
-    use std::sync::atomic::{AtomicU64, Ordering};
     assert_eq!(from.len(), to.len());
-    let global = AtomicU64::new(0);
-    crate::par_scan(from, crate::PAR_BATCH_MIN, |offset, part| {
-        let local = part
-            .iter()
-            .zip(&to[offset..offset + part.len()])
-            .map(|(&a, &b)| manhattan(a, b))
-            .max()
-            .unwrap_or(0);
-        global.fetch_max(local, Ordering::Relaxed);
-    });
-    global.into_inner()
+    from.iter()
+        .zip(to)
+        .map(|(&a, &b)| manhattan(a, b))
+        .max()
+        .unwrap_or(0)
 }
 
 #[cfg(test)]

@@ -5,12 +5,9 @@
 //!
 //! The SWAR rewrite must not regress this: the chunk kernels write
 //! straight into the output slice and the packed LUTs are `static`, so
-//! once the buffers exist, a batch costs no allocator traffic. The
-//! batch sizes stay below every realistic parallel crossover so the
-//! sequential path runs regardless of the host's core count (forked
-//! workers allocate thread stacks by design). This binary holds
-//! exactly one live `#[test]` so no concurrent test can pollute the
-//! count.
+//! once the buffers exist, a batch costs no allocator traffic. This
+//! binary holds exactly one live `#[test]` so no concurrent test can
+//! pollute the count.
 
 use spatial_sfc::{Curve, CurveKind, GridPoint};
 
@@ -21,7 +18,7 @@ use counting_alloc::count_allocations;
 #[test]
 fn batch_transforms_do_not_allocate() {
     for kind in [CurveKind::Hilbert, CurveKind::ZOrder] {
-        let curve = kind.with_side(1 << 6); // 4096 cells: well below any crossover
+        let curve = kind.with_side(1 << 6); // 4096 cells
         let n = curve.len() as usize;
         let indices: Vec<u64> = (0..n as u64).collect();
         let mut points = vec![GridPoint::default(); n];

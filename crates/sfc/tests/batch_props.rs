@@ -79,9 +79,10 @@ proptest! {
 
 #[test]
 fn large_batches_cross_the_parallel_threshold() {
-    // Exceed PAR_BATCH_MIN so the threaded chunk path actually runs.
+    // The largest batch-vs-scalar check: one 2^18-cell SWAR pass per
+    // batch call, far beyond the proptests' grids.
     for kind in [CurveKind::Hilbert, CurveKind::ZOrder] {
-        let curve = kind.with_side(1 << 9); // 2^18 cells > 2^14 threshold
+        let curve = kind.with_side(1 << 9);
         let n = curve.len();
         let mut points = vec![GridPoint::default(); n as usize];
         curve.point_range_batch(0, &mut points);
@@ -92,7 +93,7 @@ fn large_batches_cross_the_parallel_threshold() {
         let mut back = vec![0u64; n as usize];
         curve.index_batch(&points, &mut back);
         assert_eq!(back, indices, "{kind}");
-        // Spot-check scalar agreement at the chunk boundaries.
+        // Spot-check scalar agreement at both ends and inside.
         for i in [0u64, (1 << 14) - 1, 1 << 14, n / 2, n - 1] {
             assert_eq!(points[i as usize], curve.point(i), "{kind} at {i}");
         }

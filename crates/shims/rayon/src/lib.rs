@@ -1,201 +1,11 @@
 //! Offline stand-in for the `rayon` crate.
 //!
 //! The build environment has no crate registry, so the workspace ships
-//! this minimal substitute:
-//!
-//! - [`join`] and [`scope`] run on **real OS threads** (via
-//!   [`std::thread::scope`]), so fork-join code — the light-first layout
-//!   constructor, the batched curve transforms — gets genuine
-//!   multi-core speedups; [`join`] stops spawning past
-//!   `⌈log₂(threads)⌉ + 1` levels of nesting and runs small halves
-//!   inline, so deep recursive splits never oversubscribe the machine;
-//! - the parallel *iterator* adapters (`par_iter`, `into_par_iter`)
-//!   degrade to the equivalent sequential [`Iterator`] chains. Every
-//!   hot path in this workspace that needs real parallelism uses the
-//!   fork-join API (see `spatial_sfc::par_fill` and friends), so the
-//!   iterator fallback only affects diagnostics and test helpers.
-
-use std::marker::PhantomData;
-
-/// Number of worker threads a fork-join computation may use.
-///
-/// The `SPATIAL_THREADS` environment variable overrides the probed
-/// count (any integer ≥ 1; unset, empty, or unparseable values fall
-/// back to `available_parallelism`). The calibration sweeps and the
-/// CI wall-clock scaling smoke use it to pin worker counts without
-/// recompiling — mirroring the real rayon's `RAYON_NUM_THREADS`.
-///
-/// Memoized: `available_parallelism` probes cgroup files on Linux and
-/// heap-allocates on every call, which would break the engines'
-/// zero-allocation contracts (and costs a syscall in batch hot paths).
-/// The override is read once with the same memo, so flipping the env
-/// var mid-process has no effect — exactly like resizing the real
-/// rayon's global pool after first use.
-pub fn current_num_threads() -> usize {
-    static N: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *N.get_or_init(|| {
-        if let Ok(v) = std::env::var("SPATIAL_THREADS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n >= 1 {
-                    return n;
-                }
-            }
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
-}
-
-thread_local! {
-    /// Current fork-join recursion depth on this thread (propagated
-    /// into spawned halves so nested [`join`]s see their true depth).
-    static JOIN_DEPTH: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-
-    /// Spawns attributed to the fork-join computation rooted on this
-    /// thread. Each [`join`] adds its own spawn here *plus* every spawn
-    /// its spawned half performed (the child's count rides back with
-    /// the result), so after a top-level call returns, this counter
-    /// holds the computation's **whole-tree** spawn total — unpolluted
-    /// by joins running concurrently on unrelated threads.
-    static LOCAL_SPAWNS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Total OS threads ever spawned by [`join`] **process-wide** — a
-/// diagnostics meter. Under concurrent test execution other threads'
-/// joins land in the same counter, so regression *assertions* must use
-/// [`count_join_spawns`], which scopes counting to one computation.
-#[doc(hidden)]
-pub fn join_spawned_threads() -> u64 {
-    JOIN_SPAWNS.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Runs `f` and returns its result together with the exact number of
-/// OS threads [`join`] spawned **for that computation alone**,
-/// including spawns made by nested joins on spawned threads.
-///
-/// Spawn counts propagate from each spawned half back to its parent at
-/// the join point, so the calling thread's counter sees the whole
-/// fork-join tree; concurrent computations on other threads never leak
-/// into the count. This is the race-free meter the spawn-cutoff
-/// regression tests pin their bounds on.
-pub fn count_join_spawns<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = LOCAL_SPAWNS.with(|c| c.get());
-    let result = f();
-    let after = LOCAL_SPAWNS.with(|c| c.get());
-    (result, after - before)
-}
-
-static JOIN_SPAWNS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// Recursion depth beyond which [`join`] runs both halves inline:
-/// `⌈log₂(threads)⌉ + 1` levels of forking already yield more than
-/// `2 × threads` leaves, so spawning deeper only oversubscribes the
-/// machine with threads that have no core to run on (the real rayon
-/// never spawns per call — it schedules onto a fixed pool).
-#[doc(hidden)]
-pub fn join_spawn_depth_limit() -> usize {
-    static LIMIT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *LIMIT.get_or_init(|| {
-        let threads = current_num_threads();
-        (usize::BITS - threads.next_power_of_two().leading_zeros()) as usize
-    })
-}
-
-/// Runs both closures, potentially in parallel, and returns both
-/// results.
-///
-/// Near the top of a fork-join recursion `oper_a` runs on a spawned
-/// scoped thread and `oper_b` inline; past
-/// [`join_spawn_depth_limit`] levels of nesting both halves run
-/// inline on the calling thread. Without the cutoff every recursive
-/// split — the light-first builder, the batch curve transforms —
-/// spawned a fresh OS thread per call, oversubscribing the machine at
-/// depth (thousands of threads for a 2^12-leaf recursion).
-pub fn join<A, B, RA, RB>(oper_a: A, oper_b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    let depth = JOIN_DEPTH.with(|d| d.get());
-    if depth >= join_spawn_depth_limit() {
-        // Small halves: run inline, no thread, no synchronization.
-        let ra = oper_a();
-        let rb = oper_b();
-        return (ra, rb);
-    }
-    JOIN_SPAWNS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    LOCAL_SPAWNS.with(|c| c.set(c.get() + 1));
-    // Restore the caller's depth even when a half panics and the
-    // unwind escapes through `thread::scope` — otherwise a caught
-    // panic would leave the thread-local inflated and every later
-    // join on this thread would silently run inline.
-    struct DepthGuard(usize);
-    impl Drop for DepthGuard {
-        fn drop(&mut self) {
-            JOIN_DEPTH.with(|d| d.set(self.0));
-        }
-    }
-    let _guard = DepthGuard(depth);
-    let (ra, child_spawns, rb) = std::thread::scope(|s| {
-        let ha = s.spawn(move || {
-            // The spawned thread starts at depth 0 in its own
-            // thread-locals; inherit the caller's depth so nested
-            // joins stay bounded, and report the subtree's spawn count
-            // back with the result so the parent's scoped counter sees
-            // the whole computation.
-            JOIN_DEPTH.with(|d| d.set(depth + 1));
-            let ra = oper_a();
-            (ra, LOCAL_SPAWNS.with(|c| c.get()))
-        });
-        JOIN_DEPTH.with(|d| d.set(depth + 1));
-        let rb = oper_b();
-        let (ra, child_spawns) = ha.join().expect("joined task panicked");
-        (ra, child_spawns, rb)
-    });
-    LOCAL_SPAWNS.with(|c| c.set(c.get() + child_spawns));
-    (ra, rb)
-}
-
-/// A fork-join scope handle (see [`scope`]).
-pub struct Scope<'scope, 'env: 'scope> {
-    inner: &'scope std::thread::Scope<'scope, 'env>,
-    _marker: PhantomData<&'env ()>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawns a task on a scoped OS thread. The task receives a scope
-    /// reference so it can spawn further siblings.
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce(&Scope<'scope, 'env>) + Send + 'scope,
-    {
-        let inner = self.inner;
-        inner.spawn(move || {
-            f(&Scope {
-                inner,
-                _marker: PhantomData,
-            })
-        });
-    }
-}
-
-/// Creates a fork-join scope: tasks spawned inside are joined before
-/// `scope` returns. Backed by [`std::thread::scope`].
-pub fn scope<'env, OP, R>(op: OP) -> R
-where
-    OP: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R + Send,
-    R: Send,
-{
-    std::thread::scope(|s| {
-        op(&Scope {
-            inner: s,
-            _marker: PhantomData,
-        })
-    })
-}
+//! this minimal substitute. It holds only the parallel *iterator*
+//! adapters (`par_iter`, `into_par_iter`, …), and they are the
+//! equivalent sequential [`Iterator`] chains. No kernel forks: the
+//! engines simulate the paper's depth on the machine's dependency
+//! clocks, and a service's parallelism is one worker per shard.
 
 /// Sequential stand-ins for rayon's parallel iterator traits.
 pub mod iter {
@@ -222,165 +32,16 @@ pub mod iter {
             self.iter()
         }
     }
-
-    /// `par_iter_mut()` for slices.
-    pub trait ParallelSliceMut<T> {
-        /// Sequential stand-in for `rayon`'s `par_iter_mut`.
-        fn par_iter_mut(&mut self) -> std::slice::IterMut<'_, T>;
-
-        /// Sequential stand-in for `par_chunks_mut`.
-        fn par_chunks_mut(&mut self, size: usize) -> std::slice::ChunksMut<'_, T>;
-    }
-
-    impl<T> ParallelSliceMut<T> for [T] {
-        fn par_iter_mut(&mut self) -> std::slice::IterMut<'_, T> {
-            self.iter_mut()
-        }
-
-        fn par_chunks_mut(&mut self, size: usize) -> std::slice::ChunksMut<'_, T> {
-            self.chunks_mut(size)
-        }
-    }
 }
 
 /// The commonly-imported names, mirroring `rayon::prelude`.
 pub mod prelude {
-    pub use crate::iter::{IntoParallelIterator, ParallelSlice, ParallelSliceMut};
+    pub use crate::iter::{IntoParallelIterator, ParallelSlice};
 }
 
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    #[test]
-    fn join_returns_both() {
-        let (a, b) = super::join(|| 2 + 2, || "ok");
-        assert_eq!(a, 4);
-        assert_eq!(b, "ok");
-    }
-
-    #[test]
-    fn join_spawns_are_bounded_in_balanced_recursion() {
-        // A full binary fork-join of depth 12 (4096 leaves). Without
-        // the depth cutoff this spawned 4095 OS threads; with it, only
-        // the top ⌈log₂(threads)⌉+1 levels fork.
-        fn count(depth: u32) -> u64 {
-            if depth == 0 {
-                return 1;
-            }
-            let (a, b) = super::join(|| count(depth - 1), || count(depth - 1));
-            a + b
-        }
-        let (total, spawned) = super::count_join_spawns(|| count(12));
-        assert_eq!(total, 4096, "results must be unaffected");
-        // Exactly one spawn per internal node of the truncated
-        // recursion tree: 2^limit - 1 for a full binary tree cut at
-        // the depth limit. The scoped counter is race-free, so the
-        // bound is tight — no slack for concurrent tests.
-        let bound = (1u64 << super::join_spawn_depth_limit()) - 1;
-        assert_eq!(
-            spawned, bound,
-            "balanced recursion spawned {spawned} threads (expected {bound})"
-        );
-    }
-
-    #[test]
-    fn join_spawns_are_bounded_in_chain_recursion() {
-        // A lopsided chain (always recursing in the spawned half) is
-        // the worst case for per-call spawning: 500 nested threads
-        // before the cutoff, ≤ depth-limit after.
-        fn chain(depth: u32) -> u64 {
-            if depth == 0 {
-                return 0;
-            }
-            let (a, _) = super::join(|| chain(depth - 1), || ());
-            a + 1
-        }
-        let (total, spawned) = super::count_join_spawns(|| chain(500));
-        assert_eq!(total, 500, "results must be unaffected");
-        // One spawn per level until the cutoff — exact, race-free.
-        let bound = super::join_spawn_depth_limit() as u64;
-        assert_eq!(
-            spawned, bound,
-            "chain recursion spawned {spawned} threads (expected {bound})"
-        );
-    }
-
-    #[test]
-    fn count_join_spawns_isolated_from_concurrent_joins() {
-        // A background thread hammers `join` the whole time; the scoped
-        // counter on this thread must still report exactly its own
-        // computation's spawns (the global meter would race here).
-        let stop = std::sync::atomic::AtomicU64::new(0);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                while stop.load(Ordering::Relaxed) == 0 {
-                    let _ = super::join(|| 1u64, || 2u64);
-                }
-            });
-            for _ in 0..50 {
-                let ((a, b), spawned) = super::count_join_spawns(|| super::join(|| 3u64, || 4u64));
-                assert_eq!((a, b), (3, 4));
-                assert_eq!(spawned, 1, "exactly this computation's spawn");
-            }
-            stop.store(1, Ordering::Relaxed);
-        });
-    }
-
-    #[test]
-    fn scope_joins_nested_spawns() {
-        let counter = AtomicU64::new(0);
-        super::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|s2| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                    s2.spawn(|_| {
-                        counter.fetch_add(10, Ordering::Relaxed);
-                    });
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 44);
-    }
-
-    #[test]
-    fn scope_borrows_mutable_chunks() {
-        let mut out = vec![0u32; 64];
-        let (a, b) = out.split_at_mut(32);
-        super::scope(|s| {
-            s.spawn(move |_| a.iter_mut().for_each(|v| *v = 1));
-            s.spawn(move |_| b.iter_mut().for_each(|v| *v = 2));
-        });
-        assert_eq!(out[..32], [1; 32]);
-        assert_eq!(out[32..], [2; 32]);
-    }
-
-    #[test]
-    fn spatial_threads_env_overrides_thread_count() {
-        // The memo latches on first use, so the override must be
-        // present from process start: re-exec this exact test as a
-        // child with SPATIAL_THREADS set and assert inside the child.
-        if std::env::var("SPATIAL_THREADS").is_ok() {
-            assert_eq!(
-                super::current_num_threads(),
-                3,
-                "child must see the SPATIAL_THREADS override"
-            );
-            return;
-        }
-        let exe = std::env::current_exe().expect("test binary path");
-        let status = std::process::Command::new(exe)
-            .args([
-                "--exact",
-                "tests::spatial_threads_env_overrides_thread_count",
-                "--nocapture",
-            ])
-            .env("SPATIAL_THREADS", "3")
-            .status()
-            .expect("spawn child test process");
-        assert!(status.success(), "child assertion failed: {status}");
-    }
 
     #[test]
     fn iterator_adapters_compose() {

@@ -25,11 +25,11 @@ mod slab;
 mod snapshot;
 
 pub use atomic::atomic_write;
-pub use log::{append_line, read_lines, LogLines};
 pub use delta::{
     apply_pending_delta, delta_path, write_incremental, DirtyExtents, DELTA_MAGIC, DELTA_VERSION,
 };
 pub use journal::{parse_journal, read_journal, JournalWriter, Record, RECORD_BYTES};
+pub use log::{append_line, read_lines, LogLines};
 pub use mapped::MappedSnapshot;
 pub use slab::CowSlab;
 pub use snapshot::{ForestSnapshot, SnapshotHeader, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};

@@ -8,13 +8,11 @@
 //! tree in BFS order has `Ω(√n)` average neighbour distance, and a comb
 //! in (arbitrary-child-order) DFS order fares similarly.
 //!
-//! Both a sequential and a rayon fork-join light-first construction are
-//! provided; the fork-join version is the "low depth ⇒ real CPU
-//! parallelism" demonstration and recursively splits the output slice
-//! between children, so it is safe without any atomics.
+//! Every order here is built sequentially on the calling thread. The
+//! light-first constructor is iterative, so path-shaped trees cannot
+//! overflow the stack.
 
 use crate::tree::{NodeId, Tree, NIL};
-use rayon::prelude::*;
 
 /// Breadth-first order starting at the root, children in construction
 /// order. The returned vector lists vertices in visit order.
@@ -277,104 +275,6 @@ pub fn heavy_first_order(tree: &Tree) -> Vec<NodeId> {
     order
 }
 
-/// Rayon fork-join light-first order: the output slice is recursively
-/// split between children, mirroring the spatial algorithm's low depth.
-pub fn light_first_order_par(tree: &Tree) -> Vec<NodeId> {
-    let sizes = subtree_sizes_par(tree);
-    light_first_order_par_with_sizes(tree, &sizes)
-}
-
-/// Parallel light-first order given precomputed subtree sizes.
-pub fn light_first_order_par_with_sizes(tree: &Tree, sizes: &[u32]) -> Vec<NodeId> {
-    let n = tree.n() as usize;
-    let mut order = vec![0 as NodeId; n];
-    assign_subtree(tree, sizes, tree.root(), &mut order);
-    order
-}
-
-/// Sequential cutoff for the fork-join recursion: subtrees smaller than
-/// this are laid out without spawning.
-const SEQ_CUTOFF: u32 = 1 << 11;
-
-fn assign_subtree(tree: &Tree, sizes: &[u32], v: NodeId, out: &mut [NodeId]) {
-    debug_assert_eq!(out.len(), sizes[v as usize] as usize);
-    // Spawned light subtrees have at most half their parent's size, so
-    // the *recursion* nests at most log₂(n) scopes; the heavy chain is
-    // followed iteratively so path-shaped trees cannot blow the stack.
-    rayon::scope(|s| {
-        let mut v = v;
-        let mut out = out;
-        loop {
-            if sizes[v as usize] <= SEQ_CUTOFF {
-                assign_subtree_seq(tree, sizes, v, out);
-                return;
-            }
-            let (head, mut rest) = out.split_first_mut().expect("subtree size ≥ 1");
-            *head = v;
-            let mut cs: Vec<NodeId> = tree.children(v).to_vec();
-            cs.sort_by_key(|&c| (sizes[c as usize], c));
-            let Some((&heavy, light)) = cs.split_last() else {
-                return;
-            };
-            for &c in light {
-                let (chunk, tail) = rest.split_at_mut(sizes[c as usize] as usize);
-                rest = tail;
-                s.spawn(move |_| assign_subtree(tree, sizes, c, chunk));
-            }
-            v = heavy;
-            out = rest;
-        }
-    });
-}
-
-fn assign_subtree_seq(tree: &Tree, sizes: &[u32], v: NodeId, out: &mut [NodeId]) {
-    // Iterative: stack of (vertex, offset into out).
-    let mut stack: Vec<(NodeId, usize)> = vec![(v, 0)];
-    let mut buf: Vec<NodeId> = Vec::new();
-    while let Some((u, at)) = stack.pop() {
-        out[at] = u;
-        buf.clear();
-        buf.extend_from_slice(tree.children(u));
-        buf.sort_by_key(|&c| (sizes[c as usize], c));
-        let mut off = at + 1;
-        for &c in buf.iter() {
-            stack.push((c, off));
-            off += sizes[c as usize] as usize;
-        }
-    }
-}
-
-/// Parallel subtree sizes: processes BFS levels bottom-up, each level in
-/// parallel. Equivalent to [`Tree::subtree_sizes`].
-pub fn subtree_sizes_par(tree: &Tree) -> Vec<u32> {
-    let n = tree.n() as usize;
-    let depths = tree.depths();
-    let max_depth = depths.iter().copied().max().unwrap_or(0) as usize;
-    // Bucket vertices by depth.
-    let mut levels: Vec<Vec<NodeId>> = vec![Vec::new(); max_depth + 1];
-    for v in 0..n {
-        levels[depths[v] as usize].push(v as NodeId);
-    }
-    let mut sizes = vec![1u32; n];
-    for level in levels.iter().rev() {
-        let computed: Vec<(NodeId, u32)> = level
-            .par_iter()
-            .map(|&v| {
-                let s = 1 + tree
-                    .children(v)
-                    .iter()
-                    .map(|&c| sizes[c as usize])
-                    .sum::<u32>();
-                (v, s)
-            })
-            .collect();
-        for (v, s) in computed {
-            sizes[v as usize] = s;
-        }
-    }
-    sizes
-}
-
 /// Inverse of an order: `positions[v]` is the index of vertex `v`.
 pub fn positions_of(order: &[NodeId]) -> Vec<u32> {
     let mut pos = vec![0u32; order.len()];
@@ -468,37 +368,6 @@ mod tests {
         let t = sample_tree();
         let bfs = bfs_order(&t);
         assert!(verify_light_first(&t, &bfs).is_err());
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let mut rng = StdRng::seed_from_u64(11);
-        for n in [1u32, 2, 50, 500, 5000, 50_000] {
-            let t = generators::uniform_random(n, &mut rng);
-            assert_eq!(
-                light_first_order(&t),
-                light_first_order_par(&t),
-                "light-first mismatch at n={n}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_sizes_match() {
-        let mut rng = StdRng::seed_from_u64(5);
-        for n in [1u32, 7, 333, 4096] {
-            let t = generators::preferential_attachment(n, &mut rng);
-            assert_eq!(t.subtree_sizes(), subtree_sizes_par(&t), "n={n}");
-        }
-    }
-
-    #[test]
-    fn parallel_on_path_does_not_overflow() {
-        // Deep recursion guard: a path of 200k vertices.
-        let t = generators::path(200_000);
-        let order = light_first_order_par(&t);
-        assert_eq!(order.len(), 200_000);
-        assert_eq!(verify_light_first(&t, &order), Ok(()));
     }
 
     #[test]

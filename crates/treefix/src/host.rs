@@ -1,13 +1,12 @@
 //! Host (non-spatial) reference implementations of treefix sums.
 //!
 //! Used to verify the spatial contraction algorithm and as the
-//! sequential baseline in the wall-clock benchmarks. A rayon
-//! level-synchronous variant demonstrates the fork-join parallelism the
-//! paper's low depth implies.
+//! sequential baseline in the wall-clock benchmarks. Both passes run on
+//! the calling thread; the spatial algorithm's low depth is charged on
+//! the machine, not forked on the host.
 
 use crate::monoid::CommutativeMonoid;
-use rayon::prelude::*;
-use spatial_tree::{NodeId, Tree};
+use spatial_tree::Tree;
 
 /// Bottom-up treefix: `result[v] = ⊕ values over the subtree of v`.
 /// Sequential, one pass over reverse BFS order.
@@ -36,92 +35,10 @@ pub fn treefix_top_down_host<M: CommutativeMonoid>(tree: &Tree, values: &[M]) ->
     result
 }
 
-/// Rayon level-synchronous bottom-up treefix: processes depth levels
-/// from the deepest up, each level in parallel. Levels narrower than
-/// the measured [`spatial_sfc::thresholds::TREEFIX_ROUND`] crossover
-/// run sequentially in place — forking a handful of per-vertex
-/// combines costs more than it saves (the MeTTa Phase 3c lesson).
-pub fn treefix_bottom_up_par<M: CommutativeMonoid>(tree: &Tree, values: &[M]) -> Vec<M> {
-    assert_eq!(values.len() as u32, tree.n());
-    let levels = depth_levels(tree);
-    let min_par = spatial_sfc::thresholds::TREEFIX_ROUND.min_par_items();
-    let mut result = values.to_vec();
-    for level in levels.iter().rev() {
-        if level.len() < min_par {
-            // Children live strictly deeper and are already final, so
-            // the sequential pass writes straight into `result`.
-            for &v in level {
-                let mut acc = values[v as usize];
-                for &c in tree.children(v) {
-                    acc = acc.combine(result[c as usize]);
-                }
-                result[v as usize] = acc;
-            }
-            continue;
-        }
-        let partial: Vec<(NodeId, M)> = level
-            .par_iter()
-            .map(|&v| {
-                let mut acc = values[v as usize];
-                for &c in tree.children(v) {
-                    acc = acc.combine(result[c as usize]);
-                }
-                (v, acc)
-            })
-            .collect();
-        for (v, m) in partial {
-            result[v as usize] = m;
-        }
-    }
-    result
-}
-
-/// Rayon level-synchronous top-down treefix, with the same measured
-/// per-level sequential↔parallel cutoff as
-/// [`treefix_bottom_up_par`].
-pub fn treefix_top_down_par<M: CommutativeMonoid>(tree: &Tree, values: &[M]) -> Vec<M> {
-    assert_eq!(values.len() as u32, tree.n());
-    let levels = depth_levels(tree);
-    let min_par = spatial_sfc::thresholds::TREEFIX_ROUND.min_par_items();
-    let mut result = values.to_vec();
-    for level in levels.iter() {
-        if level.len() < min_par {
-            for &v in level {
-                if let Some(p) = tree.parent(v) {
-                    result[v as usize] = result[p as usize].combine(values[v as usize]);
-                }
-            }
-            continue;
-        }
-        let partial: Vec<(NodeId, M)> = level
-            .par_iter()
-            .filter_map(|&v| {
-                tree.parent(v)
-                    .map(|p| (v, result[p as usize].combine(values[v as usize])))
-            })
-            .collect();
-        for (v, m) in partial {
-            result[v as usize] = m;
-        }
-    }
-    result
-}
-
-fn depth_levels(tree: &Tree) -> Vec<Vec<NodeId>> {
-    let depths = tree.depths();
-    let max = depths.iter().copied().max().unwrap_or(0) as usize;
-    let mut levels = vec![Vec::new(); max + 1];
-    for v in tree.vertices() {
-        levels[depths[v as usize] as usize].push(v);
-    }
-    levels
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::monoid::{Add, Max};
-    use rand::prelude::*;
     use spatial_tree::generators;
 
     #[test]
@@ -150,24 +67,5 @@ mod tests {
         let vals: Vec<Max> = [3u64, 9, 1, 7, 2].iter().map(|&v| Max(v)).collect();
         let got = treefix_bottom_up_host(&t, &vals);
         assert_eq!(got, vec![Max(9), Max(9), Max(7), Max(7), Max(2)]);
-    }
-
-    #[test]
-    fn par_matches_host() {
-        let mut rng = StdRng::seed_from_u64(6);
-        for n in [1u32, 2, 100, 5000] {
-            let t = generators::preferential_attachment(n, &mut rng);
-            let vals: Vec<Add> = (0..n as u64).map(|v| Add(v * v + 1)).collect();
-            assert_eq!(
-                treefix_bottom_up_par(&t, &vals),
-                treefix_bottom_up_host(&t, &vals),
-                "bottom-up n={n}"
-            );
-            assert_eq!(
-                treefix_top_down_par(&t, &vals),
-                treefix_top_down_host(&t, &vals),
-                "top-down n={n}"
-            );
-        }
     }
 }
