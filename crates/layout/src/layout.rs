@@ -238,9 +238,15 @@ impl Layout {
     /// differs from the compact curve — pricing reserved-tail
     /// placements through a compact grid undercharges them.
     pub fn machine(&self) -> Machine {
+        Machine::from_points(self.slot_points())
+    }
+
+    /// Grid coordinate of every slot `0..n` on this layout's curve (one
+    /// batch curve transform): the placement of [`Layout::machine`].
+    pub fn slot_points(&self) -> Vec<GridPoint> {
         let mut points = vec![GridPoint::default(); self.vertex_at.len()];
         self.curve.point_range_batch(0, &mut points);
-        Machine::from_points(points)
+        points
     }
 
     /// Grid coordinate of every vertex, indexed by vertex id — one
@@ -248,8 +254,7 @@ impl Layout {
     /// [`Layout::point`] calls. The backbone of the quality metrics.
     pub fn grid_points(&self) -> Vec<GridPoint> {
         let n = self.vertex_at.len();
-        let mut by_slot = vec![GridPoint::default(); n];
-        self.curve.point_range_batch(0, &mut by_slot);
+        let by_slot = self.slot_points();
         let mut by_vertex = vec![GridPoint::default(); n];
         for (slot, &v) in self.vertex_at.iter().enumerate() {
             by_vertex[v as usize] = by_slot[slot];

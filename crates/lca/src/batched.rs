@@ -20,11 +20,16 @@
 //!    replayed from the precomputed CSR schedule (step 2),
 //! 3. one top-down treefix over the light-edge indicator (step 3),
 //! 4. per layer, the Lemma 13 range broadcast inside every cover
-//!    subtree plus a synchronization barrier — charged through a
-//!    [`spatial_model::LocalCharge`] session (identical accounting,
-//!    no per-message atomics; the barrier's charges are computed in
-//!    closed form by [`spatial_model::collectives::barrier_local`]
-//!    rather than replayed message by message).
+//!    subtree plus a synchronization barrier — charged in closed form
+//!    by a [`LayeredBroadcast`] computed at bind. Its energy, messages
+//!    and work are per-structure constants. The first layer's barrier
+//!    floor is a max-plus pass over the entry clocks with per-slot
+//!    weights, and each later layer adds a per-structure constant to
+//!    the floor, so a run costs one `O(n)` pass, one bulk charge and
+//!    one floor lift. Traced machines, and machines placed differently
+//!    from the layout, replay the broadcasts and barriers through a
+//!    [`spatial_model::LocalCharge`] session instead, with identical
+//!    charges.
 //!
 //! Queries are resolved by walking each endpoint's head chain (the at
 //! most `O(log n)` cover subtrees containing it) instead of rescanning
@@ -48,7 +53,8 @@ use crate::cover::SubtreeCover;
 use rand::Rng;
 use spatial_layout::Layout;
 use spatial_messaging::{BroadcastSchedule, VirtualTree};
-use spatial_model::{collectives, EngineLifecycle, LocalChargeScratch, Machine, Slot};
+use spatial_model::collectives::{self, LayeredBroadcast};
+use spatial_model::{EngineLifecycle, LocalChargeScratch, Machine, Slot};
 use spatial_tree::{ChildrenCsr, HeavyPathDecomposition, NodeId, Tree, NIL};
 use spatial_treefix::contraction::ContractionEngine;
 use spatial_treefix::Add;
@@ -95,6 +101,9 @@ struct Structure {
     layer: Vec<u32>,
     /// The layer-indexed CSR subtree cover (§VI-B).
     cover: SubtreeCover,
+    /// Step 4's broadcasts and barriers over the cover, in closed form
+    /// for the layout's slot placement.
+    step4: LayeredBroadcast,
     /// Step-1 treefix input (`Add(1)` per vertex).
     ones: Vec<Add>,
     /// Step-3 treefix input (light-edge indicator).
@@ -130,6 +139,10 @@ impl Structure {
             .map(|v| Add((decomposition.head[v] == v as NodeId && parents[v] != NIL) as u64))
             .collect();
         let cover = SubtreeCover::new(tree, layout, &decomposition, &sizes);
+        let step4 = LayeredBroadcast::new(
+            layout.slot_points(),
+            (0..cover.num_layers()).map(|li| cover.layer_ranges(li)),
+        );
         Structure {
             n,
             parents: parents.to_vec(),
@@ -140,6 +153,7 @@ impl Structure {
             head: decomposition.head,
             layer: decomposition.layer,
             cover,
+            step4,
             ones: vec![Add(1); n as usize],
             indicator,
         }
@@ -258,6 +272,32 @@ impl LcaEngine {
         &self.structure.csr
     }
 
+    /// Charges step 4 of a run on `machine`: per cover layer, the
+    /// Lemma 13 range broadcast inside every cover subtree, then a
+    /// synchronization barrier before the next layer (§VI-C). The
+    /// charges are computed in closed form when `machine` is untraced
+    /// and places its slots as the bound layout does (see
+    /// [`LayeredBroadcast`]); otherwise the broadcasts and barriers are
+    /// replayed through one local charging session. Both paths charge
+    /// identically.
+    pub fn charge_step4(&mut self, machine: &Machine) {
+        let s = &self.structure;
+        assert!(s.n > 0, "bind() a tree first");
+        let mut lc = machine.begin_local_charge(&mut self.charge_scratch);
+        if !s.step4.charge_local(&mut lc) {
+            for li in 0..s.cover.num_layers() {
+                let (los, his) = s.cover.layer_ranges(li);
+                for (&lo, &hi) in los.iter().zip(his.iter()) {
+                    if hi - lo >= 2 {
+                        collectives::range_broadcast_local(&mut lc, lo, hi);
+                    }
+                }
+                collectives::barrier_local(&mut lc);
+            }
+        }
+        lc.commit();
+    }
+
     /// Whether `partner`'s slot lies in `r(parent(root)) \ r(root)` —
     /// the Corollary 3 resolution test; returns the answer `w`.
     #[inline]
@@ -326,6 +366,10 @@ impl LcaEngine {
         let s = &self.structure;
         let n = s.n;
         assert!(n > 0, "bind() a tree first");
+        // Check every query before anything is charged.
+        for &(a, b) in queries {
+            assert!(a < n && b < n, "query ({a}, {b}) out of range");
+        }
 
         // ---- Step 1: subtree sizes (bottom-up treefix), ranges, and ----
         // ---- ancestor/descendant answers.                           ----
@@ -349,7 +393,6 @@ impl LcaEngine {
         answers.resize(queries.len(), NIL);
         let mut answered_step1 = 0u32;
         for (qi, &(a, b)) in queries.iter().enumerate() {
-            assert!(a < n && b < n, "query ({a}, {b}) out of range");
             if a == b || in_range(b, a) {
                 // Equal vertices or b a descendant of a: the answer is a.
                 answers[qi] = a;
@@ -384,20 +427,8 @@ impl LcaEngine {
         );
 
         // ---- Step 4 charging: per layer, broadcast inside every    ----
-        // ---- cover subtree (Lemma 13) and barrier — one local       ----
-        // ---- charging session for the whole phase.                  ----
-        let mut lc = machine.begin_local_charge(&mut self.charge_scratch);
-        for li in 0..s.cover.num_layers() {
-            let (los, his) = s.cover.layer_ranges(li);
-            for (&lo, &hi) in los.iter().zip(his.iter()) {
-                if hi - lo >= 2 {
-                    collectives::range_broadcast_local(&mut lc, lo, hi);
-                }
-            }
-            // Synchronization barrier before the next layer (§VI-C).
-            collectives::barrier_local(&mut lc);
-        }
-        lc.commit();
+        // ---- cover subtree (Lemma 13) and barrier.                 ----
+        self.charge_step4(machine);
 
         // ---- Step 4 resolution: walk each query's head chains from ----
         // ---- layer 0 upward; the first layer whose subtree isolates ----
@@ -656,6 +687,19 @@ mod tests {
         for (qi, &(a, b)) in queries.iter().enumerate() {
             assert_eq!(res.answers[qi], host.query(a, b));
         }
+    }
+
+    #[test]
+    fn bad_query_panics_before_charging() {
+        let t = generators::path(16);
+        let layout = Layout::light_first(&t, CurveKind::Hilbert);
+        let machine = layout.machine();
+        let mut engine = LcaEngine::new(&layout, &t);
+        let rejected = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.run(&machine, &[(0, 1), (3, 16)], &mut StdRng::seed_from_u64(1))
+        }));
+        assert!(rejected.is_err(), "query (3, 16) accepted");
+        assert_eq!(machine.report(), spatial_model::CostReport::default());
     }
 
     #[test]

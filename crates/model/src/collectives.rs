@@ -19,15 +19,18 @@
 //! Senders are ticked between consecutive messages so that "one message
 //! per round" chains show up in the depth meter.
 //!
-//! The one exception is [`barrier_local`], the session-charged barrier
-//! the batched LCA runs once per layer: it charges the all-reduce's
-//! totals and clocks in closed form (bit-identical to [`barrier`]; the
-//! derivation is in its docs) instead of replaying every message.
+//! The exceptions are the session-charged closed forms: [`barrier_local`]
+//! charges the all-reduce's totals and clocks without replaying its
+//! messages, and [`LayeredBroadcast`] does the same for a whole phase of
+//! per-layer range broadcasts and barriers (the batched LCA's step 4).
+//! Both are bit-identical to the message path; the derivations are in
+//! their docs.
 
 #[cfg(test)]
 use crate::machine::LocalChargeScratch;
 use crate::machine::{LocalCharge, Machine, Slot};
 use rayon::prelude::*;
+use spatial_sfc::{manhattan, GridPoint};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Broadcasts a value held at slot `lo` to every slot in `[lo, hi)` along
@@ -133,7 +136,7 @@ pub fn barrier_local(lc: &mut LocalCharge) {
     }
     let messages = 2 * (n as u64 - 1);
     lc.charge_bulk(barrier_energy(lc.machine()), messages, messages);
-    let height = 32 - (n - 1).leading_zeros(); // ⌈log₂ n⌉
+    let height = split_height(n);
     let (clocks, floor) = lc.raw_clocks();
     let depth = lc.depth();
     let target = (reduced_clock(clocks, floor) + height).max(depth);
@@ -144,15 +147,26 @@ pub fn barrier_local(lc: &mut LocalCharge) {
 /// split distances of the balanced split tree of `[0, n)` (see
 /// [`barrier_local`]). Computed once per machine, without allocating.
 fn barrier_energy(m: &Machine) -> u64 {
-    fn splits(m: &Machine, lo: Slot, hi: Slot) -> u64 {
-        if hi - lo <= 1 {
-            return 0;
-        }
-        let mid = lo + (hi - lo) / 2;
-        m.dist(lo, mid) + splits(m, lo, mid) + splits(m, mid, hi)
-    }
     *m.barrier_energy
-        .get_or_init(|| 2 * splits(m, 0, m.n_slots()))
+        .get_or_init(|| 2 * split_energy(m.points(), 0, m.n_slots()))
+}
+
+/// `Σ dist(lo, mid)` over the balanced split tree of `[lo, hi)` for
+/// slots placed at `points`: the energy of one [`range_broadcast`] (or
+/// [`range_reduce`]) over the range.
+fn split_energy(points: &[GridPoint], lo: Slot, hi: Slot) -> u64 {
+    if hi - lo <= 1 {
+        return 0;
+    }
+    let mid = lo + (hi - lo) / 2;
+    manhattan(points[lo as usize], points[mid as usize])
+        + split_energy(points, lo, mid)
+        + split_energy(points, mid, hi)
+}
+
+/// `⌈log₂ n⌉`: the height of the balanced split tree of `n ≥ 1` slots.
+fn split_height(n: u32) -> u32 {
+    32 - (n - 1).leading_zeros()
 }
 
 /// `val(lo, hi)` of [`barrier_local`] for the raw clocks of `[lo, hi)`:
@@ -187,6 +201,195 @@ fn reduced_clock(clocks: &[AtomicU32], floor: u32) -> u32 {
     }
     let (left, right) = clocks.split_at(len / 2);
     reduced_clock(left, floor).max(reduced_clock(right, floor) + 1) + 1
+}
+
+/// A *layered broadcast* precomputed for one slot placement: per layer,
+/// a [`range_broadcast_local`] over each of the layer's disjoint
+/// ranges, then a [`barrier_local`]. This is the batched LCA's step 4
+/// (§VI-C): Lemma 13 broadcasts inside every cover subtree of a layer,
+/// and a synchronization barrier before the next layer.
+///
+/// [`LayeredBroadcast::charge_local`] charges the whole phase in one
+/// pass over the entry clocks, one bulk charge and one floor lift,
+/// leaving [`Machine::report`] and every [`Machine::clock`]
+/// bit-identical to the replay. The closed form follows from the
+/// message trees:
+///
+/// - **energy, messages, work** depend only on the placement and the
+///   ranges. A range's broadcast sends `hi − lo − 1` messages, ticks
+///   the sender after each, and costs `Σ dist(lo, mid)` over its split
+///   tree. Each barrier adds [`barrier_local`]'s totals.
+/// - **clocks** evolve max-plus linearly in the effective clocks: a
+///   send sets `clock(to) = max(clock(to), clock(from) + 1)` and a tick
+///   adds one. So does the barrier's reduce value,
+///   `R = max_t(clock(t) + rw[t])`, where `rw[t]` is slot `t`'s path
+///   weight in the reduce tree of `[0, n)` (+1 per level, +1 more per
+///   right turn). The barrier lifts the floor to `max(R + h, depth)`
+///   with `h = ⌈log₂ n⌉`, and `R + h` exceeds every clock the layer's
+///   broadcasts wrote.
+/// - **The first layer** meets arbitrary entry clocks. Pushing the
+///   weights `rw + h` backward through its broadcasts (a tick adds one
+///   to the sender's weight, a send raises it to the receiver's plus
+///   one) gives per-slot weights `w` with a first floor of
+///   `max(max_s(clock(s) + w[s]), depth)`.
+/// - **Every later layer** starts with all effective clocks at one
+///   floor `T`. Its broadcasts leave slot `t` at `T + d[t]`, where
+///   `d[t]` is `t`'s leaf depth in its range's split tree (0 outside
+///   every range), so its barrier adds the constant `max_t(d[t] +
+///   rw[t]) + h` to the floor.
+///
+/// Every clock the replay writes lies at or below the final floor, and
+/// clocks are only read as `max(raw, floor)`, so skipping those writes
+/// is unobservable (the argument of [`barrier_local`]).
+#[derive(Debug)]
+pub struct LayeredBroadcast {
+    /// Slot placement the constants were computed for.
+    points: Vec<GridPoint>,
+    energy: u64,
+    /// Messages, which equal the work: one tick per send.
+    messages: u64,
+    /// The first layer's max-plus weights `w`.
+    entry_weights: Vec<u32>,
+    /// The later layers' floor increments, summed.
+    lift: u32,
+}
+
+impl LayeredBroadcast {
+    /// Precomputes the phase for slots placed at `points` (slot `s` at
+    /// `points[s]`) and `layers`, each given as the `(los, his)` arrays
+    /// of its `[lo, hi)` slot ranges, sorted and pairwise disjoint.
+    /// Costs one walk of every range's split tree.
+    pub fn new<'a>(
+        points: Vec<GridPoint>,
+        layers: impl IntoIterator<Item = (&'a [Slot], &'a [Slot])>,
+    ) -> Self {
+        let n = points.len() as u32;
+        assert!(n > 0, "a layered broadcast needs at least one slot");
+        let height = split_height(n);
+        let barrier_energy = 2 * split_energy(&points, 0, n);
+        let barrier_messages = 2 * (n as u64 - 1);
+        // The reduce weights `rw`, which become the entry weights once
+        // the later layers have read them.
+        let mut weights = vec![0u32; n as usize];
+        fill_reduce_weights(&mut weights, 0);
+        let reduce_max = weights.iter().copied().fold(0, u32::max);
+
+        let mut layers = layers.into_iter();
+        let (first_los, first_his) = layers
+            .next()
+            .expect("a layered broadcast needs at least one layer");
+        let mut energy = barrier_energy;
+        let mut messages = barrier_messages + layer_messages(first_los, first_his, n);
+        let mut lift = 0;
+        for (los, his) in layers {
+            energy += barrier_energy;
+            messages += barrier_messages + layer_messages(los, his, n);
+            let mut reach = reduce_max;
+            for (&lo, &hi) in los.iter().zip(his) {
+                let (e, r) = broadcast_reach(&points, &weights, lo, hi, 0);
+                energy += e;
+                reach = reach.max(r);
+            }
+            lift += reach + height;
+        }
+        for w in &mut weights {
+            *w += height;
+        }
+        for (&lo, &hi) in first_los.iter().zip(first_his) {
+            energy += pull_back_broadcast(&points, &mut weights, lo, hi);
+        }
+        LayeredBroadcast {
+            points,
+            energy,
+            messages,
+            entry_weights: weights,
+            lift,
+        }
+    }
+
+    /// Charges the phase on `lc` in closed form and returns `true`. On
+    /// a traced machine, which records every message, or one whose
+    /// slots sit elsewhere than the placement this phase was computed
+    /// for, it charges nothing and returns `false`: the caller then
+    /// replays the broadcasts and barriers message by message.
+    pub fn charge_local(&self, lc: &mut LocalCharge) -> bool {
+        let machine = lc.machine();
+        if machine.is_traced() || machine.points() != self.points.as_slice() {
+            return false;
+        }
+        lc.charge_bulk(self.energy, self.messages, self.messages);
+        let (clocks, floor) = lc.raw_clocks();
+        let reach = (clocks.iter().zip(&self.entry_weights))
+            .map(|(c, &w)| c.load(Ordering::Relaxed).max(floor) + w)
+            .fold(0, u32::max);
+        let depth = lc.depth();
+        lc.advance_all(reach.max(depth) + self.lift - depth);
+        true
+    }
+}
+
+/// The messages of one [`range_broadcast`] over each of a layer's
+/// ranges, `Σ (hi − lo − 1)`. The ranges must be sorted, pairwise
+/// disjoint and inside `[0, n)`.
+fn layer_messages(los: &[Slot], his: &[Slot], n: u32) -> u64 {
+    assert_eq!(los.len(), his.len(), "one hi per lo");
+    let mut prev_hi = 0;
+    (los.iter().zip(his))
+        .map(|(&lo, &hi)| {
+            assert!(
+                prev_hi <= lo && lo < hi && hi <= n,
+                "range [{lo}, {hi}) overlaps its layer or leaves the machine"
+            );
+            prev_hi = hi;
+            (hi - lo - 1) as u64
+        })
+        .sum()
+}
+
+/// Fills `rw` with the reduce-tree path weights of its slots (see
+/// [`LayeredBroadcast`]): entering a half costs one level, and the
+/// right half's value arrives one hop later.
+fn fill_reduce_weights(rw: &mut [u32], acc: u32) {
+    if rw.len() == 1 {
+        rw[0] = acc;
+        return;
+    }
+    let (left, right) = rw.split_at_mut(rw.len() / 2);
+    fill_reduce_weights(left, acc + 1);
+    fill_reduce_weights(right, acc + 2);
+}
+
+/// Pushes the max-plus weights `w` backward through a
+/// [`range_broadcast`] over `[lo, hi)`, in reverse message order: each
+/// split's subtrees, then its sender's tick (+1), then its send (the
+/// sender's weight rises to the receiver's + 1). Returns the
+/// broadcast's energy.
+fn pull_back_broadcast(points: &[GridPoint], w: &mut [u32], lo: Slot, hi: Slot) -> u64 {
+    if hi - lo <= 1 {
+        return 0;
+    }
+    let mid = lo + (hi - lo) / 2;
+    let energy = manhattan(points[lo as usize], points[mid as usize])
+        + pull_back_broadcast(points, w, lo, mid)
+        + pull_back_broadcast(points, w, mid, hi);
+    w[lo as usize] = w[lo as usize].max(w[mid as usize]) + 1;
+    energy
+}
+
+/// A [`range_broadcast`] over `[lo, hi)` from level clocks leaves each
+/// slot `t` at its leaf depth `d[t]` below `depth` in the range's split
+/// tree. Returns the broadcast's energy and `max_t(d[t] + rw[t])`.
+fn broadcast_reach(points: &[GridPoint], rw: &[u32], lo: Slot, hi: Slot, depth: u32) -> (u64, u32) {
+    if hi - lo <= 1 {
+        return (0, depth + rw[lo as usize]);
+    }
+    let mid = lo + (hi - lo) / 2;
+    let (left_energy, left_reach) = broadcast_reach(points, rw, lo, mid, depth + 1);
+    let (right_energy, right_reach) = broadcast_reach(points, rw, mid, hi, depth + 1);
+    (
+        manhattan(points[lo as usize], points[mid as usize]) + left_energy + right_energy,
+        left_reach.max(right_reach),
+    )
 }
 
 /// Reduces the `values` of slots `[lo, hi)` into slot `lo` with the

@@ -150,6 +150,11 @@ impl Machine {
         self.points[s as usize]
     }
 
+    /// Grid position of every slot, in slot order.
+    pub(crate) fn points(&self) -> &[GridPoint] {
+        &self.points
+    }
+
     /// Manhattan distance between two slots — the energy one message
     /// between them would cost.
     #[inline]
@@ -312,14 +317,6 @@ impl Machine {
         }
     }
 
-    /// Sums the Manhattan distances of a batch of slot pairs — the
-    /// energy those messages would cost — without charging anything.
-    /// The batched charge hook used by the list-ranking engine: one
-    /// pass over the pairs, then a single [`Machine::charge_bulk`].
-    pub fn dist_sum<I: IntoIterator<Item = (Slot, Slot)>>(&self, pairs: I) -> u64 {
-        pairs.into_iter().map(|(a, b)| self.dist(a, b)).sum()
-    }
-
     /// Charges one synchronous pointer round (the §IV list-ranking
     /// pattern): bulk energy + message count, one unit of work per
     /// message, and a single global clock step.
@@ -336,7 +333,7 @@ impl Machine {
     ///
     /// This is the hot-path charge hook for phases that issue millions
     /// of fine-grained messages (the treefix COMPACT rounds, the
-    /// batched-LCA layer broadcasts and barriers): the accounting math
+    /// batched-LCA relay schedules, the layout engine): the accounting math
     /// is exactly [`Machine::send`] / [`Machine::tick`] /
     /// [`Machine::round`] / [`Machine::advance_all`], minus the
     /// read-modify-write atomics.
@@ -520,6 +517,14 @@ impl RoundCharger for LocalCharge<'_, '_> {
 /// `max(raw, floor)`. Any raw value at or below the floor is therefore
 /// unobservable, which is what lets [`crate::collectives::barrier_local`]
 /// lift the floor without writing the clocks it covers.
+///
+/// A message's clock write is an unconditional `store(max(raw, after))`
+/// rather than a store taken only when `after` is larger. The session
+/// owns its clocks until it commits, so rewriting an unchanged value
+/// cannot be observed by anyone, while the conditional store costs a
+/// data-dependent branch on every message the session charges (the
+/// treefix COMPACT rounds and their undo, the relay schedules, the
+/// range broadcasts, the layout engine).
 pub struct LocalCharge<'m, 's> {
     machine: &'m Machine,
     /// The machine's per-slot raw clocks, charged in place.
@@ -535,13 +540,16 @@ pub struct LocalCharge<'m, 's> {
 
 /// Raises a raw clock to at least `after` in place and returns the
 /// slot's effective clock under `floor`.
+///
+/// Stores `max(raw, after)` unconditionally: only the session that owns
+/// the clock reads or writes it, so writing back an unchanged value is
+/// unobservable, and the branch-free store avoids a mispredicted branch
+/// per message (see [`LocalCharge`]).
 #[inline]
 fn raise_clock(clock: &AtomicU32, after: u32, floor: u32) -> u32 {
-    let raw = clock.load(Ordering::Relaxed);
-    if after > raw {
-        clock.store(after, Ordering::Relaxed);
-    }
-    raw.max(after).max(floor)
+    let raised = clock.load(Ordering::Relaxed).max(after);
+    clock.store(raised, Ordering::Relaxed);
+    raised.max(floor)
 }
 
 impl<'m> LocalCharge<'m, '_> {
@@ -581,9 +589,7 @@ impl<'m> LocalCharge<'m, '_> {
         self.messages += 1;
         let after = self.clock(from) + 1;
         let eff = raise_clock(&self.clocks[to as usize], after, self.floor);
-        if eff > self.max {
-            self.max = eff;
-        }
+        self.max = self.max.max(eff);
         if let Some(trace) = &self.machine.trace {
             trace.lock().push(TraceEvent {
                 from,
@@ -600,9 +606,7 @@ impl<'m> LocalCharge<'m, '_> {
         self.work += 1;
         let c = self.clock(s) + 1;
         self.clocks[s as usize].store(c, Ordering::Relaxed);
-        if c > self.max {
-            self.max = c;
-        }
+        self.max = self.max.max(c);
     }
 
     /// Local mirror of [`Machine::charge_bulk`]: counters only, no
@@ -631,9 +635,7 @@ impl<'m> LocalCharge<'m, '_> {
         for &(t, after, e) in self.staging.iter() {
             e_sum += e;
             let eff = raise_clock(&clocks[t as usize], after, floor);
-            if eff > self.max {
-                self.max = eff;
-            }
+            self.max = self.max.max(eff);
         }
         self.energy += e_sum;
         self.messages += msgs.len() as u64;
@@ -1002,12 +1004,9 @@ mod tests {
     }
 
     #[test]
-    fn dist_sum_and_pointer_round() {
+    fn charge_pointer_round_is_bulk_plus_one_step() {
         let m = line_machine(10);
-        let pairs = [(0u32, 3u32), (9, 4)];
-        let e = m.dist_sum(pairs);
-        assert_eq!(e, 3 + 5);
-        m.charge_pointer_round(e, 2);
+        m.charge_pointer_round(8, 2);
         assert_eq!(m.energy(), 8);
         assert_eq!(m.message_count(), 2);
         assert_eq!(m.work(), 2);

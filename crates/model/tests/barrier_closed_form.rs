@@ -1,45 +1,70 @@
-//! The closed-form session barrier against the per-message oracle.
+//! The session charge kernel and its closed forms against the atomic,
+//! per-message oracle.
 //!
-//! `collectives::barrier_local` charges a barrier's totals and clocks
-//! in closed form, while the atomic `collectives::barrier` replays its
-//! 2(n−1) sends and ticks. Starting from a random pre-state (sends,
-//! ticks, and floor lifts that leave some raw clocks below the floor
-//! and some above), the batched-LCA step-4 pattern — range broadcasts,
-//! then a barrier, repeated — must leave both machines with the same
-//! `report()` and the same `clock(s)` for every slot. On traced
-//! machines the session barrier keeps the message path, so the recorded
-//! events must match too.
+//! Every test starts from a random pre-state: sends, ticks, and floor
+//! lifts that leave some raw clocks below the floor and some above.
+//!
+//! - A random sequence of session operations (sends, ticks, rounds
+//!   whose slots both send and receive, floor lifts, bulk charges, and
+//!   commit-and-reopen) must leave the same `report()` and the same
+//!   `clock(s)` for every slot as the same operations on the atomic
+//!   `Machine` path.
+//! - `collectives::barrier_local` charges a barrier's totals and clocks
+//!   in closed form, while the atomic `collectives::barrier` replays its
+//!   2(n−1) sends and ticks. Range broadcasts, then a barrier, repeated,
+//!   must leave both machines in the same state. On traced machines the
+//!   session barrier keeps the message path, so the recorded events
+//!   must match too.
+//! - `collectives::LayeredBroadcast` charges a whole phase of per-layer
+//!   broadcasts over disjoint ranges and barriers in closed form; it
+//!   must match the same phase replayed on the atomic path.
 
 use proptest::prelude::*;
 use rand::prelude::*;
-use spatial_model::collectives::{barrier, barrier_local, range_broadcast, range_broadcast_local};
+use spatial_model::collectives::{
+    barrier, barrier_local, range_broadcast, range_broadcast_local, LayeredBroadcast,
+};
 use spatial_model::{CurveKind, LocalChargeScratch, Machine, MachineBuilder, Slot};
 
-/// One charge of the random pre-state.
-#[derive(Debug, Clone, Copy)]
-enum Pre {
+/// One charge. The random pre-state uses the first three kinds, the
+/// session differential all of them.
+#[derive(Debug, Clone)]
+enum Op {
     Send(Slot, Slot),
     Tick(Slot),
     AdvanceAll(u32),
+    Round(Vec<(Slot, Slot)>),
+    ChargeBulk(u64, u64, u64),
+    /// Commit the session and open a new one (nothing on the atomic
+    /// path).
+    Reopen,
 }
 
-fn pre_state(n: u32, rng: &mut StdRng) -> Vec<Pre> {
+fn pre_state(n: u32, rng: &mut StdRng) -> Vec<Op> {
     (0..rng.gen_range(0..3 * n as usize + 4))
         .map(|_| match rng.gen_range(0..10) {
-            0 => Pre::AdvanceAll(rng.gen_range(0..4)),
-            1..=3 => Pre::Tick(rng.gen_range(0..n)),
-            _ => Pre::Send(rng.gen_range(0..n), rng.gen_range(0..n)),
+            0 => Op::AdvanceAll(rng.gen_range(0..4)),
+            1..=3 => Op::Tick(rng.gen_range(0..n)),
+            _ => Op::Send(rng.gen_range(0..n), rng.gen_range(0..n)),
         })
         .collect()
 }
 
-fn apply_pre(m: &Machine, pre: &[Pre]) {
-    for &op in pre {
-        match op {
-            Pre::Send(a, b) => m.send(a, b),
-            Pre::Tick(s) => m.tick(s),
-            Pre::AdvanceAll(d) => m.advance_all(d),
-        }
+/// Charges `op` on the atomic `Machine` path.
+fn apply_atomic(m: &Machine, op: &Op) {
+    match *op {
+        Op::Send(a, b) => m.send(a, b),
+        Op::Tick(s) => m.tick(s),
+        Op::AdvanceAll(d) => m.advance_all(d),
+        Op::Round(ref msgs) => m.round(msgs),
+        Op::ChargeBulk(e, messages, w) => m.charge_bulk(e, messages, w),
+        Op::Reopen => {}
+    }
+}
+
+fn apply_pre(m: &Machine, pre: &[Op]) {
+    for op in pre {
+        apply_atomic(m, op);
     }
 }
 
@@ -104,7 +129,139 @@ fn check_step4_pattern(n: u32, barriers: usize, seed: u64, kind: CurveKind) -> R
     assert_same_state(&atomic, &local)
 }
 
+fn session_ops(n: u32, rng: &mut StdRng) -> Vec<Op> {
+    (0..rng.gen_range(1..4 * n as usize + 8))
+        .map(|_| match rng.gen_range(0..16) {
+            0 => Op::AdvanceAll(rng.gen_range(0..4)),
+            1 => Op::ChargeBulk(
+                rng.gen_range(0..100),
+                rng.gen_range(0..8),
+                rng.gen_range(0..8),
+            ),
+            2 => Op::Reopen,
+            3..=5 => Op::Tick(rng.gen_range(0..n)),
+            6..=9 => {
+                // Draw from a few slots so that most of them both send
+                // and receive within the round.
+                let pool: Vec<Slot> = (0..rng.gen_range(1..=4))
+                    .map(|_| rng.gen_range(0..n))
+                    .collect();
+                let pick = |rng: &mut StdRng| pool[rng.gen_range(0..pool.len())];
+                Op::Round(
+                    (0..rng.gen_range(0..8))
+                        .map(|_| (pick(&mut *rng), pick(&mut *rng)))
+                        .collect(),
+                )
+            }
+            _ => Op::Send(rng.gen_range(0..n), rng.gen_range(0..n)),
+        })
+        .collect()
+}
+
+/// The session operations `ops` on both paths, comparing the machines
+/// at every commit.
+fn check_session_ops(n: u32, seed: u64, kind: CurveKind) -> Result<(), String> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let pre = pre_state(n, &mut rng);
+    let ops = session_ops(n, &mut rng);
+
+    let atomic = Machine::on_curve(kind, n);
+    let local = Machine::on_curve(kind, n);
+    apply_pre(&atomic, &pre);
+    apply_pre(&local, &pre);
+    let mut scratch = LocalChargeScratch::new();
+    let mut lc = local.begin_local_charge(&mut scratch);
+    for op in &ops {
+        apply_atomic(&atomic, op);
+        match *op {
+            Op::Send(a, b) => lc.send(a, b),
+            Op::Tick(s) => lc.tick(s),
+            Op::AdvanceAll(d) => lc.advance_all(d),
+            Op::Round(ref msgs) => lc.round(msgs),
+            Op::ChargeBulk(e, messages, w) => lc.charge_bulk(e, messages, w),
+            Op::Reopen => {
+                lc.commit();
+                assert_same_state(&atomic, &local)?;
+                lc = local.begin_local_charge(&mut scratch);
+            }
+        }
+    }
+    lc.commit();
+    assert_same_state(&atomic, &local)
+}
+
+/// Per layer: sorted, pairwise disjoint `[lo, hi)` ranges, as
+/// `(los, his)`.
+fn disjoint_layers(n: u32, count: usize, rng: &mut StdRng) -> Vec<(Vec<Slot>, Vec<Slot>)> {
+    (0..count)
+        .map(|_| {
+            let (mut los, mut his) = (Vec::new(), Vec::new());
+            let mut at = rng.gen_range(0..=n.min(3));
+            while at < n {
+                let hi = rng.gen_range(at + 1..=n.min(at + 1 + n / 2));
+                los.push(at);
+                his.push(hi);
+                at = hi + rng.gen_range(0..=2);
+            }
+            (los, his)
+        })
+        .collect()
+}
+
+/// A layered broadcast in closed form against its atomic replay.
+fn check_layered_broadcast(n: u32, count: usize, seed: u64, kind: CurveKind) -> Result<(), String> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let pre = pre_state(n, &mut rng);
+    let layers = disjoint_layers(n, count, &mut rng);
+
+    let atomic = Machine::on_curve(kind, n);
+    apply_pre(&atomic, &pre);
+    for (los, his) in &layers {
+        for (&lo, &hi) in los.iter().zip(his) {
+            range_broadcast(&atomic, lo, hi);
+        }
+        barrier(&atomic);
+    }
+
+    let local = Machine::on_curve(kind, n);
+    apply_pre(&local, &pre);
+    let points = (0..n).map(|s| local.point_of(s)).collect();
+    let phase = LayeredBroadcast::new(points, layers.iter().map(|(l, h)| (&l[..], &h[..])));
+    let mut scratch = LocalChargeScratch::new();
+    let mut lc = local.begin_local_charge(&mut scratch);
+    prop_assert!(
+        phase.charge_local(&mut lc),
+        "untraced, same placement: closed form"
+    );
+    lc.commit();
+    assert_same_state(&atomic, &local)?;
+
+    let traced = MachineBuilder::on_curve(kind, n).trace(true).build();
+    let mut lc = traced.begin_local_charge(&mut scratch);
+    prop_assert!(!phase.charge_local(&mut lc), "traced: replay");
+    Ok(())
+}
+
 proptest! {
+    #[test]
+    fn session_ops_match_the_atomic_path(
+        n in 1u32..=300,
+        seed in 0u64..u64::MAX,
+        curve in 0usize..2,
+    ) {
+        check_session_ops(n, seed, [CurveKind::Hilbert, CurveKind::ZOrder][curve])?;
+    }
+
+    #[test]
+    fn layered_broadcast_matches_its_replay(
+        n in 1u32..=600,
+        layers in 1usize..=8,
+        seed in 0u64..u64::MAX,
+        curve in 0usize..2,
+    ) {
+        check_layered_broadcast(n, layers, seed, [CurveKind::Hilbert, CurveKind::ZOrder][curve])?;
+    }
+
     #[test]
     fn closed_form_barrier_matches_message_path(
         n in 1u32..=600,

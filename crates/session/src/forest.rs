@@ -90,6 +90,26 @@ fn as_add(weights: &[u64]) -> &[Add] {
     unsafe { std::slice::from_raw_parts(weights.as_ptr().cast::<Add>(), weights.len()) }
 }
 
+/// Panics unless every vertex a request names exists when the request
+/// runs: `n` vertices at the start of the stream, one more after each
+/// insert.
+fn check_vertex_ids(requests: &[Request], mut n: u32) {
+    for (i, &req) in requests.iter().enumerate() {
+        let (a, b) = match req {
+            Request::Lca(a, b) => (a, b),
+            Request::SubtreeSum(v) | Request::Rank(v) => (v, v),
+            Request::InsertLeaf { parent, .. } => (parent, parent),
+        };
+        assert!(
+            a < n && b < n,
+            "request {i} ({req:?}) names a vertex outside 0..{n}"
+        );
+        if let Request::InsertLeaf { .. } = req {
+            n += 1;
+        }
+    }
+}
+
 /// A tree held in a light-first layout with a pool of retained engines,
 /// serving mixed query batches. See the crate docs for the model and
 /// `DESIGN.md` for the lifecycle details.
@@ -288,7 +308,11 @@ impl SpatialForest {
 
     /// Sets the subtree-sum weight of a vertex (no relayout — weights
     /// are per-session treefix inputs, not structure).
+    ///
+    /// Panics if `v` is not a vertex, before journaling anything.
     pub fn set_weight(&mut self, v: NodeId, weight: u64) {
+        let n = self.n();
+        assert!(v < n, "set_weight: vertex {v} outside 0..{n}");
         if let Some(journal) = self.journal.as_mut() {
             journal
                 .append(Record::SetWeight { vertex: v, weight })
@@ -734,7 +758,12 @@ impl SpatialForest {
     /// a session pays for a single engine run, however many queries
     /// share it. Responses align with `requests` by index; machine
     /// charges land in [`SpatialForest::last_report`].
+    ///
+    /// Panics if a request names a vertex that does not exist at its
+    /// position in the stream. The whole batch is checked first, so a
+    /// rejected batch journals, resets and charges nothing.
     pub fn execute<R: Rng>(&mut self, requests: &[Request], rng: &mut R) -> &[Response] {
+        check_vertex_ids(requests, self.n());
         self.machine.reset();
         self.dart_machine.reset();
         self.session = SessionReport::default();
@@ -925,7 +954,6 @@ impl SpatialForest {
             engine.rank(&self.dart_machine, rng);
             let root = self.tree.root();
             for (&idx, &v) in self.rank_idx.iter().zip(self.rank_v.iter()) {
-                assert!(v < self.tree.n(), "rank query {v} out of range");
                 let rank = if v == root {
                     0
                 } else {
