@@ -2091,27 +2091,22 @@ fn bench_json_sfc() {
     let (bitonic_new, bitonic_ref) = {
         use rand::seq::SliceRandom;
         use spatial_trees::layout::engine::{bitonic_levels, run_bitonic, run_bitonic_reference};
-        use spatial_trees::model::{LocalChargeScratch, Machine};
+        use spatial_trees::model::Machine;
         let sort_n = 1usize << 16;
         let m = Machine::on_curve(CurveKind::Hilbert, sort_n as u32);
         let levels = bitonic_levels(&m, sort_n);
         let mut keys: Vec<u64> = (0..sort_n as u64).collect();
         keys.shuffle(&mut StdRng::seed_from_u64(77));
-        let mut scratch = LocalChargeScratch::new();
         let mut buf = vec![0u64; sort_n];
         let bitonic_new = best_of(3, PASS, || {
             buf.copy_from_slice(&keys);
-            let mut lc = m.begin_local_charge(&mut scratch);
-            run_bitonic(&mut lc, &mut buf, &levels);
-            lc.commit();
+            run_bitonic(&m, &mut buf, &levels);
             buf[0]
         }) * 1e6
             / sort_n as f64;
         let bitonic_ref = best_of(3, PASS, || {
             buf.copy_from_slice(&keys);
-            let mut lc = m.begin_local_charge(&mut scratch);
-            run_bitonic_reference(&mut lc, &mut buf, &levels);
-            lc.commit();
+            run_bitonic_reference(&m, &mut buf, &levels);
             buf[0]
         }) * 1e6
             / sort_n as f64;

@@ -36,7 +36,7 @@
 //! machine charges.
 
 use rand::Rng;
-use spatial_model::{EngineLifecycle, Machine, RoundCharger, Slot};
+use spatial_model::{EngineLifecycle, Machine, Slot};
 
 /// Sentinel for "end of list" (same convention as the tour darts).
 pub const END: u32 = u32::MAX;
@@ -231,23 +231,6 @@ impl RankingEngine {
     /// read the ranks via [`RankingEngine::ranks`]. The seed affects
     /// only costs, never ranks. Performs no heap allocation.
     pub fn rank<R: Rng>(&mut self, m: &Machine, rng: &mut R) -> u32 {
-        let mut charger = m;
-        self.rank_into(m, &mut charger, rng)
-    }
-
-    /// [`RankingEngine::rank`] with the charges routed through any
-    /// [`RoundCharger`] — the machine itself, or a
-    /// [`spatial_model::LocalCharge`] session over it (the layout
-    /// engine's hot path: plain-arithmetic clock math, one batch
-    /// commit). `m` supplies the geometry (distances); `charger`
-    /// receives the identical charge sequence either way, so reports
-    /// are bit-equal across the two paths.
-    pub fn rank_into<R: Rng, C: RoundCharger>(
-        &mut self,
-        m: &Machine,
-        charger: &mut C,
-        rng: &mut R,
-    ) -> u32 {
         let n = self.next0.len();
         assert!(n as u32 <= m.n_slots(), "need one slot per list element");
         self.reset_run();
@@ -272,7 +255,7 @@ impl RankingEngine {
                     coin_msgs += 1;
                 }
             }
-            charger.charge_pointer_round(coin_energy, coin_msgs);
+            m.charge_pointer_round(coin_energy, coin_msgs);
 
             // Select: heads whose predecessor flipped tails (never the
             // start element — it anchors the ranking). Selection is
@@ -319,7 +302,7 @@ impl RankingEngine {
                 self.splice_weight.push(self.weight[mid as usize]);
                 self.dead[mid as usize] = true;
             }
-            charger.charge_pointer_round(splice_energy, splice_msgs);
+            m.charge_pointer_round(splice_energy, splice_msgs);
             self.round_ends.push(self.splice_mid.len() as u32);
             self.rounds += 1;
 
@@ -344,7 +327,7 @@ impl RankingEngine {
             acc += self.weight[at as usize];
             let nx = self.nxt[at as usize];
             if nx != END {
-                charger.charge_send(at as Slot, nx as Slot);
+                m.send(at as Slot, nx as Slot);
             }
             at = nx;
         }
@@ -367,7 +350,7 @@ impl RankingEngine {
                 self.weight[left as usize] -= self.splice_weight[i];
                 self.ranks[mid as usize] = self.ranks[left as usize] + self.weight[left as usize];
             }
-            charger.charge_pointer_round(energy, msgs);
+            m.charge_pointer_round(energy, msgs);
         }
 
         self.rounds
@@ -544,27 +527,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn rank_through_local_charge_matches_machine() {
-        // Charging through a LocalCharge session must reproduce the
-        // atomic path bit for bit: same ranks, rounds, and report.
-        let (next, start) = random_list(600, &mut StdRng::seed_from_u64(3));
-        let m_atomic = Machine::on_curve(CurveKind::Hilbert, 600);
-        let mut e1 = RankingEngine::new(&next, start);
-        let r1 = e1.rank(&m_atomic, &mut StdRng::seed_from_u64(5));
-
-        let m_local = Machine::on_curve(CurveKind::Hilbert, 600);
-        let mut e2 = RankingEngine::new(&next, start);
-        let mut scratch = spatial_model::LocalChargeScratch::new();
-        let mut lc = m_local.begin_local_charge(&mut scratch);
-        let r2 = e2.rank_into(&m_local, &mut lc, &mut StdRng::seed_from_u64(5));
-        lc.commit();
-
-        assert_eq!(e1.ranks(), e2.ranks());
-        assert_eq!(r1, r2);
-        assert_eq!(m_atomic.report(), m_local.report());
     }
 
     #[test]

@@ -10,9 +10,6 @@
 //!   [`RankingEngine`]s (flat splice logs, zero per-run allocation)
 //!   instead of one-shot `rank_spatial` calls, with the light-first
 //!   tour threaded once from a shared [`spatial_tree::ChildrenCsr`];
-//! - all charging happens inside [`Machine::begin_local_charge`]
-//!   sessions — plain-arithmetic clock math committed in one batch per
-//!   phase, instead of per-message atomics;
 //! - the two sorting networks (the §IV step-3 compaction and the
 //!   step-4 permutation router) are rewritten as flat in-place
 //!   networks over packed `u64` records (`key << 32 | value`, with
@@ -33,7 +30,7 @@
 use rand::Rng;
 use spatial_euler::ranking::RankingEngine;
 use spatial_euler::tour::{ChildOrder, EulerTour};
-use spatial_model::{CostReport, EngineLifecycle, LocalCharge, LocalChargeScratch, Machine, Slot};
+use spatial_model::{CostReport, EngineLifecycle, Machine, Slot};
 use spatial_sfc::CurveKind;
 use spatial_tree::{ChildrenCsr, NodeId, Tree};
 
@@ -139,7 +136,7 @@ fn bitonic_stage(buf: &mut [u64], k: usize, j: usize) {
 /// pre-PR branchy network is retained as [`run_bitonic_reference`] and
 /// the two are pinned identical (results and charges) by the tests.
 #[doc(hidden)]
-pub fn run_bitonic(lc: &mut LocalCharge, buf: &mut [u64], levels: &[(u64, u64)]) {
+pub fn run_bitonic(m: &Machine, buf: &mut [u64], levels: &[(u64, u64)]) {
     let padded = buf.len();
     if padded <= 1 {
         return;
@@ -149,8 +146,8 @@ pub fn run_bitonic(lc: &mut LocalCharge, buf: &mut [u64], levels: &[(u64, u64)])
         let mut j = k / 2;
         while j >= 1 {
             let (energy, pairs) = levels[j.trailing_zeros() as usize];
-            lc.charge_bulk(energy, 2 * pairs, pairs);
-            lc.advance_all(1);
+            m.charge_bulk(energy, 2 * pairs, pairs);
+            m.advance_all(1);
             bitonic_stage(buf, k, j);
             j /= 2;
         }
@@ -162,7 +159,7 @@ pub fn run_bitonic(lc: &mut LocalCharge, buf: &mut [u64], levels: &[(u64, u64)])
 /// reference for [`run_bitonic`] (and as the scalar baseline the
 /// benches measure speedup against).
 #[doc(hidden)]
-pub fn run_bitonic_reference(lc: &mut LocalCharge, buf: &mut [u64], levels: &[(u64, u64)]) {
+pub fn run_bitonic_reference(m: &Machine, buf: &mut [u64], levels: &[(u64, u64)]) {
     let padded = buf.len();
     if padded <= 1 {
         return;
@@ -172,8 +169,8 @@ pub fn run_bitonic_reference(lc: &mut LocalCharge, buf: &mut [u64], levels: &[(u
         let mut j = k / 2;
         while j >= 1 {
             let (energy, pairs) = levels[j.trailing_zeros() as usize];
-            lc.charge_bulk(energy, 2 * pairs, pairs);
-            lc.advance_all(1);
+            m.charge_bulk(energy, 2 * pairs, pairs);
+            m.advance_all(1);
             let mut base = 0usize;
             while base < padded {
                 let ascending = base & k == 0;
@@ -196,19 +193,19 @@ pub fn run_bitonic_reference(lc: &mut LocalCharge, buf: &mut [u64], levels: &[(u
 /// Runs the in-place Blelloch exclusive `+`-scan, charging one
 /// precomputed bulk round per stage — the identical charge sequence as
 /// [`spatial_model::collectives::exclusive_prefix_sum`].
-fn run_scan(lc: &mut LocalCharge, a: &mut [u64], levels: &[(u64, u64)]) {
+fn run_scan(m: &Machine, a: &mut [u64], levels: &[(u64, u64)]) {
     let padded = a.len();
     let mut stride = 1usize;
     while stride < padded {
         let step = stride * 2;
         let (energy, msgs) = levels[stride.trailing_zeros() as usize];
-        lc.charge_bulk(energy, msgs, msgs);
+        m.charge_bulk(energy, msgs, msgs);
         let mut i = step - 1;
         while i < padded {
             a[i] += a[i - stride];
             i += step;
         }
-        lc.advance_all(1);
+        m.advance_all(1);
         stride = step;
     }
     a[padded - 1] = 0;
@@ -216,7 +213,7 @@ fn run_scan(lc: &mut LocalCharge, a: &mut [u64], levels: &[(u64, u64)]) {
     while stride >= 1 {
         let step = stride * 2;
         let (energy, msgs) = levels[stride.trailing_zeros() as usize];
-        lc.charge_bulk(energy, msgs, msgs);
+        m.charge_bulk(energy, msgs, msgs);
         let mut i = step - 1;
         while i < padded {
             let left = a[i - stride];
@@ -224,7 +221,7 @@ fn run_scan(lc: &mut LocalCharge, a: &mut [u64], levels: &[(u64, u64)]) {
             a[i] += left;
             i += step;
         }
-        lc.advance_all(1);
+        m.advance_all(1);
         stride /= 2;
     }
 }
@@ -265,7 +262,6 @@ pub struct LayoutEngine {
     sort3_levels: Vec<(u64, u64)>,
 
     // ---- Retained per-run buffers (zero allocation after setup). ----
-    scratch: LocalChargeScratch,
     #[cfg(debug_assertions)]
     sizes: Vec<u32>,
     packed: Vec<u64>,
@@ -320,7 +316,6 @@ impl LayoutEngine {
             sort2_levels,
             scan2_levels,
             sort3_levels,
-            scratch: LocalChargeScratch::new(),
             #[cfg(debug_assertions)]
             sizes: vec![0; n as usize],
             packed: Vec::with_capacity(cap),
@@ -377,12 +372,7 @@ impl LayoutEngine {
 
         // ---- Phase 1: subtree sizes from the natural-order tour. ----
         self.m_dart.reset();
-        let rounds1 = {
-            let mut lc = self.m_dart.begin_local_charge(&mut self.scratch);
-            let r = self.rank1.rank_into(&self.m_dart, &mut lc, rng);
-            lc.commit();
-            r
-        };
+        let rounds1 = self.rank1.rank(&self.m_dart, rng);
         // Debug cross-check: re-derive the subtree sizes from the
         // on-machine ranks — s(v) = (rank(up(v)) − rank(down(v)) + 1)/2,
         // root gets n (§IV step 1b) — and pin them to the host sizes
@@ -412,35 +402,30 @@ impl LayoutEngine {
         self.m_dart.reset();
         let n2 = self.seq2.len();
         let padded2 = n2.next_power_of_two();
-        let rounds2 = {
-            let mut lc = self.m_dart.begin_local_charge(&mut self.scratch);
-            let r = self.rank2.rank_into(&self.m_dart, &mut lc, rng);
+        let rounds2 = self.rank2.rank(&self.m_dart, rng);
 
-            // Compaction (§IV step 3): gather darts into rank order
-            // with the packed network, then drop non-first occurrences
-            // with the in-place scan.
-            let ranks2 = self.rank2.ranks();
-            self.packed.clear();
-            self.packed.extend(
-                self.seq2
-                    .iter()
-                    .map(|&d| (ranks2[d as usize] << 32) | d as u64),
-            );
-            self.packed.resize(padded2, u64::MAX);
-            run_bitonic(&mut lc, &mut self.packed, &self.sort2_levels);
+        // Compaction (§IV step 3): gather darts into rank order with the
+        // packed network, then drop non-first occurrences with the
+        // in-place scan.
+        let ranks2 = self.rank2.ranks();
+        self.packed.clear();
+        self.packed.extend(
+            self.seq2
+                .iter()
+                .map(|&d| (ranks2[d as usize] << 32) | d as u64),
+        );
+        self.packed.resize(padded2, u64::MAX);
+        run_bitonic(&self.m_dart, &mut self.packed, &self.sort2_levels);
 
-            // Flag = "is a down dart" (first occurrence of its vertex).
-            self.scan_buf.clear();
-            self.scan_buf.extend(
-                self.packed[..n2]
-                    .iter()
-                    .map(|&p| (p as u32 & 1 == 0) as u64),
-            );
-            self.scan_buf.resize(padded2, 0);
-            run_scan(&mut lc, &mut self.scan_buf, &self.scan2_levels);
-            lc.commit();
-            r
-        };
+        // Flag = "is a down dart" (first occurrence of its vertex).
+        self.scan_buf.clear();
+        self.scan_buf.extend(
+            self.packed[..n2]
+                .iter()
+                .map(|&p| (p as u32 & 1 == 0) as u64),
+        );
+        self.scan_buf.resize(padded2, 0);
+        run_scan(&self.m_dart, &mut self.scan_buf, &self.scan2_levels);
         // Vertex at light-first position 1 + scan[i] for each first
         // occurrence; the root occupies position 0.
         self.order.clear();
@@ -465,11 +450,7 @@ impl LayoutEngine {
         self.packed
             .extend((0..n as u32).map(|v| ((self.pos[v as usize] as u64) << 32) | v as u64));
         self.packed.resize(padded3, u64::MAX);
-        {
-            let mut lc = self.m_curve.begin_local_charge(&mut self.scratch);
-            run_bitonic(&mut lc, &mut self.packed, &self.sort3_levels);
-            lc.commit();
-        }
+        run_bitonic(&self.m_curve, &mut self.packed, &self.sort3_levels);
         #[cfg(debug_assertions)]
         for (t, &v) in self.order.iter().enumerate() {
             debug_assert_eq!(
@@ -597,10 +578,7 @@ mod tests {
             collectives::bitonic_sort_by_key(&m_ref, &mut records);
 
             let levels = bitonic_levels(&m, len);
-            let mut scratch = LocalChargeScratch::new();
-            let mut lc = m.begin_local_charge(&mut scratch);
-            run_bitonic(&mut lc, &mut packed, &levels);
-            lc.commit();
+            run_bitonic(&m, &mut packed, &levels);
 
             let got: Vec<(u32, u32)> = packed[..len]
                 .iter()
@@ -641,14 +619,8 @@ mod tests {
                 let m = Machine::on_curve(CurveKind::Hilbert, len as u32);
                 let m_ref = Machine::on_curve(CurveKind::Hilbert, len as u32);
                 let levels = bitonic_levels(&m, len);
-                let mut scratch = LocalChargeScratch::new();
-
-                let mut lc = m.begin_local_charge(&mut scratch);
-                run_bitonic(&mut lc, &mut packed, &levels);
-                lc.commit();
-                let mut lc = m_ref.begin_local_charge(&mut scratch);
-                run_bitonic_reference(&mut lc, &mut packed_ref, &levels);
-                lc.commit();
+                run_bitonic(&m, &mut packed, &levels);
+                run_bitonic_reference(&m_ref, &mut packed_ref, &levels);
 
                 assert_eq!(packed, packed_ref, "len={len} case={case}");
                 assert_eq!(m.report(), m_ref.report(), "len={len} case={case}");
@@ -668,10 +640,7 @@ mod tests {
             let levels = scan_levels(&m, len);
             let mut buf = values.clone();
             buf.resize(len.next_power_of_two(), 0);
-            let mut scratch = LocalChargeScratch::new();
-            let mut lc = m.begin_local_charge(&mut scratch);
-            run_scan(&mut lc, &mut buf, &levels);
-            lc.commit();
+            run_scan(&m, &mut buf, &levels);
 
             assert_eq!(&buf[..len], &expect[..], "len={len}");
             assert_eq!(m.report(), m_ref.report(), "len={len}");

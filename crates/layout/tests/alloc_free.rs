@@ -3,8 +3,9 @@
 //! the ranking and treefix engines' `alloc_free` tests.
 //!
 //! The gate opens right after [`LayoutEngine::new`] — the first build
-//! is allocation-free too, since `LocalCharge` sessions hold no
-//! per-slot scratch — and closes before the results are inspected.
+//! is allocation-free too, since the engine's machines allocate their
+//! clocks and round staging when `new` builds them — and closes before
+//! the results are inspected.
 //! This binary holds exactly one live `#[test]` so no concurrent test
 //! can pollute the count.
 

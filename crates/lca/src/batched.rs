@@ -27,9 +27,8 @@
 //!    weights, and each later layer adds a per-structure constant to
 //!    the floor, so a run costs one `O(n)` pass, one bulk charge and
 //!    one floor lift. Traced machines, and machines placed differently
-//!    from the layout, replay the broadcasts and barriers through a
-//!    [`spatial_model::LocalCharge`] session instead, with identical
-//!    charges.
+//!    from the layout, replay the broadcasts and barriers instead, with
+//!    identical charges.
 //!
 //! Queries are resolved by walking each endpoint's head chain (the at
 //! most `O(log n)` cover subtrees containing it) instead of rescanning
@@ -54,7 +53,7 @@ use rand::Rng;
 use spatial_layout::Layout;
 use spatial_messaging::{BroadcastSchedule, VirtualTree};
 use spatial_model::collectives::{self, LayeredBroadcast};
-use spatial_model::{EngineLifecycle, LocalChargeScratch, Machine, Slot};
+use spatial_model::{EngineLifecycle, Machine, Slot};
 use spatial_tree::{ChildrenCsr, HeavyPathDecomposition, NodeId, Tree, NIL};
 use spatial_treefix::contraction::ContractionEngine;
 use spatial_treefix::Add;
@@ -180,8 +179,6 @@ pub struct LcaEngine {
     /// (top-down layers): structure bound with the tree, values loaded
     /// per pass.
     treefix: ContractionEngine<Add>,
-    /// Round staging for the local charging sessions (steps 2 and 4).
-    charge_scratch: LocalChargeScratch,
     /// Head chains of the two query endpoints, indexed by layer.
     chain_a: Vec<NodeId>,
     chain_b: Vec<NodeId>,
@@ -209,15 +206,11 @@ impl LcaEngine {
     fn from_structure(structure: Structure) -> Self {
         let n = structure.n as usize;
         let num_layers = structure.cover.num_layers() as usize;
-        // Staging must hold the schedule's widest charged round, which
-        // exceeds n (construction rounds carry two pairs per vertex).
-        let round = n.max(structure.schedule.max_round_len());
         let mut treefix = ContractionEngine::with_capacity(n);
         treefix.bind_structure(&structure.parents, &structure.slots, &structure.csr);
         LcaEngine {
             structure,
             treefix,
-            charge_scratch: LocalChargeScratch::with_capacity(round),
             chain_a: Vec::with_capacity(num_layers),
             chain_b: Vec::with_capacity(num_layers),
         }
@@ -247,8 +240,6 @@ impl LcaEngine {
         let s = &self.structure;
         self.treefix.reserve(n);
         self.treefix.bind_structure(&s.parents, &s.slots, &s.csr);
-        self.charge_scratch
-            .reserve(n.max(s.schedule.max_round_len()));
     }
 
     /// The contraction engine of steps 1 and 3, its structure bound to
@@ -278,24 +269,22 @@ impl LcaEngine {
     /// charges are computed in closed form when `machine` is untraced
     /// and places its slots as the bound layout does (see
     /// [`LayeredBroadcast`]); otherwise the broadcasts and barriers are
-    /// replayed through one local charging session. Both paths charge
-    /// identically.
-    pub fn charge_step4(&mut self, machine: &Machine) {
+    /// replayed. Both paths charge identically.
+    pub fn charge_step4(&self, machine: &Machine) {
         let s = &self.structure;
         assert!(s.n > 0, "bind() a tree first");
-        let mut lc = machine.begin_local_charge(&mut self.charge_scratch);
-        if !s.step4.charge_local(&mut lc) {
-            for li in 0..s.cover.num_layers() {
-                let (los, his) = s.cover.layer_ranges(li);
-                for (&lo, &hi) in los.iter().zip(his.iter()) {
-                    if hi - lo >= 2 {
-                        collectives::range_broadcast_local(&mut lc, lo, hi);
-                    }
-                }
-                collectives::barrier_local(&mut lc);
-            }
+        if s.step4.charge(machine) {
+            return;
         }
-        lc.commit();
+        for li in 0..s.cover.num_layers() {
+            let (los, his) = s.cover.layer_ranges(li);
+            for (&lo, &hi) in los.iter().zip(his.iter()) {
+                if hi - lo >= 2 {
+                    collectives::range_broadcast(machine, lo, hi);
+                }
+            }
+            collectives::closed_form_barrier(machine);
+        }
     }
 
     /// Whether `partner`'s slot lies in `r(parent(root)) \ r(root)` —
@@ -406,12 +395,10 @@ impl LcaEngine {
         // ---- Step 2: every vertex broadcasts its range to its      ----
         // ---- children (and its heavy child id, for the step-3      ----
         // ---- indicator) — the precomputed CSR relay schedule,      ----
-        // ---- replayed through a local charging session.            ----
-        let mut lc = machine.begin_local_charge(&mut self.charge_scratch);
-        s.schedule.charge_construction_into(&mut lc);
-        s.schedule.charge_broadcast_into(&mut lc); // subtree ranges
-        s.schedule.charge_broadcast_into(&mut lc); // heavy-child ids
-        lc.commit();
+        // ---- replayed.                                             ----
+        s.schedule.charge_construction(machine);
+        s.schedule.charge_broadcast(machine); // subtree ranges
+        s.schedule.charge_broadcast(machine); // heavy-child ids
 
         // ---- Step 3: layers via top-down treefix over the light-edge ----
         // ---- indicator.                                              ----

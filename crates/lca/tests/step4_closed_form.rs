@@ -3,8 +3,8 @@
 //!
 //! `LcaEngine::charge_step4` charges the per-layer range broadcasts and
 //! barriers through the `LayeredBroadcast` it computed at bind. The
-//! oracle replays them on the atomic `Machine` path: `range_broadcast`
-//! inside every cover subtree of a layer, then `barrier`. From random
+//! oracle replays them message by message: `range_broadcast` inside
+//! every cover subtree of a layer, then `barrier`. From random
 //! entry clocks (sends, ticks and floor lifts that leave raw clocks on
 //! both sides of the floor), both must leave the same `report()` and the
 //! same `clock(s)` for every slot, and a treefix run after them must
@@ -16,7 +16,7 @@ use rand::prelude::*;
 use spatial_layout::Layout;
 use spatial_lca::LcaEngine;
 use spatial_model::collectives::{barrier, range_broadcast, LayeredBroadcast};
-use spatial_model::{CurveKind, GridPoint, LocalChargeScratch, Machine, MachineBuilder};
+use spatial_model::{CurveKind, GridPoint, Machine, MachineBuilder};
 use spatial_tree::generators::TreeFamily;
 use spatial_treefix::Add;
 
@@ -34,7 +34,7 @@ fn apply_entry_clocks(m: &Machine, seed: u64) {
     }
 }
 
-/// The oracle: step 4 replayed message by message on the atomic path.
+/// The oracle: step 4 replayed message by message.
 fn replay_step4(engine: &LcaEngine, m: &Machine) {
     let cover = engine.cover();
     for li in 0..cover.num_layers() {
@@ -91,11 +91,7 @@ fn takes_closed_form(engine: &LcaEngine, points: Vec<GridPoint>, m: &Machine) ->
         points,
         (0..cover.num_layers()).map(|li| cover.layer_ranges(li)),
     );
-    let mut scratch = LocalChargeScratch::new();
-    let mut lc = m.begin_local_charge(&mut scratch);
-    let closed = phase.charge_local(&mut lc);
-    drop(lc);
-    closed
+    phase.charge(m)
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //! charges such relays without materializing a full [`crate::VirtualTree`]
 //! for the shrinking contracted tree.
 
-use spatial_model::{Machine, RoundCharger, Slot};
+use spatial_model::{Machine, Slot};
 
 /// Charges a balanced binary *reduce* relay: `participants` combine
 /// pairwise (in slice order) and the result arrives at `target`.
@@ -203,27 +203,22 @@ impl RelayScratch {
 /// level-major rounds of [`charge_broadcast_relays`] — with no segment
 /// buffers and no group arrays.
 #[inline]
-pub fn charge_broadcast_levels_depth_first<C: RoundCharger>(
-    charger: &mut C,
+pub fn charge_broadcast_levels_depth_first(
+    m: &Machine,
     k: usize,
     slot_at: impl Fn(usize) -> Slot + Copy,
 ) {
-    fn split<C: RoundCharger>(
-        charger: &mut C,
-        mut lo: usize,
-        hi: usize,
-        slot_at: impl Fn(usize) -> Slot + Copy,
-    ) {
+    fn split(m: &Machine, mut lo: usize, hi: usize, slot_at: impl Fn(usize) -> Slot + Copy) {
         // The segment [lo, hi) is held by `lo`; it forwards to the
         // midpoint, recurses left, and iterates right.
         while hi - lo > 1 {
             let mid = lo + (hi - lo) / 2;
-            charger.charge_send(slot_at(lo), slot_at(mid));
-            split(charger, lo, mid, slot_at);
+            m.send(slot_at(lo), slot_at(mid));
+            split(m, lo, mid, slot_at);
             lo = mid;
         }
     }
-    split(charger, 0, k, slot_at);
+    split(m, 0, k, slot_at);
 }
 
 /// CSR variant of [`charge_reduce_relays`]: group `g` reduces
@@ -232,18 +227,6 @@ pub fn charge_broadcast_levels_depth_first<C: RoundCharger>(
 /// (given a warm `scratch`).
 pub fn charge_reduce_relays_csr(
     m: &Machine,
-    parts: &[Slot],
-    offsets: &[u32],
-    targets: &[Slot],
-    scratch: &mut RelayScratch,
-) {
-    let mut m = m;
-    charge_reduce_relays_csr_into(&mut m, parts, offsets, targets, scratch);
-}
-
-/// [`charge_reduce_relays_csr`] over any [`RoundCharger`].
-pub fn charge_reduce_relays_csr_into<C: RoundCharger>(
-    charger: &mut C,
     parts: &[Slot],
     offsets: &[u32],
     targets: &[Slot],
@@ -290,7 +273,7 @@ pub fn charge_reduce_relays_csr_into<C: RoundCharger>(
         if scratch.msgs.is_empty() {
             break;
         }
-        charger.charge_round(&scratch.msgs);
+        m.round(&scratch.msgs);
     }
 }
 
@@ -407,15 +390,14 @@ mod tests {
     /// depth-first in reverse group order — the CSR-shaped broadcast
     /// the treefix contraction engine charges.
     fn charge_broadcast_csr(m: &Machine, groups: &[(Slot, Vec<Slot>)]) {
-        let mut m = m;
         let first: Vec<(Slot, Slot)> = groups
             .iter()
             .filter(|(_, parts)| !parts.is_empty())
             .map(|(src, parts)| (*src, parts[0]))
             .collect();
-        m.charge_round(&first);
+        m.round(&first);
         for (_, parts) in groups.iter().rev() {
-            charge_broadcast_levels_depth_first(&mut m, parts.len(), |i| parts[i]);
+            charge_broadcast_levels_depth_first(m, parts.len(), |i| parts[i]);
         }
     }
 

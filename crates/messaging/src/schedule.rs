@@ -11,7 +11,7 @@
 
 use crate::virtual_tree::VirtualTree;
 use spatial_layout::Layout;
-use spatial_model::{Machine, RoundCharger, Slot};
+use spatial_model::{Machine, Slot};
 use spatial_tree::Tree;
 
 /// Round-indexed CSR schedules for the TRANSFORM virtual tree: the
@@ -67,40 +67,14 @@ impl BroadcastSchedule {
         self.round_ends.len() as u32
     }
 
-    /// The largest single round either replay charges, in messages —
-    /// what a pre-sized [`spatial_model::LocalChargeScratch`] staging
-    /// buffer needs to hold for the replays to stay allocation-free
-    /// (construction rounds carry two pairs per vertex, so this can
-    /// exceed the vertex count).
-    pub fn max_round_len(&self) -> usize {
-        let widest = |ends: &[u32]| {
-            ends.iter()
-                .scan(0u32, |start, &end| {
-                    let len = end - *start;
-                    *start = end;
-                    Some(len)
-                })
-                .max()
-                .unwrap_or(0) as usize
-        };
-        widest(&self.construction_ends).max(widest(&self.round_ends))
-    }
-
     /// Replays the Fig. 4 reference-passing construction charges
     /// (mirror of [`VirtualTree::charge_construction`]): one machine
     /// round plus one synchronous step per relay round.
     pub fn charge_construction(&self, m: &Machine) {
-        let mut m = m;
-        self.charge_construction_into(&mut m);
-    }
-
-    /// [`BroadcastSchedule::charge_construction`] over any
-    /// [`RoundCharger`] — the machine or a `LocalCharge` session.
-    pub fn charge_construction_into<C: RoundCharger>(&self, charger: &mut C) {
         let mut start = 0usize;
         for &end in &self.construction_ends {
-            charger.charge_round(&self.construction[start..end as usize]);
-            charger.charge_advance_all(1);
+            m.round(&self.construction[start..end as usize]);
+            m.advance_all(1);
             start = end as usize;
         }
     }
@@ -110,16 +84,9 @@ impl BroadcastSchedule {
     /// round per relay round, consecutive rounds chaining through the
     /// receivers' clocks.
     pub fn charge_broadcast(&self, m: &Machine) {
-        let mut m = m;
-        self.charge_broadcast_into(&mut m);
-    }
-
-    /// [`BroadcastSchedule::charge_broadcast`] over any
-    /// [`RoundCharger`].
-    pub fn charge_broadcast_into<C: RoundCharger>(&self, charger: &mut C) {
         let mut start = 0usize;
         for &end in &self.round_ends {
-            charger.charge_round(&self.rounds[start..end as usize]);
+            m.round(&self.rounds[start..end as usize]);
             start = end as usize;
         }
     }

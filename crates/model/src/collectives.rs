@@ -19,19 +19,17 @@
 //! Senders are ticked between consecutive messages so that "one message
 //! per round" chains show up in the depth meter.
 //!
-//! The exceptions are the session-charged closed forms: [`barrier_local`]
-//! charges the all-reduce's totals and clocks without replaying its
-//! messages, and [`LayeredBroadcast`] does the same for a whole phase of
-//! per-layer range broadcasts and barriers (the batched LCA's step 4).
-//! Both are bit-identical to the message path; the derivations are in
-//! their docs.
+//! The exceptions are the closed forms: [`closed_form_barrier`] charges
+//! the all-reduce's totals and clocks without replaying its messages,
+//! and [`LayeredBroadcast`] does the same for a whole phase of per-layer
+//! range broadcasts and barriers (the batched LCA's step 4). Both are
+//! bit-identical to the message replays [`barrier`] and
+//! [`range_broadcast`]; the derivations are in their docs.
 
-#[cfg(test)]
-use crate::machine::LocalChargeScratch;
-use crate::machine::{LocalCharge, Machine, Slot};
+use crate::machine::{Machine, Slot};
 use rayon::prelude::*;
 use spatial_sfc::{manhattan, GridPoint};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::cell::Cell;
 
 /// Broadcasts a value held at slot `lo` to every slot in `[lo, hi)` along
 /// a balanced binary tree (Lemma 13's virtual broadcast tree).
@@ -54,50 +52,10 @@ fn broadcast_rec(m: &Machine, lo: Slot, hi: Slot) {
     broadcast_rec(m, mid, hi);
 }
 
-/// [`range_broadcast`] charged through a [`LocalCharge`] session:
-/// issues the identical message tree (same energy, messages, work, and
-/// clock evolution), with plain arithmetic instead of atomics. The hot
-/// path of the batched-LCA layer broadcasts (Lemma 13).
-pub fn range_broadcast_local(lc: &mut LocalCharge, lo: Slot, hi: Slot) {
-    assert!(lo < hi && hi <= lc.n_slots(), "invalid range [{lo}, {hi})");
-    broadcast_rec_local(lc, lo, hi);
-}
-
-fn broadcast_rec_local(lc: &mut LocalCharge, lo: Slot, hi: Slot) {
-    if hi - lo <= 1 {
-        return;
-    }
-    let mid = lo + (hi - lo) / 2;
-    lc.send(lo, mid);
-    lc.tick(lo);
-    broadcast_rec_local(lc, lo, mid);
-    broadcast_rec_local(lc, mid, hi);
-}
-
-/// Charges the message tree of a [`range_reduce`] through a
-/// [`LocalCharge`] session (the values themselves are not carried —
-/// callers that only need the synchronization pattern, like
-/// [`barrier_local`], use this).
-pub fn range_reduce_charge_local(lc: &mut LocalCharge, lo: Slot, hi: Slot) {
-    assert!(lo < hi && hi <= lc.n_slots(), "invalid range [{lo}, {hi})");
-    reduce_rec_local(lc, lo, hi);
-}
-
-fn reduce_rec_local(lc: &mut LocalCharge, lo: Slot, hi: Slot) {
-    if hi - lo <= 1 {
-        return;
-    }
-    let mid = lo + (hi - lo) / 2;
-    reduce_rec_local(lc, lo, mid);
-    reduce_rec_local(lc, mid, hi);
-    lc.send(mid, lo);
-    lc.tick(lo);
-}
-
-/// [`barrier`] charged through a [`LocalCharge`] session, in closed
-/// form: the identical charges and clocks as the unit-token all-reduce
-/// (reduce tree + broadcast tree over `[0, n)`) followed by the floor
-/// lift, in O(n) clock reads instead of 2(n−1) sends and ticks.
+/// [`barrier`] in closed form: the identical charges and clocks as the
+/// unit-token all-reduce (reduce tree + broadcast tree over `[0, n)`)
+/// followed by the floor lift, in one O(n) pass over the clocks instead
+/// of 2(n−1) sends and ticks.
 ///
 /// Both trees are the balanced split tree of `[0, n)`, split at
 /// `mid = lo + (hi − lo)/2`. The charges follow from it:
@@ -119,33 +77,24 @@ fn reduce_rec_local(lc: &mut LocalCharge, lo: Slot, hi: Slot) {
 /// depth. Every clock the message path would write lies at or below
 /// that floor. A clock is only ever read as `max(raw, floor)`, so those
 /// writes are unobservable: skipping them leaves [`Machine::report`] and
-/// every [`Machine::clock`] bit-identical. Traced machines keep the
-/// per-message path, since they record each message.
-pub fn barrier_local(lc: &mut LocalCharge) {
-    let n = lc.n_slots();
-    if n == 0 {
-        return;
-    }
-    if lc.machine().is_traced() {
-        if n > 1 {
-            range_reduce_charge_local(lc, 0, n);
-            range_broadcast_local(lc, 0, n);
-        }
-        lc.advance_all(0);
-        return;
+/// every [`Machine::clock`] bit-identical. A traced machine records
+/// each message, so on one this is simply [`barrier`].
+pub fn closed_form_barrier(m: &Machine) {
+    let n = m.n_slots();
+    if n == 0 || m.is_traced() {
+        return barrier(m);
     }
     let messages = 2 * (n as u64 - 1);
-    lc.charge_bulk(barrier_energy(lc.machine()), messages, messages);
-    let height = split_height(n);
-    let (clocks, floor) = lc.raw_clocks();
-    let depth = lc.depth();
-    let target = (reduced_clock(clocks, floor) + height).max(depth);
-    lc.advance_all(target - depth);
+    m.charge_bulk(barrier_energy(m), messages, messages);
+    let (clocks, floor) = m.raw_clocks();
+    let depth = m.depth();
+    let target = (reduced_clock(clocks, floor) + split_height(n)).max(depth);
+    m.advance_all(target - depth);
 }
 
 /// Energy of one [`barrier`] over all of `m`'s slots: twice the summed
 /// split distances of the balanced split tree of `[0, n)` (see
-/// [`barrier_local`]). Computed once per machine, without allocating.
+/// [`closed_form_barrier`]). Computed once per machine, without allocating.
 fn barrier_energy(m: &Machine) -> u64 {
     *m.barrier_energy
         .get_or_init(|| 2 * split_energy(m.points(), 0, m.n_slots()))
@@ -169,7 +118,7 @@ fn split_height(n: u32) -> u32 {
     32 - (n - 1).leading_zeros()
 }
 
-/// `val(lo, hi)` of [`barrier_local`] for the raw clocks of `[lo, hi)`:
+/// `val(lo, hi)` of [`closed_form_barrier`] for the raw clocks of `[lo, hi)`:
 /// slot `lo`'s clock after the reduce tree over the range.
 ///
 /// Over a power-of-two range of `2^k` slots, the split path to offset
@@ -179,11 +128,11 @@ fn split_height(n: u32) -> u32 {
 /// peaks at `floor + k` (offset `2^k − 1`), leaving only the raw clocks
 /// to scan, sixteen at a time with the low four offset bits' popcounts
 /// from a table (baseline x86-64 has no popcount instruction).
-fn reduced_clock(clocks: &[AtomicU32], floor: u32) -> u32 {
+fn reduced_clock(clocks: &[Cell<u32>], floor: u32) -> u32 {
     const POP16: [u32; 16] = [0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4];
     let len = clocks.len();
     if len == 1 {
-        return clocks[0].load(Ordering::Relaxed).max(floor);
+        return clocks[0].get().max(floor);
     }
     if len.is_power_of_two() && len >= POP16.len() {
         let k = len.trailing_zeros();
@@ -192,7 +141,7 @@ fn reduced_clock(clocks: &[AtomicU32], floor: u32) -> u32 {
             .zip(0u32..)
             .map(|(block, b)| {
                 let block_max = (block.iter().zip(POP16))
-                    .map(|(c, pop)| c.load(Ordering::Relaxed) + pop)
+                    .map(|(c, pop)| c.get() + pop)
                     .fold(0, u32::max);
                 block_max + b.count_ones()
             })
@@ -204,12 +153,12 @@ fn reduced_clock(clocks: &[AtomicU32], floor: u32) -> u32 {
 }
 
 /// A *layered broadcast* precomputed for one slot placement: per layer,
-/// a [`range_broadcast_local`] over each of the layer's disjoint
-/// ranges, then a [`barrier_local`]. This is the batched LCA's step 4
-/// (§VI-C): Lemma 13 broadcasts inside every cover subtree of a layer,
-/// and a synchronization barrier before the next layer.
+/// a [`range_broadcast`] over each of the layer's disjoint ranges, then
+/// a [`barrier`]. This is the batched LCA's step 4 (§VI-C): Lemma 13
+/// broadcasts inside every cover subtree of a layer, and a
+/// synchronization barrier before the next layer.
 ///
-/// [`LayeredBroadcast::charge_local`] charges the whole phase in one
+/// [`LayeredBroadcast::charge`] charges the whole phase in one
 /// pass over the entry clocks, one bulk charge and one floor lift,
 /// leaving [`Machine::report`] and every [`Machine::clock`]
 /// bit-identical to the replay. The closed form follows from the
@@ -218,7 +167,7 @@ fn reduced_clock(clocks: &[AtomicU32], floor: u32) -> u32 {
 /// - **energy, messages, work** depend only on the placement and the
 ///   ranges. A range's broadcast sends `hi − lo − 1` messages, ticks
 ///   the sender after each, and costs `Σ dist(lo, mid)` over its split
-///   tree. Each barrier adds [`barrier_local`]'s totals.
+///   tree. Each barrier adds [`closed_form_barrier`]'s totals.
 /// - **clocks** evolve max-plus linearly in the effective clocks: a
 ///   send sets `clock(to) = max(clock(to), clock(from) + 1)` and a tick
 ///   adds one. So does the barrier's reduce value,
@@ -240,7 +189,7 @@ fn reduced_clock(clocks: &[AtomicU32], floor: u32) -> u32 {
 ///
 /// Every clock the replay writes lies at or below the final floor, and
 /// clocks are only read as `max(raw, floor)`, so skipping those writes
-/// is unobservable (the argument of [`barrier_local`]).
+/// is unobservable (the argument of [`closed_form_barrier`]).
 #[derive(Debug)]
 pub struct LayeredBroadcast {
     /// Slot placement the constants were computed for.
@@ -307,23 +256,22 @@ impl LayeredBroadcast {
         }
     }
 
-    /// Charges the phase on `lc` in closed form and returns `true`. On
-    /// a traced machine, which records every message, or one whose
-    /// slots sit elsewhere than the placement this phase was computed
-    /// for, it charges nothing and returns `false`: the caller then
-    /// replays the broadcasts and barriers message by message.
-    pub fn charge_local(&self, lc: &mut LocalCharge) -> bool {
-        let machine = lc.machine();
-        if machine.is_traced() || machine.points() != self.points.as_slice() {
+    /// Charges the phase on `m` in closed form and returns `true`. On a
+    /// traced machine, which records every message, or one whose slots
+    /// sit elsewhere than the placement this phase was computed for, it
+    /// charges nothing and returns `false`: the caller then replays the
+    /// broadcasts and barriers message by message.
+    pub fn charge(&self, m: &Machine) -> bool {
+        if m.is_traced() || m.points() != self.points.as_slice() {
             return false;
         }
-        lc.charge_bulk(self.energy, self.messages, self.messages);
-        let (clocks, floor) = lc.raw_clocks();
+        m.charge_bulk(self.energy, self.messages, self.messages);
+        let (clocks, floor) = m.raw_clocks();
         let reach = (clocks.iter().zip(&self.entry_weights))
-            .map(|(c, &w)| c.load(Ordering::Relaxed).max(floor) + w)
+            .map(|(c, &w)| c.get().max(floor) + w)
             .fold(0, u32::max);
-        let depth = lc.depth();
-        lc.advance_all(reach.max(depth) + self.lift - depth);
+        let depth = m.depth();
+        m.advance_all(reach.max(depth) + self.lift - depth);
         true
     }
 }
@@ -803,49 +751,12 @@ mod tests {
     }
 
     #[test]
-    fn local_collectives_match_atomic_charging() {
-        // A layer of disjoint range broadcasts followed by a barrier,
-        // charged atomically vs through a LocalCharge session, must
-        // yield identical reports and clocks — the batched-LCA step-4
-        // equivalence the differential suite relies on.
-        let ranges: &[(u32, u32)] = &[(0, 37), (37, 40), (64, 128), (200, 201)];
-        let atomic = hilbert_machine(256);
-        atomic.send(3, 190); // pre-session state
-        for &(lo, hi) in ranges {
-            if hi - lo >= 2 {
-                range_broadcast(&atomic, lo, hi);
-            }
-        }
-        barrier(&atomic);
-
-        let local = hilbert_machine(256);
-        local.send(3, 190);
-        let mut scratch = LocalChargeScratch::new();
-        let mut lc = local.begin_local_charge(&mut scratch);
-        for &(lo, hi) in ranges {
-            if hi - lo >= 2 {
-                range_broadcast_local(&mut lc, lo, hi);
-            }
-        }
-        barrier_local(&mut lc);
-        lc.commit();
-
-        assert_eq!(atomic.report(), local.report());
-        for s in 0..256 {
-            assert_eq!(atomic.clock(s), local.clock(s), "slot {s}");
-        }
-    }
-
-    #[test]
     fn barrier_local_single_slot() {
-        let atomic = hilbert_machine(1);
-        barrier(&atomic);
-        let local = hilbert_machine(1);
-        let mut scratch = LocalChargeScratch::new();
-        let mut lc = local.begin_local_charge(&mut scratch);
-        barrier_local(&mut lc);
-        lc.commit();
-        assert_eq!(atomic.report(), local.report());
+        let replay = hilbert_machine(1);
+        barrier(&replay);
+        let closed = hilbert_machine(1);
+        closed_form_barrier(&closed);
+        assert_eq!(replay.report(), closed.report());
     }
 
     #[test]

@@ -12,18 +12,24 @@
 //! - **Depth** — the longest chain of dependent messages.
 //!
 //! This crate implements the model *literally* as an accounting machine:
-//! every algorithm in the workspace routes each message through
-//! [`Machine::send`] (or one of the batched variants), which charges the
-//! exact Manhattan distance and maintains a per-processor dependency
-//! clock. The depth of the computation is the maximum clock value, which
-//! equals the longest chain of dependent messages by construction.
+//! every algorithm in the workspace charges each message through
+//! [`Machine::send`] or [`Machine::round`] (or a whole synchronous stage
+//! through [`Machine::charge_bulk`] and [`Machine::advance_all`]), which
+//! charge the exact Manhattan distance and maintain a per-processor
+//! dependency clock. The depth of the computation is the maximum clock
+//! value, which equals the longest chain of dependent messages by
+//! construction. The [`Machine`] is the only way to charge: it is
+//! single-threaded (`Send` but not `Sync`), and every buffer a charge
+//! touches is allocated when it is built.
 //!
 //! The paper's foundational collectives (§II-A) — broadcast, reduce,
 //! all-reduce, parallel prefix sum with `O(n)` energy and `O(log n)`
 //! depth, and sorting with `Θ(n^{3/2})` energy and poly-log depth — are
 //! implemented in [`collectives`] as real message patterns over the grid
 //! and charged message-by-message (bulk-charged per network stage for the
-//! sorting network, which would otherwise dominate simulation time).
+//! sorting network, which would otherwise dominate simulation time). The
+//! barrier and the batched LCA's layered broadcast also have closed
+//! forms, bit-identical to those message replays.
 
 pub mod collectives;
 pub mod engine;
@@ -32,9 +38,7 @@ pub mod paging;
 pub mod report;
 
 pub use engine::EngineLifecycle;
-pub use machine::{
-    LocalCharge, LocalChargeScratch, Machine, MachineBuilder, RoundCharger, Slot, TraceEvent,
-};
+pub use machine::{Machine, MachineBuilder, Slot, TraceEvent};
 pub use paging::{PagedMachine, PagingConfig, PagingReport};
 pub use report::CostReport;
 

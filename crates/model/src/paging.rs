@@ -17,9 +17,8 @@
 //! property the differential suite pins (`tests/integration_ooc.rs`)
 //! and the charge tables rely on to stay interpretable.
 //!
-//! Charges mirror the [`crate::LocalCharge`] discipline: they
-//! accumulate session-locally and are published in one batch by
-//! [`PagedMachine::commit_session`], so a paging run's `SessionReport`
+//! Charges accumulate session-locally and are published in one batch
+//! by [`PagedMachine::commit_session`], so a paging run's `SessionReport`
 //! differs from its fully-resident twin *only* by the explicit
 //! [`PagingReport`] rows — every other meter stays bit-identical.
 
@@ -131,9 +130,9 @@ impl PagedMachine {
         self.session.charge.depth += 1;
     }
 
-    /// Publishes the session's accumulated paging charges in one batch
-    /// (mirroring the `LocalCharge` discipline), folds them into the
-    /// lifetime meters, and resets the session meters. The resident
+    /// Publishes the session's accumulated paging charges in one batch,
+    /// folds them into the lifetime meters, and resets the session
+    /// meters. The resident
     /// set survives — residency is a property of the process, not the
     /// session.
     pub fn commit_session(&mut self) -> PagingReport {

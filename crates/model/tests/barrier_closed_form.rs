@@ -1,43 +1,28 @@
-//! The session charge kernel and its closed forms against the atomic,
-//! per-message oracle.
+//! The closed-form collectives against the per-message replays.
 //!
 //! Every test starts from a random pre-state: sends, ticks, and floor
 //! lifts that leave some raw clocks below the floor and some above.
 //!
-//! - A random sequence of session operations (sends, ticks, rounds
-//!   whose slots both send and receive, floor lifts, bulk charges, and
-//!   commit-and-reopen) must leave the same `report()` and the same
-//!   `clock(s)` for every slot as the same operations on the atomic
-//!   `Machine` path.
-//! - `collectives::barrier_local` charges a barrier's totals and clocks
-//!   in closed form, while the atomic `collectives::barrier` replays its
+//! - `collectives::closed_form_barrier` charges a barrier's totals and
+//!   clocks in closed form, while `collectives::barrier` replays its
 //!   2(n−1) sends and ticks. Range broadcasts, then a barrier, repeated,
 //!   must leave both machines in the same state. On traced machines the
-//!   session barrier keeps the message path, so the recorded events
-//!   must match too.
+//!   closed form is the replay, so the recorded events must match too.
 //! - `collectives::LayeredBroadcast` charges a whole phase of per-layer
 //!   broadcasts over disjoint ranges and barriers in closed form; it
-//!   must match the same phase replayed on the atomic path.
+//!   must match the same phase replayed message by message.
 
 use proptest::prelude::*;
 use rand::prelude::*;
-use spatial_model::collectives::{
-    barrier, barrier_local, range_broadcast, range_broadcast_local, LayeredBroadcast,
-};
-use spatial_model::{CurveKind, LocalChargeScratch, Machine, MachineBuilder, Slot};
+use spatial_model::collectives::{barrier, closed_form_barrier, range_broadcast, LayeredBroadcast};
+use spatial_model::{CurveKind, Machine, MachineBuilder, Slot};
 
-/// One charge. The random pre-state uses the first three kinds, the
-/// session differential all of them.
+/// One charge of the random pre-state.
 #[derive(Debug, Clone)]
 enum Op {
     Send(Slot, Slot),
     Tick(Slot),
     AdvanceAll(u32),
-    Round(Vec<(Slot, Slot)>),
-    ChargeBulk(u64, u64, u64),
-    /// Commit the session and open a new one (nothing on the atomic
-    /// path).
-    Reopen,
 }
 
 fn pre_state(n: u32, rng: &mut StdRng) -> Vec<Op> {
@@ -50,21 +35,13 @@ fn pre_state(n: u32, rng: &mut StdRng) -> Vec<Op> {
         .collect()
 }
 
-/// Charges `op` on the atomic `Machine` path.
-fn apply_atomic(m: &Machine, op: &Op) {
-    match *op {
-        Op::Send(a, b) => m.send(a, b),
-        Op::Tick(s) => m.tick(s),
-        Op::AdvanceAll(d) => m.advance_all(d),
-        Op::Round(ref msgs) => m.round(msgs),
-        Op::ChargeBulk(e, messages, w) => m.charge_bulk(e, messages, w),
-        Op::Reopen => {}
-    }
-}
-
 fn apply_pre(m: &Machine, pre: &[Op]) {
     for op in pre {
-        apply_atomic(m, op);
+        match *op {
+            Op::Send(a, b) => m.send(a, b),
+            Op::Tick(s) => m.tick(s),
+            Op::AdvanceAll(d) => m.advance_all(d),
+        }
     }
 }
 
@@ -84,10 +61,10 @@ fn layers(n: u32, count: usize, rng: &mut StdRng) -> Vec<Vec<(Slot, Slot)>> {
         .collect()
 }
 
-fn assert_same_state(atomic: &Machine, local: &Machine) -> Result<(), String> {
-    prop_assert_eq!(atomic.report(), local.report());
-    for s in 0..atomic.n_slots() {
-        prop_assert_eq!(atomic.clock(s), local.clock(s), "slot {s}");
+fn assert_same_state(replay: &Machine, closed: &Machine) -> Result<(), String> {
+    prop_assert_eq!(replay.report(), closed.report());
+    for s in 0..replay.n_slots() {
+        prop_assert_eq!(replay.clock(s), closed.clock(s), "slot {s}");
     }
     Ok(())
 }
@@ -97,97 +74,26 @@ fn check_step4_pattern(n: u32, barriers: usize, seed: u64, kind: CurveKind) -> R
     let mut rng = StdRng::seed_from_u64(seed);
     let pre = pre_state(n, &mut rng);
     let layers = layers(n, barriers, &mut rng);
-    // Commit and reopen the session after some barriers: each session
-    // must pick up where the last one left the clocks.
-    let splits: Vec<bool> = (0..barriers).map(|_| rng.gen_range(0..3) == 0).collect();
 
-    let atomic = Machine::on_curve(kind, n);
-    apply_pre(&atomic, &pre);
+    let replay = Machine::on_curve(kind, n);
+    apply_pre(&replay, &pre);
     for ranges in &layers {
         for &(lo, hi) in ranges {
-            range_broadcast(&atomic, lo, hi);
+            range_broadcast(&replay, lo, hi);
         }
-        barrier(&atomic);
+        barrier(&replay);
     }
 
-    let local = Machine::on_curve(kind, n);
-    apply_pre(&local, &pre);
-    let mut scratch = LocalChargeScratch::new();
-    let mut lc = local.begin_local_charge(&mut scratch);
-    for (ranges, &split) in layers.iter().zip(&splits) {
+    let closed = Machine::on_curve(kind, n);
+    apply_pre(&closed, &pre);
+    for ranges in &layers {
         for &(lo, hi) in ranges {
-            range_broadcast_local(&mut lc, lo, hi);
+            range_broadcast(&closed, lo, hi);
         }
-        barrier_local(&mut lc);
-        if split {
-            lc.commit();
-            lc = local.begin_local_charge(&mut scratch);
-        }
+        closed_form_barrier(&closed);
     }
-    lc.commit();
 
-    assert_same_state(&atomic, &local)
-}
-
-fn session_ops(n: u32, rng: &mut StdRng) -> Vec<Op> {
-    (0..rng.gen_range(1..4 * n as usize + 8))
-        .map(|_| match rng.gen_range(0..16) {
-            0 => Op::AdvanceAll(rng.gen_range(0..4)),
-            1 => Op::ChargeBulk(
-                rng.gen_range(0..100),
-                rng.gen_range(0..8),
-                rng.gen_range(0..8),
-            ),
-            2 => Op::Reopen,
-            3..=5 => Op::Tick(rng.gen_range(0..n)),
-            6..=9 => {
-                // Draw from a few slots so that most of them both send
-                // and receive within the round.
-                let pool: Vec<Slot> = (0..rng.gen_range(1..=4))
-                    .map(|_| rng.gen_range(0..n))
-                    .collect();
-                let pick = |rng: &mut StdRng| pool[rng.gen_range(0..pool.len())];
-                Op::Round(
-                    (0..rng.gen_range(0..8))
-                        .map(|_| (pick(&mut *rng), pick(&mut *rng)))
-                        .collect(),
-                )
-            }
-            _ => Op::Send(rng.gen_range(0..n), rng.gen_range(0..n)),
-        })
-        .collect()
-}
-
-/// The session operations `ops` on both paths, comparing the machines
-/// at every commit.
-fn check_session_ops(n: u32, seed: u64, kind: CurveKind) -> Result<(), String> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let pre = pre_state(n, &mut rng);
-    let ops = session_ops(n, &mut rng);
-
-    let atomic = Machine::on_curve(kind, n);
-    let local = Machine::on_curve(kind, n);
-    apply_pre(&atomic, &pre);
-    apply_pre(&local, &pre);
-    let mut scratch = LocalChargeScratch::new();
-    let mut lc = local.begin_local_charge(&mut scratch);
-    for op in &ops {
-        apply_atomic(&atomic, op);
-        match *op {
-            Op::Send(a, b) => lc.send(a, b),
-            Op::Tick(s) => lc.tick(s),
-            Op::AdvanceAll(d) => lc.advance_all(d),
-            Op::Round(ref msgs) => lc.round(msgs),
-            Op::ChargeBulk(e, messages, w) => lc.charge_bulk(e, messages, w),
-            Op::Reopen => {
-                lc.commit();
-                assert_same_state(&atomic, &local)?;
-                lc = local.begin_local_charge(&mut scratch);
-            }
-        }
-    }
-    lc.commit();
-    assert_same_state(&atomic, &local)
+    assert_same_state(&replay, &closed)
 }
 
 /// Per layer: sorted, pairwise disjoint `[lo, hi)` ranges, as
@@ -208,50 +114,37 @@ fn disjoint_layers(n: u32, count: usize, rng: &mut StdRng) -> Vec<(Vec<Slot>, Ve
         .collect()
 }
 
-/// A layered broadcast in closed form against its atomic replay.
+/// A layered broadcast in closed form against its replay.
 fn check_layered_broadcast(n: u32, count: usize, seed: u64, kind: CurveKind) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(seed);
     let pre = pre_state(n, &mut rng);
     let layers = disjoint_layers(n, count, &mut rng);
 
-    let atomic = Machine::on_curve(kind, n);
-    apply_pre(&atomic, &pre);
+    let replay = Machine::on_curve(kind, n);
+    apply_pre(&replay, &pre);
     for (los, his) in &layers {
         for (&lo, &hi) in los.iter().zip(his) {
-            range_broadcast(&atomic, lo, hi);
+            range_broadcast(&replay, lo, hi);
         }
-        barrier(&atomic);
+        barrier(&replay);
     }
 
-    let local = Machine::on_curve(kind, n);
-    apply_pre(&local, &pre);
-    let points = (0..n).map(|s| local.point_of(s)).collect();
+    let closed = Machine::on_curve(kind, n);
+    apply_pre(&closed, &pre);
+    let points = (0..n).map(|s| closed.point_of(s)).collect();
     let phase = LayeredBroadcast::new(points, layers.iter().map(|(l, h)| (&l[..], &h[..])));
-    let mut scratch = LocalChargeScratch::new();
-    let mut lc = local.begin_local_charge(&mut scratch);
     prop_assert!(
-        phase.charge_local(&mut lc),
+        phase.charge(&closed),
         "untraced, same placement: closed form"
     );
-    lc.commit();
-    assert_same_state(&atomic, &local)?;
+    assert_same_state(&replay, &closed)?;
 
     let traced = MachineBuilder::on_curve(kind, n).trace(true).build();
-    let mut lc = traced.begin_local_charge(&mut scratch);
-    prop_assert!(!phase.charge_local(&mut lc), "traced: replay");
+    prop_assert!(!phase.charge(&traced), "traced: replay");
     Ok(())
 }
 
 proptest! {
-    #[test]
-    fn session_ops_match_the_atomic_path(
-        n in 1u32..=300,
-        seed in 0u64..u64::MAX,
-        curve in 0usize..2,
-    ) {
-        check_session_ops(n, seed, [CurveKind::Hilbert, CurveKind::ZOrder][curve])?;
-    }
-
     #[test]
     fn layered_broadcast_matches_its_replay(
         n in 1u32..=600,
@@ -299,30 +192,27 @@ fn traced_session_barrier_records_the_same_messages() {
         let pre = pre_state(n, &mut rng);
         let layers = layers(n, 3, &mut rng);
 
-        let atomic = build(n);
-        apply_pre(&atomic, &pre);
+        let replay = build(n);
+        apply_pre(&replay, &pre);
         for ranges in &layers {
             for &(lo, hi) in ranges {
-                range_broadcast(&atomic, lo, hi);
+                range_broadcast(&replay, lo, hi);
             }
-            barrier(&atomic);
+            barrier(&replay);
         }
 
-        let local = build(n);
-        apply_pre(&local, &pre);
-        let mut scratch = LocalChargeScratch::new();
-        let mut lc = local.begin_local_charge(&mut scratch);
+        let closed = build(n);
+        apply_pre(&closed, &pre);
         for ranges in &layers {
             for &(lo, hi) in ranges {
-                range_broadcast_local(&mut lc, lo, hi);
+                range_broadcast(&closed, lo, hi);
             }
-            barrier_local(&mut lc);
+            closed_form_barrier(&closed);
         }
-        lc.commit();
 
-        let events = local.take_trace();
+        let events = closed.take_trace();
         assert!(n == 1 || events.len() >= 3 * 2 * (n as usize - 1), "n={n}");
-        assert_eq!(atomic.take_trace(), events, "n={n}");
-        assert_same_state(&atomic, &local).unwrap();
+        assert_eq!(replay.take_trace(), events, "n={n}");
+        assert_same_state(&replay, &closed).unwrap();
     }
 }

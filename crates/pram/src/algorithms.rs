@@ -7,7 +7,7 @@
 //! in the workspace: the input-dependent *structure* (Euler tours,
 //! membership, sparse-table storage, scratch arrays) is allocated once
 //! in `new`, and each run routes its accesses through a [`PramRun`]
-//! session using the batched [`PramRun::read_batch`] /
+//! using the batched [`PramRun::read_batch`] /
 //! [`PramRun::write_batch`] hooks — **zero heap allocation** after the
 //! first warm-up run (`tests/alloc_free.rs`), and charge totals
 //! identical to the retained seed implementations in
@@ -138,8 +138,8 @@ impl PramListRanker {
     }
 
     /// Ranks the list, charging every shared-memory access on the
-    /// session (processor `i` owns element `i`; the list arrays live
-    /// in cells `0..n`, so the session's machine must have at least
+    /// run (processor `i` owns element `i`; the list arrays live
+    /// in cells `0..n`, so the run's machine must have at least
     /// `n` cells). Returns the number of contraction rounds; read the
     /// ranks via [`PramListRanker::ranks`]. The rng affects only
     /// costs, never ranks.
@@ -311,7 +311,7 @@ impl PramPrefixSummer {
     }
 
     /// Computes the exclusive prefix sums of `values`, charging the
-    /// session (processor and cell `i` own element `i`; the machine
+    /// run (processor and cell `i` own element `i`; the machine
     /// must have at least `values.len()` cells). Returns the sums
     /// (also available via [`PramPrefixSummer::sums`]).
     pub fn run(&mut self, run: &mut PramRun<'_>, values: &[u64]) -> &[u64] {
@@ -379,7 +379,7 @@ impl PramPrefixSummer {
 ///
 /// The Euler tour, the list ranker, the prefix summer, and the scatter
 /// buffers are built once per tree; [`PramTreefix::subtree_sums`] is
-/// allocation-free after one warm-up run. The session's machine needs
+/// allocation-free after one warm-up run. The run's machine needs
 /// at least `2n` cells (one per dart).
 pub struct PramTreefix {
     ranker: PramListRanker,

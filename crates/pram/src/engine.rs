@@ -4,10 +4,8 @@
 //! rng-dependent *structure* — the hashed cell placement, the
 //! per-processor slot geometry, and the cell → grid-point distance
 //! table — is built once in [`PramEngine::new`] and reused across any
-//! number of runs, and all *charging* goes through a
-//! [`spatial_model::LocalCharge`] session ([`PramRun`]): plain
-//! non-atomic arithmetic, committed back to the machine in one batch
-//! when the session [`finish`](PramRun::finish)es.
+//! number of runs, and all *charging* goes through a [`PramRun`], which
+//! charges the engine's machine access by access or batch by batch.
 //!
 //! The charge rules are identical to the seed machine, access for
 //! access:
@@ -29,18 +27,16 @@
 use crate::reference::step_overhead_for;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use spatial_model::{
-    manhattan, CostReport, CurveKind, GridPoint, LocalCharge, LocalChargeScratch, Machine, Slot,
-};
+use spatial_model::{manhattan, CostReport, CurveKind, GridPoint, Machine, Slot};
 
 /// The reusable PRAM simulation engine: structure built once, runs
-/// charged through batch-committed [`PramRun`] sessions.
+/// charged through [`PramRun`]s.
 ///
 /// Processor `i` occupies grid slot `i`; memory cell `j` lives at the
 /// slot chosen by a random permutation drawn at construction (the
-/// hashing that makes shared memory location-oblivious). Open a
-/// charging session with [`PramEngine::run`], route every access
-/// through it, then [`PramRun::finish`] to commit.
+/// hashing that makes shared memory location-oblivious). Open a run
+/// with [`PramEngine::run`], route every access through it, then
+/// [`PramRun::finish`] it.
 pub struct PramEngine {
     machine: Machine,
     processors: u32,
@@ -53,7 +49,6 @@ pub struct PramEngine {
     cell_pt: Vec<GridPoint>,
     step_overhead: u32,
     steps: u32,
-    scratch: LocalChargeScratch,
 }
 
 impl PramEngine {
@@ -82,7 +77,6 @@ impl PramEngine {
             cell_pt,
             step_overhead,
             steps: 0,
-            scratch: LocalChargeScratch::new(),
         }
     }
 
@@ -129,36 +123,22 @@ impl PramEngine {
         self.steps = 0;
     }
 
-    /// Opens a charging session. All accesses of a run go through the
-    /// returned [`PramRun`]; drop-free completion requires
-    /// [`PramRun::finish`], which commits the batched totals to the
-    /// machine. After the first session has grown the scratch, opening
-    /// and running a session performs no heap allocation.
+    /// Opens a run. All accesses of a run go through the returned
+    /// [`PramRun`], which charges the engine's machine as they happen.
+    /// Opening and running performs no heap allocation.
     pub fn run(&mut self) -> PramRun<'_> {
-        let PramEngine {
-            machine,
-            cell_pt,
-            step_overhead,
-            steps,
-            scratch,
-            ..
-        } = self;
-        let machine: &Machine = machine;
         PramRun {
-            lc: machine.begin_local_charge(scratch),
-            machine,
-            cell_pt: cell_pt.as_slice(),
-            step_overhead: *step_overhead,
-            steps,
+            machine: &self.machine,
+            cell_pt: &self.cell_pt,
+            step_overhead: self.step_overhead,
+            steps: &mut self.steps,
         }
     }
 }
 
-/// One charging session over a [`PramEngine`]: the PRAM access charges
-/// accumulate in a [`LocalCharge`] (no atomics) and commit in one
-/// batch on [`PramRun::finish`].
+/// One run over a [`PramEngine`]: charges each PRAM access, or each
+/// batch of them, to the engine's machine.
 pub struct PramRun<'e> {
-    lc: LocalCharge<'e, 'e>,
     machine: &'e Machine,
     cell_pt: &'e [GridPoint],
     step_overhead: u32,
@@ -184,14 +164,14 @@ impl PramRun<'_> {
     #[inline]
     pub fn read(&mut self, proc: u32, cell: u32) {
         let d = self.access_dist(proc, cell);
-        self.lc.charge_bulk(2 * d, 2, 1);
+        self.machine.charge_bulk(2 * d, 2, 1);
     }
 
     /// Charges a write to `cell` by `proc`: one message.
     #[inline]
     pub fn write(&mut self, proc: u32, cell: u32) {
         let d = self.access_dist(proc, cell);
-        self.lc.charge_bulk(d, 1, 1);
+        self.machine.charge_bulk(d, 1, 1);
     }
 
     /// Charges a batch of reads in one bulk update — the sum of the
@@ -203,7 +183,7 @@ impl PramRun<'_> {
             energy += self.access_dist(proc, cell);
             count += 1;
         }
-        self.lc.charge_bulk(2 * energy, 2 * count, count);
+        self.machine.charge_bulk(2 * energy, 2 * count, count);
     }
 
     /// Charges a batch of writes in one bulk update (`d` energy, 1
@@ -214,26 +194,24 @@ impl PramRun<'_> {
             energy += self.access_dist(proc, cell);
             count += 1;
         }
-        self.lc.charge_bulk(energy, count, count);
+        self.machine.charge_bulk(energy, count, count);
     }
 
     /// Ends one synchronous PRAM step: lifts every clock by the
     /// routing overhead.
     pub fn end_step(&mut self) {
-        self.lc.advance_all(self.step_overhead);
+        self.machine.advance_all(self.step_overhead);
         *self.steps += 1;
     }
 
-    /// Number of PRAM steps executed so far (including this session's).
+    /// Number of PRAM steps executed so far (including this run's).
     pub fn steps(&self) -> u32 {
         *self.steps
     }
 
-    /// Commits the session's totals (energy, messages, work, clocks,
-    /// depth) to the machine in one batch.
-    pub fn finish(self) {
-        self.lc.commit();
-    }
+    /// Ends the run. Every access was charged as it happened, so this
+    /// only releases the engine.
+    pub fn finish(self) {}
 }
 
 #[cfg(test)]
@@ -316,7 +294,7 @@ mod tests {
 
     #[test]
     fn sessions_resume_depth() {
-        // Two sessions stack their step overheads on the same machine.
+        // Two runs stack their step overheads on the same machine.
         let mut engine = PramEngine::new(1024, 1024, &mut StdRng::seed_from_u64(1));
         let mut run = engine.run();
         run.end_step();

@@ -11,9 +11,8 @@
 //!
 //! [`PramEngine`] is the simulation machine as a flat-array engine: the
 //! hashed cell placement and distance tables are built once, and every
-//! run charges through a batch-committed
-//! [`spatial_model::LocalCharge`] session ([`engine::PramRun`]) with
-//! batched `read_batch`/`write_batch` access hooks. [`algorithms`]
+//! run charges the machine through an [`engine::PramRun`] with batched
+//! `read_batch`/`write_batch` access hooks. [`algorithms`]
 //! implements the baselines used in experiment E8 — random-mate list
 //! ranking, Blelloch prefix sums, Euler-tour subtree sums, and
 //! sparse-table LCA (the standard `O(n log n)`-work PRAM construction;

@@ -2,7 +2,7 @@
 //! differential baseline for [`crate::PramEngine`].
 //!
 //! [`PramMachine`] charges every shared-memory access through the
-//! machine's *atomic* bulk counters, one call per access, and the
+//! machine's bulk counters, one call per access, and the
 //! algorithms below allocate freely (per-round `Vec`s, a removal
 //! `HashSet`, a fresh sparse table per call). The flat-array engine in
 //! [`crate::engine`] / [`crate::algorithms`] must stay **charge- and

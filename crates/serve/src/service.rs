@@ -4,10 +4,7 @@
 use crossbeam::channel::{bounded, Receiver, Sender};
 use rand::prelude::*;
 use spatial_session::{ForestOptions, Request, Response, SessionReport, SpatialForest};
-use spatial_store::{
-    apply_pending_delta, read_journal, ForestSnapshot, JournalWriter, MappedSnapshot, Record,
-    StoreError,
-};
+use spatial_store::{read_journal, JournalWriter, MappedSnapshot, Record, StoreError};
 use spatial_tree::Tree;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -320,29 +317,14 @@ pub struct DurabilityOptions {
     /// the on-disk base still matches) and the journal restarts at the
     /// next generation (bounding recovery replay).
     pub checkpoint_interval: u64,
-    /// Recover tenants over mmap-backed snapshots: slabs are served
-    /// zero-copy out of the snapshot file until a mutation promotes
-    /// them, and restart cost scales with the tenants actually touched
-    /// instead of the fleet size. Answers and charges are bit-identical
-    /// either way, modulo the explicit paging rows of
-    /// [`ForestOptions::paging`].
-    pub mapped: bool,
-    /// Batch-size hint for [`SpatialForest::warmstart`] after recovery:
-    /// engine and scratch capacities are pre-sized from the snapshot
-    /// header so the first post-restart session allocates nothing on
-    /// the steady-state path.
-    pub warmstart_batch: usize,
 }
 
 impl DurabilityOptions {
-    /// Durability under `dir` with a checkpoint every 8 sessions,
-    /// mapped recovery, and warmstart sized for one coalesced batch.
+    /// Durability under `dir` with a checkpoint every 8 sessions.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DurabilityOptions {
             dir: dir.into(),
             checkpoint_interval: 8,
-            mapped: true,
-            warmstart_batch: MIN_COALESCED_BATCH,
         }
     }
 }
@@ -400,37 +382,27 @@ fn journal_path(dir: &Path, tenant: u32, generation: u64) -> PathBuf {
     dir.join(format!("tenant-{tenant}.{generation}.journal"))
 }
 
-/// Opens a tenant's snapshot, mapped or owned per
-/// [`DurabilityOptions::mapped`]. `None` means no snapshot exists yet
-/// (a fresh tenant); a pending incremental-checkpoint delta is applied
-/// first on every path (crash recovery).
+/// Opens a tenant's snapshot over a [`MappedSnapshot`]: slabs are
+/// served zero-copy out of the snapshot file until a mutation promotes
+/// them (or out of memory where `mmap` is unavailable), so restart cost
+/// scales with the tenants actually touched. `None` means no snapshot
+/// exists yet (a fresh tenant); a pending incremental-checkpoint delta
+/// is applied first (crash recovery).
 fn open_tenant_snapshot(
     tenant: u32,
     opts: &ServiceOptions,
     dur: &DurabilityOptions,
 ) -> Option<(SpatialForest, u64)> {
     let spath = snapshot_path(&dur.dir, tenant);
-    let not_found =
-        |e: &StoreError| matches!(e, StoreError::Io(e) if e.kind() == std::io::ErrorKind::NotFound);
-    if dur.mapped {
-        // `MappedSnapshot::open` applies a pending delta itself.
-        return match MappedSnapshot::open(&spath) {
-            Ok(mapped) => {
-                let generation = mapped.header().tag;
-                let forest = SpatialForest::from_mapped(&Arc::new(mapped), opts.forest);
-                Some((forest, generation))
-            }
-            Err(ref e) if not_found(e) => None,
-            Err(e) => panic!("tenant {tenant} snapshot unmappable: {e}"),
-        };
-    }
-    if let Err(e) = apply_pending_delta(&spath) {
-        assert!(not_found(&e), "tenant {tenant} delta unrecoverable: {e}");
-    }
-    match ForestSnapshot::read_from(&spath) {
-        Ok(snap) => Some((SpatialForest::from_snapshot(&snap, opts.forest), snap.tag)),
-        Err(ref e) if not_found(e) => None,
-        Err(e) => panic!("tenant {tenant} snapshot unreadable: {e}"),
+    // `MappedSnapshot::open` applies a pending delta itself.
+    match MappedSnapshot::open(&spath) {
+        Ok(mapped) => {
+            let generation = mapped.header().tag;
+            let forest = SpatialForest::from_mapped(&Arc::new(mapped), opts.forest);
+            Some((forest, generation))
+        }
+        Err(StoreError::Io(ref e)) if e.kind() == std::io::ErrorKind::NotFound => None,
+        Err(e) => panic!("tenant {tenant} snapshot unmappable: {e}"),
     }
 }
 
@@ -516,7 +488,7 @@ fn start_tenant_durable(
             state
         }
     };
-    state.forest.warmstart(dur.warmstart_batch);
+    state.forest.warmstart(opts.coalesce_target);
     state
 }
 
@@ -611,7 +583,7 @@ impl ForestService {
     /// session and re-checkpoints every `dur.checkpoint_interval`
     /// committed sessions — incrementally, patching only the dirty
     /// slab extents, when the on-disk base still matches. Recovery is
-    /// **lazy** and (by default) **mapped**: a tenant is opened on its
+    /// **lazy** and **mapped**: a tenant is opened on its
     /// shard's thread at its first job, zero-copy over the mmap'd
     /// snapshot, so restarting a large fleet pays only for the tenants
     /// that actually receive traffic. Pass the same `trees`,

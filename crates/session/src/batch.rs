@@ -11,7 +11,8 @@ pub enum Request {
     /// Lowest common ancestor of two vertices (batched §VI-C engine).
     Lca(NodeId, NodeId),
     /// Sum of the per-vertex weights over the vertex's subtree
-    /// (bottom-up treefix, §V).
+    /// (bottom-up treefix, §V), modulo 2⁶⁴: the sum wraps, as the
+    /// [`spatial_treefix::Add`] monoid does, and never fails.
     SubtreeSum(NodeId),
     /// Position of the vertex's down dart on the light-first Euler
     /// tour (0 for the root), via the Theorem 5 list-ranking engine.
@@ -23,7 +24,8 @@ pub enum Request {
         /// Parent of the new leaf (any existing vertex, including one
         /// inserted earlier in the same stream).
         parent: NodeId,
-        /// Weight of the new leaf in subtree sums.
+        /// Weight of the new leaf in subtree sums. Any `u64` is valid:
+        /// sums wrap modulo 2⁶⁴ (see [`Request::SubtreeSum`]).
         weight: u64,
     },
 }
@@ -33,7 +35,8 @@ pub enum Request {
 pub enum Response {
     /// Answer to [`Request::Lca`].
     Lca(NodeId),
-    /// Answer to [`Request::SubtreeSum`].
+    /// Answer to [`Request::SubtreeSum`]: the subtree's weight sum
+    /// modulo 2⁶⁴.
     SubtreeSum(u64),
     /// Answer to [`Request::Rank`].
     Rank(u64),

@@ -814,8 +814,8 @@ impl SpatialForest {
         self.in_execute = false;
         self.session.grid = self.session.grid + self.machine.report();
         self.session.ranking = self.session.ranking + self.dart_machine.report();
-        // Publish the session's paging charges in one batch (the
-        // LocalCharge discipline): owned backings report `None`.
+        // Publish the session's paging charges in one batch: owned
+        // backings report `None`.
         if let Some(pager) = self.pager.as_mut() {
             self.session.paging = Some(pager.commit_session());
         }
@@ -1171,6 +1171,35 @@ mod tests {
             Response::SubtreeSum(109)
         );
         assert_eq!(forest.pool().stats().rebinds, 0);
+    }
+
+    #[test]
+    fn subtree_sums_wrap_modulo_2_64() {
+        // 64 unit weights and a u64::MAX leaf under the root: the root's
+        // sum is 64 + (2^64 − 1) ≡ 63 (mod 2^64), and every sum is the
+        // wrapping `Add` monoid's, as the host treefix computes it.
+        let tree = generators::uniform_random(64, &mut StdRng::seed_from_u64(7));
+        let root = tree.root();
+        let mut forest = SpatialForest::new(&tree);
+        let mut batch = crate::QueryBatch::new();
+        batch.insert_leaf_weighted(root, u64::MAX);
+        for v in 0..65 {
+            batch.subtree_sum(v);
+        }
+        let responses = forest
+            .execute(batch.requests(), &mut StdRng::seed_from_u64(8))
+            .to_vec();
+
+        let mut parents = tree.parents().to_vec();
+        parents.push(root);
+        let mut weights = vec![Add(1); 64];
+        weights.push(Add(u64::MAX));
+        let host =
+            spatial_treefix::treefix_bottom_up_host(&Tree::from_parents(root, parents), &weights);
+        assert_eq!(responses[1 + root as usize], Response::SubtreeSum(63));
+        for (v, sum) in host.iter().enumerate() {
+            assert_eq!(responses[1 + v], Response::SubtreeSum(sum.0), "sum({v})");
+        }
     }
 
     #[test]

@@ -72,11 +72,10 @@
 //! The distributed contraction log is three flat arrays with per-round
 //! end offsets; message batches and reduce relays reuse persistent
 //! scratch ([`spatial_messaging::relay::RelayScratch`] plus the
-//! engine's own CSR group buffers); every engine round charges through
-//! a [`spatial_model::LocalCharge`] session (identical energy, messages,
-//! work, and depth to per-message atomic charging). Zero allocation is
-//! asserted by the counting-allocator test `tests/alloc_free.rs`; the
-//! seed implementation is retained as
+//! engine's own CSR group buffers), and every round charges the machine
+//! directly (its round staging is allocated when it is built). Zero
+//! allocation is asserted by the counting-allocator test
+//! `tests/alloc_free.rs`; the seed implementation is retained as
 //! [`crate::reference::ReferenceEngine`] and the `csr_vs_reference`
 //! suite pins identical results, statistics, and machine charges.
 
@@ -84,9 +83,9 @@ use crate::monoid::CommutativeMonoid;
 use rand::Rng;
 use spatial_layout::Layout;
 use spatial_messaging::relay::{
-    charge_broadcast_levels_depth_first, charge_reduce_relays_csr_into, RelayScratch,
+    charge_broadcast_levels_depth_first, charge_reduce_relays_csr, RelayScratch,
 };
-use spatial_model::{EngineLifecycle, LocalCharge, LocalChargeScratch, Machine, Slot};
+use spatial_model::{EngineLifecycle, Machine, Slot};
 use spatial_tree::{ChildrenCsr, NodeId, Tree, NIL};
 
 /// Cost-relevant counters of one contraction run (Las Vegas evidence:
@@ -211,10 +210,6 @@ pub struct ContractionEngine<M: CommutativeMonoid> {
     group_offsets: Vec<u32>,
     /// Reduce relay halving scratch.
     relay: RelayScratch,
-    /// Round staging for the local charging sessions (one per
-    /// `contract`, one per `uncontract_*`): all engine rounds charge
-    /// through plain arithmetic and commit in one batch.
-    local: LocalChargeScratch,
     /// Uncontraction accumulator (`A_v` / `B_v`), preallocated.
     acc: Vec<M>,
     /// Output buffer by vertex id, retained across runs and returned by
@@ -263,7 +258,6 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
             group_parts: Vec::with_capacity(cap),
             group_offsets: Vec::with_capacity(cap + 1),
             relay: RelayScratch::with_capacity(cap, cap),
-            local: LocalChargeScratch::with_capacity(cap + 1),
             acc: Vec::with_capacity(cap),
             out: Vec::with_capacity(cap),
             stats: ContractionStats::ZERO,
@@ -450,7 +444,7 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
     /// random-mate probe of every viable vertex, COMPRESS of the
     /// selected ones, and the compaction. Stages the probe and COMPRESS
     /// rounds and round 0 of the second children broadcast.
-    fn compress_pass(&mut self, lc: &mut LocalCharge) -> u64 {
+    fn compress_pass(&mut self, m: &Machine) -> u64 {
         let slot = &self.slot;
         let coin = &self.coin;
         let child_count = &self.child_count;
@@ -470,7 +464,7 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
             if len > 1 {
                 // Branching parent: none of its children is viable.
                 let ks = &kids[rk..rk + len];
-                charge_broadcast_levels_depth_first(lc, len, |j| slot[ks[j] as usize]);
+                charge_broadcast_levels_depth_first(m, len, |j| slot[ks[j] as usize]);
                 kids.copy_within(rk..rk + len, wk);
             } else {
                 let v = kids[rk];
@@ -522,7 +516,7 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
     /// the second children broadcast's doubling levels, then RAKE of
     /// leaf supervertices wherever all-but-at-most-one children are
     /// leaves. Collects the reduce relays of all rakes as one batch.
-    fn rake_pass(&mut self, lc: &mut LocalCharge) {
+    fn rake_pass(&mut self, m: &Machine) {
         let slot = &self.slot;
         let vid = &self.vid;
         let kids = &self.kids;
@@ -538,7 +532,7 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
             let ks = &kids[end - len..end];
             end -= len;
             if len > 1 {
-                charge_broadcast_levels_depth_first(lc, len, |j| slot[ks[j] as usize]);
+                charge_broadcast_levels_depth_first(m, len, |j| slot[ks[j] as usize]);
             }
             // Branchless count: is this a raking parent?
             let leaves = ks
@@ -626,10 +620,10 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
 
     /// One COMPACT round: compress an independent random-mate set of
     /// viable supervertices, then rake leaf supervertices.
-    fn compact_round<R: Rng>(&mut self, rng: &mut R, lc: &mut LocalCharge) {
+    fn compact_round<R: Rng>(&mut self, rng: &mut R, m: &Machine) {
         // Step 1: branching info — round 0 here, the doubling levels in
         // the COMPRESS pass.
-        lc.round(&self.first_msgs);
+        m.round(&self.first_msgs);
 
         // Step 2: random-mate coins, drawn in vertex-id order.
         for &v in &self.alive {
@@ -639,20 +633,20 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
         // Steps 2–3: probe the viable vertices and COMPRESS the selected
         // independent set (heads with a tails parent, so no parent is
         // itself compressed this round).
-        let compresses = self.compress_pass(lc);
-        lc.round(&self.probe_msgs);
-        lc.round(&self.compress_msgs);
+        let compresses = self.compress_pass(m);
+        m.round(&self.probe_msgs);
+        m.round(&self.compress_msgs);
         self.stats.compresses += compresses;
 
         // Step 4: refresh branching info after the compresses — round 0
         // here, the doubling levels in the RAKE pass.
-        lc.round(&self.first_msgs);
+        m.round(&self.first_msgs);
 
         // Step 5: RAKE. All rakes of the round run concurrently: the
         // reduce relays are charged as one batch.
-        self.rake_pass(lc);
-        charge_reduce_relays_csr_into(
-            lc,
+        self.rake_pass(m);
+        charge_reduce_relays_csr(
+            m,
             &self.group_parts,
             &self.group_offsets,
             &self.group_slots,
@@ -683,21 +677,15 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
         // progress; the bound below is a defensive cap, not a tuning
         // parameter.
         let cap = 4 * n + 64;
-        // All rounds of the contraction charge through one local
-        // session (identical accounting, no per-message atomics).
-        let mut scratch = std::mem::take(&mut self.local);
-        let mut lc = machine.begin_local_charge(&mut scratch);
         while self.alive.len() > 1 {
             let before = self.alive.len();
-            self.compact_round(rng, &mut lc);
+            self.compact_round(rng, machine);
             debug_assert!(self.alive.len() < before, "COMPACT made no progress");
             assert!(
                 (self.stats.compact_rounds as u64) <= cap,
                 "contraction failed to converge"
             );
         }
-        lc.commit();
-        self.local = scratch;
         self.stats
     }
 
@@ -705,11 +693,7 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
     /// its raked leaves) from the flat log: round 0 for all groups,
     /// then each group's doubling levels depth-first (every raked leaf
     /// belongs to one group).
-    fn charge_rake_undo_broadcast(
-        &mut self,
-        group_range: std::ops::Range<usize>,
-        lc: &mut LocalCharge,
-    ) {
+    fn charge_rake_undo_broadcast(&mut self, group_range: std::ops::Range<usize>, m: &Machine) {
         let (slot, log) = (&self.slot, &self.rake_log);
         let groups = &self.rake_groups[group_range];
         self.first_msgs.clear();
@@ -718,25 +702,25 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
                 .iter()
                 .map(|&(u, start, _)| (slot[u as usize], slot[log[start as usize] as usize])),
         );
-        lc.round(&self.first_msgs);
+        m.round(&self.first_msgs);
         for &(_, start, end) in groups {
             let leaves = &log[start as usize..end as usize];
             if leaves.len() > 1 {
-                charge_broadcast_levels_depth_first(lc, leaves.len(), |j| slot[leaves[j] as usize]);
+                charge_broadcast_levels_depth_first(m, leaves.len(), |j| slot[leaves[j] as usize]);
             }
         }
     }
 
     /// Charges the compress-undo messages (`u → v`) of one logged
     /// round.
-    fn charge_compress_undo(&mut self, log_range: std::ops::Range<usize>, lc: &mut LocalCharge) {
+    fn charge_compress_undo(&mut self, log_range: std::ops::Range<usize>, m: &Machine) {
         self.compress_msgs.clear();
         for &v in &self.compress_log[log_range] {
             let u = self.parent_at_merge(v);
             self.compress_msgs
                 .push((self.slot[u as usize], self.slot[v as usize]));
         }
-        lc.round(&self.compress_msgs);
+        m.round(&self.compress_msgs);
     }
 
     /// §V-B uncontraction for the bottom-up treefix: returns
@@ -747,8 +731,6 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
         assert_eq!(self.phase, Phase::Contracted, "contract() must run first");
         self.phase = Phase::Done;
         let n = self.n;
-        let mut scratch = std::mem::take(&mut self.local);
-        let mut lc = machine.begin_local_charge(&mut scratch);
         // a[v]: combination of v's *outside descendants* — subtree
         // values below v that merged past it (preallocated identity).
         for round in (0..self.stats.compact_rounds as usize).rev() {
@@ -756,7 +738,7 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
             let (cs, ce) = round_span(&self.compress_ends, round);
             // Rakes were executed after compresses within the step; undo
             // them first — all rake groups of the step concurrently.
-            self.charge_rake_undo_broadcast(gs..ge, &mut lc);
+            self.charge_rake_undo_broadcast(gs..ge, machine);
             for gi in (gs..ge).rev() {
                 let (u, start, end) = self.rake_groups[gi];
                 let mut acc = M::identity();
@@ -768,7 +750,7 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
                 self.acc[u as usize] = self.acc[u as usize].combine(acc);
                 self.p[u as usize] = self.saved_p[self.rake_log[start as usize] as usize];
             }
-            self.charge_compress_undo(cs..ce, &mut lc);
+            self.charge_compress_undo(cs..ce, machine);
             for li in (cs..ce).rev() {
                 let v = self.compress_log[li];
                 let u = self.parent_at_merge(v);
@@ -778,8 +760,6 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
                 self.p[u as usize] = self.saved_p[v as usize];
             }
         }
-        lc.commit();
-        self.local = scratch;
         let (p, acc) = (&self.p, &self.acc);
         for (out, &i) in self.out[..n].iter_mut().zip(&self.index_of) {
             *out = p[i as usize].combine(acc[i as usize]);
@@ -801,14 +781,12 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
         );
         self.phase = Phase::Done;
         let n = self.n;
-        let mut scratch = std::mem::take(&mut self.local);
-        let mut lc = machine.begin_local_charge(&mut scratch);
         // acc[v] plays b[v]: combination of values strictly above
         // supervertex v.
         for round in (0..self.stats.compact_rounds as usize).rev() {
             let (gs, ge) = round_span(&self.rake_ends, round);
             let (cs, ce) = round_span(&self.compress_ends, round);
-            self.charge_rake_undo_broadcast(gs..ge, &mut lc);
+            self.charge_rake_undo_broadcast(gs..ge, machine);
             for gi in (gs..ge).rev() {
                 let (u, start, end) = self.rake_groups[gi];
                 for li in start as usize..end as usize {
@@ -817,7 +795,7 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
                     self.acc[v as usize] = self.acc[u as usize].combine(self.p[u as usize]);
                 }
             }
-            self.charge_compress_undo(cs..ce, &mut lc);
+            self.charge_compress_undo(cs..ce, machine);
             for li in (cs..ce).rev() {
                 let v = self.compress_log[li];
                 let u = self.parent_at_merge(v);
@@ -826,8 +804,6 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
                 self.p[u as usize] = self.saved_p[v as usize];
             }
         }
-        lc.commit();
-        self.local = scratch;
         let acc = &self.acc;
         for ((out, &i), &value) in self.out[..n].iter_mut().zip(&self.index_of).zip(values) {
             *out = acc[i as usize].combine(value);
@@ -899,7 +875,6 @@ impl<M: CommutativeMonoid> EngineLifecycle for ContractionEngine<M> {
         grow(&mut self.out, cap);
         grow(&mut self.coin, cap);
         self.relay.reserve(cap, cap);
-        self.local.reserve(cap + 1);
         self.cap = cap;
     }
 
