@@ -17,9 +17,10 @@
 //!   - the spatial random-mate contraction
 //!     ([`ranking::RankingEngine`], one-shot wrapper
 //!     [`ranking::rank_spatial`]) with full energy/depth accounting —
-//!     a flat splice log with per-round offsets, zero heap allocation
-//!     after setup (the §IV cost bounds: `O(n^{3/2})` energy and
-//!     `O(log n)` depth w.h.p., Theorem 5).
+//!     the live list as an array of positions in list order, a flat
+//!     splice log with per-round offsets, zero heap allocation after
+//!     setup (the §IV cost bounds: `O(n^{3/2})` energy and `O(log n)`
+//!     depth w.h.p., Theorem 5).
 //! - [`tour`] helpers deriving subtree sizes and first-occurrence
 //!   (DFS) orders from tour ranks — steps 1–3 of the §IV pipeline.
 //!

@@ -11,32 +11,52 @@
 //! with high probability a constant fraction of elements is removed per
 //! round, giving `O(n^{3/2})` energy and `O(log n)` depth overall.
 //!
+//! # The list-ordered array
+//!
+//! The list never changes across runs, so [`RankingEngine::bind`] walks
+//! it once and numbers its elements by position (position 0 is the
+//! start). A run keeps the live list as one compact array of positions
+//! in list order: an element's live neighbours are its array
+//! neighbours, so no successor or predecessor pointer is stored. Each
+//! contraction round is one pass over that array that selects every
+//! head whose left neighbour flipped tails, splices it out and compacts
+//! the array behind it. The grid point of every position is gathered
+//! once per run, so the pass reads points in list order instead of
+//! chasing pointers across the machine.
+//!
+//! The charges are the seed algorithm's, bit for bit:
+//!
+//! - the coin round sends one message per live pointer. Its energy is a
+//!   running total: the whole list's pointer energy at the start of a
+//!   run, and each splice of `mid` between `left` and `right` changes it
+//!   by `−d(mid, left) − d(mid, right) + d(left, right)`. Its message
+//!   count is the live length − 1;
+//! - the splice round sends `mid → left` and `mid → right`;
+//! - the undo round of each contraction round sends `left → mid` once
+//!   per splice, so each round keeps its `Σ d(mid, left)` for its undo
+//!   round to charge.
+//!
+//! The Las Vegas process is the seed's too: coins are drawn in
+//! element-id order (a second array keeps the live positions in that
+//! order), and [`RankingEngine::ranks`] answers by element id.
+//!
 //! # Memory discipline
 //!
 //! The contraction is the inner loop of on-machine layout creation
-//! (§IV runs it twice per layout), so [`RankingEngine`] lays every
-//! piece of state out flat and allocates once in
-//! [`RankingEngine::new`]:
-//!
-//! - the splice log is three flat arrays (`mid`, `left`, carried
-//!   weight) with per-round end offsets — replacing the seed's
-//!   per-round `Vec<Splice>` history of nested `Vec`s;
-//! - per-round removals mark a flag array swept by `retain`, replacing
-//!   the seed's per-round `HashSet`;
-//! - pointer-distance charging is batched: one pass over the live
-//!   successor pairs sums their distances and counts them, then
-//!   [`Machine::charge_pointer_round`] charges the synchronous round.
-//!
-//! After `new` returns, [`RankingEngine::rank`] performs **zero heap
+//! (§IV runs it twice per layout), so every buffer is flat, indexed by
+//! position, `u32` wherever a position or a weight fits, and allocated
+//! once: the splice log is two arrays (`mid`, `left`) with per-round end
+//! offsets. After [`RankingEngine::new`] (or a `bind` within the
+//! capacity) returns, [`RankingEngine::rank`] performs **zero heap
 //! allocation** (asserted by the counting-allocator test
 //! `tests/alloc_free.rs`, the same harness as the treefix engine's).
 //! The seed implementation is retained as
 //! [`crate::reference::rank_spatial_reference`]; the `ranking_props`
-//! suite asserts both produce identical ranks, round counts, and
-//! machine charges.
+//! suite asserts both produce identical ranks, round counts, machine
+//! charges and per-slot clocks.
 
 use rand::Rng;
-use spatial_model::{EngineLifecycle, Machine, Slot};
+use spatial_model::{manhattan, EngineLifecycle, GridPoint, Machine};
 
 /// Sentinel for "end of list" (same convention as the tour darts).
 pub const END: u32 = u32::MAX;
@@ -45,16 +65,13 @@ pub const END: u32 = u32::MAX;
 pub const UNRANKED: u64 = u64::MAX;
 
 /// Sequential list ranking: index of each element from `start`.
-/// Elements not on the list get [`UNRANKED`].
+/// Elements not on the list get [`UNRANKED`]. Panics on a cyclic list.
 pub fn rank_sequential(next: &[u32], start: u32) -> Vec<u64> {
     let mut ranks = vec![UNRANKED; next.len()];
-    if start == END {
-        return ranks;
-    }
     let mut at = start;
     let mut r = 0u64;
     while at != END {
-        debug_assert_eq!(ranks[at as usize], UNRANKED, "cycle in list");
+        assert!(ranks[at as usize] == UNRANKED, "cycle in list");
         ranks[at as usize] = r;
         r += 1;
         at = next[at as usize];
@@ -72,43 +89,59 @@ pub struct SpatialRanking {
     pub rounds: u32,
 }
 
-/// The reusable spatial list-ranking engine (§IV, Theorem 5): flat
-/// splice log, per-round end offsets, zero heap allocation after
-/// setup. Create with [`RankingEngine::new`], then call
-/// [`RankingEngine::rank`] any number of times (each run re-ranks the
-/// same list with fresh randomness, charging the machine it is given).
+/// Capacity of the per-round arrays for lists of up to `cap` elements:
+/// a generous bound on the `O(log n)` w.h.p. round count (a run that
+/// needs more rounds still ranks correctly; it only allocates).
+fn round_capacity(cap: usize) -> usize {
+    64 + 8 * (usize::BITS - cap.leading_zeros()) as usize
+}
+
+/// The reusable spatial list-ranking engine (§IV, Theorem 5): the live
+/// list as an array of positions in list order, a flat splice log,
+/// zero heap allocation after setup. Create with [`RankingEngine::new`]
+/// (or [`RankingEngine::with_capacity`] and [`RankingEngine::bind`]),
+/// then call [`RankingEngine::rank`] any number of times (each run
+/// re-ranks the same list with fresh randomness, charging the machine
+/// it is given).
 pub struct RankingEngine {
-    /// Original successor array (the list never changes across runs).
-    next0: Vec<u32>,
-    start: u32,
-    /// Elements on the list, in id order (the initial alive set).
-    alive0: Vec<u32>,
+    /// Whether a list is bound ([`EngineLifecycle::reset`] unbinds).
+    bound: bool,
+    /// Element at every list position; position 0 is the start.
+    order: Vec<u32>,
+    /// Positions of the list's elements in element-id order: the first
+    /// round's coin-draw order.
+    by_id: Vec<u32>,
     /// Contract until at most this many elements remain.
     threshold: usize,
     /// Largest element count the retained buffers have ever served;
     /// bindings at or below this never allocate.
     cap: usize,
 
-    // ---- Per-run mutable state (reset at the top of `rank`). ----
-    nxt: Vec<u32>,
-    prev: Vec<u32>,
-    weight: Vec<u64>,
+    // ---- Per-run state, indexed by position (reset by `rank`). ----
+    /// Grid point of every position's slot, gathered once per run.
+    points: Vec<GridPoint>,
+    /// Live positions in list order: the contracted list.
+    live: Vec<u32>,
+    /// Live positions in element-id order: the coin-draw order.
+    alive: Vec<u32>,
+    /// Rank weight: how many list elements a live position stands for.
+    weight: Vec<u32>,
     coin: Vec<bool>,
     dead: Vec<bool>,
-    alive: Vec<u32>,
+    /// Rank of every position.
+    rank_at: Vec<u32>,
+    /// Rank of every element id (the answer of [`RankingEngine::ranks`]).
     ranks: Vec<u64>,
 
-    // ---- Flat splice log (replaces the seed's Vec<Vec<Splice>>). ----
-    /// Spliced-out elements, all rounds back to back.
+    // ---- Flat splice log: all rounds back to back. ----
+    /// Spliced-out positions.
     splice_mid: Vec<u32>,
     /// Left neighbour each splice merged into.
     splice_left: Vec<u32>,
-    /// Rank weight the spliced element carried.
-    splice_weight: Vec<u64>,
-    /// End offset into the splice arrays after each round.
+    /// End offset into the splice log after each round.
     round_ends: Vec<u32>,
-    /// Random-mate selection scratch.
-    selected: Vec<u32>,
+    /// `Σ d(mid, left)` of each round: the energy of its undo round.
+    undo_energy: Vec<u64>,
     rounds: u32,
 }
 
@@ -127,103 +160,68 @@ impl RankingEngine {
     /// capacity never allocate.
     pub fn with_capacity(cap: usize) -> Self {
         RankingEngine {
-            next0: Vec::with_capacity(cap),
-            start: END,
-            alive0: Vec::with_capacity(cap),
+            bound: false,
+            order: Vec::with_capacity(cap),
+            by_id: Vec::with_capacity(cap),
             threshold: 4,
             cap,
-            nxt: Vec::with_capacity(cap),
-            prev: Vec::with_capacity(cap),
+            points: Vec::with_capacity(cap),
+            live: Vec::with_capacity(cap),
+            alive: Vec::with_capacity(cap),
             weight: Vec::with_capacity(cap),
             coin: Vec::with_capacity(cap),
             dead: Vec::with_capacity(cap),
-            alive: Vec::with_capacity(cap),
+            rank_at: Vec::with_capacity(cap),
             ranks: Vec::with_capacity(cap),
             splice_mid: Vec::with_capacity(cap),
             splice_left: Vec::with_capacity(cap),
-            splice_weight: Vec::with_capacity(cap),
-            // Every round appends one end offset, including rounds that
-            // splice nothing; the capacity is a generous bound on the
-            // O(log n) w.h.p. round count.
-            round_ends: Vec::with_capacity(cap + 64),
-            selected: Vec::with_capacity(cap),
+            round_ends: Vec::with_capacity(round_capacity(cap)),
+            undo_energy: Vec::with_capacity(round_capacity(cap)),
             rounds: 0,
         }
     }
 
     /// Loads a new list into the retained buffers, restarting the run
-    /// cycle — **zero heap allocation** whenever `next.len()` is within
-    /// the engine's capacity (grow first with
+    /// cycle: one walk from `start` numbers the list by position.
+    /// Panics on a cyclic list. **Zero heap allocation** whenever
+    /// `next.len()` is within the engine's capacity (grow first with
     /// [`EngineLifecycle::reserve`]).
     pub fn bind(&mut self, next: &[u32], start: u32) {
         let n = next.len();
         self.cap = self.cap.max(n);
-        self.next0.clear();
-        self.next0.extend_from_slice(next);
-        self.start = start;
-        // Membership walk through the retained coin buffer (reset to
-        // all-false first; `coin` is otherwise per-round scratch).
-        self.coin.clear();
-        self.coin.resize(n, false);
-        if start != END {
-            let mut at = start;
-            while at != END {
-                debug_assert!(!self.coin[at as usize], "cycle in list");
-                self.coin[at as usize] = true;
-                at = next[at as usize];
-            }
+        self.bound = true;
+        // The walk marks each element's position in `live` (per-run
+        // state, refilled by `rank`); END stays off-list.
+        let pos = &mut self.live;
+        pos.clear();
+        pos.resize(n, END);
+        self.order.clear();
+        let mut at = start;
+        while at != END {
+            assert!(pos[at as usize] == END, "cycle in list");
+            pos[at as usize] = self.order.len() as u32;
+            self.order.push(at);
+            at = next[at as usize];
         }
-        self.alive0.clear();
-        let coin = &self.coin;
-        self.alive0
-            .extend((0..n as u32).filter(|&v| coin[v as usize]));
-        let list_len = self.alive0.len();
+        self.by_id.clear();
+        self.by_id.extend(pos.iter().copied().filter(|&p| p != END));
+        let list_len = self.order.len();
         self.threshold = (2 * (usize::BITS - list_len.leading_zeros()) as usize).max(4);
-        // Per-run arrays track the element count (`resize` both grows
-        // and shrinks); `reset_run` (called at the top of every
-        // `rank`) fills them.
-        self.nxt.resize(n, END);
-        self.prev.resize(n, END);
-        self.weight.resize(n, 1);
-        self.dead.resize(n, false);
+        self.ranks.clear();
         self.ranks.resize(n, UNRANKED);
         self.rounds = 0;
     }
 
     /// Number of elements on the list.
     pub fn list_len(&self) -> usize {
-        self.alive0.len()
+        self.order.len()
     }
 
-    /// The ranks of the most recent [`RankingEngine::rank`] run
-    /// ([`UNRANKED`] off-list, or everywhere before the first run).
+    /// The ranks of the most recent [`RankingEngine::rank`] run, by
+    /// element id ([`UNRANKED`] off-list, or everywhere before the
+    /// first run).
     pub fn ranks(&self) -> &[u64] {
         &self.ranks
-    }
-
-    /// Resets the per-run state to the pristine list. (Named apart
-    /// from [`EngineLifecycle::reset`]: a private inherent `reset`
-    /// would shadow the trait method and make `engine.reset()` a
-    /// private-method error for downstream callers.)
-    fn reset_run(&mut self) {
-        self.nxt.copy_from_slice(&self.next0);
-        self.prev.fill(END);
-        for &v in &self.alive0 {
-            let w = self.nxt[v as usize];
-            if w != END {
-                self.prev[w as usize] = v;
-            }
-        }
-        self.weight.fill(1);
-        self.dead.fill(false);
-        self.alive.clear();
-        self.alive.extend_from_slice(&self.alive0);
-        self.ranks.fill(UNRANKED);
-        self.splice_mid.clear();
-        self.splice_left.clear();
-        self.splice_weight.clear();
-        self.round_ends.clear();
-        self.rounds = 0;
     }
 
     /// Ranks the list by random-mate contraction, charging every
@@ -231,105 +229,129 @@ impl RankingEngine {
     /// read the ranks via [`RankingEngine::ranks`]. The seed affects
     /// only costs, never ranks. Performs no heap allocation.
     pub fn rank<R: Rng>(&mut self, m: &Machine, rng: &mut R) -> u32 {
-        let n = self.next0.len();
-        assert!(n as u32 <= m.n_slots(), "need one slot per list element");
-        self.reset_run();
-        if self.start == END {
+        assert!(self.bound, "bind a list first");
+        assert!(
+            self.ranks.len() as u32 <= m.n_slots(),
+            "need one slot per list element"
+        );
+        self.splice_mid.clear();
+        self.splice_left.clear();
+        self.round_ends.clear();
+        self.undo_energy.clear();
+        self.rounds = 0;
+        let len = self.order.len();
+        if len == 0 {
             return 0;
         }
-        let start = self.start;
+
+        // ---- Reset: every position live, in both orders. Element v ----
+        // ---- lives at slot v; its point is read once, in list order. ----
+        self.points.clear();
+        self.points
+            .extend(self.order.iter().map(|&v| m.point_of(v)));
+        let mut energy: u64 = self.points.windows(2).map(|w| manhattan(w[0], w[1])).sum();
+        self.live.clear();
+        self.live.extend(0..len as u32);
+        self.alive.clear();
+        self.alive.extend_from_slice(&self.by_id);
+        self.weight.clear();
+        self.weight.resize(len, 1);
+        self.dead.clear();
+        self.dead.resize(len, false);
+        // Written before every read (coin draws, the base case and the
+        // undo rounds): only the lengths need restoring.
+        self.coin.resize(len, false);
+        self.rank_at.resize(len, 0);
 
         // ---- Contract until O(log n) elements remain. ----
-        while self.alive.len() > self.threshold {
-            // Every alive element flips a coin and tells its successor —
-            // one synchronous communication round over the current list,
-            // charged through the batched pointer-distance hooks.
-            for &v in &self.alive {
-                self.coin[v as usize] = rng.gen();
+        while self.live.len() > self.threshold {
+            // Every live element flips a coin and tells its successor:
+            // one synchronous round over the current list, whose energy
+            // is the running pointer energy.
+            for &p in &self.alive {
+                self.coin[p as usize] = rng.gen();
             }
-            let (mut coin_energy, mut coin_msgs) = (0u64, 0u64);
-            for &v in &self.alive {
-                let w = self.nxt[v as usize];
-                if w != END {
-                    coin_energy += m.dist(v as Slot, w as Slot);
-                    coin_msgs += 1;
-                }
-            }
-            m.charge_pointer_round(coin_energy, coin_msgs);
+            let k = self.live.len();
+            m.charge_pointer_round(energy, k as u64 - 1);
 
-            // Select: heads whose predecessor flipped tails (never the
-            // start element — it anchors the ranking). Selection is
-            // evaluated against the pre-splice pointers, as a
-            // branchless compact pass: unconditional write, cursor
-            // advanced by the predicate — the coin pattern is random,
-            // so a data-dependent branch here mispredicts half the
-            // time. The END-guarded probe reads index 0 and is masked
-            // out by the `!= END` factor (cmov, not a branch).
-            self.selected.clear();
-            self.selected.resize(self.alive.len(), 0);
-            let mut k = 0usize;
-            for i in 0..self.alive.len() {
-                let v = self.alive[i];
-                let pv = self.prev[v as usize];
-                let safe_pv = if pv == END { 0 } else { pv as usize };
-                let ok = (v != start) & self.coin[v as usize] & (pv != END) & !self.coin[safe_pv];
-                self.selected[k] = v;
-                k += ok as usize;
-            }
-            self.selected.truncate(k);
-
-            // Splice each selected element out: its left neighbour
-            // inherits its weight and pointer (message mid → left), and
-            // its right neighbour learns its new predecessor (message
-            // mid → right). The splice is logged flat.
-            let mut splice_energy = 0u64;
-            let mut splice_msgs = 0u64;
-            for &mid in &self.selected {
-                let left = self.prev[mid as usize];
-                let right = self.nxt[mid as usize];
-                debug_assert_ne!(left, END);
-                splice_energy += m.dist(mid as Slot, left as Slot);
-                splice_msgs += 1;
-                if right != END {
-                    splice_energy += m.dist(mid as Slot, right as Slot);
-                    splice_msgs += 1;
-                    self.prev[right as usize] = left;
+            // One pass selects every head whose left neighbour flipped
+            // tails (never position 0, which anchors the ranking),
+            // splices it out and compacts the array behind it. A
+            // selected element's neighbours are never selected, so
+            // `left` is the last kept element and `right` the next one.
+            // The pass branches on the coin pattern: a branch-free form
+            // (every store unconditional) measured twice as slow.
+            let Self {
+                points,
+                live,
+                weight,
+                coin,
+                dead,
+                splice_mid,
+                splice_left,
+                ..
+            } = &mut *self;
+            let mut left = live[0];
+            let (mut left_coin, mut left_point) = (coin[left as usize], points[left as usize]);
+            let (mut pair_energy, mut left_energy, mut bridge_energy) = (0u64, 0u64, 0u64);
+            let (mut kept, mut rights) = (1usize, 0u64);
+            let first = splice_mid.len();
+            for i in 1..k {
+                let mid = live[i];
+                let mid_coin = coin[mid as usize];
+                if mid_coin & !left_coin {
+                    // Splice: `mid → left` carries the weight, `mid →
+                    // right` the new predecessor.
+                    let mid_point = points[mid as usize];
+                    let to_left = manhattan(mid_point, left_point);
+                    pair_energy += to_left;
+                    left_energy += to_left;
+                    if let Some(&right) = live.get(i + 1) {
+                        let right_point = points[right as usize];
+                        pair_energy += manhattan(mid_point, right_point);
+                        bridge_energy += manhattan(left_point, right_point);
+                        rights += 1;
+                    }
+                    weight[left as usize] += weight[mid as usize];
+                    dead[mid as usize] = true;
+                    splice_mid.push(mid);
+                    splice_left.push(left);
+                } else {
+                    live[kept] = mid;
+                    kept += 1;
+                    left = mid;
+                    left_point = points[mid as usize];
                 }
-                self.nxt[left as usize] = right;
-                self.weight[left as usize] += self.weight[mid as usize];
-                self.splice_mid.push(mid);
-                self.splice_left.push(left);
-                self.splice_weight.push(self.weight[mid as usize]);
-                self.dead[mid as usize] = true;
+                left_coin = mid_coin;
             }
-            m.charge_pointer_round(splice_energy, splice_msgs);
+            live.truncate(kept);
+            m.charge_pointer_round(pair_energy, (splice_mid.len() - first) as u64 + rights);
+            energy = energy - pair_energy + bridge_energy;
+            self.undo_energy.push(left_energy);
             self.round_ends.push(self.splice_mid.len() as u32);
             self.rounds += 1;
 
-            // Branchless sweep of the dead flags (same stable order as
-            // the `retain` it replaces).
+            // Branchless sweep of the dead positions from the id-order
+            // array (stable, so coins stay drawn in element-id order).
             let Self { alive, dead, .. } = &mut *self;
-            let mut k = 0usize;
+            let mut w = 0usize;
             for i in 0..alive.len() {
-                let v = alive[i];
-                alive[k] = v;
-                k += !dead[v as usize] as usize;
+                let p = alive[i];
+                alive[w] = p;
+                w += !dead[p as usize] as usize;
             }
-            alive.truncate(k);
+            alive.truncate(w);
         }
 
         // ---- Base case: walk the remaining list sequentially, ----
         // ---- charging each hop.                                ----
-        let mut at = start;
-        let mut acc = 0u64;
-        while at != END {
-            self.ranks[at as usize] = acc;
-            acc += self.weight[at as usize];
-            let nx = self.nxt[at as usize];
-            if nx != END {
-                m.send(at as Slot, nx as Slot);
+        let mut acc = 0u32;
+        for (j, &p) in self.live.iter().enumerate() {
+            self.rank_at[p as usize] = acc;
+            acc += self.weight[p as usize];
+            if let Some(&q) = self.live.get(j + 1) {
+                m.send(self.order[p as usize], self.order[q as usize]);
             }
-            at = nx;
         }
 
         // ---- Uncontraction: undo rounds in reverse; all splices of ----
@@ -341,18 +363,17 @@ impl RankingEngine {
                 self.round_ends[round - 1] as usize
             };
             let hi = self.round_ends[round] as usize;
-            let mut energy = 0u64;
-            let msgs = (hi - lo) as u64;
+            m.charge_pointer_round(self.undo_energy[round], (hi - lo) as u64);
             for i in lo..hi {
-                let mid = self.splice_mid[i];
-                let left = self.splice_left[i];
-                energy += m.dist(left as Slot, mid as Slot);
-                self.weight[left as usize] -= self.splice_weight[i];
-                self.ranks[mid as usize] = self.ranks[left as usize] + self.weight[left as usize];
+                let (mid, left) = (self.splice_mid[i] as usize, self.splice_left[i] as usize);
+                self.weight[left] -= self.weight[mid];
+                self.rank_at[mid] = self.rank_at[left] + self.weight[left];
             }
-            m.charge_pointer_round(energy, msgs);
         }
 
+        for (&v, &r) in self.order.iter().zip(&self.rank_at) {
+            self.ranks[v as usize] = r as u64;
+        }
         self.rounds
     }
 }
@@ -369,27 +390,28 @@ impl EngineLifecycle for RankingEngine {
         fn grow<T>(buf: &mut Vec<T>, cap: usize) {
             buf.reserve(cap.saturating_sub(buf.len()));
         }
-        grow(&mut self.next0, cap);
-        grow(&mut self.alive0, cap);
-        grow(&mut self.nxt, cap);
-        grow(&mut self.prev, cap);
+        grow(&mut self.order, cap);
+        grow(&mut self.by_id, cap);
+        grow(&mut self.points, cap);
+        grow(&mut self.live, cap);
+        grow(&mut self.alive, cap);
         grow(&mut self.weight, cap);
         grow(&mut self.coin, cap);
         grow(&mut self.dead, cap);
-        grow(&mut self.alive, cap);
+        grow(&mut self.rank_at, cap);
         grow(&mut self.ranks, cap);
         grow(&mut self.splice_mid, cap);
         grow(&mut self.splice_left, cap);
-        grow(&mut self.splice_weight, cap);
-        grow(&mut self.round_ends, cap + 64);
-        grow(&mut self.selected, cap);
+        grow(&mut self.round_ends, round_capacity(cap));
+        grow(&mut self.undo_energy, round_capacity(cap));
         self.cap = cap;
     }
 
     fn reset(&mut self) {
-        self.next0.clear();
-        self.alive0.clear();
-        self.start = END;
+        self.bound = false;
+        self.order.clear();
+        self.by_id.clear();
+        self.ranks.clear();
         self.rounds = 0;
     }
 }
@@ -573,6 +595,30 @@ mod tests {
         let r = rank_spatial(&m, &[END], 0, &mut StdRng::seed_from_u64(0));
         assert_eq!(r.ranks, vec![0]);
         assert_eq!(r.rounds, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cycle in list")]
+    fn sequential_rejects_a_cycle() {
+        // 0 → 1 → 2 → 1: the walk revisits 1.
+        rank_sequential(&[1, 2, 1], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cycle in list")]
+    fn bind_rejects_a_cycle() {
+        RankingEngine::new(&[1, 2, 3, 1], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "bind a list first")]
+    fn rank_after_reset_requires_a_new_binding() {
+        let (next, start) = random_list(50, &mut StdRng::seed_from_u64(6));
+        let mut engine = RankingEngine::new(&next, start);
+        let m = Machine::on_curve(CurveKind::Hilbert, 50);
+        engine.rank(&m, &mut StdRng::seed_from_u64(0));
+        engine.reset();
+        engine.rank(&m, &mut StdRng::seed_from_u64(0));
     }
 }
 

@@ -1,14 +1,18 @@
-//! Property suite for spatial list ranking: the flat splice-log engine
+//! Property suite for spatial list ranking: the list-ordered engine
 //! must (a) equal the sequential walk after every contract/uncontract
 //! round trip, (b) preserve the `UNRANKED`/`END` sentinel conventions,
 //! and (c) behave *identically* to the retained seed implementation —
-//! same ranks, round counts, and machine charges.
+//! same ranks, round counts, machine charges and per-slot clocks, from
+//! the same skewed entry clocks — on random permutations, sparse lists
+//! and the Euler tours of every tree family.
 
 use proptest::prelude::*;
 use rand::prelude::*;
 use spatial_euler::ranking::{rank_sequential, rank_spatial, RankingEngine, END, UNRANKED};
 use spatial_euler::reference::rank_spatial_reference;
+use spatial_euler::tour::{ChildOrder, EulerTour};
 use spatial_model::{CurveKind, Machine};
+use spatial_tree::generators::TreeFamily;
 
 /// A random permutation list over `n` elements.
 fn random_list(n: usize, seed: u64) -> (Vec<u32>, u32) {
@@ -35,16 +39,39 @@ fn sparse_list(n: usize, stride: usize) -> (Vec<u32>, u32) {
     (next, members[0])
 }
 
+/// A machine with skewed entry clocks: a few random sends, so a run
+/// that reads or raises a clock differently shows per slot.
+fn skewed_machine(n_slots: u32, seed: u64) -> Machine {
+    let m = Machine::on_curve(CurveKind::Hilbert, n_slots);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+    for _ in 0..n_slots / 8 + 2 {
+        m.send(rng.gen_range(0..n_slots), rng.gen_range(0..n_slots));
+    }
+    m
+}
+
+/// Same `report()` and the same clock on every slot.
+fn assert_same_state(got: &Machine, want: &Machine, what: &str) {
+    assert_eq!(
+        got.report(),
+        want.report(),
+        "{what}: machine charges diverged"
+    );
+    for s in 0..want.n_slots() {
+        assert_eq!(got.clock(s), want.clock(s), "{what}: slot {s}");
+    }
+}
+
 fn compare_engines(next: &[u32], start: u32, n_slots: u32, algo_seed: u64) {
-    let m_new = Machine::on_curve(CurveKind::Hilbert, n_slots);
+    let m_new = skewed_machine(n_slots, algo_seed);
     let got = rank_spatial(&m_new, next, start, &mut StdRng::seed_from_u64(algo_seed));
 
-    let m_ref = Machine::on_curve(CurveKind::Hilbert, n_slots);
+    let m_ref = skewed_machine(n_slots, algo_seed);
     let expect = rank_spatial_reference(&m_ref, next, start, &mut StdRng::seed_from_u64(algo_seed));
 
     assert_eq!(got.ranks, expect.ranks, "ranks diverged");
     assert_eq!(got.rounds, expect.rounds, "round counts diverged");
-    assert_eq!(m_new.report(), m_ref.report(), "machine charges diverged");
+    assert_same_state(&m_new, &m_ref, "list");
 }
 
 #[test]
@@ -113,6 +140,26 @@ fn identical_to_reference_on_sparse_lists() {
     }
 }
 
+#[test]
+fn identical_to_reference_on_euler_tours_of_every_family() {
+    // The dart lists the forest and the layout engine rank: 2n slots,
+    // the root's two darts off-list.
+    for fam in TreeFamily::ALL {
+        for (n, seed) in [(2u32, 1u64), (37, 2), (600, 3)] {
+            let tree = fam.generate(n, &mut StdRng::seed_from_u64(seed));
+            for order in [ChildOrder::Natural, ChildOrder::LightFirst] {
+                let tour = EulerTour::new(&tree, order);
+                let next = tour.next_darts();
+                compare_engines(next, tour.start(), next.len() as u32, seed + 40);
+                let ranks = rank_sequential(next, tour.start());
+                let root = tree.root() as usize;
+                assert_eq!(ranks[2 * root], UNRANKED, "{fam}: root dart on-list");
+                assert_eq!(ranks[2 * root + 1], UNRANKED, "{fam}: root dart on-list");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -142,15 +189,15 @@ proptest! {
         let (next, start) = random_list(n, list_seed);
         let mut engine = RankingEngine::new(&next, start);
         for algo_seed in [seed_a, seed_b, seed_a] {
-            let m_new = Machine::on_curve(CurveKind::Hilbert, n as u32);
+            let m_new = skewed_machine(n as u32, algo_seed);
             let rounds = engine.rank(&m_new, &mut StdRng::seed_from_u64(algo_seed));
-            let m_ref = Machine::on_curve(CurveKind::Hilbert, n as u32);
+            let m_ref = skewed_machine(n as u32, algo_seed);
             let expect = rank_spatial_reference(
                 &m_ref, &next, start, &mut StdRng::seed_from_u64(algo_seed),
             );
             prop_assert_eq!(engine.ranks(), &expect.ranks[..]);
             prop_assert_eq!(rounds, expect.rounds);
-            prop_assert_eq!(m_new.report(), m_ref.report());
+            assert_same_state(&m_new, &m_ref, "reused engine");
         }
     }
 }

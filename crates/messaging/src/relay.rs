@@ -6,7 +6,10 @@
 //! relay over the participants (in their light-first sibling order, so
 //! the participants are near-contiguous on the curve). This module
 //! charges such relays without materializing a full [`crate::VirtualTree`]
-//! for the shrinking contracted tree.
+//! for the shrinking contracted tree: [`charge_reduce_relays`] halves
+//! every group level by level (the seed engine's oracle), and
+//! [`StagedReduceRelays`] stages every group's messages by level and
+//! charges one round per level (the contraction engine's path).
 
 use spatial_model::{Machine, Slot};
 
@@ -146,46 +149,114 @@ pub fn charge_broadcast_relays(m: &Machine, groups: &[(Slot, Vec<Slot>)]) {
     }
 }
 
-/// Reusable buffers for the CSR reduce relay charging functions. One
-/// instance serves any number of calls; after it has grown to the
-/// largest participant set (or been pre-sized with
-/// [`RelayScratch::with_capacity`]), relay charging performs **zero
-/// heap allocation** — the property the treefix contraction engine
-/// relies on.
-#[derive(Debug, Default)]
-pub struct RelayScratch {
-    msgs: Vec<(Slot, Slot)>,
-    work: Vec<Slot>,
-    group_len: Vec<u32>,
+/// Levels a staged reduce relay can have: a group of `k ≤ 2³²`
+/// participants reaches its target at level `⌈log₂ k⌉ ≤ 32`.
+const RELAY_LEVELS: usize = 33;
+
+/// Many concurrent reduce relays, staged by level and charged one
+/// machine round per level — the same charges as
+/// [`charge_reduce_relays`], with no per-group arrays and no per-level
+/// rescan of the groups.
+///
+/// [`StagedReduceRelays::stage`] writes each message of a group's relay
+/// with its level: level `ℓ` pairs participant `(2j+1)·2^ℓ` into
+/// participant `2j·2^ℓ`, and participant 0 reaches the target at level
+/// `⌈log₂ k⌉`, so a group of `k` participants stages `k` messages.
+/// [`StagedReduceRelays::charge`] counting-sorts them by level and
+/// charges each level as one [`Machine::round`]. A round's charges do
+/// not depend on the order of its messages, so this equals the
+/// level-major halving of [`charge_reduce_relays`], even where a target
+/// is another group's participant.
+///
+/// Sized with [`StagedReduceRelays::with_capacity`] (or grown with
+/// [`StagedReduceRelays::reserve`]) to the participants staged between
+/// two charges, staging and charging perform **zero heap allocation** —
+/// the property the treefix contraction engine relies on.
+#[derive(Debug)]
+pub struct StagedReduceRelays {
+    /// Staged messages, in staging order.
+    staged: Vec<(Slot, Slot)>,
+    /// Level of every staged message.
+    levels: Vec<u8>,
+    /// The staged messages sorted by level.
+    sorted: Vec<(Slot, Slot)>,
+    /// Staged messages per level.
+    counts: [u32; RELAY_LEVELS],
 }
 
-impl RelayScratch {
-    /// Empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Scratch pre-sized for up to `participants` total relay
-    /// participants across up to `groups` groups, so no call ever
-    /// allocates.
-    pub fn with_capacity(participants: usize, groups: usize) -> Self {
-        RelayScratch {
-            msgs: Vec::with_capacity(participants + groups),
-            work: Vec::with_capacity(participants),
-            group_len: Vec::with_capacity(groups),
+impl StagedReduceRelays {
+    /// Staging for up to `participants` relay participants between two
+    /// charges.
+    pub fn with_capacity(participants: usize) -> Self {
+        StagedReduceRelays {
+            staged: Vec::with_capacity(participants),
+            levels: Vec::with_capacity(participants),
+            sorted: Vec::with_capacity(participants),
+            counts: [0; RELAY_LEVELS],
         }
     }
 
-    /// Grows the scratch to the [`RelayScratch::with_capacity`] shape
-    /// (never shrinks) — the engine-pool `reserve` hook, so a capacity
-    /// growth keeps later charged runs allocation-free.
-    pub fn reserve(&mut self, participants: usize, groups: usize) {
+    /// Grows the staging to `participants` (never shrinks).
+    pub fn reserve(&mut self, participants: usize) {
         fn grow<T>(buf: &mut Vec<T>, cap: usize) {
             buf.reserve(cap.saturating_sub(buf.len()));
         }
-        grow(&mut self.msgs, participants + groups);
-        grow(&mut self.work, participants);
-        grow(&mut self.group_len, groups);
+        grow(&mut self.staged, participants);
+        grow(&mut self.levels, participants);
+        grow(&mut self.sorted, participants);
+    }
+
+    /// Stages the balanced reduce relay of `k` participants (participant
+    /// `i` at `slot_at(i)`, combined pairwise in index order) into
+    /// `target`. Stages nothing for `k = 0`.
+    #[inline]
+    pub fn stage(&mut self, k: usize, slot_at: impl Fn(usize) -> Slot, target: Slot) {
+        if k == 0 {
+            return;
+        }
+        let mut level = 0usize;
+        let mut step = 1usize;
+        while step < k {
+            let mut j = step;
+            while j < k {
+                self.staged.push((slot_at(j), slot_at(j - step)));
+                self.levels.push(level as u8);
+                self.counts[level] += 1;
+                j += 2 * step;
+            }
+            level += 1;
+            step *= 2;
+        }
+        self.staged.push((slot_at(0), target));
+        self.levels.push(level as u8);
+        self.counts[level] += 1;
+    }
+
+    /// Charges every staged relay concurrently, one machine round per
+    /// level, and clears the staging.
+    pub fn charge(&mut self, m: &Machine) {
+        let mut starts = [0u32; RELAY_LEVELS + 1];
+        for l in 0..RELAY_LEVELS {
+            starts[l + 1] = starts[l] + self.counts[l];
+        }
+        let mut at = starts;
+        self.sorted.clear();
+        self.sorted.resize(self.staged.len(), (0, 0));
+        for (&msg, &level) in self.staged.iter().zip(&self.levels) {
+            let i = &mut at[level as usize];
+            self.sorted[*i as usize] = msg;
+            *i += 1;
+        }
+        for l in 0..RELAY_LEVELS {
+            let (lo, hi) = (starts[l] as usize, starts[l + 1] as usize);
+            if lo == hi {
+                break;
+            }
+            m.round(&self.sorted[lo..hi]);
+        }
+        self.staged.clear();
+        self.levels.clear();
+        self.counts = [0; RELAY_LEVELS];
     }
 }
 
@@ -219,62 +290,6 @@ pub fn charge_broadcast_levels_depth_first(
         }
     }
     split(m, 0, k, slot_at);
-}
-
-/// CSR variant of [`charge_reduce_relays`]: group `g` reduces
-/// participants `parts[offsets[g]..offsets[g+1]]` into `targets[g]`.
-/// Charges identically to the `Vec`-of-`Vec`s API, without allocating
-/// (given a warm `scratch`).
-pub fn charge_reduce_relays_csr(
-    m: &Machine,
-    parts: &[Slot],
-    offsets: &[u32],
-    targets: &[Slot],
-    scratch: &mut RelayScratch,
-) {
-    debug_assert_eq!(offsets.len(), targets.len() + 1);
-    // Copy participants into the halving work buffer; group g's
-    // survivors live at work[offsets[g] .. offsets[g] + group_len[g]].
-    scratch.work.clear();
-    scratch.work.extend_from_slice(parts);
-    scratch.group_len.clear();
-    scratch
-        .group_len
-        .extend((0..targets.len()).map(|g| offsets[g + 1] - offsets[g]));
-
-    loop {
-        scratch.msgs.clear();
-        for (g, &target) in targets.iter().enumerate() {
-            let k = scratch.group_len[g];
-            let start = offsets[g] as usize;
-            match k {
-                0 => {}
-                1 => {
-                    scratch.msgs.push((scratch.work[start], target));
-                    scratch.group_len[g] = 0;
-                }
-                _ => {
-                    // Pair up (work[2j+1] → work[2j]); survivors are the
-                    // even-indexed elements, compacted in place.
-                    let k = k as usize;
-                    let survivors = k.div_ceil(2);
-                    for j in 0..k / 2 {
-                        scratch
-                            .msgs
-                            .push((scratch.work[start + 2 * j + 1], scratch.work[start + 2 * j]));
-                    }
-                    for j in 0..survivors {
-                        scratch.work[start + j] = scratch.work[start + 2 * j];
-                    }
-                    scratch.group_len[g] = survivors as u32;
-                }
-            }
-        }
-        if scratch.msgs.is_empty() {
-            break;
-        }
-        m.round(&scratch.msgs);
-    }
 }
 
 #[cfg(test)]
@@ -459,39 +474,6 @@ mod tests {
                     "slot {s}, groups {groups:?}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn csr_reduce_matches_vec_charging() {
-        let shapes: Vec<Vec<(Vec<Slot>, Slot)>> = vec![
-            vec![
-                (vec![], 0),
-                (vec![2], 1),
-                ((4..20).collect(), 3),
-                ((51..128).collect(), 50),
-            ],
-            (0..63).map(|i| (vec![i + 1], i)).collect(),
-            vec![((1..200).collect(), 0)],
-            vec![((10..17).collect(), 2), ((30..31).collect(), 29)],
-        ];
-        for groups in shapes {
-            let m_vec = line(256);
-            let mut vec_groups = groups.clone();
-            charge_reduce_relays(&m_vec, &mut vec_groups);
-
-            let m_csr = line(256);
-            let targets: Vec<Slot> = groups.iter().map(|(_, t)| *t).collect();
-            let mut parts = Vec::new();
-            let mut offsets = vec![0u32];
-            for (ps, _) in &groups {
-                parts.extend_from_slice(ps);
-                offsets.push(parts.len() as u32);
-            }
-            let mut scratch = RelayScratch::with_capacity(parts.len(), targets.len());
-            charge_reduce_relays_csr(&m_csr, &parts, &offsets, &targets, &mut scratch);
-
-            assert_eq!(m_vec.report(), m_csr.report(), "groups {groups:?}");
         }
     }
 

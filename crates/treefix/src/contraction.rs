@@ -17,25 +17,39 @@
 //! sorted child CSR, so parents precede children and every subtree is
 //! one contiguous index range — on a light-first layout this is exactly
 //! slot order. The live child lists are one CSR in index order (group
-//! parents, group lengths, children), compacted in place after COMPRESS
-//! and after RAKE. Because no live vertex lies between a single-child
-//! parent and its child in index order, a compressed vertex's group is
-//! always the group right after its parent's, so each COMPACT round is
-//! a few sequential passes over that CSR:
+//! parents, group lengths, children). Because no live vertex lies
+//! between a single-child parent and its child in index order, a
+//! compressed vertex's group is always the group right after its
+//! parent's, so each COMPACT round is two sequential passes over that
+//! CSR, each compacting it in place toward one end of its buffers:
 //!
-//! - a forward pass runs the random-mate probe and COMPRESS and
-//!   compacts the CSR;
-//! - a reverse (children-first) pass runs RAKE;
-//! - a forward pass drops the raked children.
+//! - a forward pass runs the first children broadcast's doubling levels,
+//!   the random-mate probe and COMPRESS, and compacts the CSR to the
+//!   front;
+//! - a reverse (children-first) pass runs the second children broadcast
+//!   and RAKE, drops the raked children and compacts the CSR to the back.
 //!
-//! Each children broadcast is charged in two parts. Round 0 (parent →
-//! first child) stays one two-phase round — a parent can itself be a
-//! first child — and is staged while compacting. Each group's doubling
-//! levels then run depth-first inside the next pass; every later
-//! receiver is a distinct child that receives once and only sends
+//! # Charges
+//!
+//! Each children broadcast is charged in two parts: round 0 (parent →
+//! first child), then each group's doubling levels depth-first; every
+//! later receiver is a distinct child that receives once and only sends
 //! afterwards, so the charges equal the level-major
 //! [`spatial_messaging::relay::charge_broadcast_relays`] the seed
-//! engine uses.
+//! engine uses. Round 0 of the first broadcast is one two-phase
+//! [`Machine::round`], staged by the previous round's RAKE pass (or by
+//! `load`): sent during the forward pass, a parent's fresh clock would
+//! chain into its own children. Round 0 of the second broadcast is sent
+//! group by group inside the RAKE pass, which equals the two-phase round
+//! because a parent's clock is raised only by its own parent's group,
+//! which the children-first pass visits later.
+//!
+//! All rakes of a round reduce concurrently: the RAKE pass stages every
+//! reduce relay by level in a
+//! [`spatial_messaging::relay::StagedReduceRelays`] (level `ℓ` pairs
+//! participant `(2j+1)·2^ℓ` into `2j·2^ℓ`, and the survivor reaches the
+//! parent at `⌈log₂ k⌉`), which then charges one round per level — the
+//! charges of the seed's level-major halving.
 //!
 //! The Las Vegas process is the seed engine's, draw for draw, because
 //! two vertex-id orders are kept where they are observable: coins are
@@ -70,21 +84,19 @@
 //!   (the only allocating step once the engine exists).
 //!
 //! The distributed contraction log is three flat arrays with per-round
-//! end offsets; message batches and reduce relays reuse persistent
-//! scratch ([`spatial_messaging::relay::RelayScratch`] plus the
-//! engine's own CSR group buffers), and every round charges the machine
-//! directly (its round staging is allocated when it is built). Zero
-//! allocation is asserted by the counting-allocator test
+//! end offsets; message batches and the reduce relay staging are
+//! persistent buffers sized to the capacity, and every round charges the
+//! machine directly (its round staging is allocated when it is built).
+//! Zero allocation is asserted by the counting-allocator test
 //! `tests/alloc_free.rs`; the seed implementation is retained as
 //! [`crate::reference::ReferenceEngine`] and the `csr_vs_reference`
-//! suite pins identical results, statistics, and machine charges.
+//! suite pins identical results, statistics, machine charges and
+//! per-slot clocks.
 
 use crate::monoid::CommutativeMonoid;
 use rand::Rng;
 use spatial_layout::Layout;
-use spatial_messaging::relay::{
-    charge_broadcast_levels_depth_first, charge_reduce_relays_csr, RelayScratch,
-};
+use spatial_messaging::relay::{charge_broadcast_levels_depth_first, StagedReduceRelays};
 use spatial_model::{EngineLifecycle, Machine, Slot};
 use spatial_tree::{ChildrenCsr, NodeId, Tree, NIL};
 
@@ -168,11 +180,16 @@ pub struct ContractionEngine<M: CommutativeMonoid> {
     active: Vec<bool>,
     /// Alive indices in vertex-id order: the coin-draw order.
     alive: Vec<u32>,
-    /// Live child CSR (same shape as the initial one), compacted in
-    /// place every round.
+    /// Live child CSR (same shape as the initial one, and the same
+    /// buffer lengths). Each pass compacts it in place toward one end:
+    /// the COMPRESS pass to the front, the RAKE pass to the back.
     group_parent: Vec<u32>,
     group_len: Vec<u32>,
     kids: Vec<u32>,
+    /// Live group and child counts of the CSR: a suffix of the buffers
+    /// between rounds, a prefix between the two passes of a round.
+    live_groups: usize,
+    live_kids: usize,
 
     /// Parent's partial sum before the merge that deactivated this
     /// vertex (the no-inverse replacement for the paper's subtraction).
@@ -191,8 +208,8 @@ pub struct ContractionEngine<M: CommutativeMonoid> {
     rake_ends: Vec<u32>,
 
     // ---- Reusable scratch (allocated once, cleared per use). ----
-    /// Round 0 of the next children (or rake-undo) broadcast, staged
-    /// while compacting.
+    /// Round 0 of the next round's first children broadcast, staged by
+    /// the RAKE pass.
     first_msgs: Vec<(Slot, Slot)>,
     /// Random-mate probe messages (parent → viable child).
     probe_msgs: Vec<(Slot, Slot)>,
@@ -202,14 +219,8 @@ pub struct ContractionEngine<M: CommutativeMonoid> {
     /// as leaves until the round ends (larger vertex id than the
     /// parent's).
     deferred: Vec<u32>,
-    /// Reduce relay targets.
-    group_slots: Vec<Slot>,
-    /// Reduce relay participants, flat.
-    group_parts: Vec<Slot>,
-    /// Reduce relay offsets into `group_parts`.
-    group_offsets: Vec<u32>,
-    /// Reduce relay halving scratch.
-    relay: RelayScratch,
+    /// The round's RAKE reduce relays, staged by level.
+    relays: StagedReduceRelays,
     /// Uncontraction accumulator (`A_v` / `B_v`), preallocated.
     acc: Vec<M>,
     /// Output buffer by vertex id, retained across runs and returned by
@@ -244,6 +255,8 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
             group_parent: Vec::with_capacity(cap),
             group_len: Vec::with_capacity(cap),
             kids: Vec::with_capacity(cap),
+            live_groups: 0,
+            live_kids: 0,
             saved_p: Vec::with_capacity(cap),
             compress_log: Vec::with_capacity(cap),
             compress_ends: Vec::with_capacity(cap + 1),
@@ -254,10 +267,7 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
             probe_msgs: Vec::with_capacity(cap),
             compress_msgs: Vec::with_capacity(cap),
             deferred: Vec::with_capacity(cap),
-            group_slots: Vec::with_capacity(cap),
-            group_parts: Vec::with_capacity(cap),
-            group_offsets: Vec::with_capacity(cap + 1),
-            relay: RelayScratch::with_capacity(cap, cap),
+            relays: StagedReduceRelays::with_capacity(cap),
             acc: Vec::with_capacity(cap),
             out: Vec::with_capacity(cap),
             stats: ContractionStats::ZERO,
@@ -415,6 +425,8 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
         self.group_len.extend_from_slice(&self.group_len0);
         self.kids.clear();
         self.kids.extend_from_slice(&self.kids0);
+        self.live_groups = self.group_parent.len();
+        self.live_kids = self.kids.len();
         // Written before every read (at deactivation / per-round draw):
         // only the length needs restoring.
         self.saved_p.resize(n, M::identity());
@@ -442,8 +454,8 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
     /// Steps 1–3 of a COMPACT round in one forward pass over the live
     /// child CSR: the first children broadcast's doubling levels, the
     /// random-mate probe of every viable vertex, COMPRESS of the
-    /// selected ones, and the compaction. Stages the probe and COMPRESS
-    /// rounds and round 0 of the second children broadcast.
+    /// selected ones, and the compaction of the CSR (a suffix of its
+    /// buffers) to the front. Stages the probe and COMPRESS rounds.
     fn compress_pass(&mut self, m: &Machine) -> u64 {
         let slot = &self.slot;
         let coin = &self.coin;
@@ -453,10 +465,10 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
         let group_len = &mut self.group_len;
         self.probe_msgs.clear();
         self.compress_msgs.clear();
-        self.first_msgs.clear();
         let groups = group_parent.len();
         // Read cursors (group, child) run ahead of write cursors.
-        let (mut r, mut rk, mut w, mut wk) = (0usize, 0usize, 0usize, 0usize);
+        let (mut r, mut rk) = (groups - self.live_groups, kids.len() - self.live_kids);
+        let (mut w, mut wk) = (0usize, 0usize);
         let mut compresses = 0u64;
         while r < groups {
             let u = group_parent[r];
@@ -499,38 +511,45 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
             }
             group_parent[w] = u;
             group_len[w] = len as u32;
-            self.first_msgs
-                .push((slot[u as usize], slot[kids[wk] as usize]));
             r += 1;
             rk += len;
             w += 1;
             wk += len;
         }
-        group_parent.truncate(w);
-        group_len.truncate(w);
-        kids.truncate(wk);
+        self.live_groups = w;
+        self.live_kids = wk;
         compresses
     }
 
-    /// Step 5 of a COMPACT round, children first (reverse index order):
-    /// the second children broadcast's doubling levels, then RAKE of
-    /// leaf supervertices wherever all-but-at-most-one children are
-    /// leaves. Collects the reduce relays of all rakes as one batch.
+    /// Steps 4–5 of a COMPACT round in one children-first (reverse
+    /// index order) pass over the live child CSR (a prefix of its
+    /// buffers): per group, the second children broadcast — round 0 as
+    /// a send, then the doubling levels — and RAKE of the leaf
+    /// supervertices wherever all-but-at-most-one children are leaves.
+    /// Stages every rake's reduce relay by level, compacts the CSR to
+    /// the back of its buffers, and stages round 0 of the next round's
+    /// first children broadcast.
+    ///
+    /// Sending round 0 group by group equals the two-phase round: a
+    /// parent's clock is raised only by its own parent's group, which
+    /// has a smaller index, so the pass reaches it after the parent has
+    /// sent.
     fn rake_pass(&mut self, m: &Machine) {
         let slot = &self.slot;
         let vid = &self.vid;
-        let kids = &self.kids;
-        self.group_slots.clear();
-        self.group_parts.clear();
-        self.group_offsets.clear();
-        self.group_offsets.push(0);
+        self.first_msgs.clear();
         self.deferred.clear();
-        let mut end = kids.len();
-        for g in (0..self.group_parent.len()).rev() {
+        // Read cursors run from the end of the prefix, write cursors
+        // from the end of the buffers, never below the read cursors.
+        let mut end = self.live_kids;
+        let (mut wg, mut wk) = (self.group_parent.len(), self.kids.len());
+        for g in (0..self.live_groups).rev() {
             let u = self.group_parent[g] as usize;
             let len = self.group_len[g] as usize;
-            let ks = &kids[end - len..end];
-            end -= len;
+            let start = end - len;
+            end = start;
+            let ks = &self.kids[start..start + len];
+            m.send(slot[u], slot[ks[0] as usize]);
             if len > 1 {
                 charge_broadcast_levels_depth_first(m, len, |j| slot[ks[j] as usize]);
             }
@@ -540,18 +559,23 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
                 .map(|&c| (self.child_count[c as usize] == 0) as usize)
                 .sum::<usize>();
             if leaves == 0 || len - leaves > 1 {
+                wg -= 1;
+                wk -= len;
+                self.group_parent[wg] = u as u32;
+                self.group_len[wg] = len as u32;
+                self.kids.copy_within(start..start + len, wk);
+                self.first_msgs
+                    .push((slot[u], slot[self.kids[wk] as usize]));
                 continue;
             }
             // The reduce relay spans all children (the non-raked child w
             // contributes the identity, as in the paper).
-            self.group_slots.push(slot[u]);
-            self.group_parts
-                .extend(ks.iter().map(|&c| slot[c as usize]));
-            self.group_offsets.push(self.group_parts.len() as u32);
+            self.relays.stage(len, |j| slot[ks[j] as usize], slot[u]);
 
             let saved = self.p[u];
             let mut acc = M::identity();
             let group_start = self.rake_log.len() as u32;
+            let mut kept = NIL;
             for &c in ks {
                 let ci = c as usize;
                 if self.child_count[ci] == 0 {
@@ -559,6 +583,8 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
                     self.saved_p[ci] = saved;
                     self.active[ci] = false;
                     self.rake_log.push(c);
+                } else {
+                    kept = c;
                 }
             }
             if self.rake_adds_to_p {
@@ -567,10 +593,18 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
             self.stats.rakes += leaves as u64;
             self.rake_groups
                 .push((u as u32, group_start, self.rake_log.len() as u32));
+            let left = (len - leaves) as u32;
+            if left == 1 {
+                wg -= 1;
+                wk -= 1;
+                self.group_parent[wg] = u as u32;
+                self.group_len[wg] = 1;
+                self.kids[wk] = kept;
+                self.first_msgs.push((slot[u], slot[kept as usize]));
+            }
             // An id-order RAKE loop reaches u's parent before u when the
             // parent's id is smaller: that parent must still see u as
             // branching this round.
-            let left = (len - leaves) as u32;
             let w = self.parent[u];
             if left == 0 && w != NIL && vid[u] > vid[w as usize] {
                 self.deferred.push(u as u32);
@@ -581,48 +615,17 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
         for &u in &self.deferred {
             self.child_count[u as usize] = 0;
         }
-    }
-
-    /// Drops the raked children from the live CSR (and the groups left
-    /// empty), staging round 0 of the next round's first children
-    /// broadcast.
-    fn compact_after_rake(&mut self) {
-        let slot = &self.slot;
-        let active = &self.active;
-        let kids = &mut self.kids;
-        self.first_msgs.clear();
-        let (mut rk, mut w, mut wk) = (0usize, 0usize, 0usize);
-        for r in 0..self.group_parent.len() {
-            let u = self.group_parent[r];
-            let len = self.group_len[r] as usize;
-            // Branchless keep: unconditional write, cursor advanced by
-            // the liveness flag.
-            let mut kept = 0usize;
-            for j in rk..rk + len {
-                let c = kids[j];
-                kids[wk + kept] = c;
-                kept += active[c as usize] as usize;
-            }
-            rk += len;
-            if kept > 0 {
-                self.group_parent[w] = u;
-                self.group_len[w] = kept as u32;
-                self.first_msgs
-                    .push((slot[u as usize], slot[kids[wk] as usize]));
-                w += 1;
-                wk += kept;
-            }
-        }
-        self.group_parent.truncate(w);
-        self.group_len.truncate(w);
-        kids.truncate(wk);
+        self.live_groups = self.group_parent.len() - wg;
+        self.live_kids = self.kids.len() - wk;
     }
 
     /// One COMPACT round: compress an independent random-mate set of
     /// viable supervertices, then rake leaf supervertices.
     fn compact_round<R: Rng>(&mut self, rng: &mut R, m: &Machine) {
         // Step 1: branching info — round 0 here, the doubling levels in
-        // the COMPRESS pass.
+        // the COMPRESS pass. Round 0 stays one two-phase round: sent
+        // during the forward pass, a parent's fresh clock would chain
+        // into its own children.
         m.round(&self.first_msgs);
 
         // Step 2: random-mate coins, drawn in vertex-id order.
@@ -638,21 +641,11 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
         m.round(&self.compress_msgs);
         self.stats.compresses += compresses;
 
-        // Step 4: refresh branching info after the compresses — round 0
-        // here, the doubling levels in the RAKE pass.
-        m.round(&self.first_msgs);
-
-        // Step 5: RAKE. All rakes of the round run concurrently: the
-        // reduce relays are charged as one batch.
+        // Steps 4–5: refresh branching info after the compresses and
+        // RAKE. All rakes of the round run concurrently: the reduce
+        // relays are charged as one batch, one round per level.
         self.rake_pass(m);
-        charge_reduce_relays_csr(
-            m,
-            &self.group_parts,
-            &self.group_offsets,
-            &self.group_slots,
-            &mut self.relay,
-        );
-        self.compact_after_rake();
+        self.relays.charge(m);
         let mut alive = std::mem::take(&mut self.alive);
         compact_by_flag(&mut alive, &self.active);
         self.alive = alive;
@@ -690,21 +683,17 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
     }
 
     /// Replays one logged round's rake undo broadcasts (group `u` →
-    /// its raked leaves) from the flat log: round 0 for all groups,
-    /// then each group's doubling levels depth-first (every raked leaf
-    /// belongs to one group).
-    fn charge_rake_undo_broadcast(&mut self, group_range: std::ops::Range<usize>, m: &Machine) {
+    /// its raked leaves) from the flat log, group by group: round 0 as
+    /// a send, then the doubling levels depth-first (every raked leaf
+    /// belongs to one group). Sending round 0 in log order equals the
+    /// two-phase round: the log lists a cascaded child's group before
+    /// the group that raked the child, so every parent sends before its
+    /// own parent's group raises it.
+    fn charge_rake_undo_broadcast(&self, group_range: std::ops::Range<usize>, m: &Machine) {
         let (slot, log) = (&self.slot, &self.rake_log);
-        let groups = &self.rake_groups[group_range];
-        self.first_msgs.clear();
-        self.first_msgs.extend(
-            groups
-                .iter()
-                .map(|&(u, start, _)| (slot[u as usize], slot[log[start as usize] as usize])),
-        );
-        m.round(&self.first_msgs);
-        for &(_, start, end) in groups {
+        for &(u, start, end) in &self.rake_groups[group_range] {
             let leaves = &log[start as usize..end as usize];
+            m.send(slot[u as usize], slot[leaves[0] as usize]);
             if leaves.len() > 1 {
                 charge_broadcast_levels_depth_first(m, leaves.len(), |j| slot[leaves[j] as usize]);
             }
@@ -868,13 +857,10 @@ impl<M: CommutativeMonoid> EngineLifecycle for ContractionEngine<M> {
         grow(&mut self.probe_msgs, cap);
         grow(&mut self.compress_msgs, cap);
         grow(&mut self.deferred, cap);
-        grow(&mut self.group_slots, cap);
-        grow(&mut self.group_parts, cap);
-        grow(&mut self.group_offsets, cap + 1);
         grow(&mut self.acc, cap);
         grow(&mut self.out, cap);
         grow(&mut self.coin, cap);
-        self.relay.reserve(cap, cap);
+        self.relays.reserve(cap);
         self.cap = cap;
     }
 

@@ -1,8 +1,11 @@
 //! Differential property suite: the allocation-free CSR contraction
 //! engine must behave *identically* to the retained seed engine — same
-//! treefix sums, same `ContractionStats`, and the same machine charges
-//! (energy, messages, depth) — on random trees, seeds, and both
-//! directions.
+//! treefix sums, same `ContractionStats`, the same machine charges
+//! (energy, messages, work, depth) and the same clock on every slot —
+//! on random trees, seeds, and both directions. Both machines start
+//! from the same skewed entry clocks (a few random sends), so a message
+//! that reads its sender's clock at another point than the seed's
+//! rounds do changes the clocks.
 //!
 //! The engine numbers vertices in light-first preorder and keeps the
 //! seed's vertex-id order only where the Las Vegas process observes it
@@ -16,7 +19,7 @@
 use proptest::prelude::*;
 use rand::prelude::*;
 use spatial_layout::{DynamicLayout, Layout};
-use spatial_model::CurveKind;
+use spatial_model::{CurveKind, Machine};
 use spatial_tree::generators::{self, TreeFamily};
 use spatial_tree::{NodeId, Tree, NIL};
 use spatial_treefix::contraction::ContractionEngine;
@@ -64,50 +67,65 @@ fn variants(t: &Tree, curve: CurveKind, seed: u64) -> Vec<(String, Tree, Layout)
     out
 }
 
+/// The layout's machine with skewed entry clocks: a few random sends.
+fn skewed_machine(layout: &Layout, seed: u64) -> Machine {
+    let m = layout.machine();
+    let n = m.n_slots();
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xc10c);
+    for _ in 0..n / 8 + 2 {
+        m.send(rng.gen_range(0..n), rng.gen_range(0..n));
+    }
+    m
+}
+
+/// Same `report()` and the same clock on every slot.
+fn assert_same_state(got: &Machine, want: &Machine, label: &str) {
+    assert_eq!(
+        got.report(),
+        want.report(),
+        "machine charges diverged ({label})"
+    );
+    for s in 0..want.n_slots() {
+        assert_eq!(got.clock(s), want.clock(s), "slot {s} diverged ({label})");
+    }
+}
+
 fn compare_bottom_up(t: &Tree, layout: &Layout, algo_seed: u64, label: &str) {
     let n = t.n() as u64;
     let values: Vec<(Add, Max)> = (0..n).map(|v| (Add(v * 7 + 1), Max(v % 97))).collect();
 
-    let machine_new = layout.machine();
+    let machine_new = skewed_machine(layout, algo_seed);
     let mut eng = ContractionEngine::new(t, layout, &values, true);
     let stats_new = eng.contract(&machine_new, &mut StdRng::seed_from_u64(algo_seed));
     let result_new = eng.uncontract_bottom_up(&machine_new).to_vec();
 
-    let machine_ref = layout.machine();
+    let machine_ref = skewed_machine(layout, algo_seed);
     let mut reference = ReferenceEngine::new(t, layout, &machine_ref, &values, true);
     let stats_ref = reference.contract(&mut StdRng::seed_from_u64(algo_seed));
     let result_ref = reference.uncontract_bottom_up();
 
     assert_eq!(result_new, result_ref, "values diverged ({label})");
     assert_eq!(stats_new, stats_ref, "stats diverged ({label})");
-    assert_eq!(
-        machine_new.report(),
-        machine_ref.report(),
-        "machine charges diverged ({label})"
-    );
+    assert_same_state(&machine_new, &machine_ref, label);
 }
 
 fn compare_top_down(t: &Tree, layout: &Layout, algo_seed: u64, label: &str) {
     let n = t.n() as u64;
     let values: Vec<Add> = (0..n).map(|v| Add(v % 31 + 1)).collect();
 
-    let machine_new = layout.machine();
+    let machine_new = skewed_machine(layout, algo_seed);
     let mut eng = ContractionEngine::new(t, layout, &values, false);
     let stats_new = eng.contract(&machine_new, &mut StdRng::seed_from_u64(algo_seed));
     let result_new = eng.uncontract_top_down(&machine_new, &values).to_vec();
 
-    let machine_ref = layout.machine();
+    let machine_ref = skewed_machine(layout, algo_seed);
     let mut reference = ReferenceEngine::new(t, layout, &machine_ref, &values, false);
     let stats_ref = reference.contract(&mut StdRng::seed_from_u64(algo_seed));
     let result_ref = reference.uncontract_top_down(&values);
 
     assert_eq!(result_new, result_ref, "values diverged ({label})");
     assert_eq!(stats_new, stats_ref, "stats diverged ({label})");
-    assert_eq!(
-        machine_new.report(),
-        machine_ref.report(),
-        "machine charges diverged ({label})"
-    );
+    assert_same_state(&machine_new, &machine_ref, label);
 }
 
 /// Runs `compare` on every variant of `t`.
