@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spatial_bench::lab::{self, LabRun};
-use spatial_bench::{best_of, f2, f3, workload, Table};
+use spatial_bench::{best_of, f2, f3, interleaved_speedup, workload, Speedup, Table};
 use spatial_trees::layout::{
     build_light_first_spatial, edge_distance_stats, local_kernel_energy, Layout, LayoutKind,
 };
@@ -630,13 +630,11 @@ fn bench_json_service() {
         &[
             (
                 "service_mixed_2^13_reuse_vs_fresh_engines",
-                reuse_ms,
-                fresh_engines_ms,
+                Speedup::of(reuse_ms, fresh_engines_ms),
             ),
             (
                 "service_mixed_2^13_reuse_vs_fresh_forest_per_batch",
-                reuse_ms,
-                fresh_forest_ms,
+                Speedup::of(reuse_ms, fresh_forest_ms),
             ),
         ],
     );
@@ -1169,7 +1167,10 @@ fn bench_json_durability() {
 
     lab.config("n", format!("2^{log_n}"));
     lab.config("rounds", "24 + 2 tail");
-    lab.wall_pair("recovery_vs_full_replay", recover_ms, rebuild_ms);
+    lab.wall_pair(
+        "recovery_vs_full_replay",
+        Speedup::of(recover_ms, rebuild_ms),
+    );
     let scenario_rows = session_rows(
         &mut lab,
         "durability_recovered_mixed",
@@ -1563,13 +1564,15 @@ fn bench_json_layout() {
         "ms",
         2,
         &[
-            ("layout_build_order10_grid_2^20", build_oneshot, build_ref),
+            (
+                "layout_build_order10_grid_2^20",
+                Speedup::of(build_oneshot, build_ref),
+            ),
             (
                 "layout_build_order10_grid_2^20_engine_reuse",
-                build_reuse,
-                build_ref,
+                Speedup::of(build_reuse, build_ref),
             ),
-            ("dynamic_insert_stream_2^13", dyn_new, dyn_ref),
+            ("dynamic_insert_stream_2^13", Speedup::of(dyn_new, dyn_ref)),
         ],
     );
 
@@ -1937,15 +1940,20 @@ fn bench_json_lca() {
         "ms",
         2,
         &[
-            ("batched_lca_order10_grid_2^20", lca_new, lca_ref),
+            (
+                "batched_lca_order10_grid_2^20",
+                Speedup::of(lca_new, lca_ref),
+            ),
             (
                 "batched_lca_order10_grid_2^20_engine_reuse",
-                lca_reuse,
-                lca_ref,
+                Speedup::of(lca_reuse, lca_ref),
             ),
-            ("list_ranking_2^18", rank_new, rank_ref),
-            ("mincut_1respect_2^16", cut_new, cut_ref),
-            ("mincut_1respect_2^16_pipeline_reuse", cut_reuse, cut_ref),
+            ("list_ranking_2^18", Speedup::of(rank_new, rank_ref)),
+            ("mincut_1respect_2^16", Speedup::of(cut_new, cut_ref)),
+            (
+                "mincut_1respect_2^16_pipeline_reuse",
+                Speedup::of(cut_reuse, cut_ref),
+            ),
         ],
     );
 
@@ -2014,81 +2022,117 @@ fn bench_json_sfc() {
     let points: Vec<GridPoint> = hilbert.all_points();
     let zpoints: Vec<GridPoint> = zorder.all_points();
 
+    // Every row is the median of PAIRS interleaved optimized/reference
+    // pass pairs (`interleaved_speedup`): the ≥ 1.5× bars on the batch
+    // kernels read the median ratio, so one noisy pass on a shared host
+    // cannot break them.
+    const PAIRS: u32 = 7;
     // ns per op = ms per full sweep · 10⁶ / n.
-    let per = |sweep_ms: f64| sweep_ms * 1e6 / n as f64;
+    let per_op = 1e6 / n as f64;
 
-    let h_point_lut = per(best_of(3, PASS, || {
-        (0..n).map(|i| hilbert.point(i).x as u64).sum()
-    }));
-    let h_point_ref = per(best_of(3, PASS, || {
-        (0..n)
-            .map(|i| scalar_ref::hilbert_point_scalar(side, i).x as u64)
-            .sum()
-    }));
-    let h_index_lut = per(best_of(3, PASS, || {
-        points.iter().map(|&p| hilbert.index(p)).sum()
-    }));
-    let h_index_ref = per(best_of(3, PASS, || {
-        points
-            .iter()
-            .map(|&p| scalar_ref::hilbert_index_scalar(side, p))
-            .sum()
-    }));
+    let h_point = interleaved_speedup(
+        PAIRS,
+        PASS,
+        || (0..n).map(|i| hilbert.point(i).x as u64).sum(),
+        || {
+            (0..n)
+                .map(|i| scalar_ref::hilbert_point_scalar(side, i).x as u64)
+                .sum()
+        },
+    )
+    .scaled(per_op);
+    let h_index = interleaved_speedup(
+        PAIRS,
+        PASS,
+        || points.iter().map(|&p| hilbert.index(p)).sum(),
+        || {
+            points
+                .iter()
+                .map(|&p| scalar_ref::hilbert_index_scalar(side, p))
+                .sum()
+        },
+    )
+    .scaled(per_op);
     // Batch rows: the SWAR lane kernels behind the public batch API
     // against the pre-PR scalar batch loops (retained verbatim in
     // `sfc::swar::*_chunk_scalar`), with release-only bars in
-    // `lab::BARS`.
+    // `lab::BARS`. Each side writes its own output buffer.
     use spatial_trees::sfc::swar;
     let indices: Vec<u64> = (0..n).collect();
-    let mut batch_out = vec![GridPoint::default(); n as usize];
-    let h_point_batch = per(best_of(3, PASS, || {
-        hilbert.point_range_batch(0, &mut batch_out);
-        batch_out[0].x as u64
-    }));
-    let h_point_batch_ref = per(best_of(3, PASS, || {
-        swar::hilbert_point_chunk_scalar(&hilbert, &indices, &mut batch_out);
-        batch_out[0].x as u64
-    }));
-    let mut hidx_out = vec![0u64; n as usize];
-    let h_index_batch = per(best_of(3, PASS, || {
-        hilbert.index_batch(&points, &mut hidx_out);
-        hidx_out[0]
-    }));
-    let h_index_batch_ref = per(best_of(3, PASS, || {
-        swar::hilbert_index_chunk_scalar(&hilbert, &points, &mut hidx_out);
-        hidx_out[0]
-    }));
-    let z_index_mask = per(best_of(3, PASS, || {
-        zpoints.iter().map(|&p| zorder.index(p)).sum()
-    }));
-    let z_index_ref = per(best_of(3, PASS, || {
-        zpoints
-            .iter()
-            .map(|&p| scalar_ref::zorder_index_scalar(side, p))
-            .sum()
-    }));
-    let mut zidx_out = vec![0u64; n as usize];
-    let z_index_batch = per(best_of(3, PASS, || {
-        zorder.index_batch(&zpoints, &mut zidx_out);
-        zidx_out[0]
-    }));
-    let z_index_batch_ref = per(best_of(3, PASS, || {
-        swar::zorder_index_chunk_scalar(side, &zpoints, &mut zidx_out);
-        zidx_out[0]
-    }));
-    let z_point_batch = per(best_of(3, PASS, || {
-        zorder.point_batch(&indices, &mut batch_out);
-        batch_out[0].x as u64
-    }));
-    let z_point_batch_ref = per(best_of(3, PASS, || {
-        swar::zorder_point_chunk_scalar(side, &indices, &mut batch_out);
-        batch_out[0].x as u64
-    }));
+    let (mut points_opt, mut points_ref) = (
+        vec![GridPoint::default(); n as usize],
+        vec![GridPoint::default(); n as usize],
+    );
+    let (mut idx_opt, mut idx_ref) = (vec![0u64; n as usize], vec![0u64; n as usize]);
+    let h_point_batch = interleaved_speedup(
+        PAIRS,
+        PASS,
+        || {
+            hilbert.point_range_batch(0, &mut points_opt);
+            points_opt[0].x as u64
+        },
+        || {
+            swar::hilbert_point_chunk_scalar(&hilbert, &indices, &mut points_ref);
+            points_ref[0].x as u64
+        },
+    )
+    .scaled(per_op);
+    let h_index_batch = interleaved_speedup(
+        PAIRS,
+        PASS,
+        || {
+            hilbert.index_batch(&points, &mut idx_opt);
+            idx_opt[0]
+        },
+        || {
+            swar::hilbert_index_chunk_scalar(&hilbert, &points, &mut idx_ref);
+            idx_ref[0]
+        },
+    )
+    .scaled(per_op);
+    let z_index = interleaved_speedup(
+        PAIRS,
+        PASS,
+        || zpoints.iter().map(|&p| zorder.index(p)).sum(),
+        || {
+            zpoints
+                .iter()
+                .map(|&p| scalar_ref::zorder_index_scalar(side, p))
+                .sum()
+        },
+    )
+    .scaled(per_op);
+    let z_index_batch = interleaved_speedup(
+        PAIRS,
+        PASS,
+        || {
+            zorder.index_batch(&zpoints, &mut idx_opt);
+            idx_opt[0]
+        },
+        || {
+            swar::zorder_index_chunk_scalar(side, &zpoints, &mut idx_ref);
+            idx_ref[0]
+        },
+    )
+    .scaled(per_op);
+    let z_point_batch = interleaved_speedup(
+        PAIRS,
+        PASS,
+        || {
+            zorder.point_batch(&indices, &mut points_opt);
+            points_opt[0].x as u64
+        },
+        || {
+            swar::zorder_point_chunk_scalar(side, &indices, &mut points_ref);
+            points_ref[0].x as u64
+        },
+    )
+    .scaled(per_op);
 
     // Bitonic sort: the branchless compare-exchange network vs the
     // retained branchy reference, both over the same shuffled packed
     // records on a 2^16-slot curve machine (identical charge rows).
-    let (bitonic_new, bitonic_ref) = {
+    let bitonic = {
         use rand::seq::SliceRandom;
         use spatial_trees::layout::engine::{bitonic_levels, run_bitonic, run_bitonic_reference};
         use spatial_trees::model::Machine;
@@ -2097,20 +2141,22 @@ fn bench_json_sfc() {
         let levels = bitonic_levels(&m, sort_n);
         let mut keys: Vec<u64> = (0..sort_n as u64).collect();
         keys.shuffle(&mut StdRng::seed_from_u64(77));
-        let mut buf = vec![0u64; sort_n];
-        let bitonic_new = best_of(3, PASS, || {
-            buf.copy_from_slice(&keys);
-            run_bitonic(&m, &mut buf, &levels);
-            buf[0]
-        }) * 1e6
-            / sort_n as f64;
-        let bitonic_ref = best_of(3, PASS, || {
-            buf.copy_from_slice(&keys);
-            run_bitonic_reference(&m, &mut buf, &levels);
-            buf[0]
-        }) * 1e6
-            / sort_n as f64;
-        (bitonic_new, bitonic_ref)
+        let (mut buf_opt, mut buf_ref) = (vec![0u64; sort_n], vec![0u64; sort_n]);
+        interleaved_speedup(
+            PAIRS,
+            PASS,
+            || {
+                buf_opt.copy_from_slice(&keys);
+                run_bitonic(&m, &mut buf_opt, &levels);
+                buf_opt[0]
+            },
+            || {
+                buf_ref.copy_from_slice(&keys);
+                run_bitonic_reference(&m, &mut buf_ref, &levels);
+                buf_ref[0]
+            },
+        )
+        .scaled(1e6 / sort_n as f64)
     };
 
     // Treefix contraction: whole bottom-up runs on a 2^13 random binary
@@ -2118,20 +2164,25 @@ fn bench_json_sfc() {
     let t = workload(TreeFamily::RandomBinary, 1 << 13, 5);
     let layout = Layout::light_first(&t, CurveKind::Hilbert);
     let values = vec![Add(1); t.n() as usize];
-    let tf_new = best_of(3, PASS, || {
-        let machine = layout.machine();
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut eng = ContractionEngine::new(&t, &layout, &values, true);
-        eng.contract(&machine, &mut rng);
-        eng.uncontract_bottom_up(&machine)[0].0
-    }) * 1e6;
-    let tf_ref = best_of(3, PASS, || {
-        let machine = layout.machine();
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut eng = ReferenceEngine::new(&t, &layout, &machine, &values, true);
-        eng.contract(&mut rng);
-        eng.uncontract_bottom_up()[0].0
-    }) * 1e6;
+    let treefix = interleaved_speedup(
+        PAIRS,
+        PASS,
+        || {
+            let machine = layout.machine();
+            let mut rng = StdRng::seed_from_u64(6);
+            let mut eng = ContractionEngine::new(&t, &layout, &values, true);
+            eng.contract(&machine, &mut rng);
+            eng.uncontract_bottom_up(&machine)[0].0
+        },
+        || {
+            let machine = layout.machine();
+            let mut rng = StdRng::seed_from_u64(6);
+            let mut eng = ReferenceEngine::new(&t, &layout, &machine, &values, true);
+            eng.contract(&mut rng);
+            eng.uncontract_bottom_up()[0].0
+        },
+    )
+    .scaled(1e6);
     // One charged run for the shared `scenarios` rows.
     let tf_report = {
         let machine = layout.machine();
@@ -2149,31 +2200,15 @@ fn bench_json_sfc() {
         "ns_per_op",
         2,
         &[
-            ("hilbert_point_order10", h_point_lut, h_point_ref),
-            ("hilbert_index_order10", h_index_lut, h_index_ref),
-            (
-                "hilbert_point_batch_order10",
-                h_point_batch,
-                h_point_batch_ref,
-            ),
-            (
-                "hilbert_index_batch_order10",
-                h_index_batch,
-                h_index_batch_ref,
-            ),
-            ("zorder_index_order10", z_index_mask, z_index_ref),
-            (
-                "zorder_index_batch_order10",
-                z_index_batch,
-                z_index_batch_ref,
-            ),
-            (
-                "zorder_point_batch_order10",
-                z_point_batch,
-                z_point_batch_ref,
-            ),
-            ("bitonic_sort_2^16", bitonic_new, bitonic_ref),
-            ("treefix_bottom_up_2^13", tf_new, tf_ref),
+            ("hilbert_point_order10", h_point),
+            ("hilbert_index_order10", h_index),
+            ("hilbert_point_batch_order10", h_point_batch),
+            ("hilbert_index_batch_order10", h_index_batch),
+            ("zorder_index_order10", z_index),
+            ("zorder_index_batch_order10", z_index_batch),
+            ("zorder_point_batch_order10", z_point_batch),
+            ("bitonic_sort_2^16", bitonic),
+            ("treefix_bottom_up_2^13", treefix),
         ],
     );
 

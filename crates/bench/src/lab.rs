@@ -28,6 +28,7 @@
 //! the writers check a fresh run against them before writing its
 //! snapshot, and the gate checks each bench's latest stored run.
 
+use crate::Speedup;
 use spatial_trees::model::CostReport;
 use spatial_trees::store;
 use std::collections::BTreeMap;
@@ -724,26 +725,25 @@ impl LabRun {
         row
     }
 
-    /// Records an optimized/reference timing pair plus its derived
-    /// speedup: `{name}.optimized` and `{name}.reference` as
-    /// [`WallKind::Time`], `{name}.speedup` as the gated
-    /// [`WallKind::Ratio`].
-    pub fn wall_pair(&mut self, name: &str, optimized: f64, reference: f64) {
-        self.wall_time(&format!("{name}.optimized"), optimized);
-        self.wall_time(&format!("{name}.reference"), reference);
-        self.wall_ratio(&format!("{name}.speedup"), reference / optimized);
+    /// Records an optimized/reference timing pair plus its speedup:
+    /// `{name}.optimized` and `{name}.reference` as [`WallKind::Time`],
+    /// `{name}.speedup` as the gated [`WallKind::Ratio`].
+    pub fn wall_pair(&mut self, name: &str, pair: Speedup) {
+        self.wall_time(&format!("{name}.optimized"), pair.optimized);
+        self.wall_time(&format!("{name}.reference"), pair.reference);
+        self.wall_ratio(&format!("{name}.speedup"), pair.speedup);
     }
 
-    /// Records each `(name, optimized, reference)` timing pair (see
-    /// [`Self::wall_pair`]), prints them as a speedup table, and returns
-    /// the rows of the snapshot's `results` array. `unit` names the
-    /// timings in the table headers and the JSON keys (`ms`,
-    /// `ns_per_op`); `decimals` is their precision.
+    /// Records each named pair (see [`Self::wall_pair`]), prints
+    /// them as a speedup table, and returns the rows of the snapshot's
+    /// `results` array. `unit` names the timings in the table headers
+    /// and the JSON keys (`ms`, `ns_per_op`); `decimals` is their
+    /// precision.
     pub fn speedup_table(
         &mut self,
         unit: &str,
         decimals: usize,
-        pairs: &[(&str, f64, f64)],
+        pairs: &[(&str, Speedup)],
     ) -> String {
         let mut table = crate::Table::new([
             "benchmark".to_string(),
@@ -752,8 +752,12 @@ impl LabRun {
             "speedup".to_string(),
         ]);
         let mut rows = Vec::with_capacity(pairs.len());
-        for &(name, opt, reference) in pairs {
-            let speedup = reference / opt;
+        for &(name, pair) in pairs {
+            let Speedup {
+                optimized: opt,
+                reference,
+                speedup,
+            } = pair;
             table.row([
                 name.to_string(),
                 format!("{opt:.decimals$}"),
@@ -763,7 +767,7 @@ impl LabRun {
             rows.push(format!(
                 "    {{\"name\": \"{name}\", \"optimized_{unit}\": {opt:.decimals$}, \"reference_{unit}\": {reference:.decimals$}, \"speedup\": {speedup:.3}}}"
             ));
-            self.wall_pair(name, opt, reference);
+            self.wall_pair(name, pair);
         }
         table.print();
         rows.join(",\n")
@@ -1596,7 +1600,7 @@ mod tests {
         lab.config("shape", "2^12 \"quoted\"");
         lab.scenario_row("s", "spatial", "fam", 4096, "hilbert", report(100), Some(5));
         lab.scenario_row_nondet("s", "sharded", "fam", 4096, "hilbert", report(101), None);
-        lab.wall_pair("kernel", 1.5, 3.0);
+        lab.wall_pair("kernel", Speedup::of(1.5, 3.0));
         lab.wall_info("qps", 123.456);
         let line = lab.record().to_line();
         let back = RunRecord::from_line(&line).expect("roundtrip");

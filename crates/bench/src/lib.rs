@@ -125,6 +125,39 @@ pub fn percentile(sorted: &[f64], p: f64) -> Option<f64> {
     Some(sorted[rank.min(sorted.len()) - 1])
 }
 
+/// One untimed call of `f` (warm-up, and the calibration of a pass):
+/// returns how many calls fill about `pass_budget` (at least one, so a
+/// zero budget times single-shot) and the call's result.
+fn calibrate(pass_budget: Duration, f: &mut impl FnMut() -> u64) -> (u32, u64) {
+    let start = Instant::now();
+    let sink = f();
+    let once = start.elapsed().max(Duration::from_nanos(100));
+    let reps = (pass_budget.as_nanos() / once.as_nanos()).clamp(1, 10_000) as u32;
+    (reps, sink)
+}
+
+/// One timed pass of `reps` calls of `f`, its results folded into
+/// `sink`: the mean milliseconds per call.
+fn timed_pass(reps: u32, f: &mut impl FnMut() -> u64, sink: &mut u64) -> f64 {
+    let start = Instant::now();
+    for _ in 0..reps {
+        *sink ^= f();
+    }
+    start.elapsed().as_secs_f64() * 1e3 / reps as f64
+}
+
+/// The median of a non-empty sample.
+fn median(mut xs: Vec<f64>) -> f64 {
+    assert!(!xs.is_empty(), "median of an empty sample");
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len() % 2 == 1 {
+        xs[mid]
+    } else {
+        (xs[mid - 1] + xs[mid]) / 2.0
+    }
+}
+
 /// Best-of-`passes` wall-clock timer shared by every experiment: one
 /// untimed call (warm-up, and the calibration of `reps`), then `passes`
 /// passes of `reps` calls each, where `reps` fills about `pass_budget`
@@ -132,20 +165,80 @@ pub fn percentile(sorted: &[f64], p: f64) -> Option<f64> {
 /// best pass's mean milliseconds per call. `f`'s results feed a
 /// black-boxed sink so its work cannot be optimized away.
 pub fn best_of(passes: u32, pass_budget: Duration, mut f: impl FnMut() -> u64) -> f64 {
-    let start = Instant::now();
-    let mut sink = f();
-    let once = start.elapsed().max(Duration::from_nanos(100));
-    let reps = (pass_budget.as_nanos() / once.as_nanos()).clamp(1, 10_000) as u32;
+    let (reps, mut sink) = calibrate(pass_budget, &mut f);
     let mut best = f64::INFINITY;
     for _ in 0..passes {
-        let start = Instant::now();
-        for _ in 0..reps {
-            sink ^= f();
-        }
-        best = best.min(start.elapsed().as_secs_f64() * 1e3 / reps as f64);
+        best = best.min(timed_pass(reps, &mut f, &mut sink));
     }
     std::hint::black_box(sink);
     best
+}
+
+/// An optimized/reference timing pair, in milliseconds (or any one
+/// unit) per call, and the speedup recorded for it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Speedup {
+    /// Time per call of the optimized path.
+    pub optimized: f64,
+    /// Time per call of the reference path.
+    pub reference: f64,
+    /// How many times faster the optimized path is.
+    pub speedup: f64,
+}
+
+impl Speedup {
+    /// Two separately timed sides: the speedup is their ratio.
+    pub fn of(optimized: f64, reference: f64) -> Self {
+        Speedup {
+            optimized,
+            reference,
+            speedup: reference / optimized,
+        }
+    }
+
+    /// The same pair in another unit: both timings times `factor`.
+    pub fn scaled(self, factor: f64) -> Self {
+        Speedup {
+            optimized: self.optimized * factor,
+            reference: self.reference * factor,
+            ..self
+        }
+    }
+}
+
+/// Times `optimized` against `reference` as `pairs` interleaved pass
+/// pairs: after one untimed calibrating call of each, every pair runs
+/// one pass of the optimized path and then one of the reference path
+/// (each pass fills about `pass_budget`). The speedup is the median of
+/// the pairs' ratios, and each timing is its side's median pass. A
+/// busy stretch of a shared host slows both passes of the pairs it
+/// overlaps, so it moves a few ratios rather than the median — a
+/// best-of per side, timed apart, lets one lucky or unlucky pass decide
+/// the ratio.
+pub fn interleaved_speedup(
+    pairs: u32,
+    pass_budget: Duration,
+    mut optimized: impl FnMut() -> u64,
+    mut reference: impl FnMut() -> u64,
+) -> Speedup {
+    assert!(pairs > 0, "at least one pass pair");
+    let (opt_reps, mut sink) = calibrate(pass_budget, &mut optimized);
+    let (ref_reps, ref_sink) = calibrate(pass_budget, &mut reference);
+    sink ^= ref_sink;
+    let (mut opt, mut refs, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..pairs {
+        let o = timed_pass(opt_reps, &mut optimized, &mut sink);
+        let r = timed_pass(ref_reps, &mut reference, &mut sink);
+        opt.push(o);
+        refs.push(r);
+        ratios.push(r / o);
+    }
+    std::hint::black_box(sink);
+    Speedup {
+        optimized: median(opt),
+        reference: median(refs),
+        speedup: median(ratios),
+    }
 }
 
 /// Formats a float with three significant decimals.

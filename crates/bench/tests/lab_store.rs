@@ -12,6 +12,7 @@ use spatial_bench::lab::{
     append_run, bar_violations, read_runs, regression_report, ChargeStatus, GateConfig, LabRun,
     RunRecord, ScenarioRow, WallKind, WallMetric, WallStatus,
 };
+use spatial_bench::Speedup;
 
 fn temp_store(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!(
@@ -283,7 +284,7 @@ fn runs_below_a_bar_fail_the_pre_write_check_and_the_gate() {
     // Checkpoint recovery must beat full replay by >= 2x; this run's
     // win is 1.5x.
     let mut lab = LabRun::new("durability");
-    lab.wall_pair("recovery_vs_full_replay", 2.0, 3.0);
+    lab.wall_pair("recovery_vs_full_replay", Speedup::of(2.0, 3.0));
     let broken = bar_violations(lab.record());
     assert_eq!(broken.len(), 1, "{broken:?}");
     assert!(broken[0].contains("recovery_vs_full_replay.speedup = 1.500"));

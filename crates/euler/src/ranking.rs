@@ -56,7 +56,7 @@
 //! charges and per-slot clocks.
 
 use rand::Rng;
-use spatial_model::{manhattan, EngineLifecycle, GridPoint, Machine};
+use spatial_model::{manhattan, round_capacity, vec_bytes, EngineLifecycle, GridPoint, Machine};
 
 /// Sentinel for "end of list" (same convention as the tour darts).
 pub const END: u32 = u32::MAX;
@@ -87,13 +87,6 @@ pub struct SpatialRanking {
     /// Number of random-mate contraction rounds executed (Las Vegas:
     /// `O(log n)` with high probability).
     pub rounds: u32,
-}
-
-/// Capacity of the per-round arrays for lists of up to `cap` elements:
-/// a generous bound on the `O(log n)` w.h.p. round count (a run that
-/// needs more rounds still ranks correctly; it only allocates).
-fn round_capacity(cap: usize) -> usize {
-    64 + 8 * (usize::BITS - cap.leading_zeros()) as usize
 }
 
 /// The reusable spatial list-ranking engine (§IV, Theorem 5): the live
@@ -375,6 +368,25 @@ impl RankingEngine {
             self.ranks[v as usize] = r as u64;
         }
         self.rounds
+    }
+
+    /// Heap bytes the engine keeps resident: every retained buffer, by
+    /// capacity.
+    pub fn resident_bytes(&self) -> usize {
+        vec_bytes(&self.order)
+            + vec_bytes(&self.by_id)
+            + vec_bytes(&self.points)
+            + vec_bytes(&self.live)
+            + vec_bytes(&self.alive)
+            + vec_bytes(&self.weight)
+            + vec_bytes(&self.coin)
+            + vec_bytes(&self.dead)
+            + vec_bytes(&self.rank_at)
+            + vec_bytes(&self.ranks)
+            + vec_bytes(&self.splice_mid)
+            + vec_bytes(&self.splice_left)
+            + vec_bytes(&self.round_ends)
+            + vec_bytes(&self.undo_energy)
     }
 }
 

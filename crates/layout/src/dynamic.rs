@@ -30,7 +30,7 @@
 
 use crate::layout::Layout;
 use crate::quality::local_kernel_energy_with_points;
-use spatial_model::CurveKind;
+use spatial_model::{vec_bytes, CurveKind};
 use spatial_sfc::{manhattan, Curve, GridPoint};
 use spatial_store::CowSlab;
 use spatial_tree::{ChildrenCsr, NodeId, Tree, NIL};
@@ -77,6 +77,16 @@ struct RebuildScratch {
 }
 
 impl RebuildScratch {
+    fn resident_bytes(&self) -> usize {
+        self.csr.resident_bytes()
+            + vec_bytes(&self.sizes)
+            + vec_bytes(&self.bfs)
+            + vec_bytes(&self.order)
+            + vec_bytes(&self.stack)
+            + vec_bytes(&self.slot_points)
+            + vec_bytes(&self.pos)
+    }
+
     fn reserve(&mut self, cap: usize) {
         self.csr.reserve(cap);
         self.bfs.reserve(cap);
@@ -326,6 +336,25 @@ impl DynamicLayout {
         let s = &mut self.scratch;
         s.ensure_children(self.parents.as_slice(), self.root);
         (&s.sizes, &s.csr)
+    }
+
+    /// The current layout together with
+    /// [`DynamicLayout::light_first_children`], borrowed at once: what
+    /// an engine bind over the current tree reads, without copying.
+    pub fn light_first_parts(&mut self) -> (&Layout, &[u32], &ChildrenCsr) {
+        self.light_first_children();
+        (&self.layout, &self.scratch.sizes, &self.scratch.csr)
+    }
+
+    /// Heap bytes the dynamic layout keeps resident, by capacity: the
+    /// parent slab (0 while it is a mapped view), the layout, the
+    /// per-vertex grid points and the retained rebuild scratch (which
+    /// holds the light-first sizes and child CSR).
+    pub fn resident_bytes(&self) -> usize {
+        self.parents.resident_bytes()
+            + self.layout.resident_bytes()
+            + vec_bytes(&self.points)
+            + self.scratch.resident_bytes()
     }
 
     /// Kernel energy of the *current* placement (the quality signal) —

@@ -1,7 +1,7 @@
 //! The [`Layout`] type: vertex → curve slot → grid coordinate.
 
 use rand::Rng;
-use spatial_model::{Machine, Slot};
+use spatial_model::{vec_bytes, Machine, Slot};
 use spatial_sfc::{AnyCurve, Curve, CurveKind, GridPoint};
 use spatial_tree::{traversal, NodeId, Tree};
 
@@ -203,6 +203,18 @@ impl Layout {
     #[inline]
     pub fn slot(&self, v: NodeId) -> Slot {
         self.slot_of[v as usize]
+    }
+
+    /// Curve slot of every vertex, indexed by vertex id (the inverse of
+    /// [`Layout::order`]).
+    pub fn slots(&self) -> &[Slot] {
+        &self.slot_of
+    }
+
+    /// Heap bytes the layout keeps resident: both directions of the
+    /// placement, by capacity (curves hold no heap state).
+    pub fn resident_bytes(&self) -> usize {
+        vec_bytes(&self.slot_of) + vec_bytes(&self.vertex_at)
     }
 
     /// Vertex stored at a slot.

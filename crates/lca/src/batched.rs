@@ -35,16 +35,18 @@
 //! the whole batch once per layer. Costs: `O(n log n)` energy and
 //! `O(log² n)` depth w.h.p. for `O(1)` queries per vertex (Theorem 6).
 //!
-//! The engine owns everything it needs — tree structure is copied into
-//! flat arrays at bind — so the session layer's pool can hold one
-//! engine across tree mutations. Both treefix passes run on one
-//! retained [`ContractionEngine`] whose tree structure is bound with
-//! the rest of the engine's; each pass only loads its values, and a
-//! caller's subtree-sum treefix over the same tree loads it too
-//! ([`LcaEngine::treefix_mut`]) instead of binding a second copy of
-//! that structure. So [`LcaEngine::run_into`]
-//! performs **zero heap allocation** (the answers land in a
-//! caller-retained buffer). The seed implementation is retained as
+//! The engine owns its per-tree structure — copied into flat arrays at
+//! bind — so the session layer's pool can hold one engine across tree
+//! mutations. Both treefix passes run on one [`ContractionEngine`]
+//! bound to the same tree; each pass only loads its values. A caller
+//! that keeps such an engine (the session forest, which also runs its
+//! subtree sums on it) lends it to [`LcaEngine::run_on`], so a tree has
+//! one contraction engine, not two. Standalone callers use
+//! [`LcaEngine::run_into`], which runs on an engine the LCA engine
+//! creates on first use and binds with its structure
+//! ([`LcaEngine::treefix_mut`]). Either way a run performs **zero heap
+//! allocation** once the contraction engine exists (the answers land in
+//! a caller-retained buffer). The seed implementation is retained as
 //! [`crate::reference::batched_lca_reference`]; the differential suite
 //! pins this engine to it bit for bit (answers, stats, charges).
 
@@ -53,7 +55,7 @@ use rand::Rng;
 use spatial_layout::Layout;
 use spatial_messaging::{BroadcastSchedule, VirtualTree};
 use spatial_model::collectives::{self, LayeredBroadcast};
-use spatial_model::{EngineLifecycle, Machine, Slot};
+use spatial_model::{vec_bytes, EngineLifecycle, Machine, Slot};
 use spatial_tree::{ChildrenCsr, HeavyPathDecomposition, NodeId, Tree, NIL};
 use spatial_treefix::contraction::ContractionEngine;
 use spatial_treefix::Add;
@@ -175,10 +177,14 @@ pub struct LcaEngine {
     structure: Structure,
 
     // ---- Retained per-run engine and scratch. ----
-    /// The treefix engine of steps 1 (bottom-up subtree sizes) and 3
-    /// (top-down layers): structure bound with the tree, values loaded
-    /// per pass.
-    treefix: ContractionEngine<Add>,
+    /// The contraction engine of standalone runs ([`LcaEngine::run_into`],
+    /// [`LcaEngine::treefix_mut`]): created on first use and bound to
+    /// this engine's tree. A caller that keeps its own contraction
+    /// engine over the same tree runs through [`LcaEngine::run_on`]
+    /// and never creates this one.
+    owned: Option<ContractionEngine<Add>>,
+    /// Whether `owned` is bound to the current structure.
+    owned_bound: bool,
     /// Head chains of the two query endpoints, indexed by layer.
     chain_a: Vec<NodeId>,
     chain_b: Vec<NodeId>,
@@ -204,25 +210,23 @@ impl LcaEngine {
     }
 
     fn from_structure(structure: Structure) -> Self {
-        let n = structure.n as usize;
         let num_layers = structure.cover.num_layers() as usize;
-        let mut treefix = ContractionEngine::with_capacity(n);
-        treefix.bind_structure(&structure.parents, &structure.slots, &structure.csr);
         LcaEngine {
             structure,
-            treefix,
+            owned: None,
+            owned_bound: false,
             chain_a: Vec::with_capacity(num_layers),
             chain_b: Vec::with_capacity(num_layers),
         }
     }
 
     /// Rebinds the engine to a (possibly different, possibly larger)
-    /// tree + layout pair, rebuilding the per-tree structure (the
-    /// treefix engine's included) while keeping the retained treefix
-    /// engine and scratch — the pool path after a tree mutation. Runs
-    /// stay allocation-free; rebinding itself allocates the new
-    /// structure. Computes the subtree sizes and light-first child CSR,
-    /// then binds as [`LcaEngine::bind_parts`].
+    /// tree + layout pair, rebuilding the per-tree structure while
+    /// keeping the retained contraction engine (if one was created)
+    /// and scratch — the pool path after a tree mutation. Runs stay
+    /// allocation-free; rebinding itself allocates the new structure.
+    /// Computes the subtree sizes and light-first child CSR, then binds
+    /// as [`LcaEngine::bind_parts`].
     pub fn bind(&mut self, layout: &Layout, tree: &Tree) {
         let (sizes, csr) = sizes_and_csr(tree);
         self.bind_structure(Structure::build(layout, tree, sizes, csr));
@@ -236,20 +240,46 @@ impl LcaEngine {
 
     fn bind_structure(&mut self, structure: Structure) {
         self.structure = structure;
-        let n = self.structure.n as usize;
-        let s = &self.structure;
-        self.treefix.reserve(n);
-        self.treefix.bind_structure(&s.parents, &s.slots, &s.csr);
+        self.owned_bound = false;
     }
 
-    /// The contraction engine of steps 1 and 3, its structure bound to
-    /// this engine's tree: the parents, slots and light-first CSR a
-    /// subtree-sum treefix over the same tree binds. A caller runs
-    /// further passes on it by `load`ing its own values —
+    /// The contraction engine of standalone runs, created on first use
+    /// and bound to this engine's tree: the parents, slots and
+    /// light-first CSR a subtree-sum treefix over the same tree binds.
+    /// A caller runs further passes on it by `load`ing its own values —
     /// [`LcaEngine::run_into`] reloads it for each of its passes, so
     /// such runs charge exactly as on a freshly bound engine.
     pub fn treefix_mut(&mut self) -> &mut ContractionEngine<Add> {
-        &mut self.treefix
+        let s = &self.structure;
+        let n = s.n as usize;
+        let treefix = self
+            .owned
+            .get_or_insert_with(|| ContractionEngine::with_capacity(n));
+        if !self.owned_bound {
+            treefix.reserve(n);
+            treefix.bind_structure(&s.parents, &s.slots, &s.csr);
+            self.owned_bound = true;
+        }
+        treefix
+    }
+
+    /// Whether the engine holds a contraction engine of its own (one
+    /// [`LcaEngine::run_into`] or [`LcaEngine::treefix_mut`] created).
+    pub fn owns_treefix(&self) -> bool {
+        self.owned.is_some()
+    }
+
+    /// Heap bytes the engine keeps resident: the per-tree structure,
+    /// the chain scratch and, when one was created, its own
+    /// contraction engine. By capacity, deterministic.
+    pub fn resident_bytes(&self) -> usize {
+        self.structure.resident_bytes()
+            + vec_bytes(&self.chain_a)
+            + vec_bytes(&self.chain_b)
+            + self
+                .owned
+                .as_ref()
+                .map_or(0, ContractionEngine::resident_bytes)
     }
 
     /// The subtree cover the engine routes queries through.
@@ -271,60 +301,7 @@ impl LcaEngine {
     /// [`LayeredBroadcast`]); otherwise the broadcasts and barriers are
     /// replayed. Both paths charge identically.
     pub fn charge_step4(&self, machine: &Machine) {
-        let s = &self.structure;
-        assert!(s.n > 0, "bind() a tree first");
-        if s.step4.charge(machine) {
-            return;
-        }
-        for li in 0..s.cover.num_layers() {
-            let (los, his) = s.cover.layer_ranges(li);
-            for (&lo, &hi) in los.iter().zip(his.iter()) {
-                if hi - lo >= 2 {
-                    collectives::range_broadcast(machine, lo, hi);
-                }
-            }
-            collectives::closed_form_barrier(machine);
-        }
-    }
-
-    /// Whether `partner`'s slot lies in `r(parent(root)) \ r(root)` —
-    /// the Corollary 3 resolution test; returns the answer `w`.
-    #[inline]
-    fn resolve(&self, root: NodeId, partner: NodeId) -> Option<NodeId> {
-        let s = &self.structure;
-        let w = s.parents[root as usize];
-        if w == NIL {
-            return None;
-        }
-        let wlo = s.slots[w as usize];
-        let whi = wlo + s.sizes[w as usize];
-        let lo = s.slots[root as usize];
-        let hi = lo + s.sizes[root as usize];
-        let ps = s.slots[partner as usize];
-        (wlo <= ps && ps < whi && !(lo <= ps && ps < hi)).then_some(w)
-    }
-
-    /// Fills `chain` so `chain[li]` is the head of the layer-`li` cover
-    /// subtree containing `v`, for `li = 0 ..= layer[v]` (every vertex
-    /// lies in exactly one subtree per layer up to its own).
-    fn fill_chain(
-        head: &[NodeId],
-        layer: &[u32],
-        parents: &[NodeId],
-        chain: &mut Vec<NodeId>,
-        v: NodeId,
-    ) {
-        chain.clear();
-        chain.resize(layer[v as usize] as usize + 1, NIL);
-        let mut x = v;
-        loop {
-            let h = head[x as usize];
-            chain[layer[h as usize] as usize] = h;
-            match parents[h as usize] {
-                NIL => break,
-                p => x = p,
-            }
-        }
+        self.structure.charge_step4(machine);
     }
 
     /// Answers one batch of LCA queries, charging the full §VI-C cost
@@ -342,9 +319,10 @@ impl LcaEngine {
         LcaResult { answers, stats }
     }
 
-    /// [`LcaEngine::run`] into a caller-retained answer buffer:
+    /// [`LcaEngine::run`] into a caller-retained answer buffer, on the
+    /// engine's own contraction engine ([`LcaEngine::treefix_mut`]):
     /// performs **zero heap allocation** once `answers` has grown to
-    /// the batch size (the session layer's steady state).
+    /// the batch size and that engine exists.
     pub fn run_into<R: Rng>(
         &mut self,
         machine: &Machine,
@@ -352,19 +330,139 @@ impl LcaEngine {
         answers: &mut Vec<NodeId>,
         rng: &mut R,
     ) -> LcaStats {
-        let s = &self.structure;
+        self.treefix_mut();
+        let treefix = self.owned.as_mut().expect("created above");
+        self.structure.run(
+            (&mut self.chain_a, &mut self.chain_b),
+            treefix,
+            machine,
+            queries,
+            answers,
+            rng,
+        )
+    }
+
+    /// [`LcaEngine::run_into`] on a caller's contraction engine, whose
+    /// structure must be bound to this engine's tree: the same
+    /// parents, slots (the layout's) and light-first CSR (see
+    /// [`LcaEngine::treefix_mut`]). Steps 1 and 3 each `load` it, so
+    /// the run charges exactly as on the engine's own; a caller that
+    /// also runs its subtree sums on it keeps one contraction engine
+    /// per tree instead of two.
+    pub fn run_on<R: Rng>(
+        &mut self,
+        treefix: &mut ContractionEngine<Add>,
+        machine: &Machine,
+        queries: &[(NodeId, NodeId)],
+        answers: &mut Vec<NodeId>,
+        rng: &mut R,
+    ) -> LcaStats {
+        self.structure.run(
+            (&mut self.chain_a, &mut self.chain_b),
+            treefix,
+            machine,
+            queries,
+            answers,
+            rng,
+        )
+    }
+}
+
+impl Structure {
+    /// Heap bytes of the per-tree structure, by capacity.
+    fn resident_bytes(&self) -> usize {
+        vec_bytes(&self.parents)
+            + vec_bytes(&self.slots)
+            + vec_bytes(&self.sizes)
+            + self.csr.resident_bytes()
+            + self.schedule.resident_bytes()
+            + vec_bytes(&self.head)
+            + vec_bytes(&self.layer)
+            + self.cover.resident_bytes()
+            + self.step4.resident_bytes()
+            + vec_bytes(&self.ones)
+            + vec_bytes(&self.indicator)
+    }
+
+    /// See [`LcaEngine::charge_step4`].
+    fn charge_step4(&self, machine: &Machine) {
+        assert!(self.n > 0, "bind() a tree first");
+        if self.step4.charge(machine) {
+            return;
+        }
+        for li in 0..self.cover.num_layers() {
+            let (los, his) = self.cover.layer_ranges(li);
+            for (&lo, &hi) in los.iter().zip(his.iter()) {
+                if hi - lo >= 2 {
+                    collectives::range_broadcast(machine, lo, hi);
+                }
+            }
+            collectives::closed_form_barrier(machine);
+        }
+    }
+
+    /// Whether `partner`'s slot lies in `r(parent(root)) \ r(root)` —
+    /// the Corollary 3 resolution test; returns the answer `w`.
+    #[inline]
+    fn resolve(&self, root: NodeId, partner: NodeId) -> Option<NodeId> {
+        let w = self.parents[root as usize];
+        if w == NIL {
+            return None;
+        }
+        let wlo = self.slots[w as usize];
+        let whi = wlo + self.sizes[w as usize];
+        let lo = self.slots[root as usize];
+        let hi = lo + self.sizes[root as usize];
+        let ps = self.slots[partner as usize];
+        (wlo <= ps && ps < whi && !(lo <= ps && ps < hi)).then_some(w)
+    }
+
+    /// Fills `chain` so `chain[li]` is the head of the layer-`li` cover
+    /// subtree containing `v`, for `li = 0 ..= layer[v]` (every vertex
+    /// lies in exactly one subtree per layer up to its own).
+    fn fill_chain(&self, chain: &mut Vec<NodeId>, v: NodeId) {
+        chain.clear();
+        chain.resize(self.layer[v as usize] as usize + 1, NIL);
+        let mut x = v;
+        loop {
+            let h = self.head[x as usize];
+            chain[self.layer[h as usize] as usize] = h;
+            match self.parents[h as usize] {
+                NIL => break,
+                p => x = p,
+            }
+        }
+    }
+
+    /// One batch of queries on `treefix` (bound to this tree): the four
+    /// steps of §VI-C, charged on `machine`, answers into `answers`.
+    fn run<R: Rng>(
+        &self,
+        (chain_a, chain_b): (&mut Vec<NodeId>, &mut Vec<NodeId>),
+        treefix: &mut ContractionEngine<Add>,
+        machine: &Machine,
+        queries: &[(NodeId, NodeId)],
+        answers: &mut Vec<NodeId>,
+        rng: &mut R,
+    ) -> LcaStats {
+        let s = self;
         let n = s.n;
         assert!(n > 0, "bind() a tree first");
         // Check every query before anything is charged.
         for &(a, b) in queries {
             assert!(a < n && b < n, "query ({a}, {b}) out of range");
         }
+        assert_eq!(
+            treefix.bound_vertices(),
+            n as usize,
+            "the contraction engine must be bound to this engine's tree"
+        );
 
         // ---- Step 1: subtree sizes (bottom-up treefix), ranges, and ----
         // ---- ancestor/descendant answers.                           ----
-        self.treefix.load(&s.ones, true);
-        let stats1 = self.treefix.contract(machine, rng);
-        let tf1_values = self.treefix.uncontract_bottom_up(machine);
+        treefix.load(&s.ones, true);
+        let stats1 = treefix.contract(machine, rng);
+        let tf1_values = treefix.uncontract_bottom_up(machine);
         debug_assert!(
             tf1_values
                 .iter()
@@ -402,9 +500,9 @@ impl LcaEngine {
 
         // ---- Step 3: layers via top-down treefix over the light-edge ----
         // ---- indicator.                                              ----
-        self.treefix.load(&s.indicator, false);
-        let stats3 = self.treefix.contract(machine, rng);
-        let tf3_values = self.treefix.uncontract_top_down(machine, &s.indicator);
+        treefix.load(&s.indicator, false);
+        let stats3 = treefix.contract(machine, rng);
+        let tf3_values = treefix.uncontract_top_down(machine, &s.indicator);
         debug_assert!(
             tf3_values
                 .iter()
@@ -415,7 +513,7 @@ impl LcaEngine {
 
         // ---- Step 4 charging: per layer, broadcast inside every    ----
         // ---- cover subtree (Lemma 13) and barrier.                 ----
-        self.charge_step4(machine);
+        s.charge_step4(machine);
 
         // ---- Step 4 resolution: walk each query's head chains from ----
         // ---- layer 0 upward; the first layer whose subtree isolates ----
@@ -424,19 +522,18 @@ impl LcaEngine {
             if answers[qi] != NIL {
                 continue;
             }
-            let s = &self.structure;
-            Self::fill_chain(&s.head, &s.layer, &s.parents, &mut self.chain_a, a);
-            Self::fill_chain(&s.head, &s.layer, &s.parents, &mut self.chain_b, b);
+            s.fill_chain(chain_a, a);
+            s.fill_chain(chain_b, b);
             let (la, lb) = (s.layer[a as usize], s.layer[b as usize]);
             for li in 0..=la.max(lb) as usize {
                 if li <= la as usize {
-                    if let Some(w) = self.resolve(self.chain_a[li], b) {
+                    if let Some(w) = s.resolve(chain_a[li], b) {
                         answers[qi] = w;
                         break;
                     }
                 }
                 if li <= lb as usize {
-                    if let Some(w) = self.resolve(self.chain_b[li], a) {
+                    if let Some(w) = s.resolve(chain_b[li], a) {
                         answers[qi] = w;
                         break;
                     }
@@ -450,7 +547,7 @@ impl LcaEngine {
         );
 
         LcaStats {
-            layers: self.structure.cover.num_layers(),
+            layers: s.cover.num_layers(),
             answered_step1,
             treefix_rounds: (stats1.compact_rounds, stats3.compact_rounds),
         }
@@ -458,17 +555,24 @@ impl LcaEngine {
 }
 
 impl EngineLifecycle for LcaEngine {
+    /// The capacity of the engine's own contraction engine (0 before
+    /// one is created); the per-tree structure is rebuilt at every bind.
     fn capacity(&self) -> usize {
-        self.treefix.capacity()
+        self.owned.as_ref().map_or(0, EngineLifecycle::capacity)
     }
 
     fn reserve(&mut self, cap: usize) {
-        self.treefix.reserve(cap);
+        self.owned
+            .get_or_insert_with(|| ContractionEngine::with_capacity(cap))
+            .reserve(cap);
     }
 
     fn reset(&mut self) {
         self.structure.n = 0;
-        self.treefix.reset();
+        self.owned_bound = false;
+        if let Some(treefix) = self.owned.as_mut() {
+            treefix.reset();
+        }
     }
 }
 

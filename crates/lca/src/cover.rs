@@ -21,6 +21,7 @@
 //! [`crate::reference::ReferenceCover`].
 
 use spatial_layout::Layout;
+use spatial_model::vec_bytes;
 use spatial_tree::{HeavyPathDecomposition, NodeId, Tree, NIL};
 
 /// One cover subtree: rooted at a path head, spanning a contiguous
@@ -62,6 +63,15 @@ pub struct SubtreeCover {
 }
 
 impl SubtreeCover {
+    /// Heap bytes the cover keeps resident, by capacity.
+    pub fn resident_bytes(&self) -> usize {
+        vec_bytes(&self.roots)
+            + vec_bytes(&self.parents)
+            + vec_bytes(&self.los)
+            + vec_bytes(&self.his)
+            + vec_bytes(&self.layer_offsets)
+    }
+
     /// Builds the cover from a decomposition, a light-first layout, and
     /// subtree sizes, visiting the heads in slot order: one counting
     /// sort by layer places each head at its layer's cursor, so every

@@ -11,7 +11,7 @@
 //! [`StagedReduceRelays`] stages every group's messages by level and
 //! charges one round per level (the contraction engine's path).
 
-use spatial_model::{Machine, Slot};
+use spatial_model::{vec_bytes, Machine, Slot};
 
 /// Charges a balanced binary *reduce* relay: `participants` combine
 /// pairwise (in slice order) and the result arrives at `target`.
@@ -185,6 +185,11 @@ pub struct StagedReduceRelays {
 }
 
 impl StagedReduceRelays {
+    /// Heap bytes the staging keeps resident, by capacity.
+    pub fn resident_bytes(&self) -> usize {
+        vec_bytes(&self.staged) + vec_bytes(&self.levels) + vec_bytes(&self.sorted)
+    }
+
     /// Staging for up to `participants` relay participants between two
     /// charges.
     pub fn with_capacity(participants: usize) -> Self {

@@ -11,7 +11,7 @@
 
 use crate::virtual_tree::VirtualTree;
 use spatial_layout::Layout;
-use spatial_model::{Machine, Slot};
+use spatial_model::{vec_bytes, Machine, Slot};
 use spatial_tree::Tree;
 
 /// Round-indexed CSR schedules for the TRANSFORM virtual tree: the
@@ -32,6 +32,14 @@ pub struct BroadcastSchedule {
 }
 
 impl BroadcastSchedule {
+    /// Heap bytes both schedules keep resident, by capacity.
+    pub fn resident_bytes(&self) -> usize {
+        vec_bytes(&self.construction)
+            + vec_bytes(&self.construction_ends)
+            + vec_bytes(&self.rounds)
+            + vec_bytes(&self.round_ends)
+    }
+
     /// Builds both schedules from a virtual tree and the layout its
     /// messages travel on.
     pub fn new(vt: &VirtualTree, layout: &Layout, tree: &Tree) -> Self {

@@ -26,6 +26,7 @@
 //! bit-identical to the message replays [`barrier`] and
 //! [`range_broadcast`]; the derivations are in their docs.
 
+use crate::engine::vec_bytes;
 use crate::machine::{Machine, Slot};
 use rayon::prelude::*;
 use spatial_sfc::{manhattan, GridPoint};
@@ -204,6 +205,12 @@ pub struct LayeredBroadcast {
 }
 
 impl LayeredBroadcast {
+    /// Heap bytes the precomputed phase keeps resident: the slot
+    /// placement and the first layer's max-plus weights.
+    pub fn resident_bytes(&self) -> usize {
+        vec_bytes(&self.points) + vec_bytes(&self.entry_weights)
+    }
+
     /// Precomputes the phase for slots placed at `points` (slot `s` at
     /// `points[s]`) and `layers`, each given as the `(los, his)` arrays
     /// of its `[lo, hi)` slot ranges, sorted and pairwise disjoint.

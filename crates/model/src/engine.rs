@@ -30,3 +30,18 @@ pub trait EngineLifecycle {
     /// retained buffer (and therefore the capacity).
     fn reset(&mut self);
 }
+
+/// Capacity of an engine's per-round arrays for inputs of up to `cap`
+/// vertices or list elements: a generous bound on the `O(log n)` w.h.p.
+/// round count of the random-mate contractions. A run that needs more
+/// rounds still answers correctly; it only allocates.
+pub fn round_capacity(cap: usize) -> usize {
+    64 + 8 * (usize::BITS - cap.leading_zeros()) as usize
+}
+
+/// Heap bytes a vector keeps resident: its capacity, not its length,
+/// because a retained buffer holds its capacity between runs. The
+/// `resident_bytes` census of every engine sums these.
+pub fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}

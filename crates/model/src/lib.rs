@@ -37,7 +37,7 @@ pub mod machine;
 pub mod paging;
 pub mod report;
 
-pub use engine::EngineLifecycle;
+pub use engine::{round_capacity, vec_bytes, EngineLifecycle};
 pub use machine::{Machine, MachineBuilder, Slot, TraceEvent};
 pub use paging::{PagedMachine, PagingConfig, PagingReport};
 pub use report::CostReport;

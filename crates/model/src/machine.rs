@@ -1,5 +1,6 @@
 //! The instrumented grid machine: energy meter and dependency clocks.
 
+use crate::engine::vec_bytes;
 use crate::report::CostReport;
 use spatial_sfc::{manhattan, AnyCurve, Curve, CurveKind, GridPoint};
 use std::cell::{Cell, OnceCell, RefCell};
@@ -300,6 +301,15 @@ impl Machine {
     /// Total local compute work charged so far.
     pub fn work(&self) -> u64 {
         self.work.get()
+    }
+
+    /// Heap bytes the machine keeps resident: slot points, raw clocks,
+    /// round staging, and the trace of a traced machine.
+    pub fn resident_bytes(&self) -> usize {
+        vec_bytes(&self.points)
+            + vec_bytes(&self.clocks)
+            + vec_bytes(&self.carried)
+            + self.trace.as_ref().map_or(0, |t| vec_bytes(&t.borrow()))
     }
 
     /// Snapshot of all counters.

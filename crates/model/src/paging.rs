@@ -22,6 +22,7 @@
 //! differs from its fully-resident twin *only* by the explicit
 //! [`PagingReport`] rows — every other meter stays bit-identical.
 
+use crate::engine::vec_bytes;
 use crate::CostReport;
 use std::ops::Add;
 
@@ -83,6 +84,11 @@ pub struct PagedMachine {
 }
 
 impl PagedMachine {
+    /// Heap bytes of the resident-set tracker.
+    pub fn resident_bytes(&self) -> usize {
+        vec_bytes(&self.lru)
+    }
+
     /// A paged machine with an empty resident set.
     pub fn new(cfg: PagingConfig) -> Self {
         let budget = cfg.resident_pages.max(1);

@@ -69,14 +69,14 @@ pub struct PramListRanker {
 impl PramListRanker {
     /// Prepares the ranker for the list `next` starting at `start`.
     /// All arrays are allocated here; [`PramListRanker::rank`] never
-    /// allocates.
+    /// allocates. Panics on a cyclic list.
     pub fn new(next: &[u32], start: u32) -> Self {
         let n = next.len();
         let mut membership = vec![false; n];
         if start != END {
             let mut at = start;
             while at != END {
-                debug_assert!(!membership[at as usize], "cycle in list");
+                assert!(!membership[at as usize], "cycle in list");
                 membership[at as usize] = true;
                 at = next[at as usize];
             }
@@ -689,6 +689,13 @@ mod tests {
     use super::*;
     use rand::prelude::*;
     use spatial_tree::generators;
+
+    #[test]
+    #[should_panic(expected = "cycle in list")]
+    fn cyclic_list_panics_instead_of_hanging() {
+        // 0 → 1 → 2 → 0: the membership walk never reaches END.
+        PramListRanker::new(&[1, 2, 0], 0);
+    }
 
     #[test]
     fn list_rank_correct() {

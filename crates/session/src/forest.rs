@@ -7,11 +7,11 @@ use rand::Rng;
 use spatial_euler::ranking::{END, UNRANKED};
 use spatial_euler::tour::{down, EulerTour};
 use spatial_layout::{DynamicLayout, DynamicStats, Layout, SpatialBuildReport};
-use spatial_model::{CurveKind, Machine, PagedMachine, PagingConfig, PagingReport, Slot};
+use spatial_model::{vec_bytes, CurveKind, Machine, PagedMachine, PagingConfig, PagingReport};
 use spatial_store::{
     CowSlab, DirtyExtents, ForestSnapshot, JournalWriter, MappedSnapshot, Record, StoreError,
 };
-use spatial_tree::{ChildrenCsr, NodeId, Tree};
+use spatial_tree::{NodeId, Tree};
 use spatial_treefix::Add;
 use std::path::Path;
 use std::sync::Arc;
@@ -110,6 +110,49 @@ fn check_vertex_ids(requests: &[Request], mut n: u32) {
     }
 }
 
+/// Heap bytes a [`SpatialForest`] keeps resident, by part
+/// ([`SpatialForest::resident_bytes`]). Every part counts retained
+/// buffers by capacity, so the census is deterministic: the same
+/// stream on the same tree reads the same bytes, and the parts sum to
+/// what a counting allocator sees the forest hold. The §IV layout
+/// engine ([`SpatialForest::charged_layout_build`]), the crossover PRAM
+/// shadow and an attached journal are not counted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ResidentBytes {
+    /// The durable state: the dynamic layout (parent slab, placement,
+    /// grid points, and the rebuild scratch that holds the epoch's
+    /// light-first sizes and child CSR), the weight slab and the dirty
+    /// weight cells. A slab still mapped from a snapshot counts 0.
+    pub layout: usize,
+    /// The materialized structure cache: the tree and the Euler tour's
+    /// successor darts.
+    pub structure: usize,
+    /// The grid machine, the dart machine and the pager's resident set.
+    pub machines: usize,
+    /// The batched LCA engine's per-tree structure.
+    pub lca: usize,
+    /// The contraction engine that LCA steps 1 and 3 and the subtree
+    /// sums share.
+    pub contraction: usize,
+    /// The Euler-tour list-ranking engine.
+    pub ranking: usize,
+    /// Retained batch scratch: responses and per-kind query buffers.
+    pub scratch: usize,
+}
+
+impl ResidentBytes {
+    /// The sum of every part.
+    pub fn total(&self) -> usize {
+        self.layout
+            + self.structure
+            + self.machines
+            + self.lca
+            + self.contraction
+            + self.ranking
+            + self.scratch
+    }
+}
+
 /// A tree held in a light-first layout with a pool of retained engines,
 /// serving mixed query batches. See the crate docs for the model and
 /// `DESIGN.md` for the lifecycle details.
@@ -127,13 +170,12 @@ pub struct SpatialForest {
     /// Whether an execute is in flight (report-folding guard).
     in_execute: bool,
 
-    // ---- Materialized structure cache (refreshed per epoch). ----
+    // ---- Materialized structure cache (refreshed per epoch). The ----
+    // ---- engines bind from the tree's parents, the layout's slots ----
+    // ---- and the dynamic layout's light-first sizes and CSR, all  ----
+    // ---- borrowed where they live.                                ----
     structure_epoch: u64,
     tree: Tree,
-    parents: Vec<NodeId>,
-    slots: Vec<Slot>,
-    csr_sizes: Vec<u32>,
-    csr: ChildrenCsr,
     tour_next: Vec<u32>,
     tour_start: u32,
     /// Grid machine over the layout's true curve geometry.
@@ -238,10 +280,6 @@ impl SpatialForest {
             in_execute: false,
             structure_epoch: u64::MAX,
             tree: Tree::from_parents(0, vec![spatial_tree::NIL]),
-            parents: Vec::with_capacity(n),
-            slots: Vec::with_capacity(n),
-            csr_sizes: Vec::with_capacity(n),
-            csr: ChildrenCsr::default(),
             tour_next: Vec::with_capacity(2 * n),
             tour_start: END,
             machine: Machine::on_curve(opts.curve, 1),
@@ -253,7 +291,7 @@ impl SpatialForest {
             replayed: 0,
             dirty: DirtyTracker::default(),
             journal: None,
-            pool: EnginePool::new(opts.curve, n, opts.pram_seed),
+            pool: EnginePool::new(opts.curve, opts.pram_seed),
             responses: Vec::new(),
             lca_q: Vec::new(),
             lca_idx: Vec::new(),
@@ -294,6 +332,31 @@ impl SpatialForest {
     /// The engine pool (build/rebind observability).
     pub fn pool(&self) -> &EnginePool {
         &self.pool
+    }
+
+    /// The heap bytes this forest keeps resident, by part (see
+    /// [`ResidentBytes`]).
+    pub fn resident_bytes(&self) -> ResidentBytes {
+        let mut bytes = ResidentBytes {
+            layout: self.dynamic.resident_bytes()
+                + self.weights.resident_bytes()
+                + vec_bytes(&self.dirty.weight_cells),
+            structure: self.tree.resident_bytes() + vec_bytes(&self.tour_next),
+            machines: self.machine.resident_bytes()
+                + self.dart_machine.resident_bytes()
+                + self.pager.as_ref().map_or(0, PagedMachine::resident_bytes),
+            scratch: vec_bytes(&self.responses)
+                + vec_bytes(&self.lca_q)
+                + vec_bytes(&self.lca_idx)
+                + vec_bytes(&self.lca_answers)
+                + vec_bytes(&self.sum_v)
+                + vec_bytes(&self.sum_idx)
+                + vec_bytes(&self.rank_v)
+                + vec_bytes(&self.rank_idx),
+            ..ResidentBytes::default()
+        };
+        self.pool.census(&mut bytes);
+        bytes
     }
 
     /// Charges of the most recent [`SpatialForest::execute`].
@@ -672,13 +735,9 @@ impl SpatialForest {
         let cap = self.dynamic.reserved().max(self.n() as u64) as usize;
         self.pool.reserve_treefix(cap);
         if !self.layout_dirty {
-            self.pool.lca_for(
-                self.epoch,
-                self.dynamic.layout(),
-                &self.tree,
-                &self.csr_sizes,
-                &self.csr,
-            );
+            let (layout, sizes, csr) = self.dynamic.light_first_parts();
+            self.pool
+                .lca_for(self.epoch, layout, &self.tree, sizes, csr);
         }
         self.pool
             .ranking_for(self.epoch, &self.tour_next, self.tour_start);
@@ -862,32 +921,24 @@ impl SpatialForest {
         }
         self.tree = self.dynamic.tree();
         let n = self.tree.n();
-        self.parents.clear();
-        self.parents.extend_from_slice(self.tree.parents());
-        // The light-first child lists the layout rebuild left behind
-        // (computed here once if tail appends followed it) — the one
-        // child order the Euler tour, the treefix and the LCA structure
-        // share this epoch.
-        let (sizes, csr) = self.dynamic.light_first_children();
-        self.csr_sizes.clear();
-        self.csr_sizes.extend_from_slice(sizes);
-        self.csr.clone_from(csr);
-        let layout = self.dynamic.layout();
-        self.slots.clear();
-        self.slots.extend((0..n).map(|v| layout.slot(v)));
         if n == 1 {
             self.tour_next.clear();
             self.tour_next.extend_from_slice(&[END, END]);
             self.tour_start = END;
         } else {
-            let tour = EulerTour::light_first_from_csr(&self.tree, &self.csr);
+            // The light-first child lists the layout rebuild left
+            // behind (computed here once if tail appends followed it) —
+            // the one child order the Euler tour, the treefix and the
+            // LCA structure share this epoch.
+            let (_, csr) = self.dynamic.light_first_children();
+            let tour = EulerTour::light_first_from_csr(&self.tree, csr);
             self.tour_next.clear();
             self.tour_next.extend_from_slice(tour.next_darts());
             self.tour_start = tour.start();
         }
         // The grid machine mirrors the layout's actual curve cells
         // (`Layout::machine` prices capacity-reserved tails correctly).
-        self.machine = layout.machine();
+        self.machine = self.dynamic.layout().machine();
         self.dart_machine = Machine::on_curve(self.opts.curve, 2 * n);
         self.structure_epoch = self.epoch;
     }
@@ -905,14 +956,17 @@ impl SpatialForest {
         self.session.sessions += 1;
 
         if !self.lca_q.is_empty() {
-            let engine = self.pool.lca_for(
-                self.epoch,
-                self.dynamic.layout(),
-                &self.tree,
-                &self.csr_sizes,
-                &self.csr,
+            let (layout, sizes, csr) = self.dynamic.light_first_parts();
+            let (engine, treefix) = self
+                .pool
+                .lca_for(self.epoch, layout, &self.tree, sizes, csr);
+            engine.run_on(
+                treefix,
+                &self.machine,
+                &self.lca_q,
+                &mut self.lca_answers,
+                rng,
             );
-            engine.run_into(&self.machine, &self.lca_q, &mut self.lca_answers, rng);
             for (&idx, &w) in self.lca_idx.iter().zip(self.lca_answers.iter()) {
                 self.responses[idx as usize] = Response::Lca(w);
             }
@@ -925,9 +979,10 @@ impl SpatialForest {
             // The treefix reads every weight; a still-mapped slab pays
             // its residency before the engine runs.
             self.touch_weights_span();
-            let treefix = self
-                .pool
-                .treefix_for(self.epoch, &self.parents, &self.slots, &self.csr);
+            let (layout, _, csr) = self.dynamic.light_first_parts();
+            let treefix =
+                self.pool
+                    .treefix_for(self.epoch, self.tree.parents(), layout.slots(), csr);
             treefix.load(as_add(self.weights.as_slice()), true);
             treefix.contract(&self.machine, rng);
             let sums = treefix.uncontract_bottom_up(&self.machine);
@@ -975,7 +1030,7 @@ mod tests {
     use super::*;
     use rand::prelude::*;
     use spatial_euler::ranking::rank_sequential;
-    use spatial_tree::generators;
+    use spatial_tree::{generators, ChildrenCsr};
 
     fn naive_lca(tree: &Tree, mut a: NodeId, mut b: NodeId) -> NodeId {
         let depth = |mut v: NodeId| {

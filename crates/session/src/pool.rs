@@ -8,6 +8,7 @@
 //! only allocates when the tree outgrew the capacity
 //! ([`spatial_model::EngineLifecycle::reserve`], amortized doubling).
 
+use crate::forest::ResidentBytes;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spatial_euler::ranking::RankingEngine;
@@ -28,9 +29,6 @@ pub struct PoolStats {
     pub rebinds: u32,
     /// Capacity growths across all engines.
     pub grows: u32,
-    /// Subtree-sum runs served by the LCA engine's contraction engine,
-    /// bound to the same epoch's tree, instead of the pool's own.
-    pub treefix_shared: u32,
 }
 
 /// Grows `engine` to the next power of two at or above `n` when `n`
@@ -53,16 +51,17 @@ pub struct EnginePool {
     pram_seed: u64,
     stats: PoolStats,
 
-    /// §VI-C batched LCA.
+    /// §V treefix contraction: the forest's only contraction engine.
+    /// LCA steps 1 and 3 ([`LcaEngine::run_on`]) and the subtree sums
+    /// all run on it. Its tree structure is bound at most once per
+    /// epoch ([`EnginePool::treefix_for`]); each pass only loads its
+    /// values.
+    treefix: Option<ContractionEngine<Add>>,
+    treefix_epoch: u64,
+    /// §VI-C batched LCA: the per-tree structure only; it borrows
+    /// `treefix` for its runs.
     lca: Option<LcaEngine>,
     lca_epoch: u64,
-    /// §V treefix contraction (subtree sums) for epochs the LCA engine
-    /// is not bound to: layouts left dirty by tail appends, and forests
-    /// that have answered no LCA query this epoch. The tree structure
-    /// is bound once per such epoch ([`EnginePool::treefix_for`]); each
-    /// session only loads the weights.
-    treefix: ContractionEngine<Add>,
-    treefix_epoch: u64,
     /// Theorem 5 list ranking over the light-first Euler tour darts.
     ranking: Option<RankingEngine>,
     ranking_epoch: u64,
@@ -76,17 +75,16 @@ pub struct EnginePool {
 }
 
 impl EnginePool {
-    /// An empty pool whose treefix engine is pre-sized for `cap`
-    /// vertices.
-    pub(crate) fn new(curve: CurveKind, cap: usize, pram_seed: u64) -> Self {
+    /// An empty pool: every engine is built on first use.
+    pub(crate) fn new(curve: CurveKind, pram_seed: u64) -> Self {
         EnginePool {
             curve,
             pram_seed,
             stats: PoolStats::default(),
+            treefix: None,
+            treefix_epoch: u64::MAX,
             lca: None,
             lca_epoch: u64::MAX,
-            treefix: ContractionEngine::with_capacity(cap),
-            treefix_epoch: u64::MAX,
             ranking: None,
             ranking_epoch: u64::MAX,
             layout_engine: None,
@@ -116,23 +114,53 @@ impl EnginePool {
         self.layout_engine.is_some()
     }
 
-    /// The treefix engine's current capacity (vertices).
+    /// The contraction engine's current capacity (vertices; 0 before
+    /// its first use).
     pub fn treefix_capacity(&self) -> usize {
-        self.treefix.capacity()
+        self.treefix.as_ref().map_or(0, EngineLifecycle::capacity)
     }
 
-    /// Grows the treefix engine for a tree of `n` vertices, counting
-    /// the growth. (The other engines grow inside their rebinds.)
-    pub(crate) fn reserve_treefix(&mut self, n: usize) {
-        grow_for(&mut self.treefix, n, &mut self.stats);
+    /// How many contraction engines the pool's engines hold: the
+    /// pool's own (once used) plus any the LCA engine created for
+    /// itself. The session paths keep this at most 1.
+    pub fn contraction_engines(&self) -> usize {
+        self.treefix.is_some() as usize
+            + self.lca.as_ref().is_some_and(LcaEngine::owns_treefix) as usize
     }
 
-    /// A treefix engine with `epoch`'s tree structure bound. When the
-    /// LCA engine is bound to `epoch`, its contraction engine already
-    /// holds that structure — the same parents, slots and light-first
-    /// CSR — and serves the run. Otherwise the pool's own engine does:
-    /// an epoch miss grows it for the tree and rebinds the structure
-    /// from the forest's cached parent, slot and CSR arrays.
+    /// Fills the serving engines' parts of a forest's census: the LCA
+    /// engine, the contraction engine and the ranking engine (an engine
+    /// not yet built holds none). The §IV layout engine and the
+    /// crossover PRAM shadow are not counted.
+    pub(crate) fn census(&self, bytes: &mut ResidentBytes) {
+        bytes.lca = self.lca.as_ref().map_or(0, LcaEngine::resident_bytes);
+        bytes.contraction = self
+            .treefix
+            .as_ref()
+            .map_or(0, ContractionEngine::resident_bytes);
+        bytes.ranking = self
+            .ranking
+            .as_ref()
+            .map_or(0, RankingEngine::resident_bytes);
+    }
+
+    /// Creates the contraction engine with capacity for `n` vertices,
+    /// or grows it to the next power of two at or above `n`, counting
+    /// the build or growth.
+    pub(crate) fn reserve_treefix(&mut self, n: usize) -> &mut ContractionEngine<Add> {
+        if let Some(engine) = self.treefix.as_mut() {
+            grow_for(engine, n, &mut self.stats);
+        } else {
+            self.stats.builds += 1;
+        }
+        self.treefix
+            .get_or_insert_with(|| ContractionEngine::with_capacity(n))
+    }
+
+    /// The contraction engine with `epoch`'s tree structure bound: built
+    /// on first use, and on an epoch miss grown for the tree and
+    /// rebound from the forest's parent, slot and light-first CSR
+    /// arrays — at most once per epoch, however many passes run on it.
     pub(crate) fn treefix_for(
         &mut self,
         epoch: u64,
@@ -140,26 +168,20 @@ impl EnginePool {
         slots: &[Slot],
         csr: &ChildrenCsr,
     ) -> &mut ContractionEngine<Add> {
-        if self.lca_epoch == epoch {
-            if let Some(lca) = self.lca.as_mut() {
-                self.stats.treefix_shared += 1;
-                return lca.treefix_mut();
-            }
+        let last = std::mem::replace(&mut self.treefix_epoch, epoch);
+        if last != epoch && last != u64::MAX {
+            self.stats.rebinds += 1;
         }
-        if self.treefix_epoch != epoch {
-            grow_for(&mut self.treefix, parents.len(), &mut self.stats);
-            self.treefix.bind_structure(parents, slots, csr);
-            if self.treefix_epoch != u64::MAX {
-                self.stats.rebinds += 1;
-            }
-            self.treefix_epoch = epoch;
+        let engine = self.reserve_treefix(parents.len());
+        if last != epoch {
+            engine.bind_structure(parents, slots, csr);
         }
-        &mut self.treefix
+        engine
     }
 
     /// The LCA engine, built or rebound for `epoch` from the epoch's
-    /// subtree sizes and light-first child CSR; an epoch miss that
-    /// outgrows it grows it to the next power of two.
+    /// subtree sizes and light-first child CSR, together with the
+    /// contraction engine it runs on, bound to the same epoch's tree.
     pub(crate) fn lca_for(
         &mut self,
         epoch: u64,
@@ -167,21 +189,24 @@ impl EnginePool {
         tree: &Tree,
         sizes: &[u32],
         csr: &ChildrenCsr,
-    ) -> &mut LcaEngine {
+    ) -> (&mut LcaEngine, &mut ContractionEngine<Add>) {
         match &mut self.lca {
             None => {
                 self.lca = Some(LcaEngine::with_parts(layout, tree, sizes, csr));
                 self.stats.builds += 1;
             }
             Some(engine) if self.lca_epoch != epoch => {
-                grow_for(engine, tree.n() as usize, &mut self.stats);
                 engine.bind_parts(layout, tree, sizes, csr);
                 self.stats.rebinds += 1;
             }
             Some(_) => {}
         }
         self.lca_epoch = epoch;
-        self.lca.as_mut().expect("just built")
+        self.treefix_for(epoch, tree.parents(), layout.slots(), csr);
+        (
+            self.lca.as_mut().expect("just built"),
+            self.treefix.as_mut().expect("just bound"),
+        )
     }
 
     /// The ranking engine, built or rebound for `epoch` over the tour

@@ -1,10 +1,10 @@
-//! The forest shares one epoch's light-first structure between its
-//! engines: in a light-first epoch the subtree sums run on the LCA
-//! engine's contraction engine (bound to the same parents, slots and
-//! child CSR) instead of binding the pool's own; in an epoch left dirty
-//! by tail appends they run on the pool's engine. Either way answers
-//! match naive oracles, and a twin restored from a snapshot taken just
-//! before — cold pool, nothing bound — charges identically.
+//! The forest keeps one contraction engine, bound at most once per
+//! epoch: in a light-first epoch LCA steps 1 and 3 and the subtree sums
+//! all run on it; in an epoch left dirty by tail appends the sums
+//! rebind it on the dirty layout, and the LCA engine stays bound to its
+//! older epoch. Either way answers match naive oracles, and a twin
+//! restored from a snapshot taken just before — cold pool, nothing
+//! bound — charges identically.
 
 use rand::prelude::*;
 use spatial_session::{ForestOptions, QueryBatch, Response, SpatialForest};
@@ -101,8 +101,8 @@ fn light_first_epochs_share_the_lca_contraction_and_dirty_epochs_bind_the_pool()
         b
     };
 
-    // Light-first epoch: the LCA engine is built, and the sums run on
-    // its contraction engine — the pool's own is never bound.
+    // Light-first epoch: the LCA engine and the contraction engine are
+    // built; the LCA run and the sums share the one bind.
     execute_checked(
         &mut forest,
         &lca_and_sums(n),
@@ -110,11 +110,12 @@ fn light_first_epochs_share_the_lca_contraction_and_dirty_epochs_bind_the_pool()
         "first light-first epoch",
     );
     let s = forest.pool().stats();
-    assert_eq!((s.builds, s.rebinds, s.treefix_shared), (1, 0, 1));
+    assert_eq!((s.builds, s.rebinds), (2, 0));
+    assert_eq!(forest.pool().contraction_engines(), 1);
 
-    // Dirty epoch (insert, then sums only): the LCA engine is bound to
-    // an older epoch, so the sums bind the pool's engine (its first
-    // bind, which is not a rebind).
+    // Dirty epoch (insert, then sums only): the sums rebind the
+    // contraction engine for the dirty layout (and grow it past 300);
+    // the LCA engine stays bound to the older epoch.
     let mut dirty = QueryBatch::new();
     dirty.insert_leaf_weighted(5, 11);
     for v in [0, 5, 17, n] {
@@ -122,15 +123,16 @@ fn light_first_epochs_share_the_lca_contraction_and_dirty_epochs_bind_the_pool()
     }
     execute_checked(&mut forest, &dirty, &mut rng, "first dirty epoch");
     let s = forest.pool().stats();
-    assert_eq!((s.builds, s.rebinds, s.treefix_shared), (1, 0, 1));
+    assert_eq!((s.builds, s.rebinds, s.grows), (2, 1, 1));
+    assert_eq!(forest.pool().contraction_engines(), 1);
     assert_eq!(
         forest.dynamic_stats().rebuilds,
         0,
         "sums leave the layout dirty"
     );
 
-    // LCA + sums restore light-first: the LCA engine rebinds, the sums
-    // share it, and the pool's engine is not rebound.
+    // LCA + sums restore light-first: the LCA engine and the
+    // contraction engine each rebind once, and the sums share the bind.
     execute_checked(
         &mut forest,
         &lca_and_sums(n + 1),
@@ -138,10 +140,10 @@ fn light_first_epochs_share_the_lca_contraction_and_dirty_epochs_bind_the_pool()
         "second light-first epoch",
     );
     let s = forest.pool().stats();
-    assert_eq!((s.builds, s.rebinds, s.treefix_shared), (1, 1, 2));
+    assert_eq!((s.builds, s.rebinds), (2, 3));
     assert_eq!(forest.dynamic_stats().rebuilds, 1);
 
-    // A second dirty epoch rebinds the pool's engine.
+    // A second dirty epoch rebinds the contraction engine alone.
     let mut dirty = QueryBatch::new();
     dirty
         .insert_leaf_weighted(n, 2)
@@ -151,14 +153,16 @@ fn light_first_epochs_share_the_lca_contraction_and_dirty_epochs_bind_the_pool()
     }
     execute_checked(&mut forest, &dirty, &mut rng, "second dirty epoch");
     let s = forest.pool().stats();
-    assert_eq!((s.builds, s.rebinds, s.treefix_shared), (1, 2, 2));
+    assert_eq!((s.builds, s.rebinds), (2, 4));
+    assert_eq!(forest.pool().contraction_engines(), 1);
 }
 
 #[test]
 fn lca_engine_grows_geometrically() {
     // 32 single-leaf inserts on n = 64, each followed by an LCA query:
-    // the LCA engine is built at n = 65 and grows once, to 128 — not
-    // once per insert epoch.
+    // the contraction engine the LCA engine runs on is built at n = 65
+    // and grows once, to 128 — not once per insert epoch. Both engines
+    // rebind once per later epoch.
     let tree = generators::uniform_random(64, &mut StdRng::seed_from_u64(4));
     let mut forest = SpatialForest::new(&tree);
     let mut rng = StdRng::seed_from_u64(5);
@@ -169,6 +173,6 @@ fn lca_engine_grows_geometrically() {
         assert_eq!(answer, Response::Lca(i % 64), "insert {i}");
     }
     let s = forest.pool().stats();
-    assert_eq!((s.builds, s.rebinds), (1, 31));
+    assert_eq!((s.builds, s.rebinds), (2, 62));
     assert_eq!(s.grows, 1, "one geometric growth, 65 → 128");
 }

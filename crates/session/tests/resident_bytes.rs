@@ -1,0 +1,176 @@
+//! The forest's resident-bytes census ([`SpatialForest::resident_bytes`])
+//! against a counting allocator, the one-contraction-engine rule, and
+//! the per-vertex memory budget at n = 2¹⁰.
+//!
+//! Live bytes are counted per thread (allocations minus frees made on
+//! the measuring thread), so the tests of this binary may run
+//! concurrently.
+
+use rand::prelude::*;
+use spatial_session::{QueryBatch, ResidentBytes, SpatialForest};
+use spatial_tree::{generators, Tree};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct CountingAllocator;
+
+thread_local! {
+    /// Bytes allocated minus bytes freed on this thread.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+}
+
+fn track(delta: i64) {
+    let _ = LIVE.try_with(|live| live.set(live.get() + delta));
+}
+
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        track(layout.size() as i64);
+        System.alloc(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        track(new_size as i64 - layout.size() as i64);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-(layout.size() as i64));
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+fn live() -> i64 {
+    LIVE.with(Cell::get)
+}
+
+const N: u32 = 1 << 10;
+
+/// Census bytes per vertex after one mixed execute on `uniform_random`
+/// at n = 2¹⁰: 533 measured. A forest that also kept an idle second
+/// contraction engine and copies of the layout's arrays held ≈719.
+const MIXED_BUDGET: usize = 560;
+
+/// Census bytes per vertex after an insert epoch that opens with a
+/// sums-only session and then serves every query kind: 803 measured.
+/// Two contraction engines, each grown to 2¹¹ vertices, held ≈1174.
+const EPOCH_BUDGET: usize = 870;
+
+fn tree() -> Tree {
+    generators::uniform_random(N, &mut StdRng::seed_from_u64(21))
+}
+
+/// LCA pairs, subtree sums and ranks over `0..n`.
+fn mixed(n: u32, seed: u64) -> QueryBatch {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut batch = QueryBatch::new();
+    for _ in 0..64 {
+        batch
+            .lca(rng.gen_range(0..n), rng.gen_range(0..n))
+            .subtree_sum(rng.gen_range(0..n))
+            .rank(rng.gen_range(0..n));
+    }
+    batch
+}
+
+/// One insert, then subtree sums only: the insert epoch's first
+/// session runs on a layout left dirty by the tail append.
+fn insert_then_sums() -> QueryBatch {
+    let mut batch = QueryBatch::new();
+    batch.insert_leaf_weighted(7, 3);
+    for v in [0, 7, N, N / 2] {
+        batch.subtree_sum(v);
+    }
+    batch
+}
+
+fn per_vertex(bytes: &ResidentBytes, forest: &SpatialForest) -> usize {
+    bytes.total() / forest.n() as usize
+}
+
+/// Asserts the census is within 1% of the live bytes the forest holds.
+fn assert_honest(census: &ResidentBytes, live_bytes: i64, what: &str) {
+    let total = census.total() as i64;
+    let gap = (total - live_bytes).abs();
+    assert!(
+        gap * 100 <= live_bytes,
+        "{what}: census {total} B ({census:?}) vs {live_bytes} B live"
+    );
+}
+
+#[test]
+fn census_matches_the_live_bytes_of_an_owned_forest() {
+    let tree = tree();
+    let first = mixed(N, 1);
+    let sums = insert_then_sums();
+    let later = mixed(N + 1, 2);
+    let mut rng = StdRng::seed_from_u64(3);
+
+    let before = live();
+    let mut forest = SpatialForest::new(&tree);
+    forest.execute(first.requests(), &mut rng);
+    assert_honest(
+        &forest.resident_bytes(),
+        live() - before,
+        "after a mixed execute",
+    );
+
+    forest.execute(sums.requests(), &mut rng);
+    forest.execute(later.requests(), &mut rng);
+    assert_honest(
+        &forest.resident_bytes(),
+        live() - before,
+        "after an insert epoch and every query kind",
+    );
+}
+
+#[test]
+fn a_forest_holds_one_contraction_engine() {
+    let tree = tree();
+    let mut rng = StdRng::seed_from_u64(4);
+
+    // Read-only: LCA steps 1 and 3 and the sums share one engine.
+    let mut forest = SpatialForest::new(&tree);
+    assert_eq!(forest.pool().contraction_engines(), 0, "built on first use");
+    assert_eq!(forest.resident_bytes().contraction, 0);
+    forest.execute(mixed(N, 5).requests(), &mut rng);
+    assert_eq!(forest.pool().contraction_engines(), 1, "read-only forest");
+
+    // An insert epoch that opens with a sums-only session binds the
+    // engine on the dirty layout; the LCA session that follows rebinds
+    // the same engine after the light-first rebuild.
+    let mut forest = SpatialForest::new(&tree);
+    forest.execute(insert_then_sums().requests(), &mut rng);
+    assert_eq!(forest.pool().contraction_engines(), 1, "sums-only session");
+    assert!(!forest.pool().has_lca());
+    forest.execute(mixed(N + 1, 6).requests(), &mut rng);
+    assert_eq!(forest.pool().contraction_engines(), 1, "then every kind");
+    assert!(forest.pool().has_lca());
+}
+
+#[test]
+fn bytes_per_vertex_stay_within_budget() {
+    let tree = tree();
+    let mut rng = StdRng::seed_from_u64(7);
+
+    let mut forest = SpatialForest::new(&tree);
+    forest.execute(mixed(N, 8).requests(), &mut rng);
+    let bytes = forest.resident_bytes();
+    assert!(
+        per_vertex(&bytes, &forest) <= MIXED_BUDGET,
+        "after a mixed execute: {} B/vertex ({bytes:?})",
+        per_vertex(&bytes, &forest)
+    );
+
+    forest.execute(insert_then_sums().requests(), &mut rng);
+    forest.execute(mixed(N + 1, 9).requests(), &mut rng);
+    let bytes = forest.resident_bytes();
+    assert!(
+        per_vertex(&bytes, &forest) <= EPOCH_BUDGET,
+        "after an insert epoch and every query kind: {} B/vertex ({bytes:?})",
+        per_vertex(&bytes, &forest)
+    );
+}

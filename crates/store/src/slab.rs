@@ -51,6 +51,12 @@ impl<T: Copy> CowSlab<T> {
         }
     }
 
+    /// Heap bytes the slab keeps resident: the owned buffer's capacity
+    /// (a mapped view holds none; its pages belong to the mapping).
+    pub fn resident_bytes(&self) -> usize {
+        self.vec.capacity() * std::mem::size_of::<T>()
+    }
+
     /// Whether the slab is still a mapped view (no mutation yet).
     pub fn is_mapped(&self) -> bool {
         self.mapped.is_some()

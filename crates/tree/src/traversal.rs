@@ -93,6 +93,11 @@ impl Default for ChildrenCsr {
 }
 
 impl ChildrenCsr {
+    /// Heap bytes the lists keep resident, by capacity.
+    pub fn resident_bytes(&self) -> usize {
+        (self.offsets.capacity() + self.children.capacity()) * std::mem::size_of::<u32>()
+    }
+
     /// Builds the CSR lists with each vertex's children in the given
     /// order-defining key order: increasing `(sizes[c], c)` —
     /// light-first child order.

@@ -20,6 +20,13 @@ pub struct Tree {
 }
 
 impl Tree {
+    /// Heap bytes the tree keeps resident: the parent array and the
+    /// child CSR, by capacity.
+    pub fn resident_bytes(&self) -> usize {
+        (self.parent.capacity() + self.child_offsets.capacity() + self.children.capacity())
+            * std::mem::size_of::<u32>()
+    }
+
     /// Builds a tree from a parent array. `parent[root]` must be [`NIL`]
     /// and every other entry a valid vertex.
     ///

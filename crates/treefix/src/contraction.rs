@@ -84,9 +84,11 @@
 //!   (the only allocating step once the engine exists).
 //!
 //! The distributed contraction log is three flat arrays with per-round
-//! end offsets; message batches and the reduce relay staging are
-//! persistent buffers sized to the capacity, and every round charges the
-//! machine directly (its round staging is allocated when it is built).
+//! end offsets (sized to a bound on the `O(log n)` w.h.p. round count,
+//! [`spatial_model::round_capacity`]); message batches and the reduce
+//! relay staging are persistent buffers sized to the capacity, and every
+//! round charges the machine directly (its round staging is allocated
+//! when it is built).
 //! Zero allocation is asserted by the counting-allocator test
 //! `tests/alloc_free.rs`; the seed implementation is retained as
 //! [`crate::reference::ReferenceEngine`] and the `csr_vs_reference`
@@ -97,7 +99,7 @@ use crate::monoid::CommutativeMonoid;
 use rand::Rng;
 use spatial_layout::Layout;
 use spatial_messaging::relay::{charge_broadcast_levels_depth_first, StagedReduceRelays};
-use spatial_model::{EngineLifecycle, Machine, Slot};
+use spatial_model::{round_capacity, vec_bytes, EngineLifecycle, Machine, Slot};
 use spatial_tree::{ChildrenCsr, NodeId, Tree, NIL};
 
 /// Cost-relevant counters of one contraction run (Las Vegas evidence:
@@ -198,7 +200,8 @@ pub struct ContractionEngine<M: CommutativeMonoid> {
     // ---- Flat contraction log (replaces the seed's Vec<StepLog>). ----
     /// Compressed vertices, all rounds back to back.
     compress_log: Vec<u32>,
-    /// End offset into `compress_log` after each round.
+    /// End offset into `compress_log` after each round, sized to the
+    /// round bound ([`round_capacity`]), not to the vertex capacity.
     compress_ends: Vec<u32>,
     /// Raked vertices, all rounds back to back, in rake order.
     rake_log: Vec<u32>,
@@ -259,10 +262,10 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
             live_kids: 0,
             saved_p: Vec::with_capacity(cap),
             compress_log: Vec::with_capacity(cap),
-            compress_ends: Vec::with_capacity(cap + 1),
+            compress_ends: Vec::with_capacity(round_capacity(cap)),
             rake_log: Vec::with_capacity(cap),
             rake_groups: Vec::with_capacity(cap),
-            rake_ends: Vec::with_capacity(cap + 1),
+            rake_ends: Vec::with_capacity(round_capacity(cap)),
             first_msgs: Vec::with_capacity(cap),
             probe_msgs: Vec::with_capacity(cap),
             compress_msgs: Vec::with_capacity(cap),
@@ -818,6 +821,46 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
     pub fn alive_count(&self) -> usize {
         self.alive.len()
     }
+
+    /// Vertex count of the bound tree structure (0 when unbound).
+    pub fn bound_vertices(&self) -> usize {
+        self.n
+    }
+
+    /// Heap bytes the engine keeps resident: every retained buffer, by
+    /// capacity. Deterministic for a given capacity history, and what a
+    /// counting allocator sees the engine hold.
+    pub fn resident_bytes(&self) -> usize {
+        vec_bytes(&self.vid)
+            + vec_bytes(&self.index_of)
+            + vec_bytes(&self.slot)
+            + vec_bytes(&self.parent0)
+            + vec_bytes(&self.group_parent0)
+            + vec_bytes(&self.group_len0)
+            + vec_bytes(&self.kids0)
+            + vec_bytes(&self.parent)
+            + vec_bytes(&self.child_count)
+            + vec_bytes(&self.p)
+            + vec_bytes(&self.active)
+            + vec_bytes(&self.alive)
+            + vec_bytes(&self.group_parent)
+            + vec_bytes(&self.group_len)
+            + vec_bytes(&self.kids)
+            + vec_bytes(&self.saved_p)
+            + vec_bytes(&self.compress_log)
+            + vec_bytes(&self.compress_ends)
+            + vec_bytes(&self.rake_log)
+            + vec_bytes(&self.rake_groups)
+            + vec_bytes(&self.rake_ends)
+            + vec_bytes(&self.first_msgs)
+            + vec_bytes(&self.probe_msgs)
+            + vec_bytes(&self.compress_msgs)
+            + vec_bytes(&self.deferred)
+            + self.relays.resident_bytes()
+            + vec_bytes(&self.acc)
+            + vec_bytes(&self.out)
+            + vec_bytes(&self.coin)
+    }
 }
 
 impl<M: CommutativeMonoid> EngineLifecycle for ContractionEngine<M> {
@@ -849,10 +892,10 @@ impl<M: CommutativeMonoid> EngineLifecycle for ContractionEngine<M> {
         grow(&mut self.kids, cap);
         grow(&mut self.saved_p, cap);
         grow(&mut self.compress_log, cap);
-        grow(&mut self.compress_ends, cap + 1);
+        grow(&mut self.compress_ends, round_capacity(cap));
         grow(&mut self.rake_log, cap);
         grow(&mut self.rake_groups, cap);
-        grow(&mut self.rake_ends, cap + 1);
+        grow(&mut self.rake_ends, round_capacity(cap));
         grow(&mut self.first_msgs, cap);
         grow(&mut self.probe_msgs, cap);
         grow(&mut self.compress_msgs, cap);
