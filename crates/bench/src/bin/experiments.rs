@@ -774,8 +774,9 @@ fn bench_json_throughput() {
 
     // ---- Direct single-thread baseline (per-job, no coalescing): ----
     // ---- the PR 5 warm path the 1-worker service must stay       ----
-    // ---- within 10% of.                                          ----
-    let direct_ms_per_q = best_of(2, SINGLE_SHOT, || {
+    // ---- within 10% of. One pass, in ms per query.               ----
+    let direct_pass = || {
+        let t0 = Instant::now();
         let mut forests: Vec<SpatialForest> = trees.iter().map(SpatialForest::new).collect();
         let mut rng = StdRng::seed_from_u64(40);
         let mut acc = 0u64;
@@ -786,8 +787,9 @@ fn bench_json_throughput() {
                     .len() as u64,
             );
         }
-        acc
-    }) / total_requests as f64;
+        std::hint::black_box(acc);
+        t0.elapsed().as_secs_f64() * 1e3 / total_requests as f64
+    };
 
     // ---- The sustained-load runs. ----
     struct ConfigRun {
@@ -897,7 +899,25 @@ fn bench_json_throughput() {
     // Modeled aggregate QPS is the load-balance critical path (wall QPS
     // is bounded by this machine's cores). Both figures have bars.
     let speedup_modeled = runs[3].modeled_qps / runs[0].modeled_qps;
-    let single_shard_overhead = runs[0].busy_ms_per_q_busiest / direct_ms_per_q;
+    // The single-shard overhead is the median ratio of interleaved
+    // pairs, each a direct pass and then a 1-worker service pass: a
+    // busy stretch of a shared host slows both passes of the pairs it
+    // overlaps, so it moves a few ratios rather than the reading (a
+    // best-of-2 direct pass against one service run read between −19%
+    // and +13% overhead on unchanged code).
+    const OVERHEAD_PAIRS: usize = 5;
+    direct_pass();
+    let (mut direct, mut served, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..OVERHEAD_PAIRS {
+        let direct_ms = direct_pass();
+        let served_ms = run_config(1).busy_ms_per_q_busiest;
+        direct.push(direct_ms);
+        served.push(served_ms);
+        ratios.push(served_ms / direct_ms);
+    }
+    let direct_ms_per_q = spatial_bench::median(direct);
+    let single_shard_busy_ms_per_q = spatial_bench::median(served);
+    let single_shard_overhead = spatial_bench::median(ratios);
     println!(
         "  modeled scaling 1->8 workers: {speedup_modeled:.2}x; single-shard overhead vs direct: {:.1}%",
         (single_shard_overhead - 1.0) * 100.0
@@ -1048,7 +1068,7 @@ fn bench_json_throughput() {
     lab.wall_info("granularity_fixed_ms_per_cycle", fixed_ms_per_cycle);
     let json = format!(
         "{{\n  \"workload\": \"8 tenants x uniform_random n=2^{log_n}, open-loop trace of {JOBS} jobs x {JOB_LEN} mixed requests (~6% inserts), tenant skew 4:2:2:1:1:1:1:1\",\n  \"metrics\": \"modeled_qps = total_requests / busiest shard busy time (load-balance critical path, one core per worker); wall_qps is measured on this machine and bounded by its core count; latency is client-observed per job\",\n  \"total_requests\": {total_requests},\n  \"speedup_modeled_8w_vs_1w\": {speedup_modeled:.3},\n  \"single_shard_busy_ms_per_query\": {:.4},\n  \"direct_forest_ms_per_query\": {direct_ms_per_q:.4},\n  \"single_shard_overhead_vs_direct\": {single_shard_overhead:.3},\n  \"min_coalesced_batch\": {MIN_COALESCED_BATCH},\n  \"measured_min_coalesced_batch\": {measured_min},\n  \"granularity_fit\": {{\"fixed_ms_per_cycle\": {fixed_ms_per_cycle:.3}, \"marginal_ms_per_query\": {marginal_ms_per_q:.4}}},\n  \"results\": [\n{}\n  ],\n  \"granularity_sweep\": [\n{}\n  ],\n  \"scenarios\": [\n{}\n  ]\n}}\n",
-        runs[0].busy_ms_per_q_busiest,
+        single_shard_busy_ms_per_q,
         result_rows.join(",\n"),
         sweep_rows.join(",\n"),
         scenario_rows.join(",\n")

@@ -883,7 +883,8 @@ pub const BARS: &[Bar] = &[
     // Modeled QPS from 1 to 8 shards: the busiest tenant carries 4/13
     // of the trace, so perfect sharding models out at 3.25x.
     ("throughput", "modeled_scaling_8w_vs_1w.speedup", Bound::AtLeast(2.0), ANY),
-    // The 1-worker service path vs direct forest calls.
+    // The 1-worker service path vs direct forest calls: the median of
+    // 5 interleaved direct/service pass pairs.
     ("throughput", "single_shard_overhead_vs_direct", Bound::AtMost(1.10), ANY),
     // Checkpoint + journal tail vs replaying the whole history.
     ("durability", "recovery_vs_full_replay.speedup", Bound::AtLeast(2.0), ANY),

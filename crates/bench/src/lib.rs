@@ -147,7 +147,7 @@ fn timed_pass(reps: u32, f: &mut impl FnMut() -> u64, sink: &mut u64) -> f64 {
 }
 
 /// The median of a non-empty sample.
-fn median(mut xs: Vec<f64>) -> f64 {
+pub fn median(mut xs: Vec<f64>) -> f64 {
     assert!(!xs.is_empty(), "median of an empty sample");
     xs.sort_by(f64::total_cmp);
     let mid = xs.len() / 2;

@@ -46,14 +46,20 @@
 //! (§IV runs it twice per layout), so every buffer is flat, indexed by
 //! position, `u32` wherever a position or a weight fits, and allocated
 //! once: the splice log is two arrays (`mid`, `left`) with per-round end
-//! offsets. After [`RankingEngine::new`] (or a `bind` within the
-//! capacity) returns, [`RankingEngine::rank`] performs **zero heap
-//! allocation** (asserted by the counting-allocator test
-//! `tests/alloc_free.rs`, the same harness as the treefix engine's).
-//! The seed implementation is retained as
-//! [`crate::reference::rank_spatial_reference`]; the `ranking_props`
-//! suite asserts both produce identical ranks, round counts, machine
-//! charges and per-slot clocks.
+//! offsets. The engine owns its structure (the list numbered by
+//! position) and, unless lent one, its run buffers: everything a run
+//! restores, including the ranks by element id, lives in a
+//! [`RankingRun`] that [`RankingEngine::swap_run`] swaps in and out, so
+//! one set can serve the engines of many lists in turn.
+//! [`RankingEngine::rank`] rewrites every run buffer it reads. After
+//! [`RankingEngine::new`] (or a `bind` within the capacity) returns,
+//! [`RankingEngine::rank`] performs **zero heap allocation** (asserted
+//! by the counting-allocator test `tests/alloc_free.rs`, the same
+//! harness as the treefix engine's); a lent set too small for the
+//! bound list grows to the engine's capacity. The seed implementation
+//! is retained as [`crate::reference::rank_spatial_reference`]; the
+//! `ranking_props` suite asserts both produce identical ranks, round
+//! counts, machine charges and per-slot clocks.
 
 use rand::Rng;
 use spatial_model::{manhattan, round_capacity, vec_bytes, EngineLifecycle, GridPoint, Machine};
@@ -89,28 +95,16 @@ pub struct SpatialRanking {
     pub rounds: u32,
 }
 
-/// The reusable spatial list-ranking engine (§IV, Theorem 5): the live
-/// list as an array of positions in list order, a flat splice log,
-/// zero heap allocation after setup. Create with [`RankingEngine::new`]
-/// (or [`RankingEngine::with_capacity`] and [`RankingEngine::bind`]),
-/// then call [`RankingEngine::rank`] any number of times (each run
-/// re-ranks the same list with fresh randomness, charging the machine
-/// it is given).
-pub struct RankingEngine {
-    /// Whether a list is bound ([`EngineLifecycle::reset`] unbinds).
-    bound: bool,
-    /// Element at every list position; position 0 is the start.
-    order: Vec<u32>,
-    /// Positions of the list's elements in element-id order: the first
-    /// round's coin-draw order.
-    by_id: Vec<u32>,
-    /// Contract until at most this many elements remain.
-    threshold: usize,
-    /// Largest element count the retained buffers have ever served;
-    /// bindings at or below this never allocate.
+/// The per-run buffers of a [`RankingEngine`]: everything a run
+/// restores, indexed by list position, plus the ranks by element id. A
+/// set holds no list: [`RankingEngine::rank`] rewrites every buffer it
+/// reads, so one set can serve the engines of many lists in turn
+/// ([`RankingEngine::swap_run`]). [`RankingRun::default`] allocates
+/// nothing.
+#[derive(Default)]
+pub struct RankingRun {
+    /// Largest element count the buffers are reserved for.
     cap: usize,
-
-    // ---- Per-run state, indexed by position (reset by `rank`). ----
     /// Grid point of every position's slot, gathered once per run.
     points: Vec<GridPoint>,
     /// Live positions in list order: the contracted list.
@@ -135,7 +129,101 @@ pub struct RankingEngine {
     round_ends: Vec<u32>,
     /// `Σ d(mid, left)` of each round: the energy of its undo round.
     undo_energy: Vec<u64>,
+}
+
+impl RankingRun {
+    /// A set reserved for lists of up to `cap` elements.
+    pub fn with_capacity(cap: usize) -> Self {
+        let mut run = Self::default();
+        run.reserve(cap);
+        run
+    }
+
+    /// Grows every buffer to hold a run on `cap` elements (never
+    /// shrinks; a no-op at or below the capacity).
+    pub fn reserve(&mut self, cap: usize) {
+        if cap <= self.cap {
+            return;
+        }
+        fn grow<T>(buf: &mut Vec<T>, cap: usize) {
+            buf.reserve_exact(cap.saturating_sub(buf.len()));
+        }
+        grow(&mut self.points, cap);
+        grow(&mut self.live, cap);
+        grow(&mut self.alive, cap);
+        grow(&mut self.weight, cap);
+        grow(&mut self.coin, cap);
+        grow(&mut self.dead, cap);
+        grow(&mut self.rank_at, cap);
+        grow(&mut self.ranks, cap);
+        grow(&mut self.splice_mid, cap);
+        grow(&mut self.splice_left, cap);
+        grow(&mut self.round_ends, round_capacity(cap));
+        grow(&mut self.undo_energy, round_capacity(cap));
+        self.cap = cap;
+    }
+
+    /// Heap bytes the set keeps resident, by capacity.
+    pub fn resident_bytes(&self) -> usize {
+        vec_bytes(&self.points)
+            + vec_bytes(&self.live)
+            + vec_bytes(&self.alive)
+            + vec_bytes(&self.weight)
+            + vec_bytes(&self.coin)
+            + vec_bytes(&self.dead)
+            + vec_bytes(&self.rank_at)
+            + vec_bytes(&self.ranks)
+            + vec_bytes(&self.splice_mid)
+            + vec_bytes(&self.splice_left)
+            + vec_bytes(&self.round_ends)
+            + vec_bytes(&self.undo_energy)
+    }
+}
+
+/// The reusable spatial list-ranking engine (§IV, Theorem 5): the live
+/// list as an array of positions in list order, a flat splice log,
+/// zero heap allocation after setup. Create with [`RankingEngine::new`]
+/// (or [`RankingEngine::with_capacity`] and [`RankingEngine::bind`]),
+/// then call [`RankingEngine::rank`] any number of times (each run
+/// re-ranks the same list with fresh randomness, charging the machine
+/// it is given).
+pub struct RankingEngine {
+    /// Whether a list is bound ([`EngineLifecycle::reset`] unbinds).
+    bound: bool,
+    /// Element count of the bound list's successor array (on the list
+    /// or not).
+    n: usize,
+    /// Element at every list position; position 0 is the start.
+    order: Vec<u32>,
+    /// Positions of the list's elements in element-id order: the first
+    /// round's coin-draw order.
+    by_id: Vec<u32>,
+    /// Contract until at most this many elements remain.
+    threshold: usize,
+    /// Largest element count the structure has ever served; bindings
+    /// at or below this never allocate.
+    cap: usize,
+    /// Contraction rounds of the most recent run.
     rounds: u32,
+    /// The run buffers: the engine's own set, or one lent to it.
+    run: RankingRun,
+}
+
+impl Default for RankingEngine {
+    /// An unbound engine with no structure and no run buffers: it
+    /// allocates nothing until it is reserved, bound or lent a set.
+    fn default() -> Self {
+        RankingEngine {
+            bound: false,
+            n: 0,
+            order: Vec::new(),
+            by_id: Vec::new(),
+            threshold: 4,
+            cap: 0,
+            rounds: 0,
+            run: RankingRun::default(),
+        }
+    }
 }
 
 impl RankingEngine {
@@ -148,44 +236,31 @@ impl RankingEngine {
         engine
     }
 
-    /// An unbound engine whose buffers are pre-sized for lists of up to
-    /// `cap` elements; [`RankingEngine::bind`] calls within the
-    /// capacity never allocate.
+    /// An unbound engine whose structure and own run buffers are
+    /// pre-sized for lists of up to `cap` elements;
+    /// [`RankingEngine::bind`] and [`RankingEngine::rank`] calls within
+    /// the capacity never allocate.
     pub fn with_capacity(cap: usize) -> Self {
-        RankingEngine {
-            bound: false,
-            order: Vec::with_capacity(cap),
-            by_id: Vec::with_capacity(cap),
-            threshold: 4,
-            cap,
-            points: Vec::with_capacity(cap),
-            live: Vec::with_capacity(cap),
-            alive: Vec::with_capacity(cap),
-            weight: Vec::with_capacity(cap),
-            coin: Vec::with_capacity(cap),
-            dead: Vec::with_capacity(cap),
-            rank_at: Vec::with_capacity(cap),
-            ranks: Vec::with_capacity(cap),
-            splice_mid: Vec::with_capacity(cap),
-            splice_left: Vec::with_capacity(cap),
-            round_ends: Vec::with_capacity(round_capacity(cap)),
-            undo_energy: Vec::with_capacity(round_capacity(cap)),
-            rounds: 0,
-        }
+        let mut engine = Self::default();
+        engine.reserve(cap);
+        engine.run.reserve(cap);
+        engine
     }
 
-    /// Loads a new list into the retained buffers, restarting the run
-    /// cycle: one walk from `start` numbers the list by position.
+    /// Loads a new list into the retained structure: one walk from
+    /// `start` numbers the list by position. Touches no run buffer.
     /// Panics on a cyclic list. **Zero heap allocation** whenever
     /// `next.len()` is within the engine's capacity (grow first with
     /// [`EngineLifecycle::reserve`]).
     pub fn bind(&mut self, next: &[u32], start: u32) {
         let n = next.len();
         self.cap = self.cap.max(n);
+        self.n = n;
         self.bound = true;
-        // The walk marks each element's position in `live` (per-run
-        // state, refilled by `rank`); END stays off-list.
-        let pos = &mut self.live;
+        // The walk marks each element's position in `by_id`, which the
+        // filter below compacts to the on-list positions; END stays
+        // off-list.
+        let pos = &mut self.by_id;
         pos.clear();
         pos.resize(n, END);
         self.order.clear();
@@ -196,12 +271,9 @@ impl RankingEngine {
             self.order.push(at);
             at = next[at as usize];
         }
-        self.by_id.clear();
-        self.by_id.extend(pos.iter().copied().filter(|&p| p != END));
+        pos.retain(|&p| p != END);
         let list_len = self.order.len();
         self.threshold = (2 * (usize::BITS - list_len.leading_zeros()) as usize).max(4);
-        self.ranks.clear();
-        self.ranks.resize(n, UNRANKED);
         self.rounds = 0;
     }
 
@@ -210,27 +282,42 @@ impl RankingEngine {
         self.order.len()
     }
 
-    /// The ranks of the most recent [`RankingEngine::rank`] run, by
-    /// element id ([`UNRANKED`] off-list, or everywhere before the
-    /// first run).
+    /// Swaps the engine's run buffers with `run`: the way to lend the
+    /// engine a set and take it back (call again with the same `run`).
+    /// The bound list stays; [`RankingEngine::ranks`] reads the ranks
+    /// of the set now held.
+    pub fn swap_run(&mut self, run: &mut RankingRun) {
+        std::mem::swap(&mut self.run, run);
+    }
+
+    /// The ranks of the most recent [`RankingEngine::rank`] run on the
+    /// run buffers the engine holds, by element id ([`UNRANKED`]
+    /// off-list; empty before the set's first run).
     pub fn ranks(&self) -> &[u64] {
-        &self.ranks
+        &self.run.ranks
     }
 
     /// Ranks the list by random-mate contraction, charging every
     /// pointer round on `m`. Returns the number of contraction rounds;
     /// read the ranks via [`RankingEngine::ranks`]. The seed affects
-    /// only costs, never ranks. Performs no heap allocation.
+    /// only costs, never ranks. Performs no heap allocation once the
+    /// run buffers fit the list.
     pub fn rank<R: Rng>(&mut self, m: &Machine, rng: &mut R) -> u32 {
         assert!(self.bound, "bind a list first");
-        assert!(
-            self.ranks.len() as u32 <= m.n_slots(),
-            "need one slot per list element"
-        );
-        self.splice_mid.clear();
-        self.splice_left.clear();
-        self.round_ends.clear();
-        self.undo_energy.clear();
+        let n = self.n;
+        assert!(n as u32 <= m.n_slots(), "need one slot per list element");
+        if self.run.cap < n {
+            self.run.reserve(self.cap);
+        }
+        let run = &mut self.run;
+        // Off-list elements (and the whole list before the scatter at
+        // the end) read UNRANKED, whatever the set held before.
+        run.ranks.clear();
+        run.ranks.resize(n, UNRANKED);
+        run.splice_mid.clear();
+        run.splice_left.clear();
+        run.round_ends.clear();
+        run.undo_energy.clear();
         self.rounds = 0;
         let len = self.order.len();
         if len == 0 {
@@ -239,32 +326,31 @@ impl RankingEngine {
 
         // ---- Reset: every position live, in both orders. Element v ----
         // ---- lives at slot v; its point is read once, in list order. ----
-        self.points.clear();
-        self.points
-            .extend(self.order.iter().map(|&v| m.point_of(v)));
-        let mut energy: u64 = self.points.windows(2).map(|w| manhattan(w[0], w[1])).sum();
-        self.live.clear();
-        self.live.extend(0..len as u32);
-        self.alive.clear();
-        self.alive.extend_from_slice(&self.by_id);
-        self.weight.clear();
-        self.weight.resize(len, 1);
-        self.dead.clear();
-        self.dead.resize(len, false);
+        run.points.clear();
+        run.points.extend(self.order.iter().map(|&v| m.point_of(v)));
+        let mut energy: u64 = run.points.windows(2).map(|w| manhattan(w[0], w[1])).sum();
+        run.live.clear();
+        run.live.extend(0..len as u32);
+        run.alive.clear();
+        run.alive.extend_from_slice(&self.by_id);
+        run.weight.clear();
+        run.weight.resize(len, 1);
+        run.dead.clear();
+        run.dead.resize(len, false);
         // Written before every read (coin draws, the base case and the
         // undo rounds): only the lengths need restoring.
-        self.coin.resize(len, false);
-        self.rank_at.resize(len, 0);
+        run.coin.resize(len, false);
+        run.rank_at.resize(len, 0);
 
         // ---- Contract until O(log n) elements remain. ----
-        while self.live.len() > self.threshold {
+        while run.live.len() > self.threshold {
             // Every live element flips a coin and tells its successor:
             // one synchronous round over the current list, whose energy
             // is the running pointer energy.
-            for &p in &self.alive {
-                self.coin[p as usize] = rng.gen();
+            for &p in &run.alive {
+                run.coin[p as usize] = rng.gen();
             }
-            let k = self.live.len();
+            let k = run.live.len();
             m.charge_pointer_round(energy, k as u64 - 1);
 
             // One pass selects every head whose left neighbour flipped
@@ -274,7 +360,7 @@ impl RankingEngine {
             // `left` is the last kept element and `right` the next one.
             // The pass branches on the coin pattern: a branch-free form
             // (every store unconditional) measured twice as slow.
-            let Self {
+            let RankingRun {
                 points,
                 live,
                 weight,
@@ -283,7 +369,7 @@ impl RankingEngine {
                 splice_mid,
                 splice_left,
                 ..
-            } = &mut *self;
+            } = &mut *run;
             let mut left = live[0];
             let (mut left_coin, mut left_point) = (coin[left as usize], points[left as usize]);
             let (mut pair_energy, mut left_energy, mut bridge_energy) = (0u64, 0u64, 0u64);
@@ -320,13 +406,13 @@ impl RankingEngine {
             live.truncate(kept);
             m.charge_pointer_round(pair_energy, (splice_mid.len() - first) as u64 + rights);
             energy = energy - pair_energy + bridge_energy;
-            self.undo_energy.push(left_energy);
-            self.round_ends.push(self.splice_mid.len() as u32);
+            run.undo_energy.push(left_energy);
+            run.round_ends.push(run.splice_mid.len() as u32);
             self.rounds += 1;
 
             // Branchless sweep of the dead positions from the id-order
             // array (stable, so coins stay drawn in element-id order).
-            let Self { alive, dead, .. } = &mut *self;
+            let RankingRun { alive, dead, .. } = &mut *run;
             let mut w = 0usize;
             for i in 0..alive.len() {
                 let p = alive[i];
@@ -339,10 +425,10 @@ impl RankingEngine {
         // ---- Base case: walk the remaining list sequentially, ----
         // ---- charging each hop.                                ----
         let mut acc = 0u32;
-        for (j, &p) in self.live.iter().enumerate() {
-            self.rank_at[p as usize] = acc;
-            acc += self.weight[p as usize];
-            if let Some(&q) = self.live.get(j + 1) {
+        for (j, &p) in run.live.iter().enumerate() {
+            run.rank_at[p as usize] = acc;
+            acc += run.weight[p as usize];
+            if let Some(&q) = run.live.get(j + 1) {
                 m.send(self.order[p as usize], self.order[q as usize]);
             }
         }
@@ -353,49 +439,44 @@ impl RankingEngine {
             let lo = if round == 0 {
                 0
             } else {
-                self.round_ends[round - 1] as usize
+                run.round_ends[round - 1] as usize
             };
-            let hi = self.round_ends[round] as usize;
-            m.charge_pointer_round(self.undo_energy[round], (hi - lo) as u64);
+            let hi = run.round_ends[round] as usize;
+            m.charge_pointer_round(run.undo_energy[round], (hi - lo) as u64);
             for i in lo..hi {
-                let (mid, left) = (self.splice_mid[i] as usize, self.splice_left[i] as usize);
-                self.weight[left] -= self.weight[mid];
-                self.rank_at[mid] = self.rank_at[left] + self.weight[left];
+                let (mid, left) = (run.splice_mid[i] as usize, run.splice_left[i] as usize);
+                run.weight[left] -= run.weight[mid];
+                run.rank_at[mid] = run.rank_at[left] + run.weight[left];
             }
         }
 
-        for (&v, &r) in self.order.iter().zip(&self.rank_at) {
-            self.ranks[v as usize] = r as u64;
+        for (&v, &r) in self.order.iter().zip(&run.rank_at) {
+            run.ranks[v as usize] = r as u64;
         }
         self.rounds
     }
 
-    /// Heap bytes the engine keeps resident: every retained buffer, by
-    /// capacity.
+    /// Heap bytes the engine keeps resident: its structure and the run
+    /// buffers it holds (its own set, or one lent to it), by capacity.
     pub fn resident_bytes(&self) -> usize {
-        vec_bytes(&self.order)
-            + vec_bytes(&self.by_id)
-            + vec_bytes(&self.points)
-            + vec_bytes(&self.live)
-            + vec_bytes(&self.alive)
-            + vec_bytes(&self.weight)
-            + vec_bytes(&self.coin)
-            + vec_bytes(&self.dead)
-            + vec_bytes(&self.rank_at)
-            + vec_bytes(&self.ranks)
-            + vec_bytes(&self.splice_mid)
-            + vec_bytes(&self.splice_left)
-            + vec_bytes(&self.round_ends)
-            + vec_bytes(&self.undo_energy)
+        vec_bytes(&self.order) + vec_bytes(&self.by_id) + self.run.resident_bytes()
     }
 }
 
 impl EngineLifecycle for RankingEngine {
+    /// The structure's capacity (a run set has its own).
     fn capacity(&self) -> usize {
         self.cap
     }
 
+    /// Grows the structure to `cap` elements, and the run buffers the
+    /// engine holds unless they are the empty set (a pooled engine
+    /// between runs, whose lent set grows with [`RankingRun::reserve`]
+    /// or at the first run that needs it).
     fn reserve(&mut self, cap: usize) {
+        if self.run.cap > 0 {
+            self.run.reserve(cap);
+        }
         if cap <= self.cap {
             return;
         }
@@ -404,26 +485,14 @@ impl EngineLifecycle for RankingEngine {
         }
         grow(&mut self.order, cap);
         grow(&mut self.by_id, cap);
-        grow(&mut self.points, cap);
-        grow(&mut self.live, cap);
-        grow(&mut self.alive, cap);
-        grow(&mut self.weight, cap);
-        grow(&mut self.coin, cap);
-        grow(&mut self.dead, cap);
-        grow(&mut self.rank_at, cap);
-        grow(&mut self.ranks, cap);
-        grow(&mut self.splice_mid, cap);
-        grow(&mut self.splice_left, cap);
-        grow(&mut self.round_ends, round_capacity(cap));
-        grow(&mut self.undo_energy, round_capacity(cap));
         self.cap = cap;
     }
 
     fn reset(&mut self) {
         self.bound = false;
+        self.n = 0;
         self.order.clear();
         self.by_id.clear();
-        self.ranks.clear();
         self.rounds = 0;
     }
 }
@@ -512,6 +581,37 @@ mod tests {
             assert_eq!(rounds, fresh_rounds, "n={n}");
             assert_eq!(m_pooled.report(), m_fresh.report(), "n={n}");
             assert_eq!(engine.ranks(), &rank_sequential(&next, start)[..], "n={n}");
+        }
+    }
+
+    #[test]
+    fn a_lent_set_ranks_like_the_engines_own() {
+        // One run set serves lists of several sizes in turn, each cut
+        // after its first half so the rest is off-list: every run ranks
+        // (UNRANKED off-list included), counts rounds and charges like
+        // a fresh engine on its own set.
+        let mut shared = RankingRun::default();
+        let mut rng = StdRng::seed_from_u64(78);
+        for n in [300usize, 40, 1000, 7] {
+            let (mut next, start) = random_list(n, &mut rng);
+            let mut at = start;
+            for _ in 0..n / 2 {
+                at = next[at as usize];
+            }
+            next[at as usize] = END;
+            let mut engine = RankingEngine::default();
+            engine.bind(&next, start);
+            engine.swap_run(&mut shared);
+            let m_lent = Machine::on_curve(CurveKind::Hilbert, n as u32);
+            let rounds = engine.rank(&m_lent, &mut StdRng::seed_from_u64(6));
+            let mut fresh = RankingEngine::new(&next, start);
+            let m_fresh = Machine::on_curve(CurveKind::Hilbert, n as u32);
+            let fresh_rounds = fresh.rank(&m_fresh, &mut StdRng::seed_from_u64(6));
+            assert_eq!(engine.ranks(), &rank_sequential(&next, start)[..], "n={n}");
+            assert_eq!(rounds, fresh_rounds, "n={n}");
+            assert_eq!(m_lent.report(), m_fresh.report(), "n={n}");
+            engine.swap_run(&mut shared);
+            assert_eq!(engine.run.resident_bytes(), 0, "n={n}: kept no run buffers");
         }
     }
 

@@ -53,8 +53,14 @@ pub struct DynamicStats {
 
 /// Retained buffers for the light-first rebuild: the light-first child
 /// CSR and subtree sizes, BFS scratch, the order under construction,
-/// and coordinate staging. Reserved to the curve capacity, so
-/// steady-state rebuilds never allocate.
+/// and coordinate staging. The CSR, the sizes and the BFS scratch serve
+/// every epoch's engine binds, so they are reserved to the curve
+/// capacity from the start. The order, the DFS stack, the slot points
+/// and the position scratch serve only a light-first rebuild or a
+/// capacity growth: they are released after construction and reserved
+/// to the capacity at the first rebuild or growth, so steady-state
+/// rebuilds never allocate and a layout that never rebuilds never holds
+/// them.
 #[derive(Debug, Default)]
 struct RebuildScratch {
     /// Light-first child lists of the tree (see `current`).
@@ -87,14 +93,31 @@ impl RebuildScratch {
             + vec_bytes(&self.pos)
     }
 
+    /// Reserves the buffers of the epoch CSR build.
     fn reserve(&mut self, cap: usize) {
         self.csr.reserve(cap);
         self.bfs.reserve(cap);
         self.sizes.reserve(cap);
-        self.order.reserve(cap);
-        self.stack.reserve(cap);
-        self.slot_points.reserve(cap);
-        self.pos.reserve(cap);
+    }
+
+    /// Grows the rebuild-only buffers to `cap` entries (a no-op once
+    /// they hold that many).
+    fn reserve_rebuild(&mut self, cap: usize) {
+        fn grow<T>(buf: &mut Vec<T>, cap: usize) {
+            buf.reserve(cap.saturating_sub(buf.len()));
+        }
+        grow(&mut self.order, cap);
+        grow(&mut self.stack, cap);
+        grow(&mut self.slot_points, cap);
+        grow(&mut self.pos, cap);
+    }
+
+    /// Frees the rebuild-only buffers.
+    fn release_rebuild(&mut self) {
+        self.order = Vec::new();
+        self.stack = Vec::new();
+        self.slot_points = Vec::new();
+        self.pos = Vec::new();
     }
 
     /// Computes the light-first child CSR and subtree sizes of the tree
@@ -192,6 +215,7 @@ impl DynamicLayout {
         dl.points.reserve(reserved as usize);
         dl.refresh_points_and_energy();
         dl.stats.baseline_energy = dl.energy.max(1);
+        dl.scratch.release_rebuild();
         dl
     }
 
@@ -265,6 +289,7 @@ impl DynamicLayout {
         dl.points.reserve(reserved as usize);
         dl.scratch.reserve(reserved as usize);
         dl.refresh_points_and_energy();
+        dl.scratch.release_rebuild();
         dl
     }
 
@@ -417,6 +442,7 @@ impl DynamicLayout {
     /// Forces a light-first rebuild now (retained scratch: zero heap
     /// allocation in the steady state).
     pub fn rebuild(&mut self) {
+        self.scratch.reserve_rebuild(self.reserved as usize);
         self.scratch
             .light_first_order(self.parents.as_slice(), self.root);
         self.layout.set_order(&self.scratch.order);
@@ -439,6 +465,7 @@ impl DynamicLayout {
         self.points
             .reserve(self.reserved as usize - self.points.len());
         self.scratch.reserve(self.reserved as usize);
+        self.scratch.reserve_rebuild(self.reserved as usize);
         self.refresh_points_and_energy();
         self.stats.grows += 1;
         self.stats.baseline_energy = self.fresh_light_first_energy().max(1);

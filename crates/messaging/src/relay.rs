@@ -204,11 +204,19 @@ impl StagedReduceRelays {
     /// Grows the staging to `participants` (never shrinks).
     pub fn reserve(&mut self, participants: usize) {
         fn grow<T>(buf: &mut Vec<T>, cap: usize) {
-            buf.reserve(cap.saturating_sub(buf.len()));
+            buf.reserve_exact(cap.saturating_sub(buf.len()));
         }
         grow(&mut self.staged, participants);
         grow(&mut self.levels, participants);
         grow(&mut self.sorted, participants);
+    }
+
+    /// Drops every staged message and zeroes the per-level counts, so
+    /// the next charge covers only what is staged after this call.
+    pub fn clear(&mut self) {
+        self.staged.clear();
+        self.levels.clear();
+        self.counts = [0; RELAY_LEVELS];
     }
 
     /// Stages the balanced reduce relay of `k` participants (participant
@@ -259,9 +267,7 @@ impl StagedReduceRelays {
             }
             m.round(&self.sorted[lo..hi]);
         }
-        self.staged.clear();
-        self.levels.clear();
-        self.counts = [0; RELAY_LEVELS];
+        self.clear();
     }
 }
 

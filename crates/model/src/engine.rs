@@ -9,7 +9,11 @@
 //! (amortized doubling, the only allocating step), invalidate with
 //! [`EngineLifecycle::reset`], and run through the engine's own
 //! `bind`/`run`-shaped entry points, which are allocation-free once the
-//! capacity suffices.
+//! capacity suffices. The contraction and ranking engines keep what a
+//! run restores in a separate set of run buffers that a caller can
+//! lend them (`swap_run`): `reserve` grows the set an engine holds,
+//! and a pooled engine, which holds none between runs, grows its
+//! structure only.
 
 /// The `reserve`/`reset` half of the uniform `reset/reserve/run` engine
 /// lifecycle. The `run` half stays on each engine's inherent API (the

@@ -3,7 +3,9 @@
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 use rand::prelude::*;
-use spatial_session::{ForestOptions, Request, Response, SessionReport, SpatialForest};
+use spatial_session::{
+    ForestOptions, Request, Response, SessionReport, SessionScratch, SpatialForest,
+};
 use spatial_store::{read_journal, JournalWriter, MappedSnapshot, Record, StoreError};
 use spatial_tree::Tree;
 use std::path::{Path, PathBuf};
@@ -412,13 +414,15 @@ fn open_tenant_snapshot(
 /// empty keeps its generation and re-attaches the same journal for
 /// append — restarting a cleanly-checkpointed fleet rewrites nothing.
 /// Every other path ends on a brand-new checkpoint generation. Either
-/// way the forest is warmstarted so the first session's steady-state
-/// path allocates nothing.
+/// way the forest is warmstarted on the shard's `scratch` (reserving it
+/// for this tenant), so the first session's steady-state path
+/// allocates nothing.
 fn start_tenant_durable(
     tenant: u32,
     tree: &Tree,
     opts: &ServiceOptions,
     dur: &DurabilityOptions,
+    scratch: &mut SessionScratch,
 ) -> TenantState {
     let durable = |generation| {
         Some(TenantDurability {
@@ -488,7 +492,7 @@ fn start_tenant_durable(
             state
         }
     };
-    state.forest.warmstart(opts.coalesce_target);
+    state.forest.warmstart_with(scratch, opts.coalesce_target);
     state
 }
 
@@ -707,7 +711,9 @@ impl Drop for ForestService {
 /// more up to the coalesce target, executes one charge-batched session
 /// per tenant present, then replies per job. A durable tenant's slot
 /// is materialized (recovered from its snapshot + journal, warmstarted)
-/// the first time a job names it.
+/// the first time a job names it. Every tenant's session runs on the
+/// worker's one [`SessionScratch`]: a worker runs one session at a
+/// time, so its tenants share one set of engine run buffers.
 fn worker_loop(
     shard: usize,
     rx: Receiver<Job>,
@@ -722,11 +728,13 @@ fn worker_loop(
     let mut executes = 0u64;
     let mut busy = Duration::ZERO;
     // Retained cycle scratch: the drained jobs, the distinct tenants
-    // of the cycle, and the concatenated per-tenant request stream.
+    // of the cycle, the concatenated per-tenant request stream, and the
+    // run buffers every tenant's engines borrow.
     let mut jobs: Vec<Job> = Vec::new();
     let mut cycle_tenants: Vec<u32> = Vec::new();
     let mut stream: Vec<Request> = Vec::new();
     let mut responses: Vec<Response> = Vec::new();
+    let mut scratch = SessionScratch::new();
 
     while let Ok(first) = rx.recv() {
         let t0 = thread_clock::now();
@@ -756,21 +764,30 @@ fn worker_loop(
             for job in jobs.iter().filter(|j| j.tenant == tenant) {
                 stream.extend_from_slice(&job.requests);
             }
-            let slot = slots
-                .iter_mut()
-                .find(|s| s.tenant() == tenant)
-                .expect("tenant sharded to this worker");
+            // Tenant t is sharded to worker t % workers, as the shard's
+            // (t / workers)-th slot.
+            let slot = &mut slots[tenant as usize / opts.workers];
+            debug_assert_eq!(slot.tenant(), tenant, "slot of the tenant");
             if let TenantSlot::Lazy { tenant, tree } = slot {
                 let dur = dur.as_ref().expect("lazy slots are durable");
-                *slot =
-                    TenantSlot::Ready(Box::new(start_tenant_durable(*tenant, tree, &opts, dur)));
+                *slot = TenantSlot::Ready(Box::new(start_tenant_durable(
+                    *tenant,
+                    tree,
+                    &opts,
+                    dur,
+                    &mut scratch,
+                )));
             }
             let state = match slot {
                 TenantSlot::Ready(state) => state,
                 TenantSlot::Lazy { .. } => unreachable!("materialized above"),
             };
             responses.clear();
-            responses.extend_from_slice(state.forest.execute(&stream, &mut state.rng));
+            responses.extend_from_slice(state.forest.execute_with(
+                &mut scratch,
+                &stream,
+                &mut state.rng,
+            ));
             state.reports.push(state.forest.last_report());
             if record {
                 state.streams.push(stream.clone());

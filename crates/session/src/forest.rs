@@ -2,7 +2,7 @@
 //! batches in charge-batched sessions.
 
 use crate::batch::{Request, Response, SessionReport};
-use crate::pool::EnginePool;
+use crate::pool::{EnginePool, SessionScratch};
 use rand::Rng;
 use spatial_euler::ranking::{END, UNRANKED};
 use spatial_euler::tour::{down, EulerTour};
@@ -132,9 +132,12 @@ pub struct ResidentBytes {
     /// The batched LCA engine's per-tree structure.
     pub lca: usize,
     /// The contraction engine that LCA steps 1 and 3 and the subtree
-    /// sums share.
+    /// sums share: its structure, plus the run buffers of the forest's
+    /// own [`SessionScratch`] (none for a forest that only runs on
+    /// lent sets, [`SpatialForest::execute_with`]).
     pub contraction: usize,
-    /// The Euler-tour list-ranking engine.
+    /// The Euler-tour list-ranking engine: its structure, plus the run
+    /// buffers of the forest's own [`SessionScratch`].
     pub ranking: usize,
     /// Retained batch scratch: responses and per-kind query buffers.
     pub scratch: usize,
@@ -211,6 +214,10 @@ pub struct SpatialForest {
     journal: Option<JournalWriter>,
 
     pool: EnginePool,
+    /// The run buffers [`SpatialForest::execute`] and
+    /// [`SpatialForest::warmstart`] lend the engines; empty (and never
+    /// allocated) in a forest that only runs on lent sets.
+    scratch: SessionScratch,
 
     // ---- Retained batch scratch (zero steady-state allocation). ----
     responses: Vec<Response>,
@@ -292,6 +299,7 @@ impl SpatialForest {
             dirty: DirtyTracker::default(),
             journal: None,
             pool: EnginePool::new(opts.curve, opts.pram_seed),
+            scratch: SessionScratch::new(),
             responses: Vec::new(),
             lca_q: Vec::new(),
             lca_idx: Vec::new(),
@@ -356,6 +364,8 @@ impl SpatialForest {
             ..ResidentBytes::default()
         };
         self.pool.census(&mut bytes);
+        bytes.contraction += self.scratch.contraction.resident_bytes();
+        bytes.ranking += self.scratch.ranking.resident_bytes();
         bytes
     }
 
@@ -722,17 +732,28 @@ impl SpatialForest {
         };
     }
 
-    /// Pre-sizes the engine pool and batch scratch for this forest's
-    /// reserved capacity (the snapshot header's `reserved` after a
-    /// recovery) and `batch_hint` requests per execute, so the first
-    /// post-restart session allocates nothing on the steady-state
-    /// path. Charge-neutral: engine construction is host-side and the
-    /// LCA engine is only pre-built when the layout is already
-    /// light-first (building it on a dirty layout would change the
-    /// journaled rebuild schedule).
+    /// Pre-sizes the engine pool, the forest's own run buffers and the
+    /// batch scratch for this forest's reserved capacity (the snapshot
+    /// header's `reserved` after a recovery) and `batch_hint` requests
+    /// per execute, so the first post-restart
+    /// [`SpatialForest::execute`] allocates nothing on the steady-state
+    /// path: [`SpatialForest::warmstart_with`] on the forest's own set.
     pub fn warmstart(&mut self, batch_hint: usize) {
+        let mut own = std::mem::take(&mut self.scratch);
+        self.warmstart_with(&mut own, batch_hint);
+        self.scratch = own;
+    }
+
+    /// [`SpatialForest::warmstart`] for a forest that runs on `scratch`
+    /// ([`SpatialForest::execute_with`]): reserves `scratch` instead of
+    /// the forest's own set. Charge-neutral: engine construction is
+    /// host-side and the LCA engine is only pre-built when the layout is
+    /// already light-first (building it on a dirty layout would change
+    /// the journaled rebuild schedule).
+    pub fn warmstart_with(&mut self, scratch: &mut SessionScratch, batch_hint: usize) {
         self.ensure_structure();
         let cap = self.dynamic.reserved().max(self.n() as u64) as usize;
+        scratch.reserve(cap);
         self.pool.reserve_treefix(cap);
         if !self.layout_dirty {
             let (layout, sizes, csr) = self.dynamic.light_first_parts();
@@ -816,13 +837,48 @@ impl SpatialForest {
     /// mutations form one *charge-batched session*: each query kind in
     /// a session pays for a single engine run, however many queries
     /// share it. Responses align with `requests` by index; machine
-    /// charges land in [`SpatialForest::last_report`].
+    /// charges land in [`SpatialForest::last_report`]. This is
+    /// [`SpatialForest::execute_with`] on the forest's own
+    /// [`SessionScratch`].
     ///
     /// Panics if a request names a vertex that does not exist at its
     /// position in the stream. The whole batch is checked first, so a
     /// rejected batch journals, resets and charges nothing.
     pub fn execute<R: Rng>(&mut self, requests: &[Request], rng: &mut R) -> &[Response] {
+        // Checked before the set leaves the forest, so a rejected batch
+        // keeps it.
         check_vertex_ids(requests, self.n());
+        let mut own = std::mem::take(&mut self.scratch);
+        self.execute_checked(&mut own, requests, rng);
+        self.scratch = own;
+        &self.responses
+    }
+
+    /// [`SpatialForest::execute`] with the engines' run buffers
+    /// borrowed from `scratch`: each engine run takes the set in and
+    /// hands it back when it ends, so the forest keeps none of its own
+    /// between calls. Answers and charges are the same as `execute`'s,
+    /// whatever forest's runs `scratch` served before; a set too small
+    /// for this forest's tree grows to fit it.
+    pub fn execute_with<R: Rng>(
+        &mut self,
+        scratch: &mut SessionScratch,
+        requests: &[Request],
+        rng: &mut R,
+    ) -> &[Response] {
+        check_vertex_ids(requests, self.n());
+        self.execute_checked(scratch, requests, rng);
+        &self.responses
+    }
+
+    /// The session of [`SpatialForest::execute_with`] on a batch whose
+    /// vertex ids are already checked.
+    fn execute_checked<R: Rng>(
+        &mut self,
+        scratch: &mut SessionScratch,
+        requests: &[Request],
+        rng: &mut R,
+    ) {
         self.machine.reset();
         self.dart_machine.reset();
         self.session = SessionReport::default();
@@ -856,7 +912,7 @@ impl SpatialForest {
                     self.responses.push(Response::Rank(0));
                 }
                 Request::InsertLeaf { parent, weight } => {
-                    self.flush_session(rng);
+                    self.flush_session(scratch, rng);
                     if let Some(journal) = self.journal.as_mut() {
                         journal
                             .append(Record::InsertLeaf { parent, weight })
@@ -868,7 +924,7 @@ impl SpatialForest {
                 }
             }
         }
-        self.flush_session(rng);
+        self.flush_session(scratch, rng);
 
         self.in_execute = false;
         self.session.grid = self.session.grid + self.machine.report();
@@ -878,7 +934,6 @@ impl SpatialForest {
         if let Some(pager) = self.pager.as_mut() {
             self.session.paging = Some(pager.commit_session());
         }
-        &self.responses
     }
 
     /// Restores the light-first order after tail appends (the batched
@@ -945,7 +1000,8 @@ impl SpatialForest {
 
     /// Flushes the buffered query session: one charged engine run per
     /// kind present, in the fixed order LCA → subtree sums → ranks.
-    fn flush_session<R: Rng>(&mut self, rng: &mut R) {
+    /// Each run borrows its engine's run buffers from `scratch`.
+    fn flush_session<R: Rng>(&mut self, scratch: &mut SessionScratch, rng: &mut R) {
         if self.lca_q.is_empty() && self.sum_v.is_empty() && self.rank_v.is_empty() {
             return;
         }
@@ -960,6 +1016,7 @@ impl SpatialForest {
             let (engine, treefix) = self
                 .pool
                 .lca_for(self.epoch, layout, &self.tree, sizes, csr);
+            treefix.swap_run(&mut scratch.contraction);
             engine.run_on(
                 treefix,
                 &self.machine,
@@ -967,6 +1024,7 @@ impl SpatialForest {
                 &mut self.lca_answers,
                 rng,
             );
+            treefix.swap_run(&mut scratch.contraction);
             for (&idx, &w) in self.lca_idx.iter().zip(self.lca_answers.iter()) {
                 self.responses[idx as usize] = Response::Lca(w);
             }
@@ -983,12 +1041,14 @@ impl SpatialForest {
             let treefix =
                 self.pool
                     .treefix_for(self.epoch, self.tree.parents(), layout.slots(), csr);
+            treefix.swap_run(&mut scratch.contraction);
             treefix.load(as_add(self.weights.as_slice()), true);
             treefix.contract(&self.machine, rng);
             let sums = treefix.uncontract_bottom_up(&self.machine);
             for (&idx, &v) in self.sum_idx.iter().zip(self.sum_v.iter()) {
                 self.responses[idx as usize] = Response::SubtreeSum(sums[v as usize].0);
             }
+            treefix.swap_run(&mut scratch.contraction);
             self.session.sum_queries += self.sum_v.len() as u32;
 
             if self.opts.crossover {
@@ -1006,6 +1066,7 @@ impl SpatialForest {
             let engine = self
                 .pool
                 .ranking_for(self.epoch, &self.tour_next, self.tour_start);
+            engine.swap_run(&mut scratch.ranking);
             engine.rank(&self.dart_machine, rng);
             let root = self.tree.root();
             for (&idx, &v) in self.rank_idx.iter().zip(self.rank_v.iter()) {
@@ -1018,6 +1079,7 @@ impl SpatialForest {
                 };
                 self.responses[idx as usize] = Response::Rank(rank);
             }
+            engine.swap_run(&mut scratch.ranking);
             self.session.rank_queries += self.rank_v.len() as u32;
             self.rank_v.clear();
             self.rank_idx.clear();

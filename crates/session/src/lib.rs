@@ -17,7 +17,11 @@
 //! The engines follow the uniform `reset/reserve/run` lifecycle of
 //! [`spatial_model::EngineLifecycle`]: the pool grows them
 //! (amortized) when the tree grows, rebinds them when the tree
-//! mutates, and reuses their flat buffers forever after — the
+//! mutates, and reuses their flat buffers forever after. The buffers
+//! an engine needs only while it runs live in a [`SessionScratch`]
+//! that the forest lends for each run: [`SpatialForest::execute`] uses
+//! the forest's own, and [`SpatialForest::execute_with`] a caller's, so
+//! forests that run one at a time can share one. The
 //! steady-state query path performs **zero heap allocation**
 //! (counting-allocator test `tests/alloc_free.rs`) and is pinned
 //! against naive sequential answers and fresh-engine charge reports by
@@ -49,4 +53,4 @@ mod pool;
 
 pub use batch::{QueryBatch, Request, Response, SessionReport};
 pub use forest::{CheckpointStats, ForestBacking, ForestOptions, ResidentBytes, SpatialForest};
-pub use pool::{EnginePool, PoolStats};
+pub use pool::{EnginePool, PoolStats, SessionScratch};

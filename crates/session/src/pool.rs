@@ -7,18 +7,61 @@
 //! engine supports it: rebinding reuses every retained flat buffer and
 //! only allocates when the tree outgrew the capacity
 //! ([`spatial_model::EngineLifecycle::reserve`], amortized doubling).
+//!
+//! The pool's engines hold their per-tree structure only. The buffers
+//! the contraction and the list ranking need while they run live in a
+//! [`SessionScratch`] that the forest lends to an engine for each run
+//! and takes back after it, so forests that run one at a time can share
+//! one set.
 
 use crate::forest::ResidentBytes;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spatial_euler::ranking::RankingEngine;
+use spatial_euler::ranking::{RankingEngine, RankingRun};
 use spatial_layout::{Layout, LayoutEngine};
 use spatial_lca::LcaEngine;
 use spatial_model::{CurveKind, EngineLifecycle, Slot};
 use spatial_pram::{PramEngine, PramTreefix};
 use spatial_tree::{ChildrenCsr, NodeId, Tree};
-use spatial_treefix::contraction::ContractionEngine;
+use spatial_treefix::contraction::{ContractionEngine, ContractionRun};
 use spatial_treefix::Add;
+
+/// One set of run buffers for each pooled engine that needs them while
+/// it runs: the §V contraction's ([`ContractionRun`]) and the Euler-tour
+/// list ranking's ([`RankingRun`]). A forest lends its set to an engine
+/// for each run and takes it back afterwards
+/// ([`crate::SpatialForest::execute_with`]), so forests that run one at
+/// a time — a service shard's tenants — can share one set instead of
+/// each keeping its own. A set holds no tree: the engines rewrite every
+/// buffer they read, and grow a set that is too small for the tree they
+/// run on. [`SessionScratch::new`] allocates nothing.
+#[derive(Default)]
+pub struct SessionScratch {
+    pub(crate) contraction: ContractionRun<Add>,
+    pub(crate) ranking: RankingRun,
+}
+
+impl SessionScratch {
+    /// An empty set: it allocates nothing until a forest runs on it or
+    /// it is reserved.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Grows both sets for forests of up to `vertices` vertices (the
+    /// ranking runs over two tour darts per vertex). A run grows a
+    /// smaller set by itself; reserving only moves that allocation
+    /// ahead of the first run.
+    pub fn reserve(&mut self, vertices: usize) {
+        self.contraction.reserve(vertices);
+        self.ranking.reserve(2 * vertices);
+    }
+
+    /// Heap bytes the set keeps resident, by capacity.
+    pub fn resident_bytes(&self) -> usize {
+        self.contraction.resident_bytes() + self.ranking.resident_bytes()
+    }
+}
 
 /// Build/rebind counters of the pool (observability + test hooks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -130,8 +173,9 @@ impl EnginePool {
 
     /// Fills the serving engines' parts of a forest's census: the LCA
     /// engine, the contraction engine and the ranking engine (an engine
-    /// not yet built holds none). The §IV layout engine and the
-    /// crossover PRAM shadow are not counted.
+    /// not yet built holds none; between runs an engine holds its
+    /// structure only). The §IV layout engine and the crossover PRAM
+    /// shadow are not counted.
     pub(crate) fn census(&self, bytes: &mut ResidentBytes) {
         bytes.lca = self.lca.as_ref().map_or(0, LcaEngine::resident_bytes);
         bytes.contraction = self
@@ -144,17 +188,21 @@ impl EnginePool {
             .map_or(0, RankingEngine::resident_bytes);
     }
 
-    /// Creates the contraction engine with capacity for `n` vertices,
-    /// or grows it to the next power of two at or above `n`, counting
-    /// the build or growth.
+    /// Creates the contraction engine with structure capacity for `n`
+    /// vertices, or grows it to the next power of two at or above `n`,
+    /// counting the build or growth. The engine holds no run buffers of
+    /// its own: the forest lends it a [`SessionScratch`]'s for each run.
     pub(crate) fn reserve_treefix(&mut self, n: usize) -> &mut ContractionEngine<Add> {
         if let Some(engine) = self.treefix.as_mut() {
             grow_for(engine, n, &mut self.stats);
         } else {
             self.stats.builds += 1;
         }
-        self.treefix
-            .get_or_insert_with(|| ContractionEngine::with_capacity(n))
+        self.treefix.get_or_insert_with(|| {
+            let mut engine = ContractionEngine::default();
+            engine.reserve(n);
+            engine
+        })
     }
 
     /// The contraction engine with `epoch`'s tree structure bound: built
@@ -210,7 +258,8 @@ impl EnginePool {
     }
 
     /// The ranking engine, built or rebound for `epoch` over the tour
-    /// successor darts.
+    /// successor darts. Like the contraction engine, it holds no run
+    /// buffers of its own.
     pub(crate) fn ranking_for(
         &mut self,
         epoch: u64,
@@ -219,7 +268,10 @@ impl EnginePool {
     ) -> &mut RankingEngine {
         match &mut self.ranking {
             None => {
-                self.ranking = Some(RankingEngine::new(tour_next, tour_start));
+                let mut engine = RankingEngine::default();
+                engine.reserve(tour_next.len());
+                engine.bind(tour_next, tour_start);
+                self.ranking = Some(engine);
                 self.stats.builds += 1;
             }
             Some(engine) if self.ranking_epoch != epoch => {

@@ -60,6 +60,8 @@ fn rejected_input_leaves_the_journal_replayable() {
         vec![Request::Rank(n)],
         vec![Request::Lca(n, 0)],
     ];
+    // A rejected batch also keeps the forest's own run buffers.
+    let bytes = live.resident_bytes();
     for (case, batch) in bad_batches.iter().enumerate() {
         let report = live.last_report();
         let rejected = catch_unwind(AssertUnwindSafe(|| {
@@ -68,6 +70,7 @@ fn rejected_input_leaves_the_journal_replayable() {
         assert!(rejected.is_err(), "case {case}: bad batch accepted");
         assert_eq!(live.n(), n, "case {case}: batch partly applied");
         assert_eq!(live.last_report(), report, "case {case}: batch charged");
+        assert_eq!(live.resident_bytes(), bytes, "case {case}: buffers dropped");
         check_recovery(
             &snap_path,
             &journal_path,

@@ -50,8 +50,10 @@ fn live() -> i64 {
 const N: u32 = 1 << 10;
 
 /// Census bytes per vertex after one mixed execute on `uniform_random`
-/// at n = 2¹⁰: 533 measured. A forest that also kept an idle second
-/// contraction engine and copies of the layout's arrays held ≈719.
+/// at n = 2¹⁰: 493 measured (533 while the layout kept its rebuild-only
+/// buffers from construction on). A forest that also kept an idle
+/// second contraction engine and copies of the layout's arrays held
+/// ≈719.
 const MIXED_BUDGET: usize = 560;
 
 /// Census bytes per vertex after an insert epoch that opens with a

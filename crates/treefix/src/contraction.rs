@@ -63,25 +63,36 @@
 //! # Memory discipline and lifecycle
 //!
 //! This is the hottest loop in the workspace, so all storage is laid
-//! out flat and owned by the engine — there are no borrows, which is
-//! what lets the session layer's engine pool retain one engine across
-//! many trees. The uniform `reset/reserve/run` lifecycle
-//! ([`spatial_model::EngineLifecycle`]):
+//! out flat. The engine owns its structure and, unless lent one, its
+//! run buffers: the per-tree structure (preorder numbering, slots,
+//! parents, the initial child CSR) lives in the engine, and everything a
+//! run restores lives in a [`ContractionRun`]. There are no borrows,
+//! which is what lets the session layer's engine pool retain one engine
+//! across many trees, and lets one set of run buffers serve the engines
+//! of many trees in turn ([`ContractionEngine::swap_run`]). The uniform
+//! `reset/reserve/run` lifecycle ([`spatial_model::EngineLifecycle`]):
 //!
-//! - [`ContractionEngine::with_capacity`] allocates every buffer once;
+//! - [`ContractionEngine::with_capacity`] allocates the structure and
+//!   a default set of run buffers once; [`ContractionEngine::default`]
+//!   allocates neither, for an engine that runs on lent sets;
 //! - [`ContractionEngine::bind_structure`] numbers a concrete (tree,
 //!   slots, light-first CSR) instance once per tree: preorder, slots and
-//!   the initial child CSR in index order;
+//!   the initial child CSR in index order. It touches no run buffer;
 //! - [`ContractionEngine::load`] restores the per-run state with
 //!   sequential passes and permutes one run's values into index order —
 //!   [`ContractionEngine::bind`] and [`ContractionEngine::bind_parts`]
 //!   are "structure, then load"; none of these allocates whenever the
-//!   tree fits the current capacity;
+//!   tree fits the current capacity. `load` rewrites every run buffer a
+//!   run reads, so a set that another tree's run left behind serves as
+//!   well as a fresh one; a set too small for the bound tree grows to
+//!   the engine's capacity;
 //! - [`ContractionEngine::contract`] and the `uncontract_*` methods
 //!   run the §V algorithm, charging the machine they are given, never
 //!   allocate, and return results permuted back to vertex ids;
-//! - [`spatial_model::EngineLifecycle::reserve`] grows the capacity
-//!   (the only allocating step once the engine exists).
+//! - [`spatial_model::EngineLifecycle::reserve`] grows the structure's
+//!   capacity and any run buffers the engine holds (the only allocating
+//!   step once the engine exists, besides a lent set's growth);
+//!   [`ContractionRun::reserve`] grows a set on its own.
 //!
 //! The distributed contraction log is three flat arrays with per-round
 //! end offsets (sized to a bound on the `O(log n)` w.h.p. round count,
@@ -138,19 +149,180 @@ enum Phase {
     Done,
 }
 
+/// The per-run buffers of a [`ContractionEngine`]: everything a run
+/// restores, indexed by engine index (see the module docs). A set holds
+/// no tree: [`ContractionEngine::load`] rewrites every buffer a run
+/// reads, so one set can serve the engines of many trees in turn
+/// ([`ContractionEngine::swap_run`]). [`ContractionRun::default`]
+/// allocates nothing.
+pub struct ContractionRun<M: CommutativeMonoid> {
+    /// Largest vertex count the buffers are reserved for.
+    cap: usize,
+    parent: Vec<u32>,
+    /// Live child count of every index.
+    child_count: Vec<u32>,
+    p: Vec<M>,
+    active: Vec<bool>,
+    /// Alive indices in vertex-id order: the coin-draw order.
+    alive: Vec<u32>,
+    /// Live child CSR (same shape as the initial one, and the same
+    /// buffer lengths). Each pass compacts it in place toward one end:
+    /// the COMPRESS pass to the front, the RAKE pass to the back.
+    group_parent: Vec<u32>,
+    group_len: Vec<u32>,
+    kids: Vec<u32>,
+
+    /// Parent's partial sum before the merge that deactivated this
+    /// vertex (the no-inverse replacement for the paper's subtraction).
+    saved_p: Vec<M>,
+
+    // ---- Flat contraction log (replaces the seed's Vec<StepLog>). ----
+    /// Compressed vertices, all rounds back to back.
+    compress_log: Vec<u32>,
+    /// End offset into `compress_log` after each round, sized to the
+    /// round bound ([`round_capacity`]), not to the vertex capacity.
+    compress_ends: Vec<u32>,
+    /// Raked vertices, all rounds back to back, in rake order.
+    rake_log: Vec<u32>,
+    /// Rake groups `(parent, start, end)` spanning `rake_log`.
+    rake_groups: Vec<(u32, u32, u32)>,
+    /// End offset into `rake_groups` after each round.
+    rake_ends: Vec<u32>,
+
+    // ---- Message and relay staging (cleared per use). ----
+    /// Round 0 of the next round's first children broadcast, staged by
+    /// the RAKE pass.
+    first_msgs: Vec<(Slot, Slot)>,
+    /// Random-mate probe messages (parent → viable child).
+    probe_msgs: Vec<(Slot, Slot)>,
+    /// COMPRESS messages (`v → u`, `v → c`).
+    compress_msgs: Vec<(Slot, Slot)>,
+    /// Rake parents emptied this round whose parent must not see them
+    /// as leaves until the round ends (larger vertex id than the
+    /// parent's).
+    deferred: Vec<u32>,
+    /// The round's RAKE reduce relays, staged by level.
+    relays: StagedReduceRelays,
+    /// Uncontraction accumulator (`A_v` / `B_v`).
+    acc: Vec<M>,
+    /// Output buffer by vertex id, returned by slice.
+    out: Vec<M>,
+    coin: Vec<bool>,
+}
+
+impl<M: CommutativeMonoid> Default for ContractionRun<M> {
+    fn default() -> Self {
+        ContractionRun {
+            cap: 0,
+            parent: Vec::new(),
+            child_count: Vec::new(),
+            p: Vec::new(),
+            active: Vec::new(),
+            alive: Vec::new(),
+            group_parent: Vec::new(),
+            group_len: Vec::new(),
+            kids: Vec::new(),
+            saved_p: Vec::new(),
+            compress_log: Vec::new(),
+            compress_ends: Vec::new(),
+            rake_log: Vec::new(),
+            rake_groups: Vec::new(),
+            rake_ends: Vec::new(),
+            first_msgs: Vec::new(),
+            probe_msgs: Vec::new(),
+            compress_msgs: Vec::new(),
+            deferred: Vec::new(),
+            relays: StagedReduceRelays::with_capacity(0),
+            acc: Vec::new(),
+            out: Vec::new(),
+            coin: Vec::new(),
+        }
+    }
+}
+
+impl<M: CommutativeMonoid> ContractionRun<M> {
+    /// A set reserved for trees of up to `cap` vertices.
+    pub fn with_capacity(cap: usize) -> Self {
+        let mut run = Self::default();
+        run.reserve(cap);
+        run
+    }
+
+    /// Grows every buffer to hold a run on `cap` vertices (never
+    /// shrinks; a no-op at or below the capacity).
+    pub fn reserve(&mut self, cap: usize) {
+        if cap <= self.cap {
+            return;
+        }
+        fn grow<T>(buf: &mut Vec<T>, cap: usize) {
+            buf.reserve_exact(cap.saturating_sub(buf.len()));
+        }
+        grow(&mut self.parent, cap);
+        grow(&mut self.child_count, cap);
+        grow(&mut self.p, cap);
+        grow(&mut self.active, cap);
+        grow(&mut self.alive, cap);
+        grow(&mut self.group_parent, cap);
+        grow(&mut self.group_len, cap);
+        grow(&mut self.kids, cap);
+        grow(&mut self.saved_p, cap);
+        grow(&mut self.compress_log, cap);
+        grow(&mut self.compress_ends, round_capacity(cap));
+        grow(&mut self.rake_log, cap);
+        grow(&mut self.rake_groups, cap);
+        grow(&mut self.rake_ends, round_capacity(cap));
+        grow(&mut self.first_msgs, cap);
+        grow(&mut self.probe_msgs, cap);
+        grow(&mut self.compress_msgs, cap);
+        grow(&mut self.deferred, cap);
+        grow(&mut self.acc, cap);
+        grow(&mut self.out, cap);
+        grow(&mut self.coin, cap);
+        self.relays.reserve(cap);
+        self.cap = cap;
+    }
+
+    /// Heap bytes the set keeps resident, by capacity.
+    pub fn resident_bytes(&self) -> usize {
+        vec_bytes(&self.parent)
+            + vec_bytes(&self.child_count)
+            + vec_bytes(&self.p)
+            + vec_bytes(&self.active)
+            + vec_bytes(&self.alive)
+            + vec_bytes(&self.group_parent)
+            + vec_bytes(&self.group_len)
+            + vec_bytes(&self.kids)
+            + vec_bytes(&self.saved_p)
+            + vec_bytes(&self.compress_log)
+            + vec_bytes(&self.compress_ends)
+            + vec_bytes(&self.rake_log)
+            + vec_bytes(&self.rake_groups)
+            + vec_bytes(&self.rake_ends)
+            + vec_bytes(&self.first_msgs)
+            + vec_bytes(&self.probe_msgs)
+            + vec_bytes(&self.compress_msgs)
+            + vec_bytes(&self.deferred)
+            + self.relays.resident_bytes()
+            + vec_bytes(&self.acc)
+            + vec_bytes(&self.out)
+            + vec_bytes(&self.coin)
+    }
+}
+
 /// The contraction engine. Create with
 /// [`ContractionEngine::with_capacity`] (or the one-shot
 /// [`ContractionEngine::new`]), bind a tree with
 /// [`ContractionEngine::bind_structure`] and each run's values with
 /// [`ContractionEngine::load`] (or both at once with
 /// [`ContractionEngine::bind`]), run [`ContractionEngine::contract`],
-/// then exactly one of the `uncontract` methods. The engine owns every
-/// buffer, so one instance serves any number of trees and runs.
+/// then exactly one of the `uncontract` methods. The engine owns its
+/// structure and, unless lent one, its run buffers, so one instance
+/// serves any number of trees and runs.
 pub struct ContractionEngine<M: CommutativeMonoid> {
     /// Vertex count of the bound structure (0 when unbound).
     n: usize,
-    /// Largest vertex count the retained buffers have ever served;
-    /// bindings at or below this never allocate.
+    /// Largest vertex count the structure has ever served; bindings at
+    /// or below this never allocate.
     cap: usize,
     phase: Phase,
     /// Whether RAKE folds leaf sums into the parent's partial sum
@@ -175,107 +347,49 @@ pub struct ContractionEngine<M: CommutativeMonoid> {
     kids0: Vec<u32>,
 
     // ---- Per-run state, restored by `load`. ----
-    parent: Vec<u32>,
-    /// Live child count of every index.
-    child_count: Vec<u32>,
-    p: Vec<M>,
-    active: Vec<bool>,
-    /// Alive indices in vertex-id order: the coin-draw order.
-    alive: Vec<u32>,
-    /// Live child CSR (same shape as the initial one, and the same
-    /// buffer lengths). Each pass compacts it in place toward one end:
-    /// the COMPRESS pass to the front, the RAKE pass to the back.
-    group_parent: Vec<u32>,
-    group_len: Vec<u32>,
-    kids: Vec<u32>,
-    /// Live group and child counts of the CSR: a suffix of the buffers
-    /// between rounds, a prefix between the two passes of a round.
+    /// Live group and child counts of the run's child CSR: a suffix of
+    /// its buffers between rounds, a prefix between the two passes of
+    /// a round.
     live_groups: usize,
     live_kids: usize,
-
-    /// Parent's partial sum before the merge that deactivated this
-    /// vertex (the no-inverse replacement for the paper's subtraction).
-    saved_p: Vec<M>,
-
-    // ---- Flat contraction log (replaces the seed's Vec<StepLog>). ----
-    /// Compressed vertices, all rounds back to back.
-    compress_log: Vec<u32>,
-    /// End offset into `compress_log` after each round, sized to the
-    /// round bound ([`round_capacity`]), not to the vertex capacity.
-    compress_ends: Vec<u32>,
-    /// Raked vertices, all rounds back to back, in rake order.
-    rake_log: Vec<u32>,
-    /// Rake groups `(parent, start, end)` spanning `rake_log`.
-    rake_groups: Vec<(u32, u32, u32)>,
-    /// End offset into `rake_groups` after each round.
-    rake_ends: Vec<u32>,
-
-    // ---- Reusable scratch (allocated once, cleared per use). ----
-    /// Round 0 of the next round's first children broadcast, staged by
-    /// the RAKE pass.
-    first_msgs: Vec<(Slot, Slot)>,
-    /// Random-mate probe messages (parent → viable child).
-    probe_msgs: Vec<(Slot, Slot)>,
-    /// COMPRESS messages (`v → u`, `v → c`).
-    compress_msgs: Vec<(Slot, Slot)>,
-    /// Rake parents emptied this round whose parent must not see them
-    /// as leaves until the round ends (larger vertex id than the
-    /// parent's).
-    deferred: Vec<u32>,
-    /// The round's RAKE reduce relays, staged by level.
-    relays: StagedReduceRelays,
-    /// Uncontraction accumulator (`A_v` / `B_v`), preallocated.
-    acc: Vec<M>,
-    /// Output buffer by vertex id, retained across runs and returned by
-    /// slice.
-    out: Vec<M>,
-
     stats: ContractionStats,
-    coin: Vec<bool>,
+    /// The run buffers: the engine's own set, or one lent to it.
+    run: ContractionRun<M>,
+}
+
+impl<M: CommutativeMonoid> Default for ContractionEngine<M> {
+    /// An unbound engine with no structure and no run buffers: it
+    /// allocates nothing until it is reserved, bound or lent a set.
+    fn default() -> Self {
+        ContractionEngine {
+            n: 0,
+            cap: 0,
+            phase: Phase::Unbound,
+            rake_adds_to_p: true,
+            vid: Vec::new(),
+            index_of: Vec::new(),
+            slot: Vec::new(),
+            parent0: Vec::new(),
+            group_parent0: Vec::new(),
+            group_len0: Vec::new(),
+            kids0: Vec::new(),
+            live_groups: 0,
+            live_kids: 0,
+            stats: ContractionStats::ZERO,
+            run: ContractionRun::default(),
+        }
+    }
 }
 
 impl<M: CommutativeMonoid> ContractionEngine<M> {
-    /// An unbound engine whose buffers are pre-sized for trees of up to
-    /// `cap` vertices; bindings within the capacity never allocate.
+    /// An unbound engine whose structure and own run buffers are
+    /// pre-sized for trees of up to `cap` vertices; bindings and runs
+    /// within the capacity never allocate.
     pub fn with_capacity(cap: usize) -> Self {
-        ContractionEngine {
-            n: 0,
-            cap,
-            phase: Phase::Unbound,
-            rake_adds_to_p: true,
-            vid: Vec::with_capacity(cap),
-            index_of: Vec::with_capacity(cap),
-            slot: Vec::with_capacity(cap),
-            parent0: Vec::with_capacity(cap),
-            group_parent0: Vec::with_capacity(cap),
-            group_len0: Vec::with_capacity(cap),
-            kids0: Vec::with_capacity(cap),
-            parent: Vec::with_capacity(cap),
-            child_count: Vec::with_capacity(cap),
-            p: Vec::with_capacity(cap),
-            active: Vec::with_capacity(cap),
-            alive: Vec::with_capacity(cap),
-            group_parent: Vec::with_capacity(cap),
-            group_len: Vec::with_capacity(cap),
-            kids: Vec::with_capacity(cap),
-            live_groups: 0,
-            live_kids: 0,
-            saved_p: Vec::with_capacity(cap),
-            compress_log: Vec::with_capacity(cap),
-            compress_ends: Vec::with_capacity(round_capacity(cap)),
-            rake_log: Vec::with_capacity(cap),
-            rake_groups: Vec::with_capacity(cap),
-            rake_ends: Vec::with_capacity(round_capacity(cap)),
-            first_msgs: Vec::with_capacity(cap),
-            probe_msgs: Vec::with_capacity(cap),
-            compress_msgs: Vec::with_capacity(cap),
-            deferred: Vec::with_capacity(cap),
-            relays: StagedReduceRelays::with_capacity(cap),
-            acc: Vec::with_capacity(cap),
-            out: Vec::with_capacity(cap),
-            stats: ContractionStats::ZERO,
-            coin: Vec::with_capacity(cap),
-        }
+        let mut engine = Self::default();
+        engine.reserve(cap);
+        engine.run.reserve(cap);
+        engine
     }
 
     /// One-shot constructor: capacity for exactly this tree, bound to
@@ -343,8 +457,8 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
     /// The per-tree structure step: numbers the vertices in light-first
     /// preorder of `sorted` and stores each index's slot, parent and
     /// initial child list. Any number of
-    /// [`ContractionEngine::load`]-and-run cycles follow. Zero heap
-    /// allocation within capacity.
+    /// [`ContractionEngine::load`]-and-run cycles follow. Touches no run
+    /// buffer; zero heap allocation within capacity.
     pub fn bind_structure(&mut self, parents: &[NodeId], slots: &[Slot], sorted: &ChildrenCsr) {
         assert_eq!(slots.len(), parents.len(), "one slot per vertex");
         self.structure(parents, |v| slots[v as usize], sorted);
@@ -362,12 +476,12 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
         self.cap = self.cap.max(n);
         self.phase = Phase::Structured;
 
-        // Light-first preorder of the sorted CSR (the per-run alive
-        // buffer doubles as the DFS stack).
+        // Light-first preorder of the sorted CSR (the slot buffer,
+        // filled right after, doubles as the DFS stack).
         self.vid.clear();
         self.index_of.clear();
         self.index_of.resize(n, NIL);
-        let stack = &mut self.alive;
+        let stack = &mut self.slot;
         stack.clear();
         stack.extend(parents.iter().position(|&p| p == NIL).map(|r| r as u32));
         while let Some(v) = stack.pop() {
@@ -399,56 +513,75 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
         }
     }
 
+    /// Swaps the engine's run buffers with `run`: the way to lend the
+    /// engine a set and take it back (call again with the same `run`).
+    /// The bound structure stays; a run in progress is abandoned, so
+    /// [`ContractionEngine::load`] must run before the next contraction.
+    pub fn swap_run(&mut self, run: &mut ContractionRun<M>) {
+        std::mem::swap(&mut self.run, run);
+        if self.phase != Phase::Unbound {
+            self.phase = Phase::Structured;
+        }
+    }
+
     /// The per-run step: restores the run state of the bound structure
     /// with sequential passes and loads `values` (by vertex id),
-    /// restarting the run cycle. Zero heap allocation within capacity.
+    /// restarting the run cycle. Rewrites every run buffer a run reads,
+    /// whatever tree's run the set last served; grows a set too small
+    /// for the bound tree to the engine's capacity. Zero heap
+    /// allocation when the set fits.
     pub fn load(&mut self, values: &[M], rake_adds_to_p: bool) {
         assert!(self.phase != Phase::Unbound, "bind a tree structure first");
         let n = self.n;
         assert_eq!(values.len(), n, "one value per vertex");
         self.phase = Phase::Bound;
         self.rake_adds_to_p = rake_adds_to_p;
-
-        self.parent.clear();
-        self.parent.extend_from_slice(&self.parent0);
-        self.child_count.clear();
-        self.child_count.resize(n, 0);
-        for (&u, &len) in self.group_parent0.iter().zip(&self.group_len0) {
-            self.child_count[u as usize] = len;
+        if self.run.cap < n {
+            self.run.reserve(self.cap);
         }
-        self.p.clear();
-        self.p.extend(self.vid.iter().map(|&v| values[v as usize]));
-        self.active.clear();
-        self.active.resize(n, true);
-        self.alive.clear();
-        self.alive.extend_from_slice(&self.index_of);
-        self.group_parent.clear();
-        self.group_parent.extend_from_slice(&self.group_parent0);
-        self.group_len.clear();
-        self.group_len.extend_from_slice(&self.group_len0);
-        self.kids.clear();
-        self.kids.extend_from_slice(&self.kids0);
-        self.live_groups = self.group_parent.len();
-        self.live_kids = self.kids.len();
-        // Written before every read (at deactivation / per-round draw):
-        // only the length needs restoring.
-        self.saved_p.resize(n, M::identity());
-        self.coin.resize(n, false);
-        self.compress_log.clear();
-        self.compress_ends.clear();
-        self.rake_log.clear();
-        self.rake_groups.clear();
-        self.rake_ends.clear();
-        self.acc.clear();
-        self.acc.resize(n, M::identity());
-        self.out.resize(n, M::identity());
+
+        let run = &mut self.run;
+        run.parent.clear();
+        run.parent.extend_from_slice(&self.parent0);
+        run.child_count.clear();
+        run.child_count.resize(n, 0);
+        for (&u, &len) in self.group_parent0.iter().zip(&self.group_len0) {
+            run.child_count[u as usize] = len;
+        }
+        run.p.clear();
+        run.p.extend(self.vid.iter().map(|&v| values[v as usize]));
+        run.active.clear();
+        run.active.resize(n, true);
+        run.alive.clear();
+        run.alive.extend_from_slice(&self.index_of);
+        run.group_parent.clear();
+        run.group_parent.extend_from_slice(&self.group_parent0);
+        run.group_len.clear();
+        run.group_len.extend_from_slice(&self.group_len0);
+        run.kids.clear();
+        run.kids.extend_from_slice(&self.kids0);
+        self.live_groups = run.group_parent.len();
+        self.live_kids = run.kids.len();
+        // Written before every read (at deactivation / per-round draw /
+        // uncontraction): only the length needs restoring.
+        run.saved_p.resize(n, M::identity());
+        run.coin.resize(n, false);
+        run.out.resize(n, M::identity());
+        run.compress_log.clear();
+        run.compress_ends.clear();
+        run.rake_log.clear();
+        run.rake_groups.clear();
+        run.rake_ends.clear();
+        run.relays.clear();
+        run.acc.clear();
+        run.acc.resize(n, M::identity());
         self.stats = ContractionStats::ZERO;
 
-        self.first_msgs.clear();
+        run.first_msgs.clear();
         let mut start = 0usize;
-        for (&u, &len) in self.group_parent.iter().zip(&self.group_len) {
-            let first = self.kids[start];
-            self.first_msgs
+        for (&u, &len) in self.group_parent0.iter().zip(&self.group_len0) {
+            let first = self.kids0[start];
+            run.first_msgs
                 .push((self.slot[u as usize], self.slot[first as usize]));
             start += len as usize;
         }
@@ -461,13 +594,23 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
     /// buffers) to the front. Stages the probe and COMPRESS rounds.
     fn compress_pass(&mut self, m: &Machine) -> u64 {
         let slot = &self.slot;
-        let coin = &self.coin;
-        let child_count = &self.child_count;
-        let kids = &mut self.kids;
-        let group_parent = &mut self.group_parent;
-        let group_len = &mut self.group_len;
-        self.probe_msgs.clear();
-        self.compress_msgs.clear();
+        let ContractionRun {
+            parent,
+            child_count,
+            p,
+            active,
+            group_parent,
+            group_len,
+            kids,
+            saved_p,
+            compress_log,
+            probe_msgs,
+            compress_msgs,
+            coin,
+            ..
+        } = &mut self.run;
+        probe_msgs.clear();
+        compress_msgs.clear();
         let groups = group_parent.len();
         // Read cursors (group, child) run ahead of write cursors.
         let (mut r, mut rk) = (groups - self.live_groups, kids.len() - self.live_kids);
@@ -486,7 +629,7 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
                 kids[wk] = v;
                 if child_count[v as usize] == 1 {
                     // v is viable: u's only child with one child.
-                    self.probe_msgs.push((slot[u as usize], slot[v as usize]));
+                    probe_msgs.push((slot[u as usize], slot[v as usize]));
                     if coin[v as usize] & !coin[u as usize] {
                         // COMPRESS v into u. v's group, [c], is the
                         // next one: no live vertex lies between u and v
@@ -494,17 +637,17 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
                         debug_assert_eq!(group_parent[r + 1], v);
                         let c = kids[rk + 1];
                         if child_count[c as usize] == 1 {
-                            self.probe_msgs.push((slot[v as usize], slot[c as usize]));
+                            probe_msgs.push((slot[v as usize], slot[c as usize]));
                         }
                         let (ui, vi) = (u as usize, v as usize);
-                        self.saved_p[vi] = self.p[ui];
-                        self.p[ui] = self.p[ui].combine(self.p[vi]);
+                        saved_p[vi] = p[ui];
+                        p[ui] = p[ui].combine(p[vi]);
                         // u's only child was v; u inherits v's only child c.
-                        self.parent[c as usize] = u;
-                        self.active[vi] = false;
-                        self.compress_msgs.push((slot[vi], slot[ui]));
-                        self.compress_msgs.push((slot[vi], slot[c as usize]));
-                        self.compress_log.push(v);
+                        parent[c as usize] = u;
+                        active[vi] = false;
+                        compress_msgs.push((slot[vi], slot[ui]));
+                        compress_msgs.push((slot[vi], slot[c as usize]));
+                        compress_log.push(v);
                         compresses += 1;
                         kids[wk] = c;
                         r += 1;
@@ -540,18 +683,19 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
     fn rake_pass(&mut self, m: &Machine) {
         let slot = &self.slot;
         let vid = &self.vid;
-        self.first_msgs.clear();
-        self.deferred.clear();
+        let run = &mut self.run;
+        run.first_msgs.clear();
+        run.deferred.clear();
         // Read cursors run from the end of the prefix, write cursors
         // from the end of the buffers, never below the read cursors.
         let mut end = self.live_kids;
-        let (mut wg, mut wk) = (self.group_parent.len(), self.kids.len());
+        let (mut wg, mut wk) = (run.group_parent.len(), run.kids.len());
         for g in (0..self.live_groups).rev() {
-            let u = self.group_parent[g] as usize;
-            let len = self.group_len[g] as usize;
+            let u = run.group_parent[g] as usize;
+            let len = run.group_len[g] as usize;
             let start = end - len;
             end = start;
-            let ks = &self.kids[start..start + len];
+            let ks = &run.kids[start..start + len];
             m.send(slot[u], slot[ks[0] as usize]);
             if len > 1 {
                 charge_broadcast_levels_depth_first(m, len, |j| slot[ks[j] as usize]);
@@ -559,67 +703,66 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
             // Branchless count: is this a raking parent?
             let leaves = ks
                 .iter()
-                .map(|&c| (self.child_count[c as usize] == 0) as usize)
+                .map(|&c| (run.child_count[c as usize] == 0) as usize)
                 .sum::<usize>();
             if leaves == 0 || len - leaves > 1 {
                 wg -= 1;
                 wk -= len;
-                self.group_parent[wg] = u as u32;
-                self.group_len[wg] = len as u32;
-                self.kids.copy_within(start..start + len, wk);
-                self.first_msgs
-                    .push((slot[u], slot[self.kids[wk] as usize]));
+                run.group_parent[wg] = u as u32;
+                run.group_len[wg] = len as u32;
+                run.kids.copy_within(start..start + len, wk);
+                run.first_msgs.push((slot[u], slot[run.kids[wk] as usize]));
                 continue;
             }
             // The reduce relay spans all children (the non-raked child w
             // contributes the identity, as in the paper).
-            self.relays.stage(len, |j| slot[ks[j] as usize], slot[u]);
+            run.relays.stage(len, |j| slot[ks[j] as usize], slot[u]);
 
-            let saved = self.p[u];
+            let saved = run.p[u];
             let mut acc = M::identity();
-            let group_start = self.rake_log.len() as u32;
+            let group_start = run.rake_log.len() as u32;
             let mut kept = NIL;
             for &c in ks {
                 let ci = c as usize;
-                if self.child_count[ci] == 0 {
-                    acc = acc.combine(self.p[ci]);
-                    self.saved_p[ci] = saved;
-                    self.active[ci] = false;
-                    self.rake_log.push(c);
+                if run.child_count[ci] == 0 {
+                    acc = acc.combine(run.p[ci]);
+                    run.saved_p[ci] = saved;
+                    run.active[ci] = false;
+                    run.rake_log.push(c);
                 } else {
                     kept = c;
                 }
             }
             if self.rake_adds_to_p {
-                self.p[u] = saved.combine(acc);
+                run.p[u] = saved.combine(acc);
             }
             self.stats.rakes += leaves as u64;
-            self.rake_groups
-                .push((u as u32, group_start, self.rake_log.len() as u32));
+            run.rake_groups
+                .push((u as u32, group_start, run.rake_log.len() as u32));
             let left = (len - leaves) as u32;
             if left == 1 {
                 wg -= 1;
                 wk -= 1;
-                self.group_parent[wg] = u as u32;
-                self.group_len[wg] = 1;
-                self.kids[wk] = kept;
-                self.first_msgs.push((slot[u], slot[kept as usize]));
+                run.group_parent[wg] = u as u32;
+                run.group_len[wg] = 1;
+                run.kids[wk] = kept;
+                run.first_msgs.push((slot[u], slot[kept as usize]));
             }
             // An id-order RAKE loop reaches u's parent before u when the
             // parent's id is smaller: that parent must still see u as
             // branching this round.
-            let w = self.parent[u];
+            let w = run.parent[u];
             if left == 0 && w != NIL && vid[u] > vid[w as usize] {
-                self.deferred.push(u as u32);
+                run.deferred.push(u as u32);
             } else {
-                self.child_count[u] = left;
+                run.child_count[u] = left;
             }
         }
-        for &u in &self.deferred {
-            self.child_count[u as usize] = 0;
+        for &u in &run.deferred {
+            run.child_count[u as usize] = 0;
         }
-        self.live_groups = self.group_parent.len() - wg;
-        self.live_kids = self.kids.len() - wk;
+        self.live_groups = run.group_parent.len() - wg;
+        self.live_kids = run.kids.len() - wk;
     }
 
     /// One COMPACT round: compress an independent random-mate set of
@@ -629,32 +772,32 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
         // the COMPRESS pass. Round 0 stays one two-phase round: sent
         // during the forward pass, a parent's fresh clock would chain
         // into its own children.
-        m.round(&self.first_msgs);
+        m.round(&self.run.first_msgs);
 
         // Step 2: random-mate coins, drawn in vertex-id order.
-        for &v in &self.alive {
-            self.coin[v as usize] = rng.gen();
+        let run = &mut self.run;
+        for &v in &run.alive {
+            run.coin[v as usize] = rng.gen();
         }
 
         // Steps 2–3: probe the viable vertices and COMPRESS the selected
         // independent set (heads with a tails parent, so no parent is
         // itself compressed this round).
         let compresses = self.compress_pass(m);
-        m.round(&self.probe_msgs);
-        m.round(&self.compress_msgs);
+        m.round(&self.run.probe_msgs);
+        m.round(&self.run.compress_msgs);
         self.stats.compresses += compresses;
 
         // Steps 4–5: refresh branching info after the compresses and
         // RAKE. All rakes of the round run concurrently: the reduce
         // relays are charged as one batch, one round per level.
         self.rake_pass(m);
-        self.relays.charge(m);
-        let mut alive = std::mem::take(&mut self.alive);
-        compact_by_flag(&mut alive, &self.active);
-        self.alive = alive;
+        let run = &mut self.run;
+        run.relays.charge(m);
+        compact_by_flag(&mut run.alive, &run.active);
 
-        self.compress_ends.push(self.compress_log.len() as u32);
-        self.rake_ends.push(self.rake_groups.len() as u32);
+        run.compress_ends.push(run.compress_log.len() as u32);
+        run.rake_ends.push(run.rake_groups.len() as u32);
         self.stats.compact_rounds += 1;
     }
 
@@ -673,10 +816,10 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
         // progress; the bound below is a defensive cap, not a tuning
         // parameter.
         let cap = 4 * n + 64;
-        while self.alive.len() > 1 {
-            let before = self.alive.len();
+        while self.run.alive.len() > 1 {
+            let before = self.run.alive.len();
             self.compact_round(rng, machine);
-            debug_assert!(self.alive.len() < before, "COMPACT made no progress");
+            debug_assert!(self.run.alive.len() < before, "COMPACT made no progress");
             assert!(
                 (self.stats.compact_rounds as u64) <= cap,
                 "contraction failed to converge"
@@ -693,8 +836,8 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
     /// the group that raked the child, so every parent sends before its
     /// own parent's group raises it.
     fn charge_rake_undo_broadcast(&self, group_range: std::ops::Range<usize>, m: &Machine) {
-        let (slot, log) = (&self.slot, &self.rake_log);
-        for &(u, start, end) in &self.rake_groups[group_range] {
+        let (slot, log) = (&self.slot, &self.run.rake_log);
+        for &(u, start, end) in &self.run.rake_groups[group_range] {
             let leaves = &log[start as usize..end as usize];
             m.send(slot[u as usize], slot[leaves[0] as usize]);
             if leaves.len() > 1 {
@@ -706,19 +849,21 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
     /// Charges the compress-undo messages (`u → v`) of one logged
     /// round.
     fn charge_compress_undo(&mut self, log_range: std::ops::Range<usize>, m: &Machine) {
-        self.compress_msgs.clear();
-        for &v in &self.compress_log[log_range] {
-            let u = self.parent_at_merge(v);
-            self.compress_msgs
-                .push((self.slot[u as usize], self.slot[v as usize]));
+        let (slot, run) = (&self.slot, &mut self.run);
+        run.compress_msgs.clear();
+        for &v in &run.compress_log[log_range] {
+            // The parent pointer of a compressed vertex is frozen at
+            // merge time: it is the representative v merged into.
+            let u = run.parent[v as usize];
+            run.compress_msgs.push((slot[u as usize], slot[v as usize]));
         }
-        m.round(&self.compress_msgs);
+        m.round(&run.compress_msgs);
     }
 
     /// §V-B uncontraction for the bottom-up treefix: returns
     /// `sum(v) = ⊕ values over v's subtree` for every vertex id. The
-    /// slice lives in the engine's retained output buffer (valid until
-    /// the next run).
+    /// slice lives in the run's output buffer (valid until the next
+    /// run or swap).
     pub fn uncontract_bottom_up(&mut self, machine: &Machine) -> &[M] {
         assert_eq!(self.phase, Phase::Contracted, "contract() must run first");
         self.phase = Phase::Done;
@@ -726,45 +871,47 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
         // a[v]: combination of v's *outside descendants* — subtree
         // values below v that merged past it (preallocated identity).
         for round in (0..self.stats.compact_rounds as usize).rev() {
-            let (gs, ge) = round_span(&self.rake_ends, round);
-            let (cs, ce) = round_span(&self.compress_ends, round);
+            let (gs, ge) = round_span(&self.run.rake_ends, round);
+            let (cs, ce) = round_span(&self.run.compress_ends, round);
             // Rakes were executed after compresses within the step; undo
             // them first — all rake groups of the step concurrently.
             self.charge_rake_undo_broadcast(gs..ge, machine);
+            let run = &mut self.run;
             for gi in (gs..ge).rev() {
-                let (u, start, end) = self.rake_groups[gi];
+                let (u, start, end) = run.rake_groups[gi];
                 let mut acc = M::identity();
-                for &v in &self.rake_log[start as usize..end as usize] {
-                    acc = acc.combine(self.p[v as usize]);
+                for &v in &run.rake_log[start as usize..end as usize] {
+                    acc = acc.combine(run.p[v as usize]);
                     // Leaf supervertices have no outside descendants:
                     // a[v] stays the identity.
                 }
-                self.acc[u as usize] = self.acc[u as usize].combine(acc);
-                self.p[u as usize] = self.saved_p[self.rake_log[start as usize] as usize];
+                run.acc[u as usize] = run.acc[u as usize].combine(acc);
+                run.p[u as usize] = run.saved_p[run.rake_log[start as usize] as usize];
             }
             self.charge_compress_undo(cs..ce, machine);
+            let run = &mut self.run;
             for li in (cs..ce).rev() {
-                let v = self.compress_log[li];
-                let u = self.parent_at_merge(v);
+                let v = run.compress_log[li];
+                let u = run.parent[v as usize];
                 // v's outside descendants were u's outside descendants.
-                self.acc[v as usize] = self.acc[u as usize];
-                self.acc[u as usize] = self.acc[u as usize].combine(self.p[v as usize]);
-                self.p[u as usize] = self.saved_p[v as usize];
+                run.acc[v as usize] = run.acc[u as usize];
+                run.acc[u as usize] = run.acc[u as usize].combine(run.p[v as usize]);
+                run.p[u as usize] = run.saved_p[v as usize];
             }
         }
-        let (p, acc) = (&self.p, &self.acc);
-        for (out, &i) in self.out[..n].iter_mut().zip(&self.index_of) {
+        let run = &mut self.run;
+        let (p, acc) = (&run.p, &run.acc);
+        for (out, &i) in run.out[..n].iter_mut().zip(&self.index_of) {
             *out = p[i as usize].combine(acc[i as usize]);
         }
-        &self.out[..n]
+        &run.out[..n]
     }
 
     /// §V-D uncontraction for the top-down treefix: returns
     /// `sum'(v) = ⊕ values along the root → v path` for every vertex
     /// id. The engine must have been loaded with `rake_adds_to_p =
     /// false`, and `values` must be the loaded values. The slice lives
-    /// in the engine's retained output buffer (valid until the next
-    /// run).
+    /// in the run's output buffer (valid until the next run or swap).
     pub fn uncontract_top_down(&mut self, machine: &Machine, values: &[M]) -> &[M] {
         assert_eq!(self.phase, Phase::Contracted, "contract() must run first");
         assert!(
@@ -776,50 +923,46 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
         // acc[v] plays b[v]: combination of values strictly above
         // supervertex v.
         for round in (0..self.stats.compact_rounds as usize).rev() {
-            let (gs, ge) = round_span(&self.rake_ends, round);
-            let (cs, ce) = round_span(&self.compress_ends, round);
+            let (gs, ge) = round_span(&self.run.rake_ends, round);
+            let (cs, ce) = round_span(&self.run.compress_ends, round);
             self.charge_rake_undo_broadcast(gs..ge, machine);
+            let run = &mut self.run;
             for gi in (gs..ge).rev() {
-                let (u, start, end) = self.rake_groups[gi];
+                let (u, start, end) = run.rake_groups[gi];
                 for li in start as usize..end as usize {
-                    let v = self.rake_log[li];
+                    let v = run.rake_log[li];
                     // The raked leaves hang below u's whole path segment.
-                    self.acc[v as usize] = self.acc[u as usize].combine(self.p[u as usize]);
+                    run.acc[v as usize] = run.acc[u as usize].combine(run.p[u as usize]);
                 }
             }
             self.charge_compress_undo(cs..ce, machine);
+            let run = &mut self.run;
             for li in (cs..ce).rev() {
-                let v = self.compress_log[li];
-                let u = self.parent_at_merge(v);
+                let v = run.compress_log[li];
+                let u = run.parent[v as usize];
                 // The segment above v is u's pre-merge segment.
-                self.acc[v as usize] = self.acc[u as usize].combine(self.saved_p[v as usize]);
-                self.p[u as usize] = self.saved_p[v as usize];
+                run.acc[v as usize] = run.acc[u as usize].combine(run.saved_p[v as usize]);
+                run.p[u as usize] = run.saved_p[v as usize];
             }
         }
-        let acc = &self.acc;
-        for ((out, &i), &value) in self.out[..n].iter_mut().zip(&self.index_of).zip(values) {
+        let run = &mut self.run;
+        let acc = &run.acc;
+        for ((out, &i), &value) in run.out[..n].iter_mut().zip(&self.index_of).zip(values) {
             *out = acc[i as usize].combine(value);
         }
-        &self.out[..n]
+        &run.out[..n]
     }
 
     /// The most recent uncontraction result, re-borrowed (valid after
-    /// an `uncontract_*` call, until the next load).
+    /// an `uncontract_*` call, until the next load or swap).
     pub fn output(&self) -> &[M] {
         assert_eq!(self.phase, Phase::Done, "run an uncontraction first");
-        &self.out[..self.n]
-    }
-
-    /// The representative a compressed vertex merged into. The parent
-    /// pointer of `v` is frozen at merge time (deactivated vertices are
-    /// never re-parented).
-    fn parent_at_merge(&self, v: u32) -> u32 {
-        self.parent[v as usize]
+        &self.run.out[..self.n]
     }
 
     /// Number of still-active supervertices.
     pub fn alive_count(&self) -> usize {
-        self.alive.len()
+        self.run.alive.len()
     }
 
     /// Vertex count of the bound tree structure (0 when unbound).
@@ -827,9 +970,10 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
         self.n
     }
 
-    /// Heap bytes the engine keeps resident: every retained buffer, by
-    /// capacity. Deterministic for a given capacity history, and what a
-    /// counting allocator sees the engine hold.
+    /// Heap bytes the engine keeps resident: its structure and the run
+    /// buffers it holds (its own set, or one lent to it), by capacity.
+    /// Deterministic for a given capacity history, and what a counting
+    /// allocator sees the engine hold.
     pub fn resident_bytes(&self) -> usize {
         vec_bytes(&self.vid)
             + vec_bytes(&self.index_of)
@@ -838,37 +982,24 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
             + vec_bytes(&self.group_parent0)
             + vec_bytes(&self.group_len0)
             + vec_bytes(&self.kids0)
-            + vec_bytes(&self.parent)
-            + vec_bytes(&self.child_count)
-            + vec_bytes(&self.p)
-            + vec_bytes(&self.active)
-            + vec_bytes(&self.alive)
-            + vec_bytes(&self.group_parent)
-            + vec_bytes(&self.group_len)
-            + vec_bytes(&self.kids)
-            + vec_bytes(&self.saved_p)
-            + vec_bytes(&self.compress_log)
-            + vec_bytes(&self.compress_ends)
-            + vec_bytes(&self.rake_log)
-            + vec_bytes(&self.rake_groups)
-            + vec_bytes(&self.rake_ends)
-            + vec_bytes(&self.first_msgs)
-            + vec_bytes(&self.probe_msgs)
-            + vec_bytes(&self.compress_msgs)
-            + vec_bytes(&self.deferred)
-            + self.relays.resident_bytes()
-            + vec_bytes(&self.acc)
-            + vec_bytes(&self.out)
-            + vec_bytes(&self.coin)
+            + self.run.resident_bytes()
     }
 }
 
 impl<M: CommutativeMonoid> EngineLifecycle for ContractionEngine<M> {
+    /// The structure's capacity (a run set has its own).
     fn capacity(&self) -> usize {
         self.cap
     }
 
+    /// Grows the structure to `cap` vertices, and the run buffers the
+    /// engine holds unless they are the empty set (a pooled engine
+    /// between runs, whose lent set grows with
+    /// [`ContractionRun::reserve`] or at the first load that needs it).
     fn reserve(&mut self, cap: usize) {
+        if self.run.cap > 0 {
+            self.run.reserve(cap);
+        }
         if cap <= self.cap {
             return;
         }
@@ -882,28 +1013,6 @@ impl<M: CommutativeMonoid> EngineLifecycle for ContractionEngine<M> {
         grow(&mut self.group_parent0, cap);
         grow(&mut self.group_len0, cap);
         grow(&mut self.kids0, cap);
-        grow(&mut self.parent, cap);
-        grow(&mut self.child_count, cap);
-        grow(&mut self.p, cap);
-        grow(&mut self.active, cap);
-        grow(&mut self.alive, cap);
-        grow(&mut self.group_parent, cap);
-        grow(&mut self.group_len, cap);
-        grow(&mut self.kids, cap);
-        grow(&mut self.saved_p, cap);
-        grow(&mut self.compress_log, cap);
-        grow(&mut self.compress_ends, round_capacity(cap));
-        grow(&mut self.rake_log, cap);
-        grow(&mut self.rake_groups, cap);
-        grow(&mut self.rake_ends, round_capacity(cap));
-        grow(&mut self.first_msgs, cap);
-        grow(&mut self.probe_msgs, cap);
-        grow(&mut self.compress_msgs, cap);
-        grow(&mut self.deferred, cap);
-        grow(&mut self.acc, cap);
-        grow(&mut self.out, cap);
-        grow(&mut self.coin, cap);
-        self.relays.reserve(cap);
         self.cap = cap;
     }
 
@@ -1140,6 +1249,50 @@ mod tests {
                 assert_eq!(s_pooled, s_fresh, "n={n}, run {run}");
                 assert_eq!(m_pooled.report(), m_fresh.report(), "n={n}, run {run}");
             }
+        }
+    }
+
+    #[test]
+    fn a_lent_set_contracts_like_the_engines_own() {
+        // One run set serves trees of several sizes and both directions
+        // in turn: every run answers and charges like a fresh engine on
+        // its own set, per-slot clocks included.
+        let mut shared: ContractionRun<Max> = ContractionRun::default();
+        for (i, n) in [120u32, 500, 30, 260].into_iter().enumerate() {
+            let t = generators::uniform_random(n, &mut StdRng::seed_from_u64(40 + i as u64));
+            let layout = Layout::light_first(&t, CurveKind::Hilbert);
+            let csr = ChildrenCsr::by_size(&t, &t.subtree_sizes());
+            let slots: Vec<Slot> = (0..n).map(|v| layout.slot(v)).collect();
+            let values: Vec<Max> = (0..n as u64).map(|v| Max((v * 37) % 101)).collect();
+            let bottom_up = i % 2 == 0;
+            let mut engine = ContractionEngine::default();
+            engine.bind_structure(t.parents(), &slots, &csr);
+            engine.swap_run(&mut shared);
+            engine.load(&values, bottom_up);
+            let m_lent = layout.machine();
+            let s_lent = engine.contract(&m_lent, &mut StdRng::seed_from_u64(50));
+            let got = if bottom_up {
+                engine.uncontract_bottom_up(&m_lent).to_vec()
+            } else {
+                engine.uncontract_top_down(&m_lent, &values).to_vec()
+            };
+            let mut fresh = ContractionEngine::new(&t, &layout, &values, bottom_up);
+            let m_fresh = layout.machine();
+            let s_fresh = fresh.contract(&m_fresh, &mut StdRng::seed_from_u64(50));
+            let want = if bottom_up {
+                fresh.uncontract_bottom_up(&m_fresh).to_vec()
+            } else {
+                fresh.uncontract_top_down(&m_fresh, &values).to_vec()
+            };
+            assert_eq!(got, want, "n={n}");
+            assert_eq!(s_lent, s_fresh, "n={n}");
+            assert_eq!(m_lent.report(), m_fresh.report(), "n={n}");
+            assert!(
+                (0..m_lent.n_slots()).all(|s| m_lent.clock(s) == m_fresh.clock(s)),
+                "n={n}: per-slot clocks"
+            );
+            engine.swap_run(&mut shared);
+            assert_eq!(engine.run.resident_bytes(), 0, "n={n}: kept no run buffers");
         }
     }
 
