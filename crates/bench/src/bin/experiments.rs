@@ -10,7 +10,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spatial_bench::lab::{self, LabRun};
-use spatial_bench::{best_of, f2, f3, interleaved_speedup, workload, Speedup, Table};
+use spatial_bench::{
+    best_of, f2, f3, interleaved_pairs, interleaved_speedup, workload, Speedup, Table,
+};
 use spatial_trees::layout::{
     build_light_first_spatial, edge_distance_stats, local_kernel_energy, Layout, LayoutKind,
 };
@@ -900,24 +902,17 @@ fn bench_json_throughput() {
     // is bounded by this machine's cores). Both figures have bars.
     let speedup_modeled = runs[3].modeled_qps / runs[0].modeled_qps;
     // The single-shard overhead is the median ratio of interleaved
-    // pairs, each a direct pass and then a 1-worker service pass: a
-    // busy stretch of a shared host slows both passes of the pairs it
-    // overlaps, so it moves a few ratios rather than the reading (a
+    // pairs, each a direct pass and then a 1-worker service pass (a
     // best-of-2 direct pass against one service run read between −19%
     // and +13% overhead on unchanged code).
-    const OVERHEAD_PAIRS: usize = 5;
+    const OVERHEAD_PAIRS: u32 = 5;
     direct_pass();
-    let (mut direct, mut served, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
-    for _ in 0..OVERHEAD_PAIRS {
-        let direct_ms = direct_pass();
-        let served_ms = run_config(1).busy_ms_per_q_busiest;
-        direct.push(direct_ms);
-        served.push(served_ms);
-        ratios.push(served_ms / direct_ms);
-    }
-    let direct_ms_per_q = spatial_bench::median(direct);
-    let single_shard_busy_ms_per_q = spatial_bench::median(served);
-    let single_shard_overhead = spatial_bench::median(ratios);
+    let overhead = interleaved_pairs(OVERHEAD_PAIRS, direct_pass, || {
+        run_config(1).busy_ms_per_q_busiest
+    });
+    let direct_ms_per_q = overhead.optimized;
+    let single_shard_busy_ms_per_q = overhead.reference;
+    let single_shard_overhead = overhead.speedup;
     println!(
         "  modeled scaling 1->8 workers: {speedup_modeled:.2}x; single-shard overhead vs direct: {:.1}%",
         (single_shard_overhead - 1.0) * 100.0
@@ -962,11 +957,14 @@ fn bench_json_throughput() {
         service.submit(0, pool).wait().expect("worker alive");
         service.shutdown().shards[0].busy.as_secs_f64()
     };
-    for &bsz in &sweep_sizes {
+    // One sweep run: a fresh 1-worker service, the warm job, then
+    // `passes` passes over the pool in jobs of `bsz` requests; ms per
+    // query of the chunked passes.
+    let sweep_run = |bsz: usize, passes: usize| {
         let service = ForestService::start(&trees[..1], sweep_opts());
         service.submit(0, pool).wait().expect("worker alive");
-        let tickets: Vec<Ticket> = pool
-            .chunks(bsz)
+        let tickets: Vec<Ticket> = (0..passes)
+            .flat_map(|_| pool.chunks(bsz))
             .map(|chunk| service.submit(0, chunk))
             .collect();
         for t in tickets {
@@ -974,7 +972,10 @@ fn bench_json_throughput() {
         }
         let report = service.shutdown();
         let timed_s = (report.shards[0].busy.as_secs_f64() - warm_busy_s).max(1e-9);
-        let ms_per_q = timed_s * 1e3 / SWEEP_REQUESTS as f64;
+        timed_s * 1e3 / (passes * SWEEP_REQUESTS) as f64
+    };
+    for &bsz in &sweep_sizes {
+        let ms_per_q = sweep_run(bsz, 1);
         sweep_ms_per_q.push(ms_per_q);
         sweep_rows.push(format!(
             "    {{\"batch\": {bsz}, \"ms_per_query\": {ms_per_q:.5}}}"
@@ -1013,17 +1014,31 @@ fn bench_json_throughput() {
     println!(
         "  measured minimum coalesced batch (within 2x of the b=1024 bound): {measured_min}; baked-in MIN_COALESCED_BATCH = {MIN_COALESCED_BATCH}"
     );
-    // Noise-aware regression gate on the baked constant: it must stay
-    // within 2.5x of the batch-everything bound even on a loaded CI
-    // box (expected ~1.75x from the fit).
-    let at_constant = sweep_sizes
-        .iter()
-        .position(|&b| b >= MIN_COALESCED_BATCH)
-        .map(|i| sweep_ms_per_q[i])
-        .expect("constant within sweep range");
+    // Regression check on the baked constant: its per-query cost must
+    // stay within 2.5x of the batch-everything bound. It reads the
+    // median ratio of interleaved pairs, each a b=1024 run and then a
+    // b=MIN_COALESCED_BATCH run. A single sweep broke the bound about
+    // one run in four on a 2-vCPU host, and medians of one-pass pairs
+    // still read 1.96–2.81 over five runs and broke it once: one pass
+    // is only a few ms of busy time beside the once-measured warm
+    // prefix. Each paired run therefore makes GRANULARITY_PASSES passes.
+    const GRANULARITY_PAIRS: u32 = 5;
+    const GRANULARITY_PASSES: usize = 8;
+    let granularity = interleaved_pairs(
+        GRANULARITY_PAIRS,
+        || sweep_run(SWEEP_REQUESTS, GRANULARITY_PASSES),
+        || sweep_run(MIN_COALESCED_BATCH, GRANULARITY_PASSES),
+    );
+    println!(
+        "  b={MIN_COALESCED_BATCH} vs b={SWEEP_REQUESTS}: {:.2}x per query (median of {GRANULARITY_PAIRS} interleaved pairs; bound 2.5x)",
+        granularity.speedup
+    );
     assert!(
-        at_constant <= 2.5 * asymptote,
-        "MIN_COALESCED_BATCH={MIN_COALESCED_BATCH} no longer amortizes the cycle cost: {at_constant:.5} ms/q vs bound {asymptote:.5}"
+        granularity.speedup <= 2.5,
+        "MIN_COALESCED_BATCH={MIN_COALESCED_BATCH} no longer amortizes the cycle cost: {:.5} ms/q vs bound {:.5} ({:.2}x)",
+        granularity.reference,
+        granularity.optimized,
+        granularity.speedup
     );
 
     // ---- JSON. ----

@@ -28,7 +28,7 @@
 //! the writers check a fresh run against them before writing its
 //! snapshot, and the gate checks each bench's latest stored run.
 
-use crate::Speedup;
+use crate::{median, Speedup};
 use spatial_trees::model::CostReport;
 use spatial_trees::store;
 use std::collections::BTreeMap;
@@ -936,25 +936,14 @@ pub fn rev_order(runs: &[RunRecord]) -> Vec<String> {
     revs
 }
 
-fn median_of(mut xs: Vec<f64>) -> f64 {
-    assert!(!xs.is_empty(), "median of empty sample");
-    xs.sort_by(f64::total_cmp);
-    let mid = xs.len() / 2;
-    if xs.len() % 2 == 1 {
-        xs[mid]
-    } else {
-        (xs[mid - 1] + xs[mid]) / 2.0
-    }
-}
-
 /// Median absolute deviation of a sample (0 for fewer than two
 /// points — the tolerance then falls back to `rel_eps` alone).
 pub fn mad_of(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
         return 0.0;
     }
-    let med = median_of(xs.to_vec());
-    median_of(xs.iter().map(|x| (x - med).abs()).collect())
+    let med = median(xs.to_vec());
+    median(xs.iter().map(|x| (x - med).abs()).collect())
 }
 
 // ---------------------------------------------------------------------------
@@ -1220,10 +1209,10 @@ pub fn regression_report(
                         // flag movement in either direction beyond the
                         // band).
                         let latest_med =
-                            median_of(rows.iter().map(|r| r.energy as f64).collect());
+                            median(rows.iter().map(|r| r.energy as f64).collect());
                         let prior_samples: Vec<f64> =
                             prior.iter().map(|r| r.energy as f64).collect();
-                        let prior_med = median_of(prior_samples.clone());
+                        let prior_med = median(prior_samples.clone());
                         let tolerance = (cfg.rel_eps * prior_med)
                             .max(cfg.mad_k * mad_of(&prior_samples));
                         if (latest_med - prior_med).abs() <= tolerance {
@@ -1300,13 +1289,11 @@ pub fn regression_report(
             if latest_samples.is_empty() {
                 continue;
             }
-            let latest_median = median_of(latest_samples.clone());
+            let latest_median = median(latest_samples.clone());
             let gated =
                 matches!(kind, WallKind::Ratio) || (cfg.gate_time && kind == WallKind::Time);
             let (prior_median, prior_mad, n_prior) = match prior_wall.get(&name) {
-                Some((_, xs)) if !xs.is_empty() => {
-                    (Some(median_of(xs.clone())), mad_of(xs), xs.len())
-                }
+                Some((_, xs)) if !xs.is_empty() => (Some(median(xs.clone())), mad_of(xs), xs.len()),
                 _ => (None, 0.0, 0),
             };
             let (tolerance, status) = match prior_median {
@@ -1474,7 +1461,7 @@ pub fn sweep_view(runs: &[RunRecord], filter: &RowFilter, field: &str, norm: Nor
     let cells = (0..revs.len())
         .map(|rev_idx| {
             ns.iter()
-                .map(|&n| samples.get(&(rev_idx, n)).map(|xs| median_of(xs.clone())))
+                .map(|&n| samples.get(&(rev_idx, n)).map(|xs| median(xs.clone())))
                 .collect()
         })
         .collect();
@@ -1567,7 +1554,7 @@ pub fn ab_view(runs: &[RunRecord], filter: &RowFilter) -> Vec<AbPair> {
         ) else {
             continue;
         };
-        let (o, r) = (median_of(opt.clone()), median_of(reference.clone()));
+        let (o, r) = (median(opt.clone()), median(reference.clone()));
         let bench = wall_bench
             .get(&format!("{base}.optimized"))
             .cloned()

@@ -1,5 +1,5 @@
-//! Shared infrastructure for the experiment harness and criterion
-//! benchmarks: table printing, timing and canonical workloads.
+//! Shared infrastructure for the experiment harness: table printing,
+//! timing and canonical workloads.
 //!
 //! Every paper table and `BENCH_*.json` baseline is regenerated by the
 //! `experiments` binary in this crate, whose registry lists the ids:
@@ -80,7 +80,7 @@ impl Table {
 }
 
 /// Deterministic tree for (family, n, seed) — the canonical workloads
-/// shared by the experiments and benches.
+/// of the experiments.
 pub fn workload(family: TreeFamily, n: u32, seed: u64) -> Tree {
     let mut rng = StdRng::seed_from_u64(seed ^ (n as u64).rotate_left(17));
     family.generate(n, &mut rng)
@@ -89,8 +89,7 @@ pub fn workload(family: TreeFamily, n: u32, seed: u64) -> Tree {
 /// Deterministic random-permutation linked list over `n` elements:
 /// returns the successor array (`u32::MAX`-terminated, the
 /// `spatial_euler::ranking::END` convention) and the start element —
-/// the canonical list-ranking workload shared by the experiments and
-/// benches.
+/// the canonical list-ranking workload of the experiments.
 pub fn random_list(n: usize, seed: u64) -> (Vec<u32>, u32) {
     if n == 0 {
         // The empty list: no successors, and the start is END itself.
@@ -206,39 +205,55 @@ impl Speedup {
     }
 }
 
+/// The one paired wall-clock measurement of the harness: alternates
+/// `first` and `second` `pairs` times (one call of each per pair,
+/// `first` then `second`) and returns `first`'s median reading as
+/// `optimized`, `second`'s as `reference`, and the median of the pairs'
+/// `second / first` ratios as `speedup`. A busy stretch of a shared
+/// host slows both readings of the pairs it overlaps, so it moves a few
+/// ratios rather than the median — one reading per side, or a best-of
+/// per side timed apart, lets one lucky or unlucky run decide the
+/// ratio.
+pub fn interleaved_pairs(
+    pairs: u32,
+    mut first: impl FnMut() -> f64,
+    mut second: impl FnMut() -> f64,
+) -> Speedup {
+    assert!(pairs > 0, "at least one pair");
+    let (mut firsts, mut seconds, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..pairs {
+        let a = first();
+        let b = second();
+        firsts.push(a);
+        seconds.push(b);
+        ratios.push(b / a);
+    }
+    Speedup {
+        optimized: median(firsts),
+        reference: median(seconds),
+        speedup: median(ratios),
+    }
+}
+
 /// Times `optimized` against `reference` as `pairs` interleaved pass
-/// pairs: after one untimed calibrating call of each, every pair runs
-/// one pass of the optimized path and then one of the reference path
-/// (each pass fills about `pass_budget`). The speedup is the median of
-/// the pairs' ratios, and each timing is its side's median pass. A
-/// busy stretch of a shared host slows both passes of the pairs it
-/// overlaps, so it moves a few ratios rather than the median — a
-/// best-of per side, timed apart, lets one lucky or unlucky pass decide
-/// the ratio.
+/// pairs ([`interleaved_pairs`]): after one untimed calibrating call of
+/// each, every pair runs one pass of the optimized path and then one of
+/// the reference path, each pass filling about `pass_budget`.
 pub fn interleaved_speedup(
     pairs: u32,
     pass_budget: Duration,
     mut optimized: impl FnMut() -> u64,
     mut reference: impl FnMut() -> u64,
 ) -> Speedup {
-    assert!(pairs > 0, "at least one pass pair");
-    let (opt_reps, mut sink) = calibrate(pass_budget, &mut optimized);
-    let (ref_reps, ref_sink) = calibrate(pass_budget, &mut reference);
-    sink ^= ref_sink;
-    let (mut opt, mut refs, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
-    for _ in 0..pairs {
-        let o = timed_pass(opt_reps, &mut optimized, &mut sink);
-        let r = timed_pass(ref_reps, &mut reference, &mut sink);
-        opt.push(o);
-        refs.push(r);
-        ratios.push(r / o);
-    }
-    std::hint::black_box(sink);
-    Speedup {
-        optimized: median(opt),
-        reference: median(refs),
-        speedup: median(ratios),
-    }
+    let (opt_reps, mut opt_sink) = calibrate(pass_budget, &mut optimized);
+    let (ref_reps, mut ref_sink) = calibrate(pass_budget, &mut reference);
+    let speedup = interleaved_pairs(
+        pairs,
+        || timed_pass(opt_reps, &mut optimized, &mut opt_sink),
+        || timed_pass(ref_reps, &mut reference, &mut ref_sink),
+    );
+    std::hint::black_box((opt_sink, ref_sink));
+    speedup
 }
 
 /// Formats a float with three significant decimals.
@@ -339,5 +354,45 @@ mod tests {
         });
         assert_eq!(calls, 4);
         assert!(ms.is_finite() && ms >= 0.0);
+    }
+
+    #[test]
+    fn interleaved_pairs_alternates_the_sides_once_per_pair() {
+        let log = std::cell::RefCell::new(Vec::new());
+        let pair = interleaved_pairs(
+            4,
+            || {
+                log.borrow_mut().push('a');
+                1.0
+            },
+            || {
+                log.borrow_mut().push('b');
+                3.0
+            },
+        );
+        assert_eq!(log.into_inner(), "abababab".chars().collect::<Vec<_>>());
+        assert_eq!(pair, Speedup::of(1.0, 3.0));
+    }
+
+    #[test]
+    fn one_outlier_on_either_side_moves_no_median() {
+        // Five pairs of readings 2 and 5: one reading of ten times its
+        // side's value, at any pair, leaves both medians and the median
+        // ratio where they were.
+        let steady = Speedup::of(2.0, 5.0);
+        for outlier in 0..5 {
+            for side in 0..2 {
+                let readings = |this_side: usize, value: f64| {
+                    let mut xs = vec![value; 5];
+                    if this_side == side {
+                        xs[outlier] *= 10.0;
+                    }
+                    let mut xs = xs.into_iter();
+                    move || xs.next().expect("one reading per pair")
+                };
+                let pair = interleaved_pairs(5, readings(0, 2.0), readings(1, 5.0));
+                assert_eq!(pair, steady, "outlier at pair {outlier}, side {side}");
+            }
+        }
     }
 }

@@ -156,8 +156,8 @@ pub fn run_bitonic(m: &Machine, buf: &mut [u64], levels: &[(u64, u64)]) {
 }
 
 /// The pre-SWAR branchy network, retained verbatim as the differential
-/// reference for [`run_bitonic`] (and as the scalar baseline the
-/// benches measure speedup against).
+/// reference for [`run_bitonic`] (and as the scalar baseline
+/// `bench-json-sfc` measures the speedup against).
 #[doc(hidden)]
 pub fn run_bitonic_reference(m: &Machine, buf: &mut [u64], levels: &[(u64, u64)]) {
     let padded = buf.len();

@@ -6,7 +6,7 @@ use crate::pool::{EnginePool, SessionScratch};
 use rand::Rng;
 use spatial_euler::ranking::{END, UNRANKED};
 use spatial_euler::tour::{down, EulerTour};
-use spatial_layout::{DynamicLayout, DynamicStats, Layout, SpatialBuildReport};
+use spatial_layout::{DynamicLayout, DynamicStats, Layout};
 use spatial_model::{vec_bytes, CurveKind, Machine, PagedMachine, PagingConfig, PagingReport};
 use spatial_store::{
     CowSlab, DirtyExtents, ForestSnapshot, JournalWriter, MappedSnapshot, Record, StoreError,
@@ -114,8 +114,7 @@ fn check_vertex_ids(requests: &[Request], mut n: u32) {
 /// ([`SpatialForest::resident_bytes`]). Every part counts retained
 /// buffers by capacity, so the census is deterministic: the same
 /// stream on the same tree reads the same bytes, and the parts sum to
-/// what a counting allocator sees the forest hold. The §IV layout
-/// engine ([`SpatialForest::charged_layout_build`]), the crossover PRAM
+/// what a counting allocator sees the forest hold. The crossover PRAM
 /// shadow and an attached journal are not counted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResidentBytes {
@@ -822,17 +821,6 @@ impl SpatialForest {
         v
     }
 
-    /// Runs the §IV on-machine layout construction for the current
-    /// tree through the pooled [`spatial_layout::LayoutEngine`],
-    /// returning its per-phase charge report. (The forest's live
-    /// layout is host-maintained; this prices what building it on the
-    /// machine would cost — the E5 experiment as a service call.)
-    pub fn charged_layout_build<R: Rng>(&mut self, rng: &mut R) -> SpatialBuildReport {
-        self.ensure_structure();
-        let engine = self.pool.layout_engine_for(self.epoch, &self.tree);
-        engine.build_into(rng)
-    }
-
     /// Executes a mixed request stream. Consecutive queries between
     /// mutations form one *charge-batched session*: each query kind in
     /// a session pays for a single engine run, however many queries
@@ -1383,19 +1371,5 @@ mod tests {
 
         std::fs::remove_file(&snap_path).ok();
         std::fs::remove_file(&journal_path).ok();
-    }
-
-    #[test]
-    fn charged_layout_build_reports_phases() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let tree = generators::uniform_random(300, &mut rng);
-        let mut forest = SpatialForest::new(&tree);
-        let report = forest.charged_layout_build(&mut rng);
-        assert!(report.total().energy > 0);
-        assert!(forest.pool().has_layout_engine());
-        // A second call reuses the pooled engine.
-        let builds = forest.pool().stats().builds;
-        forest.charged_layout_build(&mut rng);
-        assert_eq!(forest.pool().stats().builds, builds);
     }
 }

@@ -18,7 +18,7 @@ use crate::forest::ResidentBytes;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spatial_euler::ranking::{RankingEngine, RankingRun};
-use spatial_layout::{Layout, LayoutEngine};
+use spatial_layout::Layout;
 use spatial_lca::LcaEngine;
 use spatial_model::{CurveKind, EngineLifecycle, Slot};
 use spatial_pram::{PramEngine, PramTreefix};
@@ -108,9 +108,6 @@ pub struct EnginePool {
     /// Theorem 5 list ranking over the light-first Euler tour darts.
     ranking: Option<RankingEngine>,
     ranking_epoch: u64,
-    /// §IV on-machine layout construction (charged build reports).
-    layout_engine: Option<LayoutEngine>,
-    layout_epoch: u64,
     /// PRAM shadow (crossover mode): the same subtree sums priced on
     /// the §I-C simulation.
     pram: Option<(PramEngine, PramTreefix)>,
@@ -130,8 +127,6 @@ impl EnginePool {
             lca_epoch: u64::MAX,
             ranking: None,
             ranking_epoch: u64::MAX,
-            layout_engine: None,
-            layout_epoch: u64::MAX,
             pram: None,
             pram_epoch: u64::MAX,
         }
@@ -147,22 +142,6 @@ impl EnginePool {
         self.lca.is_some()
     }
 
-    /// Whether the ranking engine has been built.
-    pub fn has_ranking(&self) -> bool {
-        self.ranking.is_some()
-    }
-
-    /// Whether the layout engine has been built.
-    pub fn has_layout_engine(&self) -> bool {
-        self.layout_engine.is_some()
-    }
-
-    /// The contraction engine's current capacity (vertices; 0 before
-    /// its first use).
-    pub fn treefix_capacity(&self) -> usize {
-        self.treefix.as_ref().map_or(0, EngineLifecycle::capacity)
-    }
-
     /// How many contraction engines the pool's engines hold: the
     /// pool's own (once used) plus any the LCA engine created for
     /// itself. The session paths keep this at most 1.
@@ -174,8 +153,7 @@ impl EnginePool {
     /// Fills the serving engines' parts of a forest's census: the LCA
     /// engine, the contraction engine and the ranking engine (an engine
     /// not yet built holds none; between runs an engine holds its
-    /// structure only). The §IV layout engine and the crossover PRAM
-    /// shadow are not counted.
+    /// structure only). The crossover PRAM shadow is not counted.
     pub(crate) fn census(&self, bytes: &mut ResidentBytes) {
         bytes.lca = self.lca.as_ref().map_or(0, LcaEngine::resident_bytes);
         bytes.contraction = self
@@ -283,22 +261,6 @@ impl EnginePool {
         }
         self.ranking_epoch = epoch;
         self.ranking.as_mut().expect("just built")
-    }
-
-    /// The §IV layout engine for `epoch` (structure is per-tree, so an
-    /// epoch miss reconstructs it — see
-    /// [`spatial_layout::LayoutEngine`]'s lifecycle notes).
-    pub(crate) fn layout_engine_for(&mut self, epoch: u64, tree: &Tree) -> &mut LayoutEngine {
-        if self.layout_engine.is_none() || self.layout_epoch != epoch {
-            if self.layout_engine.is_none() {
-                self.stats.builds += 1;
-            } else {
-                self.stats.rebinds += 1;
-            }
-            self.layout_engine = Some(LayoutEngine::new(tree, self.curve));
-            self.layout_epoch = epoch;
-        }
-        self.layout_engine.as_mut().expect("just built")
     }
 
     /// The PRAM shadow pair for `epoch` (crossover mode). The engine's

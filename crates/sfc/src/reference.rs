@@ -4,10 +4,9 @@
 //! These are the pre-optimization code paths: the branchy
 //! rotate-and-swap Hilbert loop (one quadrant level per iteration, with
 //! data-dependent branches) and the bit-at-a-time Morton interleave.
-//! The criterion benches (`curve_locality.rs`) and the
-//! `BENCH_sfc_treefix.json` baseline compare them against the
-//! lookup-table / magic-mask hot paths, and the property tests assert
-//! exact agreement on every index.
+//! The `bench-json-sfc` experiment (`BENCH_sfc_treefix.json`) times
+//! them against the lookup-table / magic-mask hot paths, and the
+//! property tests assert exact agreement on every index.
 //!
 //! Not part of the public API surface; signatures take raw `side`
 //! values so the reference paths cannot accidentally pick up the

@@ -32,8 +32,8 @@
 //!
 //! The pre-PR scalar loops are retained below as `*_chunk_scalar`
 //! differential references; the test suite pins every SWAR kernel
-//! bit-identical to them, and `cargo bench`/`experiments` measure the
-//! speedup against them.
+//! bit-identical to them, and the `bench-json-sfc` experiment measures
+//! the speedup against them.
 
 use crate::geom::GridPoint;
 use crate::hilbert::{INDEX1, INDEX2, INDEX4, INDEX5, POINT1, POINT2, POINT4, POINT5};
@@ -456,7 +456,7 @@ pub fn zorder_point_range_chunk(side: u32, start: u64, out: &mut [GridPoint]) {
 // ---------------------------------------------------------------------------
 // Retained scalar references (the pre-SWAR batch loops, verbatim).
 // The differential tests pin every SWAR kernel bit-identical to these,
-// and the benches report speedup against them.
+// and `bench-json-sfc` reports the speedup against them.
 // ---------------------------------------------------------------------------
 
 #[doc(hidden)]

@@ -119,11 +119,6 @@ impl MappedSnapshot {
         CowSlab::mapped(self.clone(), self.parents())
     }
 
-    /// The order slab as a CoW view over this mapping.
-    pub fn order_slab(self: &Arc<Self>) -> CowSlab<u32> {
-        CowSlab::mapped(self.clone(), self.order())
-    }
-
     /// The weights slab as a CoW view over this mapping.
     pub fn weights_slab(self: &Arc<Self>) -> CowSlab<u64> {
         CowSlab::mapped(self.clone(), self.weights())
