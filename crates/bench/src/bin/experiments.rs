@@ -701,9 +701,12 @@ fn bench_json_throughput() {
 
     // ---- Open-loop arrival trace, shared by every worker count. ----
     // Tenant skew stresses load balance: the busiest tenant carries
-    // 4/13 of the requests, so perfect 8-way sharding models out at
-    // 13/4 = 3.25x over one worker — an honest ceiling (per-tenant
-    // streams can't split) above the scaling bar in `lab::BARS`.
+    // 4/13 of the requests. That does not cap the modeled 8w/1w scaling
+    // at 13/4 = 3.25x: the figure divides per-thread busy clocks, and
+    // eight workers sharing fewer cores do not split one worker's busy
+    // time eight ways, so there it is not a critical path (16 runs on a
+    // 2-vCPU host read 2.84–4.03x, 12 of them above 3.25x). The bar in
+    // `lab::BARS` asks for 2.0x.
     const JOB_LEN: usize = 32;
     const JOBS: usize = 256;
     let skew = [4u32, 2, 2, 1, 1, 1, 1, 1];
@@ -898,8 +901,8 @@ fn bench_json_throughput() {
     }
     table.print();
 
-    // Modeled aggregate QPS is the load-balance critical path (wall QPS
-    // is bounded by this machine's cores). Both figures have bars.
+    // The modeled 1 → 8 worker scaling, a ratio of per-thread busy
+    // clocks (see the trace above); its bar is in `lab::BARS`.
     let speedup_modeled = runs[3].modeled_qps / runs[0].modeled_qps;
     // The single-shard overhead is the median ratio of interleaved
     // pairs, each a direct pass and then a 1-worker service pass (a
@@ -990,17 +993,6 @@ fn bench_json_throughput() {
         ]);
     }
     sweep_table.print();
-    // Two-point fit of ms/q = F/b + c from the largest sizes (where
-    // measurement noise per cycle is best amortized).
-    let k = sweep_sizes.len();
-    let (b1, b2) = (sweep_sizes[k - 2] as f64, sweep_sizes[k - 1] as f64);
-    let (ms1, ms2) = (sweep_ms_per_q[k - 2], sweep_ms_per_q[k - 1]);
-    let fixed_ms_per_cycle = (ms1 - ms2) / (1.0 / b1 - 1.0 / b2);
-    let marginal_ms_per_q = (ms2 - fixed_ms_per_cycle / b2).max(0.0);
-    println!(
-        "  fit: per-cycle fixed cost {fixed_ms_per_cycle:.2} ms, marginal {marginal_ms_per_q:.4} ms/query \
-         => the cycle cost is ~all fixed; per-query cost falls as 1/batch"
-    );
     // The knee criterion is self-relative: the smallest cycle size
     // whose per-query cost is within 2x of the batch-everything bound
     // (b = the whole pool). Below it, fixed-cost amortization still
@@ -1039,6 +1031,18 @@ fn bench_json_throughput() {
         granularity.reference,
         granularity.optimized,
         granularity.speedup
+    );
+    // Two-point fit of ms/q = F/b + c through the check's medians at
+    // b = MIN_COALESCED_BATCH and b = 1024. The single-shot sweep's
+    // last two points put F anywhere in 0.21–10.78 ms per cycle over 16
+    // runs of unchanged serve code.
+    let (b1, b2) = (MIN_COALESCED_BATCH as f64, SWEEP_REQUESTS as f64);
+    let (ms1, ms2) = (granularity.reference, granularity.optimized);
+    let fixed_ms_per_cycle = (ms1 - ms2) / (1.0 / b1 - 1.0 / b2);
+    let marginal_ms_per_q = (ms2 - fixed_ms_per_cycle / b2).max(0.0);
+    println!(
+        "  fit: per-cycle fixed cost {fixed_ms_per_cycle:.2} ms, marginal {marginal_ms_per_q:.4} ms/query \
+         => the cycle cost is ~all fixed; per-query cost falls as 1/batch"
     );
 
     // ---- JSON. ----
@@ -1104,7 +1108,7 @@ fn bench_json_throughput() {
 /// the workspace root.
 fn bench_json_durability() {
     use spatial_trees::session::ForestOptions;
-    use spatial_trees::store::{read_journal, ForestSnapshot, JournalWriter};
+    use spatial_trees::store::{read_journal, JournalWriter};
 
     println!(
         "\n### bench-json-durability — snapshot + journal recovery vs full replay → BENCH_durability.json\n"
@@ -1169,9 +1173,8 @@ fn bench_json_durability() {
             .expect("recover from checkpoint")
     };
     let rebuild = || {
-        let snap = ForestSnapshot::read_from(&seed_snap_path).expect("seed snapshot");
-        let mut f = SpatialForest::from_snapshot(&snap, opts);
-        f.apply_journal(&read_journal(&history_path).expect("history records"));
+        let mut f = SpatialForest::recover_from(&seed_snap_path, &history_path, opts)
+            .expect("recover from seed");
         f.apply_journal(&read_journal(&tail_path).expect("tail records"));
         f
     };
@@ -1225,17 +1228,17 @@ fn bench_json_durability() {
 /// `bench-json-ooc` — the out-of-core story end to end. Part one
 /// sweeps resident-page budget × forest size over mapped recovery
 /// (zero-copy slabs over the snapshot file): every cell serves the
-/// identical query-only mixed stream as a fully-resident owned twin
-/// and is verified bit-identical (answers and non-paging charges)
-/// before timing; the sweep includes forests whose slab footprint
-/// exceeds the budget many times over, where every row must report
-/// paging faults. Part two measures the incremental checkpoint on a
+/// identical query-only mixed stream as the live forest that wrote
+/// the snapshot and is verified bit-identical to it (answers and
+/// non-paging charges) before timing; the sweep includes forests whose
+/// slab footprint exceeds the budget many times over, where every row
+/// must report paging faults. Part two measures the incremental checkpoint on a
 /// dirty-tail workload (weight-edit-heavy, a few inserts, no
 /// rebuild), whose size against a full snapshot rewrite has a bar in
 /// [`lab::BARS`]. Writes `BENCH_ooc.json` next to the workspace root.
 fn bench_json_ooc() {
     use spatial_trees::model::PagingConfig;
-    use spatial_trees::session::{ForestBacking, ForestOptions};
+    use spatial_trees::session::ForestOptions;
 
     println!(
         "\n### bench-json-ooc — mapped recovery under resident budgets + incremental checkpoints → BENCH_ooc.json\n"
@@ -1250,7 +1253,8 @@ fn bench_json_ooc() {
 
     // A forest with history: weighted inserts, a settled (rebuilt)
     // layout, and non-uniform weights — so every slab is live data.
-    let worked_snapshot = |log_n: u32, path: &std::path::Path| -> u32 {
+    // It writes its snapshot to `path` and stays live as the oracle.
+    let worked_forest = |log_n: u32, path: &std::path::Path| -> SpatialForest {
         let n = 1u32 << log_n;
         let t = workload(family, n, 41);
         let mut forest = SpatialForest::new(&t);
@@ -1265,7 +1269,7 @@ fn bench_json_ooc() {
             forest.set_weight(v, (v as u64 % 13) + 1);
         }
         forest.snapshot_to(path, 1).expect("sweep snapshot");
-        forest.n()
+        forest
     };
     let stream = |n: u32, rng: &mut StdRng| -> QueryBatch {
         let mut b = QueryBatch::with_capacity(200);
@@ -1278,6 +1282,22 @@ fn bench_json_ooc() {
         }
         b
     };
+    // Three rounds of the stream: the answers, and the reports without
+    // their paging rows.
+    let serve = |forest: &mut SpatialForest| {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut answers = Vec::new();
+        let mut reports = Vec::new();
+        for round in 0..3u64 {
+            let b = stream(forest.n(), &mut rng);
+            answers
+                .extend_from_slice(forest.execute(b.requests(), &mut StdRng::seed_from_u64(round)));
+            let mut report = forest.last_report();
+            report.paging = None;
+            reports.push(report);
+        }
+        (answers, reports)
+    };
 
     // ---- Part one: resident budget × forest size sweep. ----
     let mut table = Table::new([
@@ -1288,13 +1308,14 @@ fn bench_json_ooc() {
         "evictions",
         "paging energy",
         "mapped ms",
-        "owned ms",
     ]);
     let mut sweep_rows: Vec<String> = Vec::new();
     let mut scenario_rows: Vec<String> = Vec::new();
     for log_n in [12u32, 14] {
         let snap_path = dir.join(format!("sweep-{log_n}.snapshot"));
-        let n0 = worked_snapshot(log_n, &snap_path);
+        let mut live = worked_forest(log_n, &snap_path);
+        let n0 = live.n();
+        let (want, want_reports) = serve(&mut live);
         let snapshot_bytes = std::fs::metadata(&snap_path).expect("snapshot len").len();
         // 4 pages (16 KiB) is far below either forest's slab footprint
         // — the forest-exceeds-budget cells of the sweep; the largest
@@ -1304,37 +1325,27 @@ fn bench_json_ooc() {
                 page_bytes,
                 resident_pages,
             };
-            let run = |backing: ForestBacking, paging: Option<PagingConfig>| {
-                let mut forest = SpatialForest::recover_with(
+            let run = || {
+                let mut forest = SpatialForest::recover_from(
                     &snap_path,
                     &no_journal,
                     ForestOptions {
-                        paging,
+                        paging: Some(paging),
                         ..ForestOptions::default()
                     },
-                    backing,
                 )
                 .expect("sweep recovery");
-                let mut rng = StdRng::seed_from_u64(7);
-                let mut answers = Vec::new();
-                let mut reports = Vec::new();
-                for round in 0..3u64 {
-                    let b = stream(forest.n(), &mut rng);
-                    answers.extend_from_slice(
-                        forest.execute(b.requests(), &mut StdRng::seed_from_u64(round)),
-                    );
-                    let mut report = forest.last_report();
-                    report.paging = None;
-                    reports.push(report);
-                }
+                let (answers, reports) = serve(&mut forest);
                 (forest, answers, reports)
             };
-            let (mapped, got, got_reports) = run(ForestBacking::Mapped, Some(paging));
-            let (_, want, want_reports) = run(ForestBacking::Owned, None);
-            assert_eq!(got, want, "n=2^{log_n}: mapped answers diverged from owned");
+            let (mapped, got, got_reports) = run();
+            assert_eq!(
+                got, want,
+                "n=2^{log_n}: mapped answers diverged from the live forest"
+            );
             assert_eq!(
                 got_reports, want_reports,
-                "n=2^{log_n}: mapped non-paging charges diverged from owned"
+                "n=2^{log_n}: mapped non-paging charges diverged from the live forest"
             );
             assert!(mapped.any_slab_mapped(), "query-only stream never promotes");
             let paged = mapped.paging_lifetime().expect("paging configured");
@@ -1345,12 +1356,7 @@ fn bench_json_ooc() {
                     "n=2^{log_n}: a below-footprint budget must fault"
                 );
             }
-            let mapped_ms = best_of(3, SINGLE_SHOT, || {
-                run(ForestBacking::Mapped, Some(paging)).1.len() as u64
-            });
-            let owned_ms = best_of(3, SINGLE_SHOT, || {
-                run(ForestBacking::Owned, None).1.len() as u64
-            });
+            let mapped_ms = best_of(3, SINGLE_SHOT, || run().1.len() as u64);
             table.row([
                 format!("2^{log_n}"),
                 (snapshot_bytes / 1024).to_string(),
@@ -1359,10 +1365,9 @@ fn bench_json_ooc() {
                 paged.evictions.to_string(),
                 paged.charge.energy.to_string(),
                 f3(mapped_ms),
-                f3(owned_ms),
             ]);
             sweep_rows.push(format!(
-                "    {{\"n\": {n0}, \"resident_pages\": {resident_pages}, \"budget_bytes\": {budget_bytes}, \"snapshot_bytes\": {snapshot_bytes}, \"faults\": {}, \"evictions\": {}, \"paging_energy\": {}, \"paging_messages\": {}, \"mapped_ms\": {mapped_ms:.3}, \"owned_ms\": {owned_ms:.3}}}",
+                "    {{\"n\": {n0}, \"resident_pages\": {resident_pages}, \"budget_bytes\": {budget_bytes}, \"snapshot_bytes\": {snapshot_bytes}, \"faults\": {}, \"evictions\": {}, \"paging_energy\": {}, \"paging_messages\": {}, \"mapped_ms\": {mapped_ms:.3}}}",
                 paged.faults, paged.evictions, paged.charge.energy, paged.charge.messages
             ));
             if resident_pages == 4 {
@@ -1375,7 +1380,6 @@ fn bench_json_ooc() {
                     report,
                 ));
                 lab.wall_time(&format!("mapped_ms_2^{log_n}_p4"), mapped_ms);
-                lab.wall_time(&format!("owned_ms_2^{log_n}_p4"), owned_ms);
             }
         }
     }
@@ -1387,17 +1391,10 @@ fn bench_json_ooc() {
     // dirty — the shape the delta protocol exists for.
     let log_n = 14u32;
     let ckpt_path = dir.join("checkpoint.snapshot");
-    worked_snapshot(log_n, &ckpt_path);
-    let mut live = SpatialForest::recover_with(
-        &ckpt_path,
-        &no_journal,
-        ForestOptions::default(),
-        ForestBacking::Owned,
-    )
-    .expect("checkpoint base recovery");
-    // recover_with doesn't track a base generation; re-snapshot so the
-    // dirty tracker has one to patch against.
-    live.snapshot_to(&ckpt_path, 2).expect("rebase snapshot");
+    let mut live = worked_forest(log_n, &ckpt_path);
+    // `snapshot_to` leaves the dirty tracker without a base generation;
+    // a full checkpoint gives it one to patch against.
+    live.checkpoint_to(&ckpt_path, 2).expect("base checkpoint");
     let full_bytes = std::fs::metadata(&ckpt_path).expect("snapshot len").len();
     let mut wl = StdRng::seed_from_u64(45);
     for _ in 0..400 {
@@ -1417,14 +1414,10 @@ fn bench_json_ooc() {
         stats.incremental,
         "dirty-tail workload must take the delta path"
     );
-    // The patched file round-trips bit-identically — mapped.
-    let mut recovered = SpatialForest::recover_with(
-        &ckpt_path,
-        &no_journal,
-        ForestOptions::default(),
-        ForestBacking::Mapped,
-    )
-    .expect("post-checkpoint recovery");
+    // The patched file round-trips bit-identically.
+    let mut recovered =
+        SpatialForest::recover_from(&ckpt_path, &no_journal, ForestOptions::default())
+            .expect("post-checkpoint recovery");
     assert_same_forest(&mut recovered, &mut live, 47, "incremental checkpoint");
     println!(
         "  incremental checkpoint: {} of {} bytes ({:.1}% of a full rewrite)\n",
@@ -1434,7 +1427,7 @@ fn bench_json_ooc() {
     );
 
     let json = format!(
-        "{{\n  \"workload\": \"uniform_random n=2^12 and 2^14 with 64 weighted inserts + settled layout + edited weights, snapshotted then recovered mapped under 4/64/2^14 resident 4-KiB pages; dirty-tail checkpoint = 400 tail weight edits + 8 inserts on n=2^14\",\n  \"metrics\": \"every sweep cell verified bit-identical (answers and non-paging charges) against a fully-resident owned twin before timing; faults/evictions/energy from the paging lifetime; incremental checkpoint bytes vs a full snapshot rewrite of the same forest\",\n  \"page_bytes\": {page_bytes},\n  \"full_snapshot_bytes\": {full_bytes},\n  \"incremental_checkpoint_bytes\": {},\n  \"incremental_ratio\": {ratio:.4},\n  \"sweep\": [\n{}\n  ],\n  \"scenarios\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"workload\": \"uniform_random n=2^12 and 2^14 with 64 weighted inserts + settled layout + edited weights, snapshotted then recovered mapped under 4/64/2^14 resident 4-KiB pages; dirty-tail checkpoint = 400 tail weight edits + 8 inserts on n=2^14\",\n  \"metrics\": \"every sweep cell verified bit-identical (answers and non-paging charges) against the live forest that wrote the snapshot before timing; faults/evictions/energy from the paging lifetime; incremental checkpoint bytes vs a full snapshot rewrite of the same forest\",\n  \"page_bytes\": {page_bytes},\n  \"full_snapshot_bytes\": {full_bytes},\n  \"incremental_checkpoint_bytes\": {},\n  \"incremental_ratio\": {ratio:.4},\n  \"sweep\": [\n{}\n  ],\n  \"scenarios\": [\n{}\n  ]\n}}\n",
         stats.bytes_written,
         sweep_rows.join(",\n"),
         scenario_rows.join(",\n")

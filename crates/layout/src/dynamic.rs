@@ -220,45 +220,25 @@ impl DynamicLayout {
     }
 
     /// Rebuilds a dynamic layout from persisted state: the parent
-    /// array, the layout's linear order, the reserved capacity, and the
+    /// slab, the layout's linear order, the reserved capacity, and the
     /// lifetime statistics captured from a live instance (see
-    /// `spatial_store::ForestSnapshot`). Coordinates and the
-    /// incremental energy counter are recomputed from the restored
-    /// geometry — the live instance maintains them incrementally, and
-    /// the two agree exactly (`incremental_energy_matches_recomputation`)
-    /// — so the result is **bit-identical** to the snapshotted layout:
-    /// same placement, same quality threshold state, same future
-    /// rebuild/growth schedule for any continuation stream.
+    /// `spatial_store::ForestSnapshot`). The parent slab may be owned
+    /// or, as on every restore from a snapshot, a zero-copy view of a
+    /// mapped file (`spatial_store::MappedSnapshot::parents_slab`),
+    /// which stays borrowed until the first structural mutation
+    /// (append or grow) promotes it to owned memory with one copy.
+    /// Coordinates and the incremental energy counter are recomputed
+    /// from the restored geometry — the live instance maintains them
+    /// incrementally, and the two agree exactly
+    /// (`incremental_energy_matches_recomputation`) — so the result is
+    /// **bit-identical** to the snapshotted layout: same placement,
+    /// same quality threshold state, same future rebuild/growth
+    /// schedule for any continuation stream.
     ///
     /// # Panics
     /// Panics when the inputs are inconsistent (`order` not a
     /// permutation of the vertices, `reserved` below the vertex count,
     /// `rebuild_factor < 1`).
-    pub fn restore(
-        root: NodeId,
-        parents: Vec<NodeId>,
-        curve: CurveKind,
-        order: Vec<NodeId>,
-        reserved: u64,
-        rebuild_factor: f64,
-        stats: DynamicStats,
-    ) -> Self {
-        Self::restore_slab(
-            root,
-            CowSlab::owned(parents),
-            curve,
-            order,
-            reserved,
-            rebuild_factor,
-            stats,
-        )
-    }
-
-    /// [`DynamicLayout::restore`] over any parent backing — in
-    /// particular a zero-copy view of a mapped snapshot
-    /// (`spatial_store::MappedSnapshot::parents_slab`). The slab stays
-    /// borrowed until the first structural mutation (append or grow)
-    /// promotes it to owned memory with one copy.
     pub fn restore_slab(
         root: NodeId,
         parents: CowSlab<NodeId>,

@@ -12,6 +12,7 @@ use proptest::prelude::*;
 use rand::prelude::*;
 use spatial_layout::{local_kernel_energy, DynamicLayout, Layout};
 use spatial_model::CurveKind;
+use spatial_store::CowSlab;
 
 /// Always-fresh oracle: kernel energy of a from-scratch light-first
 /// layout of the dynamic layout's current tree.
@@ -119,9 +120,9 @@ fn assert_same_state(a: &DynamicLayout, b: &DynamicLayout, ctx: &str) {
 /// Captures the persisted fields of a live layout and restores a twin
 /// from them (the snapshot slab set, without the file format).
 fn restore_twin(dl: &DynamicLayout) -> DynamicLayout {
-    DynamicLayout::restore(
+    DynamicLayout::restore_slab(
         dl.root(),
-        dl.parents().to_vec(),
+        CowSlab::owned(dl.parents().to_vec()),
         dl.curve_kind(),
         dl.layout().order().to_vec(),
         dl.reserved(),
@@ -250,7 +251,15 @@ fn journaled_replay_across_growth_is_bit_identical() {
 
     let restore = |records: &[Record]| {
         let (root, parents, curve, order, reserved, factor, stats) = snap.clone();
-        let mut twin = DynamicLayout::restore(root, parents, curve, order, reserved, factor, stats);
+        let mut twin = DynamicLayout::restore_slab(
+            root,
+            CowSlab::owned(parents),
+            curve,
+            order,
+            reserved,
+            factor,
+            stats,
+        );
         for rec in records {
             match *rec {
                 Record::InsertLeaf { parent, .. } => {

@@ -439,10 +439,11 @@ fn start_tenant_durable(
             let records = read_journal(&jpath).expect("tenant journal unreadable");
             // Session-atomic replay: the RngState marker appended after
             // each executed session is the commit point. Everything
-            // past the last marker is a session the crash interrupted
-            // mid-write — drop it wholesale rather than replay half of
-            // it.
-            let committed = records
+            // past the last marker of the replayable prefix is a
+            // session the crash interrupted mid-write, or one holding a
+            // record that names a missing vertex — drop it wholesale
+            // rather than replay half of it.
+            let committed = records[..forest.replayable_len(&records)]
                 .iter()
                 .rposition(|r| matches!(r, Record::RngState(_)))
                 .map_or(0, |i| i + 1);

@@ -8,11 +8,13 @@
 //!
 //! The durable half restarts a [`ForestService::start_durable`] service
 //! and checks the recovered tenants continue bit-identically (answers
-//! and charges) with a never-stopped twin.
+//! and charges) with a never-stopped twin, also when the journal holds
+//! a record that cannot replay.
 
 use rand::prelude::*;
 use spatial_serve::{tenant_seed, DurabilityOptions, ForestService, ServeError, ServiceOptions};
 use spatial_session::{QueryBatch, Response, SessionReport, SpatialForest};
+use spatial_store::{JournalWriter, MappedSnapshot, Record};
 use spatial_tree::{generators, Tree};
 
 fn trees(n_tenants: usize, n: u32, seed: u64) -> Vec<Tree> {
@@ -222,6 +224,97 @@ fn durable_restart_without_new_work_is_stable() {
         .expect("answered");
     assert_eq!(answers, vec![Response::SubtreeSum(82)], "80 + 2 inserts");
     service.shutdown();
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A journal record that names a missing vertex (a journal written
+/// before the up-front id check could hold one) ends a durable tenant's
+/// replay: the restart keeps the committed session before it and drops
+/// the rest, even a later session with its own commit marker. The
+/// tenant then answers like a twin that lived only the committed
+/// session, and no ticket fails with `WorkerLost`.
+#[test]
+fn durable_restart_stops_replay_at_an_invalid_record() {
+    let dir =
+        std::env::temp_dir().join(format!("spatial-serve-durable-bad-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let ts = trees(1, 90, 35);
+    let mut opts = ServiceOptions::new(1);
+    opts.record_streams = true;
+    let dur = DurabilityOptions::new(&dir);
+
+    // Phase 1: one committed session, then a clean shutdown.
+    let mut session = QueryBatch::new();
+    for i in 0..8u32 {
+        session
+            .insert_leaf(i * 11)
+            .lca(i, 89 - i)
+            .subtree_sum(i)
+            .rank(i * 3);
+    }
+    let streams = {
+        let service = ForestService::start_durable(&ts, opts, dur.clone());
+        service
+            .submit(0, session.requests())
+            .wait()
+            .expect("answered");
+        let report = service.shutdown();
+        report.tenant_log(0).expect("served").streams.clone()
+    };
+
+    // Behind the committed session: a bad insert, then a session that
+    // would replay on its own, commit marker included.
+    let n = 90 + 8;
+    let generation = MappedSnapshot::open(dir.join("tenant-0.snapshot"))
+        .expect("open tenant snapshot")
+        .header()
+        .tag;
+    let mut writer = JournalWriter::open_append(dir.join(format!("tenant-0.{generation}.journal")))
+        .expect("open tenant journal");
+    for rec in [
+        Record::InsertLeaf {
+            parent: n + 3,
+            weight: 1,
+        },
+        Record::InsertLeaf {
+            parent: 0,
+            weight: 2,
+        },
+        Record::RngState([9, 9, 9, 9]),
+    ] {
+        writer.append(rec).expect("append");
+    }
+    writer.sync().expect("sync");
+    drop(writer);
+
+    // Phase 2: restart and probe.
+    let mut probe = QueryBatch::new();
+    for i in 0..10u32 {
+        probe.lca(i, n - 1 - i).subtree_sum(i).rank(n - 1 - i);
+    }
+    probe.insert_leaf(5).subtree_sum(0);
+    let service = ForestService::start_durable(&ts, opts, dur.clone());
+    let answers = service
+        .submit(0, probe.requests())
+        .wait()
+        .expect("the restarted tenant answers");
+    let report = service.shutdown();
+    assert!(report.poisoned_shards().is_empty());
+
+    let mut twin = SpatialForest::with_options(&ts[0], opts.forest);
+    let mut rng = StdRng::seed_from_u64(tenant_seed(opts.seed, 0));
+    for stream in &streams {
+        twin.execute(stream, &mut rng);
+    }
+    assert_eq!(twin.n(), n);
+    let want = twin.execute(probe.requests(), &mut rng).to_vec();
+    assert_eq!(answers, want, "answers diverged from the committed twin");
+    assert_eq!(
+        report.tenant_log(0).expect("served").reports,
+        vec![twin.last_report()],
+        "charges diverged from the committed twin"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -127,10 +127,11 @@ pub struct SessionReport {
     /// Charges of the PRAM-baseline shadow runs (crossover mode only):
     /// the same subtree sums priced on the §I-C PRAM simulation.
     pub pram: Option<CostReport>,
-    /// Out-of-core paging charges (mapped backing with a paging config
-    /// only): cold-page faults priced as long-distance messages. `None`
-    /// on owned backings — every other field of a paged run stays
-    /// bit-identical to its fully-resident twin.
+    /// Out-of-core paging charges (forests with a
+    /// [`crate::ForestOptions::paging`] config only): cold-page touches
+    /// of slabs still mapped from a snapshot, priced as long-distance
+    /// messages. `None` without a paging config — every other field of
+    /// a paged run stays bit-identical to its fully-resident twin.
     pub paging: Option<spatial_model::PagingReport>,
     /// Charge-batched sessions flushed (mutation boundaries + 1,
     /// counting only sessions that ran at least one engine).

@@ -27,10 +27,9 @@ pub struct ForestOptions {
     /// Crossover mode: shadow-price every subtree-sum session on the
     /// §I-C PRAM simulation and report both ([`SessionReport::pram`]).
     pub crossover: bool,
-    /// Base seed of the PRAM shadow engine's hashed cell placement.
-    pub pram_seed: u64,
-    /// Out-of-core charge model: when set, a mapped-backed forest
-    /// tracks slab residency under this budget and prices every
+    /// Out-of-core charge model: when set, a forest restored from a
+    /// snapshot ([`SpatialForest::from_mapped`]) tracks the residency
+    /// of its still-mapped slabs under this budget and prices every
     /// cold-page touch as a long-distance message
     /// ([`SessionReport::paging`]). `None` (the default) reports no
     /// paging rows and keeps every report bit-identical to pre-paging
@@ -44,20 +43,9 @@ impl Default for ForestOptions {
             curve: CurveKind::Hilbert,
             rebuild_factor: 2.0,
             crossover: false,
-            pram_seed: 0x5eed_0f0e,
             paging: None,
         }
     }
-}
-
-/// How a recovered forest holds its snapshot slabs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ForestBacking {
-    /// Slabs decoded into owned heap memory (the classic path).
-    Owned,
-    /// Slabs served zero-copy from an mmap'd snapshot, promoted to
-    /// owned memory lazily on first mutation (CoW).
-    Mapped,
 }
 
 /// What [`SpatialForest::checkpoint_to`] wrote.
@@ -192,9 +180,7 @@ pub struct SpatialForest {
     /// cast — no shadow array.
     weights: CowSlab<u64>,
 
-    // ---- Out-of-core state (mapped backing only). ----
-    /// How this forest was restored.
-    backing: ForestBacking,
+    // ---- Out-of-core state (restored forests only). ----
     /// The mapped snapshot serving un-promoted slabs (kept alive here
     /// and inside each [`CowSlab`] view).
     mapped: Option<Arc<MappedSnapshot>>,
@@ -254,26 +240,17 @@ impl SpatialForest {
     pub fn with_options(tree: &Tree, opts: ForestOptions) -> Self {
         let n = tree.n() as usize;
         let dynamic = DynamicLayout::new(tree, opts.curve, opts.rebuild_factor);
-        Self::from_dynamic(
-            dynamic,
-            CowSlab::owned(vec![1; n]),
-            false,
-            opts,
-            ForestBacking::Owned,
-            None,
-        )
+        Self::from_dynamic(dynamic, CowSlab::owned(vec![1; n]), false, opts, None)
     }
 
     /// The shared constructor: wraps an already-built dynamic layout
-    /// (fresh from [`DynamicLayout::new`] or restored from a snapshot,
-    /// owned or mapped) with the forest's caches, machines, and engine
-    /// pool.
+    /// (fresh from [`DynamicLayout::new`] or restored over a mapped
+    /// snapshot) with the forest's caches, machines, and engine pool.
     fn from_dynamic(
         dynamic: DynamicLayout,
         weights: CowSlab<u64>,
         layout_dirty: bool,
         opts: ForestOptions,
-        backing: ForestBacking,
         mapped: Option<Arc<MappedSnapshot>>,
     ) -> Self {
         let n = dynamic.n() as usize;
@@ -291,13 +268,12 @@ impl SpatialForest {
             machine: Machine::on_curve(opts.curve, 1),
             dart_machine: Machine::on_curve(opts.curve, 1),
             weights,
-            backing,
             mapped,
             pager: opts.paging.map(PagedMachine::new),
             replayed: 0,
             dirty: DirtyTracker::default(),
             journal: None,
-            pool: EnginePool::new(opts.curve, opts.pram_seed),
+            pool: EnginePool::new(opts.curve),
             scratch: SessionScratch::new(),
             responses: Vec::new(),
             lca_q: Vec::new(),
@@ -412,11 +388,6 @@ impl SpatialForest {
 
     // ---- Out-of-core accessors + paging charges. ----
 
-    /// How this forest holds its snapshot slabs.
-    pub fn backing(&self) -> ForestBacking {
-        self.backing
-    }
-
     /// Whether any slab is still served zero-copy from the mapped
     /// snapshot (no promoting mutation yet).
     pub fn any_slab_mapped(&self) -> bool {
@@ -425,7 +396,7 @@ impl SpatialForest {
 
     /// Journal records replayed into this forest since construction
     /// ([`SpatialForest::apply_journal`] /
-    /// [`SpatialForest::recover_with`]).
+    /// [`SpatialForest::recover_from`]).
     pub fn replayed_records(&self) -> u64 {
         self.replayed
     }
@@ -483,8 +454,8 @@ impl SpatialForest {
     /// [`ForestSnapshot`]. `tag` is stored verbatim for the caller —
     /// the serve layer keeps its journal generation there.
     ///
-    /// Restoring the snapshot ([`SpatialForest::from_snapshot`]) and
-    /// replaying any later journal ([`SpatialForest::apply_journal`])
+    /// Restoring the written snapshot ([`SpatialForest::from_mapped`])
+    /// and replaying any later journal ([`SpatialForest::apply_journal`])
     /// yields a forest that is *bit-identical going forward*: the same
     /// answers **and** the same [`SessionReport`] charges for every
     /// future batch, including the same rebuild/growth schedule.
@@ -516,51 +487,15 @@ impl SpatialForest {
         self.snapshot(tag).write_to(path)
     }
 
-    /// Restores a forest from a snapshot. The curve family comes from
-    /// the snapshot (overriding `opts.curve`); `rebuild_factor`,
-    /// `crossover`, and `pram_seed` are not persisted and must be
-    /// passed unchanged for charge-identical recovery.
-    pub fn from_snapshot(snap: &ForestSnapshot, opts: ForestOptions) -> Self {
-        let curve = *CurveKind::ALL
-            .get(snap.curve as usize)
-            .expect("snapshot curve index out of range");
-        let opts = ForestOptions { curve, ..opts };
-        let dynamic = DynamicLayout::restore(
-            snap.root,
-            snap.parents.clone(),
-            curve,
-            snap.order.clone(),
-            snap.reserved,
-            opts.rebuild_factor,
-            DynamicStats {
-                insertions: snap.insertions,
-                rebuilds: snap.rebuilds,
-                grows: snap.grows,
-                baseline_energy: snap.baseline_energy,
-            },
-        );
-        let mut forest = Self::from_dynamic(
-            dynamic,
-            CowSlab::owned(snap.weights.clone()),
-            snap.layout_dirty,
-            opts,
-            ForestBacking::Owned,
-            None,
-        );
-        // Track this snapshot as the incremental-checkpoint base; if
-        // the file under it turns out to differ (stale or rewritten),
-        // the strict writer-side CRC validation falls back to a full
-        // rewrite.
-        forest.dirty.base = Some((snap.parents.len() as u32, snap.reserved, snap.slab_crcs()));
-        forest
-    }
-
     /// Restores a forest zero-copy over a mapped snapshot: the parents
     /// and weights slabs stay borrowed views into `snap`'s region until
     /// a mutation promotes them (CoW); queries run directly over the
     /// mapped bytes. With [`ForestOptions::paging`] set, the
     /// construction-time slab reads are charged to the pager's lifetime
-    /// meters (not the first session).
+    /// meters (not the first session). The curve family comes from the
+    /// snapshot (overriding `opts.curve`); `rebuild_factor` and
+    /// `crossover` are not persisted and must be passed unchanged for
+    /// charge-identical recovery.
     pub fn from_mapped(snap: &Arc<MappedSnapshot>, opts: ForestOptions) -> Self {
         let header = *snap.header();
         let curve = *CurveKind::ALL
@@ -571,9 +506,9 @@ impl SpatialForest {
             header.root,
             snap.parents_slab(),
             curve,
-            // The order slab is consumed by the layout's derived
-            // structures either way; copying it here is the one
-            // construction-time read the mapped backing cannot avoid.
+            // The order slab feeds the layout's derived structures, so
+            // it is copied: the one construction-time read a restore
+            // cannot avoid.
             snap.order().to_vec(),
             header.reserved,
             opts.rebuild_factor,
@@ -589,7 +524,6 @@ impl SpatialForest {
             snap.weights_slab(),
             header.layout_dirty,
             opts,
-            ForestBacking::Mapped,
             Some(snap.clone()),
         );
         // Price what construction actually read — the parents slab
@@ -608,51 +542,50 @@ impl SpatialForest {
         forest
     }
 
-    /// Full crash recovery: load the snapshot at `snapshot_path`, then
-    /// replay every intact record of the journal at `journal_path` (a
-    /// missing journal file is an empty history). The journal's torn
-    /// tail, if any, is silently dropped — see `spatial_store`.
+    /// Full crash recovery: open the snapshot at `snapshot_path`
+    /// ([`MappedSnapshot::open`], which first applies a pending
+    /// incremental-checkpoint delta), restore it
+    /// ([`SpatialForest::from_mapped`]), then replay the journal at
+    /// `journal_path` ([`SpatialForest::apply_journal`]; a missing
+    /// journal file is an empty history). The journal's torn tail, if
+    /// any, is silently dropped — see `spatial_store` — and so is
+    /// everything from its first invalid record on.
     pub fn recover_from(
         snapshot_path: impl AsRef<Path>,
         journal_path: impl AsRef<Path>,
         opts: ForestOptions,
     ) -> Result<Self, StoreError> {
-        Self::recover_with(snapshot_path, journal_path, opts, ForestBacking::Owned)
-    }
-
-    /// [`SpatialForest::recover_from`] with an explicit backing. A
-    /// pending incremental-checkpoint delta is applied first (crash
-    /// recovery). An empty journal skips the replay loop entirely
-    /// ([`SpatialForest::replayed_records`] stays 0).
-    pub fn recover_with(
-        snapshot_path: impl AsRef<Path>,
-        journal_path: impl AsRef<Path>,
-        opts: ForestOptions,
-        backing: ForestBacking,
-    ) -> Result<Self, StoreError> {
-        let snapshot_path = snapshot_path.as_ref();
-        let mut forest = match backing {
-            ForestBacking::Mapped => {
-                Self::from_mapped(&Arc::new(MappedSnapshot::open(snapshot_path)?), opts)
-            }
-            ForestBacking::Owned => {
-                spatial_store::apply_pending_delta(snapshot_path)?;
-                let snap = ForestSnapshot::read_from(snapshot_path)?;
-                Self::from_snapshot(&snap, opts)
-            }
-        };
-        let records = spatial_store::read_journal(journal_path)?;
-        if !records.is_empty() {
-            forest.apply_journal(&records);
-        }
+        let mut forest = Self::from_mapped(&Arc::new(MappedSnapshot::open(snapshot_path)?), opts);
+        forest.apply_journal(&spatial_store::read_journal(journal_path)?);
         Ok(forest)
     }
 
+    /// The length of the longest prefix of `records` that
+    /// [`SpatialForest::apply_journal`] applies to this forest: it ends
+    /// before the first record that names a vertex which does not
+    /// exist where the record stands (one more vertex after each
+    /// insert). The journal's twin of the batch check `execute` makes.
+    pub fn replayable_len(&self, records: &[Record]) -> usize {
+        let mut n = self.n();
+        for (i, rec) in records.iter().enumerate() {
+            match *rec {
+                Record::InsertLeaf { parent, .. } if parent < n => n += 1,
+                Record::SetWeight { vertex, .. } if vertex < n => {}
+                Record::Rebuild | Record::RngState(_) => {}
+                _ => return i,
+            }
+        }
+        records.len()
+    }
+
     /// Replays journal records against the restored forest, in order,
-    /// returning how many were applied. [`Record::RngState`] markers
-    /// are skipped — session RNG recovery belongs to the serve layer,
-    /// which owns the RNG.
+    /// and returns how many it applied: the prefix
+    /// [`SpatialForest::replayable_len`] accepts, so an invalid record
+    /// ends the replay as a torn tail would, instead of panicking.
+    /// [`Record::RngState`] markers are skipped — session RNG recovery
+    /// belongs to the serve layer, which owns the RNG.
     pub fn apply_journal(&mut self, records: &[Record]) -> u64 {
+        let records = &records[..self.replayable_len(records)];
         for rec in records {
             match *rec {
                 Record::InsertLeaf { parent, weight } => {
@@ -917,8 +850,8 @@ impl SpatialForest {
         self.in_execute = false;
         self.session.grid = self.session.grid + self.machine.report();
         self.session.ranking = self.session.ranking + self.dart_machine.report();
-        // Publish the session's paging charges in one batch: owned
-        // backings report `None`.
+        // Publish the session's paging charges in one batch: a forest
+        // without a pager reports `None`.
         if let Some(pager) = self.pager.as_mut() {
             self.session.paging = Some(pager.commit_session());
         }
@@ -1366,8 +1299,8 @@ mod tests {
         );
 
         // The snapshot preserved the caller's tag verbatim.
-        let snap = spatial_store::ForestSnapshot::read_from(&snap_path).expect("reread");
-        assert_eq!(snap.tag, 7);
+        let snap = MappedSnapshot::open(&snap_path).expect("reopen");
+        assert_eq!(snap.header().tag, 7);
 
         std::fs::remove_file(&snap_path).ok();
         std::fs::remove_file(&journal_path).ok();

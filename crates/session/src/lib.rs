@@ -52,5 +52,5 @@ mod forest;
 mod pool;
 
 pub use batch::{QueryBatch, Request, Response, SessionReport};
-pub use forest::{CheckpointStats, ForestBacking, ForestOptions, ResidentBytes, SpatialForest};
+pub use forest::{CheckpointStats, ForestOptions, ResidentBytes, SpatialForest};
 pub use pool::{EnginePool, PoolStats, SessionScratch};

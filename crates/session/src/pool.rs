@@ -88,10 +88,6 @@ fn grow_for(engine: &mut impl EngineLifecycle, n: usize, stats: &mut PoolStats) 
 /// `u64::MAX` marks "never bound".
 pub struct EnginePool {
     curve: CurveKind,
-    /// Base seed for the PRAM shadow engine's hashed cell placement
-    /// (deterministic per epoch so fresh and reused forests charge
-    /// identically).
-    pram_seed: u64,
     stats: PoolStats,
 
     /// §V treefix contraction: the forest's only contraction engine.
@@ -116,10 +112,9 @@ pub struct EnginePool {
 
 impl EnginePool {
     /// An empty pool: every engine is built on first use.
-    pub(crate) fn new(curve: CurveKind, pram_seed: u64) -> Self {
+    pub(crate) fn new(curve: CurveKind) -> Self {
         EnginePool {
             curve,
-            pram_seed,
             stats: PoolStats::default(),
             treefix: None,
             treefix_epoch: u64::MAX,
@@ -263,8 +258,13 @@ impl EnginePool {
         self.ranking.as_mut().expect("just built")
     }
 
+    /// Base seed of the PRAM shadow's hashed cell placement: one fixed
+    /// value, so fresh, reused and recovered forests price the shadow
+    /// identically.
+    const PRAM_SEED: u64 = 0x5eed_0f0e;
+
     /// The PRAM shadow pair for `epoch` (crossover mode). The engine's
-    /// hashed cell placement is derived from `pram_seed ^ epoch`, so a
+    /// hashed cell placement is derived from `PRAM_SEED ^ epoch`, so a
     /// replayed stream prices identically.
     pub(crate) fn pram_for(&mut self, epoch: u64, tree: &Tree) -> &mut (PramEngine, PramTreefix) {
         if self.pram.is_none() || self.pram_epoch != epoch {
@@ -274,7 +274,7 @@ impl EnginePool {
                 self.stats.rebinds += 1;
             }
             let n = tree.n();
-            let mut rng = StdRng::seed_from_u64(self.pram_seed ^ epoch);
+            let mut rng = StdRng::seed_from_u64(Self::PRAM_SEED ^ epoch);
             // ≥ 2n cells: the treefix scatters one value per tour dart.
             self.pram = Some((
                 PramEngine::with_curve(self.curve, n, 2 * n.max(1), &mut rng),

@@ -40,15 +40,24 @@ fn naive_sum(t: &Tree, weights: &[u64], v: NodeId) -> u64 {
         .sum()
 }
 
-/// Executes `batch` on `forest` and on a twin restored from a snapshot
-/// taken just before, with the same session RNG state; checks every
-/// answer against the naive oracles and the twin's charges.
+/// Executes `batch` on `forest` and on a twin recovered from a snapshot
+/// file written just before, with the same session RNG state; checks
+/// every answer against the naive oracles and the twin's charges.
 fn execute_checked(forest: &mut SpatialForest, batch: &QueryBatch, rng: &mut StdRng, what: &str) {
     let opts = ForestOptions {
         rebuild_factor: f64::INFINITY,
         ..ForestOptions::default()
     };
-    let mut twin = SpatialForest::from_snapshot(&forest.snapshot(0), opts);
+    let snap_path = std::env::temp_dir().join(format!(
+        "spatial-epoch-sharing-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    forest.snapshot_to(&snap_path, 0).expect("snapshot");
+    let mut twin =
+        SpatialForest::recover_from(&snap_path, snap_path.with_extension("journal"), opts)
+            .expect("recover twin");
+    std::fs::remove_file(&snap_path).ok();
     let mut twin_rng = rng.clone();
     let responses = forest.execute(batch.requests(), rng).to_vec();
     let report = forest.last_report();

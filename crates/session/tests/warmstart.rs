@@ -1,6 +1,8 @@
 //! Counting-allocator proof of the restart story: a recovered forest
-//! that has been [`SpatialForest::warmstart`]ed serves its **first**
-//! post-restart mixed query session with **zero heap allocation** —
+//! (slabs mapped from the snapshot file, as every durable tenant
+//! restarts) that has been [`SpatialForest::warmstart`]ed serves its
+//! **first** post-restart mixed query session with **zero heap
+//! allocation** —
 //! the engine pool and every batch scratch are pre-sized from the
 //! snapshot header's reserved capacity, so the restart does not pay a
 //! warm-up session the way a cold forest does.
@@ -9,7 +11,7 @@
 //! can pollute the count (the same harness as `alloc_free.rs`).
 
 use rand::prelude::*;
-use spatial_session::{ForestBacking, ForestOptions, QueryBatch, Response, SpatialForest};
+use spatial_session::{ForestOptions, QueryBatch, Response, SpatialForest};
 use spatial_tree::generators;
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::cell::Cell;
@@ -113,11 +115,10 @@ fn warmstarted_recovery_serves_first_session_without_allocating() {
     }
 
     // Restart: recover and warmstart — no warm-up execute.
-    let mut restarted = SpatialForest::recover_with(
+    let mut restarted = SpatialForest::recover_from(
         &snap_path,
         dir.join("forest.journal"),
         ForestOptions::default(),
-        ForestBacking::Owned,
     )
     .expect("recover");
     assert_eq!(restarted.replayed_records(), 0, "no journal to replay");
@@ -148,11 +149,10 @@ fn warmstarted_recovery_serves_first_session_without_allocating() {
 
     // The warmstart must be charge- and answer-neutral: a twin that
     // recovers without warmstarting gives bit-identical results.
-    let mut twin = SpatialForest::recover_with(
+    let mut twin = SpatialForest::recover_from(
         &snap_path,
         dir.join("forest.journal"),
         ForestOptions::default(),
-        ForestBacking::Owned,
     )
     .expect("recover twin");
     let mut twin_rng = StdRng::seed_from_u64(77);

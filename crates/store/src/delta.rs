@@ -227,8 +227,9 @@ fn read_base_header(path: &Path) -> Option<(SnapshotHeader, [u32; 3])> {
 
 /// Applies the pending delta for `snapshot_path`, if one exists:
 /// patches the base file and removes the delta. Returns whether a
-/// delta was applied. Idempotent and crash-safe — recovery paths call
-/// this before reading a snapshot (the mmap reader does so itself).
+/// delta was applied. Idempotent and crash-safe — the snapshot reader
+/// ([`crate::MappedSnapshot::open`]) calls this before mapping, and
+/// the checkpoint writers before they write.
 pub fn apply_pending_delta(snapshot_path: impl AsRef<Path>) -> Result<bool, StoreError> {
     let path = snapshot_path.as_ref();
     let dpath = delta_path(path);

@@ -7,7 +7,9 @@
 //! via temp-file + atomic rename), and the mutation history between
 //! snapshots is an append-only journal of fixed-width [`Record`]s
 //! (length-prefixed, per-record CRC, torn-tail tolerant on replay).
-//! Recovery = snapshot load + journal replay; the session layer
+//! A snapshot has one reader, [`MappedSnapshot::open`], which validates
+//! the file and serves its slabs zero-copy. Recovery = open + journal
+//! replay; the session layer
 //! (`spatial_session::SpatialForest::recover_from`) pins the result
 //! bit-identical — answers *and* charges — to the live forest.
 //!

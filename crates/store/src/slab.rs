@@ -1,11 +1,12 @@
 //! Copy-on-write slabs: owned `Vec<T>` or a borrowed view into a
 //! shared [`MappedSnapshot`], promoted to owned on first mutation.
 //!
-//! This is the backing abstraction the forest layers thread through
-//! (`ForestBacking::Owned` vs `Mapped` in `spatial_session`): queries
-//! read [`CowSlab::as_slice`] identically for both backings; the first
-//! mutation calls [`CowSlab::make_mut`], which copies the mapped
-//! entries into a freshly reserved vector exactly once. The `Arc`
+//! The forest layers hold their per-vertex slabs this way: a forest
+//! built from a tree owns them, and a forest restored from a snapshot
+//! (`spatial_session::SpatialForest::from_mapped`) starts on mapped
+//! views. Queries read [`CowSlab::as_slice`] identically either way;
+//! the first mutation calls [`CowSlab::make_mut`], which copies the
+//! mapped entries into a freshly reserved vector exactly once. The `Arc`
 //! keeps the mapped region alive for as long as any view borrows it —
 //! and [`MappedSnapshot`] never moves its region after construction,
 //! so the captured pointer stays valid for the `Arc`'s lifetime.

@@ -55,9 +55,10 @@ pub(crate) const HEADER_BYTES: usize = 6 * 4 + 4 * 8 + 3 * 4;
 /// Offset of the first slab — `12 + 68 = 80`, a multiple of 8.
 pub(crate) const SLABS_OFFSET: usize = PROLOGUE_BYTES + HEADER_BYTES;
 
-/// The scalar header shared by every v2 artifact: the owned snapshot,
-/// the mmap'd reader ([`crate::MappedSnapshot`]), and the incremental
-/// checkpoint delta ([`crate::delta`]). Field semantics belong to the
+/// The scalar header shared by every v2 artifact: the snapshot a
+/// forest writes ([`ForestSnapshot`]), the reader
+/// ([`crate::MappedSnapshot`]), and the incremental checkpoint delta
+/// ([`crate::delta`]). Field semantics belong to the
 /// forest types; this struct is the format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnapshotHeader {
@@ -258,40 +259,6 @@ impl ForestSnapshot {
         bytes
     }
 
-    /// Parses and validates a v2 snapshot (magic, version, checksums,
-    /// slab lengths).
-    pub fn decode(bytes: &[u8]) -> Result<Self, StoreError> {
-        let (header, slab_crcs) = validate_v2_prologue(bytes)?;
-        let off = slab_offsets(header.slab_cap());
-        if bytes.len() as u64 != off.file_len {
-            return Err(StoreError::Truncated);
-        }
-        let n = header.n as usize;
-        let read_u32s = |start: u64| {
-            let s = start as usize;
-            (0..n)
-                .map(|i| u32::from_le_bytes(bytes[s + 4 * i..s + 4 * i + 4].try_into().unwrap()))
-                .collect::<Vec<u32>>()
-        };
-        let parents = read_u32s(off.parents);
-        let order = read_u32s(off.order);
-        let w = off.weights as usize;
-        let weights: Vec<u64> = (0..n)
-            .map(|i| u64::from_le_bytes(bytes[w + 8 * i..w + 8 * i + 8].try_into().unwrap()))
-            .collect();
-        for (&stored, data) in
-            slab_crcs
-                .iter()
-                .zip([u32_bytes(&parents), u32_bytes(&order), u64_bytes(&weights)])
-        {
-            let computed = crc32(data);
-            if stored != computed {
-                return Err(StoreError::BadChecksum { stored, computed });
-            }
-        }
-        Ok(Self::from_header(header, parents, order, weights))
-    }
-
     pub(crate) fn from_header(
         h: SnapshotHeader,
         parents: Vec<u32>,
@@ -318,20 +285,11 @@ impl ForestSnapshot {
     pub fn write_to(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
         atomic_write(path, &self.encode())
     }
-
-    /// Reads and validates the snapshot at `path`.
-    ///
-    /// Does **not** apply a pending incremental-checkpoint delta —
-    /// recovery paths call [`crate::apply_pending_delta`] first (the
-    /// mmap reader [`crate::MappedSnapshot::open`] does so itself).
-    pub fn read_from(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        Self::decode(&std::fs::read(path)?)
-    }
 }
 
 /// Checks magic, version == 2, and the header CRC; returns the parsed
-/// header + slab CRCs. Shared by the owned decoder, the mmap reader,
-/// and the delta applier.
+/// header + slab CRCs. Shared by the snapshot reader
+/// ([`crate::MappedSnapshot::open`]) and the delta applier.
 pub(crate) fn validate_v2_prologue(bytes: &[u8]) -> Result<(SnapshotHeader, [u32; 3]), StoreError> {
     if bytes.len() < PROLOGUE_BYTES {
         return Err(StoreError::Truncated);
@@ -357,6 +315,8 @@ pub(crate) fn validate_v2_prologue(bytes: &[u8]) -> Result<(SnapshotHeader, [u32
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MappedSnapshot;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     fn sample() -> ForestSnapshot {
         ForestSnapshot {
@@ -375,13 +335,25 @@ mod tests {
         }
     }
 
+    /// Writes `bytes` to a fresh file and reads it back through the
+    /// one snapshot reader, [`MappedSnapshot::open`].
+    fn open_bytes(bytes: &[u8]) -> Result<ForestSnapshot, StoreError> {
+        static NEXT: AtomicU32 = AtomicU32::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "spatial-store-snap-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::write(&path, bytes).expect("write snapshot bytes");
+        let read = MappedSnapshot::open(&path).map(|m| m.to_snapshot());
+        std::fs::remove_file(&path).ok();
+        read
+    }
+
     #[test]
     fn encode_decode_roundtrip() {
         let snap = sample();
-        assert_eq!(
-            ForestSnapshot::decode(&snap.encode()).expect("decode"),
-            snap
-        );
+        assert_eq!(open_bytes(&snap.encode()).expect("open"), snap);
     }
 
     #[test]
@@ -395,13 +367,13 @@ mod tests {
         v1.extend_from_slice(&1u32.to_le_bytes());
         v1.resize(PROLOGUE_BYTES + 6 * 4 + 4 * 8, 0);
         assert!(matches!(
-            ForestSnapshot::decode(&v1),
+            open_bytes(&v1),
             Err(StoreError::UnsupportedVersion(1))
         ));
         let mut relabelled = sample().encode();
         relabelled[4..8].copy_from_slice(&1u32.to_le_bytes());
         assert!(matches!(
-            ForestSnapshot::decode(&relabelled),
+            open_bytes(&relabelled),
             Err(StoreError::UnsupportedVersion(1))
         ));
     }
@@ -432,7 +404,9 @@ mod tests {
             std::process::id()
         ));
         sample().write_to(&path).expect("write");
-        assert_eq!(ForestSnapshot::read_from(&path).expect("read"), sample());
+        let mapped = MappedSnapshot::open(&path).expect("open");
+        assert_eq!(mapped.to_snapshot(), sample());
+        drop(mapped);
         std::fs::remove_file(&path).ok();
     }
 
@@ -444,15 +418,12 @@ mod tests {
 
         let mut bad_magic = good.clone();
         bad_magic[0] = b'X';
-        assert!(matches!(
-            ForestSnapshot::decode(&bad_magic),
-            Err(StoreError::BadMagic)
-        ));
+        assert!(matches!(open_bytes(&bad_magic), Err(StoreError::BadMagic)));
 
         let mut bad_version = good.clone();
         bad_version[4..8].copy_from_slice(&99u32.to_le_bytes());
         assert!(matches!(
-            ForestSnapshot::decode(&bad_version),
+            open_bytes(&bad_version),
             Err(StoreError::UnsupportedVersion(99))
         ));
 
@@ -464,27 +435,22 @@ mod tests {
             PROLOGUE_BYTES,
             PROLOGUE_BYTES + 20,
             off.parents as usize,
+            off.parents as usize + 4 * n - 1,
             off.order as usize + 4 * n - 1,
             off.weights as usize + 8 * n - 1,
         ] {
             let mut flipped = good.clone();
             flipped[at] ^= 1;
             assert!(
-                matches!(
-                    ForestSnapshot::decode(&flipped),
-                    Err(StoreError::BadChecksum { .. })
-                ),
+                matches!(open_bytes(&flipped), Err(StoreError::BadChecksum { .. })),
                 "flip at {at}"
             );
         }
 
         // A truncated file fails before the checksum can even be read.
+        assert!(matches!(open_bytes(&good[..8]), Err(StoreError::Truncated)));
         assert!(matches!(
-            ForestSnapshot::decode(&good[..8]),
-            Err(StoreError::Truncated)
-        ));
-        assert!(matches!(
-            ForestSnapshot::decode(&good[..good.len() - 8]),
+            open_bytes(&good[..good.len() - 8]),
             Err(StoreError::Truncated)
         ));
     }
@@ -505,9 +471,6 @@ mod tests {
             order: Vec::new(),
             weights: Vec::new(),
         };
-        assert_eq!(
-            ForestSnapshot::decode(&snap.encode()).expect("decode"),
-            snap
-        );
+        assert_eq!(open_bytes(&snap.encode()).expect("open"), snap);
     }
 }

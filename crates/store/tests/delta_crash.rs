@@ -84,7 +84,10 @@ fn recovery_is_bit_identical_at_every_crash_cut() {
     assert!(written > 0);
     assert!(!delta_path(&path).exists());
     let reference = std::fs::read(&path).expect("read patched");
-    assert_eq!(ForestSnapshot::read_from(&path).expect("decode"), snap);
+    assert_eq!(
+        MappedSnapshot::open(&path).expect("open").to_snapshot(),
+        snap
+    );
 
     // Now replay the same checkpoint, crashing the patch at a spread
     // of byte cuts: 0 (nothing patched), mid-header, mid-extent, just
@@ -154,9 +157,13 @@ fn stale_or_grown_base_falls_back_to_full_rewrite() {
         .expect("runs")
         .is_none());
 
-    // The base file is untouched by all three refusals.
-    assert_eq!(ForestSnapshot::read_from(&path).expect("decode"), base);
+    // The base file is untouched by all three refusals, and no delta
+    // is left for the reader to apply.
     assert!(!delta_path(&path).exists());
+    assert_eq!(
+        MappedSnapshot::open(&path).expect("open").to_snapshot(),
+        base
+    );
     std::fs::remove_file(&path).ok();
 }
 
@@ -176,7 +183,10 @@ fn incremental_is_much_smaller_than_full_rewrite_on_dirty_tail() {
         written * 4 <= full_bytes,
         "incremental wrote {written} of {full_bytes} bytes"
     );
-    assert_eq!(ForestSnapshot::read_from(&path).expect("decode"), snap);
+    assert_eq!(
+        MappedSnapshot::open(&path).expect("open").to_snapshot(),
+        snap
+    );
     std::fs::remove_file(&path).ok();
 }
 
@@ -195,7 +205,10 @@ fn rebuild_rewrites_order_slab_and_still_recovers() {
         .expect("incremental")
         .expect("validates");
     let reference = std::fs::read(&path).expect("read patched");
-    assert_eq!(ForestSnapshot::read_from(&path).expect("decode"), snap);
+    assert_eq!(
+        MappedSnapshot::open(&path).expect("open").to_snapshot(),
+        snap
+    );
 
     // Crash mid-order-extent, recover, compare.
     std::fs::write(&path, &base_bytes).expect("restore");

@@ -1,5 +1,8 @@
-//! The mmap-backed reader: zero-copy alignment safety, validation, and
-//! equivalence with the owned decoder.
+//! The mmap-backed reader, the only reader of a snapshot file:
+//! zero-copy alignment safety, validation, and exact readback of what
+//! the writer encoded. The format's corruption cases (bad magic, other
+//! versions, header and slab checksum flips, truncation) run through
+//! it in `src/snapshot.rs`'s unit tests.
 
 use spatial_store::{ForestSnapshot, MappedSnapshot, StoreError};
 
@@ -79,8 +82,7 @@ fn open_verifies_per_slab_crcs() {
 #[test]
 fn v1_files_are_not_mappable() {
     let path = temp_path("v1");
-    // Any version but 2 is refused on both open paths: the mapped
-    // reader and the owned decoder. The packed v1 layout has no
+    // Any version but 2 is refused. The packed v1 layout has no
     // fallback reader any more.
     let good = sample(16).encode();
     for version in [1u32, 99] {
@@ -89,10 +91,6 @@ fn v1_files_are_not_mappable() {
         std::fs::write(&path, &bytes).expect("write");
         assert!(matches!(
             MappedSnapshot::open(&path),
-            Err(StoreError::UnsupportedVersion(v)) if v == version
-        ));
-        assert!(matches!(
-            ForestSnapshot::read_from(&path),
             Err(StoreError::UnsupportedVersion(v)) if v == version
         ));
     }

@@ -12,29 +12,36 @@
 //! rebuilds. All seeds are fixed; the fuzz is deterministic in CI.
 
 use rand::prelude::*;
-use spatial_trees::session::{ForestBacking, ForestOptions, QueryBatch, Request, SpatialForest};
+use spatial_trees::session::{ForestOptions, QueryBatch, Request, SpatialForest};
 use spatial_trees::store::delta::{
     commit_delta_without_applying_for_tests, partially_apply_pending_delta_for_tests,
 };
 use spatial_trees::store::{
-    delta_path, parse_journal, DirtyExtents, ForestSnapshot, JournalWriter, Record, RECORD_BYTES,
+    delta_path, parse_journal, DirtyExtents, JournalWriter, MappedSnapshot, Record, RECORD_BYTES,
 };
+use spatial_trees::tree::Tree;
+use std::path::Path;
+use std::sync::Arc;
 
 fn temp_path(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("spatial-durability-{tag}-{}", std::process::id()))
 }
 
-/// Replays journal records through the **public API only** — the
-/// honest-history reference a recovered forest is compared against.
-/// Inserts go through `execute`, weight changes through `set_weight`,
-/// and a `Rebuild` record is provoked the way the original was: by a
-/// query that requires the light-first order.
-fn replay_via_public_api(
-    snap: &ForestSnapshot,
-    opts: ForestOptions,
-    records: &[Record],
-) -> SpatialForest {
-    let mut forest = SpatialForest::from_snapshot(snap, opts);
+/// Restores the snapshot at `path` with no journal: the mapped reader,
+/// then the one restore.
+fn restore(path: &Path, opts: ForestOptions) -> SpatialForest {
+    let snap = MappedSnapshot::open(path).expect("open snapshot");
+    SpatialForest::from_mapped(&Arc::new(snap), opts)
+}
+
+/// Replays journal records through the **public API only**, on a fresh
+/// forest over `tree` that was never restored — the honest-history
+/// reference a recovered forest is compared against. Inserts go
+/// through `execute`, weight changes through `set_weight`, and a
+/// `Rebuild` record is provoked the way the original was: by a query
+/// that requires the light-first order.
+fn replay_via_public_api(tree: &Tree, opts: ForestOptions, records: &[Record]) -> SpatialForest {
+    let mut forest = SpatialForest::with_options(tree, opts);
     let mut rng = StdRng::seed_from_u64(0xFACE);
     for rec in records {
         match *rec {
@@ -115,8 +122,8 @@ fn kill_at_random_offset_recovery_is_bit_identical() {
         // Snapshot at time zero (through the file format, so the fuzz
         // also crosses encode/decode), then journal everything after.
         live.snapshot_to(&snap_path, seed).expect("snapshot");
-        let snap = ForestSnapshot::read_from(&snap_path).expect("read snapshot");
-        assert_eq!(snap.tag, seed, "caller tag survives the roundtrip");
+        let tag = MappedSnapshot::open(&snap_path).expect("open").header().tag;
+        assert_eq!(tag, seed, "caller tag survives the roundtrip");
         live.attach_journal(JournalWriter::create(&journal_path).expect("journal"));
 
         let mut wl_rng = StdRng::seed_from_u64(seed ^ 0x0DD5);
@@ -168,9 +175,9 @@ fn kill_at_random_offset_recovery_is_bit_identical() {
             let surviving = parse_journal(&bytes[..cut]);
             assert_eq!(surviving.len(), cut / RECORD_BYTES, "cut {cut}");
 
-            let mut recovered = SpatialForest::from_snapshot(&snap, opts);
+            let mut recovered = restore(&snap_path, opts);
             recovered.apply_journal(&surviving);
-            let mut reference = replay_via_public_api(&snap, opts, &surviving);
+            let mut reference = replay_via_public_api(&tree, opts, &surviving);
             assert_forests_equivalent(
                 &mut recovered,
                 &mut reference,
@@ -179,7 +186,7 @@ fn kill_at_random_offset_recovery_is_bit_identical() {
         }
 
         // The intact journal recovers the live forest itself.
-        let mut recovered = SpatialForest::from_snapshot(&snap, opts);
+        let mut recovered = restore(&snap_path, opts);
         recovered.apply_journal(&full);
         assert_forests_equivalent(
             &mut recovered,
@@ -241,27 +248,26 @@ fn recover_from_tolerates_a_torn_tail() {
 /// history writes a small fraction of the full snapshot, and a crash
 /// at any point of the in-place patch — injected byte budget by byte
 /// budget through the store's test hook — recovers bit-identically
-/// through the public `recover_with`, under both backings.
+/// through the public `recover_from`.
 #[test]
 fn incremental_checkpoint_crash_recovers_bit_identically() {
     let snap_path = temp_path("incr-snap");
+    let target_path = temp_path("incr-target");
     let journal_path = temp_path("incr-journal"); // never created: empty history
 
-    // Base generation on disk, tracked by a recovered forest.
+    // Base generation on disk, tracked by the live forest that wrote it.
     let tree = spatial_trees::tree::generators::uniform_random(600, &mut StdRng::seed_from_u64(3));
     let opts = ForestOptions::default();
-    let mut seed_forest = SpatialForest::with_options(&tree, opts);
+    let mut live = SpatialForest::with_options(&tree, opts);
     // Settle the layout so the dirty-tail workload below triggers no
     // rebuild (a rebuild rewrites the whole order slab).
-    seed_forest.execute(
+    live.execute(
         QueryBatch::new().lca(0, 599).requests(),
         &mut StdRng::seed_from_u64(30),
     );
-    seed_forest
-        .snapshot_to(&snap_path, 1)
-        .expect("base snapshot");
-    let base = ForestSnapshot::read_from(&snap_path).expect("read base");
-    let mut live = SpatialForest::from_snapshot(&base, opts);
+    let first = live.checkpoint_to(&snap_path, 1).expect("base checkpoint");
+    assert!(!first.incremental, "no base to patch yet: a full write");
+    let base = live.snapshot(1);
 
     // Dirty-tail workload: many weight edits, a few appends, no grow.
     let mut wl_rng = StdRng::seed_from_u64(0x11);
@@ -285,8 +291,10 @@ fn incremental_checkpoint_crash_recovers_bit_identically() {
         full_len
     );
     // The checkpointed state, captured before the equivalence probe
-    // below mutates `live`.
+    // below mutates `live`, and written out whole as the oracle of the
+    // crash sweep.
     let target = live.snapshot(2);
+    target.write_to(&target_path).expect("write target");
     let mut recovered =
         SpatialForest::recover_from(&snap_path, &journal_path, opts).expect("recover");
     assert_eq!(recovered.replayed_records(), 0, "no journal to replay");
@@ -295,7 +303,7 @@ fn incremental_checkpoint_crash_recovers_bit_identically() {
     // Crash injection: rebuild the pre-checkpoint base, re-commit the
     // same delta without applying it, and kill the patch at a sweep of
     // byte budgets. Recovery must always land on the checkpointed
-    // state, whichever backing reopens the file.
+    // state.
     let mut weight_cells: Vec<u32> = Vec::new();
     for v in 0..600u32 {
         if base.weights[v as usize] != target.weights[v as usize] {
@@ -321,14 +329,9 @@ fn incremental_checkpoint_crash_recovers_bit_identically() {
         .expect("base validates");
         let torn = partially_apply_pending_delta_for_tests(&snap_path, cut).expect("partial patch");
         assert!(torn <= cut, "patch wrote past the injected crash");
-        let backing = if cut.is_multiple_of(128) {
-            ForestBacking::Mapped
-        } else {
-            ForestBacking::Owned
-        };
-        let mut after_crash = SpatialForest::recover_with(&snap_path, &journal_path, opts, backing)
+        let mut after_crash = SpatialForest::recover_from(&snap_path, &journal_path, opts)
             .expect("recover after injected crash");
-        let mut expect = SpatialForest::from_snapshot(&target, opts);
+        let mut expect = restore(&target_path, opts);
         assert_forests_equivalent(
             &mut after_crash,
             &mut expect,
@@ -345,6 +348,7 @@ fn incremental_checkpoint_crash_recovers_bit_identically() {
     );
 
     std::fs::remove_file(&snap_path).ok();
+    std::fs::remove_file(&target_path).ok();
 }
 
 /// `recover_from` reports exactly how many journal records it applied:
@@ -411,12 +415,12 @@ fn mid_stream_snapshot_roundtrip_is_bit_identical() {
     assert!(live.dynamic_stats().grows >= 1);
 
     live.snapshot_to(&snap_path, 3).expect("snapshot");
-    let snap = ForestSnapshot::read_from(&snap_path).expect("read");
+    let header = *MappedSnapshot::open(&snap_path).expect("open").header();
     assert!(
-        snap.layout_dirty,
+        header.layout_dirty,
         "snapshot must capture the dirty-layout state"
     );
-    let mut restored = SpatialForest::from_snapshot(&snap, opts);
+    let mut restored = restore(&snap_path, opts);
     assert_forests_equivalent(&mut restored, &mut live, "mid-stream snapshot");
 
     std::fs::remove_file(&snap_path).ok();

@@ -1,19 +1,18 @@
 //! Out-of-core differential suite: a forest recovered **mapped**
 //! (zero-copy slabs over the snapshot file, cold-page touches priced
-//! as long-distance messages) must be indistinguishable from its
-//! fully-resident owned twin on every axis except the explicit paging
-//! rows — identical answers and bit-identical non-paging
-//! [`SessionReport`] fields over mixed fuzz streams, even when the
-//! slabs exceed the resident-page budget many times over. The paging
+//! as long-distance messages) must be indistinguishable from its owned
+//! twin — the live forest that wrote the snapshot, never restored — on
+//! every axis except the explicit paging rows: identical answers and
+//! bit-identical non-paging [`SessionReport`] fields over mixed fuzz
+//! streams, even when the slabs exceed the resident-page budget many
+//! times over. The paging
 //! rows themselves must behave like a real cache: fault counts
 //! monotone non-increasing as the budget grows (LRU is a stack
 //! algorithm), zero evictions once everything fits.
 
 use rand::prelude::*;
 use spatial_trees::model::{PagingConfig, PagingReport};
-use spatial_trees::session::{
-    ForestBacking, ForestOptions, QueryBatch, Response, SessionReport, SpatialForest,
-};
+use spatial_trees::session::{ForestOptions, QueryBatch, Response, SessionReport, SpatialForest};
 use spatial_trees::tree::generators;
 
 fn temp_path(tag: &str) -> std::path::PathBuf {
@@ -41,8 +40,8 @@ fn random_stream(n0: u32, len: usize, insert_pct: u32, rng: &mut StdRng) -> Quer
 }
 
 /// Builds a forest with some history (inserts, weight edits, settled
-/// layout) and snapshots it to `path`; returns the vertex count.
-fn snapshot_worked_forest(path: &std::path::Path, n: u32, seed: u64) -> u32 {
+/// layout) and snapshots it to `path`; returns the live forest.
+fn snapshot_worked_forest(path: &std::path::Path, n: u32, seed: u64) -> SpatialForest {
     let tree = generators::uniform_random(n, &mut StdRng::seed_from_u64(seed));
     let mut forest = SpatialForest::new(&tree);
     let mut rng = StdRng::seed_from_u64(seed ^ 0xAB);
@@ -56,7 +55,7 @@ fn snapshot_worked_forest(path: &std::path::Path, n: u32, seed: u64) -> u32 {
         forest.set_weight(v, (v as u64 % 13) + 1);
     }
     forest.snapshot_to(path, 1).expect("snapshot");
-    forest.n()
+    forest
 }
 
 /// The same report with the paging rows removed — everything that must
@@ -68,11 +67,13 @@ fn strip_paging(mut report: SessionReport) -> SessionReport {
 
 /// Mapped recovery with a resident budget far below the slab footprint
 /// serves a full mixed stream (queries *and* promoting mutations)
-/// bit-identically to the owned twin, with paging charges reported.
+/// bit-identically to the owned twin that wrote the snapshot, with
+/// paging charges reported.
 #[test]
 fn mapped_forest_matches_owned_twin_beyond_its_budget() {
     let snap_path = temp_path("differential");
-    let n = snapshot_worked_forest(&snap_path, 3000, 42);
+    let mut owned = snapshot_worked_forest(&snap_path, 3000, 42);
+    let n = owned.n();
     let journal = temp_path("differential-nojournal");
 
     // 4 resident pages (16 KiB) against slabs an order of magnitude
@@ -81,26 +82,17 @@ fn mapped_forest_matches_owned_twin_beyond_its_budget() {
         page_bytes: 4096,
         resident_pages: 4,
     };
-    let mut mapped = SpatialForest::recover_with(
+    let mut mapped = SpatialForest::recover_from(
         &snap_path,
         &journal,
         ForestOptions {
             paging: Some(paging),
             ..ForestOptions::default()
         },
-        ForestBacking::Mapped,
     )
     .expect("mapped recovery");
-    let mut owned = SpatialForest::recover_with(
-        &snap_path,
-        &journal,
-        ForestOptions::default(),
-        ForestBacking::Owned,
-    )
-    .expect("owned recovery");
-    assert_eq!(mapped.backing(), ForestBacking::Mapped);
-    assert_eq!(owned.backing(), ForestBacking::Owned);
     assert!(mapped.any_slab_mapped(), "slabs start zero-copy");
+    assert!(!owned.any_slab_mapped(), "the twin holds owned slabs");
     let constructed = mapped.paging_lifetime().expect("paging configured");
     assert!(
         constructed.faults > 0,
@@ -160,7 +152,7 @@ fn paging_faults_are_monotone_under_shrinking_budgets() {
     let mut lifetimes: Vec<PagingReport> = Vec::new();
     let mut answers: Vec<Vec<Response>> = Vec::new();
     for &resident_pages in &budgets {
-        let mut forest = SpatialForest::recover_with(
+        let mut forest = SpatialForest::recover_from(
             &snap_path,
             &journal,
             ForestOptions {
@@ -170,7 +162,6 @@ fn paging_faults_are_monotone_under_shrinking_budgets() {
                 }),
                 ..ForestOptions::default()
             },
-            ForestBacking::Mapped,
         )
         .expect("mapped recovery");
         let mut stream_rng = StdRng::seed_from_u64(31);
