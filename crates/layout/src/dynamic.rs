@@ -53,14 +53,15 @@ pub struct DynamicStats {
 
 /// Retained buffers for the light-first rebuild: the light-first child
 /// CSR and subtree sizes, BFS scratch, the order under construction,
-/// and coordinate staging. The CSR, the sizes and the BFS scratch serve
-/// every epoch's engine binds, so they are reserved to the curve
-/// capacity from the start. The order, the DFS stack, the slot points
-/// and the position scratch serve only a light-first rebuild or a
-/// capacity growth: they are released after construction and reserved
-/// to the capacity at the first rebuild or growth, so steady-state
-/// rebuilds never allocate and a layout that never rebuilds never holds
-/// them.
+/// and coordinate staging. The CSR and the sizes serve every epoch's
+/// engine binds, so they are kept; until the layout's first append,
+/// rebuild or growth they hold the current tree only. The BFS scratch,
+/// the order, the DFS stack, the slot points and the position scratch
+/// serve only a CSR build, a light-first rebuild or a capacity growth:
+/// they are released after construction and reserved to the capacity
+/// at the next CSR build or the first append, rebuild or growth, so
+/// steady-state rebuilds never allocate and a layout that is only read
+/// never holds them.
 #[derive(Debug, Default)]
 struct RebuildScratch {
     /// Light-first child lists of the tree (see `current`).
@@ -93,27 +94,22 @@ impl RebuildScratch {
             + vec_bytes(&self.pos)
     }
 
-    /// Reserves the buffers of the epoch CSR build.
+    /// Grows every buffer to `cap` entries (a no-op once they hold
+    /// that many).
     fn reserve(&mut self, cap: usize) {
         self.csr.reserve(cap);
-        self.bfs.reserve(cap);
-        self.sizes.reserve(cap);
-    }
-
-    /// Grows the rebuild-only buffers to `cap` entries (a no-op once
-    /// they hold that many).
-    fn reserve_rebuild(&mut self, cap: usize) {
-        fn grow<T>(buf: &mut Vec<T>, cap: usize) {
-            buf.reserve(cap.saturating_sub(buf.len()));
-        }
+        grow(&mut self.sizes, cap);
+        grow(&mut self.bfs, cap);
         grow(&mut self.order, cap);
         grow(&mut self.stack, cap);
         grow(&mut self.slot_points, cap);
         grow(&mut self.pos, cap);
     }
 
-    /// Frees the rebuild-only buffers.
-    fn release_rebuild(&mut self) {
+    /// Frees the buffers that only a CSR build, a rebuild or a growth
+    /// uses.
+    fn release_working(&mut self) {
+        self.bfs = Vec::new();
         self.order = Vec::new();
         self.stack = Vec::new();
         self.slot_points = Vec::new();
@@ -121,9 +117,11 @@ impl RebuildScratch {
     }
 
     /// Computes the light-first child CSR and subtree sizes of the tree
-    /// given by `parents` unless they are already current.
-    fn ensure_children(&mut self, parents: &[NodeId], root: NodeId) {
+    /// given by `parents` unless they are already current, with the BFS
+    /// scratch reserved to `cap` entries.
+    fn ensure_children(&mut self, parents: &[NodeId], root: NodeId, cap: usize) {
         if !self.current {
+            grow(&mut self.bfs, cap);
             self.csr
                 .fill_light_first(parents, root, &mut self.sizes, &mut self.bfs);
             self.current = true;
@@ -133,8 +131,8 @@ impl RebuildScratch {
     /// Computes the light-first order of the tree into `order`: the
     /// CSR (if not current), then an iterative DFS with the smallest
     /// child on top of the stack. Allocation-free once reserved.
-    fn light_first_order(&mut self, parents: &[NodeId], root: NodeId) {
-        self.ensure_children(parents, root);
+    fn light_first_order(&mut self, parents: &[NodeId], root: NodeId, cap: usize) {
+        self.ensure_children(parents, root, cap);
         let RebuildScratch {
             csr, order, stack, ..
         } = self;
@@ -146,6 +144,11 @@ impl RebuildScratch {
             stack.extend(csr.children(v).iter().rev());
         }
     }
+}
+
+/// Grows `buf` to hold `cap` entries (a no-op once it does).
+fn grow<T>(buf: &mut Vec<T>, cap: usize) {
+    buf.reserve_exact(cap.saturating_sub(buf.len()));
 }
 
 /// A tree layout that supports leaf insertion with O(1) placement and
@@ -178,6 +181,11 @@ pub struct DynamicLayout {
     stats: DynamicStats,
     /// Retained rebuild buffers (zero steady-state allocation).
     scratch: RebuildScratch,
+    /// Whether the per-vertex arrays hold room for `reserved` vertices
+    /// (the append headroom): set at the first append, rebuild or
+    /// growth, so a layout that is only read holds its `n` vertices
+    /// alone.
+    headroom: bool,
 }
 
 impl DynamicLayout {
@@ -188,11 +196,10 @@ impl DynamicLayout {
     /// Panics when `rebuild_factor < 1.0`.
     pub fn new(tree: &Tree, curve: CurveKind, rebuild_factor: f64) -> Self {
         assert!(rebuild_factor >= 1.0, "rebuild factor must be ≥ 1");
-        let n = tree.n() as u64;
-        let reserved = (2 * n).max(4);
+        let n = tree.n() as usize;
+        let reserved = (2 * n as u64).max(4);
         let mut scratch = RebuildScratch::default();
-        scratch.reserve(reserved as usize);
-        scratch.light_first_order(tree.parents(), tree.root());
+        scratch.light_first_order(tree.parents(), tree.root(), n);
         let layout = Layout::from_order_with_capacity(curve, scratch.order.clone(), reserved);
         let mut dl = DynamicLayout {
             parents: CowSlab::owned(tree.parents().to_vec()),
@@ -210,12 +217,11 @@ impl DynamicLayout {
                 baseline_energy: 1,
             },
             scratch,
+            headroom: false,
         };
-        dl.parents.reserve(reserved as usize - n as usize);
-        dl.points.reserve(reserved as usize);
         dl.refresh_points_and_energy();
         dl.stats.baseline_energy = dl.energy.max(1);
-        dl.scratch.release_rebuild();
+        dl.scratch.release_working();
         dl
     }
 
@@ -264,12 +270,10 @@ impl DynamicLayout {
             rebuild_factor,
             stats,
             scratch: RebuildScratch::default(),
+            headroom: false,
         };
-        dl.parents.reserve(reserved as usize - n);
-        dl.points.reserve(reserved as usize);
-        dl.scratch.reserve(reserved as usize);
         dl.refresh_points_and_energy();
-        dl.scratch.release_rebuild();
+        dl.scratch.release_working();
         dl
     }
 
@@ -339,7 +343,7 @@ impl DynamicLayout {
     /// structure of one tree all derive from this one child order.
     pub fn light_first_children(&mut self) -> (&[u32], &ChildrenCsr) {
         let s = &mut self.scratch;
-        s.ensure_children(self.parents.as_slice(), self.root);
+        s.ensure_children(self.parents.as_slice(), self.root, self.reserved as usize);
         (&s.sizes, &s.csr)
     }
 
@@ -354,7 +358,10 @@ impl DynamicLayout {
     /// Heap bytes the dynamic layout keeps resident, by capacity: the
     /// parent slab (0 while it is a mapped view), the layout, the
     /// per-vertex grid points and the retained rebuild scratch (which
-    /// holds the light-first sizes and child CSR).
+    /// holds the light-first sizes and child CSR). Until the first
+    /// append, rebuild or growth every part holds the `n` current
+    /// vertices only; from then on it holds room for
+    /// [`DynamicLayout::reserved`].
     pub fn resident_bytes(&self) -> usize {
         self.parents.resident_bytes()
             + self.layout.resident_bytes()
@@ -400,6 +407,8 @@ impl DynamicLayout {
         assert!(parent < self.n(), "parent {parent} out of range");
         if self.parents.len() as u64 == self.reserved {
             self.grow();
+        } else if !self.headroom {
+            self.reserve_headroom();
         }
         let v = self.n() as NodeId;
         // Promoting here (CoW) is the first structural mutation a
@@ -419,12 +428,27 @@ impl DynamicLayout {
         }
     }
 
+    /// Sizes every per-vertex array, and the rebuild scratch, for
+    /// `reserved` vertices: the append headroom. A mapped parent slab
+    /// is sized when the first append promotes it.
+    fn reserve_headroom(&mut self) {
+        let cap = self.reserved as usize;
+        self.parents.reserve(cap - self.parents.len());
+        grow(&mut self.points, cap);
+        self.layout.reserve(cap);
+        self.scratch.reserve(cap);
+        self.headroom = true;
+    }
+
     /// Forces a light-first rebuild now (retained scratch: zero heap
     /// allocation in the steady state).
     pub fn rebuild(&mut self) {
-        self.scratch.reserve_rebuild(self.reserved as usize);
+        if !self.headroom {
+            self.reserve_headroom();
+        }
+        let cap = self.reserved as usize;
         self.scratch
-            .light_first_order(self.parents.as_slice(), self.root);
+            .light_first_order(self.parents.as_slice(), self.root, cap);
         self.layout.set_order(&self.scratch.order);
         self.refresh_points_and_energy();
         self.stats.rebuilds += 1;
@@ -441,11 +465,7 @@ impl DynamicLayout {
         self.reserved = (2 * n).max(4);
         let order = self.layout.order().to_vec();
         self.layout = Layout::from_order_with_capacity(self.curve, order, self.reserved);
-        self.parents.reserve(self.reserved as usize - n as usize);
-        self.points
-            .reserve(self.reserved as usize - self.points.len());
-        self.scratch.reserve(self.reserved as usize);
-        self.scratch.reserve_rebuild(self.reserved as usize);
+        self.reserve_headroom();
         self.refresh_points_and_energy();
         self.stats.grows += 1;
         self.stats.baseline_energy = self.fresh_light_first_energy().max(1);
@@ -476,8 +496,9 @@ impl DynamicLayout {
     /// current curve, without adopting it (the baseline re-anchor after
     /// a capacity growth).
     fn fresh_light_first_energy(&mut self) -> u64 {
+        let cap = self.reserved as usize;
         self.scratch
-            .light_first_order(self.parents.as_slice(), self.root);
+            .light_first_order(self.parents.as_slice(), self.root, cap);
         let n = self.parents.len();
         let s = &mut self.scratch;
         s.slot_points.clear();
@@ -683,6 +704,25 @@ mod tests {
             );
         }
         assert!(dl.stats().grows >= 1, "the stream should cross a growth");
+    }
+
+    #[test]
+    fn headroom_is_reserved_at_the_first_append() {
+        let t = seed_tree(300);
+        let mut dl = DynamicLayout::new(&t, CurveKind::Hilbert, f64::INFINITY);
+        let lean = dl.resident_bytes();
+        dl.light_first_children();
+        assert_eq!(dl.resident_bytes(), lean, "reads reserve nothing");
+        dl.insert_leaf(0);
+        let reserved = dl.resident_bytes();
+        assert!(reserved > lean, "{reserved} vs {lean}");
+        let mut rng = StdRng::seed_from_u64(9);
+        while (dl.n() as u64) < dl.reserved() {
+            dl.insert_leaf(rng.gen_range(0..dl.n()));
+            dl.light_first_children();
+        }
+        assert_eq!(dl.stats().grows, 0);
+        assert_eq!(dl.resident_bytes(), reserved, "appends within the headroom");
     }
 
     #[test]

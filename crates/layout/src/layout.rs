@@ -1,7 +1,7 @@
 //! The [`Layout`] type: vertex → curve slot → grid coordinate.
 
 use rand::Rng;
-use spatial_model::{vec_bytes, Machine, Slot};
+use spatial_model::{covering_side, vec_bytes, Machine, Slot};
 use spatial_sfc::{AnyCurve, Curve, CurveKind, GridPoint};
 use spatial_tree::{traversal, NodeId, Tree};
 
@@ -71,7 +71,9 @@ impl Layout {
     /// `order.len()..capacity` are *reserved tail slots*: unoccupied
     /// curve positions that [`Layout::append_tail`] can fill without
     /// changing the geometry of any existing vertex — the backbone of
-    /// incremental [`crate::DynamicLayout`] maintenance.
+    /// incremental [`crate::DynamicLayout`] maintenance. The placement
+    /// arrays hold the `n` placed vertices only; [`Layout::reserve`]
+    /// sizes them for the appends.
     ///
     /// # Panics
     /// Panics when `order` is not a permutation of `0..n`, or when
@@ -84,12 +86,7 @@ impl Layout {
         let n = order.len();
         assert!(capacity >= n as u64, "capacity below vertex count");
         let curve = curve_kind.for_capacity(capacity);
-        // Reserve both arrays up front so appends into the tail slots
-        // never reallocate (the dynamic-layout zero-alloc contract).
-        let mut order = order;
-        order.reserve(capacity as usize - n);
-        let mut slot_of = Vec::with_capacity(capacity as usize);
-        slot_of.resize(n, Slot::MAX);
+        let mut slot_of = vec![Slot::MAX; n];
         for (i, &v) in order.iter().enumerate() {
             assert!(
                 (v as usize) < n && slot_of[v as usize] == Slot::MAX,
@@ -108,6 +105,17 @@ impl Layout {
     /// `n..capacity` are free tail positions for [`Layout::append_tail`].
     pub fn capacity(&self) -> u64 {
         self.curve.len()
+    }
+
+    /// Grows both placement arrays to hold `vertices` vertices, so
+    /// [`Layout::append_tail`] up to that count never reallocates (a
+    /// no-op once they do).
+    pub fn reserve(&mut self, vertices: usize) {
+        fn grow<T>(buf: &mut Vec<T>, cap: usize) {
+            buf.reserve_exact(cap.saturating_sub(buf.len()));
+        }
+        grow(&mut self.slot_of, vertices);
+        grow(&mut self.vertex_at, vertices);
     }
 
     /// Appends vertex `n` (the next fresh id) at the first free curve
@@ -251,6 +259,22 @@ impl Layout {
     /// placements through a compact grid undercharges them.
     pub fn machine(&self) -> Machine {
         Machine::from_points(self.slot_points())
+    }
+
+    /// The side of [`Layout::machine`]'s grid (the smallest square
+    /// covering the slots `0..n` on this layout's curve), computed
+    /// without building the machine: a batch transform through a
+    /// fixed stack buffer, no allocation.
+    pub fn machine_side(&self) -> u32 {
+        let mut chunk = [GridPoint::default(); 256];
+        let mut side = 0;
+        for start in (0..self.vertex_at.len()).step_by(chunk.len()) {
+            let len = chunk.len().min(self.vertex_at.len() - start);
+            self.curve
+                .point_range_batch(start as u64, &mut chunk[..len]);
+            side = side.max(covering_side(&chunk[..len]));
+        }
+        side
     }
 
     /// Grid coordinate of every slot `0..n` on this layout's curve (one
@@ -494,6 +518,33 @@ mod tests {
         let compact = Machine::on_curve(CurveKind::Hilbert, 3);
         assert!(l.slot(4) >= compact.n_slots());
         assert!(l.dist(4, 0) > (2 * (compact.side().max(1) as u64 - 1)));
+    }
+
+    #[test]
+    fn machine_side_is_the_machines() {
+        for kind in spatial_sfc::CurveKind::ALL {
+            for (n, capacity) in [(0u32, 0u64), (1, 1), (3, 64), (300, 600), (700, 1400)] {
+                let l = Layout::from_order_with_capacity(kind, (0..n).collect(), capacity);
+                assert_eq!(
+                    l.machine_side(),
+                    l.machine().side(),
+                    "{kind} {n}/{capacity}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn reserve_sizes_the_placement_for_appends() {
+        let mut l = Layout::from_order_with_capacity(CurveKind::Hilbert, vec![1, 0, 2], 64);
+        assert_eq!(l.resident_bytes(), 2 * 3 * 4, "only the placed vertices");
+        l.reserve(40);
+        let bytes = l.resident_bytes();
+        assert_eq!(bytes, 2 * 40 * 4);
+        for v in 3..40 {
+            l.append_tail(v);
+        }
+        assert_eq!(l.resident_bytes(), bytes, "appends within the reserve");
     }
 
     #[test]

@@ -105,9 +105,8 @@ struct Structure {
     /// Step 4's broadcasts and barriers over the cover, in closed form
     /// for the layout's slot placement.
     step4: LayeredBroadcast,
-    /// Step-1 treefix input (`Add(1)` per vertex).
-    ones: Vec<Add>,
-    /// Step-3 treefix input (light-edge indicator).
+    /// Step-3 treefix input (light-edge indicator). Step 1's input,
+    /// `Add(1)` per vertex, is loaded without an array.
     indicator: Vec<Add>,
 }
 
@@ -155,7 +154,6 @@ impl Structure {
             layer: decomposition.layer,
             cover,
             step4,
-            ones: vec![Add(1); n as usize],
             indicator,
         }
     }
@@ -380,7 +378,6 @@ impl Structure {
             + vec_bytes(&self.layer)
             + self.cover.resident_bytes()
             + self.step4.resident_bytes()
-            + vec_bytes(&self.ones)
             + vec_bytes(&self.indicator)
     }
 
@@ -460,7 +457,7 @@ impl Structure {
 
         // ---- Step 1: subtree sizes (bottom-up treefix), ranges, and ----
         // ---- ancestor/descendant answers.                           ----
-        treefix.load(&s.ones, true);
+        treefix.load_with(|_| Add(1), true);
         let stats1 = treefix.contract(machine, rng);
         let tf1_values = treefix.uncontract_bottom_up(machine);
         debug_assert!(

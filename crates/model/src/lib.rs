@@ -38,7 +38,7 @@ pub mod paging;
 pub mod report;
 
 pub use engine::{round_capacity, vec_bytes, EngineLifecycle};
-pub use machine::{Machine, MachineBuilder, Slot, TraceEvent};
+pub use machine::{covering_side, Machine, MachineBuilder, Slot, TraceEvent};
 pub use paging::{PagedMachine, PagingConfig, PagingReport};
 pub use report::CostReport;
 

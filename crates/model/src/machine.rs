@@ -26,6 +26,13 @@ pub struct TraceEvent {
     pub depth_after: u32,
 }
 
+/// Side of the smallest square grid anchored at the origin that covers
+/// every point (0 for none): the side of a machine built from explicit
+/// points.
+pub fn covering_side(points: &[GridPoint]) -> u32 {
+    points.iter().fold(0, |side, p| side.max(p.x.max(p.y) + 1))
+}
+
 /// Builder for [`Machine`], allowing optional message tracing.
 #[derive(Debug, Clone)]
 pub struct MachineBuilder {
@@ -50,7 +57,7 @@ impl MachineBuilder {
 
     /// Machine with an explicit slot → grid-point placement.
     pub fn from_points(points: Vec<GridPoint>) -> Self {
-        let side = points.iter().map(|p| p.x.max(p.y) + 1).max().unwrap_or(0);
+        let side = covering_side(&points);
         MachineBuilder {
             points,
             side,
@@ -71,6 +78,7 @@ impl MachineBuilder {
         Machine {
             points: self.points,
             side: self.side,
+            curve: None,
             energy: Cell::new(0),
             messages: Cell::new(0),
             work: Cell::new(0),
@@ -88,16 +96,25 @@ impl MachineBuilder {
 /// positions, an energy/message/work meter, and per-slot dependency
 /// clocks whose maximum is the depth of the computation so far.
 ///
+/// A machine can be re-pointed in place onto another curve prefix
+/// ([`Machine::repoint`]), so one set of buffers serves trees of any
+/// size and geometry in turn. [`Machine::default`] is the empty
+/// machine: no slots, nothing allocated.
+///
 /// The machine is single-threaded. Its charging methods take `&self`
 /// and update plain [`Cell`] state, so a machine is `Send` (a service
-/// worker owns its tenants' machines) but not `Sync`. Each engine
-/// charges from the thread it runs on, and the depth the clocks record
-/// is the model's parallelism, not the host's. Every buffer a charge
-/// touches is allocated when the machine is built, so no charge
-/// allocates (except the trace pushes of a traced machine).
+/// worker owns the machines it lends its tenants) but not `Sync`. Each
+/// engine charges from the thread it runs on, and the depth the clocks
+/// record is the model's parallelism, not the host's. Every buffer a
+/// charge touches is allocated when the machine is built or re-pointed,
+/// so no charge allocates (except the trace pushes of a traced
+/// machine).
 pub struct Machine {
     points: Vec<GridPoint>,
     side: u32,
+    /// The curve (kind, side) whose slots `0..n` `points` holds, when
+    /// the machine was re-pointed onto one ([`Machine::repoint`]).
+    curve: Option<(CurveKind, u32)>,
     energy: Cell<u64>,
     messages: Cell<u64>,
     work: Cell<u64>,
@@ -136,12 +153,57 @@ impl Machine {
         MachineBuilder::from_points(points).build()
     }
 
+    /// Re-points the machine onto slots `0..n_slots` of `curve` and
+    /// resets it: afterwards it is [`Machine::from_points`] over those
+    /// curve points — the machine `Layout::machine` builds for a layout
+    /// on `curve` and, on a curve sized for `n_slots`, the placement of
+    /// [`Machine::on_curve`]. The tracing setting is kept. The
+    /// points are rebuilt, and the cached barrier energy dropped, only
+    /// when the curve kind, the curve's side or the slot count differs
+    /// from the last re-point; on the same curve only the slots past
+    /// the old count are transformed. Allocates only to grow past the
+    /// capacity of earlier placements, and then to exactly `n_slots`
+    /// ([`Machine::reserve`]).
+    pub fn repoint(&mut self, curve: &AnyCurve, n_slots: u32) {
+        let key = Some((curve.kind(), curve.side()));
+        let n = n_slots as usize;
+        if self.curve != key || self.points.len() != n {
+            let kept = if self.curve == key {
+                self.points.len().min(n)
+            } else {
+                0
+            };
+            self.reserve(n);
+            self.points.truncate(kept);
+            self.points.resize(n, GridPoint::default());
+            curve.point_range_batch(kept as u64, &mut self.points[kept..]);
+            self.side = covering_side(&self.points);
+            self.curve = key;
+            self.clocks.resize(n, Cell::new(0));
+            self.carried.resize(n, Cell::new(0));
+            self.barrier_energy = OnceCell::new();
+        }
+        self.reset();
+    }
+
+    /// Grows the slot buffers so re-points onto up to `n_slots` slots
+    /// do not allocate.
+    pub fn reserve(&mut self, n_slots: usize) {
+        fn grow<T>(buf: &mut Vec<T>, cap: usize) {
+            buf.reserve_exact(cap.saturating_sub(buf.len()));
+        }
+        grow(&mut self.points, n_slots);
+        grow(&mut self.clocks, n_slots);
+        grow(&mut self.carried, n_slots);
+    }
+
     /// Number of processor slots.
     pub fn n_slots(&self) -> u32 {
         self.points.len() as u32
     }
 
-    /// Side length of the (smallest covering) grid.
+    /// Side length of the grid: the curve's for [`Machine::on_curve`],
+    /// the smallest square covering the points otherwise.
     pub fn side(&self) -> u32 {
         self.side
     }
@@ -352,6 +414,12 @@ impl Machine {
     }
 }
 
+impl Default for Machine {
+    fn default() -> Self {
+        Machine::from_points(Vec::new())
+    }
+}
+
 impl std::fmt::Debug for Machine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Machine")
@@ -485,6 +553,54 @@ mod tests {
         assert_eq!(tr[0].to, 3);
         assert_eq!(tr[1].depth_after, 2);
         assert!(m.take_trace().is_empty(), "trace is drained");
+    }
+
+    #[test]
+    fn repoint_matches_a_fresh_machine() {
+        use crate::collectives::closed_form_barrier;
+        use spatial_sfc::Curve as _;
+        let mut m = Machine::default();
+        assert_eq!(m.n_slots(), 0);
+        assert_eq!(m.resident_bytes(), 0, "the empty machine allocates nothing");
+        // More slots, then fewer on one curve (only the new tail is
+        // transformed), then another side and other kinds.
+        for (kind, cap, n) in [
+            (CurveKind::Hilbert, 64, 40),
+            (CurveKind::Hilbert, 64, 64),
+            (CurveKind::Hilbert, 64, 9),
+            (CurveKind::Hilbert, 256, 9),
+            (CurveKind::Peano, 81, 50),
+            (CurveKind::ZOrder, 64, 50),
+            (CurveKind::ZOrder, 64, 50),
+        ] {
+            let curve = kind.for_capacity(cap);
+            m.repoint(&curve, n);
+            let mut points = vec![GridPoint::default(); n as usize];
+            curve.point_range_batch(0, &mut points);
+            let fresh = Machine::from_points(points);
+            assert_eq!(m.points(), fresh.points(), "{kind} {cap} {n}");
+            assert_eq!(m.side(), fresh.side(), "{kind} {cap} {n}");
+            assert_eq!(m.report(), CostReport::default(), "reset");
+            // The barrier's cached energy is this placement's.
+            for machine in [&m, &fresh] {
+                machine.send(0, n - 1);
+                closed_form_barrier(machine);
+            }
+            assert_eq!(m.report(), fresh.report(), "{kind} {cap} {n}");
+            assert!((0..n).all(|s| m.clock(s) == fresh.clock(s)));
+        }
+    }
+
+    #[test]
+    fn repoint_within_reserve_keeps_the_buffers() {
+        let mut m = Machine::default();
+        m.reserve(128);
+        let bytes = m.resident_bytes();
+        for n in [100, 7, 128, 1] {
+            m.repoint(&CurveKind::Hilbert.for_capacity(2 * n as u64), n);
+            assert_eq!(m.n_slots(), n);
+            assert_eq!(m.resident_bytes(), bytes, "n = {n}");
+        }
     }
 
     #[test]

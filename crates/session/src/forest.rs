@@ -4,10 +4,10 @@
 use crate::batch::{Request, Response, SessionReport};
 use crate::pool::{EnginePool, SessionScratch};
 use rand::Rng;
-use spatial_euler::ranking::{END, UNRANKED};
-use spatial_euler::tour::{down, EulerTour};
+use spatial_euler::ranking::UNRANKED;
+use spatial_euler::tour::down;
 use spatial_layout::{DynamicLayout, DynamicStats, Layout};
-use spatial_model::{vec_bytes, CurveKind, Machine, PagedMachine, PagingConfig, PagingReport};
+use spatial_model::{vec_bytes, CurveKind, PagedMachine, PagingConfig, PagingReport};
 use spatial_store::{
     CowSlab, DirtyExtents, ForestSnapshot, JournalWriter, MappedSnapshot, Record, StoreError,
 };
@@ -110,11 +110,17 @@ pub struct ResidentBytes {
     /// grid points, and the rebuild scratch that holds the epoch's
     /// light-first sizes and child CSR), the weight slab and the dirty
     /// weight cells. A slab still mapped from a snapshot counts 0.
+    /// Until the layout's first append, rebuild or growth every part
+    /// holds the current vertices only; from then on the append
+    /// headroom up to the reserved capacity too.
     pub layout: usize,
-    /// The materialized structure cache: the tree and the Euler tour's
-    /// successor darts.
+    /// The materialized structure cache: the tree. The Euler tour is
+    /// threaded only while the ranking engine binds, and not kept.
     pub structure: usize,
-    /// The grid machine, the dart machine and the pager's resident set.
+    /// The grid and dart machines of the forest's own
+    /// [`SessionScratch`] (none for a forest that only runs on lent
+    /// sets, [`SpatialForest::execute_with`]) and the pager's resident
+    /// set.
     pub machines: usize,
     /// The batched LCA engine's per-tree structure.
     pub lca: usize,
@@ -157,8 +163,9 @@ pub struct SpatialForest {
     /// batched LCA engine requires light-first; other engines only
     /// charge more on a degraded layout).
     layout_dirty: bool,
-    /// Whether an execute is in flight (report-folding guard).
-    in_execute: bool,
+    /// The epoch the lent machines were re-pointed at in the execute in
+    /// flight; `u64::MAX` before its first session.
+    machines_epoch: u64,
 
     // ---- Materialized structure cache (refreshed per epoch). The ----
     // ---- engines bind from the tree's parents, the layout's slots ----
@@ -166,12 +173,6 @@ pub struct SpatialForest {
     // ---- borrowed where they live.                                ----
     structure_epoch: u64,
     tree: Tree,
-    tour_next: Vec<u32>,
-    tour_start: u32,
-    /// Grid machine over the layout's true curve geometry.
-    machine: Machine,
-    /// 2-slots-per-vertex machine for the Euler-tour ranking sessions.
-    dart_machine: Machine,
 
     // ---- Per-vertex query values. ----
     /// Subtree-sum weights: owned, or a zero-copy view over the mapped
@@ -199,8 +200,8 @@ pub struct SpatialForest {
     journal: Option<JournalWriter>,
 
     pool: EnginePool,
-    /// The run buffers [`SpatialForest::execute`] and
-    /// [`SpatialForest::warmstart`] lend the engines; empty (and never
+    /// The run buffers and machines [`SpatialForest::execute`] and
+    /// [`SpatialForest::warmstart`] lend the session; empty (and never
     /// allocated) in a forest that only runs on lent sets.
     scratch: SessionScratch,
 
@@ -245,7 +246,7 @@ impl SpatialForest {
 
     /// The shared constructor: wraps an already-built dynamic layout
     /// (fresh from [`DynamicLayout::new`] or restored over a mapped
-    /// snapshot) with the forest's caches, machines, and engine pool.
+    /// snapshot) with the forest's structure cache and engine pool.
     fn from_dynamic(
         dynamic: DynamicLayout,
         weights: CowSlab<u64>,
@@ -260,13 +261,9 @@ impl SpatialForest {
             dynamic,
             epoch: 0,
             layout_dirty,
-            in_execute: false,
+            machines_epoch: u64::MAX,
             structure_epoch: u64::MAX,
             tree: Tree::from_parents(0, vec![spatial_tree::NIL]),
-            tour_next: Vec::with_capacity(2 * n),
-            tour_start: END,
-            machine: Machine::on_curve(opts.curve, 1),
-            dart_machine: Machine::on_curve(opts.curve, 1),
             weights,
             mapped,
             pager: opts.paging.map(PagedMachine::new),
@@ -324,9 +321,8 @@ impl SpatialForest {
             layout: self.dynamic.resident_bytes()
                 + self.weights.resident_bytes()
                 + vec_bytes(&self.dirty.weight_cells),
-            structure: self.tree.resident_bytes() + vec_bytes(&self.tour_next),
-            machines: self.machine.resident_bytes()
-                + self.dart_machine.resident_bytes()
+            structure: self.tree.resident_bytes(),
+            machines: self.scratch.machines_bytes()
                 + self.pager.as_ref().map_or(0, PagedMachine::resident_bytes),
             scratch: vec_bytes(&self.responses)
                 + vec_bytes(&self.lca_q)
@@ -408,31 +404,35 @@ impl SpatialForest {
     }
 
     /// The model price of one cold-page fetch: a message across the
-    /// grid diameter — the farthest a long-distance fetch can travel.
+    /// diameter of the layout's grid machine ([`Layout::machine_side`])
+    /// — the farthest a long-distance fetch can travel.
     fn fault_energy(&self) -> u64 {
-        (2 * (self.machine.side() as u64).saturating_sub(1)).max(1)
+        (2 * (self.dynamic.layout().machine_side() as u64).saturating_sub(1)).max(1)
     }
 
     /// Charges a touch of the mapped parents slab (if still mapped).
     fn touch_parents_span(&mut self) {
-        if !self.dynamic.parents_backing_mapped() {
-            return;
-        }
-        let energy = self.fault_energy();
-        if let (Some(pager), Some(mapped)) = (self.pager.as_mut(), self.mapped.as_ref()) {
-            let (off, len) = mapped.parents_span();
-            pager.touch_range(off, len, energy);
+        if self.dynamic.parents_backing_mapped() {
+            self.touch_span(MappedSnapshot::parents_span);
         }
     }
 
     /// Charges a touch of the mapped weights slab (if still mapped).
     fn touch_weights_span(&mut self) {
-        if !self.weights.is_mapped() {
+        if self.weights.is_mapped() {
+            self.touch_span(MappedSnapshot::weights_span);
+        }
+    }
+
+    /// Charges a touch of one slab of the mapped snapshot, when the
+    /// forest has a pager.
+    fn touch_span(&mut self, span: fn(&MappedSnapshot) -> (u64, u64)) {
+        if self.pager.is_none() {
             return;
         }
         let energy = self.fault_energy();
         if let (Some(pager), Some(mapped)) = (self.pager.as_mut(), self.mapped.as_ref()) {
-            let (off, len) = mapped.weights_span();
+            let (off, len) = span(mapped);
             pager.touch_range(off, len, energy);
         }
     }
@@ -544,18 +544,31 @@ impl SpatialForest {
 
     /// Full crash recovery: open the snapshot at `snapshot_path`
     /// ([`MappedSnapshot::open`], which first applies a pending
-    /// incremental-checkpoint delta), restore it
+    /// incremental-checkpoint delta and checks the slabs' contents),
+    /// check that its curve index names a [`CurveKind`], restore it
     /// ([`SpatialForest::from_mapped`]), then replay the journal at
     /// `journal_path` ([`SpatialForest::apply_journal`]; a missing
-    /// journal file is an empty history). The journal's torn tail, if
-    /// any, is silently dropped — see `spatial_store` — and so is
-    /// everything from its first invalid record on.
+    /// journal file is an empty history). A snapshot whose contents are
+    /// inconsistent, or that holds no vertex, is an
+    /// [`StoreError::Inconsistent`], not a panic.
+    /// The journal's torn tail, if any, is silently dropped — see
+    /// `spatial_store` — and so is everything from its first invalid
+    /// record on.
     pub fn recover_from(
         snapshot_path: impl AsRef<Path>,
         journal_path: impl AsRef<Path>,
         opts: ForestOptions,
     ) -> Result<Self, StoreError> {
-        let mut forest = Self::from_mapped(&Arc::new(MappedSnapshot::open(snapshot_path)?), opts);
+        let snap = Arc::new(MappedSnapshot::open(snapshot_path)?);
+        if CurveKind::ALL.get(snap.header().curve as usize).is_none() {
+            return Err(StoreError::Inconsistent(
+                "snapshot curve index out of range",
+            ));
+        }
+        if snap.n() == 0 {
+            return Err(StoreError::Inconsistent("snapshot of no vertex"));
+        }
+        let mut forest = Self::from_mapped(&snap, opts);
         forest.apply_journal(&spatial_store::read_journal(journal_path)?);
         Ok(forest)
     }
@@ -664,10 +677,10 @@ impl SpatialForest {
         };
     }
 
-    /// Pre-sizes the engine pool, the forest's own run buffers and the
-    /// batch scratch for this forest's reserved capacity (the snapshot
-    /// header's `reserved` after a recovery) and `batch_hint` requests
-    /// per execute, so the first post-restart
+    /// Pre-sizes the engine pool, the forest's own run buffers and
+    /// machines, and the batch scratch for this forest's reserved
+    /// capacity (the snapshot header's `reserved` after a recovery) and
+    /// `batch_hint` requests per execute, so the first post-restart
     /// [`SpatialForest::execute`] allocates nothing on the steady-state
     /// path: [`SpatialForest::warmstart_with`] on the forest's own set.
     pub fn warmstart(&mut self, batch_hint: usize) {
@@ -677,8 +690,9 @@ impl SpatialForest {
     }
 
     /// [`SpatialForest::warmstart`] for a forest that runs on `scratch`
-    /// ([`SpatialForest::execute_with`]): reserves `scratch` instead of
-    /// the forest's own set. Charge-neutral: engine construction is
+    /// ([`SpatialForest::execute_with`]): reserves `scratch` (run
+    /// buffers and machines) instead of the forest's own set.
+    /// Charge-neutral: engine construction is
     /// host-side and the LCA engine is only pre-built when the layout is
     /// already light-first (building it on a dirty layout would change
     /// the journaled rebuild schedule).
@@ -692,8 +706,8 @@ impl SpatialForest {
             self.pool
                 .lca_for(self.epoch, layout, &self.tree, sizes, csr);
         }
-        self.pool
-            .ranking_for(self.epoch, &self.tour_next, self.tour_start);
+        let (_, csr) = self.dynamic.light_first_children();
+        self.pool.ranking_for(self.epoch, &self.tree, csr);
         self.responses.reserve(batch_hint);
         self.lca_q.reserve(batch_hint);
         self.lca_idx.reserve(batch_hint);
@@ -760,7 +774,7 @@ impl SpatialForest {
     /// share it. Responses align with `requests` by index; machine
     /// charges land in [`SpatialForest::last_report`]. This is
     /// [`SpatialForest::execute_with`] on the forest's own
-    /// [`SessionScratch`].
+    /// [`SessionScratch`], which it keeps between calls.
     ///
     /// Panics if a request names a vertex that does not exist at its
     /// position in the stream. The whole batch is checked first, so a
@@ -775,12 +789,15 @@ impl SpatialForest {
         &self.responses
     }
 
-    /// [`SpatialForest::execute`] with the engines' run buffers
-    /// borrowed from `scratch`: each engine run takes the set in and
-    /// hands it back when it ends, so the forest keeps none of its own
-    /// between calls. Answers and charges are the same as `execute`'s,
-    /// whatever forest's runs `scratch` served before; a set too small
-    /// for this forest's tree grows to fit it.
+    /// [`SpatialForest::execute`] with the engines' run buffers and the
+    /// session's machines borrowed from `scratch`: each engine run
+    /// takes the run buffers in and hands them back when it ends, and
+    /// each session charges the set's machines, re-pointed onto this
+    /// forest's geometry and reset when a session opens at a new epoch
+    /// ([`spatial_model::Machine::repoint`]), so the forest keeps none
+    /// of them between calls. Answers and charges are the same as
+    /// `execute`'s, whatever forest's runs `scratch` served before; a
+    /// set too small for this forest's tree grows to fit it.
     pub fn execute_with<R: Rng>(
         &mut self,
         scratch: &mut SessionScratch,
@@ -800,10 +817,8 @@ impl SpatialForest {
         requests: &[Request],
         rng: &mut R,
     ) {
-        self.machine.reset();
-        self.dart_machine.reset();
+        self.machines_epoch = u64::MAX;
         self.session = SessionReport::default();
-        self.in_execute = true;
         self.responses.clear();
         // Drop any queries a previous execute left behind (it can only
         // happen if a caller caught a panic mid-flush and reused the
@@ -846,10 +861,7 @@ impl SpatialForest {
             }
         }
         self.flush_session(scratch, rng);
-
-        self.in_execute = false;
-        self.session.grid = self.session.grid + self.machine.report();
-        self.session.ranking = self.session.ranking + self.dart_machine.report();
+        self.fold_machines(scratch);
         // Publish the session's paging charges in one batch: a forest
         // without a pager reports `None`.
         if let Some(pager) = self.pager.as_mut() {
@@ -885,38 +897,43 @@ impl SpatialForest {
         }
     }
 
-    /// Rebuilds the materialized structure cache and both machines
-    /// from the dynamic layout (the mutation path — allocation is
-    /// allowed and amortized here, never on the query path).
+    /// Rebuilds the materialized structure cache — the tree — from the
+    /// dynamic layout (the mutation path — allocation is allowed and
+    /// amortized here, never on the query path).
     fn refresh_structure(&mut self) {
-        // Fold the outgoing machines' charges into the in-flight
-        // report before replacing them mid-execute.
-        if self.in_execute {
-            self.session.grid = self.session.grid + self.machine.report();
-            self.session.ranking = self.session.ranking + self.dart_machine.report();
-        }
         self.tree = self.dynamic.tree();
-        let n = self.tree.n();
-        if n == 1 {
-            self.tour_next.clear();
-            self.tour_next.extend_from_slice(&[END, END]);
-            self.tour_start = END;
-        } else {
-            // The light-first child lists the layout rebuild left
-            // behind (computed here once if tail appends followed it) —
-            // the one child order the Euler tour, the treefix and the
-            // LCA structure share this epoch.
-            let (_, csr) = self.dynamic.light_first_children();
-            let tour = EulerTour::light_first_from_csr(&self.tree, csr);
-            self.tour_next.clear();
-            self.tour_next.extend_from_slice(tour.next_darts());
-            self.tour_start = tour.start();
-        }
-        // The grid machine mirrors the layout's actual curve cells
-        // (`Layout::machine` prices capacity-reserved tails correctly).
-        self.machine = self.dynamic.layout().machine();
-        self.dart_machine = Machine::on_curve(self.opts.curve, 2 * n);
         self.structure_epoch = self.epoch;
+    }
+
+    /// Points the lent machines at the current epoch, once per epoch
+    /// of an execute: the charges of the epoch's earlier sessions are
+    /// folded into the report, then both machines are re-pointed and
+    /// reset, the grid machine onto the slots `0..n` of the layout's
+    /// curve (its actual cells: a capacity-reserved tail is priced on
+    /// the reserved geometry, as [`Layout::machine`] prices it) and the
+    /// dart machine onto `2n` slots of the family's curve for `2n`.
+    fn point_machines(&mut self, scratch: &mut SessionScratch) {
+        if self.machines_epoch == self.epoch {
+            return;
+        }
+        self.fold_machines(scratch);
+        let layout = self.dynamic.layout();
+        let n = layout.n();
+        scratch.machine.repoint(layout.curve(), n);
+        let darts = 2 * n;
+        scratch
+            .dart_machine
+            .repoint(&self.opts.curve.for_capacity(darts as u64), darts);
+        self.machines_epoch = self.epoch;
+    }
+
+    /// Adds the lent machines' charges to the in-flight report, if this
+    /// execute has pointed them.
+    fn fold_machines(&mut self, scratch: &SessionScratch) {
+        if self.machines_epoch != u64::MAX {
+            self.session.grid = self.session.grid + scratch.machine.report();
+            self.session.ranking = self.session.ranking + scratch.dart_machine.report();
+        }
     }
 
     /// Flushes the buffered query session: one charged engine run per
@@ -930,6 +947,7 @@ impl SpatialForest {
             self.ensure_light_first();
         }
         self.ensure_structure();
+        self.point_machines(scratch);
         self.session.sessions += 1;
 
         if !self.lca_q.is_empty() {
@@ -940,7 +958,7 @@ impl SpatialForest {
             treefix.swap_run(&mut scratch.contraction);
             engine.run_on(
                 treefix,
-                &self.machine,
+                &scratch.machine,
                 &self.lca_q,
                 &mut self.lca_answers,
                 rng,
@@ -964,8 +982,8 @@ impl SpatialForest {
                     .treefix_for(self.epoch, self.tree.parents(), layout.slots(), csr);
             treefix.swap_run(&mut scratch.contraction);
             treefix.load(as_add(self.weights.as_slice()), true);
-            treefix.contract(&self.machine, rng);
-            let sums = treefix.uncontract_bottom_up(&self.machine);
+            treefix.contract(&scratch.machine, rng);
+            let sums = treefix.uncontract_bottom_up(&scratch.machine);
             for (&idx, &v) in self.sum_idx.iter().zip(self.sum_v.iter()) {
                 self.responses[idx as usize] = Response::SubtreeSum(sums[v as usize].0);
             }
@@ -984,11 +1002,10 @@ impl SpatialForest {
         }
 
         if !self.rank_v.is_empty() {
-            let engine = self
-                .pool
-                .ranking_for(self.epoch, &self.tour_next, self.tour_start);
+            let (_, csr) = self.dynamic.light_first_children();
+            let engine = self.pool.ranking_for(self.epoch, &self.tree, csr);
             engine.swap_run(&mut scratch.ranking);
-            engine.rank(&self.dart_machine, rng);
+            engine.rank(&scratch.dart_machine, rng);
             let root = self.tree.root();
             for (&idx, &v) in self.rank_idx.iter().zip(self.rank_v.iter()) {
                 let rank = if v == root {
@@ -1013,6 +1030,7 @@ mod tests {
     use super::*;
     use rand::prelude::*;
     use spatial_euler::ranking::rank_sequential;
+    use spatial_euler::tour::EulerTour;
     use spatial_tree::{generators, ChildrenCsr};
 
     fn naive_lca(tree: &Tree, mut a: NodeId, mut b: NodeId) -> NodeId {

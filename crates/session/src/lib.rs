@@ -18,10 +18,11 @@
 //! [`spatial_model::EngineLifecycle`]: the pool grows them
 //! (amortized) when the tree grows, rebinds them when the tree
 //! mutates, and reuses their flat buffers forever after. The buffers
-//! an engine needs only while it runs live in a [`SessionScratch`]
-//! that the forest lends for each run: [`SpatialForest::execute`] uses
-//! the forest's own, and [`SpatialForest::execute_with`] a caller's, so
-//! forests that run one at a time can share one. The
+//! an engine needs only while it runs, and the machines a session
+//! charges, live in a [`SessionScratch`] that the forest borrows for
+//! each execute: [`SpatialForest::execute`] uses the forest's own, and
+//! [`SpatialForest::execute_with`] a caller's, so forests that run one
+//! at a time can share one. The
 //! steady-state query path performs **zero heap allocation**
 //! (counting-allocator test `tests/alloc_free.rs`) and is pinned
 //! against naive sequential answers and fresh-engine charge reports by

@@ -9,36 +9,46 @@
 //! ([`spatial_model::EngineLifecycle::reserve`], amortized doubling).
 //!
 //! The pool's engines hold their per-tree structure only. The buffers
-//! the contraction and the list ranking need while they run live in a
-//! [`SessionScratch`] that the forest lends to an engine for each run
-//! and takes back after it, so forests that run one at a time can share
-//! one set.
+//! the contraction and the list ranking need while they run, and the
+//! machines every run charges, live in a [`SessionScratch`] that the
+//! forest borrows for each execute, so forests that run one at a time
+//! can share one set.
 
 use crate::forest::ResidentBytes;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spatial_euler::ranking::{RankingEngine, RankingRun};
+use spatial_euler::tour::EulerTour;
 use spatial_layout::Layout;
 use spatial_lca::LcaEngine;
-use spatial_model::{CurveKind, EngineLifecycle, Slot};
+use spatial_model::{CurveKind, EngineLifecycle, Machine, Slot};
 use spatial_pram::{PramEngine, PramTreefix};
 use spatial_tree::{ChildrenCsr, NodeId, Tree};
 use spatial_treefix::contraction::{ContractionEngine, ContractionRun};
 use spatial_treefix::Add;
 
-/// One set of run buffers for each pooled engine that needs them while
-/// it runs: the §V contraction's ([`ContractionRun`]) and the Euler-tour
-/// list ranking's ([`RankingRun`]). A forest lends its set to an engine
-/// for each run and takes it back afterwards
-/// ([`crate::SpatialForest::execute_with`]), so forests that run one at
-/// a time — a service shard's tenants — can share one set instead of
-/// each keeping its own. A set holds no tree: the engines rewrite every
-/// buffer they read, and grow a set that is too small for the tree they
-/// run on. [`SessionScratch::new`] allocates nothing.
+/// What an execute needs only while it runs: one set of run buffers
+/// for each pooled engine that needs them — the §V contraction's
+/// ([`ContractionRun`]) and the Euler-tour list ranking's
+/// ([`RankingRun`]) — and the two machines the session charges, the
+/// grid machine and the two-slots-per-vertex dart machine. A forest
+/// borrows the set for an execute ([`crate::SpatialForest::execute_with`]),
+/// lends the run buffers to an engine for each run, and re-points the
+/// machines onto its own geometry, so forests that run one at a time —
+/// a service shard's tenants — can share one set instead of each
+/// keeping its own. A set holds no tree: the engines rewrite every
+/// buffer they read, a machine is reset at every re-point and only
+/// recomputes its points when the curve or the slot count changes
+/// ([`Machine::repoint`]), and a set that is too small for the tree it
+/// serves grows. [`SessionScratch::new`] allocates nothing.
 #[derive(Default)]
 pub struct SessionScratch {
     pub(crate) contraction: ContractionRun<Add>,
     pub(crate) ranking: RankingRun,
+    /// Grid machine: slots `0..n` of the layout's curve.
+    pub(crate) machine: Machine,
+    /// Dart machine: `2n` slots on the curve family's curve for `2n`.
+    pub(crate) dart_machine: Machine,
 }
 
 impl SessionScratch {
@@ -48,18 +58,25 @@ impl SessionScratch {
         Self::default()
     }
 
-    /// Grows both sets for forests of up to `vertices` vertices (the
-    /// ranking runs over two tour darts per vertex). A run grows a
-    /// smaller set by itself; reserving only moves that allocation
-    /// ahead of the first run.
+    /// Grows the run buffers and both machines for forests of up to
+    /// `vertices` vertices (the ranking and the dart machine run over
+    /// two tour darts per vertex). A run grows a smaller set by itself;
+    /// reserving only moves that allocation ahead of the first run.
     pub fn reserve(&mut self, vertices: usize) {
         self.contraction.reserve(vertices);
         self.ranking.reserve(2 * vertices);
+        self.machine.reserve(vertices);
+        self.dart_machine.reserve(2 * vertices);
     }
 
     /// Heap bytes the set keeps resident, by capacity.
     pub fn resident_bytes(&self) -> usize {
-        self.contraction.resident_bytes() + self.ranking.resident_bytes()
+        self.contraction.resident_bytes() + self.ranking.resident_bytes() + self.machines_bytes()
+    }
+
+    /// Heap bytes of the set's two machines.
+    pub(crate) fn machines_bytes(&self) -> usize {
+        self.machine.resident_bytes() + self.dart_machine.resident_bytes()
     }
 }
 
@@ -230,29 +247,36 @@ impl EnginePool {
         )
     }
 
-    /// The ranking engine, built or rebound for `epoch` over the tour
-    /// successor darts. Like the contraction engine, it holds no run
-    /// buffers of its own.
+    /// The ranking engine, built or rebound for `epoch` over the darts
+    /// of the tree's light-first Euler tour. The tour is threaded from
+    /// `tree` and its light-first child lists `csr` only when the
+    /// engine (re)binds, and dropped once the engine has read it. Like
+    /// the contraction engine, the ranking engine holds no run buffers
+    /// of its own.
     pub(crate) fn ranking_for(
         &mut self,
         epoch: u64,
-        tour_next: &[u32],
-        tour_start: u32,
+        tree: &Tree,
+        csr: &ChildrenCsr,
     ) -> &mut RankingEngine {
-        match &mut self.ranking {
-            None => {
-                let mut engine = RankingEngine::default();
-                engine.reserve(tour_next.len());
-                engine.bind(tour_next, tour_start);
-                self.ranking = Some(engine);
-                self.stats.builds += 1;
+        let bound = self.ranking.is_some() && self.ranking_epoch == epoch;
+        if !bound {
+            let tour = EulerTour::light_first_from_csr(tree, csr);
+            let (next, start) = (tour.next_darts(), tour.start());
+            match &mut self.ranking {
+                None => {
+                    let mut engine = RankingEngine::default();
+                    engine.reserve(next.len());
+                    engine.bind(next, start);
+                    self.ranking = Some(engine);
+                    self.stats.builds += 1;
+                }
+                Some(engine) => {
+                    grow_for(engine, next.len(), &mut self.stats);
+                    engine.bind(next, start);
+                    self.stats.rebinds += 1;
+                }
             }
-            Some(engine) if self.ranking_epoch != epoch => {
-                grow_for(engine, tour_next.len(), &mut self.stats);
-                engine.bind(tour_next, tour_start);
-                self.stats.rebinds += 1;
-            }
-            Some(_) => {}
         }
         self.ranking_epoch = epoch;
         self.ranking.as_mut().expect("just built")

@@ -50,16 +50,18 @@ fn live() -> i64 {
 const N: u32 = 1 << 10;
 
 /// Census bytes per vertex after one mixed execute on `uniform_random`
-/// at n = 2¹⁰: 493 measured (533 while the layout kept its rebuild-only
-/// buffers from construction on). A forest that also kept an idle
-/// second contraction engine and copies of the layout's arrays held
-/// ≈719.
-const MIXED_BUDGET: usize = 560;
+/// at n = 2¹⁰: 437 measured (493 while the layout reserved its append
+/// headroom at construction and the forest kept its Euler tour and the
+/// LCA structure its step-1 ones; 533 while the layout also kept its
+/// rebuild-only buffers). A forest that also kept an idle second
+/// contraction engine and copies of the layout's arrays held ≈719.
+const MIXED_BUDGET: usize = 525;
 
 /// Census bytes per vertex after an insert epoch that opens with a
-/// sums-only session and then serves every query kind: 803 measured.
-/// Two contraction engines, each grown to 2¹¹ vertices, held ≈1174.
-const EPOCH_BUDGET: usize = 870;
+/// sums-only session and then serves every query kind: 776 measured
+/// (803 with the Euler tour and the step-1 ones kept). Two contraction
+/// engines, each grown to 2¹¹ vertices, held ≈1174.
+const EPOCH_BUDGET: usize = 840;
 
 fn tree() -> Tree {
     generators::uniform_random(N, &mut StdRng::seed_from_u64(21))

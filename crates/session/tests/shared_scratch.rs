@@ -1,14 +1,16 @@
-//! Forests that borrow their engines' run buffers from one shared
-//! [`SessionScratch`] ([`SpatialForest::execute_with`]) answer and
-//! charge exactly like twins that run on their own
-//! ([`SpatialForest::execute`]), and a borrowing forest's census counts
-//! no run buffers.
+//! Forests that borrow their engines' run buffers and their machines
+//! from one shared [`SessionScratch`] ([`SpatialForest::execute_with`])
+//! answer and charge exactly like twins that run on their own
+//! ([`SpatialForest::execute`]), whatever size and curve the forest
+//! before them had, and a borrowing forest's census counts no run
+//! buffers, no machines, no Euler tour and no append headroom.
 //!
 //! Live bytes are counted per thread (allocations minus frees made on
 //! the measuring thread), so the tests of this binary may run
 //! concurrently.
 
 use rand::prelude::*;
+use spatial_model::CurveKind;
 use spatial_session::{QueryBatch, ResidentBytes, SessionScratch, SpatialForest};
 use spatial_tree::generators::TreeFamily;
 use spatial_tree::Tree;
@@ -51,9 +53,11 @@ fn live() -> i64 {
 }
 
 /// Census bytes per vertex of a tenant that runs on a shared set, after
-/// one mixed execute on `uniform_random` at n = 2¹⁰: 283 measured (the
-/// same forest on its own set reads 493).
-const SERVED_BUDGET: usize = 340;
+/// one mixed execute on `uniform_random` at n = 2¹⁰: 179 measured (the
+/// same forest on its own set reads 437). It read 283 while every
+/// tenant kept its own machines, its Euler tour, its append headroom
+/// and the LCA structure's step-1 ones.
+const SERVED_BUDGET: usize = 215;
 
 /// A mixed batch over the forest's current `n` vertices: LCA pairs,
 /// subtree sums and ranks, with `inserts` leaf inserts spread through
@@ -83,11 +87,11 @@ struct Pair {
 }
 
 impl Pair {
-    fn new(family: TreeFamily, n: u32, seed: u64) -> Self {
+    fn new(family: TreeFamily, n: u32, curve: CurveKind, seed: u64) -> Self {
         let tree = family.generate(n, &mut StdRng::seed_from_u64(seed));
         Pair {
-            borrowing: SpatialForest::new(&tree),
-            twin: SpatialForest::new(&tree),
+            borrowing: SpatialForest::with_curve(&tree, curve),
+            twin: SpatialForest::with_curve(&tree, curve),
             rng: StdRng::seed_from_u64(seed + 100),
             twin_rng: StdRng::seed_from_u64(seed + 100),
         }
@@ -113,9 +117,14 @@ impl Pair {
 #[test]
 fn borrowing_forests_match_twins_on_their_own_sets() {
     let mut pairs = [
-        Pair::new(TreeFamily::UniformRandom, 1 << 8, 1),
-        Pair::new(TreeFamily::PreferentialAttachment, 1 << 12, 2),
-        Pair::new(TreeFamily::RandomBinary, 1 << 10, 3),
+        Pair::new(TreeFamily::UniformRandom, 1 << 8, CurveKind::Hilbert, 1),
+        Pair::new(
+            TreeFamily::PreferentialAttachment,
+            1 << 12,
+            CurveKind::Hilbert,
+            2,
+        ),
+        Pair::new(TreeFamily::RandomBinary, 1 << 10, CurveKind::Hilbert, 3),
     ];
     let mut shared = SessionScratch::new();
     let mut qrng = StdRng::seed_from_u64(4);
@@ -145,6 +154,36 @@ fn borrowing_forests_match_twins_on_their_own_sets() {
             &batch,
             &format!("left-behind set, forest {i}"),
         );
+    }
+}
+
+#[test]
+fn tenants_of_other_sizes_and_curves_take_turns_on_one_set() {
+    // Each turn re-points the set's machines: onto another curve
+    // family, another side of one family (the prefix of one curve at
+    // another length, when only the vertex count differs), or nothing
+    // at all when the forest before shared this one's geometry.
+    let mut pairs = [
+        Pair::new(TreeFamily::UniformRandom, 1 << 8, CurveKind::Hilbert, 11),
+        Pair::new(TreeFamily::Yule, 1 << 8, CurveKind::Hilbert, 12),
+        Pair::new(
+            TreeFamily::PreferentialAttachment,
+            700,
+            CurveKind::Hilbert,
+            13,
+        ),
+        Pair::new(TreeFamily::RandomBinary, 1 << 10, CurveKind::ZOrder, 14),
+        Pair::new(TreeFamily::Caterpillar, 500, CurveKind::Peano, 15),
+        Pair::new(TreeFamily::UniformRandom, 300, CurveKind::Moore, 16),
+        Pair::new(TreeFamily::Star, 90, CurveKind::RowMajor, 17),
+    ];
+    let mut shared = SessionScratch::new();
+    let mut qrng = StdRng::seed_from_u64(18);
+    let turns = [0usize, 1, 0, 2, 3, 2, 4, 5, 6, 1, 4, 3, 0, 5, 2, 6, 6, 1];
+    for (step, &i) in turns.iter().enumerate() {
+        let pair = &mut pairs[i];
+        let batch = mixed(pair.twin.n(), (step % 4) as u32, &mut qrng);
+        pair.run(&mut shared, &batch, &format!("turn {step}, forest {i}"));
     }
 }
 
@@ -189,25 +228,31 @@ fn a_borrowing_forest_counts_no_run_buffers() {
         per_vertex <= SERVED_BUDGET,
         "a served tenant holds {per_vertex} B/vertex ({census:?})"
     );
+    // At rest a read-only tenant holds its tree and epoch structure
+    // only: no machine, no Euler tour (the structure cache is the
+    // tree's parents, child offsets and children, 12 B/vertex), and no
+    // append headroom (parents 4, placement 8, grid points 8, subtree
+    // sizes 4, light-first CSR 8 and weights 8 B/vertex, for the n
+    // vertices alone).
+    let n_bytes = n as usize;
+    assert_eq!(census.machines, 0, "{census:?}");
+    assert_eq!(census.structure, 12 * n_bytes, "{census:?}");
+    assert_eq!(census.layout, 40 * n_bytes, "{census:?}");
 
     // The same forest on its own set counts that set on top: only the
-    // contraction and ranking parts differ.
+    // contraction, ranking and machine parts differ.
     let mut own = SpatialForest::new(&tree);
     own.execute(first.requests(), &mut StdRng::seed_from_u64(23));
     let owned = own.resident_bytes();
     assert!(owned.contraction > census.contraction && owned.ranking > census.ranking);
-    assert_eq!(
-        ResidentBytes {
-            contraction: 0,
-            ranking: 0,
-            ..owned
-        },
-        ResidentBytes {
-            contraction: 0,
-            ranking: 0,
-            ..census
-        }
-    );
+    assert!(owned.machines > 0);
+    let without_the_set = |bytes: ResidentBytes| ResidentBytes {
+        contraction: 0,
+        ranking: 0,
+        machines: 0,
+        ..bytes
+    };
+    assert_eq!(without_the_set(owned), without_the_set(census));
 
     // An insert epoch (a rebuild, a rebind and every query kind) on a
     // set that other trees' runs left behind: still no run buffers.

@@ -1,0 +1,86 @@
+//! A snapshot whose checksums pass but whose contents a restore cannot
+//! use fails [`SpatialForest::recover_from`] with
+//! [`StoreError::Inconsistent`] instead of panicking inside it: a curve
+//! index out of range, an order that is not a permutation, a parent id
+//! at or above `n`, a reserved capacity below `n`, a cycle among the
+//! parents and a snapshot of no vertex. The same snapshot, unmodified,
+//! still recovers the forest that wrote it.
+
+use rand::prelude::*;
+use spatial_session::{ForestOptions, QueryBatch, SpatialForest};
+use spatial_store::{ForestSnapshot, StoreError};
+use spatial_tree::generators;
+
+fn temp_dir() -> std::path::PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("spatial-snapshot-contents-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    dir
+}
+
+/// A named edit that breaks one invariant of a snapshot's contents.
+type Corruption = (&'static str, fn(&mut ForestSnapshot));
+
+#[test]
+fn inconsistent_contents_fail_the_recovery() {
+    let dir = temp_dir();
+    let journal = dir.join("absent.journal");
+    let tree = generators::uniform_random(200, &mut StdRng::seed_from_u64(1));
+    let mut live = SpatialForest::new(&tree);
+    let mut batch = QueryBatch::new();
+    batch.insert_leaf(3).lca(5, 9).subtree_sum(0).rank(7);
+    live.execute(batch.requests(), &mut StdRng::seed_from_u64(2));
+    let good = live.snapshot(1);
+    let n = good.parents.len() as u32;
+
+    let cases: [Corruption; 6] = [
+        ("curve index out of range", |s| s.curve = 9),
+        ("order not a permutation", |s| s.order[0] = s.order[1]),
+        ("parent id at n", |s| {
+            let n = s.parents.len();
+            s.parents[(s.root as usize + 1) % n] = n as u32;
+        }),
+        ("reserved below n", |s| {
+            s.reserved = s.parents.len() as u64 - 1
+        }),
+        ("a cycle", |s| {
+            // A grandchild of the root becomes its own parent's parent.
+            let grandchild = (0..s.parents.len())
+                .find(|&g| s.parents.get(s.parents[g] as usize) == Some(&s.root))
+                .expect("the tree has depth 2");
+            let child = s.parents[grandchild] as usize;
+            s.parents[child] = grandchild as u32;
+        }),
+        ("no vertex", |s| {
+            s.parents.clear();
+            s.order.clear();
+            s.weights.clear();
+        }),
+    ];
+    for (what, corrupt) in cases {
+        let mut bad = good.clone();
+        corrupt(&mut bad);
+        let path = dir.join("bad.snapshot");
+        bad.write_to(&path).expect("write");
+        match SpatialForest::recover_from(&path, &journal, ForestOptions::default()) {
+            Err(StoreError::Inconsistent(_)) => {}
+            Err(e) => panic!("{what}: {e}"),
+            Ok(_) => panic!("{what}: recovered"),
+        }
+    }
+
+    let path = dir.join("good.snapshot");
+    good.write_to(&path).expect("write");
+    let mut recovered =
+        SpatialForest::recover_from(&path, &journal, ForestOptions::default()).expect("recover");
+    let mut probe = QueryBatch::new();
+    probe.lca(11, 150).subtree_sum(4).rank(n - 1).insert_leaf(0);
+    let want = live
+        .execute(probe.requests(), &mut StdRng::seed_from_u64(3))
+        .to_vec();
+    let got = recovered.execute(probe.requests(), &mut StdRng::seed_from_u64(3));
+    assert_eq!(got, want);
+    assert_eq!(recovered.last_report(), live.last_report());
+    std::fs::remove_dir_all(&dir).ok();
+}

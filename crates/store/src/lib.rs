@@ -56,9 +56,14 @@ pub enum StoreError {
     /// write — impossible through [`atomic_write`], possible for files
     /// produced by other means).
     Truncated,
-    /// A delta and its base snapshot disagree structurally (capacity,
-    /// file length, slab ids) — the incremental checkpoint cannot be
-    /// applied safely.
+    /// The contents disagree with themselves although every checksum
+    /// passes: a delta and its base snapshot disagree structurally
+    /// (capacity, file length, slab ids), so the incremental checkpoint
+    /// cannot be applied safely, or a snapshot's contents break what a
+    /// restore relies on (reserved capacity below the vertex count,
+    /// parents that are not one tree at the root, an order that is not
+    /// a permutation; for the forest, a curve index it does not know or
+    /// no vertex at all).
     Inconsistent(&'static str),
 }
 
@@ -75,9 +80,7 @@ impl std::fmt::Display for StoreError {
                 "snapshot checksum mismatch: header {stored:#010x}, payload {computed:#010x}"
             ),
             StoreError::Truncated => write!(f, "snapshot shorter than its header claims"),
-            StoreError::Inconsistent(what) => {
-                write!(f, "incremental checkpoint inconsistency: {what}")
-            }
+            StoreError::Inconsistent(what) => write!(f, "inconsistent snapshot contents: {what}"),
         }
     }
 }

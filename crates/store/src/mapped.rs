@@ -6,8 +6,10 @@
 //! guarantees every slab offset is 8-byte-aligned and mmap regions are
 //! page-aligned, so the overlay casts are alignment-safe (asserted,
 //! and pinned by `tests/mapped.rs`). All three per-slab CRCs are
-//! verified on open; after that the region is immutable and shared
-//! freely across threads.
+//! verified on open, and so are the slabs' contents (a snapshot whose
+//! checksums pass can still hold an order that is not a permutation);
+//! after that the region is immutable and shared freely across
+//! threads.
 //!
 //! On non-Unix targets (no `mmap`) the file is read into an 8-byte-
 //! aligned heap buffer instead; the view API is identical, only the
@@ -152,11 +154,79 @@ impl std::fmt::Debug for MappedSnapshot {
     }
 }
 
+/// The parents-slab entry of the root: it has no parent.
+const NO_PARENT: u32 = u32::MAX;
+
+/// Checks the contents a restore relies on, returning
+/// [`StoreError::Inconsistent`] naming the first one that fails: the
+/// reserved capacity covers the `n` vertices, the parents slab is one
+/// tree rooted at the header's root (every entry a vertex id below `n`
+/// except the root's, which is [`NO_PARENT`], and every vertex reaching
+/// the root), and the order slab is a permutation of `0..n`. Which
+/// curve family the header's index names is the forest's to check.
+fn check_contents(
+    header: &SnapshotHeader,
+    parents: &[u32],
+    order: &[u32],
+) -> Result<(), StoreError> {
+    let n = parents.len();
+    if header.reserved < n as u64 {
+        return Err(StoreError::Inconsistent(
+            "reserved capacity below vertex count",
+        ));
+    }
+    if n > 0 && parents.get(header.root as usize) != Some(&NO_PARENT) {
+        return Err(StoreError::Inconsistent(
+            "root out of range or with a parent",
+        ));
+    }
+    let root = header.root as usize;
+    let parent_ok = |(v, &p): (usize, &u32)| (p as usize) < n || (p == NO_PARENT && v == root);
+    if !parents.iter().enumerate().all(parent_ok) {
+        return Err(StoreError::Inconsistent("parent id out of range"));
+    }
+    // Every vertex reaches the root: walk up from each vertex to one
+    // already known to; a walk that meets its own path is a cycle.
+    const UNSEEN: u8 = 0;
+    const ON_PATH: u8 = 1;
+    const REACHES_ROOT: u8 = 2;
+    let mut state = vec![UNSEEN; n];
+    if n > 0 {
+        state[root] = REACHES_ROOT;
+    }
+    let mut path = Vec::new();
+    for v in 0..n {
+        let mut x = v;
+        while state[x] == UNSEEN {
+            state[x] = ON_PATH;
+            path.push(x);
+            x = parents[x] as usize;
+        }
+        if state[x] == ON_PATH {
+            return Err(StoreError::Inconsistent("parents contain a cycle"));
+        }
+        for &y in &path {
+            state[y] = REACHES_ROOT;
+        }
+        path.clear();
+    }
+    let mut seen = vec![0u64; n.div_ceil(64)];
+    for &v in order {
+        let (word, bit) = (v as usize / 64, 1u64 << (v % 64));
+        if v as usize >= n || seen[word] & bit != 0 {
+            return Err(StoreError::Inconsistent("order is not a permutation"));
+        }
+        seen[word] |= bit;
+    }
+    Ok(())
+}
+
 impl MappedSnapshot {
     /// Maps and validates the v2 snapshot at `path`: magic, version,
-    /// header CRC, file length, and all three slab CRCs. A pending
-    /// incremental-checkpoint delta is applied (crash recovery) before
-    /// mapping.
+    /// header CRC, file length, all three slab CRCs, and the slabs'
+    /// contents (reserved capacity, parent ids, order permutation). A
+    /// pending incremental-checkpoint delta is applied (crash recovery)
+    /// before mapping.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
         let path = path.as_ref();
         crate::delta::apply_pending_delta(path)?;
@@ -184,14 +254,16 @@ impl MappedSnapshot {
             0,
             "mapped region must be 8-byte-aligned"
         );
-        Ok(MappedSnapshot {
+        let snap = MappedSnapshot {
             region,
             header,
             slab_crcs,
             parents_off: off.parents as usize,
             order_off: off.order as usize,
             weights_off: off.weights as usize,
-        })
+        };
+        check_contents(&snap.header, snap.parents(), snap.order())?;
+        Ok(snap)
     }
 
     /// The scalar header.

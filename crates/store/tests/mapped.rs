@@ -79,6 +79,43 @@ fn open_verifies_per_slab_crcs() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A named edit that breaks one invariant of a snapshot's contents.
+type Corruption = (&'static str, fn(&mut ForestSnapshot));
+
+#[test]
+fn open_checks_the_slab_contents() {
+    let path = temp_path("contents");
+    let good = sample(64);
+    let cases: [Corruption; 7] = [
+        ("reserved below n", |s| s.reserved = 63),
+        ("parent id at n", |s| s.parents[10] = 64),
+        ("a second root", |s| s.parents[10] = u32::MAX),
+        ("root out of range", |s| s.root = 64),
+        // 10's parent is 4, whose parent is 1: 1 → 10 closes a cycle.
+        ("a cycle", |s| s.parents[1] = 10),
+        ("order repeats a vertex", |s| s.order[0] = s.order[1]),
+        ("order names a vertex at n", |s| s.order[5] = 64),
+    ];
+    for (what, corrupt) in cases {
+        let mut bad = good.clone();
+        corrupt(&mut bad);
+        bad.write_to(&path).expect("write");
+        assert!(
+            matches!(
+                MappedSnapshot::open(&path),
+                Err(StoreError::Inconsistent(_))
+            ),
+            "{what}"
+        );
+    }
+    good.write_to(&path).expect("write");
+    assert_eq!(
+        MappedSnapshot::open(&path).expect("open").to_snapshot(),
+        good
+    );
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn v1_files_are_not_mappable() {
     let path = temp_path("v1");

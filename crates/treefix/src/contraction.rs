@@ -532,8 +532,18 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
     /// allocation when the set fits.
     pub fn load(&mut self, values: &[M], rake_adds_to_p: bool) {
         assert!(self.phase != Phase::Unbound, "bind a tree structure first");
+        assert_eq!(values.len(), self.n, "one value per vertex");
+        self.load_with(|v| values[v as usize], rake_adds_to_p);
+    }
+
+    /// [`ContractionEngine::load`] with each vertex's value read from
+    /// `value_of(v)` instead of a slice: a caller whose values follow a
+    /// rule (the batched LCA's step 1 loads `Add(1)` everywhere) keeps
+    /// no array for them. Charges and results are those of `load` over
+    /// the same values.
+    pub fn load_with(&mut self, value_of: impl Fn(NodeId) -> M, rake_adds_to_p: bool) {
+        assert!(self.phase != Phase::Unbound, "bind a tree structure first");
         let n = self.n;
-        assert_eq!(values.len(), n, "one value per vertex");
         self.phase = Phase::Bound;
         self.rake_adds_to_p = rake_adds_to_p;
         if self.run.cap < n {
@@ -549,7 +559,7 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
             run.child_count[u as usize] = len;
         }
         run.p.clear();
-        run.p.extend(self.vid.iter().map(|&v| values[v as usize]));
+        run.p.extend(self.vid.iter().map(|&v| value_of(v)));
         run.active.clear();
         run.active.resize(n, true);
         run.alive.clear();
