@@ -347,6 +347,30 @@ impl DynamicLayout {
         (&s.sizes, &s.csr)
     }
 
+    /// Whether the layout's order is the light-first order of the tree
+    /// ([`DynamicLayout::light_first_children`]'s lists, ties between
+    /// equal sizes broken by vertex id): the root at position 0, and the
+    /// children of the vertex at position `p`, in list order, at `p + 1`
+    /// and then each one the previous child's subtree size further on.
+    /// Those positions define the light-first order, so an order that
+    /// meets them is it. O(n) beside the child lists, which it computes
+    /// if they are not current (what the next engine bind reads anyway).
+    pub fn order_is_light_first(&mut self) -> bool {
+        if self.layout.order().first() != Some(&self.root) {
+            return false;
+        }
+        let (layout, sizes, csr) = self.light_first_parts();
+        let order = layout.order();
+        order.iter().enumerate().all(|(p, &v)| {
+            let mut at = p + 1;
+            csr.children(v).iter().all(|&c| {
+                let placed = order.get(at) == Some(&c);
+                at += sizes[c as usize] as usize;
+                placed
+            })
+        })
+    }
+
     /// The current layout together with
     /// [`DynamicLayout::light_first_children`], borrowed at once: what
     /// an engine bind over the current tree reads, without copying.

@@ -16,8 +16,12 @@
 //! of query batches, charging exactly the costs of §VI-C:
 //!
 //! 1. one bottom-up treefix (subtree sizes → ranges; Theorem 6 step 1),
-//! 2. the virtual-tree construction + two range/heavy-child broadcasts
-//!    replayed from the precomputed CSR schedule (step 2),
+//! 2. the virtual-tree construction, charged in closed form from the
+//!    precomputed CSR schedule (one pass over its delivery pairs that
+//!    reads only the first relay round's clocks, then one bulk charge
+//!    and one floor lift; traced machines replay it), and two
+//!    range/heavy-child broadcasts replayed from the same schedule
+//!    (step 2),
 //! 3. one top-down treefix over the light-edge indicator (step 3),
 //! 4. per layer, the Lemma 13 range broadcast inside every cover
 //!    subtree plus a synchronization barrier — charged in closed form
@@ -94,7 +98,9 @@ struct Structure {
     sizes: Vec<u32>,
     /// Light-first child lists, shared by both treefix runs.
     csr: ChildrenCsr,
-    /// CSR relay rounds of the TRANSFORM virtual tree (step 2).
+    /// CSR relay rounds of the TRANSFORM virtual tree (step 2): the
+    /// delivery pairs, from which the construction exchange is charged
+    /// in closed form and the broadcasts are replayed.
     schedule: BroadcastSchedule,
     /// Heavy-path head of every vertex.
     head: Vec<NodeId>,
@@ -489,8 +495,8 @@ impl Structure {
 
         // ---- Step 2: every vertex broadcasts its range to its      ----
         // ---- children (and its heavy child id, for the step-3      ----
-        // ---- indicator) — the precomputed CSR relay schedule,      ----
-        // ---- replayed.                                             ----
+        // ---- indicator) — the precomputed CSR relay schedule: the  ----
+        // ---- construction in closed form, the broadcasts replayed. ----
         s.schedule.charge_construction(machine);
         s.schedule.charge_broadcast(machine); // subtree ranges
         s.schedule.charge_broadcast(machine); // heavy-child ids

@@ -22,7 +22,8 @@
 //! [`schedule::BroadcastSchedule`] precomputes the relay rounds as a
 //! round-indexed CSR of slot pairs, so repeat broadcasters (the
 //! batched-LCA engine) replay identical charges without rebuilding the
-//! per-round message batches.
+//! per-round message batches, and charge the Fig. 4 construction
+//! exchange in closed form from the same pairs.
 
 pub mod local;
 pub mod relay;

@@ -300,7 +300,18 @@ pub fn charge_broadcast_levels_depth_first(
             lo = mid;
         }
     }
-    split(m, 0, k, slot_at);
+    // Two and three participants, the commonest branching groups, send
+    // their split tree's one or two messages directly, in its order.
+    match k {
+        0 | 1 => {}
+        2 => m.send(slot_at(0), slot_at(1)),
+        3 => {
+            let mid = slot_at(1);
+            m.send(slot_at(0), mid);
+            m.send(mid, slot_at(2));
+        }
+        _ => split(m, 0, k, slot_at),
+    }
 }
 
 #[cfg(test)]

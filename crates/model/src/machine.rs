@@ -240,8 +240,9 @@ impl Machine {
     }
 
     /// Whether the machine records a [`TraceEvent`] per message
-    /// ([`MachineBuilder::trace`]).
-    pub(crate) fn is_traced(&self) -> bool {
+    /// ([`MachineBuilder::trace`]). A closed-form charge, which sends
+    /// nothing, replays its messages on such a machine instead.
+    pub fn is_traced(&self) -> bool {
         self.trace.is_some()
     }
 
@@ -262,11 +263,22 @@ impl Machine {
         self.depth.set(self.depth.get().max(depth_after));
         self.energy.set(self.energy.get() + e);
         self.messages.set(self.messages.get() + 1);
+        if self.trace.is_some() {
+            self.record(from, to, e, depth_after);
+        }
+    }
+
+    /// Appends one message to the trace of a traced machine. Kept out of
+    /// line, so the untraced [`Machine::send`] stays small enough to
+    /// inline into the engines' message loops.
+    #[cold]
+    #[inline(never)]
+    fn record(&self, from: Slot, to: Slot, energy: u64, depth_after: u32) {
         if let Some(trace) = &self.trace {
             trace.borrow_mut().push(TraceEvent {
                 from,
                 to,
-                energy: e,
+                energy,
                 depth_after,
             });
         }

@@ -318,3 +318,74 @@ fn durable_restart_stops_replay_at_an_invalid_record() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A tenant snapshot whose header marks the layout clean but whose
+/// order is not light-first restores with the layout dirty: the
+/// tenant's first LCA job rebuilds it instead of panicking the shard
+/// worker inside the LCA engine build, and answers like a twin.
+#[test]
+fn durable_restart_rebuilds_a_clean_marked_order_that_is_not_light_first() {
+    let dir = std::env::temp_dir().join(format!(
+        "spatial-serve-durable-order-{}",
+        std::process::id()
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+    let ts = trees(1, 300, 36);
+    let mut opts = ServiceOptions::new(1);
+    opts.record_streams = true;
+    let dur = DurabilityOptions::new(&dir);
+
+    // Phase 1: one LCA session (which leaves the layout clean), then a
+    // clean shutdown that checkpoints it.
+    let mut session = QueryBatch::new();
+    for i in 0..20u32 {
+        session.lca(i, 299 - i);
+    }
+    let streams = {
+        let service = ForestService::start_durable(&ts, opts, dur.clone());
+        service
+            .submit(0, session.requests())
+            .wait()
+            .expect("answered");
+        let report = service.shutdown();
+        report.tenant_log(0).expect("served").streams.clone()
+    };
+
+    // Rewrite the checkpoint with its order reversed, header unchanged.
+    let path = dir.join("tenant-0.snapshot");
+    let mapped = MappedSnapshot::open(&path).expect("open tenant snapshot");
+    let generation = mapped.header().tag;
+    let mut snap =
+        SpatialForest::from_mapped(&std::sync::Arc::new(mapped), opts.forest).snapshot(generation);
+    assert!(!snap.layout_dirty, "an LCA session leaves the layout clean");
+    snap.order.reverse();
+    snap.write_to(&path).expect("rewrite tenant snapshot");
+
+    // Phase 2: restart and run LCA queries.
+    let mut probe = QueryBatch::new();
+    for i in 0..200u32 {
+        probe.lca(i, 299 - i).subtree_sum(i);
+    }
+    let service = ForestService::start_durable(&ts, opts, dur.clone());
+    let answers = service
+        .submit(0, probe.requests())
+        .wait()
+        .expect("the restarted tenant answers");
+    let report = service.shutdown();
+    assert!(report.poisoned_shards().is_empty());
+
+    let mut twin = SpatialForest::with_options(&ts[0], opts.forest);
+    let mut rng = StdRng::seed_from_u64(tenant_seed(opts.seed, 0));
+    for stream in &streams {
+        twin.execute(stream, &mut rng);
+    }
+    let want = twin.execute(probe.requests(), &mut rng).to_vec();
+    assert_eq!(answers, want, "answers diverged from the twin");
+    assert_eq!(
+        report.tenant_log(0).expect("served").reports,
+        vec![twin.last_report()],
+        "charges diverged from the twin"
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}

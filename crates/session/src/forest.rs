@@ -495,14 +495,18 @@ impl SpatialForest {
     /// meters (not the first session). The curve family comes from the
     /// snapshot (overriding `opts.curve`); `rebuild_factor` and
     /// `crossover` are not persisted and must be passed unchanged for
-    /// charge-identical recovery.
+    /// charge-identical recovery. A layout the header marks clean is
+    /// restored clean only if its order is the light-first order of its
+    /// parents ([`DynamicLayout::order_is_light_first`]): the LCA engine
+    /// builds on a clean order as it stands, so any other order is
+    /// restored dirty, and the first LCA session rebuilds it.
     pub fn from_mapped(snap: &Arc<MappedSnapshot>, opts: ForestOptions) -> Self {
         let header = *snap.header();
         let curve = *CurveKind::ALL
             .get(header.curve as usize)
             .expect("snapshot curve index out of range");
         let opts = ForestOptions { curve, ..opts };
-        let dynamic = DynamicLayout::restore_slab(
+        let mut dynamic = DynamicLayout::restore_slab(
             header.root,
             snap.parents_slab(),
             curve,
@@ -519,10 +523,11 @@ impl SpatialForest {
                 baseline_energy: header.baseline_energy,
             },
         );
+        let layout_dirty = header.layout_dirty || !dynamic.order_is_light_first();
         let mut forest = Self::from_dynamic(
             dynamic,
             snap.weights_slab(),
-            header.layout_dirty,
+            layout_dirty,
             opts,
             Some(snap.clone()),
         );
@@ -549,7 +554,9 @@ impl SpatialForest {
     /// ([`SpatialForest::from_mapped`]), then replay the journal at
     /// `journal_path` ([`SpatialForest::apply_journal`]; a missing
     /// journal file is an empty history). A snapshot whose contents are
-    /// inconsistent, or that holds no vertex, is an
+    /// inconsistent, that holds no vertex, or whose header marks the
+    /// layout clean while its order is not the light-first order of its
+    /// parents ([`DynamicLayout::order_is_light_first`]) is an
     /// [`StoreError::Inconsistent`], not a panic.
     /// The journal's torn tail, if any, is silently dropped — see
     /// `spatial_store` — and so is everything from its first invalid
@@ -569,6 +576,13 @@ impl SpatialForest {
             return Err(StoreError::Inconsistent("snapshot of no vertex"));
         }
         let mut forest = Self::from_mapped(&snap, opts);
+        if forest.layout_dirty != snap.header().layout_dirty {
+            // `from_mapped` found the order that the header marks clean
+            // not light-first.
+            return Err(StoreError::Inconsistent(
+                "snapshot layout marked clean but its order is not light-first",
+            ));
+        }
         forest.apply_journal(&spatial_store::read_journal(journal_path)?);
         Ok(forest)
     }

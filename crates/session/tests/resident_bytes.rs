@@ -50,18 +50,21 @@ fn live() -> i64 {
 const N: u32 = 1 << 10;
 
 /// Census bytes per vertex after one mixed execute on `uniform_random`
-/// at n = 2¹⁰: 437 measured (493 while the layout reserved its append
-/// headroom at construction and the forest kept its Euler tour and the
-/// LCA structure its step-1 ones; 533 while the layout also kept its
-/// rebuild-only buffers). A forest that also kept an idle second
-/// contraction engine and copies of the layout's arrays held ≈719.
-const MIXED_BUDGET: usize = 525;
+/// at n = 2¹⁰: 421 measured (437 while the LCA structure kept LCA step
+/// 2's construction pairs, 16 B/vertex; 493 while the layout also
+/// reserved its append headroom at construction and the forest kept its
+/// Euler tour and the LCA structure its step-1 ones; 533 while the
+/// layout also kept its rebuild-only buffers). A forest that also kept
+/// an idle second contraction engine and copies of the layout's arrays
+/// held ≈719.
+const MIXED_BUDGET: usize = 509;
 
 /// Census bytes per vertex after an insert epoch that opens with a
-/// sums-only session and then serves every query kind: 776 measured
-/// (803 with the Euler tour and the step-1 ones kept). Two contraction
-/// engines, each grown to 2¹¹ vertices, held ≈1174.
-const EPOCH_BUDGET: usize = 840;
+/// sums-only session and then serves every query kind: 760 measured
+/// (776 with the construction pairs kept, 803 with the Euler tour and
+/// the step-1 ones kept too). Two contraction engines, each grown to
+/// 2¹¹ vertices, held ≈1174.
+const EPOCH_BUDGET: usize = 824;
 
 fn tree() -> Tree {
     generators::uniform_random(N, &mut StdRng::seed_from_u64(21))

@@ -53,11 +53,12 @@ fn live() -> i64 {
 }
 
 /// Census bytes per vertex of a tenant that runs on a shared set, after
-/// one mixed execute on `uniform_random` at n = 2¹⁰: 179 measured (the
-/// same forest on its own set reads 437). It read 283 while every
-/// tenant kept its own machines, its Euler tour, its append headroom
-/// and the LCA structure's step-1 ones.
-const SERVED_BUDGET: usize = 215;
+/// one mixed execute on `uniform_random` at n = 2¹⁰: 163 measured (the
+/// same forest on its own set reads 421). It read 179 while the LCA
+/// structure kept LCA step 2's construction pairs (16 B/vertex), and 283
+/// while every tenant also kept its own machines, its Euler tour, its
+/// append headroom and the LCA structure's step-1 ones.
+const SERVED_BUDGET: usize = 199;
 
 /// A mixed batch over the forest's current `n` vertices: LCA pairs,
 /// subtree sums and ranks, with `inserts` leaf inserts spread through

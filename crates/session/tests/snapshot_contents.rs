@@ -3,17 +3,22 @@
 //! [`StoreError::Inconsistent`] instead of panicking inside it: a curve
 //! index out of range, an order that is not a permutation, a parent id
 //! at or above `n`, a reserved capacity below `n`, a cycle among the
-//! parents and a snapshot of no vertex. The same snapshot, unmodified,
-//! still recovers the forest that wrote it.
+//! parents, a snapshot of no vertex, and an order that is not
+//! light-first under a header that marks the layout clean. The same
+//! snapshot, unmodified, still recovers the forest that wrote it.
 
 use rand::prelude::*;
 use spatial_session::{ForestOptions, QueryBatch, SpatialForest};
-use spatial_store::{ForestSnapshot, StoreError};
+use spatial_store::{ForestSnapshot, MappedSnapshot, StoreError};
 use spatial_tree::generators;
+use std::sync::Arc;
 
-fn temp_dir() -> std::path::PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("spatial-snapshot-contents-{}", std::process::id()));
+/// A fresh directory of this process for the test `name`.
+fn temp_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "spatial-snapshot-contents-{}-{name}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create temp dir");
     dir
@@ -24,7 +29,7 @@ type Corruption = (&'static str, fn(&mut ForestSnapshot));
 
 #[test]
 fn inconsistent_contents_fail_the_recovery() {
-    let dir = temp_dir();
+    let dir = temp_dir("inconsistent");
     let journal = dir.join("absent.journal");
     let tree = generators::uniform_random(200, &mut StdRng::seed_from_u64(1));
     let mut live = SpatialForest::new(&tree);
@@ -82,5 +87,54 @@ fn inconsistent_contents_fail_the_recovery() {
     let got = recovered.execute(probe.requests(), &mut StdRng::seed_from_u64(3));
     assert_eq!(got, want);
     assert_eq!(recovered.last_report(), live.last_report());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_clean_header_needs_a_light_first_order() {
+    // A reversed order under a clean header would feed the LCA engine a
+    // layout it cannot decompose: recovery refuses it, and a plain
+    // restore (`from_mapped`, the serve layer's path) restores it dirty.
+    // Under a dirty header it is a layout like any other. Either way the
+    // first LCA session rebuilds it.
+    let dir = temp_dir("light-first");
+    let journal = dir.join("absent.journal");
+    let tree = generators::uniform_random(300, &mut StdRng::seed_from_u64(4));
+    let mut twin = SpatialForest::new(&tree);
+    let mut batch = QueryBatch::new();
+    batch.lca(5, 9).subtree_sum(0).rank(7);
+    twin.execute(batch.requests(), &mut StdRng::seed_from_u64(5));
+    let mut snap = twin.snapshot(1);
+    assert!(!snap.layout_dirty, "an LCA session leaves the layout clean");
+    snap.order.reverse();
+    let path = dir.join("reversed.snapshot");
+
+    snap.write_to(&path).expect("write");
+    match SpatialForest::recover_from(&path, &journal, ForestOptions::default()) {
+        Err(StoreError::Inconsistent(_)) => {}
+        Err(e) => panic!("clean header, reversed order: {e}"),
+        Ok(_) => panic!("clean header, reversed order: recovered"),
+    }
+    let mapped = MappedSnapshot::open(&path).expect("open");
+    let restored = SpatialForest::from_mapped(&Arc::new(mapped), ForestOptions::default());
+
+    snap.layout_dirty = true;
+    let dirty_path = dir.join("reversed-dirty.snapshot");
+    snap.write_to(&dirty_path).expect("write");
+    let recovered = SpatialForest::recover_from(&dirty_path, &journal, ForestOptions::default())
+        .expect("recover");
+    let mut probe = QueryBatch::new();
+    for i in 0..200u32 {
+        probe.lca(i, 299 - i).subtree_sum(i).rank(i);
+    }
+    probe.insert_leaf(17).lca(300, 4).rank(300);
+    let want = twin
+        .execute(probe.requests(), &mut StdRng::seed_from_u64(6))
+        .to_vec();
+    for (what, mut forest) in [("restored", restored), ("recovered", recovered)] {
+        let got = forest.execute(probe.requests(), &mut StdRng::seed_from_u64(6));
+        assert_eq!(got, want, "{what}: answers");
+        assert_eq!(forest.last_report(), twin.last_report(), "{what}: report");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -51,6 +51,33 @@
 //! parent at `⌈log₂ k⌉`), which then charges one round per level — the
 //! charges of the seed's level-major halving.
 //!
+//! # Single-child groups
+//!
+//! Most groups a pass visits have one child (about 70% on random trees,
+//! nearly all on paths and combs), so both passes handle them in a case
+//! of their own, and the general code sees only branching groups:
+//!
+//! - COMPRESS: a single-child group `u → [v]` has no doubling level. Its
+//!   probe `u → v` is written at the probe cursor whether or not `v` is
+//!   viable, and the cursor advances past it only if `v` is: the probe
+//!   buffer is sized at reserve, so viability takes no branch.
+//! - RAKE: a single-child group `u → [c]` sends its round 0, then
+//!   either keeps `c` (which has children) or rakes the one leaf `c` —
+//!   one staged relay message `c → u`, with no leaf count and no loop
+//!   over children.
+//! - Child lists of up to three entries move element by element, not by
+//!   `copy_within` (a `memmove` call per group), and the depth-first
+//!   broadcast levels send the split trees of two and three children
+//!   directly.
+//!
+//! None of this moves a charge: each case sends, stages and logs the
+//! same messages in the same order as the general code does for one
+//! child (whose reduce relay is the single message `c → u` at level 0,
+//! and whose leaf count and sums over one child are that child's), and
+//! the probe buffer holds the same messages in the same order as the
+//! list it replaces. `tests/csr_vs_reference.rs` pins every slot's
+//! clock against the seed engine, on chain- and star-heavy shapes too.
+//!
 //! The Las Vegas process is the seed engine's, draw for draw, because
 //! two vertex-id orders are kept where they are observable: coins are
 //! drawn in vertex-id order (the alive list is kept in id order for that
@@ -193,7 +220,9 @@ pub struct ContractionRun<M: CommutativeMonoid> {
     /// Round 0 of the next round's first children broadcast, staged by
     /// the RAKE pass.
     first_msgs: Vec<(Slot, Slot)>,
-    /// Random-mate probe messages (parent → viable child).
+    /// Random-mate probe messages (parent → viable child), written at
+    /// the front through the COMPRESS pass's cursor: one entry per
+    /// vertex, sized at reserve.
     probe_msgs: Vec<(Slot, Slot)>,
     /// COMPRESS messages (`v → u`, `v → c`).
     compress_msgs: Vec<(Slot, Slot)>,
@@ -272,7 +301,10 @@ impl<M: CommutativeMonoid> ContractionRun<M> {
         grow(&mut self.rake_groups, cap);
         grow(&mut self.rake_ends, round_capacity(cap));
         grow(&mut self.first_msgs, cap);
+        // The COMPRESS pass writes probes through a cursor: the buffer
+        // holds one entry per vertex.
         grow(&mut self.probe_msgs, cap);
+        self.probe_msgs.resize(cap, (0, 0));
         grow(&mut self.compress_msgs, cap);
         grow(&mut self.deferred, cap);
         grow(&mut self.acc, cap);
@@ -601,8 +633,11 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
     /// child CSR: the first children broadcast's doubling levels, the
     /// random-mate probe of every viable vertex, COMPRESS of the
     /// selected ones, and the compaction of the CSR (a suffix of its
-    /// buffers) to the front. Stages the probe and COMPRESS rounds.
-    fn compress_pass(&mut self, m: &Machine) -> u64 {
+    /// buffers) to the front. Stages the COMPRESS round; returns the
+    /// compresses and the number of probe messages, staged at the front
+    /// of the probe buffer. Single-child groups take their own case
+    /// (see "Single-child groups" in the module docs).
+    fn compress_pass(&mut self, m: &Machine) -> (u64, usize) {
         let slot = &self.slot;
         let ContractionRun {
             parent,
@@ -619,62 +654,66 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
             coin,
             ..
         } = &mut self.run;
-        probe_msgs.clear();
         compress_msgs.clear();
         let groups = group_parent.len();
         // Read cursors (group, child) run ahead of write cursors.
         let (mut r, mut rk) = (groups - self.live_groups, kids.len() - self.live_kids);
         let (mut w, mut wk) = (0usize, 0usize);
+        let mut probes = 0usize;
         let mut compresses = 0u64;
         while r < groups {
             let u = group_parent[r];
-            let len = group_len[r] as usize;
+            let len = group_len[r];
+            group_parent[w] = u;
+            group_len[w] = len;
+            w += 1;
             if len > 1 {
                 // Branching parent: none of its children is viable.
+                let len = len as usize;
                 let ks = &kids[rk..rk + len];
                 charge_broadcast_levels_depth_first(m, len, |j| slot[ks[j] as usize]);
-                kids.copy_within(rk..rk + len, wk);
-            } else {
-                let v = kids[rk];
-                kids[wk] = v;
-                if child_count[v as usize] == 1 {
-                    // v is viable: u's only child with one child.
-                    probe_msgs.push((slot[u as usize], slot[v as usize]));
-                    if coin[v as usize] & !coin[u as usize] {
-                        // COMPRESS v into u. v's group, [c], is the
-                        // next one: no live vertex lies between u and v
-                        // in index order.
-                        debug_assert_eq!(group_parent[r + 1], v);
-                        let c = kids[rk + 1];
-                        if child_count[c as usize] == 1 {
-                            probe_msgs.push((slot[v as usize], slot[c as usize]));
-                        }
-                        let (ui, vi) = (u as usize, v as usize);
-                        saved_p[vi] = p[ui];
-                        p[ui] = p[ui].combine(p[vi]);
-                        // u's only child was v; u inherits v's only child c.
-                        parent[c as usize] = u;
-                        active[vi] = false;
-                        compress_msgs.push((slot[vi], slot[ui]));
-                        compress_msgs.push((slot[vi], slot[c as usize]));
-                        compress_log.push(v);
-                        compresses += 1;
-                        kids[wk] = c;
-                        r += 1;
-                        rk += 1;
-                    }
-                }
+                move_kids(kids, rk, wk, len);
+                r += 1;
+                rk += len;
+                wk += len;
+                continue;
             }
-            group_parent[w] = u;
-            group_len[w] = len as u32;
-            r += 1;
-            rk += len;
-            w += 1;
-            wk += len;
+            let v = kids[rk];
+            let (ui, vi) = (u as usize, v as usize);
+            // v is viable when it is u's only child and has one child.
+            let viable = child_count[vi] == 1;
+            probe_msgs[probes] = (slot[ui], slot[vi]);
+            probes += viable as usize;
+            if viable & coin[vi] & !coin[ui] {
+                // COMPRESS v into u. v's group, [c], is the next one:
+                // no live vertex lies between u and v in index order.
+                debug_assert_eq!(group_parent[r + 1], v);
+                let c = kids[rk + 1];
+                let ci = c as usize;
+                probe_msgs[probes] = (slot[vi], slot[ci]);
+                probes += (child_count[ci] == 1) as usize;
+                saved_p[vi] = p[ui];
+                p[ui] = p[ui].combine(p[vi]);
+                // u's only child was v; u inherits v's only child c.
+                parent[ci] = u;
+                active[vi] = false;
+                compress_msgs.push((slot[vi], slot[ui]));
+                compress_msgs.push((slot[vi], slot[ci]));
+                compress_log.push(v);
+                compresses += 1;
+                kids[wk] = c;
+                r += 2;
+                rk += 2;
+            } else {
+                kids[wk] = v;
+                r += 1;
+                rk += 1;
+            }
+            wk += 1;
         }
         self.live_groups = w;
         self.live_kids = wk;
-        compresses
+        (compresses, probes)
     }
 
     /// Steps 4–5 of a COMPACT round in one children-first (reverse
@@ -689,7 +728,8 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
     /// Sending round 0 group by group equals the two-phase round: a
     /// parent's clock is raised only by its own parent's group, which
     /// has a smaller index, so the pass reaches it after the parent has
-    /// sent.
+    /// sent. Single-child groups take their own case (see
+    /// "Single-child groups" in the module docs).
     fn rake_pass(&mut self, m: &Machine) {
         let slot = &self.slot;
         let vid = &self.vid;
@@ -705,59 +745,87 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
             let len = run.group_len[g] as usize;
             let start = end - len;
             end = start;
-            let ks = &run.kids[start..start + len];
-            m.send(slot[u], slot[ks[0] as usize]);
-            if len > 1 {
-                charge_broadcast_levels_depth_first(m, len, |j| slot[ks[j] as usize]);
-            }
-            // Branchless count: is this a raking parent?
-            let leaves = ks
-                .iter()
-                .map(|&c| (run.child_count[c as usize] == 0) as usize)
-                .sum::<usize>();
-            if leaves == 0 || len - leaves > 1 {
-                wg -= 1;
-                wk -= len;
-                run.group_parent[wg] = u as u32;
-                run.group_len[wg] = len as u32;
-                run.kids.copy_within(start..start + len, wk);
-                run.first_msgs.push((slot[u], slot[run.kids[wk] as usize]));
-                continue;
-            }
-            // The reduce relay spans all children (the non-raked child w
-            // contributes the identity, as in the paper).
-            run.relays.stage(len, |j| slot[ks[j] as usize], slot[u]);
-
-            let saved = run.p[u];
-            let mut acc = M::identity();
-            let group_start = run.rake_log.len() as u32;
-            let mut kept = NIL;
-            for &c in ks {
+            let left = if len == 1 {
+                let c = run.kids[start];
                 let ci = c as usize;
-                if run.child_count[ci] == 0 {
-                    acc = acc.combine(run.p[ci]);
-                    run.saved_p[ci] = saved;
-                    run.active[ci] = false;
-                    run.rake_log.push(c);
-                } else {
-                    kept = c;
+                let (su, sc) = (slot[u], slot[ci]);
+                m.send(su, sc);
+                if run.child_count[ci] != 0 {
+                    wg -= 1;
+                    wk -= 1;
+                    run.group_parent[wg] = u as u32;
+                    run.group_len[wg] = 1;
+                    run.kids[wk] = c;
+                    run.first_msgs.push((su, sc));
+                    continue;
                 }
-            }
-            if self.rake_adds_to_p {
-                run.p[u] = saved.combine(acc);
-            }
-            self.stats.rakes += leaves as u64;
-            run.rake_groups
-                .push((u as u32, group_start, run.rake_log.len() as u32));
-            let left = (len - leaves) as u32;
-            if left == 1 {
-                wg -= 1;
-                wk -= 1;
-                run.group_parent[wg] = u as u32;
-                run.group_len[wg] = 1;
-                run.kids[wk] = kept;
-                run.first_msgs.push((slot[u], slot[kept as usize]));
-            }
+                // RAKE the one leaf c into u.
+                run.relays.stage(1, |_| sc, su);
+                let saved = run.p[u];
+                run.saved_p[ci] = saved;
+                run.active[ci] = false;
+                if self.rake_adds_to_p {
+                    run.p[u] = saved.combine(run.p[ci]);
+                }
+                let at = run.rake_log.len() as u32;
+                run.rake_log.push(c);
+                run.rake_groups.push((u as u32, at, at + 1));
+                self.stats.rakes += 1;
+                0
+            } else {
+                let ks = &run.kids[start..start + len];
+                m.send(slot[u], slot[ks[0] as usize]);
+                charge_broadcast_levels_depth_first(m, len, |j| slot[ks[j] as usize]);
+                // Branchless count: is this a raking parent?
+                let leaves = ks
+                    .iter()
+                    .map(|&c| (run.child_count[c as usize] == 0) as usize)
+                    .sum::<usize>();
+                if leaves == 0 || len - leaves > 1 {
+                    wg -= 1;
+                    wk -= len;
+                    run.group_parent[wg] = u as u32;
+                    run.group_len[wg] = len as u32;
+                    move_kids(&mut run.kids, start, wk, len);
+                    run.first_msgs.push((slot[u], slot[run.kids[wk] as usize]));
+                    continue;
+                }
+                // The reduce relay spans all children (the non-raked
+                // child w contributes the identity, as in the paper).
+                run.relays.stage(len, |j| slot[ks[j] as usize], slot[u]);
+
+                let saved = run.p[u];
+                let mut acc = M::identity();
+                let group_start = run.rake_log.len() as u32;
+                let mut kept = NIL;
+                for &c in ks {
+                    let ci = c as usize;
+                    if run.child_count[ci] == 0 {
+                        acc = acc.combine(run.p[ci]);
+                        run.saved_p[ci] = saved;
+                        run.active[ci] = false;
+                        run.rake_log.push(c);
+                    } else {
+                        kept = c;
+                    }
+                }
+                if self.rake_adds_to_p {
+                    run.p[u] = saved.combine(acc);
+                }
+                self.stats.rakes += leaves as u64;
+                run.rake_groups
+                    .push((u as u32, group_start, run.rake_log.len() as u32));
+                let left = (len - leaves) as u32;
+                if left == 1 {
+                    wg -= 1;
+                    wk -= 1;
+                    run.group_parent[wg] = u as u32;
+                    run.group_len[wg] = 1;
+                    run.kids[wk] = kept;
+                    run.first_msgs.push((slot[u], slot[kept as usize]));
+                }
+                left
+            };
             // An id-order RAKE loop reaches u's parent before u when the
             // parent's id is smaller: that parent must still see u as
             // branching this round.
@@ -793,8 +861,8 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
         // Steps 2–3: probe the viable vertices and COMPRESS the selected
         // independent set (heads with a tails parent, so no parent is
         // itself compressed this round).
-        let compresses = self.compress_pass(m);
-        m.round(&self.run.probe_msgs);
+        let (compresses, probes) = self.compress_pass(m);
+        m.round(&self.run.probe_msgs[..probes]);
         m.round(&self.run.compress_msgs);
         self.stats.compresses += compresses;
 
@@ -850,9 +918,7 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
         for &(u, start, end) in &self.run.rake_groups[group_range] {
             let leaves = &log[start as usize..end as usize];
             m.send(slot[u as usize], slot[leaves[0] as usize]);
-            if leaves.len() > 1 {
-                charge_broadcast_levels_depth_first(m, leaves.len(), |j| slot[leaves[j] as usize]);
-            }
+            charge_broadcast_levels_depth_first(m, leaves.len(), |j| slot[leaves[j] as usize]);
         }
     }
 
@@ -1044,6 +1110,29 @@ fn compact_by_flag(list: &mut Vec<u32>, flag: &[bool]) {
         k += flag[v as usize] as usize;
     }
     list.truncate(k);
+}
+
+/// Moves the child list `kids[from..from + len]` of a branching group
+/// (`len ≥ 2`; both passes move single-child lists inline) to start at
+/// `to`, either direction, overlapping or not. Lists of two and three
+/// children move element by element: `copy_within` is a `memmove` call,
+/// and most branching lists are that short.
+#[inline(always)]
+fn move_kids(kids: &mut [u32], from: usize, to: usize, len: usize) {
+    match len {
+        2 => {
+            let (a, b) = (kids[from], kids[from + 1]);
+            kids[to] = a;
+            kids[to + 1] = b;
+        }
+        3 => {
+            let (a, b, c) = (kids[from], kids[from + 1], kids[from + 2]);
+            kids[to] = a;
+            kids[to + 1] = b;
+            kids[to + 2] = c;
+        }
+        _ => kids.copy_within(from..from + len, to),
+    }
 }
 
 /// `[start, end)` span of round `r` in a per-round end-offset array.

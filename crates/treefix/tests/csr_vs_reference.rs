@@ -175,3 +175,40 @@ fn identical_on_a_larger_instance() {
     let t = generators::preferential_attachment(1 << 13, &mut StdRng::seed_from_u64(3));
     compare_variants(&t, CurveKind::Hilbert, 11, compare_bottom_up);
 }
+
+/// Chain- and star-heavy shapes, up to n = 2¹²: on paths, combs,
+/// caterpillars and brooms most groups of a round have one child (the
+/// COMPRESS and RAKE passes' single-child paths), on stars one group
+/// has them all, and the heavy-path adversary's groups have two. Both
+/// directions, every variant, every slot's clock from skewed entry
+/// clocks.
+#[test]
+fn identical_on_chain_and_star_heavy_shapes() {
+    let mut rng = StdRng::seed_from_u64(17);
+    let mut shapes = Vec::new();
+    for n in [2u32, 3, 4, 7, 64, 1000, 1 << 12] {
+        shapes.push((format!("path({n})"), generators::path(n)));
+        shapes.push((format!("comb({n})"), generators::comb(n)));
+        shapes.push((
+            format!("caterpillar({n})"),
+            generators::caterpillar(n, &mut rng),
+        ));
+        shapes.push((format!("broom({n})"), generators::broom(n, n.div_ceil(2))));
+        shapes.push((format!("star({n})"), generators::star(n)));
+    }
+    for order in [2u32, 5, 9, 16] {
+        shapes.push((
+            format!("heavy-path adversary({order})"),
+            generators::heavy_path_adversary(order),
+        ));
+    }
+    for (name, t) in shapes {
+        let seed = t.n() as u64;
+        for (label, tree, layout) in variants(&t, CurveKind::Hilbert, seed) {
+            compare_bottom_up(&tree, &layout, seed, &format!("{name}, {label}"));
+        }
+        for (label, tree, layout) in variants(&t, CurveKind::ZOrder, seed + 1) {
+            compare_top_down(&tree, &layout, seed + 1, &format!("{name}, {label}"));
+        }
+    }
+}
