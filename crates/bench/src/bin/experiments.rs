@@ -11,7 +11,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spatial_bench::lab::{self, LabRun};
 use spatial_bench::{
-    best_of, f2, f3, interleaved_pairs, interleaved_speedup, workload, Speedup, Table,
+    best_of, f2, f3, interleaved_pairs, interleaved_speedup, two_point_fit, workload, Speedup,
+    Table,
 };
 use spatial_trees::layout::{
     build_light_first_spatial, edge_distance_stats, local_kernel_energy, Layout, LayoutKind,
@@ -1035,15 +1036,24 @@ fn bench_json_throughput() {
     // Two-point fit of ms/q = F/b + c through the check's medians at
     // b = MIN_COALESCED_BATCH and b = 1024. The single-shot sweep's
     // last two points put F anywhere in 0.21–10.78 ms per cycle over 16
-    // runs of unchanged serve code.
+    // runs of unchanged serve code. The marginal cost, here
+    // 2·ms₁₀₂₄ − ms₅₁₂, is unresolved (`null`, not a clamped 0) when the
+    // paired ratio reads ≥ 2.
     let (b1, b2) = (MIN_COALESCED_BATCH as f64, SWEEP_REQUESTS as f64);
-    let (ms1, ms2) = (granularity.reference, granularity.optimized);
-    let fixed_ms_per_cycle = (ms1 - ms2) / (1.0 / b1 - 1.0 / b2);
-    let marginal_ms_per_q = (ms2 - fixed_ms_per_cycle / b2).max(0.0);
-    println!(
-        "  fit: per-cycle fixed cost {fixed_ms_per_cycle:.2} ms, marginal {marginal_ms_per_q:.4} ms/query \
-         => the cycle cost is ~all fixed; per-query cost falls as 1/batch"
-    );
+    let (fixed_ms_per_cycle, marginal_ms_per_q) =
+        two_point_fit((b1, granularity.reference), (b2, granularity.optimized));
+    match marginal_ms_per_q {
+        Some(c) => println!(
+            "  fit: per-cycle fixed cost {fixed_ms_per_cycle:.2} ms, marginal {c:.4} ms/query"
+        ),
+        None => println!(
+            "  fit: per-cycle fixed cost {fixed_ms_per_cycle:.2} ms, marginal unresolved \
+             (the medians' ratio {:.2}x >= {:.0}x, which F/b + c with c > 0 cannot produce)",
+            granularity.reference / granularity.optimized,
+            b2 / b1
+        ),
+    }
+    let marginal_json = marginal_ms_per_q.map_or_else(|| "null".to_string(), |c| format!("{c:.4}"));
 
     // ---- JSON. ----
     let result_rows: Vec<String> = runs
@@ -1086,7 +1096,7 @@ fn bench_json_throughput() {
     lab.wall_info("single_shard_overhead_vs_direct", single_shard_overhead);
     lab.wall_info("granularity_fixed_ms_per_cycle", fixed_ms_per_cycle);
     let json = format!(
-        "{{\n  \"workload\": \"8 tenants x uniform_random n=2^{log_n}, open-loop trace of {JOBS} jobs x {JOB_LEN} mixed requests (~6% inserts), tenant skew 4:2:2:1:1:1:1:1\",\n  \"metrics\": \"modeled_qps = total_requests / busiest shard busy time (load-balance critical path, one core per worker); wall_qps is measured on this machine and bounded by its core count; latency is client-observed per job\",\n  \"total_requests\": {total_requests},\n  \"speedup_modeled_8w_vs_1w\": {speedup_modeled:.3},\n  \"single_shard_busy_ms_per_query\": {:.4},\n  \"direct_forest_ms_per_query\": {direct_ms_per_q:.4},\n  \"single_shard_overhead_vs_direct\": {single_shard_overhead:.3},\n  \"min_coalesced_batch\": {MIN_COALESCED_BATCH},\n  \"measured_min_coalesced_batch\": {measured_min},\n  \"granularity_fit\": {{\"fixed_ms_per_cycle\": {fixed_ms_per_cycle:.3}, \"marginal_ms_per_query\": {marginal_ms_per_q:.4}}},\n  \"results\": [\n{}\n  ],\n  \"granularity_sweep\": [\n{}\n  ],\n  \"scenarios\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"workload\": \"8 tenants x uniform_random n=2^{log_n}, open-loop trace of {JOBS} jobs x {JOB_LEN} mixed requests (~6% inserts), tenant skew 4:2:2:1:1:1:1:1\",\n  \"metrics\": \"modeled_qps = total_requests / busiest shard busy time (load-balance critical path, one core per worker); wall_qps is measured on this machine and bounded by its core count; latency is client-observed per job\",\n  \"total_requests\": {total_requests},\n  \"speedup_modeled_8w_vs_1w\": {speedup_modeled:.3},\n  \"single_shard_busy_ms_per_query\": {:.4},\n  \"direct_forest_ms_per_query\": {direct_ms_per_q:.4},\n  \"single_shard_overhead_vs_direct\": {single_shard_overhead:.3},\n  \"min_coalesced_batch\": {MIN_COALESCED_BATCH},\n  \"measured_min_coalesced_batch\": {measured_min},\n  \"granularity_fit\": {{\"fixed_ms_per_cycle\": {fixed_ms_per_cycle:.3}, \"marginal_ms_per_query\": {marginal_json}}},\n  \"results\": [\n{}\n  ],\n  \"granularity_sweep\": [\n{}\n  ],\n  \"scenarios\": [\n{}\n  ]\n}}\n",
         single_shard_busy_ms_per_q,
         result_rows.join(",\n"),
         sweep_rows.join(",\n"),
@@ -2809,7 +2819,7 @@ fn e9_path_decomposition() {
         let sizes = t.subtree_sizes();
         let d = HeavyPathDecomposition::with_sizes(&t, &sizes);
         let layout = Layout::light_first(&t, CurveKind::Hilbert);
-        let cover = spatial_trees::lca::SubtreeCover::new(&t, &layout, &d, &sizes);
+        let cover = spatial_trees::lca::SubtreeCover::new(t.parents(), &layout, &d, &sizes);
         let max_membership = cover
             .membership_counts(&layout)
             .into_iter()

@@ -256,6 +256,19 @@ pub fn interleaved_speedup(
     speedup
 }
 
+/// The two-point fit of a per-query cost `ms/q = F/b + c` — a fixed
+/// cost `F` per cycle of `b` queries plus a marginal cost `c` per query
+/// — through `(b₁, ms₁)` and `(b₂, ms₂)`, `b₁ < b₂`: returns `F` and
+/// `c`. The fitted `c = (b₂·ms₂ − b₁·ms₁)/(b₂ − b₁)` is positive only
+/// while `ms₁/ms₂ < b₂/b₁`. At or above that ratio two points cannot
+/// separate a marginal cost from the fixed one, and `c` is `None`
+/// rather than a clamped 0.
+pub fn two_point_fit((b1, ms1): (f64, f64), (b2, ms2): (f64, f64)) -> (f64, Option<f64>) {
+    let fixed = (ms1 - ms2) / (1.0 / b1 - 1.0 / b2);
+    let marginal = ms2 - fixed / b2;
+    (fixed, (marginal > 0.0).then_some(marginal))
+}
+
 /// Formats a float with three significant decimals.
 pub fn f3(v: f64) -> String {
     format!("{v:.3}")
@@ -287,6 +300,23 @@ mod tests {
     fn table_rejects_ragged_rows() {
         let mut t = Table::new(["a", "b"]);
         t.row(["only one"]);
+    }
+
+    #[test]
+    fn two_point_fit_resolves_a_marginal_cost_or_reports_none() {
+        // ms/q = 4/b + 0.001: both costs come back.
+        let at = |b: f64| 4.0 / b + 0.001;
+        let (fixed, marginal) = two_point_fit((512.0, at(512.0)), (1024.0, at(1024.0)));
+        assert!((fixed - 4.0).abs() < 1e-9, "{fixed}");
+        let marginal = marginal.expect("resolved");
+        assert!((marginal - 0.001).abs() < 1e-12, "{marginal}");
+        // A ratio at or above b₂/b₁ = 2, which F/b + c with c > 0 cannot
+        // produce: the fixed cost stays, the marginal is unresolved.
+        for ratio in [2.05, 2.35] {
+            let (fixed, marginal) = two_point_fit((512.0, ratio * 0.01), (1024.0, 0.01));
+            assert!(fixed > 0.0, "ratio {ratio}");
+            assert_eq!(marginal, None, "ratio {ratio}");
+        }
     }
 
     #[test]

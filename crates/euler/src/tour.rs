@@ -56,9 +56,18 @@ impl EulerTour {
 
     /// Threads the light-first tour from prebuilt CSR child lists,
     /// letting callers that already hold a [`spatial_tree::ChildrenCsr`]
-    /// (the contraction engine, the layout builder) avoid re-sorting.
+    /// (the contraction engine, the layout builder) avoid re-sorting:
+    /// [`EulerTour::from_csr`] at the tree's root.
     pub fn light_first_from_csr(tree: &Tree, sorted: &spatial_tree::ChildrenCsr) -> Self {
-        Self::with_children(tree, |v| sorted.children(v))
+        Self::from_csr(sorted, tree.root())
+    }
+
+    /// Threads the tour of the tree whose child lists, in tour order,
+    /// are `children` and whose root is `root`: no [`Tree`] needed, so a
+    /// caller that keeps a tree as a parent array and its light-first
+    /// lists (the session forest) threads the tour from those alone.
+    pub fn from_csr(children: &spatial_tree::ChildrenCsr, root: NodeId) -> Self {
+        Self::thread(children.n(), root, |v| children.children(v))
     }
 
     /// Threads the tour with an explicit per-vertex child order.
@@ -66,11 +75,19 @@ impl EulerTour {
     where
         F: Fn(NodeId) -> &'a [NodeId],
     {
-        let n = tree.n() as usize;
-        let mut next = vec![END; 2 * n];
-        let root = tree.root();
+        Self::thread(tree.n(), tree.root(), children_of)
+    }
 
-        for v in tree.vertices() {
+    /// Threads the tour of the `n`-vertex tree rooted at `root` whose
+    /// child lists, in tour order, `children_of` gives.
+    fn thread<'a, F>(n: u32, root: NodeId, children_of: F) -> Self
+    where
+        F: Fn(NodeId) -> &'a [NodeId],
+    {
+        let n = n as usize;
+        let mut next = vec![END; 2 * n];
+
+        for v in 0..n as NodeId {
             let cs = children_of(v);
             // Chain sibling darts: up(cᵢ) → down(cᵢ₊₁).
             for w in cs.windows(2) {

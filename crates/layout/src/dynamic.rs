@@ -28,7 +28,7 @@
 //! doubling — the classic amortization (property-tested in
 //! `tests/dynamic_props.rs`).
 
-use crate::layout::Layout;
+use crate::layout::{Layout, TreeParts};
 use crate::quality::local_kernel_energy_with_points;
 use spatial_model::{vec_bytes, CurveKind};
 use spatial_sfc::{manhattan, Curve, GridPoint};
@@ -168,7 +168,10 @@ pub struct DynamicLayout {
     /// vertices, so appended leaves take free tail slots in O(1).
     layout: Layout,
     /// Grid coordinate of every vertex, indexed by vertex id — kept in
-    /// sync incrementally so energy updates are O(1) per insert.
+    /// sync incrementally so energy updates are O(1) per insert. Filled
+    /// at the first append, rebuild or growth, with the headroom; a
+    /// layout that is only read keeps none (its energy comes from the
+    /// slot points at construction and restore).
     points: Vec<GridPoint>,
     /// Current messaging-kernel energy, maintained incrementally.
     energy: u64,
@@ -219,7 +222,7 @@ impl DynamicLayout {
             scratch,
             headroom: false,
         };
-        dl.refresh_points_and_energy();
+        dl.refresh_energy();
         dl.stats.baseline_energy = dl.energy.max(1);
         dl.scratch.release_working();
         dl
@@ -233,10 +236,10 @@ impl DynamicLayout {
     /// mapped file (`spatial_store::MappedSnapshot::parents_slab`),
     /// which stays borrowed until the first structural mutation
     /// (append or grow) promotes it to owned memory with one copy.
-    /// Coordinates and the incremental energy counter are recomputed
-    /// from the restored geometry — the live instance maintains them
-    /// incrementally, and the two agree exactly
-    /// (`incremental_energy_matches_recomputation`) — so the result is
+    /// The incremental energy counter is recomputed from the restored
+    /// geometry — the live instance maintains it incrementally, and the
+    /// two agree exactly (`incremental_energy_matches_recomputation`) —
+    /// so the result is
     /// **bit-identical** to the snapshotted layout: same placement,
     /// same quality threshold state, same future rebuild/growth
     /// schedule for any continuation stream.
@@ -272,7 +275,7 @@ impl DynamicLayout {
             scratch: RebuildScratch::default(),
             headroom: false,
         };
-        dl.refresh_points_and_energy();
+        dl.refresh_energy();
         dl.scratch.release_working();
         dl
     }
@@ -359,32 +362,43 @@ impl DynamicLayout {
         if self.layout.order().first() != Some(&self.root) {
             return false;
         }
-        let (layout, sizes, csr) = self.light_first_parts();
+        let (layout, tree) = self.light_first_parts();
         let order = layout.order();
         order.iter().enumerate().all(|(p, &v)| {
             let mut at = p + 1;
-            csr.children(v).iter().all(|&c| {
+            tree.csr.children(v).iter().all(|&c| {
                 let placed = order.get(at) == Some(&c);
-                at += sizes[c as usize] as usize;
+                at += tree.sizes[c as usize] as usize;
                 placed
             })
         })
     }
 
-    /// The current layout together with
-    /// [`DynamicLayout::light_first_children`], borrowed at once: what
-    /// an engine bind over the current tree reads, without copying.
-    pub fn light_first_parts(&mut self) -> (&Layout, &[u32], &ChildrenCsr) {
+    /// The current layout together with the current tree's
+    /// [`TreeParts`] — the root, the parent slab (read in place, mapped
+    /// or owned), the layout's slots and
+    /// [`DynamicLayout::light_first_children`] — borrowed at once: what
+    /// every engine bind and every LCA run over the current tree reads,
+    /// without copying.
+    pub fn light_first_parts(&mut self) -> (&Layout, TreeParts<'_>) {
         self.light_first_children();
-        (&self.layout, &self.scratch.sizes, &self.scratch.csr)
+        let parts = TreeParts {
+            root: self.root,
+            parents: self.parents.as_slice(),
+            slots: self.layout.slots(),
+            sizes: &self.scratch.sizes,
+            csr: &self.scratch.csr,
+        };
+        (&self.layout, parts)
     }
 
     /// Heap bytes the dynamic layout keeps resident, by capacity: the
     /// parent slab (0 while it is a mapped view), the layout, the
-    /// per-vertex grid points and the retained rebuild scratch (which
-    /// holds the light-first sizes and child CSR). Until the first
-    /// append, rebuild or growth every part holds the `n` current
-    /// vertices only; from then on it holds room for
+    /// per-vertex grid points (none before the first append, rebuild or
+    /// growth) and the retained rebuild scratch (which holds the
+    /// light-first sizes and child CSR). Until the first append,
+    /// rebuild or growth every part holds the `n` current vertices
+    /// only; from then on it holds room for
     /// [`DynamicLayout::reserved`].
     pub fn resident_bytes(&self) -> usize {
         self.parents.resident_bytes()
@@ -433,6 +447,7 @@ impl DynamicLayout {
             self.grow();
         } else if !self.headroom {
             self.reserve_headroom();
+            self.refresh_points_and_energy();
         }
         let v = self.n() as NodeId;
         // Promoting here (CoW) is the first structural mutation a
@@ -454,7 +469,8 @@ impl DynamicLayout {
 
     /// Sizes every per-vertex array, and the rebuild scratch, for
     /// `reserved` vertices: the append headroom. A mapped parent slab
-    /// is sized when the first append promotes it.
+    /// is sized when the first append promotes it; the caller fills the
+    /// per-vertex grid points.
     fn reserve_headroom(&mut self) {
         let cap = self.reserved as usize;
         self.parents.reserve(cap - self.parents.len());
@@ -495,25 +511,43 @@ impl DynamicLayout {
         self.stats.baseline_energy = self.fresh_light_first_energy().max(1);
     }
 
-    /// Recomputes the per-vertex coordinates (one batch transform) and
-    /// the kernel energy from the live layout.
+    /// Recomputes the kernel energy and the per-vertex coordinates (one
+    /// batch transform) from the live layout.
     fn refresh_points_and_energy(&mut self) {
-        let n = self.parents.len();
-        let s = &mut self.scratch;
-        s.slot_points.clear();
-        s.slot_points.resize(n, GridPoint::default());
-        self.layout.curve().point_range_batch(0, &mut s.slot_points);
+        self.refresh_energy();
+        let s = &self.scratch;
         self.points.clear();
-        self.points.resize(n, GridPoint::default());
+        self.points
+            .resize(s.slot_points.len(), GridPoint::default());
         for (slot, &p) in s.slot_points.iter().enumerate() {
             self.points[self.layout.vertex_at(slot as u32) as usize] = p;
         }
+    }
+
+    /// Recomputes the kernel energy from the live layout through the
+    /// slot points alone (one batch transform into the scratch), keeping
+    /// no per-vertex coordinates: the construction and restore path,
+    /// whose layout may never see an append.
+    fn refresh_energy(&mut self) {
+        self.fill_slot_points();
+        let (points, slots) = (&self.scratch.slot_points, self.layout.slots());
+        let at = |v: usize| points[slots[v] as usize];
         self.energy = 0;
         for (v, &p) in self.parents.as_slice().iter().enumerate() {
             if p != NIL {
-                self.energy += manhattan(self.points[p as usize], self.points[v]);
+                self.energy += manhattan(at(p as usize), at(v));
             }
         }
+    }
+
+    /// Transforms the slots `0..n` of the live curve into the slot-point
+    /// scratch.
+    fn fill_slot_points(&mut self) {
+        let s = &mut self.scratch;
+        s.slot_points.clear();
+        s.slot_points
+            .resize(self.parents.len(), GridPoint::default());
+        self.layout.curve().point_range_batch(0, &mut s.slot_points);
     }
 
     /// Kernel energy a fresh light-first layout would have on the
@@ -523,11 +557,9 @@ impl DynamicLayout {
         let cap = self.reserved as usize;
         self.scratch
             .light_first_order(self.parents.as_slice(), self.root, cap);
+        self.fill_slot_points();
         let n = self.parents.len();
         let s = &mut self.scratch;
-        s.slot_points.clear();
-        s.slot_points.resize(n, GridPoint::default());
-        self.layout.curve().point_range_batch(0, &mut s.slot_points);
         s.pos.clear();
         s.pos.resize(n, 0);
         for (i, &v) in s.order.iter().enumerate() {
@@ -546,9 +578,11 @@ impl DynamicLayout {
     }
 
     /// Recomputes the kernel energy from scratch (O(n)) — the oracle for
-    /// the incremental counter, used by tests and assertions.
+    /// the incremental counter, used by tests and assertions. It reads
+    /// the layout's own placement ([`Layout::grid_points`]), not the
+    /// per-vertex points the counter keeps.
     pub fn recomputed_energy(&self) -> u64 {
-        local_kernel_energy_with_points(&self.tree(), &self.points)
+        local_kernel_energy_with_points(&self.tree(), &self.layout.grid_points())
     }
 }
 

@@ -3,7 +3,7 @@
 use rand::Rng;
 use spatial_model::{covering_side, vec_bytes, Machine, Slot};
 use spatial_sfc::{AnyCurve, Curve, CurveKind, GridPoint};
-use spatial_tree::{traversal, NodeId, Tree};
+use spatial_tree::{traversal, ChildrenCsr, NodeId, Tree};
 
 /// How the linear order of a layout is chosen; the experiment harness
 /// sweeps over these.
@@ -43,6 +43,34 @@ impl LayoutKind {
 impl std::fmt::Display for LayoutKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+/// A tree in a layout, borrowed as flat arrays from whoever keeps them:
+/// the root, the parent and slot of every vertex, the subtree sizes and
+/// the light-first child lists ([`ChildrenCsr::by_size`]). The engines
+/// bind from these and the batched LCA reads them at every run, so a
+/// caller that keeps them once per tree (the dynamic layout,
+/// [`crate::DynamicLayout::light_first_parts`]) lends them instead of
+/// each engine copying them.
+#[derive(Debug, Clone, Copy)]
+pub struct TreeParts<'a> {
+    /// The root vertex.
+    pub root: NodeId,
+    /// Parent of every vertex ([`spatial_tree::NIL`] at the root).
+    pub parents: &'a [NodeId],
+    /// Machine slot of every vertex ([`Layout::slots`]).
+    pub slots: &'a [Slot],
+    /// Subtree size of every vertex.
+    pub sizes: &'a [u32],
+    /// Light-first child lists.
+    pub csr: &'a ChildrenCsr,
+}
+
+impl TreeParts<'_> {
+    /// Number of vertices.
+    pub fn n(&self) -> u32 {
+        self.parents.len() as u32
     }
 }
 
@@ -256,9 +284,14 @@ impl Layout {
     /// with [`Layout::from_order_with_capacity`] sits on a curve sized
     /// for the capacity, whose geometry (side length, cell positions)
     /// differs from the compact curve — pricing reserved-tail
-    /// placements through a compact grid undercharges them.
+    /// placements through a compact grid undercharges them. The machine
+    /// is [`Machine::repoint`]ed onto the slots `0..n` of that curve, so
+    /// it is keyed by that curve prefix (curve kind, side and slot
+    /// count), the key step 4's closed form checks.
     pub fn machine(&self) -> Machine {
-        Machine::from_points(self.slot_points())
+        let mut machine = Machine::default();
+        machine.repoint(&self.curve, self.n());
+        machine
     }
 
     /// The side of [`Layout::machine`]'s grid (the smallest square

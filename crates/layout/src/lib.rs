@@ -30,7 +30,7 @@ pub mod reference;
 pub use builder::{build_light_first_spatial, SpatialBuildReport};
 pub use dynamic::{DynamicLayout, DynamicStats};
 pub use engine::LayoutEngine;
-pub use layout::{Layout, LayoutKind};
+pub use layout::{Layout, LayoutKind, TreeParts};
 pub use quality::{
     edge_distance_stats, edge_distance_stats_with_points, edge_distance_stats_with_points_into,
     local_kernel_energy, local_kernel_energy_with_points, EdgeDistanceStats,

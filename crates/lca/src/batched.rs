@@ -5,15 +5,23 @@
 //! algorithm — the TRANSFORM relay schedule, the heavy-path
 //! decomposition, and the layer-indexed CSR [`SubtreeCover`] — from
 //! the per-run work. All three are read off one input: the tree's
-//! subtree sizes and light-first child CSR (the heavy child is the last
-//! entry of each list; heads, layers and cover ranges follow the
-//! layout's slot order). [`LcaEngine::with_parts`] and
-//! [`LcaEngine::bind_parts`] take that input from the caller — the
-//! session forest builds it once per insert epoch, in the layout
-//! rebuild, and shares it with the Euler tour and the subtree-sum
-//! treefix — while [`LcaEngine::new`] and [`LcaEngine::bind`] compute
-//! it from the tree first. [`LcaEngine::run`] then answers any number
-//! of query batches, charging exactly the costs of §VI-C:
+//! parents, subtree sizes and light-first child CSR, placed by a
+//! light-first layout (the heavy child is the last entry of each list;
+//! heads, layers and cover ranges follow the layout's slot order).
+//!
+//! An [`LcaStructure`] keeps only what it derives. The tree itself —
+//! parents, slots, sizes and CSR, a [`TreeParts`] — stays with whoever
+//! keeps it and is lent to every bind and every run:
+//! [`LcaStructure::with_parts`] and [`LcaStructure::bind_parts`] take it
+//! from the caller (the session forest lends its dynamic layout's
+//! arrays, which it keeps once per insert epoch and shares with the
+//! Euler tour and the subtree-sum treefix), and [`LcaStructure::run_on`]
+//! takes it again at each run. [`LcaEngine`] is that structure plus a
+//! copy of the tree: [`LcaEngine::new`] and [`LcaEngine::bind`] compute
+//! the sizes and CSR from a [`Tree`] into the copy, and
+//! [`LcaEngine::run`] and [`LcaEngine::run_into`] lend it the same way,
+//! so both kinds of caller go through one bind and one run. A run
+//! charges exactly the costs of §VI-C:
 //!
 //! 1. one bottom-up treefix (subtree sizes → ranges; Theorem 6 step 1),
 //! 2. the virtual-tree construction, charged in closed form from the
@@ -25,38 +33,37 @@
 //! 3. one top-down treefix over the light-edge indicator (step 3),
 //! 4. per layer, the Lemma 13 range broadcast inside every cover
 //!    subtree plus a synchronization barrier — charged in closed form
-//!    by a [`LayeredBroadcast`] computed at bind. Its energy, messages
-//!    and work are per-structure constants. The first layer's barrier
-//!    floor is a max-plus pass over the entry clocks with per-slot
-//!    weights, and each later layer adds a per-structure constant to
-//!    the floor, so a run costs one `O(n)` pass, one bulk charge and
-//!    one floor lift. Traced machines, and machines placed differently
-//!    from the layout, replay the broadcasts and barriers instead, with
-//!    identical charges.
+//!    by a [`LayeredBroadcast`] computed at bind for the layout's curve
+//!    prefix. Its energy, messages and work are per-structure
+//!    constants. The first layer's barrier floor is a max-plus pass
+//!    over the entry clocks with per-slot weights, and each later layer
+//!    adds a per-structure constant to the floor, so a run costs one
+//!    `O(n)` pass, one bulk charge and one floor lift. Traced machines,
+//!    and machines not on that curve prefix, replay the broadcasts and
+//!    barriers instead, with identical charges.
 //!
 //! Queries are resolved by walking each endpoint's head chain (the at
 //! most `O(log n)` cover subtrees containing it) instead of rescanning
 //! the whole batch once per layer. Costs: `O(n log n)` energy and
 //! `O(log² n)` depth w.h.p. for `O(1)` queries per vertex (Theorem 6).
 //!
-//! The engine owns its per-tree structure — copied into flat arrays at
-//! bind — so the session layer's pool can hold one engine across tree
-//! mutations. Both treefix passes run on one [`ContractionEngine`]
-//! bound to the same tree; each pass only loads its values. A caller
-//! that keeps such an engine (the session forest, which also runs its
-//! subtree sums on it) lends it to [`LcaEngine::run_on`], so a tree has
-//! one contraction engine, not two. Standalone callers use
-//! [`LcaEngine::run_into`], which runs on an engine the LCA engine
-//! creates on first use and binds with its structure
-//! ([`LcaEngine::treefix_mut`]). Either way a run performs **zero heap
-//! allocation** once the contraction engine exists (the answers land in
-//! a caller-retained buffer). The seed implementation is retained as
+//! Both treefix passes run on one [`ContractionEngine`] bound to the
+//! same tree; each pass only loads its values, step 1's ones and step
+//! 3's light-edge indicator by rule, without an array. A caller that
+//! keeps such an engine (the session forest, which also runs its
+//! subtree sums on it) lends it to [`LcaStructure::run_on`], so a tree
+//! has one contraction engine, not two. [`LcaEngine::run_into`] runs on
+//! an engine the LCA engine creates on first use and binds with its
+//! copy of the tree ([`LcaEngine::treefix_mut`]). Either way a run
+//! performs **zero heap allocation** once the contraction engine exists
+//! (the answers land in a caller-retained buffer). The seed
+//! implementation is retained as
 //! [`crate::reference::batched_lca_reference`]; the differential suite
 //! pins this engine to it bit for bit (answers, stats, charges).
 
 use crate::cover::SubtreeCover;
 use rand::Rng;
-use spatial_layout::Layout;
+use spatial_layout::{Layout, TreeParts};
 use spatial_messaging::{BroadcastSchedule, VirtualTree};
 use spatial_model::collectives::{self, LayeredBroadcast};
 use spatial_model::{vec_bytes, EngineLifecycle, Machine, Slot};
@@ -84,228 +91,300 @@ pub struct LcaResult {
     pub stats: LcaStats,
 }
 
-/// The rng-independent per-tree structure of the engine, rebuilt by
-/// [`LcaEngine::bind`].
-struct Structure {
+/// What the batched LCA derives from a tree + layout pair, rebuilt by
+/// every bind. The tree it derives from is lent to every run
+/// ([`TreeParts`]).
+struct Derived {
     n: u32,
-    /// Parent of every vertex ([`NIL`] at the root) — the only tree
-    /// shape the resolution walks need.
-    parents: Vec<NodeId>,
-    /// Machine slot of every vertex, copied from the layout.
-    slots: Vec<Slot>,
-    /// Host-side subtree sizes (step 1 recomputes and charges them on
-    /// the machine; the values are identical by exactness).
-    sizes: Vec<u32>,
-    /// Light-first child lists, shared by both treefix runs.
-    csr: ChildrenCsr,
+    root: NodeId,
     /// CSR relay rounds of the TRANSFORM virtual tree (step 2): the
     /// delivery pairs, from which the construction exchange is charged
     /// in closed form and the broadcasts are replayed.
     schedule: BroadcastSchedule,
-    /// Heavy-path head of every vertex.
+    /// Heavy-path head of every vertex. Step 3's light-edge indicator
+    /// is `head[v] == v` off the root.
     head: Vec<NodeId>,
     /// Path-decomposition layer of every vertex.
     layer: Vec<u32>,
     /// The layer-indexed CSR subtree cover (§VI-B).
     cover: SubtreeCover,
     /// Step 4's broadcasts and barriers over the cover, in closed form
-    /// for the layout's slot placement.
+    /// for the layout's curve prefix.
     step4: LayeredBroadcast,
-    /// Step-3 treefix input (light-edge indicator). Step 1's input,
-    /// `Add(1)` per vertex, is loaded without an array.
-    indicator: Vec<Add>,
 }
 
-impl Structure {
-    /// The per-tree structure from the tree's subtree sizes and
-    /// light-first child CSR: the relay tree, the heavy-path
-    /// decomposition and the cover are all read off `csr`, the last two
-    /// walking the layout's slot order.
-    fn build(layout: &Layout, tree: &Tree, sizes: Vec<u32>, csr: ChildrenCsr) -> Self {
+impl Derived {
+    /// The per-tree structure of `tree` in `layout`: the relay tree,
+    /// the heavy-path decomposition and the cover are all read off the
+    /// light-first CSR, the last two walking the layout's slot order.
+    /// The only bind path: lent parts and an [`LcaEngine`]'s own copy
+    /// both come through here.
+    fn build(layout: &Layout, tree: TreeParts) -> Self {
         let n = tree.n();
         assert_eq!(layout.n(), n, "layout size mismatch");
-        assert_eq!(sizes.len(), n as usize, "one subtree size per vertex");
-        assert_eq!(csr.n(), n, "children CSR size mismatch");
-        debug_assert_eq!(
-            spatial_tree::traversal::verify_light_first(tree, layout.order()),
-            Ok(()),
-            "batched LCA requires a light-first layout"
-        );
-        debug_assert!(
-            sizes == tree.subtree_sizes() && csr == ChildrenCsr::by_size(tree, &sizes),
-            "sizes and CSR must be the tree's subtree sizes and light-first child lists"
-        );
-        let vt = VirtualTree::with_csr(&csr, tree.root());
-        let schedule = BroadcastSchedule::new(&vt, layout, tree);
-        let decomposition = HeavyPathDecomposition::from_csr(&csr, layout.order());
-        let parents = tree.parents();
-        // Light-edge indicator: every head but the root starts a new
-        // path (heavy children continue their parent's).
-        let indicator: Vec<Add> = (0..n as usize)
-            .map(|v| Add((decomposition.head[v] == v as NodeId && parents[v] != NIL) as u64))
-            .collect();
-        let cover = SubtreeCover::new(tree, layout, &decomposition, &sizes);
+        assert_eq!(tree.slots.len(), n as usize, "one slot per vertex");
+        assert_eq!(tree.sizes.len(), n as usize, "one subtree size per vertex");
+        assert_eq!(tree.csr.n(), n, "children CSR size mismatch");
+        if cfg!(debug_assertions) {
+            let t = Tree::from_parents(tree.root, tree.parents.to_vec());
+            debug_assert_eq!(
+                spatial_tree::traversal::verify_light_first(&t, layout.order()),
+                Ok(()),
+                "batched LCA requires a light-first layout"
+            );
+            debug_assert!(
+                tree.slots == layout.slots()
+                    && tree.sizes == t.subtree_sizes()
+                    && *tree.csr == ChildrenCsr::by_size(&t, tree.sizes),
+                "slots, sizes and CSR must be the layout's slots and the tree's subtree sizes and light-first child lists"
+            );
+        }
+        let vt = VirtualTree::with_csr(tree.csr, tree.root);
+        let schedule = BroadcastSchedule::new(&vt, layout, tree.root);
+        let decomposition = HeavyPathDecomposition::from_csr(tree.csr, layout.order());
+        let cover = SubtreeCover::new(tree.parents, layout, &decomposition, tree.sizes);
         let step4 = LayeredBroadcast::new(
-            layout.slot_points(),
+            layout.curve(),
+            n,
             (0..cover.num_layers()).map(|li| cover.layer_ranges(li)),
         );
-        Structure {
+        Derived {
             n,
-            parents: parents.to_vec(),
-            slots: (0..n).map(|v| layout.slot(v)).collect(),
-            sizes,
-            csr,
+            root: tree.root,
             schedule,
             head: decomposition.head,
             layer: decomposition.layer,
             cover,
             step4,
-            indicator,
         }
     }
 }
 
-/// A tree's subtree sizes and light-first child CSR: what
-/// [`LcaEngine::new`] and [`LcaEngine::bind`] compute before building
-/// as their `_parts` forms.
-fn sizes_and_csr(tree: &Tree) -> (Vec<u32>, ChildrenCsr) {
-    let sizes = tree.subtree_sizes();
-    let csr = ChildrenCsr::by_size(tree, &sizes);
-    (sizes, csr)
+/// The tree of an [`LcaEngine`]: its own copy of the parts a caller
+/// that keeps them lends an [`LcaStructure`] instead.
+struct OwnedTree {
+    root: NodeId,
+    parents: Vec<NodeId>,
+    slots: Vec<Slot>,
+    sizes: Vec<u32>,
+    csr: ChildrenCsr,
 }
 
-/// The reusable batched-LCA engine: structure once per tree, any
-/// number of query batches; rebindable to new trees through the
-/// session pool's `reset/reserve/run` lifecycle.
-pub struct LcaEngine {
-    structure: Structure,
+impl OwnedTree {
+    /// Copies `tree`'s parents and `layout`'s slots, and computes the
+    /// subtree sizes and light-first child CSR.
+    fn of(layout: &Layout, tree: &Tree) -> Self {
+        let sizes = tree.subtree_sizes();
+        let csr = ChildrenCsr::by_size(tree, &sizes);
+        OwnedTree {
+            root: tree.root(),
+            parents: tree.parents().to_vec(),
+            slots: layout.slots().to_vec(),
+            sizes,
+            csr,
+        }
+    }
 
-    // ---- Retained per-run engine and scratch. ----
-    /// The contraction engine of standalone runs ([`LcaEngine::run_into`],
-    /// [`LcaEngine::treefix_mut`]): created on first use and bound to
-    /// this engine's tree. A caller that keeps its own contraction
-    /// engine over the same tree runs through [`LcaEngine::run_on`]
-    /// and never creates this one.
-    owned: Option<ContractionEngine<Add>>,
-    /// Whether `owned` is bound to the current structure.
-    owned_bound: bool,
+    fn parts(&self) -> TreeParts<'_> {
+        TreeParts {
+            root: self.root,
+            parents: &self.parents,
+            slots: &self.slots,
+            sizes: &self.sizes,
+            csr: &self.csr,
+        }
+    }
+
+    fn resident_bytes(&self) -> usize {
+        vec_bytes(&self.parents)
+            + vec_bytes(&self.slots)
+            + vec_bytes(&self.sizes)
+            + self.csr.resident_bytes()
+    }
+}
+
+/// The batched LCA's per-tree structure over a tree it does not keep:
+/// what it derives (relay schedule, heads, layers, cover, step 4's
+/// entry weights) and the per-run chain scratch. The tree — parents,
+/// slots, sizes and CSR, a [`TreeParts`] — stays with the caller, who
+/// lends it to every bind ([`LcaStructure::with_parts`],
+/// [`LcaStructure::bind_parts`]) and every run
+/// ([`LcaStructure::run_on`]), together with a contraction engine
+/// bound to the same tree: the session forest, which keeps both once
+/// per insert epoch. [`LcaEngine`] is this structure with a copy of
+/// its tree and a contraction engine of its own.
+pub struct LcaStructure {
+    derived: Derived,
+    // ---- Retained per-run scratch. ----
     /// Head chains of the two query endpoints, indexed by layer.
     chain_a: Vec<NodeId>,
     chain_b: Vec<NodeId>,
+}
+
+impl LcaStructure {
+    /// Precomputes the structure of the tree `tree` lends, stored in
+    /// `layout`: an energy-bound light-first layout (cover subtrees
+    /// must be contiguous slot ranges) whose slots are `tree.slots`,
+    /// `tree.sizes` and `tree.csr` being the tree's subtree sizes and
+    /// light-first child lists. Keeps nothing of `tree`: every run takes
+    /// the same parts again.
+    pub fn with_parts(layout: &Layout, tree: TreeParts) -> Self {
+        let derived = Derived::build(layout, tree);
+        let num_layers = derived.cover.num_layers() as usize;
+        LcaStructure {
+            derived,
+            chain_a: Vec::with_capacity(num_layers),
+            chain_b: Vec::with_capacity(num_layers),
+        }
+    }
+
+    /// Rebinds the structure to a (possibly different, possibly larger)
+    /// tree + layout pair, lent as in [`LcaStructure::with_parts`],
+    /// keeping the chain scratch — the pool path after a tree mutation.
+    /// Runs stay allocation-free; rebinding itself allocates the new
+    /// structure.
+    pub fn bind_parts(&mut self, layout: &Layout, tree: TreeParts) {
+        self.derived = Derived::build(layout, tree);
+    }
+
+    /// Heap bytes the structure keeps resident: what it derives and the
+    /// chain scratch. By capacity, deterministic.
+    pub fn resident_bytes(&self) -> usize {
+        self.derived.resident_bytes() + vec_bytes(&self.chain_a) + vec_bytes(&self.chain_b)
+    }
+
+    /// Answers one batch of LCA queries over `tree` — the parts the
+    /// structure was bound from — on `treefix`, whose structure must be
+    /// bound to the same tree: its parents, slots and light-first CSR
+    /// (see [`LcaEngine::treefix_mut`]). Charges the full §VI-C cost on
+    /// `machine`; the random seed affects only costs, never answers.
+    /// Steps 1 and 3 each `load` `treefix`, so the run charges exactly as
+    /// on a freshly bound engine; a caller that also runs its subtree
+    /// sums on it keeps one contraction engine per tree instead of two.
+    /// Performs **zero heap allocation** once `answers` has grown to the
+    /// batch size.
+    pub fn run_on<R: Rng>(
+        &mut self,
+        tree: TreeParts,
+        treefix: &mut ContractionEngine<Add>,
+        machine: &Machine,
+        queries: &[(NodeId, NodeId)],
+        answers: &mut Vec<NodeId>,
+        rng: &mut R,
+    ) -> LcaStats {
+        self.derived.run(
+            tree,
+            (&mut self.chain_a, &mut self.chain_b),
+            treefix,
+            machine,
+            queries,
+            answers,
+            rng,
+        )
+    }
+}
+
+/// The reusable batched-LCA engine: structure once per tree, any
+/// number of query batches; rebindable to new trees ([`LcaEngine::bind`])
+/// under the [`EngineLifecycle`] `reset/reserve` contract. It keeps its own copy
+/// of its tree and runs on a contraction engine of its own; a caller
+/// that keeps the tree and a contraction engine over it uses an
+/// [`LcaStructure`] instead.
+pub struct LcaEngine {
+    structure: LcaStructure,
+    /// The engine's own copy of its tree, lent to every run.
+    tree: OwnedTree,
+    /// The contraction engine of the runs ([`LcaEngine::treefix_mut`]):
+    /// created on first use and bound to the engine's tree.
+    treefix: Option<ContractionEngine<Add>>,
+    /// Whether `treefix` is bound to the current tree.
+    treefix_bound: bool,
 }
 
 impl LcaEngine {
     /// Precomputes the engine's structure for one tree + layout pair.
     /// The tree must be stored in an energy-bound light-first layout
     /// (cover subtrees must be contiguous slot ranges). Computes the
-    /// subtree sizes and light-first child CSR, then builds as
-    /// [`LcaEngine::with_parts`].
+    /// subtree sizes and light-first child CSR into a copy of the tree
+    /// the engine keeps for its runs, then builds from it as
+    /// [`LcaStructure::with_parts`] does from lent parts.
     pub fn new(layout: &Layout, tree: &Tree) -> Self {
-        let (sizes, csr) = sizes_and_csr(tree);
-        Self::from_structure(Structure::build(layout, tree, sizes, csr))
-    }
-
-    /// [`LcaEngine::new`] from the tree's subtree sizes and light-first
-    /// child CSR, which a caller that keeps them per tree (the session
-    /// forest, once per insert epoch) passes in instead of having them
-    /// recomputed.
-    pub fn with_parts(layout: &Layout, tree: &Tree, sizes: &[u32], csr: &ChildrenCsr) -> Self {
-        Self::from_structure(Structure::build(layout, tree, sizes.to_vec(), csr.clone()))
-    }
-
-    fn from_structure(structure: Structure) -> Self {
-        let num_layers = structure.cover.num_layers() as usize;
+        let own = OwnedTree::of(layout, tree);
         LcaEngine {
-            structure,
-            owned: None,
-            owned_bound: false,
-            chain_a: Vec::with_capacity(num_layers),
-            chain_b: Vec::with_capacity(num_layers),
+            structure: LcaStructure::with_parts(layout, own.parts()),
+            tree: own,
+            treefix: None,
+            treefix_bound: false,
         }
     }
 
     /// Rebinds the engine to a (possibly different, possibly larger)
     /// tree + layout pair, rebuilding the per-tree structure while
     /// keeping the retained contraction engine (if one was created)
-    /// and scratch — the pool path after a tree mutation. Runs stay
-    /// allocation-free; rebinding itself allocates the new structure.
-    /// Computes the subtree sizes and light-first child CSR, then binds
-    /// as [`LcaEngine::bind_parts`].
+    /// and scratch. Runs stay allocation-free; rebinding itself
+    /// allocates the new structure. Copies the tree as
+    /// [`LcaEngine::new`] does, then binds from the copy as
+    /// [`LcaStructure::bind_parts`] does from lent parts.
     pub fn bind(&mut self, layout: &Layout, tree: &Tree) {
-        let (sizes, csr) = sizes_and_csr(tree);
-        self.bind_structure(Structure::build(layout, tree, sizes, csr));
+        let own = OwnedTree::of(layout, tree);
+        self.structure.bind_parts(layout, own.parts());
+        self.tree = own;
+        self.treefix_bound = false;
     }
 
-    /// [`LcaEngine::bind`] from the tree's subtree sizes and light-first
-    /// child CSR (see [`LcaEngine::with_parts`]).
-    pub fn bind_parts(&mut self, layout: &Layout, tree: &Tree, sizes: &[u32], csr: &ChildrenCsr) {
-        self.bind_structure(Structure::build(layout, tree, sizes.to_vec(), csr.clone()));
-    }
-
-    fn bind_structure(&mut self, structure: Structure) {
-        self.structure = structure;
-        self.owned_bound = false;
-    }
-
-    /// The contraction engine of standalone runs, created on first use
-    /// and bound to this engine's tree: the parents, slots and
+    /// The contraction engine of the engine's runs, created on first
+    /// use and bound to the engine's tree: the parents, slots and
     /// light-first CSR a subtree-sum treefix over the same tree binds.
     /// A caller runs further passes on it by `load`ing its own values —
     /// [`LcaEngine::run_into`] reloads it for each of its passes, so
     /// such runs charge exactly as on a freshly bound engine.
     pub fn treefix_mut(&mut self) -> &mut ContractionEngine<Add> {
-        let s = &self.structure;
-        let n = s.n as usize;
+        let tree = &self.tree;
+        let n = tree.parents.len();
         let treefix = self
-            .owned
+            .treefix
             .get_or_insert_with(|| ContractionEngine::with_capacity(n));
-        if !self.owned_bound {
+        if !self.treefix_bound {
             treefix.reserve(n);
-            treefix.bind_structure(&s.parents, &s.slots, &s.csr);
-            self.owned_bound = true;
+            treefix.bind_structure(&tree.parents, &tree.slots, &tree.csr);
+            self.treefix_bound = true;
         }
         treefix
     }
 
-    /// Whether the engine holds a contraction engine of its own (one
-    /// [`LcaEngine::run_into`] or [`LcaEngine::treefix_mut`] created).
-    pub fn owns_treefix(&self) -> bool {
-        self.owned.is_some()
-    }
-
-    /// Heap bytes the engine keeps resident: the per-tree structure,
-    /// the chain scratch and, when one was created, its own
-    /// contraction engine. By capacity, deterministic.
+    /// Heap bytes the engine keeps resident: its [`LcaStructure`], its
+    /// copy of the tree and, once created, its contraction engine. By
+    /// capacity, deterministic.
     pub fn resident_bytes(&self) -> usize {
         self.structure.resident_bytes()
-            + vec_bytes(&self.chain_a)
-            + vec_bytes(&self.chain_b)
+            + self.tree.resident_bytes()
             + self
-                .owned
+                .treefix
                 .as_ref()
                 .map_or(0, ContractionEngine::resident_bytes)
     }
 
     /// The subtree cover the engine routes queries through.
     pub fn cover(&self) -> &SubtreeCover {
-        &self.structure.cover
+        &self.structure.derived.cover
     }
 
-    /// The light-first child CSR (shared with callers that run further
-    /// treefix passes over the same tree, e.g. the min-cut pipeline).
+    /// The light-first child CSR of the engine's copy of its tree
+    /// (shared with callers that run further treefix passes over the
+    /// same tree, e.g. the min-cut pipeline).
     pub fn children_csr(&self) -> &ChildrenCsr {
-        &self.structure.csr
+        &self.tree.csr
     }
 
     /// Charges step 4 of a run on `machine`: per cover layer, the
     /// Lemma 13 range broadcast inside every cover subtree, then a
     /// synchronization barrier before the next layer (§VI-C). The
     /// charges are computed in closed form when `machine` is untraced
-    /// and places its slots as the bound layout does (see
+    /// and sits on the bound layout's curve prefix (see
     /// [`LayeredBroadcast`]); otherwise the broadcasts and barriers are
     /// replayed. Both paths charge identically.
     pub fn charge_step4(&self, machine: &Machine) {
-        self.structure.charge_step4(machine);
+        self.structure.derived.charge_step4(machine);
     }
 
     /// Answers one batch of LCA queries, charging the full §VI-C cost
@@ -323,10 +402,11 @@ impl LcaEngine {
         LcaResult { answers, stats }
     }
 
-    /// [`LcaEngine::run`] into a caller-retained answer buffer, on the
-    /// engine's own contraction engine ([`LcaEngine::treefix_mut`]):
-    /// performs **zero heap allocation** once `answers` has grown to
-    /// the batch size and that engine exists.
+    /// [`LcaEngine::run`] into a caller-retained answer buffer: the
+    /// engine lends its copy of the tree and its contraction engine
+    /// ([`LcaEngine::treefix_mut`]) to [`LcaStructure::run_on`].
+    /// Performs **zero heap allocation** once `answers` has grown to
+    /// the batch size and the contraction engine exists.
     pub fn run_into<R: Rng>(
         &mut self,
         machine: &Machine,
@@ -335,56 +415,20 @@ impl LcaEngine {
         rng: &mut R,
     ) -> LcaStats {
         self.treefix_mut();
-        let treefix = self.owned.as_mut().expect("created above");
-        self.structure.run(
-            (&mut self.chain_a, &mut self.chain_b),
-            treefix,
-            machine,
-            queries,
-            answers,
-            rng,
-        )
-    }
-
-    /// [`LcaEngine::run_into`] on a caller's contraction engine, whose
-    /// structure must be bound to this engine's tree: the same
-    /// parents, slots (the layout's) and light-first CSR (see
-    /// [`LcaEngine::treefix_mut`]). Steps 1 and 3 each `load` it, so
-    /// the run charges exactly as on the engine's own; a caller that
-    /// also runs its subtree sums on it keeps one contraction engine
-    /// per tree instead of two.
-    pub fn run_on<R: Rng>(
-        &mut self,
-        treefix: &mut ContractionEngine<Add>,
-        machine: &Machine,
-        queries: &[(NodeId, NodeId)],
-        answers: &mut Vec<NodeId>,
-        rng: &mut R,
-    ) -> LcaStats {
-        self.structure.run(
-            (&mut self.chain_a, &mut self.chain_b),
-            treefix,
-            machine,
-            queries,
-            answers,
-            rng,
-        )
+        let treefix = self.treefix.as_mut().expect("created above");
+        self.structure
+            .run_on(self.tree.parts(), treefix, machine, queries, answers, rng)
     }
 }
 
-impl Structure {
+impl Derived {
     /// Heap bytes of the per-tree structure, by capacity.
     fn resident_bytes(&self) -> usize {
-        vec_bytes(&self.parents)
-            + vec_bytes(&self.slots)
-            + vec_bytes(&self.sizes)
-            + self.csr.resident_bytes()
-            + self.schedule.resident_bytes()
+        self.schedule.resident_bytes()
             + vec_bytes(&self.head)
             + vec_bytes(&self.layer)
             + self.cover.resident_bytes()
             + self.step4.resident_bytes()
-            + vec_bytes(&self.indicator)
     }
 
     /// See [`LcaEngine::charge_step4`].
@@ -404,43 +448,32 @@ impl Structure {
         }
     }
 
-    /// Whether `partner`'s slot lies in `r(parent(root)) \ r(root)` —
-    /// the Corollary 3 resolution test; returns the answer `w`.
-    #[inline]
-    fn resolve(&self, root: NodeId, partner: NodeId) -> Option<NodeId> {
-        let w = self.parents[root as usize];
-        if w == NIL {
-            return None;
-        }
-        let wlo = self.slots[w as usize];
-        let whi = wlo + self.sizes[w as usize];
-        let lo = self.slots[root as usize];
-        let hi = lo + self.sizes[root as usize];
-        let ps = self.slots[partner as usize];
-        (wlo <= ps && ps < whi && !(lo <= ps && ps < hi)).then_some(w)
-    }
-
     /// Fills `chain` so `chain[li]` is the head of the layer-`li` cover
     /// subtree containing `v`, for `li = 0 ..= layer[v]` (every vertex
     /// lies in exactly one subtree per layer up to its own).
-    fn fill_chain(&self, chain: &mut Vec<NodeId>, v: NodeId) {
+    fn fill_chain(&self, parents: &[NodeId], chain: &mut Vec<NodeId>, v: NodeId) {
         chain.clear();
         chain.resize(self.layer[v as usize] as usize + 1, NIL);
         let mut x = v;
         loop {
             let h = self.head[x as usize];
             chain[self.layer[h as usize] as usize] = h;
-            match self.parents[h as usize] {
+            match parents[h as usize] {
                 NIL => break,
                 p => x = p,
             }
         }
     }
 
-    /// One batch of queries on `treefix` (bound to this tree): the four
-    /// steps of §VI-C, charged on `machine`, answers into `answers`.
+    /// One batch of queries over `tree` (the tree this structure was
+    /// built from) on `treefix` (bound to the same tree): the four steps
+    /// of §VI-C, charged on `machine`, answers into `answers`. The only
+    /// run path: lent parts and an [`LcaEngine`]'s own copy both come
+    /// through here.
+    #[allow(clippy::too_many_arguments)]
     fn run<R: Rng>(
         &self,
+        tree: TreeParts,
         (chain_a, chain_b): (&mut Vec<NodeId>, &mut Vec<NodeId>),
         treefix: &mut ContractionEngine<Add>,
         machine: &Machine,
@@ -455,11 +488,21 @@ impl Structure {
         for &(a, b) in queries {
             assert!(a < n && b < n, "query ({a}, {b}) out of range");
         }
+        assert!(
+            tree.n() == n && tree.slots.len() == n as usize && tree.sizes.len() == n as usize,
+            "the parts must be this engine's tree"
+        );
         assert_eq!(
             treefix.bound_vertices(),
             n as usize,
             "the contraction engine must be bound to this engine's tree"
         );
+        let TreeParts {
+            parents,
+            slots,
+            sizes,
+            ..
+        } = tree;
 
         // ---- Step 1: subtree sizes (bottom-up treefix), ranges, and ----
         // ---- ancestor/descendant answers.                           ----
@@ -470,14 +513,14 @@ impl Structure {
             tf1_values
                 .iter()
                 .map(|a| a.0 as u32)
-                .eq(s.sizes.iter().copied()),
+                .eq(sizes.iter().copied()),
             "treefix sizes must match the host sizes"
         );
 
         let in_range = |v: NodeId, w: NodeId| -> bool {
-            let sv = s.slots[v as usize];
-            let lo = s.slots[w as usize];
-            lo <= sv && sv < lo + s.sizes[w as usize]
+            let sv = slots[v as usize];
+            let lo = slots[w as usize];
+            lo <= sv && sv < lo + sizes[w as usize]
         };
         answers.clear();
         answers.resize(queries.len(), NIL);
@@ -502,10 +545,13 @@ impl Structure {
         s.schedule.charge_broadcast(machine); // heavy-child ids
 
         // ---- Step 3: layers via top-down treefix over the light-edge ----
-        // ---- indicator.                                              ----
-        treefix.load(&s.indicator, false);
+        // ---- indicator: every head but the root starts a new path    ----
+        // ---- (heavy children continue their parent's).               ----
+        let (head, root) = (&s.head, s.root);
+        let indicator = |v: NodeId| Add((head[v as usize] == v && v != root) as u64);
+        treefix.load_with(indicator, false);
         let stats3 = treefix.contract(machine, rng);
-        let tf3_values = treefix.uncontract_top_down(machine, &s.indicator);
+        let tf3_values = treefix.uncontract_top_down_with(machine, indicator);
         debug_assert!(
             tf3_values
                 .iter()
@@ -521,22 +567,36 @@ impl Structure {
         // ---- Step 4 resolution: walk each query's head chains from ----
         // ---- layer 0 upward; the first layer whose subtree isolates ----
         // ---- one endpoint answers the query (Corollary 3).          ----
+        // Whether `partner`'s slot lies in `r(parent(root)) \ r(root)` —
+        // the Corollary 3 resolution test; returns the answer `w`.
+        let resolve = |root: NodeId, partner: NodeId| -> Option<NodeId> {
+            let w = parents[root as usize];
+            if w == NIL {
+                return None;
+            }
+            let wlo = slots[w as usize];
+            let whi = wlo + sizes[w as usize];
+            let lo = slots[root as usize];
+            let hi = lo + sizes[root as usize];
+            let ps = slots[partner as usize];
+            (wlo <= ps && ps < whi && !(lo <= ps && ps < hi)).then_some(w)
+        };
         for (qi, &(a, b)) in queries.iter().enumerate() {
             if answers[qi] != NIL {
                 continue;
             }
-            s.fill_chain(chain_a, a);
-            s.fill_chain(chain_b, b);
+            s.fill_chain(parents, chain_a, a);
+            s.fill_chain(parents, chain_b, b);
             let (la, lb) = (s.layer[a as usize], s.layer[b as usize]);
             for li in 0..=la.max(lb) as usize {
                 if li <= la as usize {
-                    if let Some(w) = s.resolve(chain_a[li], b) {
+                    if let Some(w) = resolve(chain_a[li], b) {
                         answers[qi] = w;
                         break;
                     }
                 }
                 if li <= lb as usize {
-                    if let Some(w) = s.resolve(chain_b[li], a) {
+                    if let Some(w) = resolve(chain_b[li], a) {
                         answers[qi] = w;
                         break;
                     }
@@ -558,22 +618,22 @@ impl Structure {
 }
 
 impl EngineLifecycle for LcaEngine {
-    /// The capacity of the engine's own contraction engine (0 before
-    /// one is created); the per-tree structure is rebuilt at every bind.
+    /// The capacity of the engine's contraction engine (0 before one is
+    /// created); the per-tree structure is rebuilt at every bind.
     fn capacity(&self) -> usize {
-        self.owned.as_ref().map_or(0, EngineLifecycle::capacity)
+        self.treefix.as_ref().map_or(0, EngineLifecycle::capacity)
     }
 
     fn reserve(&mut self, cap: usize) {
-        self.owned
+        self.treefix
             .get_or_insert_with(|| ContractionEngine::with_capacity(cap))
             .reserve(cap);
     }
 
     fn reset(&mut self) {
-        self.structure.n = 0;
-        self.owned_bound = false;
-        if let Some(treefix) = self.owned.as_mut() {
+        self.structure.derived.n = 0;
+        self.treefix_bound = false;
+        if let Some(treefix) = self.treefix.as_mut() {
             treefix.reset();
         }
     }

@@ -22,7 +22,7 @@
 
 use spatial_layout::Layout;
 use spatial_model::vec_bytes;
-use spatial_tree::{HeavyPathDecomposition, NodeId, Tree, NIL};
+use spatial_tree::{HeavyPathDecomposition, NodeId, NIL};
 
 /// One cover subtree: rooted at a path head, spanning a contiguous
 /// light-first range. A by-value view into the CSR arrays.
@@ -78,12 +78,12 @@ impl SubtreeCover {
     /// layer comes out sorted by range start — no per-layer buffer and
     /// no sort.
     pub fn new(
-        tree: &Tree,
+        parents: &[NodeId],
         layout: &Layout,
         decomposition: &HeavyPathDecomposition,
         sizes: &[u32],
     ) -> Self {
-        let (order, parents) = (layout.order(), tree.parents());
+        let order = layout.order();
         let (head, layer) = (&decomposition.head, &decomposition.layer);
         let num_layers = decomposition.num_layers() as usize;
         let mut layer_offsets = vec![0u32; num_layers + 1];
@@ -200,13 +200,13 @@ mod tests {
     use super::*;
     use rand::prelude::*;
     use spatial_model::CurveKind;
-    use spatial_tree::generators;
+    use spatial_tree::{generators, Tree};
 
     fn build(t: &Tree) -> (Layout, SubtreeCover) {
         let layout = Layout::light_first(t, CurveKind::Hilbert);
         let sizes = t.subtree_sizes();
         let d = HeavyPathDecomposition::with_sizes(t, &sizes);
-        let cover = SubtreeCover::new(t, &layout, &d, &sizes);
+        let cover = SubtreeCover::new(t.parents(), &layout, &d, &sizes);
         (layout, cover)
     }
 
@@ -291,7 +291,7 @@ mod tests {
             let layout = Layout::light_first(&t, CurveKind::Hilbert);
             let sizes = t.subtree_sizes();
             let d = HeavyPathDecomposition::with_sizes(&t, &sizes);
-            let csr = SubtreeCover::new(&t, &layout, &d, &sizes);
+            let csr = SubtreeCover::new(t.parents(), &layout, &d, &sizes);
             let reference = crate::reference::ReferenceCover::new(&t, &layout, &d, &sizes);
             assert_eq!(csr.num_layers(), reference.num_layers(), "{fam}");
             for i in 0..csr.num_layers() {

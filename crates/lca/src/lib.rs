@@ -27,10 +27,14 @@
 //! ([`batched::LcaEngine`]): the rng-independent structure — the
 //! layer-indexed CSR [`SubtreeCover`], the heavy-path decomposition, and
 //! the precomputed virtual-tree relay schedule — is read off the tree's
-//! light-first child CSR (which a caller holding it passes in, see
-//! [`batched::LcaEngine::bind_parts`]) once per tree; each [`batched::LcaEngine::run`]
-//! then charges the four §VI-C steps and resolves queries by walking
-//! their `O(log n)`-long head chains. The seed implementation is
+//! parents and light-first child CSR once per tree; each run then
+//! charges the four §VI-C steps and resolves queries by walking their
+//! `O(log n)`-long head chains. A [`batched::LcaStructure`] keeps only
+//! that structure: a caller that keeps the tree lends it to every bind
+//! and run ([`batched::LcaStructure::bind_parts`],
+//! [`batched::LcaStructure::run_on`]), and [`batched::LcaEngine::new`]
+//! keeps a copy of its own for [`batched::LcaEngine::run`]. The seed
+//! implementation is
 //! retained in [`reference`] and pinned by the differential suite
 //! (`tests/engine_vs_reference.rs`): identical answers, statistics, and
 //! machine charges.
@@ -41,6 +45,6 @@ pub mod host;
 #[doc(hidden)]
 pub mod reference;
 
-pub use batched::{batched_lca, LcaEngine, LcaResult, LcaStats};
+pub use batched::{batched_lca, LcaEngine, LcaResult, LcaStats, LcaStructure};
 pub use cover::{CoverSubtree, SubtreeCover};
 pub use host::HostLca;

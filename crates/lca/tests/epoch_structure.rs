@@ -10,10 +10,11 @@
 //!   and layers come from walks up the parent array;
 //! - the slot-order [`SubtreeCover`] against the seed
 //!   [`ReferenceCover`], on light-first and random layouts;
-//! - an engine rebound from shared parts ([`LcaEngine::bind_parts`])
+//! - a structure rebound from a dynamic layout's lent parts
+//!   ([`LcaStructure::bind_parts`], run by [`LcaStructure::run_on`])
 //!   against fresh [`LcaEngine::new`] builds across a growing tree, and
-//!   subtree sums run on its contraction engine against a freshly bound
-//!   one.
+//!   subtree sums run on the contraction engine it shares against a
+//!   freshly bound one.
 //!
 //! (The seed LCA reference builds its relay tree with the production
 //! `VirtualTree`, so `engine_vs_reference` cannot see a change in the
@@ -22,7 +23,7 @@
 use rand::prelude::*;
 use spatial_layout::{DynamicLayout, Layout};
 use spatial_lca::reference::ReferenceCover;
-use spatial_lca::{HostLca, LcaEngine, SubtreeCover};
+use spatial_lca::{HostLca, LcaEngine, LcaStructure, SubtreeCover};
 use spatial_messaging::VirtualTree;
 use spatial_model::{CurveKind, EngineLifecycle, Slot};
 use spatial_tree::generators::TreeFamily;
@@ -205,7 +206,7 @@ fn slot_order_cover_matches_the_reference_cover() {
         // counting sort must keep every layer in slot order either way.
         let random = Layout::random(&t, CurveKind::Hilbert, &mut rng);
         for layout in [&light_first, &random] {
-            let cover = SubtreeCover::new(&t, layout, &d, &sizes);
+            let cover = SubtreeCover::new(t.parents(), layout, &d, &sizes);
             let reference = ReferenceCover::new(&t, layout, &d, &sizes);
             assert_eq!(cover.num_layers(), reference.num_layers(), "{name}");
             for li in 0..cover.num_layers() {
@@ -229,7 +230,11 @@ fn bind_parts_matches_fresh_engines_on_a_growing_tree() {
     let mut rng = StdRng::seed_from_u64(0xb1d);
     let t0 = TreeFamily::PreferentialAttachment.generate(60, &mut rng);
     let mut dl = DynamicLayout::new(&t0, CurveKind::Hilbert, f64::INFINITY);
-    let mut pooled: Option<LcaEngine> = None;
+    let mut pooled: Option<LcaStructure> = None;
+    // The one contraction engine the lent-parts runs and the sums share,
+    // as in the session forest.
+    let mut shared = ContractionEngine::<Add>::default();
+    let mut answers = Vec::new();
     for step in 0..6u64 {
         // Grow by a burst of tail appends, then restore light-first.
         for _ in 0..(20 << step) {
@@ -239,51 +244,61 @@ fn bind_parts_matches_fresh_engines_on_a_growing_tree() {
         dl.rebuild();
         let tree = dl.tree();
         let n = tree.n();
-        let (sizes, csr) = dl.light_first_children();
-        let (sizes, csr) = (sizes.to_vec(), csr.clone());
-        let layout = dl.layout();
+        let (layout, parts) = dl.light_first_parts();
         let engine = match pooled.as_mut() {
-            None => pooled.insert(LcaEngine::with_parts(layout, &tree, &sizes, &csr)),
+            None => pooled.insert(LcaStructure::with_parts(layout, parts)),
             Some(e) => {
-                if n as usize > e.capacity() {
-                    e.reserve((n as usize).next_power_of_two());
-                }
-                e.bind_parts(layout, &tree, &sizes, &csr);
+                e.bind_parts(layout, parts);
                 e
             }
         };
+        if n as usize > shared.capacity() {
+            shared.reserve((n as usize).next_power_of_two());
+        }
+        shared.bind_structure(parts.parents, parts.slots, parts.csr);
         let mut fresh = LcaEngine::new(layout, &tree);
+        assert!(
+            engine.resident_bytes() < fresh.resident_bytes(),
+            "step {step}: lent parts are not copied"
+        );
         let host = HostLca::new(&tree);
         let slots: Vec<Slot> = tree.vertices().map(|v| layout.slot(v)).collect();
         let weights: Vec<Add> = tree.vertices().map(|v| Add(v as u64 % 7 + 1)).collect();
         let expect_sums = treefix_bottom_up_host(&tree, &weights);
 
-        // LCA, then sums on the LCA engine's contraction engine, then
-        // LCA again: each matches a fresh engine run for run.
+        // LCA over the lent parts, then sums on the shared contraction
+        // engine, then LCA again: each matches a fresh engine run for
+        // run.
         for round in 0..2u64 {
             let queries = random_queries(n, (n / 3) as usize, &mut rng);
             let seed = 100 * step + round;
             let (m_pooled, m_fresh) = (layout.machine(), layout.machine());
-            let got = engine.run(&m_pooled, &queries, &mut StdRng::seed_from_u64(seed));
+            let stats = engine.run_on(
+                parts,
+                &mut shared,
+                &m_pooled,
+                &queries,
+                &mut answers,
+                &mut StdRng::seed_from_u64(seed),
+            );
             let want = fresh.run(&m_fresh, &queries, &mut StdRng::seed_from_u64(seed));
-            assert_eq!(got.answers, want.answers, "step {step} round {round}");
-            assert_eq!(got.stats, want.stats, "step {step} round {round}");
+            assert_eq!(answers, want.answers, "step {step} round {round}");
+            assert_eq!(stats, want.stats, "step {step} round {round}");
             assert_eq!(
                 m_pooled.report(),
                 m_fresh.report(),
                 "step {step} round {round}"
             );
-            for (&(a, b), &w) in queries.iter().zip(&got.answers) {
+            for (&(a, b), &w) in queries.iter().zip(&answers) {
                 assert_eq!(w, host.query(a, b), "step {step}: lca({a}, {b})");
             }
 
             let (m_shared, m_bound) = (layout.machine(), layout.machine());
-            let shared = engine.treefix_mut();
             shared.load(&weights, true);
             shared.contract(&m_shared, &mut StdRng::seed_from_u64(seed ^ 0x5u64));
             let shared_sums = shared.uncontract_bottom_up(&m_shared).to_vec();
             let mut bound = ContractionEngine::with_capacity(n as usize);
-            bound.bind_parts(tree.parents(), &slots, &csr, &weights, true);
+            bound.bind_parts(tree.parents(), &slots, parts.csr, &weights, true);
             bound.contract(&m_bound, &mut StdRng::seed_from_u64(seed ^ 0x5u64));
             assert_eq!(
                 shared_sums,

@@ -8,9 +8,13 @@
 //! entry clocks (sends, ticks and floor lifts that leave raw clocks on
 //! both sides of the floor), both must leave the same `report()` and the
 //! same `clock(s)` for every slot, and a treefix run after them must
-//! charge identically. Traced machines, and machines placed differently
-//! from the layout, keep the replay; traced ones must record the
-//! oracle's events.
+//! charge identically. The closed form is keyed by the layout's curve
+//! prefix (curve kind, side, slot count): it runs on `Layout::machine`
+//! and on a machine re-pointed onto the layout's curve at `n` slots.
+//! Every other machine replays — one built from explicit points (even
+//! the layout's own) or built on a curve, one re-pointed onto another
+//! side or slot count of the curve family, and a traced one, which must
+//! record the oracle's events.
 
 use rand::prelude::*;
 use spatial_layout::Layout;
@@ -84,11 +88,12 @@ fn check(
 }
 
 /// Whether `LayeredBroadcast` takes the closed form on `m` for the
-/// engine's cover over slots placed at `points`.
-fn takes_closed_form(engine: &LcaEngine, points: Vec<GridPoint>, m: &Machine) -> bool {
+/// engine's cover over the slots of `layout`.
+fn takes_closed_form(engine: &LcaEngine, layout: &Layout, m: &Machine) -> bool {
     let cover = engine.cover();
     let phase = LayeredBroadcast::new(
-        points,
+        layout.curve(),
+        layout.n(),
         (0..cover.num_layers()).map(|li| cover.layer_ranges(li)),
     );
     phase.charge(m)
@@ -104,35 +109,68 @@ fn closed_form_matches_the_replay_on_every_family() {
                 let layout = Layout::light_first(&tree, curve);
                 let mut engine = LcaEngine::new(&layout, &tree);
                 let what = format!("{fam} {curve:?} n={}", tree.n());
+                let n = tree.n();
+                // A machine re-pointed onto the slots `0..n_slots` of `c`.
+                let repointed = |c: &_, n_slots| {
+                    let mut m = Machine::default();
+                    m.repoint(c, n_slots);
+                    m
+                };
 
-                // The layout's own machine: closed form.
-                let points = layout.slot_points();
+                // The layout's own machine, and one re-pointed onto the
+                // layout's curve at n slots: closed form.
                 assert!(
-                    takes_closed_form(&engine, points.clone(), &layout.machine()),
+                    takes_closed_form(&engine, &layout, &layout.machine()),
                     "{what}"
                 );
                 check(&mut engine, || layout.machine(), seed, &what);
+                let same = || repointed(layout.curve(), n);
+                assert!(takes_closed_form(&engine, &layout, &same()), "{what}");
+                check(&mut engine, same, seed, &format!("{what}, re-pointed"));
 
                 // Traced machines replay, recording the oracle's events.
+                let points = layout.slot_points();
                 let traced = || {
                     MachineBuilder::from_points(points.clone())
                         .trace(true)
                         .build()
                 };
-                assert!(!takes_closed_form(&engine, points.clone(), &traced()));
+                assert!(!takes_closed_form(&engine, &layout, &traced()));
                 let (got, want) = check(&mut engine, traced, seed, &format!("{what}, traced"));
                 assert_eq!(got.take_trace(), want.take_trace(), "{what}: events");
 
-                // Other placements replay: the slots reversed, and a
-                // machine with spare slots past the tree's.
+                // Machines built from explicit points replay, even on
+                // the layout's own points: they carry no curve prefix.
+                let explicit = || Machine::from_points(points.clone());
+                assert!(!takes_closed_form(&engine, &layout, &explicit()));
+                check(&mut engine, explicit, seed, &format!("{what}, explicit"));
                 let reversed: Vec<GridPoint> = points.iter().rev().copied().collect();
                 let other = || Machine::from_points(reversed.clone());
-                if reversed != points {
-                    assert!(!takes_closed_form(&engine, points.clone(), &other()));
-                }
+                assert!(!takes_closed_form(&engine, &layout, &other()));
                 check(&mut engine, other, seed, &format!("{what}, reversed"));
-                let wider = || Machine::on_curve(curve, tree.n() + 5);
-                assert!(!takes_closed_form(&engine, points.clone(), &wider()));
+
+                // Another slot count or another side of the curve family
+                // replays: more slots of the layout's own curve, and the
+                // family's curve for more cells.
+                let cells = layout.capacity() as u32;
+                if cells > n {
+                    let longer = || repointed(layout.curve(), (n + 5).min(cells));
+                    assert!(!takes_closed_form(&engine, &layout, &longer()));
+                    check(&mut engine, longer, seed, &format!("{what}, more slots"));
+                }
+                let bigger = curve.for_capacity(4 * cells as u64);
+                let wider_side = || repointed(&bigger, n);
+                assert!(!takes_closed_form(&engine, &layout, &wider_side()));
+                check(
+                    &mut engine,
+                    wider_side,
+                    seed,
+                    &format!("{what}, other side"),
+                );
+                // A machine built on the family's curve, not re-pointed,
+                // carries no key.
+                let wider = || Machine::on_curve(curve, n + 5);
+                assert!(!takes_closed_form(&engine, &layout, &wider()));
                 check(&mut engine, wider, seed, &format!("{what}, wider"));
             }
         }

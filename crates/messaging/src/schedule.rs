@@ -39,7 +39,7 @@
 use crate::virtual_tree::VirtualTree;
 use spatial_layout::Layout;
 use spatial_model::{vec_bytes, Machine, Slot};
-use spatial_tree::{NodeId, Tree};
+use spatial_tree::NodeId;
 
 /// Round-indexed CSR schedule of the TRANSFORM virtual tree's delivery
 /// pairs, which charge both the Fig. 4 construction exchange and the
@@ -60,11 +60,10 @@ impl BroadcastSchedule {
         vec_bytes(&self.rounds) + vec_bytes(&self.round_ends)
     }
 
-    /// Builds the schedule from a virtual tree and the layout its
-    /// messages travel on, in one counting pass over the vertices' relay
-    /// rounds.
-    pub fn new(vt: &VirtualTree, layout: &Layout, tree: &Tree) -> Self {
-        let root = tree.root();
+    /// Builds the schedule from a virtual tree over the tree rooted at
+    /// `root` and the layout its messages travel on, in one counting
+    /// pass over the vertices' relay rounds.
+    pub fn new(vt: &VirtualTree, layout: &Layout, root: NodeId) -> Self {
         // The 0-based relay round of every non-root vertex.
         let round_of = |v: NodeId| {
             let r = vt.relay_round(v) as usize;
@@ -162,12 +161,12 @@ mod tests {
     use crate::local_broadcast;
     use rand::prelude::*;
     use spatial_model::{CurveKind, MachineBuilder};
-    use spatial_tree::generators;
+    use spatial_tree::{generators, Tree};
 
     fn setup(t: &Tree) -> (Layout, VirtualTree, BroadcastSchedule) {
         let layout = Layout::light_first(t, CurveKind::Hilbert);
         let vt = VirtualTree::new(t);
-        let schedule = BroadcastSchedule::new(&vt, &layout, t);
+        let schedule = BroadcastSchedule::new(&vt, &layout, t.root());
         (layout, vt, schedule)
     }
 

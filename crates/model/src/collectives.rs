@@ -27,9 +27,9 @@
 //! [`range_broadcast`]; the derivations are in their docs.
 
 use crate::engine::vec_bytes;
-use crate::machine::{Machine, Slot};
+use crate::machine::{CurvePrefix, Machine, Slot};
 use rayon::prelude::*;
-use spatial_sfc::{manhattan, GridPoint};
+use spatial_sfc::{manhattan, AnyCurve, Curve, GridPoint};
 use std::cell::Cell;
 
 /// Broadcasts a value held at slot `lo` to every slot in `[lo, hi)` along
@@ -153,7 +153,7 @@ fn reduced_clock(clocks: &[Cell<u32>], floor: u32) -> u32 {
     reduced_clock(left, floor).max(reduced_clock(right, floor) + 1) + 1
 }
 
-/// A *layered broadcast* precomputed for one slot placement: per layer,
+/// A *layered broadcast* precomputed for one curve prefix: per layer,
 /// a [`range_broadcast`] over each of the layer's disjoint ranges, then
 /// a [`barrier`]. This is the batched LCA's step 4 (§VI-C): Lemma 13
 /// broadcasts inside every cover subtree of a layer, and a
@@ -193,8 +193,8 @@ fn reduced_clock(clocks: &[Cell<u32>], floor: u32) -> u32 {
 /// is unobservable (the argument of [`closed_form_barrier`]).
 #[derive(Debug)]
 pub struct LayeredBroadcast {
-    /// Slot placement the constants were computed for.
-    points: Vec<GridPoint>,
+    /// The curve prefix the constants were computed for.
+    placement: CurvePrefix,
     energy: u64,
     /// Messages, which equal the work: one tick per send.
     messages: u64,
@@ -205,22 +205,28 @@ pub struct LayeredBroadcast {
 }
 
 impl LayeredBroadcast {
-    /// Heap bytes the precomputed phase keeps resident: the slot
-    /// placement and the first layer's max-plus weights.
+    /// Heap bytes the precomputed phase keeps resident: the first
+    /// layer's max-plus weights.
     pub fn resident_bytes(&self) -> usize {
-        vec_bytes(&self.points) + vec_bytes(&self.entry_weights)
+        vec_bytes(&self.entry_weights)
     }
 
-    /// Precomputes the phase for slots placed at `points` (slot `s` at
-    /// `points[s]`) and `layers`, each given as the `(los, his)` arrays
-    /// of its `[lo, hi)` slot ranges, sorted and pairwise disjoint.
-    /// Costs one walk of every range's split tree.
+    /// Precomputes the phase for the slots `0..n_slots` of `curve` and
+    /// `layers`, each given as the `(los, his)` arrays of its `[lo, hi)`
+    /// slot ranges, sorted and pairwise disjoint. Costs one batch curve
+    /// transform and one walk of every range's split tree. The slot
+    /// points are read while the constants are computed and not kept:
+    /// the phase keys its placement by the curve prefix (curve kind,
+    /// side and slot count).
     pub fn new<'a>(
-        points: Vec<GridPoint>,
+        curve: &AnyCurve,
+        n_slots: u32,
         layers: impl IntoIterator<Item = (&'a [Slot], &'a [Slot])>,
     ) -> Self {
-        let n = points.len() as u32;
+        let n = n_slots;
         assert!(n > 0, "a layered broadcast needs at least one slot");
+        let mut points = vec![GridPoint::default(); n as usize];
+        curve.point_range_batch(0, &mut points);
         let height = split_height(n);
         let barrier_energy = 2 * split_energy(&points, 0, n);
         let barrier_messages = 2 * (n as u64 - 1);
@@ -255,7 +261,11 @@ impl LayeredBroadcast {
             energy += pull_back_broadcast(&points, &mut weights, lo, hi);
         }
         LayeredBroadcast {
-            points,
+            placement: CurvePrefix {
+                kind: curve.kind(),
+                side: curve.side(),
+                n_slots: n,
+            },
             energy,
             messages,
             entry_weights: weights,
@@ -264,12 +274,14 @@ impl LayeredBroadcast {
     }
 
     /// Charges the phase on `m` in closed form and returns `true`. On a
-    /// traced machine, which records every message, or one whose slots
-    /// sit elsewhere than the placement this phase was computed for, it
-    /// charges nothing and returns `false`: the caller then replays the
-    /// broadcasts and barriers message by message.
+    /// traced machine, which records every message, or one that is not
+    /// on the curve prefix this phase was computed for (another curve,
+    /// another side, another slot count, or explicit points, as
+    /// [`Machine::repoint`] keys them), it charges nothing and returns
+    /// `false`: the caller then replays the broadcasts and barriers
+    /// message by message.
     pub fn charge(&self, m: &Machine) -> bool {
-        if m.is_traced() || m.points() != self.points.as_slice() {
+        if m.is_traced() || m.curve_prefix() != Some(self.placement) {
             return false;
         }
         m.charge_bulk(self.energy, self.messages, self.messages);

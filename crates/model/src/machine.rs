@@ -33,6 +33,23 @@ pub fn covering_side(points: &[GridPoint]) -> u32 {
     points.iter().fold(0, |side, p| side.max(p.x.max(p.y) + 1))
 }
 
+/// The placement of a machine whose slots are a curve prefix: slots
+/// `0..n_slots` of the curve of family `kind` with side `side`. A
+/// family and a side fix the curve ([`CurveKind::with_side`]), so two
+/// machines with equal keys place every slot alike, and a charge
+/// precomputed for one placement
+/// ([`crate::collectives::LayeredBroadcast`]) checks the key instead of
+/// comparing `n` points.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CurvePrefix {
+    /// The curve family.
+    pub(crate) kind: CurveKind,
+    /// The curve's side.
+    pub(crate) side: u32,
+    /// How many slots of the curve, from its start.
+    pub(crate) n_slots: u32,
+}
+
 /// Builder for [`Machine`], allowing optional message tracing.
 #[derive(Debug, Clone)]
 pub struct MachineBuilder {
@@ -155,9 +172,11 @@ impl Machine {
 
     /// Re-points the machine onto slots `0..n_slots` of `curve` and
     /// resets it: afterwards it is [`Machine::from_points`] over those
-    /// curve points — the machine `Layout::machine` builds for a layout
-    /// on `curve` and, on a curve sized for `n_slots`, the placement of
-    /// [`Machine::on_curve`]. The tracing setting is kept. The
+    /// curve points, keyed by their curve prefix (curve kind, side and
+    /// slot count) — the machine
+    /// `Layout::machine` builds for a layout on `curve` and, on a curve
+    /// sized for `n_slots`, the placement of [`Machine::on_curve`]. The
+    /// tracing setting is kept. The
     /// points are rebuilt, and the cached barrier energy dropped, only
     /// when the curve kind, the curve's side or the slot count differs
     /// from the last re-point; on the same curve only the slots past
@@ -217,6 +236,17 @@ impl Machine {
     /// Grid position of every slot, in slot order.
     pub(crate) fn points(&self) -> &[GridPoint] {
         &self.points
+    }
+
+    /// The curve prefix the slots lie on: set by [`Machine::repoint`]
+    /// (and so by `Layout::machine`), `None` for a machine built by
+    /// [`MachineBuilder`], whatever its points are.
+    pub(crate) fn curve_prefix(&self) -> Option<CurvePrefix> {
+        self.curve.map(|(kind, side)| CurvePrefix {
+            kind,
+            side,
+            n_slots: self.n_slots(),
+        })
     }
 
     /// Manhattan distance between two slots — the energy one message

@@ -129,10 +129,13 @@ fn check_layered_broadcast(n: u32, count: usize, seed: u64, kind: CurveKind) -> 
         barrier(&replay);
     }
 
-    let closed = Machine::on_curve(kind, n);
+    // The closed form runs on the curve prefix it was computed for,
+    // which a re-point sets (the same points as `on_curve`).
+    let curve = kind.for_capacity(n as u64);
+    let mut closed = Machine::default();
+    closed.repoint(&curve, n);
     apply_pre(&closed, &pre);
-    let points = (0..n).map(|s| closed.point_of(s)).collect();
-    let phase = LayeredBroadcast::new(points, layers.iter().map(|(l, h)| (&l[..], &h[..])));
+    let phase = LayeredBroadcast::new(&curve, n, layers.iter().map(|(l, h)| (&l[..], &h[..])));
     prop_assert!(
         phase.charge(&closed),
         "untraced, same placement: closed form"
@@ -141,6 +144,8 @@ fn check_layered_broadcast(n: u32, count: usize, seed: u64, kind: CurveKind) -> 
 
     let traced = MachineBuilder::on_curve(kind, n).trace(true).build();
     prop_assert!(!phase.charge(&traced), "traced: replay");
+    let unkeyed = Machine::on_curve(kind, n);
+    prop_assert!(!phase.charge(&unkeyed), "built, not re-pointed: replay");
     Ok(())
 }
 

@@ -106,23 +106,30 @@ fn check_vertex_ids(requests: &[Request], mut n: u32) {
 /// shadow and an attached journal are not counted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResidentBytes {
-    /// The durable state: the dynamic layout (parent slab, placement,
-    /// grid points, and the rebuild scratch that holds the epoch's
-    /// light-first sizes and child CSR), the weight slab and the dirty
-    /// weight cells. A slab still mapped from a snapshot counts 0.
-    /// Until the layout's first append, rebuild or growth every part
-    /// holds the current vertices only; from then on the append
-    /// headroom up to the reserved capacity too.
+    /// The durable state and the one copy of the tree every engine
+    /// reads: the dynamic layout (parent slab, placement, the rebuild
+    /// scratch that holds the epoch's light-first sizes and child CSR,
+    /// and, from the first append, rebuild or growth on, the per-vertex
+    /// grid points), the weight slab and the dirty weight cells. A slab
+    /// still mapped from a snapshot counts 0. Until the layout's first
+    /// append, rebuild or growth every part holds the current vertices
+    /// only; from then on the append headroom up to the reserved
+    /// capacity too.
     pub layout: usize,
-    /// The materialized structure cache: the tree. The Euler tour is
-    /// threaded only while the ranking engine binds, and not kept.
+    /// The tree [`SpatialForest::tree`] materialized, while it is held
+    /// (the next insert drops it); 0 for a forest never asked for it.
+    /// No engine reads it: they bind from and run over the layout's
+    /// arrays. The Euler tour is threaded only while the ranking engine
+    /// binds, and not kept.
     pub structure: usize,
     /// The grid and dart machines of the forest's own
     /// [`SessionScratch`] (none for a forest that only runs on lent
     /// sets, [`SpatialForest::execute_with`]) and the pager's resident
     /// set.
     pub machines: usize,
-    /// The batched LCA engine's per-tree structure.
+    /// The batched LCA engine's per-tree structure: what it derives
+    /// from the tree (relay schedule, heads, layers, cover, step 4's
+    /// entry weights), not the tree itself.
     pub lca: usize,
     /// The contraction engine that LCA steps 1 and 3 and the subtree
     /// sums share: its structure, plus the run buffers of the forest's
@@ -166,13 +173,11 @@ pub struct SpatialForest {
     /// The epoch the lent machines were re-pointed at in the execute in
     /// flight; `u64::MAX` before its first session.
     machines_epoch: u64,
-
-    // ---- Materialized structure cache (refreshed per epoch). The ----
-    // ---- engines bind from the tree's parents, the layout's slots ----
-    // ---- and the dynamic layout's light-first sizes and CSR, all  ----
-    // ---- borrowed where they live.                                ----
-    structure_epoch: u64,
-    tree: Tree,
+    /// The tree, materialized by [`SpatialForest::tree`] only and
+    /// dropped by the next insert. The engines bind from and run over
+    /// the dynamic layout's parents, slots, light-first sizes and CSR,
+    /// borrowed where they live ([`DynamicLayout::light_first_parts`]).
+    tree: Option<Tree>,
 
     // ---- Per-vertex query values. ----
     /// Subtree-sum weights: owned, or a zero-copy view over the mapped
@@ -246,7 +251,7 @@ impl SpatialForest {
 
     /// The shared constructor: wraps an already-built dynamic layout
     /// (fresh from [`DynamicLayout::new`] or restored over a mapped
-    /// snapshot) with the forest's structure cache and engine pool.
+    /// snapshot) with the forest's engine pool.
     fn from_dynamic(
         dynamic: DynamicLayout,
         weights: CowSlab<u64>,
@@ -256,14 +261,13 @@ impl SpatialForest {
     ) -> Self {
         let n = dynamic.n() as usize;
         assert_eq!(weights.len(), n, "one weight per vertex");
-        let mut forest = SpatialForest {
+        SpatialForest {
             opts,
             dynamic,
             epoch: 0,
             layout_dirty,
             machines_epoch: u64::MAX,
-            structure_epoch: u64::MAX,
-            tree: Tree::from_parents(0, vec![spatial_tree::NIL]),
+            tree: None,
             weights,
             mapped,
             pager: opts.paging.map(PagedMachine::new),
@@ -281,9 +285,7 @@ impl SpatialForest {
             rank_v: Vec::new(),
             rank_idx: Vec::new(),
             session: SessionReport::default(),
-        };
-        forest.refresh_structure();
-        forest
+        }
     }
 
     /// Current number of vertices.
@@ -291,11 +293,12 @@ impl SpatialForest {
         self.dynamic.n()
     }
 
-    /// The current tree (materialized; refreshes the structure cache
-    /// if the last batch mutated the tree).
+    /// The current tree, materialized from the layout's parents on the
+    /// first call after construction or an insert and held until the
+    /// next insert (counted in [`ResidentBytes::structure`] while held).
+    /// Serving never calls it: the engines read the layout's arrays.
     pub fn tree(&mut self) -> &Tree {
-        self.ensure_structure();
-        &self.tree
+        self.tree.get_or_insert_with(|| self.dynamic.tree())
     }
 
     /// The current layout (valid until the next mutating batch).
@@ -321,7 +324,7 @@ impl SpatialForest {
             layout: self.dynamic.resident_bytes()
                 + self.weights.resident_bytes()
                 + vec_bytes(&self.dirty.weight_cells),
-            structure: self.tree.resident_bytes(),
+            structure: self.tree.as_ref().map_or(0, Tree::resident_bytes),
             machines: self.scratch.machines_bytes()
                 + self.pager.as_ref().map_or(0, PagedMachine::resident_bytes),
             scratch: vec_bytes(&self.responses)
@@ -532,7 +535,8 @@ impl SpatialForest {
             Some(snap.clone()),
         );
         // Price what construction actually read — the parents slab
-        // (tree + structure caches) and the order slab — and absorb it
+        // (the layout's energy pass and the light-first check, which
+        // derives the sizes and CSR) and the order slab — and absorb it
         // into the lifetime meters.
         if forest.pager.is_some() {
             let energy = forest.fault_energy();
@@ -711,17 +715,14 @@ impl SpatialForest {
     /// already light-first (building it on a dirty layout would change
     /// the journaled rebuild schedule).
     pub fn warmstart_with(&mut self, scratch: &mut SessionScratch, batch_hint: usize) {
-        self.ensure_structure();
         let cap = self.dynamic.reserved().max(self.n() as u64) as usize;
         scratch.reserve(cap);
         self.pool.reserve_treefix(cap);
+        let (layout, tree) = self.dynamic.light_first_parts();
         if !self.layout_dirty {
-            let (layout, sizes, csr) = self.dynamic.light_first_parts();
-            self.pool
-                .lca_for(self.epoch, layout, &self.tree, sizes, csr);
+            self.pool.lca_for(self.epoch, layout, tree);
         }
-        let (_, csr) = self.dynamic.light_first_children();
-        self.pool.ranking_for(self.epoch, &self.tree, csr);
+        self.pool.ranking_for(self.epoch, tree.root, tree.csr);
         self.responses.reserve(batch_hint);
         self.lca_q.reserve(batch_hint);
         self.lca_idx.reserve(batch_hint);
@@ -779,6 +780,7 @@ impl SpatialForest {
         let cap = self.dynamic.reserved() as usize;
         self.weights.make_mut(cap).push(weight);
         self.epoch += 1;
+        self.tree = None;
         v
     }
 
@@ -905,20 +907,6 @@ impl SpatialForest {
         }
     }
 
-    fn ensure_structure(&mut self) {
-        if self.structure_epoch != self.epoch {
-            self.refresh_structure();
-        }
-    }
-
-    /// Rebuilds the materialized structure cache — the tree — from the
-    /// dynamic layout (the mutation path — allocation is allowed and
-    /// amortized here, never on the query path).
-    fn refresh_structure(&mut self) {
-        self.tree = self.dynamic.tree();
-        self.structure_epoch = self.epoch;
-    }
-
     /// Points the lent machines at the current epoch, once per epoch
     /// of an execute: the charges of the epoch's earlier sessions are
     /// folded into the report, then both machines are re-pointed and
@@ -960,17 +948,15 @@ impl SpatialForest {
         if !self.lca_q.is_empty() {
             self.ensure_light_first();
         }
-        self.ensure_structure();
         self.point_machines(scratch);
         self.session.sessions += 1;
 
         if !self.lca_q.is_empty() {
-            let (layout, sizes, csr) = self.dynamic.light_first_parts();
-            let (engine, treefix) = self
-                .pool
-                .lca_for(self.epoch, layout, &self.tree, sizes, csr);
+            let (layout, tree) = self.dynamic.light_first_parts();
+            let (engine, treefix) = self.pool.lca_for(self.epoch, layout, tree);
             treefix.swap_run(&mut scratch.contraction);
             engine.run_on(
+                tree,
                 treefix,
                 &scratch.machine,
                 &self.lca_q,
@@ -990,10 +976,10 @@ impl SpatialForest {
             // The treefix reads every weight; a still-mapped slab pays
             // its residency before the engine runs.
             self.touch_weights_span();
-            let (layout, _, csr) = self.dynamic.light_first_parts();
-            let treefix =
-                self.pool
-                    .treefix_for(self.epoch, self.tree.parents(), layout.slots(), csr);
+            let (_, tree) = self.dynamic.light_first_parts();
+            let treefix = self
+                .pool
+                .treefix_for(self.epoch, tree.parents, tree.slots, tree.csr);
             treefix.swap_run(&mut scratch.contraction);
             treefix.load(as_add(self.weights.as_slice()), true);
             treefix.contract(&scratch.machine, rng);
@@ -1005,7 +991,7 @@ impl SpatialForest {
             self.session.sum_queries += self.sum_v.len() as u32;
 
             if self.opts.crossover {
-                let (pram, treefix) = self.pool.pram_for(self.epoch, &self.tree);
+                let (pram, treefix) = self.pool.pram_for(self.epoch, &self.dynamic);
                 pram.reset();
                 treefix.subtree_sums(pram, self.weights.as_slice(), rng);
                 let shadow = pram.report();
@@ -1016,11 +1002,11 @@ impl SpatialForest {
         }
 
         if !self.rank_v.is_empty() {
+            let root = self.dynamic.root();
             let (_, csr) = self.dynamic.light_first_children();
-            let engine = self.pool.ranking_for(self.epoch, &self.tree, csr);
+            let engine = self.pool.ranking_for(self.epoch, root, csr);
             engine.swap_run(&mut scratch.ranking);
             engine.rank(&scratch.dart_machine, rng);
-            let root = self.tree.root();
             for (&idx, &v) in self.rank_idx.iter().zip(self.rank_v.iter()) {
                 let rank = if v == root {
                     0

@@ -19,11 +19,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spatial_euler::ranking::{RankingEngine, RankingRun};
 use spatial_euler::tour::EulerTour;
-use spatial_layout::Layout;
-use spatial_lca::LcaEngine;
+use spatial_layout::{DynamicLayout, Layout, TreeParts};
+use spatial_lca::LcaStructure;
 use spatial_model::{CurveKind, EngineLifecycle, Machine, Slot};
 use spatial_pram::{PramEngine, PramTreefix};
-use spatial_tree::{ChildrenCsr, NodeId, Tree};
+use spatial_tree::{ChildrenCsr, NodeId};
 use spatial_treefix::contraction::{ContractionEngine, ContractionRun};
 use spatial_treefix::Add;
 
@@ -108,7 +108,7 @@ pub struct EnginePool {
     stats: PoolStats,
 
     /// §V treefix contraction: the forest's only contraction engine.
-    /// LCA steps 1 and 3 ([`LcaEngine::run_on`]) and the subtree sums
+    /// LCA steps 1 and 3 ([`LcaStructure::run_on`]) and the subtree sums
     /// all run on it. Its tree structure is bound at most once per
     /// epoch ([`EnginePool::treefix_for`]); each pass only loads its
     /// values.
@@ -116,7 +116,7 @@ pub struct EnginePool {
     treefix_epoch: u64,
     /// §VI-C batched LCA: the per-tree structure only; it borrows
     /// `treefix` for its runs.
-    lca: Option<LcaEngine>,
+    lca: Option<LcaStructure>,
     lca_epoch: u64,
     /// Theorem 5 list ranking over the light-first Euler tour darts.
     ranking: Option<RankingEngine>,
@@ -155,11 +155,10 @@ impl EnginePool {
     }
 
     /// How many contraction engines the pool's engines hold: the
-    /// pool's own (once used) plus any the LCA engine created for
-    /// itself. The session paths keep this at most 1.
+    /// pool's own, once used (the LCA structure runs on it and holds
+    /// none). At most 1.
     pub fn contraction_engines(&self) -> usize {
         self.treefix.is_some() as usize
-            + self.lca.as_ref().is_some_and(LcaEngine::owns_treefix) as usize
     }
 
     /// Fills the serving engines' parts of a forest's census: the LCA
@@ -167,7 +166,7 @@ impl EnginePool {
     /// not yet built holds none; between runs an engine holds its
     /// structure only). The crossover PRAM shadow is not counted.
     pub(crate) fn census(&self, bytes: &mut ResidentBytes) {
-        bytes.lca = self.lca.as_ref().map_or(0, LcaEngine::resident_bytes);
+        bytes.lca = self.lca.as_ref().map_or(0, LcaStructure::resident_bytes);
         bytes.contraction = self
             .treefix
             .as_ref()
@@ -217,30 +216,29 @@ impl EnginePool {
         engine
     }
 
-    /// The LCA engine, built or rebound for `epoch` from the epoch's
-    /// subtree sizes and light-first child CSR, together with the
-    /// contraction engine it runs on, bound to the same epoch's tree.
+    /// The LCA structure, built or rebound for `epoch` from the epoch's
+    /// tree parts (parents, slots, subtree sizes and light-first child
+    /// CSR, lent, not copied), together with the contraction engine it
+    /// runs on, bound to the same epoch's tree.
     pub(crate) fn lca_for(
         &mut self,
         epoch: u64,
         layout: &Layout,
-        tree: &Tree,
-        sizes: &[u32],
-        csr: &ChildrenCsr,
-    ) -> (&mut LcaEngine, &mut ContractionEngine<Add>) {
+        tree: TreeParts,
+    ) -> (&mut LcaStructure, &mut ContractionEngine<Add>) {
         match &mut self.lca {
             None => {
-                self.lca = Some(LcaEngine::with_parts(layout, tree, sizes, csr));
+                self.lca = Some(LcaStructure::with_parts(layout, tree));
                 self.stats.builds += 1;
             }
             Some(engine) if self.lca_epoch != epoch => {
-                engine.bind_parts(layout, tree, sizes, csr);
+                engine.bind_parts(layout, tree);
                 self.stats.rebinds += 1;
             }
             Some(_) => {}
         }
         self.lca_epoch = epoch;
-        self.treefix_for(epoch, tree.parents(), layout.slots(), csr);
+        self.treefix_for(epoch, tree.parents, tree.slots, tree.csr);
         (
             self.lca.as_mut().expect("just built"),
             self.treefix.as_mut().expect("just bound"),
@@ -249,19 +247,19 @@ impl EnginePool {
 
     /// The ranking engine, built or rebound for `epoch` over the darts
     /// of the tree's light-first Euler tour. The tour is threaded from
-    /// `tree` and its light-first child lists `csr` only when the
+    /// the light-first child lists `csr` and the `root` only when the
     /// engine (re)binds, and dropped once the engine has read it. Like
     /// the contraction engine, the ranking engine holds no run buffers
     /// of its own.
     pub(crate) fn ranking_for(
         &mut self,
         epoch: u64,
-        tree: &Tree,
+        root: NodeId,
         csr: &ChildrenCsr,
     ) -> &mut RankingEngine {
         let bound = self.ranking.is_some() && self.ranking_epoch == epoch;
         if !bound {
-            let tour = EulerTour::light_first_from_csr(tree, csr);
+            let tour = EulerTour::from_csr(csr, root);
             let (next, start) = (tour.next_darts(), tour.start());
             match &mut self.ranking {
                 None => {
@@ -289,20 +287,27 @@ impl EnginePool {
 
     /// The PRAM shadow pair for `epoch` (crossover mode). The engine's
     /// hashed cell placement is derived from `PRAM_SEED ^ epoch`, so a
-    /// replayed stream prices identically.
-    pub(crate) fn pram_for(&mut self, epoch: u64, tree: &Tree) -> &mut (PramEngine, PramTreefix) {
+    /// replayed stream prices identically. The shadow's treefix is built
+    /// over a tree materialized from `dynamic` for it and dropped, only
+    /// when the pair (re)builds.
+    pub(crate) fn pram_for(
+        &mut self,
+        epoch: u64,
+        dynamic: &DynamicLayout,
+    ) -> &mut (PramEngine, PramTreefix) {
         if self.pram.is_none() || self.pram_epoch != epoch {
             if self.pram.is_none() {
                 self.stats.builds += 1;
             } else {
                 self.stats.rebinds += 1;
             }
+            let tree = dynamic.tree();
             let n = tree.n();
             let mut rng = StdRng::seed_from_u64(Self::PRAM_SEED ^ epoch);
             // ≥ 2n cells: the treefix scatters one value per tour dart.
             self.pram = Some((
                 PramEngine::with_curve(self.curve, n, 2 * n.max(1), &mut rng),
-                PramTreefix::new(tree),
+                PramTreefix::new(&tree),
             ));
             self.pram_epoch = epoch;
         }

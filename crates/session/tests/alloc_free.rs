@@ -6,7 +6,7 @@
 //!
 //! Inserts are deliberately excluded from the gated stream: tree
 //! mutations are the (amortized, documented) allocation path — they
-//! rebuild the structure cache and machines. The steady state the
+//! rebind the engines and re-point the machines. The steady state the
 //! ROADMAP's serving story cares about is the query path.
 //!
 //! This binary holds exactly one live `#[test]` so no concurrent test

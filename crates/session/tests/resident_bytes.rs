@@ -1,16 +1,20 @@
 //! The forest's resident-bytes census ([`SpatialForest::resident_bytes`])
-//! against a counting allocator, the one-contraction-engine rule, and
-//! the per-vertex memory budget at n = 2¹⁰.
+//! against a counting allocator, the one-contraction-engine rule, the
+//! per-vertex memory budget at n = 2¹⁰, and the tree
+//! [`SpatialForest::tree`] builds on demand: held only from the call to
+//! the next insert, and never by a forest that only serves.
 //!
 //! Live bytes are counted per thread (allocations minus frees made on
 //! the measuring thread), so the tests of this binary may run
 //! concurrently.
 
 use rand::prelude::*;
-use spatial_session::{QueryBatch, ResidentBytes, SpatialForest};
+use spatial_session::{ForestOptions, QueryBatch, ResidentBytes, SpatialForest};
+use spatial_store::MappedSnapshot;
 use spatial_tree::{generators, Tree};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 struct CountingAllocator;
 
@@ -50,21 +54,27 @@ fn live() -> i64 {
 const N: u32 = 1 << 10;
 
 /// Census bytes per vertex after one mixed execute on `uniform_random`
-/// at n = 2¹⁰: 421 measured (437 while the LCA structure kept LCA step
-/// 2's construction pairs, 16 B/vertex; 493 while the layout also
-/// reserved its append headroom at construction and the forest kept its
-/// Euler tour and the LCA structure its step-1 ones; 533 while the
-/// layout also kept its rebuild-only buffers). A forest that also kept
-/// an idle second contraction engine and copies of the layout's arrays
-/// held ≈719.
-const MIXED_BUDGET: usize = 509;
+/// at n = 2¹⁰: 365 measured (421 while the forest kept a materialized
+/// tree, 12 B/vertex, the layout its per-vertex grid points before any
+/// append, 8, and the LCA structure its own copies of the parents,
+/// slots, sizes and CSR, its step-3 indicator and its step-4 slot
+/// points, 36; 437 while the LCA structure also kept LCA step 2's
+/// construction pairs, 16 B/vertex; 493 while the layout also reserved
+/// its append headroom at construction and the forest kept its Euler
+/// tour and the LCA structure its step-1 ones; 533 while the layout
+/// also kept its rebuild-only buffers). A forest that also kept an idle
+/// second contraction engine and copies of the layout's arrays held
+/// ≈719.
+const MIXED_BUDGET: usize = 453;
 
 /// Census bytes per vertex after an insert epoch that opens with a
-/// sums-only session and then serves every query kind: 760 measured
-/// (776 with the construction pairs kept, 803 with the Euler tour and
+/// sums-only session and then serves every query kind: 712 measured
+/// (760 with the materialized tree and the LCA structure's copies kept,
+/// the layout's grid points being part of its headroom by then; 776
+/// with the construction pairs kept too, 803 with the Euler tour and
 /// the step-1 ones kept too). Two contraction engines, each grown to
 /// 2¹¹ vertices, held ≈1174.
-const EPOCH_BUDGET: usize = 824;
+const EPOCH_BUDGET: usize = 776;
 
 fn tree() -> Tree {
     generators::uniform_random(N, &mut StdRng::seed_from_u64(21))
@@ -180,4 +190,81 @@ fn bytes_per_vertex_stay_within_budget() {
         "after an insert epoch and every query kind: {} B/vertex ({bytes:?})",
         per_vertex(&bytes, &forest)
     );
+}
+
+/// The tree of the forest's parents, read through its snapshot.
+fn tree_of(forest: &SpatialForest) -> Tree {
+    let snap = forest.snapshot(0);
+    Tree::from_parents(snap.root, snap.parents)
+}
+
+/// `count` leaf inserts under vertices `0, 7, 14, …`.
+fn inserts(count: u32) -> QueryBatch {
+    let mut batch = QueryBatch::new();
+    for i in 0..count {
+        batch.insert_leaf(i * 7);
+    }
+    batch
+}
+
+#[test]
+fn the_tree_is_built_on_demand_and_dropped_by_the_next_insert() {
+    let tree = tree();
+    let mut rng = StdRng::seed_from_u64(10);
+    // No threshold rebuild: inserts leave the layout dirty until an LCA
+    // session rebuilds it.
+    let opts = ForestOptions {
+        rebuild_factor: f64::INFINITY,
+        ..ForestOptions::default()
+    };
+
+    // Built and served without the call: no tree.
+    let mut forest = SpatialForest::with_options(&tree, opts);
+    assert_eq!(forest.resident_bytes().structure, 0, "built");
+    forest.execute(mixed(N, 11).requests(), &mut rng);
+    assert_eq!(forest.resident_bytes().structure, 0, "served");
+
+    // After inserts, on the dirty layout: the forest's parents, counted
+    // while held, and exactly the bytes the call left allocated.
+    forest.execute(inserts(5).requests(), &mut rng);
+    let before = live();
+    let held = forest.tree().resident_bytes();
+    assert_eq!(live() - before, held as i64, "what the call allocated");
+    let want = tree_of(&forest);
+    assert_eq!(forest.tree(), &want, "on a dirty layout");
+    assert_eq!(forest.resident_bytes().structure, held);
+    assert!(held > 0);
+
+    // An LCA session rebuilds the layout but not the tree: still held,
+    // still the forest's parents.
+    let rebuilds = forest.dynamic_stats().rebuilds;
+    forest.execute(mixed(forest.n(), 12).requests(), &mut rng);
+    assert_eq!(forest.dynamic_stats().rebuilds, rebuilds + 1);
+    assert_eq!(forest.resident_bytes().structure, held, "after a rebuild");
+    assert_eq!(forest.tree(), &want, "after a rebuild");
+
+    // The next insert drops it; the next call builds the grown tree.
+    forest.execute(inserts(1).requests(), &mut rng);
+    assert_eq!(forest.resident_bytes().structure, 0, "dropped");
+    let want = tree_of(&forest);
+    assert_eq!(want.n(), N + 6, "grown");
+    assert_eq!(forest.tree(), &want, "after the insert");
+
+    // Restored by `from_mapped` and served without the call: no tree.
+    let path = std::env::temp_dir().join(format!(
+        "spatial-resident-bytes-{}-tree.snapshot",
+        std::process::id()
+    ));
+    forest.snapshot_to(&path, 0).expect("snapshot");
+    let snap = Arc::new(MappedSnapshot::open(&path).expect("open"));
+    let mut restored = SpatialForest::from_mapped(&snap, opts);
+    restored.execute(mixed(restored.n(), 13).requests(), &mut rng);
+    assert_eq!(
+        restored.resident_bytes().structure,
+        0,
+        "restored and served"
+    );
+    assert_eq!(restored.tree(), &want, "restored");
+    drop((restored, snap));
+    std::fs::remove_file(&path).ok();
 }

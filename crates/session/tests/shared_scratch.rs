@@ -3,17 +3,19 @@
 //! answer and charge exactly like twins that run on their own
 //! ([`SpatialForest::execute`]), whatever size and curve the forest
 //! before them had, and a borrowing forest's census counts no run
-//! buffers, no machines, no Euler tour and no append headroom.
+//! buffers, no machines, no Euler tour, no materialized tree, no second
+//! copy of the tree in the LCA structure, and no append headroom.
 //!
 //! Live bytes are counted per thread (allocations minus frees made on
 //! the measuring thread), so the tests of this binary may run
 //! concurrently.
 
 use rand::prelude::*;
+use spatial_lca::LcaEngine;
 use spatial_model::CurveKind;
 use spatial_session::{QueryBatch, ResidentBytes, SessionScratch, SpatialForest};
 use spatial_tree::generators::TreeFamily;
-use spatial_tree::Tree;
+use spatial_tree::{ChildrenCsr, Tree};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -53,12 +55,16 @@ fn live() -> i64 {
 }
 
 /// Census bytes per vertex of a tenant that runs on a shared set, after
-/// one mixed execute on `uniform_random` at n = 2¹⁰: 163 measured (the
-/// same forest on its own set reads 421). It read 179 while the LCA
-/// structure kept LCA step 2's construction pairs (16 B/vertex), and 283
-/// while every tenant also kept its own machines, its Euler tour, its
-/// append headroom and the LCA structure's step-1 ones.
-const SERVED_BUDGET: usize = 199;
+/// one mixed execute on `uniform_random` at n = 2¹⁰: 107 measured (the
+/// same forest on its own set reads 365). It read 163 while the forest
+/// kept a materialized tree (12 B/vertex), the layout its per-vertex
+/// grid points before any append (8) and the LCA structure its own
+/// copies of the parents, slots, sizes and CSR, its step-3 indicator
+/// and its step-4 slot points (36); 179 while the LCA structure also
+/// kept LCA step 2's construction pairs (16); and 283 while every
+/// tenant also kept its own machines, its Euler tour, its append
+/// headroom and the LCA structure's step-1 ones.
+const SERVED_BUDGET: usize = 143;
 
 /// A mixed batch over the forest's current `n` vertices: LCA pairs,
 /// subtree sums and ranks, with `inserts` leaf inserts spread through
@@ -229,16 +235,29 @@ fn a_borrowing_forest_counts_no_run_buffers() {
         per_vertex <= SERVED_BUDGET,
         "a served tenant holds {per_vertex} B/vertex ({census:?})"
     );
-    // At rest a read-only tenant holds its tree and epoch structure
-    // only: no machine, no Euler tour (the structure cache is the
-    // tree's parents, child offsets and children, 12 B/vertex), and no
-    // append headroom (parents 4, placement 8, grid points 8, subtree
-    // sizes 4, light-first CSR 8 and weights 8 B/vertex, for the n
-    // vertices alone).
+    // At rest a read-only tenant holds one copy of its tree, in its
+    // layout, and the structure its engines derive: no machine, no
+    // Euler tour, no materialized tree, and no append headroom (parents
+    // 4, placement 8, subtree sizes 4, light-first CSR 8 and weights 8
+    // B/vertex, for the n vertices alone, and no per-vertex grid points
+    // before an append).
     let n_bytes = n as usize;
     assert_eq!(census.machines, 0, "{census:?}");
-    assert_eq!(census.structure, 12 * n_bytes, "{census:?}");
-    assert_eq!(census.layout, 40 * n_bytes, "{census:?}");
+    assert_eq!(census.structure, 0, "{census:?}");
+    assert_eq!(census.layout, 32 * n_bytes, "{census:?}");
+    // The LCA part is what the engine derives, exactly what a
+    // standalone engine over the same tree holds beside its own copy of
+    // the tree (parents, slots, sizes and CSR): the forest's engine
+    // reads those from the layout. Its derived parts (relay schedule,
+    // heads, layers, cover, step 4's entry weights) read 25.8 B/vertex
+    // here; a step-3 indicator (8 B/vertex), step-4 slot points (8) or
+    // any per-vertex array of 4 bytes would break the bound of 26.
+    let standalone = LcaEngine::new(forest.layout(), &tree);
+    let sizes = tree.subtree_sizes();
+    let csr = ChildrenCsr::by_size(&tree, &sizes);
+    let copy = (3 * n_bytes) * 4 + csr.resident_bytes();
+    assert_eq!(census.lca, standalone.resident_bytes() - copy, "{census:?}");
+    assert!(census.lca <= 26 * n_bytes, "{census:?}");
 
     // The same forest on its own set counts that set on top: only the
     // contraction, ranking and machine parts differ.

@@ -989,6 +989,19 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
     /// false`, and `values` must be the loaded values. The slice lives
     /// in the run's output buffer (valid until the next run or swap).
     pub fn uncontract_top_down(&mut self, machine: &Machine, values: &[M]) -> &[M] {
+        self.uncontract_top_down_with(machine, |v| values[v as usize])
+    }
+
+    /// [`ContractionEngine::uncontract_top_down`] with each vertex's
+    /// value read from `value_of(v)`: the top-down twin of
+    /// [`ContractionEngine::load_with`], for a run loaded from a rule
+    /// (the batched LCA's step 3 indicator). `value_of` must give the
+    /// loaded values.
+    pub fn uncontract_top_down_with(
+        &mut self,
+        machine: &Machine,
+        value_of: impl Fn(NodeId) -> M,
+    ) -> &[M] {
         assert_eq!(self.phase, Phase::Contracted, "contract() must run first");
         assert!(
             !self.rake_adds_to_p,
@@ -1023,8 +1036,8 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
         }
         let run = &mut self.run;
         let acc = &run.acc;
-        for ((out, &i), &value) in run.out[..n].iter_mut().zip(&self.index_of).zip(values) {
-            *out = acc[i as usize].combine(value);
+        for ((out, &i), v) in run.out[..n].iter_mut().zip(&self.index_of).zip(0..) {
+            *out = acc[i as usize].combine(value_of(v));
         }
         &run.out[..n]
     }

@@ -97,7 +97,7 @@ fn figure8() {
     let sizes = tree.subtree_sizes();
     let decomposition = HeavyPathDecomposition::with_sizes(&tree, &sizes);
     let layout = spatial_trees::layout::Layout::light_first(&tree, CurveKind::Hilbert);
-    let cover = SubtreeCover::new(&tree, &layout, &decomposition, &sizes);
+    let cover = SubtreeCover::new(tree.parents(), &layout, &decomposition, &sizes);
 
     println!("  vertex: light-first position, layer");
     for v in tree.vertices() {
