@@ -25,7 +25,7 @@
 //!   (DFS) orders from tour ranks — steps 1–3 of the §IV pipeline.
 //!
 //! The seed contraction (nested per-round splice `Vec`s) is retained in
-//! [`reference`] and pinned by the `ranking_props` differential suite.
+//! [`reference`](mod@reference) and pinned by the `ranking_props` differential suite.
 
 pub mod ranking;
 #[doc(hidden)]

@@ -38,7 +38,20 @@
 //!
 //! The Las Vegas process is the seed's too: coins are drawn in
 //! element-id order (a second array keeps the live positions in that
-//! order), and [`RankingEngine::ranks`] answers by element id.
+//! order).
+//!
+//! # Ranks by position, read through the position map
+//!
+//! The bind keeps one element → position map (`END` for an element off
+//! the list), the same length as the successor array; its on-list
+//! entries in id order are the first round's coin-draw order. A run
+//! ([`RankingEngine::run`]) leaves the ranks by position, and
+//! [`RankingEngine::rank_of`] reads one element's rank through the map,
+//! so a caller that asks for a few elements touches only those. The
+//! by-id answer array of [`RankingEngine::ranks`] costs a pass over all
+//! `n` elements (fill every entry with [`UNRANKED`], then scatter every
+//! position's rank): [`RankingEngine::rank`] is a run plus that scatter,
+//! for callers that read every rank. Both charge the same.
 //!
 //! # Memory discipline
 //!
@@ -47,11 +60,15 @@
 //! position, `u32` wherever a position or a weight fits, and allocated
 //! once: the splice log is two arrays (`mid`, `left`) with per-round end
 //! offsets. The engine owns its structure (the list numbered by
-//! position) and, unless lent one, its run buffers: everything a run
-//! restores, including the ranks by element id, lives in a
-//! [`RankingRun`] that [`RankingEngine::swap_run`] swaps in and out, so
-//! one set can serve the engines of many lists in turn.
-//! [`RankingEngine::rank`] rewrites every run buffer it reads. After
+//! position, and the position map) and, unless lent one, its run
+//! buffers: everything a run restores, and the scatter's ranks by
+//! element id, lives in a [`RankingRun`] that
+//! [`RankingEngine::swap_run`] swaps in and out, so one set can serve
+//! the engines of many lists in turn. A run rewrites every run buffer
+//! it reads. [`RankingRun::reserve`] does not size the by-id ranks
+//! (8 bytes per element, which a set that serves only runs never
+//! reads): [`RankingEngine::rank`]'s scatter sizes them, and an
+//! engine's own set reserves them with the rest. After
 //! [`RankingEngine::new`] (or a `bind` within the capacity) returns,
 //! [`RankingEngine::rank`] performs **zero heap allocation** (asserted
 //! by the counting-allocator test `tests/alloc_free.rs`, the same
@@ -96,11 +113,11 @@ pub struct SpatialRanking {
 }
 
 /// The per-run buffers of a [`RankingEngine`]: everything a run
-/// restores, indexed by list position, plus the ranks by element id. A
-/// set holds no list: [`RankingEngine::rank`] rewrites every buffer it
-/// reads, so one set can serve the engines of many lists in turn
-/// ([`RankingEngine::swap_run`]). [`RankingRun::default`] allocates
-/// nothing.
+/// restores, indexed by list position, plus the ranks by element id of
+/// [`RankingEngine::rank`]'s scatter. A set holds no list: a run
+/// rewrites every buffer it reads, so one set can serve the engines of
+/// many lists in turn ([`RankingEngine::swap_run`]).
+/// [`RankingRun::default`] allocates nothing.
 #[derive(Default)]
 pub struct RankingRun {
     /// Largest element count the buffers are reserved for.
@@ -117,7 +134,9 @@ pub struct RankingRun {
     dead: Vec<bool>,
     /// Rank of every position.
     rank_at: Vec<u32>,
-    /// Rank of every element id (the answer of [`RankingEngine::ranks`]).
+    /// Rank of every element id: [`RankingEngine::rank`]'s scatter, the
+    /// answer of [`RankingEngine::ranks`]. Sized by the scatter (or with
+    /// an engine's own set), not by [`RankingRun::reserve`].
     ranks: Vec<u64>,
 
     // ---- Flat splice log: all rounds back to back. ----
@@ -139,8 +158,9 @@ impl RankingRun {
         run
     }
 
-    /// Grows every buffer to hold a run on `cap` elements (never
-    /// shrinks; a no-op at or below the capacity).
+    /// Grows every buffer a run uses to hold a run on `cap` elements
+    /// (never shrinks; a no-op at or below the capacity). The by-id
+    /// ranks of [`RankingEngine::rank`]'s scatter are not among them.
     pub fn reserve(&mut self, cap: usize) {
         if cap <= self.cap {
             return;
@@ -155,7 +175,6 @@ impl RankingRun {
         grow(&mut self.coin, cap);
         grow(&mut self.dead, cap);
         grow(&mut self.rank_at, cap);
-        grow(&mut self.ranks, cap);
         grow(&mut self.splice_mid, cap);
         grow(&mut self.splice_left, cap);
         grow(&mut self.round_ends, round_capacity(cap));
@@ -195,8 +214,9 @@ pub struct RankingEngine {
     n: usize,
     /// Element at every list position; position 0 is the start.
     order: Vec<u32>,
-    /// Positions of the list's elements in element-id order: the first
-    /// round's coin-draw order.
+    /// Position of every element ([`END`] off the list): the map
+    /// [`RankingEngine::rank_of`] reads through, and, its on-list
+    /// entries in id order, the first round's coin-draw order.
     by_id: Vec<u32>,
     /// Contract until at most this many elements remain.
     threshold: usize,
@@ -237,14 +257,23 @@ impl RankingEngine {
     }
 
     /// An unbound engine whose structure and own run buffers are
-    /// pre-sized for lists of up to `cap` elements;
+    /// pre-sized for lists of up to `cap` elements (the by-id ranks of
+    /// [`RankingEngine::rank`]'s scatter included);
     /// [`RankingEngine::bind`] and [`RankingEngine::rank`] calls within
     /// the capacity never allocate.
     pub fn with_capacity(cap: usize) -> Self {
         let mut engine = Self::default();
         engine.reserve(cap);
-        engine.run.reserve(cap);
+        engine.reserve_own_run(cap);
         engine
+    }
+
+    /// Grows the engine's own run buffers, the scatter's by-id ranks
+    /// included: an engine that keeps its set calls [`RankingEngine::rank`].
+    fn reserve_own_run(&mut self, cap: usize) {
+        self.run.reserve(cap);
+        let ranks = &mut self.run.ranks;
+        ranks.reserve_exact(cap.saturating_sub(ranks.len()));
     }
 
     /// Loads a new list into the retained structure: one walk from
@@ -257,8 +286,7 @@ impl RankingEngine {
         self.cap = self.cap.max(n);
         self.n = n;
         self.bound = true;
-        // The walk marks each element's position in `by_id`, which the
-        // filter below compacts to the on-list positions; END stays
+        // The walk marks each element's position in `by_id`; END stays
         // off-list.
         let pos = &mut self.by_id;
         pos.clear();
@@ -271,7 +299,6 @@ impl RankingEngine {
             self.order.push(at);
             at = next[at as usize];
         }
-        pos.retain(|&p| p != END);
         let list_len = self.order.len();
         self.threshold = (2 * (usize::BITS - list_len.leading_zeros()) as usize).max(4);
         self.rounds = 0;
@@ -290,19 +317,51 @@ impl RankingEngine {
         std::mem::swap(&mut self.run, run);
     }
 
-    /// The ranks of the most recent [`RankingEngine::rank`] run on the
-    /// run buffers the engine holds, by element id ([`UNRANKED`]
-    /// off-list; empty before the set's first run).
+    /// The ranks of the most recent [`RankingEngine::rank`] on the run
+    /// buffers the engine holds, by element id ([`UNRANKED`] off-list;
+    /// empty before the set's first `rank`). A [`RankingEngine::run`]
+    /// does not write them: read its ranks with
+    /// [`RankingEngine::rank_of`].
     pub fn ranks(&self) -> &[u64] {
         &self.run.ranks
     }
 
+    /// The rank of `element` in the most recent run
+    /// ([`RankingEngine::run`] or [`RankingEngine::rank`]) of the bound
+    /// list on the run buffers the engine holds, read through the
+    /// position map: [`UNRANKED`] for an element off the list.
+    pub fn rank_of(&self, element: u32) -> u64 {
+        match self.by_id[element as usize] {
+            END => UNRANKED,
+            p => self.run.rank_at[p as usize] as u64,
+        }
+    }
+
     /// Ranks the list by random-mate contraction, charging every
-    /// pointer round on `m`. Returns the number of contraction rounds;
-    /// read the ranks via [`RankingEngine::ranks`]. The seed affects
-    /// only costs, never ranks. Performs no heap allocation once the
-    /// run buffers fit the list.
+    /// pointer round on `m`, and scatters the ranks by element id.
+    /// Returns the number of contraction rounds; read the ranks via
+    /// [`RankingEngine::ranks`] (or [`RankingEngine::rank_of`]). The
+    /// seed affects only costs, never ranks. Performs no heap allocation
+    /// once the run buffers and the by-id ranks fit the list.
     pub fn rank<R: Rng>(&mut self, m: &Machine, rng: &mut R) -> u32 {
+        let rounds = self.run(m, rng);
+        let run = &mut self.run;
+        // Off-list elements read UNRANKED, whatever the set held before.
+        run.ranks.clear();
+        run.ranks.resize(self.n, UNRANKED);
+        for (&v, &r) in self.order.iter().zip(&run.rank_at) {
+            run.ranks[v as usize] = r as u64;
+        }
+        rounds
+    }
+
+    /// [`RankingEngine::rank`] without the scatter: ranks the list,
+    /// charging exactly what `rank` charges, and leaves the ranks by
+    /// list position, read one element at a time with
+    /// [`RankingEngine::rank_of`] ([`RankingEngine::ranks`] keeps the
+    /// last scatter's). Returns the number of contraction rounds.
+    /// Performs no heap allocation once the run buffers fit the list.
+    pub fn run<R: Rng>(&mut self, m: &Machine, rng: &mut R) -> u32 {
         assert!(self.bound, "bind a list first");
         let n = self.n;
         assert!(n as u32 <= m.n_slots(), "need one slot per list element");
@@ -310,10 +369,6 @@ impl RankingEngine {
             self.run.reserve(self.cap);
         }
         let run = &mut self.run;
-        // Off-list elements (and the whole list before the scatter at
-        // the end) read UNRANKED, whatever the set held before.
-        run.ranks.clear();
-        run.ranks.resize(n, UNRANKED);
         run.splice_mid.clear();
         run.splice_left.clear();
         run.round_ends.clear();
@@ -332,7 +387,8 @@ impl RankingEngine {
         run.live.clear();
         run.live.extend(0..len as u32);
         run.alive.clear();
-        run.alive.extend_from_slice(&self.by_id);
+        run.alive
+            .extend(self.by_id.iter().copied().filter(|&p| p != END));
         run.weight.clear();
         run.weight.resize(len, 1);
         run.dead.clear();
@@ -449,10 +505,6 @@ impl RankingEngine {
                 run.rank_at[mid] = run.rank_at[left] + run.weight[left];
             }
         }
-
-        for (&v, &r) in self.order.iter().zip(&run.rank_at) {
-            run.ranks[v as usize] = r as u64;
-        }
         self.rounds
     }
 
@@ -475,7 +527,7 @@ impl EngineLifecycle for RankingEngine {
     /// or at the first run that needs it).
     fn reserve(&mut self, cap: usize) {
         if self.run.cap > 0 {
-            self.run.reserve(cap);
+            self.reserve_own_run(cap);
         }
         if cap <= self.cap {
             return;

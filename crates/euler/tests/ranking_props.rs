@@ -4,11 +4,15 @@
 //! and (c) behave *identically* to the retained seed implementation —
 //! same ranks, round counts, machine charges and per-slot clocks, from
 //! the same skewed entry clocks — on random permutations, sparse lists
-//! and the Euler tours of every tree family.
+//! and the Euler tours of every tree family. A run without the by-id
+//! scatter, read element by element through the position map, must
+//! answer and charge exactly like the scattering `rank()`.
 
 use proptest::prelude::*;
 use rand::prelude::*;
-use spatial_euler::ranking::{rank_sequential, rank_spatial, RankingEngine, END, UNRANKED};
+use spatial_euler::ranking::{
+    rank_sequential, rank_spatial, RankingEngine, RankingRun, END, UNRANKED,
+};
 use spatial_euler::reference::rank_spatial_reference;
 use spatial_euler::tour::{ChildOrder, EulerTour};
 use spatial_model::{CurveKind, Machine};
@@ -157,6 +161,64 @@ fn identical_to_reference_on_euler_tours_of_every_family() {
                 assert_eq!(ranks[2 * root + 1], UNRANKED, "{fam}: root dart on-list");
             }
         }
+    }
+}
+
+/// A run without the scatter, on a lent set, read through the
+/// position map, answers every element (off-list ones `UNRANKED`) like
+/// `rank()`'s by-id ranks, and charges, draws and counts rounds like
+/// it, from the same skewed entry clocks: on the Euler tours of every
+/// family (the root's two darts off-list), sparse lists and the empty
+/// list. The lent set never holds by-id ranks.
+#[test]
+fn run_reads_through_the_position_map_like_rank() {
+    let mut lists: Vec<(String, Vec<u32>, u32)> = Vec::new();
+    for fam in TreeFamily::ALL {
+        for (n, seed) in [(1u32, 0u64), (2, 1), (37, 2), (600, 3)] {
+            let tree = fam.generate(n, &mut StdRng::seed_from_u64(seed));
+            let tour = EulerTour::new(&tree, ChildOrder::LightFirst);
+            lists.push((
+                format!("{fam} tour n={}", tree.n()),
+                tour.next_darts().to_vec(),
+                tour.start(),
+            ));
+        }
+    }
+    for stride in [2usize, 5] {
+        let (next, start) = sparse_list(300, stride);
+        lists.push((format!("sparse stride {stride}"), next, start));
+    }
+    lists.push(("empty".to_string(), vec![END; 3], END));
+
+    let mut shared = RankingRun::default();
+    for (i, (what, next, start)) in lists.iter().enumerate() {
+        let n_slots = (next.len() as u32).max(1);
+        let rng = StdRng::seed_from_u64(i as u64 + 60);
+        let mut engine = RankingEngine::default();
+        engine.bind(next, *start);
+        engine.swap_run(&mut shared);
+        let m_run = skewed_machine(n_slots, i as u64);
+        let mut rng_run = rng.clone();
+        let rounds = engine.run(&m_run, &mut rng_run);
+
+        let mut scattering = RankingEngine::new(next, *start);
+        let m_rank = skewed_machine(n_slots, i as u64);
+        let mut rng_rank = rng.clone();
+        let rank_rounds = scattering.rank(&m_rank, &mut rng_rank);
+
+        assert_eq!(
+            scattering.ranks(),
+            &rank_sequential(next, *start)[..],
+            "{what}"
+        );
+        for (e, &r) in scattering.ranks().iter().enumerate() {
+            assert_eq!(engine.rank_of(e as u32), r, "{what}: element {e}");
+        }
+        assert!(engine.ranks().is_empty(), "{what}: a run scattered");
+        assert_eq!(rounds, rank_rounds, "{what}: round counts diverged");
+        assert_eq!(rng_run, rng_rank, "{what}: rng draws diverged");
+        assert_same_state(&m_run, &m_rank, what);
+        engine.swap_run(&mut shared);
     }
 }
 

@@ -48,8 +48,14 @@
 //! `O(log² n)` depth w.h.p. for `O(1)` queries per vertex (Theorem 6).
 //!
 //! Both treefix passes run on one [`ContractionEngine`] bound to the
-//! same tree; each pass only loads its values, step 1's ones and step
-//! 3's light-edge indicator by rule, without an array. A caller that
+//! same tree. The answers read the sizes, heads and layers the bind
+//! derived, never the passes' values, so outside builds with debug
+//! assertions both passes are charge-only
+//! ([`ContractionEngine::charge_only_run`]: the charges, draws and
+//! stats of a valued pass, no values). Builds with debug assertions run
+//! them valued, loading step 1's ones and step 3's light-edge indicator
+//! by rule, without an array, and check the sizes and layers they
+//! compute against the bind's. A caller that
 //! keeps such an engine (the session forest, which also runs its
 //! subtree sums on it) lends it to [`LcaStructure::run_on`], so a tree
 //! has one contraction engine, not two. [`LcaEngine::run_into`] runs on
@@ -258,8 +264,9 @@ impl LcaStructure {
     /// bound to the same tree: its parents, slots and light-first CSR
     /// (see [`LcaEngine::treefix_mut`]). Charges the full §VI-C cost on
     /// `machine`; the random seed affects only costs, never answers.
-    /// Steps 1 and 3 each `load` `treefix`, so the run charges exactly as
-    /// on a freshly bound engine; a caller that also runs its subtree
+    /// Steps 1 and 3 each restore `treefix`'s run state (charge-only
+    /// outside builds with debug assertions), so the run charges exactly
+    /// as on a freshly bound engine; a caller that also runs its subtree
     /// sums on it keeps one contraction engine per tree instead of two.
     /// Performs **zero heap allocation** once `answers` has grown to the
     /// batch size.
@@ -336,8 +343,8 @@ impl LcaEngine {
     /// use and bound to the engine's tree: the parents, slots and
     /// light-first CSR a subtree-sum treefix over the same tree binds.
     /// A caller runs further passes on it by `load`ing its own values —
-    /// [`LcaEngine::run_into`] reloads it for each of its passes, so
-    /// such runs charge exactly as on a freshly bound engine.
+    /// [`LcaEngine::run_into`] restores its run state for each of its
+    /// passes, so such runs charge exactly as on a freshly bound engine.
     pub fn treefix_mut(&mut self) -> &mut ContractionEngine<Add> {
         let tree = &self.tree;
         let n = tree.parents.len();
@@ -505,17 +512,24 @@ impl Derived {
         } = tree;
 
         // ---- Step 1: subtree sizes (bottom-up treefix), ranges, and ----
-        // ---- ancestor/descendant answers.                           ----
-        treefix.load_with(|_| Add(1), true);
-        let stats1 = treefix.contract(machine, rng);
-        let tf1_values = treefix.uncontract_bottom_up(machine);
-        debug_assert!(
-            tf1_values
-                .iter()
-                .map(|a| a.0 as u32)
-                .eq(sizes.iter().copied()),
-            "treefix sizes must match the host sizes"
-        );
+        // ---- ancestor/descendant answers. The ranges read the bind's ----
+        // ---- sizes, so the pass runs charge-only outside builds with ----
+        // ---- debug assertions, which check its sizes against them.   ----
+        let stats1 = if cfg!(debug_assertions) {
+            treefix.load_with(|_| Add(1), true);
+            let stats = treefix.contract(machine, rng);
+            let tf1_values = treefix.uncontract_bottom_up(machine);
+            assert!(
+                tf1_values
+                    .iter()
+                    .map(|a| a.0 as u32)
+                    .eq(sizes.iter().copied()),
+                "treefix sizes must match the host sizes"
+            );
+            stats
+        } else {
+            treefix.charge_only_run(machine, rng)
+        };
 
         let in_range = |v: NodeId, w: NodeId| -> bool {
             let sv = slots[v as usize];
@@ -546,19 +560,25 @@ impl Derived {
 
         // ---- Step 3: layers via top-down treefix over the light-edge ----
         // ---- indicator: every head but the root starts a new path    ----
-        // ---- (heavy children continue their parent's).               ----
-        let (head, root) = (&s.head, s.root);
-        let indicator = |v: NodeId| Add((head[v as usize] == v && v != root) as u64);
-        treefix.load_with(indicator, false);
-        let stats3 = treefix.contract(machine, rng);
-        let tf3_values = treefix.uncontract_top_down_with(machine, indicator);
-        debug_assert!(
-            tf3_values
-                .iter()
-                .map(|a| a.0 as u32)
-                .eq(s.layer.iter().copied()),
-            "treefix layers must match the host decomposition"
-        );
+        // ---- (heavy children continue their parent's). Resolution    ----
+        // ---- reads the bind's layers: charge-only as in step 1.      ----
+        let stats3 = if cfg!(debug_assertions) {
+            let (head, root) = (&s.head, s.root);
+            let indicator = |v: NodeId| Add((head[v as usize] == v && v != root) as u64);
+            treefix.load_with(indicator, false);
+            let stats = treefix.contract(machine, rng);
+            let tf3_values = treefix.uncontract_top_down_with(machine, indicator);
+            assert!(
+                tf3_values
+                    .iter()
+                    .map(|a| a.0 as u32)
+                    .eq(s.layer.iter().copied()),
+                "treefix layers must match the host decomposition"
+            );
+            stats
+        } else {
+            treefix.charge_only_run(machine, rng)
+        };
 
         // ---- Step 4 charging: per layer, broadcast inside every    ----
         // ---- cover subtree (Lemma 13) and barrier.                 ----

@@ -33,11 +33,17 @@
 //! that structure: a caller that keeps the tree lends it to every bind
 //! and run ([`batched::LcaStructure::bind_parts`],
 //! [`batched::LcaStructure::run_on`]), and [`batched::LcaEngine::new`]
-//! keeps a copy of its own for [`batched::LcaEngine::run`]. The seed
-//! implementation is
-//! retained in [`reference`] and pinned by the differential suite
-//! (`tests/engine_vs_reference.rs`): identical answers, statistics, and
-//! machine charges.
+//! keeps a copy of its own for [`batched::LcaEngine::run`]. The
+//! answers read the sizes, heads and layers of that structure, so steps
+//! 1 and 3 are charge-only outside builds with debug assertions: each
+//! pays exactly a valued treefix pass (same charges, rng draws and
+//! rounds) and computes no value
+//! (`spatial_treefix::contraction::ContractionEngine::charge_only_run`).
+//! Builds with debug assertions run both passes valued and check their
+//! sizes and layers against the structure's. The seed implementation
+//! is retained in [`reference`](mod@reference) and pinned by the
+//! differential suite (`tests/engine_vs_reference.rs`): identical
+//! answers, statistics, and machine charges.
 
 pub mod batched;
 pub mod cover;

@@ -33,7 +33,7 @@
 //! precomputed relay schedule) and shares its light-first child CSR
 //! with the fused treefix, so repeated Las Vegas passes over the same
 //! graph pay the structural setup once. The seed pipeline is retained
-//! in [`reference`] and pinned by differential tests (identical cuts,
+//! in [`reference`](mod@reference) and pinned by differential tests (identical cuts,
 //! minima, and machine charges).
 
 pub mod graph;

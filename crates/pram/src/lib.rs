@@ -23,7 +23,7 @@
 //! (regenerated by `experiments -- bench-json-pram`) for the measured
 //! E8 energy crossover against the spatial counterparts.
 //!
-//! The seed implementation is retained in [`reference`] and pinned by
+//! The seed implementation is retained in [`reference`](mod@reference) and pinned by
 //! the differential suite `tests/engine_vs_reference.rs`: identical
 //! results, energy, depth, messages, work, and step counts across
 //! seeds, sizes, and non-power-of-two `processors ≠ cells` shapes.

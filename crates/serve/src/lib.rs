@@ -1,6 +1,7 @@
-//! The serving layer: many tenants' [`SpatialForest`]s sharded across
-//! a fixed pool of worker threads, fed by bounded submission queues
-//! that **coalesce** concurrent requests into charge-batched sessions.
+//! The serving layer: many tenants'
+//! [`SpatialForest`](spatial_session::SpatialForest)s sharded across a
+//! fixed pool of worker threads, fed by bounded submission queues that
+//! **coalesce** concurrent requests into charge-batched sessions.
 //!
 //! The session layer ([`spatial_session`]) serves one tree on one
 //! thread. [`ForestService`] scales that out along the axis the
@@ -39,6 +40,6 @@
 mod service;
 
 pub use service::{
-    tenant_seed, DurabilityOptions, ForestService, ServeError, ServiceOptions, ServiceReport,
-    ShardReport, TenantLog, Ticket, MIN_COALESCED_BATCH,
+    tenant_seed, thread_cpu_time, DurabilityOptions, ForestService, ServeError, ServiceOptions,
+    ServiceReport, ShardReport, TenantLog, Ticket, MIN_COALESCED_BATCH,
 };

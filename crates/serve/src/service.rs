@@ -60,6 +60,14 @@ mod thread_clock {
     }
 }
 
+/// CPU time the calling thread has consumed so far: the clock a shard
+/// worker charges its busy time on ([`ShardReport::busy`]). Work timed
+/// on the caller's thread with this clock compares like with like
+/// against a shard's busy time.
+pub fn thread_cpu_time() -> Duration {
+    thread_clock::now()
+}
+
 /// Minimum number of requests a worker tries to coalesce into one
 /// charge-batched session before executing.
 ///

@@ -1006,12 +1006,14 @@ impl SpatialForest {
             let (_, csr) = self.dynamic.light_first_children();
             let engine = self.pool.ranking_for(self.epoch, root, csr);
             engine.swap_run(&mut scratch.ranking);
-            engine.rank(&scratch.dart_machine, rng);
+            // No by-id scatter: each queried dart is read through the
+            // engine's position map.
+            engine.run(&scratch.dart_machine, rng);
             for (&idx, &v) in self.rank_idx.iter().zip(self.rank_v.iter()) {
                 let rank = if v == root {
                     0
                 } else {
-                    let r = engine.ranks()[down(v) as usize];
+                    let r = engine.rank_of(down(v));
                     debug_assert_ne!(r, UNRANKED, "non-root vertex off the tour");
                     r + 1
                 };

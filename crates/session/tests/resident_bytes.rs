@@ -54,7 +54,9 @@ fn live() -> i64 {
 const N: u32 = 1 << 10;
 
 /// Census bytes per vertex after one mixed execute on `uniform_random`
-/// at n = 2¹⁰: 365 measured (421 while the forest kept a materialized
+/// at n = 2¹⁰: 349 measured (365 while the forest's own ranking set
+/// also reserved by-id ranks, 16 B/vertex, that the session's
+/// position-map reads never use; 421 while the forest kept a materialized
 /// tree, 12 B/vertex, the layout its per-vertex grid points before any
 /// append, 8, and the LCA structure its own copies of the parents,
 /// slots, sizes and CSR, its step-3 indicator and its step-4 slot
@@ -65,16 +67,17 @@ const N: u32 = 1 << 10;
 /// also kept its rebuild-only buffers). A forest that also kept an idle
 /// second contraction engine and copies of the layout's arrays held
 /// ≈719.
-const MIXED_BUDGET: usize = 453;
+const MIXED_BUDGET: usize = 437;
 
 /// Census bytes per vertex after an insert epoch that opens with a
-/// sums-only session and then serves every query kind: 712 measured
-/// (760 with the materialized tree and the LCA structure's copies kept,
+/// sums-only session and then serves every query kind: 680 measured
+/// (712 with the by-id ranks reserved for the set's 2¹²-dart capacity;
+/// 760 with the materialized tree and the LCA structure's copies kept,
 /// the layout's grid points being part of its headroom by then; 776
 /// with the construction pairs kept too, 803 with the Euler tour and
 /// the step-1 ones kept too). Two contraction engines, each grown to
 /// 2¹¹ vertices, held ≈1174.
-const EPOCH_BUDGET: usize = 776;
+const EPOCH_BUDGET: usize = 744;
 
 fn tree() -> Tree {
     generators::uniform_random(N, &mut StdRng::seed_from_u64(21))

@@ -14,11 +14,11 @@
 //! built at compile time: the curve orientation inside a quadrant is
 //! one of four dihedral transforms, and the `(state, digits) → (cell
 //! bits, next state)` tables come in one-, two-, four-, and five-level
-//! granularities. Orders divisible by five walk [`POINT5`]/[`INDEX5`]
+//! granularities. Orders divisible by five walk `POINT5`/`INDEX5`
 //! (ten index bits per dependent lookup — order 10, the `1024×1024`
 //! benchmark grid, finishes in two); all other orders peel the
-//! `order mod 4` head levels with [`POINT1`]/[`POINT2`] and then
-//! consume eight index bits per [`POINT4`] step. The seed's branchy
+//! `order mod 4` head levels with `POINT1`/`POINT2` and then
+//! consume eight index bits per `POINT4` step. The seed's branchy
 //! rotate-and-swap loop is retained as
 //! [`crate::reference::hilbert_point_scalar`] for benchmarking and
 //! differential tests; both produce the identical classic curve
@@ -277,7 +277,7 @@ impl HilbertCurve {
     /// The index is pre-shifted so each step reads its digits from the
     /// top bits (no per-step level arithmetic): the `order mod 4` head
     /// levels peel off with the small tables, then each counted-loop
-    /// iteration consumes eight index bits through [`POINT4`].
+    /// iteration consumes eight index bits through `POINT4`.
     #[inline]
     pub(crate) fn point_unchecked(&self, index: u64) -> GridPoint {
         let order = self.order;

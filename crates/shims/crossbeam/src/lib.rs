@@ -52,12 +52,12 @@ pub mod utils {
 /// backpressure primitive of the `spatial-serve` submission queue.
 ///
 /// Semantics match upstream crossbeam where implemented:
-/// - [`Sender::send`] blocks while the buffer is full and fails only
+/// - [`Sender::send`](channel::Sender::send) blocks while the buffer is full and fails only
 ///   when every receiver is gone;
-/// - [`Receiver::recv`] blocks while the buffer is empty and fails only
+/// - [`Receiver::recv`](channel::Receiver::recv) blocks while the buffer is empty and fails only
 ///   when every sender is gone *and* the buffer has drained —
 ///   in-flight messages are always delivered before disconnect;
-/// - [`Receiver::try_recv`] never blocks (the queue-drain hook the
+/// - [`Receiver::try_recv`](channel::Receiver::try_recv) never blocks (the queue-drain hook the
 ///   serve-layer coalescer is built on);
 /// - dropping the last `Sender`/`Receiver` disconnects and wakes every
 ///   blocked peer.

@@ -92,7 +92,7 @@ pub mod collection {
     use super::Strategy;
     use rand::prelude::*;
 
-    /// Inclusive length bounds for [`vec`]. Only `usize` ranges convert
+    /// Inclusive length bounds for [`vec()`]. Only `usize` ranges convert
     /// into it, which is what pins untyped literals to `usize`.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {

@@ -87,6 +87,26 @@
 //! lists a cascaded child's group before its parent's group, the order
 //! uncontraction needs.
 //!
+//! # Charge-only runs
+//!
+//! [`ContractionEngine::charge_only_run`] is a run for a caller that
+//! must pay for a pass but never reads its values (the batched LCA's
+//! steps 1 and 3, whose answers come from the sizes and heads its bind
+//! derived). It restores the structure's run state without values, runs
+//! the same COMPACT rounds, then replays only the uncontraction's
+//! charges (each round's rake undo broadcasts, then its compress undo
+//! messages, rounds in reverse). It skips every read and write of the
+//! partial sums `P`, the saved pre-merge sums, the uncontraction
+//! accumulator and the output. Nothing it skips feeds a charge, a draw
+//! or the log: the coins, the viability and leaf tests, the deferral
+//! and every message read only the structure (parents, live child
+//! counts, the CSR, slots and vertex ids), and the uncontraction
+//! charges read only the log and the parents frozen at merge time. So
+//! its report, per-slot clocks, stats and rng draws are a valued run's,
+//! in either direction: the rake flag (`rake_adds_to_p`) only decides
+//! whether RAKE adds to `P`. The passes take the choice as a
+//! compile-time flag, so both runs share one source.
+//!
 //! # Memory discipline and lifecycle
 //!
 //! This is the hottest loop in the workspace, so all storage is laid
@@ -116,6 +136,8 @@
 //! - [`ContractionEngine::contract`] and the `uncontract_*` methods
 //!   run the §V algorithm, charging the machine they are given, never
 //!   allocate, and return results permuted back to vertex ids;
+//!   [`ContractionEngine::charge_only_run`] restores, contracts and
+//!   charges the uncontraction in one call, with no values;
 //! - [`spatial_model::EngineLifecycle::reserve`] grows the structure's
 //!   capacity and any run buffers the engine holds (the only allocating
 //!   step once the engine exists, besides a lent set's growth);
@@ -347,7 +369,9 @@ impl<M: CommutativeMonoid> ContractionRun<M> {
 /// [`ContractionEngine::bind_structure`] and each run's values with
 /// [`ContractionEngine::load`] (or both at once with
 /// [`ContractionEngine::bind`]), run [`ContractionEngine::contract`],
-/// then exactly one of the `uncontract` methods. The engine owns its
+/// then exactly one of the `uncontract` methods — or, for a pass whose
+/// values nobody reads, [`ContractionEngine::charge_only_run`] in place
+/// of all three. The engine owns its
 /// structure and, unless lent one, its run buffers, so one instance
 /// serves any number of trees and runs.
 pub struct ContractionEngine<M: CommutativeMonoid> {
@@ -574,6 +598,14 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
     /// no array for them. Charges and results are those of `load` over
     /// the same values.
     pub fn load_with(&mut self, value_of: impl Fn(NodeId) -> M, rake_adds_to_p: bool) {
+        self.restore::<true>(value_of, rake_adds_to_p);
+    }
+
+    /// The per-run restore of [`ContractionEngine::load_with`]; with
+    /// `V = false` (a charge-only run) it restores the structure's run
+    /// state only and touches no value buffer (`p`, `saved_p`, `acc`,
+    /// `out`), so `value_of` is never called.
+    fn restore<const V: bool>(&mut self, value_of: impl Fn(NodeId) -> M, rake_adds_to_p: bool) {
         assert!(self.phase != Phase::Unbound, "bind a tree structure first");
         let n = self.n;
         self.phase = Phase::Bound;
@@ -590,8 +622,16 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
         for (&u, &len) in self.group_parent0.iter().zip(&self.group_len0) {
             run.child_count[u as usize] = len;
         }
-        run.p.clear();
-        run.p.extend(self.vid.iter().map(|&v| value_of(v)));
+        if V {
+            run.p.clear();
+            run.p.extend(self.vid.iter().map(|&v| value_of(v)));
+            // Written before every read (at deactivation / at
+            // uncontraction): only the lengths need restoring.
+            run.saved_p.resize(n, M::identity());
+            run.out.resize(n, M::identity());
+            run.acc.clear();
+            run.acc.resize(n, M::identity());
+        }
         run.active.clear();
         run.active.resize(n, true);
         run.alive.clear();
@@ -604,19 +644,15 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
         run.kids.extend_from_slice(&self.kids0);
         self.live_groups = run.group_parent.len();
         self.live_kids = run.kids.len();
-        // Written before every read (at deactivation / per-round draw /
-        // uncontraction): only the length needs restoring.
-        run.saved_p.resize(n, M::identity());
+        // Written before every per-round read: only the length needs
+        // restoring.
         run.coin.resize(n, false);
-        run.out.resize(n, M::identity());
         run.compress_log.clear();
         run.compress_ends.clear();
         run.rake_log.clear();
         run.rake_groups.clear();
         run.rake_ends.clear();
         run.relays.clear();
-        run.acc.clear();
-        run.acc.resize(n, M::identity());
         self.stats = ContractionStats::ZERO;
 
         run.first_msgs.clear();
@@ -636,8 +672,9 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
     /// buffers) to the front. Stages the COMPRESS round; returns the
     /// compresses and the number of probe messages, staged at the front
     /// of the probe buffer. Single-child groups take their own case
-    /// (see "Single-child groups" in the module docs).
-    fn compress_pass(&mut self, m: &Machine) -> (u64, usize) {
+    /// (see "Single-child groups" in the module docs). With `V = false`
+    /// (a charge-only run) it moves no partial sum.
+    fn compress_pass<const V: bool>(&mut self, m: &Machine) -> (u64, usize) {
         let slot = &self.slot;
         let ContractionRun {
             parent,
@@ -692,8 +729,10 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
                 let ci = c as usize;
                 probe_msgs[probes] = (slot[vi], slot[ci]);
                 probes += (child_count[ci] == 1) as usize;
-                saved_p[vi] = p[ui];
-                p[ui] = p[ui].combine(p[vi]);
+                if V {
+                    saved_p[vi] = p[ui];
+                    p[ui] = p[ui].combine(p[vi]);
+                }
                 // u's only child was v; u inherits v's only child c.
                 parent[ci] = u;
                 active[vi] = false;
@@ -729,8 +768,9 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
     /// parent's clock is raised only by its own parent's group, which
     /// has a smaller index, so the pass reaches it after the parent has
     /// sent. Single-child groups take their own case (see
-    /// "Single-child groups" in the module docs).
-    fn rake_pass(&mut self, m: &Machine) {
+    /// "Single-child groups" in the module docs). With `V = false` (a
+    /// charge-only run) it moves no partial sum.
+    fn rake_pass<const V: bool>(&mut self, m: &Machine) {
         let slot = &self.slot;
         let vid = &self.vid;
         let run = &mut self.run;
@@ -761,11 +801,13 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
                 }
                 // RAKE the one leaf c into u.
                 run.relays.stage(1, |_| sc, su);
-                let saved = run.p[u];
-                run.saved_p[ci] = saved;
                 run.active[ci] = false;
-                if self.rake_adds_to_p {
-                    run.p[u] = saved.combine(run.p[ci]);
+                if V {
+                    let saved = run.p[u];
+                    run.saved_p[ci] = saved;
+                    if self.rake_adds_to_p {
+                        run.p[u] = saved.combine(run.p[ci]);
+                    }
                 }
                 let at = run.rake_log.len() as u32;
                 run.rake_log.push(c);
@@ -794,22 +836,24 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
                 // child w contributes the identity, as in the paper).
                 run.relays.stage(len, |j| slot[ks[j] as usize], slot[u]);
 
-                let saved = run.p[u];
+                let saved = if V { run.p[u] } else { M::identity() };
                 let mut acc = M::identity();
                 let group_start = run.rake_log.len() as u32;
                 let mut kept = NIL;
                 for &c in ks {
                     let ci = c as usize;
                     if run.child_count[ci] == 0 {
-                        acc = acc.combine(run.p[ci]);
-                        run.saved_p[ci] = saved;
+                        if V {
+                            acc = acc.combine(run.p[ci]);
+                            run.saved_p[ci] = saved;
+                        }
                         run.active[ci] = false;
                         run.rake_log.push(c);
                     } else {
                         kept = c;
                     }
                 }
-                if self.rake_adds_to_p {
+                if V && self.rake_adds_to_p {
                     run.p[u] = saved.combine(acc);
                 }
                 self.stats.rakes += leaves as u64;
@@ -844,8 +888,9 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
     }
 
     /// One COMPACT round: compress an independent random-mate set of
-    /// viable supervertices, then rake leaf supervertices.
-    fn compact_round<R: Rng>(&mut self, rng: &mut R, m: &Machine) {
+    /// viable supervertices, then rake leaf supervertices (moving
+    /// partial sums only when `V`).
+    fn compact_round<const V: bool, R: Rng>(&mut self, rng: &mut R, m: &Machine) {
         // Step 1: branching info — round 0 here, the doubling levels in
         // the COMPRESS pass. Round 0 stays one two-phase round: sent
         // during the forward pass, a parent's fresh clock would chain
@@ -861,7 +906,7 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
         // Steps 2–3: probe the viable vertices and COMPRESS the selected
         // independent set (heads with a tails parent, so no parent is
         // itself compressed this round).
-        let (compresses, probes) = self.compress_pass(m);
+        let (compresses, probes) = self.compress_pass::<V>(m);
         m.round(&self.run.probe_msgs[..probes]);
         m.round(&self.run.compress_msgs);
         self.stats.compresses += compresses;
@@ -869,7 +914,7 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
         // Steps 4–5: refresh branching info after the compresses and
         // RAKE. All rakes of the round run concurrently: the reduce
         // relays are charged as one batch, one round per level.
-        self.rake_pass(m);
+        self.rake_pass::<V>(m);
         let run = &mut self.run;
         run.relays.charge(m);
         compact_by_flag(&mut run.alive, &run.active);
@@ -889,6 +934,16 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
             "bind() a tree first and load() its values"
         );
         self.phase = Phase::Contracted;
+        self.contract_rounds::<true, R>(machine, rng)
+    }
+
+    /// The COMPACT rounds of [`ContractionEngine::contract`], moving
+    /// partial sums only when `V`.
+    fn contract_rounds<const V: bool, R: Rng>(
+        &mut self,
+        machine: &Machine,
+        rng: &mut R,
+    ) -> ContractionStats {
         let n = self.n as u64;
         // Rake always removes the deepest leaves, so every round makes
         // progress; the bound below is a defensive cap, not a tuning
@@ -896,7 +951,7 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
         let cap = 4 * n + 64;
         while self.run.alive.len() > 1 {
             let before = self.run.alive.len();
-            self.compact_round(rng, machine);
+            self.compact_round::<V, R>(rng, machine);
             debug_assert!(self.run.alive.len() < before, "COMPACT made no progress");
             assert!(
                 (self.stats.compact_rounds as u64) <= cap,
@@ -1040,6 +1095,30 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
             *out = acc[i as usize].combine(value_of(v));
         }
         &run.out[..n]
+    }
+
+    /// A charge-only run of the bound structure: restores its run state
+    /// without values, contracts it, then replays the uncontraction's
+    /// charges round by round in reverse. It charges `machine`, draws
+    /// from `rng` and logs exactly what a valued run
+    /// ([`ContractionEngine::load`], [`ContractionEngine::contract`] and
+    /// either `uncontract_*` method) does, in either direction, and
+    /// returns the same stats, but reads and writes no value buffer, so
+    /// it has no output. For a caller that needs a pass's charges but
+    /// not its values (see "Charge-only runs" in the module docs). Load
+    /// again before the next valued run; zero heap allocation when the
+    /// run buffers fit.
+    pub fn charge_only_run<R: Rng>(&mut self, machine: &Machine, rng: &mut R) -> ContractionStats {
+        self.restore::<false>(|_| M::identity(), true);
+        let stats = self.contract_rounds::<false, R>(machine, rng);
+        for round in (0..stats.compact_rounds as usize).rev() {
+            let (gs, ge) = round_span(&self.run.rake_ends, round);
+            let (cs, ce) = round_span(&self.run.compress_ends, round);
+            self.charge_rake_undo_broadcast(gs..ge, machine);
+            self.charge_compress_undo(cs..ce, machine);
+        }
+        self.phase = Phase::Structured;
+        stats
     }
 
     /// The most recent uncontraction result, re-borrowed (valid after

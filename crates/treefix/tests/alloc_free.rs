@@ -142,12 +142,14 @@ fn contract_and_uncontract_do_not_allocate() {
             );
 
             // The bind-once path: one structure bind, then several
-            // load + contract + uncontract cycles in both directions.
+            // load + contract + uncontract cycles in both directions,
+            // each after a charge-only run.
             let slots: Vec<Slot> = (0..n).map(|v| layout.slot(v)).collect();
             let (correct, allocs) = count_allocations(|| {
                 pooled.bind_structure(t.parents(), &slots, &csr);
                 let mut correct = true;
                 for _ in 0..3 {
+                    pooled.charge_only_run(&machine, &mut rng);
                     pooled.load(&values, true);
                     pooled.contract(&machine, &mut rng);
                     correct &= pooled.uncontract_bottom_up(&machine) == &expect_bu[..];
@@ -160,7 +162,7 @@ fn contract_and_uncontract_do_not_allocate() {
             assert!(correct, "{fam}: pooled load cycles gave a wrong result");
             assert_eq!(
                 allocs, 0,
-                "{fam} (n = {n}): pooled structure + load cycles allocated {allocs} times"
+                "{fam} (n = {n}): pooled structure, charge-only and load cycles allocated {allocs} times"
             );
         }
     }

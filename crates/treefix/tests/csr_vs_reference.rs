@@ -15,14 +15,19 @@
 //! ids randomly permuted, each on a light-first layout, a uniformly
 //! random layout, and a light-first layout with leaves appended at the
 //! curve tail (a session's layout between inserts and the next rebuild).
+//!
+//! The engine's charge-only run is pinned the same way against its own
+//! valued runs: same charges, clocks, stats and rng draws, in both
+//! directions, on every tree family.
 
 use proptest::prelude::*;
 use rand::prelude::*;
 use spatial_layout::{DynamicLayout, Layout};
-use spatial_model::{CurveKind, Machine};
+use spatial_model::{CurveKind, Machine, Slot};
 use spatial_tree::generators::{self, TreeFamily};
-use spatial_tree::{NodeId, Tree, NIL};
-use spatial_treefix::contraction::ContractionEngine;
+use spatial_tree::{ChildrenCsr, NodeId, Tree, NIL};
+use spatial_treefix::contraction::{ContractionEngine, ContractionRun};
+use spatial_treefix::host::{treefix_bottom_up_host, treefix_top_down_host};
 use spatial_treefix::reference::ReferenceEngine;
 use spatial_treefix::{Add, Max};
 
@@ -209,6 +214,57 @@ fn identical_on_chain_and_star_heavy_shapes() {
         }
         for (label, tree, layout) in variants(&t, CurveKind::ZOrder, seed + 1) {
             compare_top_down(&tree, &layout, seed + 1, &format!("{name}, {label}"));
+        }
+    }
+}
+
+/// A charge-only run charges, draws and logs what a valued run does:
+/// on every family at several sizes and seeds, from skewed entry
+/// clocks and a clone of one rng, a charge-only run and a valued run
+/// (bottom-up and top-down) leave the same report, the same clock on
+/// every slot, the same stats and the same rng state. All runs share
+/// one lent set, so every valued run follows a charge-only run on that
+/// set (the first tree's first run is a charge-only run on an empty
+/// set) and must still answer like the host.
+#[test]
+fn charge_only_runs_charge_like_valued_runs() {
+    let mut shared: ContractionRun<Add> = ContractionRun::default();
+    for fam in TreeFamily::ALL {
+        for n in [1u32, 2, 3, 17, 1 << 8, 1 << 12] {
+            for seed in 0..3u64 {
+                let t = fam.generate(n, &mut StdRng::seed_from_u64(seed + 31 * n as u64));
+                let layout = Layout::light_first(&t, CurveKind::Hilbert);
+                let csr = ChildrenCsr::by_size(&t, &t.subtree_sizes());
+                let slots: Vec<Slot> = (0..t.n()).map(|v| layout.slot(v)).collect();
+                let values: Vec<Add> = (0..t.n() as u64).map(|v| Add(v % 13 + 1)).collect();
+                let mut engine = ContractionEngine::default();
+                engine.bind_structure(t.parents(), &slots, &csr);
+                engine.swap_run(&mut shared);
+                let rng = StdRng::seed_from_u64(seed ^ 0xc4a7);
+                for bottom_up in [true, false] {
+                    let label = format!("{fam} n={} seed {seed}, bottom-up {bottom_up}", t.n());
+                    let m_charge = skewed_machine(&layout, seed);
+                    let mut rng_charge = rng.clone();
+                    let s_charge = engine.charge_only_run(&m_charge, &mut rng_charge);
+
+                    let m_valued = skewed_machine(&layout, seed);
+                    let mut rng_valued = rng.clone();
+                    engine.load(&values, bottom_up);
+                    let s_valued = engine.contract(&m_valued, &mut rng_valued);
+                    let (got, want) = if bottom_up {
+                        let got = engine.uncontract_bottom_up(&m_valued).to_vec();
+                        (got, treefix_bottom_up_host(&t, &values))
+                    } else {
+                        let got = engine.uncontract_top_down(&m_valued, &values).to_vec();
+                        (got, treefix_top_down_host(&t, &values))
+                    };
+                    assert_eq!(got, want, "values after a charge-only run ({label})");
+                    assert_eq!(s_charge, s_valued, "stats diverged ({label})");
+                    assert_eq!(rng_charge, rng_valued, "rng draws diverged ({label})");
+                    assert_same_state(&m_charge, &m_valued, &label);
+                }
+                engine.swap_run(&mut shared);
+            }
         }
     }
 }
