@@ -815,10 +815,11 @@ fn bench_json_throughput() {
         total_busy_s: f64,
         grid_total: CostReport,
     }
-    let run_config = |workers: usize| -> ConfigRun {
+    let run_config = |workers: usize, coalesce_target: usize| -> ConfigRun {
         let mut opts = ServiceOptions::new(workers);
         opts.seed = 77;
         opts.queue_capacity = 512;
+        opts.coalesce_target = coalesce_target;
         let service = ForestService::start(&trees, opts);
         // One collector thread per shard drains tickets in each
         // shard's FIFO completion order, so a slow shard never
@@ -886,7 +887,10 @@ fn bench_json_throughput() {
         }
     };
 
-    let runs: Vec<ConfigRun> = [1usize, 2, 4, 8].into_iter().map(run_config).collect();
+    let runs: Vec<ConfigRun> = [1usize, 2, 4, 8]
+        .into_iter()
+        .map(|workers| run_config(workers, MIN_COALESCED_BATCH))
+        .collect();
 
     let mut table = Table::new([
         "workers",
@@ -914,11 +918,14 @@ fn bench_json_throughput() {
     // The single-shard overhead is the median ratio of interleaved
     // pairs, each a direct pass and then a 1-worker service pass (a
     // best-of-2 direct pass against one service run read between −19%
-    // and +13% overhead on unchanged code).
+    // and +13% overhead on unchanged code). The service runs with
+    // coalescing off, one session per job like the direct pass, so the
+    // ratio is the serve layer's own overhead, not net of the fewer
+    // sessions coalescing runs.
     const OVERHEAD_PAIRS: u32 = 5;
     direct_pass();
     let overhead = interleaved_pairs(OVERHEAD_PAIRS, direct_pass, || {
-        run_config(1).busy_ms_per_q_busiest
+        run_config(1, 1).busy_ms_per_q_busiest
     });
     let direct_ms_per_q = overhead.optimized;
     let single_shard_busy_ms_per_q = overhead.reference;

@@ -17,15 +17,17 @@
 //!   - the spatial random-mate contraction
 //!     ([`ranking::RankingEngine`], one-shot wrapper
 //!     [`ranking::rank_spatial`]) with full energy/depth accounting —
-//!     the live list as an array of positions in list order, a flat
-//!     splice log with per-round offsets, zero heap allocation after
-//!     setup (the §IV cost bounds: `O(n^{3/2})` energy and `O(log n)`
-//!     depth w.h.p., Theorem 5).
+//!     the live list as an array of positions in list order, ranks
+//!     read off the bind's positions while a run only charges, zero
+//!     heap allocation after setup (the §IV cost bounds: `O(n^{3/2})`
+//!     energy and `O(log n)` depth w.h.p., Theorem 5).
 //! - [`tour`] helpers deriving subtree sizes and first-occurrence
 //!   (DFS) orders from tour ranks — steps 1–3 of the §IV pipeline.
 //!
-//! The seed contraction (nested per-round splice `Vec`s) is retained in
-//! [`reference`](mod@reference) and pinned by the `ranking_props` differential suite.
+//! The seed contraction (nested per-round splice `Vec`s, rank weights
+//! carried through the splices) is retained in
+//! [`reference`](mod@reference) and pinned by the `ranking_props`
+//! differential suite.
 
 pub mod ranking;
 #[doc(hidden)]

@@ -32,51 +32,55 @@
 //!   by `−d(mid, left) − d(mid, right) + d(left, right)`. Its message
 //!   count is the live length − 1;
 //! - the splice round sends `mid → left` and `mid → right`;
+//! - the base case sends one message along each remaining pointer;
 //! - the undo round of each contraction round sends `left → mid` once
-//!   per splice, so each round keeps its `Σ d(mid, left)` for its undo
-//!   round to charge.
+//!   per splice, so each round keeps its splice count and its
+//!   `Σ d(mid, left)` for its undo round to charge.
 //!
 //! The Las Vegas process is the seed's too: coins are drawn in
 //! element-id order (a second array keeps the live positions in that
 //! order).
 //!
-//! # Ranks by position, read through the position map
+//! # Ranks by position
 //!
-//! The bind keeps one element → position map (`END` for an element off
-//! the list), the same length as the successor array; its on-list
-//! entries in id order are the first round's coin-draw order. A run
-//! ([`RankingEngine::run`]) leaves the ranks by position, and
-//! [`RankingEngine::rank_of`] reads one element's rank through the map,
-//! so a caller that asks for a few elements touches only those. The
-//! by-id answer array of [`RankingEngine::ranks`] costs a pass over all
-//! `n` elements (fill every entry with [`UNRANKED`], then scatter every
-//! position's rank): [`RankingEngine::rank`] is a run plus that scatter,
-//! for callers that read every rank. Both charge the same.
+//! An element's rank is its position on the list, and the bind's walk
+//! already numbers every position: the element → position map (`END`
+//! for an element off the list), whose on-list entries in id order are
+//! also the first round's coin-draw order. So a run
+//! ([`RankingEngine::run`]) only charges Theorem 5's rounds. It keeps
+//! no rank weights, no ranks by position and no splice log: a splice
+//! moves no value, and each undo round charges from its round's splice
+//! count and energy alone. [`RankingEngine::rank_of`] reads one
+//! element's rank from the map, so a caller that asks for a few
+//! elements touches only those. The by-id answer array of
+//! [`RankingEngine::ranks`] costs a pass over all `n` elements:
+//! [`RankingEngine::rank`] is a run plus that scatter, for callers that
+//! read every rank. Both charge the same. The seed algorithm, which
+//! carries the weights through the splices and the undo rounds, stays
+//! as the oracle ([`crate::reference::rank_spatial_reference`]).
 //!
 //! # Memory discipline
 //!
 //! The contraction is the inner loop of on-machine layout creation
 //! (§IV runs it twice per layout), so every buffer is flat, indexed by
-//! position, `u32` wherever a position or a weight fits, and allocated
-//! once: the splice log is two arrays (`mid`, `left`) with per-round end
-//! offsets. The engine owns its structure (the list numbered by
-//! position, and the position map) and, unless lent one, its run
-//! buffers: everything a run restores, and the scatter's ranks by
-//! element id, lives in a [`RankingRun`] that
-//! [`RankingEngine::swap_run`] swaps in and out, so one set can serve
-//! the engines of many lists in turn. A run rewrites every run buffer
-//! it reads. [`RankingRun::reserve`] does not size the by-id ranks
-//! (8 bytes per element, which a set that serves only runs never
-//! reads): [`RankingEngine::rank`]'s scatter sizes them, and an
+//! position, `u32` wherever a position fits, and allocated once; the
+//! per-round undo charges are two arrays sized to the round bound. The
+//! engine owns its structure (the list numbered by position, and the
+//! position map) and, unless lent one, its run buffers: everything a
+//! run restores, and the scatter's ranks by element id, lives in a
+//! [`RankingRun`] that [`RankingEngine::swap_run`] swaps in and out, so
+//! one set can serve the engines of many lists in turn. A run rewrites
+//! every run buffer it reads. [`RankingRun::reserve`] does not size the
+//! by-id ranks (8 bytes per element, which a set that serves only runs
+//! never reads): [`RankingEngine::rank`]'s scatter sizes them, and an
 //! engine's own set reserves them with the rest. After
 //! [`RankingEngine::new`] (or a `bind` within the capacity) returns,
 //! [`RankingEngine::rank`] performs **zero heap allocation** (asserted
 //! by the counting-allocator test `tests/alloc_free.rs`, the same
 //! harness as the treefix engine's); a lent set too small for the
-//! bound list grows to the engine's capacity. The seed implementation
-//! is retained as [`crate::reference::rank_spatial_reference`]; the
-//! `ranking_props` suite asserts both produce identical ranks, round
-//! counts, machine charges and per-slot clocks.
+//! bound list grows to the engine's capacity. The `ranking_props` suite
+//! asserts that the engine and the seed implementation produce
+//! identical ranks, round counts, machine charges and per-slot clocks.
 
 use rand::Rng;
 use spatial_model::{manhattan, round_capacity, vec_bytes, EngineLifecycle, GridPoint, Machine};
@@ -128,24 +132,17 @@ pub struct RankingRun {
     live: Vec<u32>,
     /// Live positions in element-id order: the coin-draw order.
     alive: Vec<u32>,
-    /// Rank weight: how many list elements a live position stands for.
-    weight: Vec<u32>,
     coin: Vec<bool>,
     dead: Vec<bool>,
-    /// Rank of every position.
-    rank_at: Vec<u32>,
     /// Rank of every element id: [`RankingEngine::rank`]'s scatter, the
     /// answer of [`RankingEngine::ranks`]. Sized by the scatter (or with
     /// an engine's own set), not by [`RankingRun::reserve`].
     ranks: Vec<u64>,
 
-    // ---- Flat splice log: all rounds back to back. ----
-    /// Spliced-out positions.
-    splice_mid: Vec<u32>,
-    /// Left neighbour each splice merged into.
-    splice_left: Vec<u32>,
-    /// End offset into the splice log after each round.
-    round_ends: Vec<u32>,
+    // ---- Per-round undo charges, sized to the round bound. ----
+    /// Splices of each contraction round: the message count of its undo
+    /// round.
+    splices: Vec<u32>,
     /// `Σ d(mid, left)` of each round: the energy of its undo round.
     undo_energy: Vec<u64>,
 }
@@ -171,13 +168,9 @@ impl RankingRun {
         grow(&mut self.points, cap);
         grow(&mut self.live, cap);
         grow(&mut self.alive, cap);
-        grow(&mut self.weight, cap);
         grow(&mut self.coin, cap);
         grow(&mut self.dead, cap);
-        grow(&mut self.rank_at, cap);
-        grow(&mut self.splice_mid, cap);
-        grow(&mut self.splice_left, cap);
-        grow(&mut self.round_ends, round_capacity(cap));
+        grow(&mut self.splices, round_capacity(cap));
         grow(&mut self.undo_energy, round_capacity(cap));
         self.cap = cap;
     }
@@ -187,25 +180,22 @@ impl RankingRun {
         vec_bytes(&self.points)
             + vec_bytes(&self.live)
             + vec_bytes(&self.alive)
-            + vec_bytes(&self.weight)
             + vec_bytes(&self.coin)
             + vec_bytes(&self.dead)
-            + vec_bytes(&self.rank_at)
             + vec_bytes(&self.ranks)
-            + vec_bytes(&self.splice_mid)
-            + vec_bytes(&self.splice_left)
-            + vec_bytes(&self.round_ends)
+            + vec_bytes(&self.splices)
             + vec_bytes(&self.undo_energy)
     }
 }
 
 /// The reusable spatial list-ranking engine (§IV, Theorem 5): the live
-/// list as an array of positions in list order, a flat splice log,
-/// zero heap allocation after setup. Create with [`RankingEngine::new`]
-/// (or [`RankingEngine::with_capacity`] and [`RankingEngine::bind`]),
-/// then call [`RankingEngine::rank`] any number of times (each run
-/// re-ranks the same list with fresh randomness, charging the machine
-/// it is given).
+/// list as an array of positions in list order, ranks read off the
+/// bind's positions, zero heap allocation after setup. Create with
+/// [`RankingEngine::new`] (or [`RankingEngine::with_capacity`] and
+/// [`RankingEngine::bind`]), then call [`RankingEngine::rank`] (or
+/// [`RankingEngine::run`]) any number of times (each run charges the
+/// ranking of the same list with fresh randomness on the machine it is
+/// given).
 pub struct RankingEngine {
     /// Whether a list is bound ([`EngineLifecycle::reset`] unbinds).
     bound: bool,
@@ -214,8 +204,8 @@ pub struct RankingEngine {
     n: usize,
     /// Element at every list position; position 0 is the start.
     order: Vec<u32>,
-    /// Position of every element ([`END`] off the list): the map
-    /// [`RankingEngine::rank_of`] reads through, and, its on-list
+    /// Position of every element ([`END`] off the list): its rank, read
+    /// by [`RankingEngine::rank_of`] and the scatter, and, its on-list
     /// entries in id order, the first round's coin-draw order.
     by_id: Vec<u32>,
     /// Contract until at most this many elements remain.
@@ -326,14 +316,15 @@ impl RankingEngine {
         &self.run.ranks
     }
 
-    /// The rank of `element` in the most recent run
-    /// ([`RankingEngine::run`] or [`RankingEngine::rank`]) of the bound
-    /// list on the run buffers the engine holds, read through the
-    /// position map: [`UNRANKED`] for an element off the list.
+    /// The rank of `element` on the bound list: its position, numbered
+    /// by the bind's walk ([`UNRANKED`] for an element off the list).
+    /// Every run ([`RankingEngine::run`] or [`RankingEngine::rank`])
+    /// ranks the list to exactly these positions, so this needs no run
+    /// buffer.
     pub fn rank_of(&self, element: u32) -> u64 {
         match self.by_id[element as usize] {
             END => UNRANKED,
-            p => self.run.rank_at[p as usize] as u64,
+            p => p as u64,
         }
     }
 
@@ -345,22 +336,23 @@ impl RankingEngine {
     /// once the run buffers and the by-id ranks fit the list.
     pub fn rank<R: Rng>(&mut self, m: &Machine, rng: &mut R) -> u32 {
         let rounds = self.run(m, rng);
-        let run = &mut self.run;
         // Off-list elements read UNRANKED, whatever the set held before.
-        run.ranks.clear();
-        run.ranks.resize(self.n, UNRANKED);
-        for (&v, &r) in self.order.iter().zip(&run.rank_at) {
-            run.ranks[v as usize] = r as u64;
-        }
+        let ranks = &mut self.run.ranks;
+        ranks.clear();
+        ranks.extend(self.by_id.iter().map(|&p| match p {
+            END => UNRANKED,
+            p => p as u64,
+        }));
         rounds
     }
 
-    /// [`RankingEngine::rank`] without the scatter: ranks the list,
-    /// charging exactly what `rank` charges, and leaves the ranks by
-    /// list position, read one element at a time with
-    /// [`RankingEngine::rank_of`] ([`RankingEngine::ranks`] keeps the
-    /// last scatter's). Returns the number of contraction rounds.
-    /// Performs no heap allocation once the run buffers fit the list.
+    /// [`RankingEngine::rank`] without the scatter: charges exactly what
+    /// `rank` charges, draws the same coins and counts the same rounds,
+    /// and computes no rank (the ranks are the bind's positions, read
+    /// one element at a time with [`RankingEngine::rank_of`];
+    /// [`RankingEngine::ranks`] keeps the last scatter's). Returns the
+    /// number of contraction rounds. Performs no heap allocation once
+    /// the run buffers fit the list.
     pub fn run<R: Rng>(&mut self, m: &Machine, rng: &mut R) -> u32 {
         assert!(self.bound, "bind a list first");
         let n = self.n;
@@ -369,9 +361,7 @@ impl RankingEngine {
             self.run.reserve(self.cap);
         }
         let run = &mut self.run;
-        run.splice_mid.clear();
-        run.splice_left.clear();
-        run.round_ends.clear();
+        run.splices.clear();
         run.undo_energy.clear();
         self.rounds = 0;
         let len = self.order.len();
@@ -389,14 +379,11 @@ impl RankingEngine {
         run.alive.clear();
         run.alive
             .extend(self.by_id.iter().copied().filter(|&p| p != END));
-        run.weight.clear();
-        run.weight.resize(len, 1);
         run.dead.clear();
         run.dead.resize(len, false);
-        // Written before every read (coin draws, the base case and the
-        // undo rounds): only the lengths need restoring.
+        // Written before every read (the coin draws): only the length
+        // needs restoring.
         run.coin.resize(len, false);
-        run.rank_at.resize(len, 0);
 
         // ---- Contract until O(log n) elements remain. ----
         while run.live.len() > self.threshold {
@@ -419,24 +406,21 @@ impl RankingEngine {
             let RankingRun {
                 points,
                 live,
-                weight,
                 coin,
                 dead,
-                splice_mid,
-                splice_left,
                 ..
             } = &mut *run;
-            let mut left = live[0];
-            let (mut left_coin, mut left_point) = (coin[left as usize], points[left as usize]);
+            let mut left_coin = coin[live[0] as usize];
+            let mut left_point = points[live[0] as usize];
             let (mut pair_energy, mut left_energy, mut bridge_energy) = (0u64, 0u64, 0u64);
-            let (mut kept, mut rights) = (1usize, 0u64);
-            let first = splice_mid.len();
+            let (mut kept, mut spliced, mut rights) = (1usize, 0u32, 0u64);
             for i in 1..k {
                 let mid = live[i];
                 let mid_coin = coin[mid as usize];
                 if mid_coin & !left_coin {
-                    // Splice: `mid → left` carries the weight, `mid →
-                    // right` the new predecessor.
+                    // Splice, charged as the seed's messages: `mid →
+                    // left` carries the weight, `mid → right` the new
+                    // predecessor.
                     let mid_point = points[mid as usize];
                     let to_left = manhattan(mid_point, left_point);
                     pair_energy += to_left;
@@ -447,23 +431,20 @@ impl RankingEngine {
                         bridge_energy += manhattan(left_point, right_point);
                         rights += 1;
                     }
-                    weight[left as usize] += weight[mid as usize];
                     dead[mid as usize] = true;
-                    splice_mid.push(mid);
-                    splice_left.push(left);
+                    spliced += 1;
                 } else {
                     live[kept] = mid;
                     kept += 1;
-                    left = mid;
                     left_point = points[mid as usize];
                 }
                 left_coin = mid_coin;
             }
             live.truncate(kept);
-            m.charge_pointer_round(pair_energy, (splice_mid.len() - first) as u64 + rights);
+            m.charge_pointer_round(pair_energy, spliced as u64 + rights);
             energy = energy - pair_energy + bridge_energy;
+            run.splices.push(spliced);
             run.undo_energy.push(left_energy);
-            run.round_ends.push(run.splice_mid.len() as u32);
             self.rounds += 1;
 
             // Branchless sweep of the dead positions from the id-order
@@ -478,32 +459,15 @@ impl RankingEngine {
             alive.truncate(w);
         }
 
-        // ---- Base case: walk the remaining list sequentially, ----
-        // ---- charging each hop.                                ----
-        let mut acc = 0u32;
-        for (j, &p) in run.live.iter().enumerate() {
-            run.rank_at[p as usize] = acc;
-            acc += run.weight[p as usize];
-            if let Some(&q) = run.live.get(j + 1) {
-                m.send(self.order[p as usize], self.order[q as usize]);
-            }
+        // ---- Base case: one hop along each remaining pointer. ----
+        for hop in run.live.windows(2) {
+            m.send(self.order[hop[0] as usize], self.order[hop[1] as usize]);
         }
 
-        // ---- Uncontraction: undo rounds in reverse; all splices of ----
-        // ---- one round resolve in parallel (independent set).      ----
-        for round in (0..self.rounds as usize).rev() {
-            let lo = if round == 0 {
-                0
-            } else {
-                run.round_ends[round - 1] as usize
-            };
-            let hi = run.round_ends[round] as usize;
-            m.charge_pointer_round(run.undo_energy[round], (hi - lo) as u64);
-            for i in lo..hi {
-                let (mid, left) = (run.splice_mid[i] as usize, run.splice_left[i] as usize);
-                run.weight[left] -= run.weight[mid];
-                run.rank_at[mid] = run.rank_at[left] + run.weight[left];
-            }
+        // ---- Uncontraction: undo rounds in reverse, each one round ----
+        // ---- of its splices' `left → mid` messages.               ----
+        for (&spliced, &energy) in run.splices.iter().zip(&run.undo_energy).rev() {
+            m.charge_pointer_round(energy, spliced as u64);
         }
         self.rounds
     }

@@ -7,7 +7,7 @@
 //! piece of state out flat and allocates once in [`LayoutEngine::new`]:
 //!
 //! - both Euler-tour rankings run through retained
-//!   [`RankingEngine`]s (flat splice logs, zero per-run allocation)
+//!   [`RankingEngine`]s (ranks by position, zero per-run allocation)
 //!   instead of one-shot `rank_spatial` calls, with the light-first
 //!   tour threaded once from a shared [`spatial_tree::ChildrenCsr`];
 //! - the two sorting networks (the §IV step-3 compaction and the

@@ -12,7 +12,7 @@ use spatial_store::{
     CowSlab, DirtyExtents, ForestSnapshot, JournalWriter, MappedSnapshot, Record, StoreError,
 };
 use spatial_tree::{NodeId, Tree};
-use spatial_treefix::Add;
+use spatial_treefix::{treefix_bottom_up_host_into, Add};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -72,12 +72,6 @@ struct DirtyTracker {
     weight_cells: Vec<u32>,
 }
 
-/// `&[u64]` → `&[Add]`, no copy. Sound because `Add` is
-/// `#[repr(transparent)]` over `u64`.
-fn as_add(weights: &[u64]) -> &[Add] {
-    unsafe { std::slice::from_raw_parts(weights.as_ptr().cast::<Add>(), weights.len()) }
-}
-
 /// Panics unless every vertex a request names exists when the request
 /// runs: `n` vertices at the start of the stream, one more after each
 /// insert.
@@ -132,9 +126,10 @@ pub struct ResidentBytes {
     /// entry weights), not the tree itself.
     pub lca: usize,
     /// The contraction engine that LCA steps 1 and 3 and the subtree
-    /// sums share: its structure, plus the run buffers of the forest's
-    /// own [`SessionScratch`] (none for a forest that only runs on
-    /// lent sets, [`SpatialForest::execute_with`]).
+    /// sums share: its structure, plus the run buffers and the subtree
+    /// sums' buffer of the forest's own [`SessionScratch`] (none for a
+    /// forest that only runs on lent sets,
+    /// [`SpatialForest::execute_with`]).
     pub contraction: usize,
     /// The Euler-tour list-ranking engine: its structure, plus the run
     /// buffers of the forest's own [`SessionScratch`].
@@ -182,8 +177,8 @@ pub struct SpatialForest {
     // ---- Per-vertex query values. ----
     /// Subtree-sum weights: owned, or a zero-copy view over the mapped
     /// snapshot until the first weight mutation promotes it (CoW).
-    /// Served to the treefix as `&[Add]` via the `repr(transparent)`
-    /// cast — no shadow array.
+    /// The sums pass reads them by rule (`Add(weight)` per vertex) —
+    /// no shadow array.
     weights: CowSlab<u64>,
 
     // ---- Out-of-core state (restored forests only). ----
@@ -338,7 +333,7 @@ impl SpatialForest {
             ..ResidentBytes::default()
         };
         self.pool.census(&mut bytes);
-        bytes.contraction += self.scratch.contraction.resident_bytes();
+        bytes.contraction += self.scratch.contraction_bytes();
         bytes.ranking += self.scratch.ranking.resident_bytes();
         bytes
     }
@@ -980,14 +975,31 @@ impl SpatialForest {
             let treefix = self
                 .pool
                 .treefix_for(self.epoch, tree.parents, tree.slots, tree.csr);
+            let weights = self.weights.as_slice();
+            let weight = |v: NodeId| Add(weights[v as usize]);
+            // The answers are one host pass over the engine's
+            // light-first preorder, which puts parents first whatever
+            // the slots (a layout that tail appends left dirty, or a
+            // restored order, may not), so the §V pass only charges.
+            // Builds with debug assertions run it valued and check every
+            // vertex's sum against the host's.
+            let sums = &mut scratch.sums;
+            treefix_bottom_up_host_into(tree.parents, treefix.preorder(), weight, sums);
             treefix.swap_run(&mut scratch.contraction);
-            treefix.load(as_add(self.weights.as_slice()), true);
-            treefix.contract(&scratch.machine, rng);
-            let sums = treefix.uncontract_bottom_up(&scratch.machine);
+            if cfg!(debug_assertions) {
+                treefix.load_with(weight, true);
+                treefix.contract(&scratch.machine, rng);
+                assert!(
+                    treefix.uncontract_bottom_up(&scratch.machine) == &sums[..],
+                    "treefix sums must match the host sums"
+                );
+            } else {
+                treefix.charge_only_run(&scratch.machine, rng);
+            }
+            treefix.swap_run(&mut scratch.contraction);
             for (&idx, &v) in self.sum_idx.iter().zip(self.sum_v.iter()) {
                 self.responses[idx as usize] = Response::SubtreeSum(sums[v as usize].0);
             }
-            treefix.swap_run(&mut scratch.contraction);
             self.session.sum_queries += self.sum_v.len() as u32;
 
             if self.opts.crossover {
@@ -1257,6 +1269,35 @@ mod tests {
         assert_eq!(responses[1 + root as usize], Response::SubtreeSum(63));
         for (v, sum) in host.iter().enumerate() {
             assert_eq!(responses[1 + v], Response::SubtreeSum(sum.0), "sum({v})");
+        }
+
+        // Tail inserts below deep vertices, one more u64::MAX leaf among
+        // them, then a session of sums only: it runs on the layout the
+        // appends left dirty, with no rebuild.
+        let mut inserts = crate::QueryBatch::new();
+        for i in 0..40u32 {
+            let weight = if i == 17 { u64::MAX } else { u64::from(i) * 3 };
+            inserts.insert_leaf_weighted((i * 37 + 5) % (65 + i), weight);
+        }
+        forest.execute(inserts.requests(), &mut StdRng::seed_from_u64(9));
+        assert!(
+            forest.snapshot(0).layout_dirty,
+            "tail appends left it dirty"
+        );
+        let n = forest.n();
+        let mut sums = crate::QueryBatch::new();
+        for v in 0..n {
+            sums.subtree_sum(v);
+        }
+        let rebuilds = forest.dynamic_stats().rebuilds;
+        let responses = forest
+            .execute(sums.requests(), &mut StdRng::seed_from_u64(10))
+            .to_vec();
+        assert_eq!(forest.dynamic_stats().rebuilds, rebuilds, "no rebuild");
+        let weights: Vec<Add> = (0..n).map(|v| Add(forest.weight(v))).collect();
+        let host = spatial_treefix::treefix_bottom_up_host(forest.tree(), &weights);
+        for (v, sum) in host.iter().enumerate() {
+            assert_eq!(responses[v], Response::SubtreeSum(sum.0), "dirty: sum({v})");
         }
     }
 

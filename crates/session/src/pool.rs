@@ -9,10 +9,10 @@
 //! ([`spatial_model::EngineLifecycle::reserve`], amortized doubling).
 //!
 //! The pool's engines hold their per-tree structure only. The buffers
-//! the contraction and the list ranking need while they run, and the
-//! machines every run charges, live in a [`SessionScratch`] that the
-//! forest borrows for each execute, so forests that run one at a time
-//! can share one set.
+//! the contraction, the subtree sums' host pass and the list ranking
+//! need while they run, and the machines every run charges, live in a
+//! [`SessionScratch`] that the forest borrows for each execute, so
+//! forests that run one at a time can share one set.
 
 use crate::forest::ResidentBytes;
 use rand::rngs::StdRng;
@@ -21,22 +21,23 @@ use spatial_euler::ranking::{RankingEngine, RankingRun};
 use spatial_euler::tour::EulerTour;
 use spatial_layout::{DynamicLayout, Layout, TreeParts};
 use spatial_lca::LcaStructure;
-use spatial_model::{CurveKind, EngineLifecycle, Machine, Slot};
+use spatial_model::{vec_bytes, CurveKind, EngineLifecycle, Machine, Slot};
 use spatial_pram::{PramEngine, PramTreefix};
 use spatial_tree::{ChildrenCsr, NodeId};
 use spatial_treefix::contraction::{ContractionEngine, ContractionRun};
 use spatial_treefix::Add;
 
 /// What an execute needs only while it runs: one set of run buffers
-/// for each pooled engine that needs them — the §V contraction's
-/// ([`ContractionRun`]) and the Euler-tour list ranking's
-/// ([`RankingRun`]) — and the two machines the session charges, the
-/// grid machine and the two-slots-per-vertex dart machine. A forest
-/// borrows the set for an execute ([`crate::SpatialForest::execute_with`]),
-/// lends the run buffers to an engine for each run, and re-points the
-/// machines onto its own geometry, so forests that run one at a time —
-/// a service shard's tenants — can share one set instead of each
-/// keeping its own. A set holds no tree: the engines rewrite every
+/// for each pooled engine that needs them (the §V contraction's
+/// [`ContractionRun`] and the Euler-tour list ranking's
+/// [`RankingRun`]), the buffer the subtree sums' host pass folds into,
+/// and the two machines the session charges, the grid machine and the
+/// two-slots-per-vertex dart machine. A forest borrows the set for an
+/// execute ([`crate::SpatialForest::execute_with`]), lends the run
+/// buffers to an engine for each run, and re-points the machines onto
+/// its own geometry, so forests that run one at a time — a service
+/// shard's tenants — can share one set instead of each keeping its own.
+/// A set holds no tree: the engines and the sums pass rewrite every
 /// buffer they read, a machine is reset at every re-point and only
 /// recomputes its points when the curve or the slot count changes
 /// ([`Machine::repoint`]), and a set that is too small for the tree it
@@ -45,6 +46,10 @@ use spatial_treefix::Add;
 pub struct SessionScratch {
     pub(crate) contraction: ContractionRun<Add>,
     pub(crate) ranking: RankingRun,
+    /// The subtree sums of the session in flight, by vertex id: the
+    /// host pass over the contraction engine's preorder
+    /// ([`spatial_treefix::treefix_bottom_up_host_into`]).
+    pub(crate) sums: Vec<Add>,
     /// Grid machine: slots `0..n` of the layout's curve.
     pub(crate) machine: Machine,
     /// Dart machine: `2n` slots on the curve family's curve for `2n`.
@@ -58,20 +63,28 @@ impl SessionScratch {
         Self::default()
     }
 
-    /// Grows the run buffers and both machines for forests of up to
-    /// `vertices` vertices (the ranking and the dart machine run over
-    /// two tour darts per vertex). A run grows a smaller set by itself;
-    /// reserving only moves that allocation ahead of the first run.
+    /// Grows the run buffers, the sum buffer and both machines for
+    /// forests of up to `vertices` vertices (the ranking and the dart
+    /// machine run over two tour darts per vertex). A run grows a
+    /// smaller set by itself; reserving only moves that allocation
+    /// ahead of the first run.
     pub fn reserve(&mut self, vertices: usize) {
         self.contraction.reserve(vertices);
         self.ranking.reserve(2 * vertices);
+        self.sums
+            .reserve_exact(vertices.saturating_sub(self.sums.len()));
         self.machine.reserve(vertices);
         self.dart_machine.reserve(2 * vertices);
     }
 
     /// Heap bytes the set keeps resident, by capacity.
     pub fn resident_bytes(&self) -> usize {
-        self.contraction.resident_bytes() + self.ranking.resident_bytes() + self.machines_bytes()
+        self.contraction_bytes() + self.ranking.resident_bytes() + self.machines_bytes()
+    }
+
+    /// Heap bytes of the set's contraction run buffers and sum buffer.
+    pub(crate) fn contraction_bytes(&self) -> usize {
+        self.contraction.resident_bytes() + vec_bytes(&self.sums)
     }
 
     /// Heap bytes of the set's two machines.

@@ -54,7 +54,9 @@ fn live() -> i64 {
 const N: u32 = 1 << 10;
 
 /// Census bytes per vertex after one mixed execute on `uniform_random`
-/// at n = 2¹⁰: 349 measured (365 while the forest's own ranking set
+/// at n = 2¹⁰: 325 measured (349 while the forest's own ranking set
+/// kept rank weights, ranks by position and a splice log, 32 B/vertex,
+/// and its set no subtree-sum buffer, 8; 365 while the ranking set
 /// also reserved by-id ranks, 16 B/vertex, that the session's
 /// position-map reads never use; 421 while the forest kept a materialized
 /// tree, 12 B/vertex, the layout its per-vertex grid points before any
@@ -67,17 +69,20 @@ const N: u32 = 1 << 10;
 /// also kept its rebuild-only buffers). A forest that also kept an idle
 /// second contraction engine and copies of the layout's arrays held
 /// ≈719.
-const MIXED_BUDGET: usize = 437;
+const MIXED_BUDGET: usize = 413;
 
 /// Census bytes per vertex after an insert epoch that opens with a
-/// sums-only session and then serves every query kind: 680 measured
-/// (712 with the by-id ranks reserved for the set's 2¹²-dart capacity;
+/// sums-only session and then serves every query kind: 632 measured
+/// (680 with the ranking set's weights, ranks by position and splice
+/// log, 64 B/vertex at its 2¹²-dart capacity, and no subtree-sum
+/// buffer, 16 at its 2¹¹ entries; 712 with the by-id ranks reserved for
+/// the set's 2¹²-dart capacity;
 /// 760 with the materialized tree and the LCA structure's copies kept,
 /// the layout's grid points being part of its headroom by then; 776
 /// with the construction pairs kept too, 803 with the Euler tour and
 /// the step-1 ones kept too). Two contraction engines, each grown to
 /// 2¹¹ vertices, held ≈1174.
-const EPOCH_BUDGET: usize = 744;
+const EPOCH_BUDGET: usize = 696;
 
 fn tree() -> Tree {
     generators::uniform_random(N, &mut StdRng::seed_from_u64(21))

@@ -56,9 +56,10 @@ fn live() -> i64 {
 
 /// Census bytes per vertex of a tenant that runs on a shared set, after
 /// one mixed execute on `uniform_random` at n = 2¹⁰: 107 measured (the
-/// same forest on its own set reads 349). The shared set's ranking
-/// buffers are not the tenant's, so dropping their by-id ranks left
-/// this figure as it was. It read 163 while the forest
+/// same forest on its own set reads 325). The shared set's buffers are
+/// not the tenant's, so dropping the ranking's by-id ranks, weights,
+/// ranks by position and splice log, and adding the subtree sums'
+/// buffer, left this figure as it was. It read 163 while the forest
 /// kept a materialized tree (12 B/vertex), the layout its per-vertex
 /// grid points before any append (8) and the LCA structure its own
 /// copies of the parents, slots, sizes and CSR, its step-3 indicator

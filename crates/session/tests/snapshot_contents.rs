@@ -5,7 +5,10 @@
 //! at or above `n`, a reserved capacity below `n`, a cycle among the
 //! parents, a snapshot of no vertex, and an order that is not
 //! light-first under a header that marks the layout clean. The same
-//! snapshot, unmodified, still recovers the forest that wrote it.
+//! snapshot, unmodified, still recovers the forest that wrote it. A
+//! restored order that is not light-first answers subtree sums and
+//! ranks as the forest that wrote it does, before and after the first
+//! LCA session rebuilds it.
 
 use rand::prelude::*;
 use spatial_session::{ForestOptions, QueryBatch, SpatialForest};
@@ -96,7 +99,9 @@ fn a_clean_header_needs_a_light_first_order() {
     // layout it cannot decompose: recovery refuses it, and a plain
     // restore (`from_mapped`, the serve layer's path) restores it dirty.
     // Under a dirty header it is a layout like any other. Either way the
-    // first LCA session rebuilds it.
+    // first LCA session rebuilds it; until then, sums and ranks run on
+    // the reversed order, where slot order puts every child before its
+    // parent, and must answer as the twin does.
     let dir = temp_dir("light-first");
     let journal = dir.join("absent.journal");
     let tree = generators::uniform_random(300, &mut StdRng::seed_from_u64(4));
@@ -104,6 +109,11 @@ fn a_clean_header_needs_a_light_first_order() {
     let mut batch = QueryBatch::new();
     batch.lca(5, 9).subtree_sum(0).rank(7);
     twin.execute(batch.requests(), &mut StdRng::seed_from_u64(5));
+    // A leaf of weight u64::MAX: every sum above it wraps.
+    let leaf = (0..300u32)
+        .find(|&v| tree.children(v).is_empty())
+        .expect("a tree has a leaf");
+    twin.set_weight(leaf, u64::MAX);
     let mut snap = twin.snapshot(1);
     assert!(!snap.layout_dirty, "an LCA session leaves the layout clean");
     snap.order.reverse();
@@ -123,6 +133,18 @@ fn a_clean_header_needs_a_light_first_order() {
     snap.write_to(&dirty_path).expect("write");
     let recovered = SpatialForest::recover_from(&dirty_path, &journal, ForestOptions::default())
         .expect("recover");
+    let mut sums_and_ranks = QueryBatch::new();
+    for v in 0..300u32 {
+        sums_and_ranks.subtree_sum(v).rank(v);
+    }
+    let twin_answers = twin
+        .execute(sums_and_ranks.requests(), &mut StdRng::seed_from_u64(7))
+        .to_vec();
+    let mut forests = [("restored", restored), ("recovered", recovered)];
+    for (what, forest) in &mut forests {
+        let got = forest.execute(sums_and_ranks.requests(), &mut StdRng::seed_from_u64(7));
+        assert_eq!(got, twin_answers, "{what}: sums and ranks before a rebuild");
+    }
     let mut probe = QueryBatch::new();
     for i in 0..200u32 {
         probe.lca(i, 299 - i).subtree_sum(i).rank(i);
@@ -131,7 +153,7 @@ fn a_clean_header_needs_a_light_first_order() {
     let want = twin
         .execute(probe.requests(), &mut StdRng::seed_from_u64(6))
         .to_vec();
-    for (what, mut forest) in [("restored", restored), ("recovered", recovered)] {
+    for (what, mut forest) in forests {
         let got = forest.execute(probe.requests(), &mut StdRng::seed_from_u64(6));
         assert_eq!(got, want, "{what}: answers");
         assert_eq!(forest.last_report(), twin.last_report(), "{what}: report");

@@ -90,12 +90,17 @@
 //! # Charge-only runs
 //!
 //! [`ContractionEngine::charge_only_run`] is a run for a caller that
-//! must pay for a pass but never reads its values (the batched LCA's
+//! must pay for a pass but never reads its values: the batched LCA's
 //! steps 1 and 3, whose answers come from the sizes and heads its bind
-//! derived). It restores the structure's run state without values, runs
-//! the same COMPACT rounds, then replays only the uncontraction's
-//! charges (each round's rake undo broadcasts, then its compress undo
-//! messages, rounds in reverse). It skips every read and write of the
+//! derived, and the session forest's subtree sums, whose answers come
+//! from one host pass over the bound structure's light-first preorder
+//! ([`ContractionEngine::preorder`] and
+//! [`crate::host::treefix_bottom_up_host_into`]: the preorder puts
+//! parents first whatever the slots). It restores the structure's run
+//! state without values, runs the same COMPACT rounds, then replays
+//! only the uncontraction's charges (each round's rake undo
+//! broadcasts, then its compress undo messages, rounds in reverse).
+//! It skips every read and write of the
 //! partial sums `P`, the saved pre-merge sums, the uncontraction
 //! accumulator and the output. Nothing it skips feeds a charge, a draw
 //! or the log: the coins, the viability and leaf tests, the deferral
@@ -1136,6 +1141,16 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
     /// Vertex count of the bound tree structure (0 when unbound).
     pub fn bound_vertices(&self) -> usize {
         self.n
+    }
+
+    /// The vertex ids of the bound structure in engine-index order: the
+    /// light-first preorder of the bound child CSR, so every parent
+    /// precedes its children whatever the slots (empty when unbound).
+    /// A caller that runs a pass charge-only folds its answers on the
+    /// host over this order
+    /// ([`crate::host::treefix_bottom_up_host_into`]).
+    pub fn preorder(&self) -> &[NodeId] {
+        &self.vid[..self.n]
     }
 
     /// Heap bytes the engine keeps resident: its structure and the run

@@ -47,6 +47,6 @@ pub use contraction::ContractionStats;
 pub use expression::{
     evaluate_expression, evaluate_expression_host, ExprNode, ExprResult, ExprTree,
 };
-pub use host::{treefix_bottom_up_host, treefix_top_down_host};
+pub use host::{treefix_bottom_up_host, treefix_bottom_up_host_into, treefix_top_down_host};
 pub use monoid::{Add, CommutativeMonoid, Max, Min, Xor};
 pub use spatial::{treefix_bottom_up, treefix_top_down, TreefixResult};

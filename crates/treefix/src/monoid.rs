@@ -20,13 +20,7 @@ pub trait CommutativeMonoid: Copy + Send + Sync + PartialEq + std::fmt::Debug {
 
 /// Addition over `u64` (wrapping, so huge synthetic workloads never
 /// panic in debug builds).
-///
-/// `repr(transparent)` is load-bearing: the session layer serves
-/// weights straight out of a mapped `&[u64]` slab and reinterprets it
-/// as `&[Add]` without copying, which is only sound while `Add` has
-/// exactly `u64`'s layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(transparent)]
 pub struct Add(pub u64);
 
 impl CommutativeMonoid for Add {
