@@ -17,12 +17,42 @@
 //! it once and numbers its elements by position (position 0 is the
 //! start). A run keeps the live list as one compact array of positions
 //! in list order: an element's live neighbours are its array
-//! neighbours, so no successor or predecessor pointer is stored. Each
-//! contraction round is one pass over that array that selects every
-//! head whose left neighbour flipped tails, splices it out and compacts
-//! the array behind it. The grid point of every position is gathered
-//! once per run, so the pass reads points in list order instead of
-//! chasing pointers across the machine.
+//! neighbours, so no successor or predecessor pointer is stored. The
+//! grid point of every position is gathered once per run (the gather
+//! also sums the list's pointer energy), so a round reads points in
+//! list order instead of chasing pointers across the machine.
+//!
+//! A contraction round selects its splices a word at a time, in three
+//! passes over the array:
+//!
+//! - gather the coins of 64 live elements into a word `c` in list
+//!   order, and select every head whose left neighbour flipped tails:
+//!   the word's splice mask is `c & !((c << 1) | carry)`, where `carry`
+//!   is the top coin of the word before. The first word's carry is 1,
+//!   so position 0, which anchors the ranking, is never selected;
+//! - charge the splices by walking the masks' set bits. A selected
+//!   element's neighbours are never selected, so its `left` and `right`
+//!   are its array neighbours `live[i − 1]` and `live[i + 1]`, still in
+//!   place because the compaction comes after;
+//! - compact the kept elements word by word, branch-free: every store
+//!   unconditional, the cursor advanced by the kept bit.
+//!
+//! The single pass it replaces branched on every element's coin
+//! pattern. On the light-first Euler tour of a `uniform_random` tree,
+//! one core, [`RankingEngine::run`] took 4.9–5.0 ms at n = 2¹⁶ with that
+//! pass and 3.2–3.3 ms with these three, 0.29–0.30 → 0.18–0.19 ms at
+//! 2¹² and 0.070–0.076 → 0.045–0.048 ms at 2¹⁰ (medians of 40–1000
+//! runs, six alternations). Measured no better: keeping the coin words
+//! in a buffer of their own and selecting in a pass of its own (the
+//! same); a compaction that moves a word without a splice in one
+//! `copy_within` (the same: a full word's mask is 0 only when all its
+//! heads precede all its tails, so only a round's short last word ever
+//! takes that path), one that reads each element's word from the
+//! buffer (8% slower) or one that walks the kept bits (slower);
+//! charging the last element's splice inside the walk, behind a branch
+//! on its right neighbour (5% slower). One fused pass per word (select,
+//! charge and compact) and a position-indexed coin bitmap in place of
+//! the byte per position measured slower too.
 //!
 //! The charges are the seed algorithm's, bit for bit:
 //!
@@ -63,8 +93,9 @@
 //!
 //! The contraction is the inner loop of on-machine layout creation
 //! (§IV runs it twice per layout), so every buffer is flat, indexed by
-//! position, `u32` wherever a position fits, and allocated once; the
-//! per-round undo charges are two arrays sized to the round bound. The
+//! position, `u32` wherever a position fits, and allocated once; a
+//! round's splices take one bit per element, and the per-round undo
+//! charges are two arrays sized to the round bound. The
 //! engine owns its structure (the list numbered by position, and the
 //! position map) and, unless lent one, its run buffers: everything a
 //! run restores, and the scatter's ranks by element id, lives in a
@@ -132,8 +163,14 @@ pub struct RankingRun {
     live: Vec<u32>,
     /// Live positions in element-id order: the coin-draw order.
     alive: Vec<u32>,
+    /// Coin of every position, drawn in element-id order.
     coin: Vec<bool>,
+    /// Whether each position was spliced out: the id-order sweep's flag.
     dead: Vec<bool>,
+    /// The round's splices in list order, 64 live elements to a word:
+    /// bit `j` of word `w` is set when `live[64w + j]` is a head whose
+    /// left neighbour flipped tails.
+    splice_words: Vec<u64>,
     /// Rank of every element id: [`RankingEngine::rank`]'s scatter, the
     /// answer of [`RankingEngine::ranks`]. Sized by the scatter (or with
     /// an engine's own set), not by [`RankingRun::reserve`].
@@ -170,6 +207,7 @@ impl RankingRun {
         grow(&mut self.alive, cap);
         grow(&mut self.coin, cap);
         grow(&mut self.dead, cap);
+        grow(&mut self.splice_words, cap.div_ceil(64));
         grow(&mut self.splices, round_capacity(cap));
         grow(&mut self.undo_energy, round_capacity(cap));
         self.cap = cap;
@@ -182,6 +220,7 @@ impl RankingRun {
             + vec_bytes(&self.alive)
             + vec_bytes(&self.coin)
             + vec_bytes(&self.dead)
+            + vec_bytes(&self.splice_words)
             + vec_bytes(&self.ranks)
             + vec_bytes(&self.splices)
             + vec_bytes(&self.undo_energy)
@@ -370,10 +409,17 @@ impl RankingEngine {
         }
 
         // ---- Reset: every position live, in both orders. Element v ----
-        // ---- lives at slot v; its point is read once, in list order. ----
+        // ---- lives at slot v; its point is read once, in list order, ----
+        // ---- and the gather sums the list's pointer energy.          ----
         run.points.clear();
-        run.points.extend(self.order.iter().map(|&v| m.point_of(v)));
-        let mut energy: u64 = run.points.windows(2).map(|w| manhattan(w[0], w[1])).sum();
+        let mut energy = 0u64;
+        let mut prev = m.point_of(self.order[0]);
+        run.points.extend(self.order.iter().map(|&v| {
+            let point = m.point_of(v);
+            energy += manhattan(prev, point);
+            prev = point;
+            point
+        }));
         run.live.clear();
         run.live.extend(0..len as u32);
         run.alive.clear();
@@ -396,49 +442,77 @@ impl RankingEngine {
             let k = run.live.len();
             m.charge_pointer_round(energy, k as u64 - 1);
 
-            // One pass selects every head whose left neighbour flipped
-            // tails (never position 0, which anchors the ranking),
-            // splices it out and compacts the array behind it. A
-            // selected element's neighbours are never selected, so
-            // `left` is the last kept element and `right` the next one.
-            // The pass branches on the coin pattern: a branch-free form
-            // (every store unconditional) measured twice as slow.
+            // Select a word at a time: gather the coins of 64 live
+            // elements in list order, then mark every head whose left
+            // neighbour flipped tails. Each word takes its left
+            // neighbour's coin from the word before; the first word's
+            // carry is 1, so position 0, which anchors the ranking, is
+            // never selected.
             let RankingRun {
                 points,
                 live,
                 coin,
                 dead,
+                splice_words,
                 ..
             } = &mut *run;
-            let mut left_coin = coin[live[0] as usize];
-            let mut left_point = points[live[0] as usize];
+            splice_words.clear();
+            let mut carry = 1u64;
+            splice_words.extend(live.chunks(64).map(|chunk| {
+                let c = chunk
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |word, (j, &p)| word | (coin[p as usize] as u64) << j);
+                let selected = c & !((c << 1) | carry);
+                carry = c >> 63;
+                selected
+            }));
+
+            // Charge the splices as the seed's messages (`mid → left`
+            // carries the weight, `mid → right` the new predecessor),
+            // walking the set bits. A selected element's neighbours are
+            // never selected, so `left` and `right` are its neighbours
+            // in the array, which the compaction below has not moved
+            // yet. Only the last element has no right neighbour: the
+            // walk skips its bit, and its one message is charged after.
+            let spliced: u32 = splice_words.iter().map(|w| w.count_ones()).sum();
+            let last = k - 1;
+            let tail = splice_words[last / 64] & 1 << (last % 64);
             let (mut pair_energy, mut left_energy, mut bridge_energy) = (0u64, 0u64, 0u64);
-            let (mut kept, mut spliced, mut rights) = (1usize, 0u32, 0u64);
-            for i in 1..k {
-                let mid = live[i];
-                let mid_coin = coin[mid as usize];
-                if mid_coin & !left_coin {
-                    // Splice, charged as the seed's messages: `mid →
-                    // left` carries the weight, `mid → right` the new
-                    // predecessor.
+            for (w, &word) in splice_words.iter().enumerate() {
+                let mut bits = if w == last / 64 { word ^ tail } else { word };
+                while bits != 0 {
+                    let i = 64 * w + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let mid = live[i];
                     let mid_point = points[mid as usize];
+                    let left_point = points[live[i - 1] as usize];
+                    let right_point = points[live[i + 1] as usize];
                     let to_left = manhattan(mid_point, left_point);
-                    pair_energy += to_left;
+                    pair_energy += to_left + manhattan(mid_point, right_point);
                     left_energy += to_left;
-                    if let Some(&right) = live.get(i + 1) {
-                        let right_point = points[right as usize];
-                        pair_energy += manhattan(mid_point, right_point);
-                        bridge_energy += manhattan(left_point, right_point);
-                        rights += 1;
-                    }
+                    bridge_energy += manhattan(left_point, right_point);
                     dead[mid as usize] = true;
-                    spliced += 1;
-                } else {
-                    live[kept] = mid;
-                    kept += 1;
-                    left_point = points[mid as usize];
                 }
-                left_coin = mid_coin;
+            }
+            if tail != 0 {
+                let mid = live[last];
+                let to_left = manhattan(points[mid as usize], points[live[last - 1] as usize]);
+                pair_energy += to_left;
+                left_energy += to_left;
+                dead[mid as usize] = true;
+            }
+            let rights = spliced as u64 - (tail != 0) as u64;
+
+            // Compact the kept elements word by word, every store
+            // unconditional and the cursor advanced by the kept bit.
+            let mut kept = 0usize;
+            for (w, &word) in splice_words.iter().enumerate() {
+                let from = 64 * w;
+                for i in from..(from + 64).min(k) {
+                    live[kept] = live[i];
+                    kept += (!word >> (i - from) & 1) as usize;
+                }
             }
             live.truncate(kept);
             m.charge_pointer_round(pair_energy, spliced as u64 + rights);

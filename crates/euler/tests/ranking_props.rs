@@ -4,9 +4,12 @@
 //! and (c) behave *identically* to the retained seed implementation —
 //! same ranks, round counts, machine charges and per-slot clocks, from
 //! the same skewed entry clocks — on random permutations, sparse lists
-//! and the Euler tours of every tree family. A run without the by-id
-//! scatter, read element by element through the position map, must
-//! answer and charge exactly like the scattering `rank()`.
+//! and the Euler tours of every tree family, at every length across the
+//! 64-element words a round selects its splices in, and at scale (a
+//! 2¹⁶ + 1 element list, a 2¹⁴-vertex tree's tour). A run
+//! without the by-id scatter, read element by element through the
+//! position map, must answer and charge exactly like the scattering
+//! `rank()`.
 
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -66,15 +69,21 @@ fn assert_same_state(got: &Machine, want: &Machine, what: &str) {
     }
 }
 
+/// The engine and the seed engine rank `next` from the same skewed
+/// entry clocks and seed: same ranks, rounds, report, slot clocks and
+/// rng state after the run.
 fn compare_engines(next: &[u32], start: u32, n_slots: u32, algo_seed: u64) {
     let m_new = skewed_machine(n_slots, algo_seed);
-    let got = rank_spatial(&m_new, next, start, &mut StdRng::seed_from_u64(algo_seed));
+    let mut rng_new = StdRng::seed_from_u64(algo_seed);
+    let got = rank_spatial(&m_new, next, start, &mut rng_new);
 
     let m_ref = skewed_machine(n_slots, algo_seed);
-    let expect = rank_spatial_reference(&m_ref, next, start, &mut StdRng::seed_from_u64(algo_seed));
+    let mut rng_ref = StdRng::seed_from_u64(algo_seed);
+    let expect = rank_spatial_reference(&m_ref, next, start, &mut rng_ref);
 
     assert_eq!(got.ranks, expect.ranks, "ranks diverged");
     assert_eq!(got.rounds, expect.rounds, "round counts diverged");
+    assert_eq!(rng_new, rng_ref, "rng draws diverged");
     assert_same_state(&m_new, &m_ref, "list");
 }
 
@@ -122,6 +131,8 @@ fn empty_and_singleton_sentinels() {
     assert_eq!(got.ranks, vec![0]);
 }
 
+/// Fixed lengths, up to 2¹⁶ + 1 elements: hundreds of 64-element
+/// words in the first rounds, a partial last word, about 30 rounds.
 #[test]
 fn identical_to_reference_on_fixed_sizes() {
     for (n, list_seed, algo_seed) in [
@@ -130,9 +141,25 @@ fn identical_to_reference_on_fixed_sizes() {
         (100, 2, 8),
         (777, 3, 9),
         (4096, 4, 10),
+        ((1 << 16) + 1, 16, 42),
     ] {
         let (next, start) = random_list(n, list_seed);
         compare_engines(&next, start, n as u32, algo_seed);
+    }
+}
+
+/// A round selects its splices 64 live elements to a word, each word
+/// taking its left neighbour's coin from the word before. Every length
+/// from 1 to 300, two seeds each, so the live length crosses 64, 128,
+/// 192 and 256 in some round and splices land on both sides of every
+/// word boundary, on the list's first element and on its last.
+#[test]
+fn identical_to_reference_at_every_length_across_word_boundaries() {
+    for n in 1..=300usize {
+        for seed in [0u64, 1] {
+            let (next, start) = random_list(n, 1000 * n as u64 + seed);
+            compare_engines(&next, start, n as u32, 7 * n as u64 + seed);
+        }
     }
 }
 
@@ -147,19 +174,22 @@ fn identical_to_reference_on_sparse_lists() {
 #[test]
 fn identical_to_reference_on_euler_tours_of_every_family() {
     // The dart lists the forest and the layout engine rank: 2n slots,
-    // the root's two darts off-list.
-    for fam in TreeFamily::ALL {
-        for (n, seed) in [(2u32, 1u64), (37, 2), (600, 3)] {
-            let tree = fam.generate(n, &mut StdRng::seed_from_u64(seed));
-            for order in [ChildOrder::Natural, ChildOrder::LightFirst] {
-                let tour = EulerTour::new(&tree, order);
-                let next = tour.next_darts();
-                compare_engines(next, tour.start(), next.len() as u32, seed + 40);
-                let ranks = rank_sequential(next, tour.start());
-                let root = tree.root() as usize;
-                assert_eq!(ranks[2 * root], UNRANKED, "{fam}: root dart on-list");
-                assert_eq!(ranks[2 * root + 1], UNRANKED, "{fam}: root dart on-list");
-            }
+    // the root's two darts off-list. Every family at three sizes, and
+    // one session-sized tour: a `uniform_random` tree at n = 2¹⁴.
+    let cases = TreeFamily::ALL
+        .into_iter()
+        .flat_map(|fam| [(2u32, 1u64), (37, 2), (600, 3)].map(|(n, seed)| (fam, n, seed)))
+        .chain([(TreeFamily::UniformRandom, 1 << 14, 1)]);
+    for (fam, n, seed) in cases {
+        let tree = fam.generate(n, &mut StdRng::seed_from_u64(seed));
+        for order in [ChildOrder::Natural, ChildOrder::LightFirst] {
+            let tour = EulerTour::new(&tree, order);
+            let next = tour.next_darts();
+            compare_engines(next, tour.start(), next.len() as u32, seed + 40);
+            let ranks = rank_sequential(next, tour.start());
+            let root = tree.root() as usize;
+            assert_eq!(ranks[2 * root], UNRANKED, "{fam}: root dart on-list");
+            assert_eq!(ranks[2 * root + 1], UNRANKED, "{fam}: root dart on-list");
         }
     }
 }

@@ -75,7 +75,7 @@ use spatial_model::collectives::{self, LayeredBroadcast};
 use spatial_model::{vec_bytes, EngineLifecycle, Machine, Slot};
 use spatial_tree::{ChildrenCsr, HeavyPathDecomposition, NodeId, Tree, NIL};
 use spatial_treefix::contraction::ContractionEngine;
-use spatial_treefix::Add;
+use spatial_treefix::{Add, VALUED_CHECKS};
 
 /// Cost-relevant statistics of a batched LCA run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -515,7 +515,7 @@ impl Derived {
         // ---- ancestor/descendant answers. The ranges read the bind's ----
         // ---- sizes, so the pass runs charge-only outside builds with ----
         // ---- debug assertions, which check its sizes against them.   ----
-        let stats1 = if cfg!(debug_assertions) {
+        let stats1 = if VALUED_CHECKS {
             treefix.load_with(|_| Add(1), true);
             let stats = treefix.contract(machine, rng);
             let tf1_values = treefix.uncontract_bottom_up(machine);
@@ -562,7 +562,7 @@ impl Derived {
         // ---- indicator: every head but the root starts a new path    ----
         // ---- (heavy children continue their parent's). Resolution    ----
         // ---- reads the bind's layers: charge-only as in step 1.      ----
-        let stats3 = if cfg!(debug_assertions) {
+        let stats3 = if VALUED_CHECKS {
             let (head, root) = (&s.head, s.root);
             let indicator = |v: NodeId| Add((head[v as usize] == v && v != root) as u64);
             treefix.load_with(indicator, false);

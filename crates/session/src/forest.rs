@@ -12,7 +12,7 @@ use spatial_store::{
     CowSlab, DirtyExtents, ForestSnapshot, JournalWriter, MappedSnapshot, Record, StoreError,
 };
 use spatial_tree::{NodeId, Tree};
-use spatial_treefix::{treefix_bottom_up_host_into, Add};
+use spatial_treefix::{treefix_bottom_up_host_into, Add, VALUED_CHECKS};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -986,7 +986,7 @@ impl SpatialForest {
             let sums = &mut scratch.sums;
             treefix_bottom_up_host_into(tree.parents, treefix.preorder(), weight, sums);
             treefix.swap_run(&mut scratch.contraction);
-            if cfg!(debug_assertions) {
+            if VALUED_CHECKS {
                 treefix.load_with(weight, true);
                 treefix.contract(&scratch.machine, rng);
                 assert!(

@@ -25,7 +25,7 @@ use spatial_model::{vec_bytes, CurveKind, EngineLifecycle, Machine, Slot};
 use spatial_pram::{PramEngine, PramTreefix};
 use spatial_tree::{ChildrenCsr, NodeId};
 use spatial_treefix::contraction::{ContractionEngine, ContractionRun};
-use spatial_treefix::Add;
+use spatial_treefix::{Add, VALUED_CHECKS};
 
 /// What an execute needs only while it runs: one set of run buffers
 /// for each pooled engine that needs them (the §V contraction's
@@ -67,9 +67,15 @@ impl SessionScratch {
     /// forests of up to `vertices` vertices (the ranking and the dart
     /// machine run over two tour darts per vertex). A run grows a
     /// smaller set by itself; reserving only moves that allocation
-    /// ahead of the first run.
+    /// ahead of the first run. The contraction's value buffers
+    /// ([`ContractionRun::reserve_values`]) are reserved only where
+    /// sessions run valued passes ([`VALUED_CHECKS`]: builds with debug
+    /// assertions).
     pub fn reserve(&mut self, vertices: usize) {
         self.contraction.reserve(vertices);
+        if VALUED_CHECKS {
+            self.contraction.reserve_values(vertices);
+        }
         self.ranking.reserve(2 * vertices);
         self.sums
             .reserve_exact(vertices.saturating_sub(self.sums.len()));

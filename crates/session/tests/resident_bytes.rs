@@ -54,12 +54,17 @@ fn live() -> i64 {
 const N: u32 = 1 << 10;
 
 /// Census bytes per vertex after one mixed execute on `uniform_random`
-/// at n = 2¹⁰: 325 measured (349 while the forest's own ranking set
-/// kept rank weights, ranks by position and a splice log, 32 B/vertex,
-/// and its set no subtree-sum buffer, 8; 365 while the ranking set
-/// also reserved by-id ranks, 16 B/vertex, that the session's
-/// position-map reads never use; 421 while the forest kept a materialized
-/// tree, 12 B/vertex, the layout its per-vertex grid points before any
+/// at n = 2¹⁰: 294 measured in release builds, whose sessions run every
+/// contraction charge-only, so the forest's own set holds no value
+/// buffers, and 326 with debug assertions, whose valued passes size
+/// them (`P`, saved sums, accumulator and output, 32 B/vertex). The
+/// ranking set's splice words (one bit per dart) add 0.25 B/vertex to
+/// either (325 in both builds while every set reserved the value buffers; 349
+/// while the forest's own ranking set kept rank weights, ranks by
+/// position and a splice log, 32 B/vertex, and its set no subtree-sum
+/// buffer, 8; 365 while the ranking set also reserved by-id ranks, 16
+/// B/vertex, that the session's position-map reads never use; 421
+/// while the forest kept a materialized tree, 12 B/vertex, the layout its per-vertex grid points before any
 /// append, 8, and the LCA structure its own copies of the parents,
 /// slots, sizes and CSR, its step-3 indicator and its step-4 slot
 /// points, 36; 437 while the LCA structure also kept LCA step 2's
@@ -72,12 +77,14 @@ const N: u32 = 1 << 10;
 const MIXED_BUDGET: usize = 413;
 
 /// Census bytes per vertex after an insert epoch that opens with a
-/// sums-only session and then serves every query kind: 632 measured
-/// (680 with the ranking set's weights, ranks by position and splice
-/// log, 64 B/vertex at its 2¹²-dart capacity, and no subtree-sum
+/// sums-only session and then serves every query kind: 569 measured in
+/// release builds and 633 with debug assertions, whose valued passes
+/// size the contraction set's value buffers (64 B/vertex at its
+/// 2¹¹-vertex capacity) (632 in both builds while every set reserved
+/// them; 680 with the ranking set's weights, ranks by position and
+/// splice log, 64 B/vertex at its 2¹²-dart capacity, and no subtree-sum
 /// buffer, 16 at its 2¹¹ entries; 712 with the by-id ranks reserved for
-/// the set's 2¹²-dart capacity;
-/// 760 with the materialized tree and the LCA structure's copies kept,
+/// the set's 2¹²-dart capacity; 760 with the materialized tree and the LCA structure's copies kept,
 /// the layout's grid points being part of its headroom by then; 776
 /// with the construction pairs kept too, 803 with the Euler tour and
 /// the step-1 ones kept too). Two contraction engines, each grown to

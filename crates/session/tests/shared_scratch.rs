@@ -56,10 +56,12 @@ fn live() -> i64 {
 
 /// Census bytes per vertex of a tenant that runs on a shared set, after
 /// one mixed execute on `uniform_random` at n = 2¹⁰: 107 measured (the
-/// same forest on its own set reads 325). The shared set's buffers are
-/// not the tenant's, so dropping the ranking's by-id ranks, weights,
-/// ranks by position and splice log, and adding the subtree sums'
-/// buffer, left this figure as it was. It read 163 while the forest
+/// same forest on its own set reads 294 in release builds and 326 with
+/// debug assertions, whose valued passes size the contraction's value
+/// buffers). The shared set's buffers are not the tenant's, so dropping
+/// the ranking's by-id ranks, weights, ranks by position and splice
+/// log, adding the subtree sums' buffer, and leaving the contraction's
+/// value buffers to the first valued load, left this figure as it was. It read 163 while the forest
 /// kept a materialized tree (12 B/vertex), the layout its per-vertex
 /// grid points before any append (8) and the LCA structure its own
 /// copies of the parents, slots, sizes and CSR, its step-3 indicator

@@ -110,7 +110,10 @@
 //! its report, per-slot clocks, stats and rng draws are a valued run's,
 //! in either direction: the rake flag (`rake_adds_to_p`) only decides
 //! whether RAKE adds to `P`. The passes take the choice as a
-//! compile-time flag, so both runs share one source.
+//! compile-time flag, so both runs share one source. Those callers run
+//! the pass valued and check its values against their host answers
+//! exactly when [`VALUED_CHECKS`] is set (builds with debug
+//! assertions), and charge-only otherwise.
 //!
 //! # Memory discipline and lifecycle
 //!
@@ -146,7 +149,13 @@
 //! - [`spatial_model::EngineLifecycle::reserve`] grows the structure's
 //!   capacity and any run buffers the engine holds (the only allocating
 //!   step once the engine exists, besides a lent set's growth);
-//!   [`ContractionRun::reserve`] grows a set on its own.
+//!   [`ContractionRun::reserve`] grows a set on its own, without its
+//!   four value buffers (`P`, the saved pre-merge sums, the
+//!   uncontraction accumulator and the output):
+//!   [`ContractionRun::reserve_values`] grows those, an engine's own set
+//!   reserves them with the rest, and a valued load grows a lent set's
+//!   to the engine's capacity. A set that serves only charge-only runs
+//!   never holds them.
 //!
 //! The distributed contraction log is three flat arrays with per-round
 //! end offsets (sized to a bound on the `O(log n)` w.h.p. round count,
@@ -166,6 +175,16 @@ use spatial_layout::Layout;
 use spatial_messaging::relay::{charge_broadcast_levels_depth_first, StagedReduceRelays};
 use spatial_model::{round_capacity, vec_bytes, EngineLifecycle, Machine, Slot};
 use spatial_tree::{ChildrenCsr, NodeId, Tree, NIL};
+
+/// Whether callers that read none of a pass's values still run it
+/// valued, to check those values against their host answers: set
+/// exactly in builds with debug assertions. Without it those callers
+/// run [`ContractionEngine::charge_only_run`], which charges the same,
+/// and the run sets they lend never hold the value buffers
+/// ([`ContractionRun::reserve_values`]). The batched LCA's steps 1 and
+/// 3, the session forest's subtree sums and the session scratch's
+/// reservation all read this one rule.
+pub const VALUED_CHECKS: bool = cfg!(debug_assertions);
 
 /// Cost-relevant counters of one contraction run (Las Vegas evidence:
 /// these vary with the seed, the output never does).
@@ -297,48 +316,58 @@ impl<M: CommutativeMonoid> Default for ContractionRun<M> {
 }
 
 impl<M: CommutativeMonoid> ContractionRun<M> {
-    /// A set reserved for trees of up to `cap` vertices.
+    /// A set reserved for charge-only runs on trees of up to `cap`
+    /// vertices ([`ContractionRun::reserve`]; the first valued load
+    /// sizes the value buffers).
     pub fn with_capacity(cap: usize) -> Self {
         let mut run = Self::default();
         run.reserve(cap);
         run
     }
 
-    /// Grows every buffer to hold a run on `cap` vertices (never
-    /// shrinks; a no-op at or below the capacity).
+    /// Grows every buffer a charge-only run uses to hold a run on `cap`
+    /// vertices (never shrinks; a no-op at or below the capacity). The
+    /// value buffers are not among them: see
+    /// [`ContractionRun::reserve_values`].
     pub fn reserve(&mut self, cap: usize) {
         if cap <= self.cap {
             return;
         }
-        fn grow<T>(buf: &mut Vec<T>, cap: usize) {
-            buf.reserve_exact(cap.saturating_sub(buf.len()));
-        }
-        grow(&mut self.parent, cap);
-        grow(&mut self.child_count, cap);
-        grow(&mut self.p, cap);
-        grow(&mut self.active, cap);
-        grow(&mut self.alive, cap);
-        grow(&mut self.group_parent, cap);
-        grow(&mut self.group_len, cap);
-        grow(&mut self.kids, cap);
-        grow(&mut self.saved_p, cap);
-        grow(&mut self.compress_log, cap);
-        grow(&mut self.compress_ends, round_capacity(cap));
-        grow(&mut self.rake_log, cap);
-        grow(&mut self.rake_groups, cap);
-        grow(&mut self.rake_ends, round_capacity(cap));
-        grow(&mut self.first_msgs, cap);
+        grow_exact(&mut self.parent, cap);
+        grow_exact(&mut self.child_count, cap);
+        grow_exact(&mut self.active, cap);
+        grow_exact(&mut self.alive, cap);
+        grow_exact(&mut self.group_parent, cap);
+        grow_exact(&mut self.group_len, cap);
+        grow_exact(&mut self.kids, cap);
+        grow_exact(&mut self.compress_log, cap);
+        grow_exact(&mut self.compress_ends, round_capacity(cap));
+        grow_exact(&mut self.rake_log, cap);
+        grow_exact(&mut self.rake_groups, cap);
+        grow_exact(&mut self.rake_ends, round_capacity(cap));
+        grow_exact(&mut self.first_msgs, cap);
         // The COMPRESS pass writes probes through a cursor: the buffer
         // holds one entry per vertex.
-        grow(&mut self.probe_msgs, cap);
+        grow_exact(&mut self.probe_msgs, cap);
         self.probe_msgs.resize(cap, (0, 0));
-        grow(&mut self.compress_msgs, cap);
-        grow(&mut self.deferred, cap);
-        grow(&mut self.acc, cap);
-        grow(&mut self.out, cap);
-        grow(&mut self.coin, cap);
+        grow_exact(&mut self.compress_msgs, cap);
+        grow_exact(&mut self.deferred, cap);
+        grow_exact(&mut self.coin, cap);
         self.relays.reserve(cap);
         self.cap = cap;
+    }
+
+    /// Grows the four value buffers (the partial sums `P`, the saved
+    /// pre-merge sums, the uncontraction accumulator and the output) to
+    /// hold a valued run on `cap` vertices (never shrinks). Only a
+    /// valued run reads them, and its load grows a short set to its
+    /// engine's capacity, so a set that serves only charge-only runs
+    /// never holds them.
+    pub fn reserve_values(&mut self, cap: usize) {
+        grow_exact(&mut self.p, cap);
+        grow_exact(&mut self.saved_p, cap);
+        grow_exact(&mut self.acc, cap);
+        grow_exact(&mut self.out, cap);
     }
 
     /// Heap bytes the set keeps resident, by capacity.
@@ -449,8 +478,15 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
     pub fn with_capacity(cap: usize) -> Self {
         let mut engine = Self::default();
         engine.reserve(cap);
-        engine.run.reserve(cap);
+        engine.reserve_own_run(cap);
         engine
+    }
+
+    /// Grows the engine's own run buffers, the value buffers included:
+    /// an engine that keeps its set runs valued passes.
+    fn reserve_own_run(&mut self, cap: usize) {
+        self.run.reserve(cap);
+        self.run.reserve_values(cap);
     }
 
     /// One-shot constructor: capacity for exactly this tree, bound to
@@ -617,6 +653,9 @@ impl<M: CommutativeMonoid> ContractionEngine<M> {
         self.rake_adds_to_p = rake_adds_to_p;
         if self.run.cap < n {
             self.run.reserve(self.cap);
+        }
+        if V && self.run.p.capacity() < n {
+            self.run.reserve_values(self.cap);
         }
 
         let run = &mut self.run;
@@ -1181,7 +1220,7 @@ impl<M: CommutativeMonoid> EngineLifecycle for ContractionEngine<M> {
     /// [`ContractionRun::reserve`] or at the first load that needs it).
     fn reserve(&mut self, cap: usize) {
         if self.run.cap > 0 {
-            self.run.reserve(cap);
+            self.reserve_own_run(cap);
         }
         if cap <= self.cap {
             return;
@@ -1203,6 +1242,12 @@ impl<M: CommutativeMonoid> EngineLifecycle for ContractionEngine<M> {
         self.n = 0;
         self.phase = Phase::Unbound;
     }
+}
+
+/// Grows `buf` to hold at least `cap` elements, exactly (a run set's
+/// buffers are sized once, not doubled).
+fn grow_exact<T>(buf: &mut Vec<T>, cap: usize) {
+    buf.reserve_exact(cap.saturating_sub(buf.len()));
 }
 
 /// Stable in-place compaction keeping `v` where `flag[v]`: the

@@ -43,7 +43,7 @@ pub mod monoid;
 pub mod reference;
 pub mod spatial;
 
-pub use contraction::ContractionStats;
+pub use contraction::{ContractionStats, VALUED_CHECKS};
 pub use expression::{
     evaluate_expression, evaluate_expression_host, ExprNode, ExprResult, ExprTree,
 };
